@@ -343,20 +343,13 @@ def heuristic_scores(
         return np.zeros(L)
     if method == "random":
         return rng.random(L)
-    counts: dict[int, int] = {}
-    for tok in seq.ids:
-        counts[tok] = counts.get(tok, 0) + 1
-    return np.array(
-        [
-            bm25_term_weight(
-                tf=counts[tok],
-                df=stats.doc_freq.get(tok, 0),
-                doc_len=L,
-                avg_len=stats.avg_len,
-                n_docs=stats.n_docs,
-            )
-            for tok in seq.ids
-        ]
+    _, inverse, counts = np.unique(seq.ids, return_inverse=True, return_counts=True)
+    return bm25_term_weight(
+        tf=counts[inverse],
+        df=np.array([stats.doc_freq.get(tok, 0) for tok in seq.ids], dtype=np.int64),
+        doc_len=L,
+        avg_len=stats.avg_len,
+        n_docs=stats.n_docs,
     )
 
 

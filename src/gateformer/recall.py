@@ -1,21 +1,33 @@
 """Sparse, dense, and hybrid candidate recall over gated keywords.
 
 Sparse recall is an exact inverted-index + Okapi BM25 ranker (k1=1.2,
-b=0.75); dense recall is exact brute-force scaled inner product; hybrid
-retrieves sparsely then re-ranks densely. No approximate pruning anywhere:
-desk-scale corpora make exactness cheap.
+b=0.75) that accumulates scores term at a time over CSR postings; dense
+recall is exact brute-force scaled inner product; hybrid retrieves sparsely
+then re-ranks densely. No approximate pruning anywhere: desk-scale corpora
+make exactness cheap.
 
-Index file layout (little-endian):
+Postings are CSR (compressed sparse rows): the postings of ``tokens[r]``
+are ``keys[offsets[r]:offsets[r + 1]]`` with term frequencies ``tfs`` at the
+same positions, keys ascending. A doc key indexes ``doc_ids``, the sorted
+external ids, so key order and id order coincide.
 
-    magic  b"GFIX"
-    u32    format version (1)
-    u32    n_docs
-    f64    avg_len
-    n_docs x (u16 id_len, id utf8 bytes, u32 doc_len)    # sorted by doc id
-    u32    n_tokens
-    per token (ascending token id):
-        u32 token_id, u32 n_postings,
-        n_postings x (u32 delta_doc_key, u32 tf)         # keys delta-coded
+Index file layout, format version 2 (little-endian, no padding):
+
+    magic   b"GFIX"
+    u32     format version (2)
+    u32     n_docs
+    u32     n_tokens
+    u64     n_postings
+    u64     id_bytes                   total utf-8 bytes of the doc ids
+    i64     offsets[n_tokens + 1]      0, ..., n_postings; strictly increasing
+    u32     tokens[n_tokens]           strictly increasing token ids
+    u32     keys[n_postings]           < n_docs; strictly increasing per token
+    u32     tfs[n_postings]            >= 1
+    u32     id_lens[n_docs]            utf-8 byte length of each doc id
+    u8      ids[id_bytes]              doc ids, strictly increasing
+
+Doc lengths (the per-doc sum of tfs), the average length and the BM25
+weight of every posting are derived on load, never stored.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,45 +46,59 @@ K1 = 1.2
 B = 0.75
 
 MAGIC = b"GFIX"
-VERSION = 1
+VERSION = 2
+HEADER = struct.Struct("<4sIIIQQ")  # magic, version, n_docs, n_tokens, n_postings, id_bytes
 
 
-def bm25_term_weight(
-    tf: int,
-    df: int,
-    doc_len: int,
-    avg_len: float,
-    n_docs: int,
-    k1: float = K1,
-    b: float = B,
-) -> float:
-    """Okapi BM25 contribution of one term occurring tf times in a document."""
-    if tf <= 0:
-        return 0.0
-    idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
-    return idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doc_len / avg_len))
+def bm25_term_weight(tf, df, doc_len, avg_len, n_docs, k1: float = K1, b: float = B):
+    """Okapi BM25 contribution of one term occurring tf times in a document.
+
+    Every argument may be a scalar or an array (they broadcast); the result
+    is an array, zero where tf <= 0.
+    """
+    tf = np.asarray(tf, dtype=np.float64)
+    idf = np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+    weight = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doc_len / avg_len))
+    return np.where(tf > 0, weight, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class InvertedIndex:
-    """Postings sorted ascending by internal doc key; keys index ``doc_ids``
-    (the sorted external ids), so key order and id order coincide."""
+    """CSR postings over the docs ``doc_ids`` (sorted; a doc's key is its
+    position). Doc lengths, the average length, the per-posting BM25 weights
+    and the id -> key map are derived from the postings."""
 
     doc_ids: list[str]
-    doc_lengths: list[int]
-    postings: dict[int, list[tuple[int, int]]]  # token -> [(doc_key, tf)]
-    avg_len: float
+    tokens: np.ndarray   # int64 [n_tokens], strictly increasing
+    offsets: np.ndarray  # int64 [n_tokens + 1]
+    keys: np.ndarray     # int64 [n_postings]
+    tfs: np.ndarray      # int64 [n_postings]
+    doc_lengths: np.ndarray = field(init=False)
+    avg_len: float = field(init=False)
+    weights: np.ndarray = field(init=False)
+    doc_keys: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        n_docs = len(self.doc_ids)
+        self.doc_lengths = np.bincount(self.keys, weights=self.tfs, minlength=n_docs).astype(np.int64)
+        self.avg_len = int(self.doc_lengths.sum()) / n_docs
+        df = np.diff(self.offsets)
+        self.weights = bm25_term_weight(
+            self.tfs, np.repeat(df, df), self.doc_lengths[self.keys], self.avg_len, n_docs
+        )
+        self.doc_keys = {doc_id: key for key, doc_id in enumerate(self.doc_ids)}
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def key_of(self, doc_id: str) -> int:
-        lo = np.searchsorted(np.asarray(self.doc_ids, dtype=object), doc_id)
-        idx = int(lo)
-        if idx >= len(self.doc_ids) or self.doc_ids[idx] != doc_id:
-            raise KeyError(f"doc id not in index: {doc_id}")
-        return idx
+    def span(self, tok: int) -> slice:
+        """Where ``tok``'s postings sit in ``keys``/``tfs``/``weights``;
+        empty when the token is not indexed."""
+        row = int(np.searchsorted(self.tokens, tok))
+        if row < len(self.tokens) and self.tokens[row] == tok:
+            return slice(int(self.offsets[row]), int(self.offsets[row + 1]))
+        return slice(0, 0)
 
 
 def build_index(docs: dict[str, TokenSequence]) -> InvertedIndex:
@@ -79,18 +106,26 @@ def build_index(docs: dict[str, TokenSequence]) -> InvertedIndex:
     if not docs:
         raise ValueError("cannot index an empty corpus")
     doc_ids = sorted(docs)
-    doc_lengths = []
-    postings: dict[int, list[tuple[int, int]]] = {}
-    for key, doc_id in enumerate(doc_ids):
-        seq = docs[doc_id]
-        doc_lengths.append(len(seq))
-        counts: dict[int, int] = {}
-        for tok in seq.ids:
-            counts[tok] = counts.get(tok, 0) + 1
-        for tok, tf in counts.items():
-            postings.setdefault(tok, []).append((key, tf))
-    avg_len = sum(doc_lengths) / len(doc_lengths)
-    return InvertedIndex(doc_ids, doc_lengths, postings, avg_len)
+    n_docs = len(doc_ids)
+    lengths = [len(docs[doc_id]) for doc_id in doc_ids]
+    flat = np.fromiter(
+        chain.from_iterable(docs[doc_id].ids for doc_id in doc_ids),
+        dtype=np.int64,
+        count=sum(lengths),
+    )
+    if flat.size and (flat.min() < 0 or flat.max() >= 2**32):
+        raise ValueError("token ids must lie in [0, 2**32)")
+    # one code per (token, doc key) pair; sorting the codes orders postings
+    # by token, then by key. Both factors are below 2**32, so uint64 holds it.
+    codes = flat.astype(np.uint64) * np.uint64(n_docs) + np.repeat(
+        np.arange(n_docs, dtype=np.uint64), lengths
+    )
+    pairs, tfs = np.unique(codes, return_counts=True)
+    token_of = (pairs // np.uint64(n_docs)).astype(np.int64)
+    keys = (pairs % np.uint64(n_docs)).astype(np.int64)
+    tokens, starts = np.unique(token_of, return_index=True)
+    offsets = np.append(starts, len(pairs)).astype(np.int64)
+    return InvertedIndex(doc_ids, tokens, offsets, keys, tfs.astype(np.int64))
 
 
 @dataclass
@@ -114,38 +149,40 @@ class UserQuery:
 
 
 def bm25_score(index: InvertedIndex, query: UserQuery, doc_id: str) -> float:
-    """Weighted BM25 of one document for the query's keyword bag."""
-    key = index.key_of(doc_id)
-    doc_len = index.doc_lengths[key]
+    """Weighted BM25 of one document for the query's keyword bag. It adds the
+    same per-posting weights in the same order as ``sparse_scores``, so the
+    two agree bit for bit."""
+    key = index.doc_keys[doc_id]
     score = 0.0
-    for tok, weight in query.keywords:
-        plist = index.postings.get(tok)
-        if not plist:
-            continue
-        keys = [k for k, _ in plist]
-        pos = int(np.searchsorted(keys, key))
-        if pos < len(keys) and keys[pos] == key:
-            tf = plist[pos][1]
-            score += weight * bm25_term_weight(
-                tf, len(plist), doc_len, index.avg_len, index.n_docs
-            )
-    return score
+    for tok, w in query.keywords:
+        span = index.span(tok)
+        pos = span.start + int(np.searchsorted(index.keys[span], key))
+        if pos < span.stop and index.keys[pos] == key:
+            score += w * index.weights[pos]
+    return float(score)
+
+
+def sparse_scores(index: InvertedIndex, query: UserQuery) -> tuple[np.ndarray, np.ndarray]:
+    """(doc keys, BM25 scores) of every doc holding a query keyword, keys
+    ascending; scores are accumulated term at a time over the postings."""
+    score = np.zeros(index.n_docs)
+    touched = np.zeros(index.n_docs, dtype=bool)
+    for tok, w in query.keywords:
+        span = index.span(tok)
+        keys = index.keys[span]
+        score[keys] += w * index.weights[span]
+        touched[keys] = True
+    cands = np.flatnonzero(touched)
+    return cands, score[cands]
 
 
 def recall_sparse(index: InvertedIndex, query: UserQuery, n: int) -> list[str]:
-    """Exact BM25 top-n over the union of the query terms' postings."""
+    """Exact BM25 top-n over the union of the query terms' postings; ties
+    broken by doc id."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    candidates: set[int] = set()
-    for tok, _ in query.keywords:
-        for key, _tf in index.postings.get(tok, ()):
-            candidates.add(key)
-    scored = []
-    for key in sorted(candidates):
-        doc_id = index.doc_ids[key]
-        scored.append((-bm25_score(index, query, doc_id), key))
-    scored.sort()
-    return [index.doc_ids[key] for _, key in scored[:n]]
+    keys, scores = sparse_scores(index, query)
+    return [index.doc_ids[key] for key in keys[np.lexsort((keys, -scores))[:n]]]
 
 
 def recall_dense(
@@ -155,17 +192,17 @@ def recall_dense(
     if n < 1:
         raise ValueError("n must be >= 1")
     d = user_embedding.shape[0]
-    scale = 1.0 / math.sqrt(d)
-    scored = []
-    for doc_id in sorted(doc_embeddings):
-        e = doc_embeddings[doc_id]
-        if e.shape[0] != d:
-            raise ValueError(
-                f"embedding dim mismatch: user {d} vs doc {doc_id} {e.shape[0]}"
-            )
-        scored.append((-float(user_embedding @ e) * scale, doc_id))
-    scored.sort()
-    return [doc_id for _, doc_id in scored[:n]]
+    doc_ids = sorted(doc_embeddings)
+    if not doc_ids:
+        return []
+    rows = [doc_embeddings[doc_id] for doc_id in doc_ids]
+    for doc_id, e in zip(doc_ids, rows):
+        if e.shape != (d,):
+            raise ValueError(f"embedding dim mismatch: user {d} vs doc {doc_id} shape {e.shape}")
+    # vecdot takes one dot product per row, so equal rows score equally
+    # (a BLAS matrix-vector product may round them differently)
+    scores = np.vecdot(np.stack(rows), user_embedding) * (1.0 / math.sqrt(d))
+    return [doc_ids[j] for j in np.lexsort((np.arange(len(doc_ids)), -scores))[:n]]
 
 
 def recall_hybrid(
@@ -199,60 +236,79 @@ def recall_at_k(results: list[str], relevant: set[str], k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def save_index(index: InvertedIndex, path) -> None:
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", VERSION, index.n_docs)
-    out += struct.pack("<d", index.avg_len)
-    for doc_id, length in zip(index.doc_ids, index.doc_lengths):
-        raw = doc_id.encode("utf-8")
-        out += struct.pack("<H", len(raw))
-        out += raw
-        out += struct.pack("<I", length)
-    tokens = sorted(index.postings)
-    out += struct.pack("<I", len(tokens))
-    for tok in tokens:
-        plist = index.postings[tok]
-        out += struct.pack("<II", tok, len(plist))
-        prev = 0
-        for key, tf in plist:
-            out += struct.pack("<II", key - prev, tf)
-            prev = key
-    Path(path).write_bytes(bytes(out))
+    """Write ``index`` in the version-2 layout of the module docstring."""
+    raw_ids = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
+    blob = b"".join(raw_ids)
+    parts = [
+        HEADER.pack(MAGIC, VERSION, index.n_docs, len(index.tokens), len(index.keys), len(blob)),
+        index.offsets.astype("<i8").tobytes(),
+        index.tokens.astype("<u4").tobytes(),
+        index.keys.astype("<u4").tobytes(),
+        index.tfs.astype("<u4").tobytes(),
+        np.array([len(raw) for raw in raw_ids], dtype="<u4").tobytes(),
+        blob,
+    ]
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_index(path) -> InvertedIndex:
+    """Read a version-2 index file. Every size, offset, key and id is checked
+    against the file before use; a bad file raises ValueError naming it."""
     buf = Path(path).read_bytes()
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"corrupt index file {path}: {why}")
+
     if buf[:4] != MAGIC:
         raise ValueError(f"not an index file: {path}")
-    off = 4
-    version, n_docs = struct.unpack_from("<II", buf, off)
-    off += 8
+    if len(buf) < 8:
+        raise bad("truncated header")
+    (version,) = struct.unpack_from("<I", buf, 4)
     if version != VERSION:
-        raise ValueError(f"unsupported index version {version}")
-    (avg_len,) = struct.unpack_from("<d", buf, off)
-    off += 8
-    doc_ids: list[str] = []
-    doc_lengths: list[int] = []
-    for _ in range(n_docs):
-        (id_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        doc_ids.append(buf[off:off + id_len].decode("utf-8"))
-        off += id_len
-        (length,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        doc_lengths.append(length)
-    (n_tokens,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    postings: dict[int, list[tuple[int, int]]] = {}
-    for _ in range(n_tokens):
-        tok, n_post = struct.unpack_from("<II", buf, off)
-        off += 8
-        plist = []
-        prev = 0
-        for _ in range(n_post):
-            delta, tf = struct.unpack_from("<II", buf, off)
-            off += 8
-            prev += delta
-            plist.append((prev, tf))
-        postings[tok] = plist
-    return InvertedIndex(doc_ids, doc_lengths, postings, avg_len)
+        raise ValueError(f"unsupported index version {version} in {path} (expected {VERSION})")
+    if len(buf) < HEADER.size:
+        raise bad("truncated header")
+    _, _, n_docs, n_tokens, n_postings, id_bytes = HEADER.unpack_from(buf)
+    sections = [
+        ("<i8", n_tokens + 1), ("<u4", n_tokens), ("<u4", n_postings),
+        ("<u4", n_postings), ("<u4", n_docs),
+    ]
+    size = HEADER.size + sum(np.dtype(dt).itemsize * count for dt, count in sections) + id_bytes
+    if len(buf) < size:
+        raise bad(f"truncated: {len(buf)} bytes, the header needs {size}")
+    if len(buf) > size:
+        raise bad(f"{len(buf) - size} trailing bytes after {size}")
+    if n_docs == 0:
+        raise bad("no documents")
+
+    arrays, off = [], HEADER.size
+    for dt, count in sections:
+        arrays.append(np.frombuffer(buf, dtype=dt, count=count, offset=off).astype(np.int64))
+        off += np.dtype(dt).itemsize * count
+    offsets, tokens, keys, tfs, id_lens = arrays
+
+    if offsets[0] != 0 or offsets[-1] != n_postings:
+        raise bad(f"offsets must run from 0 to {n_postings}")
+    if np.any(np.diff(offsets) <= 0):
+        raise bad("offsets are not strictly increasing")
+    if np.any(np.diff(tokens) <= 0):
+        raise bad("token ids are not strictly increasing")
+    if n_postings and keys.max() >= n_docs:
+        raise bad(f"doc key {int(keys.max())} out of range for {n_docs} docs")
+    within = np.ones(max(n_postings - 1, 0), dtype=bool)
+    within[offsets[1:-1] - 1] = False  # a token's first key may be below the last one's
+    if np.any(np.diff(keys)[within] <= 0):
+        raise bad("doc keys are not strictly increasing within a token")
+    if np.any(tfs < 1):
+        raise bad("term frequency below 1")
+    if int(id_lens.sum()) != id_bytes:
+        raise bad(f"doc id lengths sum to {int(id_lens.sum())}, the header says {id_bytes}")
+
+    ends = np.cumsum(id_lens).tolist()
+    try:
+        doc_ids = [buf[off + a:off + b].decode("utf-8") for a, b in zip([0] + ends, ends)]
+    except UnicodeDecodeError as e:
+        raise bad(f"doc id is not utf-8 ({e.reason})") from None
+    if any(a >= b for a, b in zip(doc_ids, doc_ids[1:])):
+        raise bad("doc ids are not strictly increasing")
+    return InvertedIndex(doc_ids, tokens, offsets, keys, tfs)

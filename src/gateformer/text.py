@@ -227,6 +227,7 @@ def load_mind_behaviors(
         raise FileNotFoundError(f"behaviors file not found: {path}")
     rng = np.random.default_rng(seed)
     samples: list[ImpressionSample] = []
+    skipped = 0
 
     def known(item_id: str) -> bool:
         seq = news.get(item_id)
@@ -239,6 +240,7 @@ def load_mind_behaviors(
                 continue
             cols = line.split("\t")
             if len(cols) < 5:
+                skipped += 1
                 continue
             _imp_id, _user_id, _time, history_field, impression_field = cols[:5]
             hist_ids = [h for h in history_field.split() if known(h)][-n_max:]
@@ -273,6 +275,8 @@ def load_mind_behaviors(
                         negative_ids=negs,
                     )
                 )
+    if skipped:
+        log.warning("skipped %d malformed behavior rows in %s", skipped, path)
     return samples
 
 

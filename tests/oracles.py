@@ -8,6 +8,7 @@ it is checking.
 import numpy as np
 
 from gateformer.numerics import Tape, backward
+from gateformer.recall import bm25_term_weight
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -140,3 +141,56 @@ def bm25_oracle(query_terms, doc_terms, all_docs, k1: float = 1.2, b: float = 0.
         denom = tf + k1 * (1.0 - b + b * doc_len / avg_len)
         score += weight * idf * tf * (k1 + 1.0) / denom if tf > 0 else 0.0
     return score
+
+
+def bm25_rank_oracle(docs, pairs, n: int) -> list:
+    """BM25 top-n the loop-per-document way. ``docs`` maps doc id -> token
+    list and ``pairs`` are (token, weight) with repeated tokens' weights
+    summed. Every doc holding a query token is scored on its own, term by
+    term in ascending token order, then all are sorted by (-score, doc id).
+
+    Term weights come from the package's scalar BM25 formula and are added in
+    the same order as recall_sparse adds them, so equal docs tie exactly and
+    the ranking must match recall_sparse's exactly."""
+    merged = {}
+    for tok, w in pairs:
+        merged[tok] = merged.get(tok, 0.0) + w
+    keywords = sorted(merged.items())
+    n_docs = len(docs)
+    avg_len = sum(len(terms) for terms in docs.values()) / n_docs
+    df = {tok: sum(1 for terms in docs.values() if tok in terms) for tok, _ in keywords}
+    scored = []
+    for doc_id in sorted(docs):
+        terms = list(docs[doc_id])
+        if not any(tok in terms for tok, _ in keywords):
+            continue
+        score = 0.0
+        for tok, w in keywords:
+            tf = terms.count(tok)
+            if tf:
+                score += w * bm25_term_weight(tf, df[tok], len(terms), avg_len, n_docs)
+        scored.append((-score, doc_id))
+    scored.sort()
+    return [doc_id for _, doc_id in scored[:n]]
+
+
+def dense_rank_oracle(user_embedding, doc_embeddings, n: int) -> list:
+    """Dense top-n by sorting every doc on (-scaled dot product, doc id)."""
+    scale = 1.0 / np.sqrt(user_embedding.shape[0])
+    scored = sorted(
+        (-float(user_embedding @ e) * scale, doc_id) for doc_id, e in doc_embeddings.items()
+    )
+    return [doc_id for _, doc_id in scored[:n]]
+
+
+def postings_oracle(docs) -> dict:
+    """token -> [(doc key, tf)] with keys the positions of the sorted doc ids,
+    built one doc and one token at a time."""
+    postings = {}
+    for key, doc_id in enumerate(sorted(docs)):
+        counts = {}
+        for tok in docs[doc_id]:
+            counts[tok] = counts.get(tok, 0) + 1
+        for tok, tf in counts.items():
+            postings.setdefault(tok, []).append((key, tf))
+    return dict(sorted(postings.items()))

@@ -1,10 +1,13 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from gateformer.recall import (
-    InvertedIndex,
+    HEADER,
+    MAGIC,
     UserQuery,
     bm25_score,
     bm25_term_weight,
@@ -15,9 +18,16 @@ from gateformer.recall import (
     recall_hybrid,
     recall_sparse,
     save_index,
+    sparse_scores,
 )
 from gateformer.text import TokenSequence
-from oracles import bm25_oracle, recall_at_k_oracle
+from oracles import (
+    bm25_oracle,
+    bm25_rank_oracle,
+    dense_rank_oracle,
+    postings_oracle,
+    recall_at_k_oracle,
+)
 
 
 def seq_of(ids):
@@ -31,16 +41,36 @@ def random_docs(rng, n_docs, vocab=40, min_len=3, max_len=12):
     }
 
 
+def with_duplicates(rng, docs, n_dup):
+    """``docs`` plus copies of random docs under new ids, so scores tie."""
+    out = dict(docs)
+    for j, src in enumerate(rng.choice(sorted(docs), size=n_dup)):
+        out[f"X{j:03d}"] = docs[src]
+    return out
+
+
+def csr_postings(idx):
+    """token -> [(doc key, tf)] read back from the CSR arrays."""
+    return {
+        int(tok): list(zip(idx.keys[s:e].tolist(), idx.tfs[s:e].tolist()))
+        for tok, s, e in zip(idx.tokens, idx.offsets[:-1], idx.offsets[1:])
+    }
+
+
 class TestBuildIndex:
     def test_single_doc_single_token(self):
         idx = build_index({"D1": seq_of([7])})
-        assert idx.postings == {7: [(0, 1)]}
-        assert idx.doc_lengths == [1]
+        assert idx.tokens.tolist() == [7]
+        assert idx.offsets.tolist() == [0, 1]
+        assert idx.keys.tolist() == [0]
+        assert idx.tfs.tolist() == [1]
+        assert idx.doc_lengths.tolist() == [1]
         assert idx.avg_len == 1.0
 
     def test_absent_token_has_no_postings(self):
         idx = build_index({"D1": seq_of([7, 8])})
-        assert 99 not in idx.postings
+        assert 99 not in idx.tokens
+        assert idx.keys[idx.span(99)].size == 0
 
     def test_three_doc_fixture_matches_hand_postings(self):
         idx = build_index({
@@ -49,12 +79,17 @@ class TestBuildIndex:
             "C": seq_of([5, 5, 5, 6]),
         })
         assert idx.doc_ids == ["A", "B", "C"]
-        assert idx.postings[3] == [(0, 2)]
-        assert idx.postings[4] == [(0, 1), (1, 1)]
-        assert idx.postings[5] == [(1, 1), (2, 3)]
-        assert idx.postings[6] == [(2, 1)]
-        assert idx.doc_lengths == [3, 2, 4]
+        assert idx.tokens.tolist() == [3, 4, 5, 6]
+        assert idx.offsets.tolist() == [0, 1, 3, 5, 6]
+        assert idx.keys.tolist() == [0, 0, 1, 1, 2, 2]
+        assert idx.tfs.tolist() == [2, 1, 1, 1, 3, 1]
+        assert csr_postings(idx) == {
+            3: [(0, 2)], 4: [(0, 1), (1, 1)], 5: [(1, 1), (2, 3)], 6: [(2, 1)],
+        }
+        assert idx.tfs[idx.span(5)].tolist() == [1, 3]
+        assert idx.doc_lengths.tolist() == [3, 2, 4]
         assert idx.avg_len == 3.0
+        assert idx.doc_keys == {"A": 0, "B": 1, "C": 2}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -63,9 +98,39 @@ class TestBuildIndex:
     def test_postings_sorted_no_duplicates(self):
         rng = np.random.default_rng(0)
         idx = build_index(random_docs(rng, 30))
-        for plist in idx.postings.values():
+        assert np.all(np.diff(idx.tokens) > 0)
+        for plist in csr_postings(idx).values():
             keys = [k for k, _ in plist]
             assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize("n_docs", [1, 9, 120])
+    def test_matches_postings_oracle(self, n_docs):
+        rng = np.random.default_rng(n_docs)
+        docs = random_docs(rng, n_docs, min_len=0)
+        idx = build_index(docs)
+        assert csr_postings(idx) == postings_oracle({d: s.ids for d, s in docs.items()})
+        assert idx.doc_lengths.tolist() == [len(docs[d]) for d in sorted(docs)]
+        assert idx.avg_len == sum(len(s) for s in docs.values()) / n_docs
+
+    def test_all_empty_docs_index_nothing(self):
+        idx = build_index({"A": seq_of([]), "B": seq_of([])})
+        assert idx.tokens.size == 0 and idx.offsets.tolist() == [0]
+        assert recall_sparse(idx, UserQuery.from_pairs([(3, 1.0)]), 5) == []
+
+    def test_weights_are_the_scalar_formula(self):
+        rng = np.random.default_rng(11)
+        idx = build_index(random_docs(rng, 25))
+        for s, e in zip(idx.offsets[:-1], idx.offsets[1:]):
+            for pos in range(s, e):
+                key = idx.keys[pos]
+                assert idx.weights[pos] == bm25_term_weight(
+                    int(idx.tfs[pos]), int(e - s), int(idx.doc_lengths[key]),
+                    idx.avg_len, idx.n_docs,
+                )
+
+    def test_negative_token_id_rejected(self):
+        with pytest.raises(ValueError, match="token ids"):
+            build_index({"A": seq_of([3, -1])})
 
 
 class TestBm25Score:
@@ -97,6 +162,18 @@ class TestBm25Score:
         with pytest.raises(KeyError):
             bm25_score(idx, UserQuery.from_pairs([(3, 1.0)]), "Z")
 
+    @pytest.mark.parametrize("n_docs", [5, 40, 200])
+    def test_equals_sparse_scores_bit_for_bit(self, n_docs):
+        rng = np.random.default_rng(100 + n_docs)
+        docs = with_duplicates(rng, random_docs(rng, n_docs), n_docs // 4 + 1)
+        idx = build_index(docs)
+        pairs = [(int(t), float(w)) for t, w in zip(rng.integers(1, 40, 9), rng.uniform(0.1, 3, 9))]
+        q = UserQuery.from_pairs(pairs)
+        keys, scores = sparse_scores(idx, q)
+        got = dict(zip(keys.tolist(), scores.tolist()))
+        for key, doc_id in enumerate(idx.doc_ids):
+            assert bm25_score(idx, q, doc_id) == got.get(key, 0.0)
+
 
 class TestRecallSparse:
     def test_n_larger_than_candidates_returns_all(self):
@@ -127,6 +204,30 @@ class TestRecallSparse:
         q = UserQuery.from_pairs([(5, 1.0), (7, 0.5)])
         assert recall_sparse(idx, q, 10) == recall_sparse(idx, q, 10)
 
+    @pytest.mark.parametrize("n_docs", [1, 6, 50, 300])
+    def test_matches_rank_oracle_on_random_corpora(self, n_docs):
+        rng = np.random.default_rng(200 + n_docs)
+        docs = with_duplicates(rng, random_docs(rng, n_docs, vocab=30), n_docs // 3 + 1)
+        idx = build_index(docs)
+        terms = {d: list(s.ids) for d, s in docs.items()}
+        for _ in range(5):
+            # repeated tokens: their weights are summed into one keyword
+            toks = rng.integers(1, 34, size=10).tolist()
+            toks += toks[:3]
+            pairs = [(t, float(w)) for t, w in zip(toks, rng.uniform(0.05, 2.0, len(toks)))]
+            q = UserQuery.from_pairs(pairs)
+            for n in (1, 7, len(docs) + 5):
+                assert recall_sparse(idx, q, n) == bm25_rank_oracle(terms, pairs, n)
+
+    def test_duplicate_docs_tie_broken_by_id(self):
+        idx = build_index({"C": seq_of([3, 4]), "A": seq_of([3, 4]), "B": seq_of([3, 9])})
+        assert recall_sparse(idx, UserQuery.from_pairs([(3, 1.0), (4, 1.0)]), 3) == ["A", "C", "B"]
+
+    def test_nonpositive_n_rejected(self):
+        idx = build_index({"A": seq_of([3])})
+        with pytest.raises(ValueError):
+            recall_sparse(idx, UserQuery.from_pairs([(3, 1.0)]), 0)
+
 
 class TestRecallDense:
     def test_n1_returns_argmax(self):
@@ -149,6 +250,24 @@ class TestRecallDense:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             recall_dense(np.zeros(3), {"A": np.zeros(4)}, 1)
+        with pytest.raises(ValueError, match="dim"):
+            recall_dense(np.zeros(3), {"A": np.zeros(3), "B": np.zeros(2)}, 1)
+        with pytest.raises(ValueError, match="dim"):
+            recall_dense(np.zeros(3), {"A": np.zeros(())}, 1)
+
+    def test_no_docs_returns_empty(self):
+        assert recall_dense(np.zeros(3), {}, 5) == []
+
+    @pytest.mark.parametrize("n_docs,d", [(1, 4), (7, 33), (13, 64), (101, 16), (2051, 33)])
+    def test_matches_sorted_loop_oracle_with_duplicates(self, n_docs, d):
+        rng = np.random.default_rng(300 + n_docs)
+        # docs share a few embeddings, each in its own array: equal embeddings
+        # must score equally wherever their rows sit, so ties break by id
+        bases = rng.normal(size=(n_docs // 4 + 1, d))
+        embs = {f"D{i:04d}": bases[rng.integers(len(bases))].copy() for i in range(n_docs)}
+        u = rng.normal(size=d)
+        for n in (1, 10, n_docs):
+            assert recall_dense(u, embs, n) == dense_rank_oracle(u, embs, n)
 
 
 class TestRecallHybrid:
@@ -239,9 +358,12 @@ class TestPersistence:
         save_index(idx, path)
         loaded = load_index(path)
         assert loaded.doc_ids == idx.doc_ids
-        assert loaded.doc_lengths == idx.doc_lengths
+        assert loaded.doc_keys == idx.doc_keys
         assert loaded.avg_len == idx.avg_len
-        assert loaded.postings == idx.postings
+        for name in ("tokens", "offsets", "keys", "tfs", "doc_lengths", "weights"):
+            a, b = getattr(loaded, name), getattr(idx, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert csr_postings(loaded) == csr_postings(idx)
 
     def test_queries_identical_after_reload(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -258,6 +380,116 @@ class TestPersistence:
         with pytest.raises(ValueError, match="index"):
             load_index(p)
 
+    def test_non_ascii_ids_round_trip(self, tmp_path):
+        idx = build_index({"é1": seq_of([3]), "ß": seq_of([3, 4]), "A": seq_of([4])})
+        save_index(idx, tmp_path / "u.idx")
+        assert load_index(tmp_path / "u.idx").doc_ids == sorted(["é1", "ß", "A"])
+
+
+SECTIONS = [("offsets", "<i8"), ("tokens", "<u4"), ("keys", "<u4"), ("tfs", "<u4"),
+            ("id_lens", "<u4"), ("ids", "u1")]
+
+
+def layout(raw):
+    """Section name -> (byte offset, dtype, count), read from the header as
+    the module docstring documents it."""
+    _, _, n_docs, n_tokens, n_postings, id_bytes = HEADER.unpack_from(raw)
+    counts = [n_tokens + 1, n_tokens, n_postings, n_postings, n_docs, id_bytes]
+    out, off = {}, HEADER.size
+    for (name, dt), count in zip(SECTIONS, counts):
+        out[name] = (off, dt, count)
+        off += np.dtype(dt).itemsize * count
+    return out
+
+
+def patched(raw, section, i, value):
+    off, dt, _ = layout(raw)[section]
+    size = np.dtype(dt).itemsize
+    out = bytearray(raw)
+    out[off + i * size:off + (i + 1) * size] = np.array([value], dtype=dt).tobytes()
+    return bytes(out)
+
+
+def element(raw, section, i):
+    off, dt, count = layout(raw)[section]
+    return int(np.frombuffer(raw, dtype=dt, count=count, offset=off)[i])
+
+
+class TestCorruptIndex:
+    @pytest.fixture
+    def raw(self, tmp_path):
+        idx = build_index({
+            "A": seq_of([3, 3, 4]),
+            "B": seq_of([4, 5]),
+            "C": seq_of([5, 5, 5, 6]),
+        })
+        save_index(idx, tmp_path / "good.idx")
+        return (tmp_path / "good.idx").read_bytes()
+
+    def rejects(self, tmp_path, data, match):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match) as err:
+            load_index(path)
+        assert str(path) in str(err.value)
+
+    def test_fixture_loads(self, tmp_path, raw):
+        (tmp_path / "ok.idx").write_bytes(raw)
+        assert load_index(tmp_path / "ok.idx").doc_ids == ["A", "B", "C"]
+
+    def test_cut_off_at_every_byte(self, tmp_path, raw):
+        for cut in range(len(raw)):
+            self.rejects(tmp_path, raw[:cut], "index|truncated")
+
+    def test_trailing_bytes(self, tmp_path, raw):
+        self.rejects(tmp_path, raw + b"\0", "trailing")
+
+    def test_doc_key_out_of_range(self, tmp_path, raw):
+        self.rejects(tmp_path, patched(raw, "keys", 5, 3), "doc key 3")
+
+    def test_offsets_not_monotone(self, tmp_path, raw):
+        self.rejects(tmp_path, patched(raw, "offsets", 2, 0), "offsets")
+        self.rejects(tmp_path, patched(raw, "offsets", 2, element(raw, "offsets", 1)), "offsets")
+
+    def test_offsets_run_past_the_end(self, tmp_path, raw):
+        n_postings = element(raw, "offsets", -1)
+        self.rejects(tmp_path, patched(raw, "offsets", 4, n_postings + 1), "offsets")
+        self.rejects(tmp_path, patched(raw, "offsets", 2, n_postings + 7), "offsets")
+
+    def test_version_1_file(self, tmp_path):
+        # the version-1 layout: magic, version, n_docs, avg_len, then records
+        v1 = MAGIC + struct.pack("<IId", 1, 1, 1.0) + struct.pack("<H", 1) + b"A"
+        v1 += struct.pack("<I", 1) + struct.pack("<I", 1) + struct.pack("<IIII", 7, 1, 0, 1)
+        self.rejects(tmp_path, v1, "version 1")
+
+    @pytest.mark.parametrize("section,i,value,match", [
+        ("tokens", 1, 3, "token ids"),
+        ("keys", 2, 0, re.escape("within a token")),
+        ("tfs", 0, 0, "term frequency"),
+        ("id_lens", 0, 2, "id lengths"),
+        ("ids", 0, 0xFF, "utf-8"),
+        ("ids", 1, ord("A"), "doc ids"),
+    ])
+    def test_inconsistent_section(self, tmp_path, raw, section, i, value, match):
+        self.rejects(tmp_path, patched(raw, section, i, value), match)
+
+    def test_no_documents(self, tmp_path):
+        empty = HEADER.pack(MAGIC, 2, 0, 0, 0, 0) + np.zeros(1, "<i8").tobytes()
+        self.rejects(tmp_path, empty, "no documents")
+
+    def test_every_single_byte_flip_loads_or_raises_value_error(self, tmp_path, raw):
+        path = tmp_path / "flip.idx"
+        for pos in range(len(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                data = bytearray(raw)
+                data[pos] ^= mask
+                path.write_bytes(bytes(data))
+                try:
+                    idx = load_index(path)
+                except ValueError:
+                    continue
+                assert len(idx.weights) == len(idx.keys) == idx.offsets[-1]
+
 
 class TestBm25TermWeight:
     def test_zero_tf_is_zero(self):
@@ -267,3 +499,10 @@ class TestBm25TermWeight:
         hi = bm25_term_weight(1, 1, 10, 10.0, 100)
         lo = bm25_term_weight(1, 50, 10, 10.0, 100)
         assert hi > lo > 0
+
+    def test_array_arguments_match_scalar_calls(self):
+        tf, df, dl = np.array([0, 1, 3, 2]), np.array([4, 1, 7, 2]), np.array([9, 3, 12, 5])
+        got = bm25_term_weight(tf, df, dl, 7.5, 20)
+        want = [bm25_term_weight(int(a), int(b), int(c), 7.5, 20) for a, b, c in zip(tf, df, dl)]
+        assert got.tolist() == want
+        assert got[0] == 0.0

@@ -188,6 +188,23 @@ class TestLoadMindBehaviors:
         b = load_mind_behaviors(path, news, k_neg=2, seed=7)
         assert [s.negative_ids for s in a] == [s.negative_ids for s in b]
 
+    def test_malformed_rows_skipped_with_warning(self, tmp_path, news_vocab, caplog):
+        news = self.make_news(news_vocab, tmp_path)
+        path = tmp_path / "behaviors.tsv"
+        path.write_text(BEHAVIORS_FIXTURE + "4\tU4\t0\n5\tU5\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            samples = load_mind_behaviors(path, news, k_neg=2)
+        assert len(samples) == 3
+        assert any("skipped 2 malformed behavior rows" in r.message for r in caplog.records)
+
+    def test_well_formed_file_logs_no_warning(self, tmp_path, news_vocab, caplog):
+        news = self.make_news(news_vocab, tmp_path)
+        path = tmp_path / "behaviors.tsv"
+        path.write_text(BEHAVIORS_FIXTURE, encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            load_mind_behaviors(path, news, k_neg=2)
+        assert not any("behavior" in r.message for r in caplog.records)
+
     def test_history_truncates_to_most_recent(self, tmp_path, news_vocab):
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
