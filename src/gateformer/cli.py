@@ -33,17 +33,23 @@ from .text import (
     write_mind_files,
 )
 from .training import (
+    ENCODE_CHUNK,
     Model,
     evaluate,
     init_model,
+    keyword_pairs,
     select_history,
     split_samples,
     train,
-    user_embedding,
-    user_keywords,
     write_metrics_csv,
 )
-from .transformer import apply_checkpoint, encode_candidate, load_checkpoint
+from .transformer import (  # noqa: F401  encode_candidate: perfbench encodes its docs through this name
+    apply_checkpoint,
+    encode_candidate,
+    encode_candidates,
+    encode_user,
+    load_checkpoint,
+)
 
 log = logging.getLogger("gateformer")
 
@@ -272,10 +278,12 @@ def cmd_recall(args) -> int:
     n_sparse = max(args.n_sparse, n_max)
 
     index = build_index(dataset.news)
-    doc_embs = {
-        doc_id: encode_candidate(seq, model.trans).data
-        for doc_id, seq in sorted(dataset.news.items())
-    }
+    doc_ids = sorted(dataset.news)
+    doc_embs: dict[str, np.ndarray] = {}
+    for start in range(0, len(doc_ids), ENCODE_CHUNK):
+        chunk = doc_ids[start:start + ENCODE_CHUNK]
+        rows = encode_candidates([dataset.news[d] for d in chunk], model.trans).data
+        doc_embs.update(zip(chunk, rows))
     samples = dataset.val_samples[: args.max_impressions or len(dataset.val_samples)]
     sums = {(m, n): 0.0 for m in ("sparse", "dense", "hybrid") for n in n_values}
     used = 0
@@ -285,8 +293,10 @@ def cmd_recall(args) -> int:
         if not relevant:
             skipped += 1
             continue
-        u = user_embedding(model, sample.history, i).data
-        query = UserQuery.from_pairs(user_keywords(model, sample.history, i), user_embedding=u)
+        # one gating feeds both the dense embedding and the sparse keywords
+        selections = select_history(model, sample.history, i)
+        u = encode_user(selections, model.trans).data
+        query = UserQuery.from_pairs(keyword_pairs(sample.history, selections), user_embedding=u)
         results = {
             "sparse": recall_sparse(index, query, n_max),
             "dense": recall_dense(u, doc_embs, n_max),

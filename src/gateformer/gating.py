@@ -212,19 +212,17 @@ def attn_user_variant(items_h: list[Tensor], params: GateParams) -> Tensor:
     return nm.matmul(alpha, stacked)
 
 
+def word_average_matrix(word_groups) -> np.ndarray:
+    """(..., L, L) row-averaging matrices for (..., L) word groups: entry
+    [j, k] is 1/n when tokens j and k belong to the same n-token word."""
+    groups = np.asarray(word_groups)
+    same = groups[..., :, None] == groups[..., None, :]
+    return same / same.sum(axis=-1, keepdims=True)
+
+
 def _word_average(ctx: Tensor, word_group: list[int]) -> Tensor:
     """Replace each row by the mean over its surface word's rows."""
-    L = ctx.data.shape[0]
-    avg = np.zeros((L, L))
-    groups: dict[int, list[int]] = {}
-    for j, g in enumerate(word_group):
-        groups.setdefault(g, []).append(j)
-    for members in groups.values():
-        w = 1.0 / len(members)
-        for j in members:
-            for k in members:
-                avg[j, k] = w
-    return nm.matmul(constant(avg), ctx)
+    return nm.matmul(constant(word_average_matrix(word_group)), ctx)
 
 
 def score_tokens(

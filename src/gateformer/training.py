@@ -1,9 +1,12 @@
 """Click-prediction training: model assembly, Adam, metrics, train loop.
 
 A model is the gate plus the transformer sharing one word-embedding table.
-Batch gradients are the mean over per-sample losses; every sample runs its
-own tape and gradients reduce in batch order, so runs are bit-reproducible
-for a fixed seed. Validation AUC selects the checkpoint that is kept.
+A training step records one tape for the whole batch: ``batch_loss`` runs
+the gate and both encoders on grouped tensors and is pinned by tests to the
+per-sample functions (``sample_loss`` and the ones it calls). Its ops and
+their reductions run in a fixed order, so runs are bit-reproducible for a
+fixed seed. Evaluation runs the same batched encoders without a tape.
+Validation AUC selects the checkpoint that is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .gating import GateParams, GateSelection, gate_history, heuristic_gate, init_gate_params
+from .gating import (
+    GateParams,
+    GateSelection,
+    gate_history,
+    heuristic_gate,
+    init_gate_params,
+    word_average_matrix,
+)
 from .numerics import Tape, Tensor, backward, tensor
 from .text import CorpusStats, ImpressionSample, UserHistory
 from .transformer import (
@@ -33,6 +43,11 @@ from .transformer import (
 )
 
 log = logging.getLogger(__name__)
+
+# Inputs per batched encoder call where a caller splits a long list
+# (evaluate's impressions, recall's news items); it bounds the size of the
+# (rows, heads, L, L) attention arrays.
+ENCODE_CHUNK = 32
 
 
 @dataclass
@@ -99,14 +114,18 @@ def user_embedding(model: Model, history: UserHistory, sample_index: int = 0) ->
     return encode_user(select_history(model, history, sample_index), model.trans)
 
 
+def keyword_pairs(history: UserHistory, selections: list[GateSelection]) -> list[tuple[int, float]]:
+    """(token id, weight) pairs of one gating of ``history``, for recall queries."""
+    return [
+        (seq.ids[pos], float(w))
+        for seq, sel in zip(history.items, selections)
+        for pos, w in zip(sel.positions, sel.weights.data)
+    ]
+
+
 def user_keywords(model: Model, history: UserHistory, sample_index: int = 0) -> list[tuple[int, float]]:
     """(token id, weight) pairs across the gated history, for recall queries."""
-    pairs: list[tuple[int, float]] = []
-    selections = select_history(model, history, sample_index)
-    for seq, sel in zip(history.items, selections):
-        for pos, w in zip(sel.positions, sel.weights.data):
-            pairs.append((seq.ids[pos], float(w)))
-    return pairs
+    return keyword_pairs(history, select_history(model, history, sample_index))
 
 
 def sample_loss(model: Model, sample: ImpressionSample, sample_index: int = 0) -> Tensor:
@@ -231,7 +250,8 @@ def _batch_select(
             u_order.extend(hs)
         u_all = _assemble(u_chunks, u_order)  # (n_histories, n_f)
 
-        # phase 3: cosine scores per length group, then discrete selection
+        # phase 3: cosine scores per length group, then discrete selection;
+        # word granularity first averages context rows within each word
         eps = 1e-12
         owner = np.empty(n_items, dtype=np.intp)
         for h_i in range(len(histories)):
@@ -242,9 +262,13 @@ def _batch_select(
         for grp in groups:
             members, L = grp["members"], grp["L"]
             G = len(members)
+            ctx3 = grp["ctx3"]
+            if gate.granularity == "word":
+                avg = word_average_matrix([items[i].word_group for i in members])
+                ctx3 = nm.matmul(nm.constant(avg), ctx3)
             u_item = nm.gather_rows(u_all, owner[members])
-            num = nm.vsum(nm.mul(grp["ctx3"], nm.reshape(u_item, (G, 1, gate.n_filters))), axis=2)
-            ctx_n = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(grp["ctx3"], grp["ctx3"]), axis=2), eps * eps))
+            num = nm.vsum(nm.mul(ctx3, nm.reshape(u_item, (G, 1, gate.n_filters))), axis=2)
+            ctx_n = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx3, ctx3), axis=2), eps * eps))
             u_n = nm.reshape(
                 nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(u_item, u_item), axis=1), eps * eps)),
                 (G, 1),
@@ -310,28 +334,31 @@ def batch_user_embeddings(
 ) -> Tensor:
     """(B, d) user embeddings for a batch of histories on the current tape.
 
-    Identical history objects are encoded once and shared, except under the
-    random selector whose draws are keyed to the sample index.
+    Histories with equal content (the items' token ids, and their word
+    groups under word granularity) are encoded once and share one row,
+    except under the random selector whose draws are keyed to the sample
+    index.
     """
-    dedup = model.gate_method != "random"
+    word = model.gate.granularity == "word"
     unique: list[UserHistory] = []
     rngs: list = []
     mapping: list[int] = []
-    seen: dict[int, int] = {}
+    seen: dict[tuple, int] = {}
     for idx, h in zip(sample_indices, histories):
-        key = id(h)
-        if dedup and key in seen:
-            mapping.append(seen[key])
-            continue
-        if dedup:
+        if model.gate_method == "random":
+            rngs.append(np.random.default_rng([model.seed, 7919, idx]))
+        else:
+            key = tuple(
+                (tuple(seq.ids), tuple(seq.word_group)) if word else tuple(seq.ids)
+                for seq in h.items
+            )
+            if key in seen:
+                mapping.append(seen[key])
+                continue
             seen[key] = len(unique)
+            rngs.append(None)
         mapping.append(len(unique))
         unique.append(h)
-        rngs.append(
-            np.random.default_rng([model.seed, 7919, idx])
-            if model.gate_method == "random"
-            else None
-        )
 
     scaled_rows, spans, _ = _batch_select(model, unique, rngs)
     trans = model.trans
@@ -360,11 +387,10 @@ def batch_user_embeddings(
 def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: list[int]) -> Tensor:
     """Mean click loss over a batch, computed with the grouped fast path.
 
-    Falls back to the per-sample route for configurations the grouped path
-    does not cover (word-level gate granularity, ragged negative counts).
+    Falls back to the per-sample route when negative counts are ragged.
     """
     counts = {len(s.negatives) for s in samples}
-    if model.gate.granularity == "word" or len(counts) != 1:
+    if len(counts) != 1:
         total = sample_loss(model, samples[0], sample_indices[0])
         for s, i in zip(samples[1:], sample_indices[1:]):
             total = nm.add(total, sample_loss(model, s, i))
@@ -521,51 +547,70 @@ def ndcg_at_k(scores, labels, k: int) -> float:
     return dcg / idcg if idcg > 0 else 0.0
 
 
-def _impression_scores(model: Model, sample: ImpressionSample, sample_index: int,
-                       cand_cache: dict[str, np.ndarray] | None = None):
-    u = user_embedding(model, sample.history, sample_index).data
-
-    def cand(seq, item_id):
-        if cand_cache is not None and item_id:
-            hit = cand_cache.get(item_id)
-            if hit is None:
-                hit = encode_candidate(seq, model.trans).data
-                cand_cache[item_id] = hit
-            return hit
-        return encode_candidate(seq, model.trans).data
-
-    d = len(u)
-    items = [(sample.positive, sample.positive_id)] + list(
-        zip(sample.negatives, sample.negative_ids or [""] * len(sample.negatives))
-    )
-    scores = [float(u @ cand(seq, iid)) / math.sqrt(d) for seq, iid in items]
-    labels = [1] + [0] * len(sample.negatives)
-    return scores, labels
-
-
 def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) -> EvalReport:
-    """Mean AUC/MRR/NDCG over impressions; forward-only, no tape."""
+    """Mean AUC/MRR/NDCG over impressions; forward-only, no tape.
+
+    Impressions run through the batched encoders in chunks of
+    ``ENCODE_CHUNK``, in order. Each chunk makes one
+    :func:`batch_user_embeddings` call, with each impression's index in
+    ``samples`` as its sample index (so the random selector draws as it does
+    per sample), and one :func:`encode_candidates` call on the candidates
+    whose token ids no earlier chunk held. A candidate seen before reuses the
+    row of its first occurrence, so every distinct candidate is encoded once
+    per call, whatever its news id and however many objects hold it.
+    Which chunk encodes what depends on the sample order alone, so with
+    ``threads`` > 1 the chunks run on a thread pool of that size and the
+    report equals the single-threaded one.
+    """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    cache: dict[str, np.ndarray] = {}
+    starts = range(0, len(samples), ENCODE_CHUNK)
+    seen: set[tuple[int, ...]] = set()
+    fresh: list[dict] = []          # per chunk: content key -> its first sequence
+    for start in starts:
+        new: dict = {}
+        for s in samples[start:start + ENCODE_CHUNK]:
+            for seq in (s.positive, *s.negatives):
+                key = tuple(seq.ids)
+                if key not in seen:
+                    seen.add(key)
+                    new[key] = seq
+        fresh.append(new)
 
-    def one(idx_sample):
-        idx, sample = idx_sample
-        scores, labels = _impression_scores(model, sample, idx, cache)
-        return (
+    def encode_chunk(c: int):
+        start = starts[c]
+        chunk = samples[start:start + ENCODE_CHUNK]
+        users = batch_user_embeddings(
+            model, [s.history for s in chunk], list(range(start, start + len(chunk)))
+        ).data
+        seqs = list(fresh[c].values())
+        return users, (encode_candidates(seqs, model.trans).data if seqs else None)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            encoded = list(pool.map(encode_chunk, range(len(starts))))
+    else:
+        encoded = [encode_chunk(c) for c in range(len(starts))]
+    cand_rows: dict[tuple[int, ...], np.ndarray] = {}
+    for new, (_, rows) in zip(fresh, encoded):
+        if new:
+            cand_rows.update(zip(new, rows))
+    users = np.concatenate([u for u, _ in encoded])
+
+    sqrt_d = math.sqrt(users.shape[1])
+    metrics = []
+    for u, s in zip(users, samples):
+        cands = np.stack([cand_rows[tuple(seq.ids)] for seq in (s.positive, *s.negatives)])
+        # vecdot takes each row's dot product on its own: equal rows tie exactly
+        scores = np.vecdot(cands, u) / sqrt_d
+        labels = [1] + [0] * len(s.negatives)
+        metrics.append((
             auc_score(scores, labels),
             mrr_score(scores, labels),
             ndcg_at_k(scores, labels, 5),
             ndcg_at_k(scores, labels, 10),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, enumerate(samples)))
-    else:
-        rows = [one(x) for x in enumerate(samples)]
-    arr = np.asarray(rows)
-    mean = arr.mean(axis=0)
+        ))
+    mean = np.asarray(metrics).mean(axis=0)
     return EvalReport(
         auc=float(mean[0]), mrr=float(mean[1]), ndcg5=float(mean[2]),
         ndcg10=float(mean[3]), n_impressions=len(samples),

@@ -212,19 +212,34 @@ def encode_candidate(seq: TokenSequence, params: TransformerParams) -> Tensor:
 def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> Tensor:
     """All candidate embeddings as one (B, d) tensor, batching equal-length
     sequences through the encoder together. Same math as
-    :func:`encode_candidate` per row, far fewer ops."""
+    :func:`encode_candidate` per row, far fewer ops.
+
+    A candidate's embedding depends only on its token ids, so each distinct
+    id sequence is encoded once and its row gathered to every input position
+    holding it; the gather sums the gradients of repeated rows.
+    """
     if not seqs:
         raise ValueError("no candidate sequences")
-    by_len: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
+    row_of: dict[tuple[int, ...], int] = {}
+    unique: list[TokenSequence] = []
+    mapping: list[int] = []
+    for seq in seqs:
         if len(seq) < 1:
             raise ValueError("cannot encode an empty candidate")
-        by_len.setdefault(len(seq), []).append(i)
+        key = tuple(seq.ids)
+        row = row_of.get(key)
+        if row is None:
+            row = row_of[key] = len(unique)
+            unique.append(seq)
+        mapping.append(row)
+    by_len: dict[int, list[int]] = {}
+    for u, seq in enumerate(unique):
+        by_len.setdefault(len(seq), []).append(u)
     chunks = []
     order: list[int] = []
     for L in sorted(by_len):
         members = by_len[L]
-        ids = np.array([seqs[i].ids for i in members], dtype=np.intp)
+        ids = np.array([unique[u].ids for u in members], dtype=np.intp)
         emb = gather_rows(params.word_embeddings, ids)          # (G, L, d)
         if L > params.max_positions:
             raise ValueError(
@@ -235,10 +250,11 @@ def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> T
         chunks.append(weighted_pool(encoded, params.pool_q))    # (G, d)
         order.extend(members)
     stacked = chunks[0] if len(chunks) == 1 else nm.concat_rows(chunks)
-    if order == list(range(len(seqs))):
+    # stacked row r holds unique sequence order[r]; input i wants mapping[i]
+    index = np.argsort(order)[mapping]
+    if np.array_equal(index, np.arange(len(seqs))):
         return stacked
-    inverse = np.argsort(order)
-    return gather_rows(stacked, inverse)
+    return gather_rows(stacked, index)
 
 
 def score(user: Tensor, cand: Tensor) -> Tensor:

@@ -5,10 +5,14 @@ counting, central differences) and never calls into the package's fast paths
 it is checking.
 """
 
+import math
+
 import numpy as np
 
 from gateformer.numerics import Tape, backward
 from gateformer.recall import bm25_term_weight
+from gateformer.training import user_embedding
+from gateformer.transformer import encode_candidate
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -122,6 +126,36 @@ def ndcg_oracle(scores, labels, k: int) -> float:
     n_pos = sum(labels)
     idcg = sum(1.0 / np.log2(r + 1) for r in range(1, min(k, n_pos) + 1))
     return dcg / idcg if idcg > 0 else 0.0
+
+
+def evaluate_oracle(model, samples) -> tuple:
+    """Mean (AUC, MRR, NDCG@5, NDCG@10) one impression at a time: a
+    per-sample user embedding, then one encode_candidate call per candidate,
+    cached by news id where the sample has ids."""
+    cache = {}
+
+    def cand(seq, item_id):
+        if not item_id:
+            return encode_candidate(seq, model.trans).data
+        if item_id not in cache:
+            cache[item_id] = encode_candidate(seq, model.trans).data
+        return cache[item_id]
+
+    rows = []
+    for idx, sample in enumerate(samples):
+        u = user_embedding(model, sample.history, idx).data
+        items = [(sample.positive, sample.positive_id)] + list(
+            zip(sample.negatives, sample.negative_ids or [""] * len(sample.negatives))
+        )
+        scores = [float(u @ cand(seq, iid)) / math.sqrt(len(u)) for seq, iid in items]
+        labels = [1] + [0] * len(sample.negatives)
+        rows.append((
+            auc_oracle(scores, labels),
+            mrr_oracle(scores, labels),
+            ndcg_oracle(scores, labels, 5),
+            ndcg_oracle(scores, labels, 10),
+        ))
+    return tuple(float(x) for x in np.mean(rows, axis=0))
 
 
 def recall_at_k_oracle(results, relevant, k: int) -> float:

@@ -209,6 +209,26 @@ class TestRecallCommand:
         assert methods == {"sparse", "dense", "hybrid"}
         assert len(lines) == 2 + 6
 
+    def test_gates_each_query_once(self, tmp_path, monkeypatch):
+        from gateformer import cli
+
+        data = synth(tmp_path, seed=12)
+        run = train_run(tmp_path, data, seed=12, steps=2)
+        calls = []
+        original = cli.select_history
+
+        def counted(model, history, sample_index=0):
+            calls.append(sample_index)
+            return original(model, history, sample_index)
+
+        monkeypatch.setattr(cli, "select_history", counted)
+        rc = main([
+            "recall", "--run", str(run), "--data", str(data),
+            "--n", "5", "--n-sparse", "10", "--max-impressions", "3",
+        ])
+        assert rc == 0
+        assert calls == [0, 1, 2]
+
 
 class TestAnalyzeCommand:
     def test_first_gate_histogram_confined_to_first_k(self, tmp_path):

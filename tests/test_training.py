@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from gateformer import numerics as nm
 from gateformer.numerics import Tape, backward, tensor
-from gateformer.text import synth_corpus_full
+from gateformer.text import ImpressionSample, TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import (
     Model,
     OptimState,
@@ -27,7 +29,7 @@ from gateformer.training import (
     write_metrics_csv,
 )
 from gateformer.transformer import load_checkpoint
-from oracles import auc_oracle, mrr_oracle, ndcg_oracle, rel_err
+from oracles import auc_oracle, evaluate_oracle, mrr_oracle, ndcg_oracle, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -39,13 +41,27 @@ def tiny_corpus():
     )
 
 
-def tiny_model(corpus, method="learned", seed=0, k=2):
+def tiny_model(corpus, method="learned", seed=0, k=2, granularity="token"):
     from gateformer.text import corpus_stats
 
     return init_model(
         vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
         max_positions=30, n_filters=8, window=1, seed=seed, k=k,
-        gate_method=method, stats=corpus_stats(corpus.news),
+        gate_method=method, granularity=granularity, stats=corpus_stats(corpus.news),
+    )
+
+
+def two_token_words(sample: ImpressionSample) -> ImpressionSample:
+    """The sample with every item's tokens grouped into words of two tokens
+    (the synthetic corpus has one token per word)."""
+    def regroup(seq):
+        return TokenSequence(seq.ids, [j // 2 for j in range(len(seq))], seq.source_positions)
+
+    return dataclasses.replace(
+        sample,
+        history=UserHistory([regroup(seq) for seq in sample.history.items]),
+        positive=regroup(sample.positive),
+        negatives=[regroup(seq) for seq in sample.negatives],
     )
 
 
@@ -157,12 +173,10 @@ class TestMetrics:
 class TestBatchEquivalence:
     """The grouped fast path must reproduce the per-sample reference."""
 
-    @pytest.mark.parametrize("method", ["learned", "first", "bm25", "random"])
-    def test_loss_and_gradients_match(self, tiny_corpus, method):
-        model = tiny_model(tiny_corpus, method)
+    @staticmethod
+    def assert_loss_and_gradients_match(model, samples):
         named = model.named_tensors()
-        samples = tiny_corpus.samples[:6]
-        idxs = list(range(6))
+        idxs = list(range(len(samples)))
 
         for t in named.values():
             t.zero_grad()
@@ -190,15 +204,42 @@ class TestBatchEquivalence:
                 continue
             assert rel_err(a, b) < 1e-9, k
 
+    @pytest.mark.parametrize("method", ["learned", "first", "bm25", "random"])
+    def test_loss_and_gradients_match(self, tiny_corpus, method):
+        self.assert_loss_and_gradients_match(
+            tiny_model(tiny_corpus, method), tiny_corpus.samples[:6]
+        )
+
+    def test_word_granularity_loss_and_gradients_match(self, tiny_corpus):
+        samples = [two_token_words(s) for s in tiny_corpus.samples[:6]]
+        model = tiny_model(tiny_corpus, granularity="word")
+        self.assert_loss_and_gradients_match(model, samples)
+
     def test_user_embeddings_match(self, tiny_corpus):
-        model = tiny_model(tiny_corpus)
         samples = tiny_corpus.samples[:5]
-        batched = batch_user_embeddings(
-            model, [s.history for s in samples], list(range(5))
-        ).data
-        for i, s in enumerate(samples):
-            single = user_embedding(model, s.history, i).data
-            assert rel_err(batched[i], single) < 1e-12
+        # the last word history has the first one's token ids, other words
+        word_samples = [two_token_words(s) for s in samples] + samples[:1]
+        for model, batch in (
+            (tiny_model(tiny_corpus), samples),
+            (tiny_model(tiny_corpus, granularity="word"), word_samples),
+        ):
+            batched = batch_user_embeddings(
+                model, [s.history for s in batch], list(range(len(batch)))
+            ).data
+            for i, s in enumerate(batch):
+                single = user_embedding(model, s.history, i).data
+                assert rel_err(batched[i], single) < 1e-12
+
+    def test_equal_content_histories_encoded_once(self, tiny_corpus):
+        model = tiny_model(tiny_corpus)
+        h0, h1 = tiny_corpus.samples[0].history, tiny_corpus.samples[1].history
+        with nm.count_flops() as distinct:
+            batch_user_embeddings(model, [h0, h1], [0, 1])
+        with nm.count_flops() as repeated:
+            out = batch_user_embeddings(model, [h0, copy.deepcopy(h0), h1, h0], [0, 1, 2, 3])
+        assert repeated.flops == distinct.flops
+        assert np.array_equal(out.data[0], out.data[1])
+        assert np.array_equal(out.data[0], out.data[3])
 
     def test_mixed_history_lengths(self, tiny_corpus):
         from gateformer.text import UserHistory
@@ -313,6 +354,46 @@ class TestEvaluate:
         a = evaluate(model, tiny_corpus.samples[:8], threads=1)
         b = evaluate(model, tiny_corpus.samples[:8], threads=3)
         assert a == b
+        a = evaluate(model, tiny_corpus.samples[:70], threads=1)
+        b = evaluate(model, tiny_corpus.samples[:70], threads=3)
+        assert a == b
+
+    @staticmethod
+    def oracle_case(corpus, case):
+        """(model, samples) for one evaluate-vs-oracle case; 45 samples, so
+        one full chunk of 32 and a partial one."""
+        samples = corpus.samples[:45]
+        if case == "word":
+            return tiny_model(corpus, granularity="word"), [two_token_words(s) for s in samples]
+        if case in ("learned", "first", "random"):
+            return tiny_model(corpus, case), samples
+        if case == "ragged":
+            samples = [
+                dataclasses.replace(
+                    s, negatives=s.negatives[: 1 + i % 4],
+                    negative_ids=s.negative_ids[: 1 + i % 4],
+                )
+                for i, s in enumerate(samples)
+            ]
+        elif case == "no_ids":
+            samples = [
+                dataclasses.replace(s, history_ids=[], positive_id="", negative_ids=[])
+                for s in samples
+            ]
+        elif case == "copies":
+            # equal content held by distinct objects, within and across chunks
+            samples = samples[:20] + copy.deepcopy(samples[:25])
+        return tiny_model(corpus), samples
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "case", ["learned", "first", "random", "word", "ragged", "no_ids", "copies"]
+    )
+    def test_matches_per_impression_oracle(self, tiny_corpus, case, threads):
+        model, samples = self.oracle_case(tiny_corpus, case)
+        report = evaluate(model, samples, threads=threads)
+        assert report.n_impressions == len(samples)
+        assert report.row() == pytest.approx(evaluate_oracle(model, samples), abs=1e-12)
 
     def test_empty_rejected(self, tiny_corpus):
         with pytest.raises(ValueError):

@@ -139,16 +139,31 @@ class TestEncodeCandidate:
             seq_of(rng.integers(1, 16, size=L).tolist())
             for L in (3, 5, 3, 2, 5, 4)
         ]
+        # repeats: the same object, and an equal-content copy
+        seqs += [seqs[1], seq_of(seqs[3].ids), seqs[1]]
         batched = encode_candidates(seqs, p).data
         for i, seq in enumerate(seqs):
             single = encode_candidate(seq, p).data
             assert rel_err(batched[i], single) < 1e-12
 
+    def test_repeated_sequences_encoded_once(self):
+        p = make_params(seed=22)
+        a, b = seq_of([3, 1, 4]), seq_of([1, 5, 9, 2])
+        with nm.count_flops() as distinct:
+            encode_candidates([a, b], p)
+        with nm.count_flops() as repeated:
+            out = encode_candidates([b, a, seq_of(a.ids), b], p)
+        assert repeated.flops == distinct.flops
+        assert np.array_equal(out.data[1], out.data[2])
+        assert np.array_equal(out.data[0], out.data[3])
+
     def test_batched_gradients_match_per_sequence(self):
         rng = np.random.default_rng(21)
         p = make_params(seed=21)
         seqs = [seq_of(rng.integers(1, 16, size=L).tolist()) for L in (2, 3, 2)]
-        c = tensor(rng.normal(size=(3, p.d)))
+        # repeats: the same object, and an equal-content copy
+        seqs += [seqs[0], seq_of(seqs[1].ids)]
+        c = tensor(rng.normal(size=(len(seqs), p.d)))
 
         def run(batched):
             p.word_embeddings.zero_grad()
