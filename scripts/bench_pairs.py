@@ -3,9 +3,10 @@
     python3 scripts/bench_pairs.py --name dedup --parent HEAD --seeds 41-50
 
 The parent is ``git archive <parent>`` unpacked into a temporary directory;
-the change is the working tree this script sits in. For every workload and
-seed the script makes one pair of runs of
+the change is the working tree this script sits in. For every workload of
+``BENCHMARK.json`` and every seed the script makes one pair of runs of
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+with ``T`` the benchmark's ``run_seconds``,
 each from its own checkout's root, one run at a time. The side that runs
 first alternates from pair to pair. For each end-to-end metric of
 ``BENCHMARK.json`` it writes both sides' runs, medians and quartiles, and
@@ -96,13 +97,11 @@ def main(argv=None) -> int:
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
     parser.add_argument("--seeds", required=True, help="e.g. 41-50: one pair per seed")
-    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     seeds = seed_list(args.seeds)
     parent = git("rev-parse", args.parent).decode().strip()
     untracked = git("ls-files", "--others", "--exclude-standard").decode().split()

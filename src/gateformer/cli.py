@@ -33,8 +33,8 @@ from .text import (
     write_mind_files,
 )
 from .training import (
-    ENCODE_CHUNK,
     Model,
+    encode_candidate_rows,
     evaluate,
     init_model,
     keyword_pairs,
@@ -46,7 +46,6 @@ from .training import (
 from .transformer import (  # noqa: F401  encode_candidate: perfbench encodes its docs through this name
     apply_checkpoint,
     encode_candidate,
-    encode_candidates,
     encode_user,
     load_checkpoint,
 )
@@ -279,11 +278,9 @@ def cmd_recall(args) -> int:
 
     index = build_index(dataset.news)
     doc_ids = sorted(dataset.news)
-    doc_embs: dict[str, np.ndarray] = {}
-    for start in range(0, len(doc_ids), ENCODE_CHUNK):
-        chunk = doc_ids[start:start + ENCODE_CHUNK]
-        rows = encode_candidates([dataset.news[d] for d in chunk], model.trans).data
-        doc_embs.update(zip(chunk, rows))
+    doc_embs = dict(zip(
+        doc_ids, encode_candidate_rows([dataset.news[d] for d in doc_ids], model.trans)
+    ))
     samples = dataset.val_samples[: args.max_impressions or len(dataset.val_samples)]
     sums = {(m, n): 0.0 for m in ("sparse", "dense", "hybrid") for n in n_values}
     used = 0

@@ -29,7 +29,7 @@ from .gating import (
     word_average_matrix,
 )
 from .numerics import Tape, Tensor, backward, tensor
-from .text import CorpusStats, ImpressionSample, UserHistory
+from .text import CorpusStats, ImpressionSample, TokenSequence, UserHistory
 from .transformer import (
     TransformerParams,
     click_loss,
@@ -45,8 +45,8 @@ from .transformer import (
 log = logging.getLogger(__name__)
 
 # Inputs per batched encoder call where a caller splits a long list
-# (evaluate's impressions, recall's news items); it bounds the size of the
-# (rows, heads, L, L) attention arrays.
+# (evaluate's impressions and candidates, recall's news items); it bounds the
+# size of the (rows, heads, L, L) attention arrays.
 ENCODE_CHUNK = 32
 
 
@@ -547,55 +547,54 @@ def ndcg_at_k(scores, labels, k: int) -> float:
     return dcg / idcg if idcg > 0 else 0.0
 
 
+def encode_candidate_rows(
+    seqs: list[TokenSequence], params: TransformerParams, map_fn=map
+) -> np.ndarray:
+    """(len(seqs), d) forward-only candidate embeddings in input order, made
+    by :func:`encode_candidates` calls on slices of ``ENCODE_CHUNK``
+    sequences. ``map_fn`` runs the slices: the builtin ``map``, or a thread
+    pool's ``map``."""
+    slices = [seqs[i:i + ENCODE_CHUNK] for i in range(0, len(seqs), ENCODE_CHUNK)]
+    return np.concatenate(list(map_fn(lambda part: encode_candidates(part, params).data, slices)))
+
+
 def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) -> EvalReport:
     """Mean AUC/MRR/NDCG over impressions; forward-only, no tape.
 
-    Impressions run through the batched encoders in chunks of
-    ``ENCODE_CHUNK``, in order. Each chunk makes one
-    :func:`batch_user_embeddings` call, with each impression's index in
+    User embeddings come from one :func:`batch_user_embeddings` call per
+    ``ENCODE_CHUNK`` impressions, with each impression's index in
     ``samples`` as its sample index (so the random selector draws as it does
-    per sample), and one :func:`encode_candidates` call on the candidates
-    whose token ids no earlier chunk held. A candidate seen before reuses the
-    row of its first occurrence, so every distinct candidate is encoded once
-    per call, whatever its news id and however many objects hold it.
-    Which chunk encodes what depends on the sample order alone, so with
-    ``threads`` > 1 the chunks run on a thread pool of that size and the
+    per sample). Candidates are keyed by token ids: each distinct one is
+    encoded once, by :func:`encode_candidate_rows` in order of first
+    occurrence, whatever its news id and however many objects hold it.
+    Which call encodes what depends on the sample order alone, so with
+    ``threads`` > 1 the calls run on a thread pool of that size and the
     report equals the single-threaded one.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    starts = range(0, len(samples), ENCODE_CHUNK)
-    seen: set[tuple[int, ...]] = set()
-    fresh: list[dict] = []          # per chunk: content key -> its first sequence
-    for start in starts:
-        new: dict = {}
-        for s in samples[start:start + ENCODE_CHUNK]:
-            for seq in (s.positive, *s.negatives):
-                key = tuple(seq.ids)
-                if key not in seen:
-                    seen.add(key)
-                    new[key] = seq
-        fresh.append(new)
+    distinct: dict[tuple[int, ...], TokenSequence] = {}
+    for s in samples:
+        for seq in (s.positive, *s.negatives):
+            distinct.setdefault(tuple(seq.ids), seq)
 
-    def encode_chunk(c: int):
-        start = starts[c]
+    def user_chunk(start: int) -> np.ndarray:
         chunk = samples[start:start + ENCODE_CHUNK]
-        users = batch_user_embeddings(
+        return batch_user_embeddings(
             model, [s.history for s in chunk], list(range(start, start + len(chunk)))
         ).data
-        seqs = list(fresh[c].values())
-        return users, (encode_candidates(seqs, model.trans).data if seqs else None)
+
+    def encode_all(map_fn):
+        user_parts = map_fn(user_chunk, range(0, len(samples), ENCODE_CHUNK))
+        rows = encode_candidate_rows(list(distinct.values()), model.trans, map_fn)
+        return np.concatenate(list(user_parts)), rows
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            encoded = list(pool.map(encode_chunk, range(len(starts))))
+            users, rows = encode_all(pool.map)
     else:
-        encoded = [encode_chunk(c) for c in range(len(starts))]
-    cand_rows: dict[tuple[int, ...], np.ndarray] = {}
-    for new, (_, rows) in zip(fresh, encoded):
-        if new:
-            cand_rows.update(zip(new, rows))
-    users = np.concatenate([u for u, _ in encoded])
+        users, rows = encode_all(map)
+    cand_rows = dict(zip(distinct, rows))
 
     sqrt_d = math.sqrt(users.shape[1])
     metrics = []

@@ -16,6 +16,7 @@ from gateformer.training import (
     batch_loss,
     batch_user_embeddings,
     clip_gradients,
+    encode_candidate_rows,
     evaluate,
     init_model,
     lr_at,
@@ -28,7 +29,7 @@ from gateformer.training import (
     user_keywords,
     write_metrics_csv,
 )
-from gateformer.transformer import load_checkpoint
+from gateformer.transformer import encode_candidates, load_checkpoint
 from oracles import auc_oracle, evaluate_oracle, mrr_oracle, ndcg_oracle, rel_err
 
 
@@ -398,6 +399,37 @@ class TestEvaluate:
     def test_empty_rejected(self, tiny_corpus):
         with pytest.raises(ValueError):
             evaluate(tiny_model(tiny_corpus), [])
+
+    def test_encoder_calls_bounded_and_candidates_encoded_once(self, tiny_corpus, monkeypatch):
+        import gateformer.training as training
+
+        calls = []
+
+        def recording(seqs, params):
+            calls.append([tuple(seq.ids) for seq in seqs])
+            return encode_candidates(seqs, params)
+
+        monkeypatch.setattr(training, "encode_candidates", recording)
+        samples = tiny_corpus.samples[:20] + copy.deepcopy(tiny_corpus.samples[:25])
+        evaluate(tiny_model(tiny_corpus), samples)
+        encoded = [key for call in calls for key in call]
+        distinct = {tuple(seq.ids) for s in samples for seq in (s.positive, *s.negatives)}
+        assert sorted(encoded) == sorted(distinct)
+        assert len(calls) > 1 and all(len(call) <= training.ENCODE_CHUNK for call in calls)
+
+
+class TestEncodeCandidateRows:
+    def test_matches_one_call_in_input_order(self, tiny_corpus):
+        from concurrent.futures import ThreadPoolExecutor
+
+        model = tiny_model(tiny_corpus)
+        seqs = [seq for s in tiny_corpus.samples[:30] for seq in (s.positive, *s.negatives)]
+        assert len(seqs) > 2 * 32
+        whole = encode_candidates(seqs, model.trans).data
+        np.testing.assert_allclose(encode_candidate_rows(seqs, model.trans), whole, rtol=0, atol=1e-12)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = encode_candidate_rows(seqs, model.trans, pool.map)
+        np.testing.assert_array_equal(pooled, encode_candidate_rows(seqs, model.trans))
 
 
 class TestSplitSamples:
