@@ -12,8 +12,10 @@ first alternates from pair to pair. For each end-to-end metric of
 ``BENCHMARK.json`` it writes both sides' runs, medians and quartiles, and
 how many pairs the change won (ties count for neither side) to
 ``BENCH_<name>.json``, with the revisions, the commands and each run's
-failed/attempted operation count. The file is rewritten after every pair, so
-an interrupted run leaves the pairs it finished.
+failed/attempted operation count. After a workload's pairs it makes one
+``--trace 1`` run per side on the first seed and stores both sides'
+per-layer metrics under the workload's ``per_layer``. The file is rewritten
+after every run, so an interrupted run leaves what it finished.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ def seed_list(spec: str) -> list[int]:
     return [int(s) for s in spec.split(",")]
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; returns its environment and result records, or the
-    exit code and the end of its error output when it failed."""
+def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One run; returns its environment and result records, or the exit code
+    and the end of its error output when it failed."""
     cmd = RUN + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-                 "--trace", "0"]
+                 "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -92,6 +94,22 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def per_layer_table(traced: dict) -> dict:
+    """Both sides' traced runs as {metric: {"before": v, "after": v}}, plus
+    each run's correctness and failed/attempted count (or its exit code)."""
+    table = {
+        side: {k: r[k] for k in ("correct", "failed", "attempted", "exit", "stderr") if k in r}
+        for side, r in traced.items()
+    }
+    names = [n for r in traced.values() for n in r.get("metrics", {})]
+    for name in dict.fromkeys(names):
+        table[name] = {
+            side: r["metrics"][name]["value"] if name in r.get("metrics", {}) else None
+            for side, r in traced.items()
+        }
+    return table
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
@@ -120,6 +138,7 @@ def main(argv=None) -> int:
             "before": f"git archive {parent} | tar -x -C <tmp>; cd <tmp>; "
                       f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
             "after": f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
+            "per_layer": f"the same with --trace 1 and --seed {seeds[0]}, once per side",
             "this_script": "python3 scripts/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
         },
         "order": "pair j of a workload runs the parent first when j is even, the change first when odd",
@@ -153,6 +172,13 @@ def main(argv=None) -> int:
                     for p in pairs
                 ]
                 out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+            traced = {}
+            for side in ("before", "after"):
+                run = perfbench(roots[side], w, seeds[0], seconds, trace=1)
+                traced[side] = run.get("result", run)
+                print(f"{w} seed {seeds[0]} {side} traced: {json.dumps(traced[side])[:200]}", flush=True)
+            record["workloads"][w]["per_layer"] = per_layer_table(traced)
+            out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
     return 0
 

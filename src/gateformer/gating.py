@@ -13,6 +13,14 @@ through two differentiable paths:
 
 Unselected tokens still receive gradient through the interest-encoding
 path, which is what lets the gate learn which tokens to keep.
+
+:func:`gate_groups` is the one gate implementation. It gates many histories
+in one pass of grouped tensor ops: items bucketed by length for the CNN,
+pooling and scoring, histories bucketed by item count for the user encoder,
+and a vectorised top-k per length group. The heuristic selectors (first,
+bm25, random) share its selection and gather. :func:`gate_history` and
+:func:`heuristic_gate` run it on a batch of one history and split the result
+into one :class:`GateSelection` per item.
 """
 
 from __future__ import annotations
@@ -160,56 +168,49 @@ class GateSelection:
         return len(self.positions)
 
 
-def _valid_mask(seq: TokenSequence) -> np.ndarray:
-    return np.asarray([t != PAD_ID for t in seq.ids], dtype=bool)
+@dataclass
+class GroupedSelection:
+    """The gate's output for a list of histories.
 
-
-def _embed(seq: TokenSequence, params: GateParams) -> Tensor:
-    return gather_rows(params.word_embeddings, seq.ids)
-
-
-def _encode_embedded(emb: Tensor, valid: np.ndarray, params: GateParams):
-    """CNN + masked weighted pooling over one already-embedded item."""
-    pre = nm.conv1d(emb, params.filters, params.bias, params.window)
-    ctx = nm.relu(pre)
-    scores = nm.matmul(ctx, params.pool_v)
-    if not valid.all():
-        scores = nm.add(scores, constant(np.where(valid, 0.0, NEG_MASK)))
-    alpha = nm.softmax(scores)
-    pooled = nm.matmul(alpha, ctx)
-    return ctx, pooled
-
-
-def encode_item(seq: TokenSequence, params: GateParams):
-    """Context-aware token embeddings (L, N_f) and their pooled summary (N_f,).
-
-    Padding positions are masked out of the pooling softmax.
+    Items are numbered history-major across the histories, and the selected
+    rows run item by item in selection order.
     """
-    if len(seq) < 1:
-        raise ValueError("cannot encode an empty token sequence")
-    return _encode_embedded(_embed(seq, params), _valid_mask(seq), params)
+
+    rows: Tensor                     # (n_selected, d) weight-scaled embeddings
+    weights: Tensor                  # (n_selected,)
+    positions: list[list[int]]       # per item
+    offsets: np.ndarray              # (n_items + 1,): item i owns rows offsets[i]:offsets[i + 1]
+    item_start: np.ndarray           # (n_histories + 1,): history h owns items item_start[h]:...
+    scores: list[Tensor]             # per length group: its (G * L,) raw scores, row-major
+    score_at: list[tuple[int, int, int]]  # per item: (length group, start, length) in scores
+
+    def spans(self) -> list[tuple[int, int]]:
+        """(first row, row count) of each history's selected rows."""
+        bounds = self.offsets[self.item_start]
+        return [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def selections(self) -> list[GateSelection]:
+        """One :class:`GateSelection` per item, narrowed out of the grouped tensors."""
+        out = []
+        for pos, (g, start, L), lo in zip(self.positions, self.score_at, self.offsets.tolist()):
+            out.append(GateSelection(
+                positions=pos,
+                raw_scores=nm.narrow(self.scores[g], 0, start, L),
+                weights=nm.narrow(self.weights, 0, lo, len(pos)),
+                gathered=nm.narrow(self.rows, 0, lo, len(pos)),
+            ))
+        return out
 
 
-def encode_user_interest(history: UserHistory, params: GateParams) -> Tensor:
-    """User interest vector: last LSTM state over per-item summaries."""
-    pooled = [encode_item(seq, params)[1] for seq in history.items]
-    return _aggregate_user(pooled, params)
+def assemble_rows(chunks: list[Tensor], order: np.ndarray) -> Tensor:
+    """Concatenate row chunks and permute rows back to their global order.
 
-
-def _aggregate_user(pooled: list[Tensor], params: GateParams) -> Tensor:
-    if params.user_encoder == "attn":
-        return attn_user_variant(pooled, params)
-    stacked = nm.concat_rows([nm.reshape(h, (1, params.n_filters)) for h in pooled])
-    return nm.lstm_last(stacked, params.lstm)
-
-
-def attn_user_variant(items_h: list[Tensor], params: GateParams) -> Tensor:
-    """Attention-pooling user encoder: drop-in replacement for the LSTM."""
-    if not items_h:
-        raise ValueError("attention user encoder needs at least one item")
-    stacked = nm.concat_rows([nm.reshape(h, (1, params.n_filters)) for h in items_h])
-    alpha = nm.softmax(nm.matmul(stacked, params.attn_v))
-    return nm.matmul(alpha, stacked)
+    ``order[r]`` is the global index of concatenated row r.
+    """
+    stacked = chunks[0] if len(chunks) == 1 else nm.concat_rows(chunks)
+    if np.array_equal(order, np.arange(len(order))):
+        return stacked
+    return gather_rows(stacked, np.argsort(order))
 
 
 def word_average_matrix(word_groups) -> np.ndarray:
@@ -220,112 +221,30 @@ def word_average_matrix(word_groups) -> np.ndarray:
     return same / same.sum(axis=-1, keepdims=True)
 
 
-def _word_average(ctx: Tensor, word_group: list[int]) -> Tensor:
-    """Replace each row by the mean over its surface word's rows."""
-    return nm.matmul(constant(word_average_matrix(word_group)), ctx)
+def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise top-k over (G, L) token ids and their scores.
 
-
-def score_tokens(
-    ctx: Tensor,
-    user_interest: Tensor,
-    word_group: list[int] | None = None,
-) -> Tensor:
-    """Per-token importance: cosine(user interest, context embedding).
-
-    With ``word_group`` given, context rows are first averaged within each
-    surface word so importance is scored per word rather than per token.
-    Padding handling lives in :func:`select_topk`, which masks pad positions
-    out of the ranking entirely.
+    Returns the (G, min(k, L)) positions in selection order and each row's
+    count of selected ones: row g selects ``order[g, :counts[g]]``. Pads and
+    repeated ids (after their first occurrence) are never selected, ties go
+    to the smaller index, and order is descending score.
     """
-    if ctx.data.shape[1] != user_interest.data.shape[0]:
-        raise ValueError(
-            f"score_tokens dims mismatch: ctx {ctx.data.shape} vs "
-            f"interest {user_interest.data.shape}"
-        )
-    if word_group is not None:
-        ctx = _word_average(ctx, word_group)
-    eps = 1e-12
-    num = nm.matmul(ctx, user_interest)
-    row_sq = nm.vsum(nm.mul(ctx, ctx), axis=1)
-    row_norm = nm.sqrt(nm.clamp_min(row_sq, eps * eps))
-    u_norm = nm.sqrt(nm.clamp_min(nm.dot(user_interest, user_interest), eps * eps))
-    return nm.div(num, nm.mul(row_norm, u_norm))
-
-
-def _selectable_scores(seq: TokenSequence, scores: np.ndarray) -> np.ndarray:
-    """Scores with pads and duplicate token ids (non-first) masked to -inf."""
-    masked = scores.astype(float).copy()
-    seen: set[int] = set()
-    for j, tok in enumerate(seq.ids):
-        if tok == PAD_ID or tok in seen:
-            masked[j] = -np.inf
-        else:
-            seen.add(tok)
-    return masked
-
-
-def select_positions(seq: TokenSequence, scores: np.ndarray, k: int) -> list[int]:
-    """Top-k positions by score; pads and duplicate ids excluded, ties go to
-    the smaller index, order is descending score."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    masked = _selectable_scores(seq, scores)
-    order = np.argsort(-masked, kind="stable")
-    out: list[int] = []
-    for j in order:
-        if masked[j] == -np.inf or len(out) >= k:
-            break
-        out.append(int(j))
-    return out
-
-
-def select_topk(
-    seq: TokenSequence,
-    raw_scores: Tensor,
-    embeddings: Tensor,
-    k: int,
-) -> GateSelection:
-    """Differentiable top-k gather of token embeddings.
-
-    The argsort itself is discrete: the selected index set acts as a constant
-    template, so no gradient flows through its construction. Gradient flows
-    into ``embeddings`` via the gather and into ``raw_scores`` via the
-    softmax-normalized weights that scale each gathered row.
-
-    If the item has fewer than ``k`` distinct non-pad tokens, all of them are
-    selected (K_eff < k); downstream concatenation handles ragged lengths.
-    """
-    positions = select_positions(seq, raw_scores.data, k)
-    if not positions:
+    ids = np.asarray(ids)
+    # first occurrence of each id in its row: a stable sort puts it first
+    # among its equals
+    by_id = np.argsort(ids, axis=1, kind="stable")
+    sorted_ids = np.take_along_axis(ids, by_id, axis=1)
+    first_sorted = np.ones(ids.shape, dtype=bool)
+    first_sorted[:, 1:] = sorted_ids[:, 1:] != sorted_ids[:, :-1]
+    first = np.empty_like(first_sorted)
+    np.put_along_axis(first, by_id, first_sorted, axis=1)
+    masked = np.where(first & (ids != PAD_ID), np.asarray(scores, dtype=float), -np.inf)
+    counts = np.minimum((masked > -np.inf).sum(axis=1), k)
+    if not counts.all():
         raise ValueError("no selectable tokens in item (all padding)")
-    selected_scores = gather_rows(raw_scores, positions)
-    weights = nm.softmax(selected_scores)
-    gathered = gather_rows(embeddings, positions)
-    scaled = nm.mul(gathered, nm.reshape(weights, (len(positions), 1)))
-    return GateSelection(
-        positions=positions,
-        raw_scores=raw_scores,
-        weights=weights,
-        gathered=scaled,
-    )
-
-
-def gate_history(history: UserHistory, params: GateParams, k: int) -> list[GateSelection]:
-    """Run the full gate over a user's history: one selection per item."""
-    if len(history) < 1:
-        raise ValueError("history must be non-empty")
-    embedded = [_embed(seq, params) for seq in history.items]
-    encoded = [
-        _encode_embedded(emb, _valid_mask(seq), params)
-        for emb, seq in zip(embedded, history.items)
-    ]
-    interest = _aggregate_user([pooled for _, pooled in encoded], params)
-    selections = []
-    for seq, emb, (ctx, _) in zip(history.items, embedded, encoded):
-        group = seq.word_group if params.granularity == "word" else None
-        scores = score_tokens(ctx, interest, group)
-        selections.append(select_topk(seq, scores, emb, k))
-    return selections
+    return np.argsort(-masked, axis=1, kind="stable")[:, :k], counts
 
 
 def heuristic_scores(
@@ -351,6 +270,155 @@ def heuristic_scores(
     )
 
 
+def _interest_scores(
+    params: GateParams,
+    histories: list[UserHistory],
+    groups: list[tuple[np.ndarray, np.ndarray]],
+    items: list[TokenSequence],
+) -> list[Tensor]:
+    """(G, L) cosine scores of every length group's tokens against the
+    interest vector of the history that holds them."""
+    n_f = params.n_filters
+    # items, per length group: embedding, CNN context and masked pooling
+    ctxs, pooled_chunks = [], []
+    for members, ids in groups:
+        G, L = ids.shape
+        valid = ids != PAD_ID
+        emb3 = gather_rows(params.word_embeddings, ids)
+        ctx3 = nm.relu(nm.conv1d(emb3, params.filters, params.bias, params.window))
+        logits = nm.matmul(ctx3, params.pool_v)
+        if not valid.all():
+            logits = nm.add(logits, constant(np.where(valid, 0.0, NEG_MASK)))
+        alpha = nm.softmax(logits, axis=-1)
+        pooled_chunks.append(nm.reshape(nm.matmul(nm.reshape(alpha, (G, 1, L)), ctx3), (G, n_f)))
+        ctxs.append(ctx3)
+    pooled = assemble_rows(pooled_chunks, np.concatenate([m for m, _ in groups]))
+
+    # user interest, per count of items: the LSTM's last state or attention pooling
+    n_items = np.array([len(h) for h in histories])
+    start = np.concatenate([[0], np.cumsum(n_items)])
+    u_chunks, u_order = [], []
+    for N in np.unique(n_items):
+        hs = np.flatnonzero(n_items == N)
+        if len(hs) == len(histories):
+            stacked = nm.reshape(pooled, (len(hs), N, n_f))
+        else:
+            flat = (start[hs][:, None] + np.arange(N)).ravel()
+            stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
+        if params.user_encoder == "attn":
+            a = nm.softmax(nm.matmul(stacked, params.attn_v), axis=-1)
+            u = nm.reshape(nm.matmul(nm.reshape(a, (len(hs), 1, N)), stacked), (len(hs), n_f))
+        else:
+            u = nm.lstm_last(stacked, params.lstm)
+        u_chunks.append(u)
+        u_order.append(hs)
+    interest = assemble_rows(u_chunks, np.concatenate(u_order))
+
+    # cosine scores; word granularity first averages context rows within words
+    eps = 1e-12
+    owner = np.repeat(np.arange(len(histories)), n_items)
+    scores = []
+    for (members, ids), ctx3 in zip(groups, ctxs):
+        G = len(members)
+        if params.granularity == "word":
+            avg = word_average_matrix([items[i].word_group for i in members])
+            ctx3 = nm.matmul(constant(avg), ctx3)
+        u = gather_rows(interest, owner[members])
+        num = nm.vsum(nm.mul(ctx3, nm.reshape(u, (G, 1, n_f))), axis=2)
+        ctx_n = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx3, ctx3), axis=2), eps * eps))
+        u_n = nm.reshape(nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(u, u), axis=1), eps * eps)), (G, 1))
+        scores.append(nm.div(num, nm.mul(ctx_n, u_n)))
+    return scores
+
+
+def gate_groups(
+    histories: list[UserHistory],
+    params: GateParams,
+    k: int,
+    method: str = "learned",
+    stats: CorpusStats | None = None,
+    rngs: list[np.random.Generator] | None = None,
+) -> GroupedSelection:
+    """Gate every item of every history in one pass of grouped tensor ops.
+
+    ``method`` is the learned gate or one of the heuristic selectors; the
+    heuristics' weights are constant and uniform at 1/K_eff, and ``random``
+    draws each history's scores, item by item, from its own ``rngs`` entry.
+    """
+    if method not in GATE_METHODS:
+        raise ValueError(f"unknown gate method: {method}")
+    if method == "bm25" and stats is None:
+        raise ValueError("bm25 gating requires corpus stats")
+    if method == "random" and (rngs is None or len(rngs) != len(histories) or None in rngs):
+        raise ValueError("random gating requires an rng per history")
+    if not histories:
+        raise ValueError("no histories to gate")
+    items = [seq for h in histories for seq in h.items]
+    if any(len(seq) < 1 for seq in items):
+        raise ValueError("cannot gate an empty token sequence")
+    lengths = np.array([len(seq) for seq in items])
+    groups = []
+    for L in np.unique(lengths):
+        members = np.flatnonzero(lengths == L)
+        groups.append((members, np.array([items[i].ids for i in members], dtype=np.intp)))
+
+    if method == "learned":
+        scores = _interest_scores(params, histories, groups, items)
+    else:
+        owner = [h_i for h_i, h in enumerate(histories) for _ in h.items]
+        per_item = [
+            heuristic_scores(seq, method, stats, rngs[owner[i]] if rngs else None)
+            for i, seq in enumerate(items)
+        ]
+        scores = [constant(np.stack([per_item[i] for i in members])) for members, _ in groups]
+
+    # top-k per length group, then gather and weight per (group, K_eff)
+    n_items = len(items)
+    picks = [select_positions(ids, r.data, k) for (_, ids), r in zip(groups, scores)]
+    k_eff = np.empty(n_items, dtype=np.intp)
+    for (members, _), (_, counts) in zip(groups, picks):
+        k_eff[members] = counts
+    offsets = np.concatenate([[0], np.cumsum(k_eff)])
+    positions: list[list[int]] = [[] for _ in range(n_items)]
+    score_at: list[tuple[int, int, int]] = [(0, 0, 0)] * n_items
+    flat_scores = []
+    row_chunks, weight_chunks, row_order = [], [], []
+    for g, ((members, ids), r, (order, counts)) in enumerate(zip(groups, scores, picks)):
+        G, L = ids.shape
+        r_flat = nm.reshape(r, (G * L,))
+        flat_scores.append(r_flat)
+        for row, (i, pos) in enumerate(zip(members.tolist(), order.tolist())):
+            positions[i] = pos[:counts[row]]
+            score_at[i] = (g, row * L, L)
+        for kk in np.unique(counts):
+            rows = np.flatnonzero(counts == kk)
+            flat_idx = (rows[:, None] * L + order[rows, :kk]).ravel()
+            if method == "learned":
+                beta = nm.softmax(nm.reshape(gather_rows(r_flat, flat_idx), (len(rows), kk)), axis=-1)
+            else:
+                beta = constant(np.full((len(rows), kk), 1.0 / kk))
+            beta = nm.reshape(beta, (len(rows) * kk,))
+            picked = gather_rows(params.word_embeddings, ids.ravel()[flat_idx])
+            row_chunks.append(nm.mul(picked, nm.reshape(beta, (len(rows) * kk, 1))))
+            weight_chunks.append(beta)
+            row_order.append((offsets[members[rows]][:, None] + np.arange(kk)).ravel())
+    row_order = np.concatenate(row_order)
+    return GroupedSelection(
+        rows=assemble_rows(row_chunks, row_order),
+        weights=assemble_rows(weight_chunks, row_order),
+        positions=positions,
+        offsets=offsets,
+        item_start=np.concatenate([[0], np.cumsum([len(h) for h in histories])]),
+        scores=flat_scores,
+        score_at=score_at,
+    )
+
+
+def gate_history(history: UserHistory, params: GateParams, k: int) -> list[GateSelection]:
+    """Run the learned gate over a user's history: one selection per item."""
+    return gate_groups([history], params, k).selections()
+
+
 def heuristic_gate(
     history: UserHistory,
     method: str,
@@ -366,27 +434,4 @@ def heuristic_gate(
     """
     if method not in ("first", "bm25", "random"):
         raise ValueError(f"unknown heuristic gate method: {method}")
-    if method == "bm25" and stats is None:
-        raise ValueError("bm25 gating requires corpus stats")
-    if method == "random" and rng is None:
-        raise ValueError("random gating requires an rng")
-
-    selections = []
-    for seq in history.items:
-        scores = heuristic_scores(seq, method, stats, rng)
-        positions = select_positions(seq, scores, k)
-        if not positions:
-            raise ValueError("no selectable tokens in item (all padding)")
-        k_eff = len(positions)
-        weights = constant(np.full(k_eff, 1.0 / k_eff))
-        gathered = gather_rows(_embed(seq, params), positions)
-        scaled = nm.mul(gathered, nm.reshape(weights, (k_eff, 1)))
-        selections.append(
-            GateSelection(
-                positions=positions,
-                raw_scores=constant(scores),
-                weights=weights,
-                gathered=scaled,
-            )
-        )
-    return selections
+    return gate_groups([history], params, k, method, stats, [rng]).selections()

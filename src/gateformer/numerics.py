@@ -19,6 +19,12 @@ Op outputs may share storage with their inputs (reshape, transpose); treat
 tensor ``.data`` as read-only once it has entered an op. Gradient arrays are
 only ever replaced, never mutated in place, so aliasing between them is safe.
 
+Most ops are one numpy expression each. Two recurring kernels are written
+out by hand: :func:`lstm_last` runs the whole recurrence as one tape node
+with hand-written backpropagation through time, and :func:`conv1d` projects
+each tap once and shift-adds the projections instead of building a window
+buffer. Both report the FLOPs of the op-by-op form they replace.
+
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
 per-element constants for the transcendental ops (see ``_FLOPS_PER_ELEM``).
@@ -543,6 +549,10 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     Row j of the output is ``filters @ concat(x[j-w : j+w]) + bias``, with no
     activation: callers apply their own nonlinearity. A stacked (B, L, d)
     input convolves each sequence independently.
+
+    Computed tap by tap: one product projects every row through every tap's
+    (N_f, d) block of ``filters``, and each output row adds the projections
+    of its in-range neighbours; backward shift-adds the same way.
     """
     x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
     if x.data.ndim not in (2, 3):
@@ -563,22 +573,34 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     if bias.data.shape != (nf,):
         raise ValueError(f"conv1d bias shape {bias.data.shape}, expected ({nf},)")
 
-    padded = np.zeros((B, L + 2 * w, d))
-    padded[:, w:w + L] = xd
-    # windows[., j] = [x[j-w], ..., x[j+w]] flattened, matching the filter layout
-    windows = np.concatenate([padded[:, i:i + L] for i in range(span)], axis=2)
-    out = windows @ filters.data.T + bias.data
+    # (tap i, lo, hi, s): output rows lo..hi-1 read input rows lo+s..hi+s-1;
+    # with L < 2w+1 an outer tap may have no row in range
+    taps = []
+    for i in range(span):
+        s = i - w
+        lo, hi = max(0, -s), min(L, L - s)
+        if lo < hi:
+            taps.append((i, lo, hi, s))
+    # proj[..., i, :] = x @ W_i.T with W_i = filters[:, i*d:(i+1)*d]
+    w_taps = filters.data.reshape(nf, span, d).transpose(2, 1, 0).reshape(d, span * nf)
+    proj = (xd @ w_taps).reshape(B, L, span, nf)
+    out = proj[:, :, w] + bias.data
+    for i, lo, hi, s in taps:
+        if s:
+            out[:, lo:hi] += proj[:, lo + s:hi + s, i]
     data = out if batched else out[0]
     _count(2 * B * L * nf * span * d + B * L * nf)
 
     def bwd(g):
         g3 = g if batched else g[None]
-        gwin = g3 @ filters.data
-        gpad = np.zeros_like(padded)
-        for i in range(span):
-            gpad[:, i:i + L] += gwin[:, :, i * d:(i + 1) * d]
-        gx = gpad[:, w:w + L]
-        gf = np.tensordot(g3, windows, axes=([0, 1], [0, 1]))
+        gproj = g3 @ filters.data                 # (B, L, span*d): tap i's block is g @ W_i
+        gx = np.zeros_like(xd)
+        gf = np.zeros_like(filters.data)
+        for i, lo, hi, s in taps:
+            gx[:, lo + s:hi + s] += gproj[:, lo:hi, i * d:(i + 1) * d]
+            gf[:, i * d:(i + 1) * d] = np.tensordot(
+                g3[:, lo:hi], xd[:, lo + s:hi + s], axes=([0, 1], [0, 1])
+            )
         gb = g3.sum(axis=(0, 1))
         return (gx if batched else gx[0], gf, gb)
 
@@ -615,6 +637,12 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
 
     A stacked (B, N, in) input runs B independent chains of the same length
     and returns (B, g).
+
+    One tape node: the forward pass steps through plain arrays (the input
+    projection of every step is one product up front) and the backward pass
+    is hand-written backpropagation through time. The FLOP count is that of
+    the cell written out op by op: per step and chain, two gate products,
+    two adds, three sigmoids, two tanhs, two products and an add.
     """
     seq = _as_tensor(seq)
     if seq.data.ndim not in (2, 3) or seq.data.shape[-2] < 1:
@@ -623,36 +651,51 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
             f"got {seq.data.shape}"
         )
     batched = seq.data.ndim == 3
-    n_steps = seq.data.shape[-2]
+    x = seq.data if batched else seq.data[None]
+    B, n_steps, in_dim = x.shape
     g = params.hidden
-    if batched:
-        B = seq.data.shape[0]
-        h = constant(np.zeros((B, g)))
-        c = constant(np.zeros((B, g)))
-        w_ih_t = transpose2d(params.w_ih)
-        w_hh_t = transpose2d(params.w_hh)
-        for t in range(n_steps):
-            x_t = reshape(narrow(seq, 1, t, 1), (B, params.input_dim))
-            z = add(add(matmul(x_t, w_ih_t), matmul(h, w_hh_t)), params.bias)
-            i_g = sigmoid(narrow(z, 1, 0, g))
-            f_g = sigmoid(narrow(z, 1, g, g))
-            c_hat = tanh(narrow(z, 1, 2 * g, g))
-            o_g = sigmoid(narrow(z, 1, 3 * g, g))
-            c = add(mul(f_g, c), mul(i_g, c_hat))
-            h = mul(o_g, tanh(c))
-        return h
-    h = constant(np.zeros(g))
-    c = constant(np.zeros(g))
+    w_ih, w_hh, bias = params.tensors()
+    x_proj = x @ w_ih.data.T                                  # (B, N, 4g)
+    h = np.zeros((B, g))
+    c = np.zeros((B, g))
+    # per step: input h, input c, and the cell's gate values, for backward
+    hs, cs, gates, tanh_cs = [], [], [], []
     for t in range(n_steps):
-        x_t = reshape(narrow(seq, 0, t, 1), (params.input_dim,))
-        z = add(add(matmul(params.w_ih, x_t), matmul(params.w_hh, h)), params.bias)
-        i_g = sigmoid(narrow(z, 0, 0, g))
-        f_g = sigmoid(narrow(z, 0, g, g))
-        c_hat = tanh(narrow(z, 0, 2 * g, g))
-        o_g = sigmoid(narrow(z, 0, 3 * g, g))
-        c = add(mul(f_g, c), mul(i_g, c_hat))
-        h = mul(o_g, tanh(c))
-    return h
+        hs.append(h)
+        cs.append(c)
+        z = x_proj[:, t] + h @ w_hh.data.T + bias.data
+        sig = 1.0 / (1.0 + np.exp(-z))                       # i, f, o blocks used
+        c_hat = np.tanh(z[:, 2 * g:3 * g])
+        i_g, f_g, o_g = sig[:, 0:g], sig[:, g:2 * g], sig[:, 3 * g:4 * g]
+        c = f_g * c + i_g * c_hat
+        tanh_c = np.tanh(c)
+        h = o_g * tanh_c
+        gates.append((i_g, f_g, c_hat, o_g))
+        tanh_cs.append(tanh_c)
+    _count(n_steps * B * (8 * g * (in_dim + g) + 32 * g))
+
+    def bwd(grad):
+        dh = grad if batched else grad[None]
+        dc = np.zeros((B, g))
+        dz = np.empty((B, n_steps, 4 * g))
+        for t in reversed(range(n_steps)):
+            i_g, f_g, c_hat, o_g = gates[t]
+            tanh_c = tanh_cs[t]
+            dc = dc + dh * o_g * (1.0 - tanh_c * tanh_c)
+            dz[:, t, 0:g] = dc * c_hat * i_g * (1.0 - i_g)
+            dz[:, t, g:2 * g] = dc * cs[t] * f_g * (1.0 - f_g)
+            dz[:, t, 2 * g:3 * g] = dc * i_g * (1.0 - c_hat * c_hat)
+            dz[:, t, 3 * g:4 * g] = dh * tanh_c * o_g * (1.0 - o_g)
+            dc = dc * f_g
+            dh = dz[:, t] @ w_hh.data
+        h_in = np.stack(hs, axis=1)                           # (B, N, g)
+        dx = dz @ w_ih.data
+        d_ih = np.tensordot(dz, x, axes=([0, 1], [0, 1]))
+        d_hh = np.tensordot(dz, h_in, axes=([0, 1], [0, 1]))
+        d_b = dz.sum(axis=(0, 1))
+        return (dx if batched else dx[0], d_ih, d_hh, d_b)
+
+    return _make(h if batched else h[0], (seq, w_ih, w_hh, bias), bwd)
 
 
 def cosine(a, b, eps: float = 1e-12) -> Tensor:

@@ -2,11 +2,12 @@
 
 A model is the gate plus the transformer sharing one word-embedding table.
 A training step records one tape for the whole batch: ``batch_loss`` runs
-the gate and both encoders on grouped tensors and is pinned by tests to the
-per-sample functions (``sample_loss`` and the ones it calls). Its ops and
-their reductions run in a fixed order, so runs are bit-reproducible for a
-fixed seed. Evaluation runs the same batched encoders without a tape.
-Validation AUC selects the checkpoint that is kept.
+the grouped gate (:func:`gating.gate_groups`) and both encoders on grouped
+tensors, with samples grouped by negative count. Tests pin it to a
+per-sample reference loss built from the oracle gate. Its ops and their
+reductions run in a fixed order, so runs are bit-reproducible for a fixed
+seed. Evaluation runs the same batched encoders without a tape. Validation
+AUC selects the checkpoint that is kept.
 """
 
 from __future__ import annotations
@@ -23,16 +24,16 @@ from . import numerics as nm
 from .gating import (
     GateParams,
     GateSelection,
+    assemble_rows,
+    gate_groups,
     gate_history,
     heuristic_gate,
     init_gate_params,
-    word_average_matrix,
 )
 from .numerics import Tape, Tensor, backward, tensor
 from .text import CorpusStats, ImpressionSample, TokenSequence, UserHistory
 from .transformer import (
     TransformerParams,
-    click_loss,
     encode_candidate,
     encode_candidates,
     encode_sequence,
@@ -128,206 +129,9 @@ def user_keywords(model: Model, history: UserHistory, sample_index: int = 0) -> 
     return keyword_pairs(history, select_history(model, history, sample_index))
 
 
-def sample_loss(model: Model, sample: ImpressionSample, sample_index: int = 0) -> Tensor:
-    user = user_embedding(model, sample.history, sample_index)
-    pos = encode_candidate(sample.positive, model.trans)
-    negs = [encode_candidate(n, model.trans) for n in sample.negatives]
-    return click_loss(user, pos, negs)
-
-
 # ---------------------------------------------------------------------------
 # batched forward
-#
-# The per-sample path above is the reference; the functions below compute the
-# same values with grouped tensor ops (items bucketed by length, users by
-# history size and gated length) so a whole batch runs in a few hundred tape
-# nodes instead of tens of thousands. Tests pin the two routes together.
 # ---------------------------------------------------------------------------
-
-def _assemble(chunks: list[Tensor], order: list[int]) -> Tensor:
-    """Concatenate row chunks and permute rows back to their global order.
-
-    ``order[r]`` is the global index of concatenated row r.
-    """
-    stacked = chunks[0] if len(chunks) == 1 else nm.concat_rows(chunks)
-    if order == list(range(len(order))):
-        return stacked
-    return nm.gather_rows(stacked, np.argsort(order))
-
-
-def _batch_select(
-    model: Model,
-    histories: list[UserHistory],
-    rngs: list[np.random.Generator | None],
-):
-    """Selection over many histories at once.
-
-    Returns (scaled_rows, spans, positions): the weight-scaled selected
-    embeddings as one (sum K_eff, d) tensor ordered history-major then
-    item-major then selection order, one (start, length) span per history,
-    and the raw selected positions.
-    """
-    from .gating import NEG_MASK, heuristic_scores, select_positions
-    from .text import PAD_ID
-
-    gate = model.gate
-    items: list = []
-    history_start: list[int] = []
-    for h in histories:
-        history_start.append(len(items))
-        items.extend(h.items)
-    n_items = len(items)
-
-    if model.gate_method != "learned":
-        positions_flat = []
-        for h_i, h in enumerate(histories):
-            for seq in h.items:
-                scores = heuristic_scores(seq, model.gate_method, model.stats, rngs[h_i])
-                pos = select_positions(seq, scores, model.k)
-                if not pos:
-                    raise ValueError("no selectable tokens in item (all padding)")
-                positions_flat.append(pos)
-        flat_ids = [items[i].ids[p] for i in range(n_items) for p in positions_flat[i]]
-        weights = np.concatenate(
-            [np.full(len(p), 1.0 / len(p)) for p in positions_flat]
-        )
-        gathered = nm.gather_rows(gate.word_embeddings, flat_ids)
-        scaled_rows = nm.mul(gathered, nm.constant(weights[:, None]))
-    else:
-        # phase 1: per-length batched item encoding
-        by_len: dict[int, list[int]] = {}
-        for i, seq in enumerate(items):
-            by_len.setdefault(len(seq), []).append(i)
-        group_of = np.empty(n_items, dtype=np.intp)
-        row_of = np.empty(n_items, dtype=np.intp)
-        groups = []
-        pooled_chunks, pooled_order = [], []
-        for L in sorted(by_len):
-            members = by_len[L]
-            g_idx = len(groups)
-            ids = np.array([items[i].ids for i in members], dtype=np.intp)
-            valid = ids != PAD_ID
-            emb3 = nm.gather_rows(gate.word_embeddings, ids)
-            ctx3 = nm.relu(nm.conv1d(emb3, gate.filters, gate.bias, gate.window))
-            logits = nm.matmul(ctx3, gate.pool_v)
-            if not valid.all():
-                logits = nm.add(logits, nm.constant(np.where(valid, 0.0, NEG_MASK)))
-            alpha = nm.softmax(logits, axis=-1)
-            G = len(members)
-            pooled = nm.reshape(
-                nm.matmul(nm.reshape(alpha, (G, 1, L)), ctx3), (G, gate.n_filters)
-            )
-            for row, i in enumerate(members):
-                group_of[i] = g_idx
-                row_of[i] = row
-            groups.append({"members": members, "L": L, "emb3": emb3, "ctx3": ctx3})
-            pooled_chunks.append(pooled)
-            pooled_order.extend(members)
-        pooled_all = _assemble(pooled_chunks, pooled_order)  # (n_items, n_f)
-
-        # phase 2: user interest, batched over histories of equal length
-        by_n: dict[int, list[int]] = {}
-        for h_i, h in enumerate(histories):
-            by_n.setdefault(len(h), []).append(h_i)
-        u_chunks, u_order = [], []
-        for N in sorted(by_n):
-            hs = by_n[N]
-            flat = np.array(
-                [history_start[h_i] + j for h_i in hs for j in range(N)], dtype=np.intp
-            )
-            stacked = nm.reshape(
-                nm.gather_rows(pooled_all, flat), (len(hs), N, gate.n_filters)
-            )
-            if gate.user_encoder == "attn":
-                a = nm.softmax(nm.matmul(stacked, gate.attn_v), axis=-1)
-                u = nm.reshape(
-                    nm.matmul(nm.reshape(a, (len(hs), 1, N)), stacked),
-                    (len(hs), gate.n_filters),
-                )
-            else:
-                u = nm.lstm_last(stacked, gate.lstm)
-            u_chunks.append(u)
-            u_order.extend(hs)
-        u_all = _assemble(u_chunks, u_order)  # (n_histories, n_f)
-
-        # phase 3: cosine scores per length group, then discrete selection;
-        # word granularity first averages context rows within each word
-        eps = 1e-12
-        owner = np.empty(n_items, dtype=np.intp)
-        for h_i in range(len(histories)):
-            start = history_start[h_i]
-            end = history_start[h_i + 1] if h_i + 1 < len(histories) else n_items
-            owner[start:end] = h_i
-        positions_flat = [None] * n_items
-        for grp in groups:
-            members, L = grp["members"], grp["L"]
-            G = len(members)
-            ctx3 = grp["ctx3"]
-            if gate.granularity == "word":
-                avg = word_average_matrix([items[i].word_group for i in members])
-                ctx3 = nm.matmul(nm.constant(avg), ctx3)
-            u_item = nm.gather_rows(u_all, owner[members])
-            num = nm.vsum(nm.mul(ctx3, nm.reshape(u_item, (G, 1, gate.n_filters))), axis=2)
-            ctx_n = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx3, ctx3), axis=2), eps * eps))
-            u_n = nm.reshape(
-                nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(u_item, u_item), axis=1), eps * eps)),
-                (G, 1),
-            )
-            r = nm.div(num, nm.mul(ctx_n, u_n))  # (G, L)
-            grp["r"] = r
-            grp["r_flat"] = nm.reshape(r, (G * L,))
-            grp["emb_flat"] = nm.reshape(grp["emb3"], (G * L, gate.embed_dim))
-            for row, i in enumerate(members):
-                pos = select_positions(items[i], r.data[row], model.k)
-                if not pos:
-                    raise ValueError("no selectable tokens in item (all padding)")
-                positions_flat[i] = pos
-
-        # phase 4: gather + normalize selections, bucketed by (group, k_eff)
-        sel_offset = np.zeros(n_items + 1, dtype=np.intp)
-        for i in range(n_items):
-            sel_offset[i + 1] = sel_offset[i] + len(positions_flat[i])
-        chunks, chunk_order = [], []
-        for g_idx, grp in enumerate(groups):
-            by_k: dict[int, list[int]] = {}
-            for i in grp["members"]:
-                by_k.setdefault(len(positions_flat[i]), []).append(i)
-            L = grp["L"]
-            for kk in sorted(by_k):
-                mem = by_k[kk]
-                flat_idx = np.array(
-                    [row_of[i] * L + p for i in mem for p in positions_flat[i]],
-                    dtype=np.intp,
-                )
-                beta = nm.softmax(
-                    nm.reshape(nm.gather_rows(grp["r_flat"], flat_idx), (len(mem), kk)),
-                    axis=-1,
-                )
-                scaled = nm.mul(
-                    nm.gather_rows(grp["emb_flat"], flat_idx),
-                    nm.reshape(beta, (len(mem) * kk, 1)),
-                )
-                chunks.append(scaled)
-                chunk_order.extend(
-                    int(sel_offset[i]) + j for i in mem for j in range(kk)
-                )
-        scaled_rows = _assemble(chunks, chunk_order)
-
-    spans = []
-    offset = 0
-    row = 0
-    for h_i, h in enumerate(histories):
-        n_sel = sum(
-            len(positions_flat[history_start[h_i] + j]) for j in range(len(h.items))
-        )
-        spans.append((offset, n_sel))
-        offset += n_sel
-    positions = [
-        [positions_flat[history_start[h_i] + j] for j in range(len(h.items))]
-        for h_i in range(len(histories))
-    ]
-    return scaled_rows, spans, positions
-
 
 def batch_user_embeddings(
     model: Model, histories: list[UserHistory], sample_indices: list[int]
@@ -356,46 +160,40 @@ def batch_user_embeddings(
                 mapping.append(seen[key])
                 continue
             seen[key] = len(unique)
-            rngs.append(None)
         mapping.append(len(unique))
         unique.append(h)
 
-    scaled_rows, spans, _ = _batch_select(model, unique, rngs)
+    gated = gate_groups(
+        unique, model.gate, model.k, model.gate_method, model.stats, rngs or None
+    )
+    spans = gated.spans()
     trans = model.trans
     by_t: dict[int, list[int]] = {}
     for u_i, (_, length) in enumerate(spans):
-        if length < 1:
-            raise ValueError("encode_user needs at least one selected token")
         by_t.setdefault(length, []).append(u_i)
     chunks, order = [], []
     for T in sorted(by_t):
         mem = by_t[T]
         flat = np.concatenate([np.arange(spans[u][0], spans[u][0] + T) for u in mem])
-        seq3 = nm.reshape(nm.gather_rows(scaled_rows, flat), (len(mem), T, trans.d))
+        seq3 = nm.reshape(nm.gather_rows(gated.rows, flat), (len(mem), T, trans.d))
         if T > trans.max_positions:
             raise ValueError(f"sequence length {T} exceeds max positions {trans.max_positions}")
         x = nm.add(seq3, nm.narrow(trans.pos_embeddings, 0, 0, T))
         encoded = encode_sequence(x, trans)
         chunks.append(weighted_pool(encoded, trans.pool_q))
         order.extend(mem)
-    users_unique = _assemble(chunks, order)
+    users_unique = assemble_rows(chunks, np.array(order))
     if mapping == list(range(len(histories))):
         return users_unique
     return nm.gather_rows(users_unique, mapping)
 
 
 def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: list[int]) -> Tensor:
-    """Mean click loss over a batch, computed with the grouped fast path.
+    """Mean click loss over a batch, computed on grouped tensors.
 
-    Falls back to the per-sample route when negative counts are ragged.
+    Users and candidates are encoded in one call each; the scores and
+    per-sample losses run per group of samples with equal negative counts.
     """
-    counts = {len(s.negatives) for s in samples}
-    if len(counts) != 1:
-        total = sample_loss(model, samples[0], sample_indices[0])
-        for s, i in zip(samples[1:], sample_indices[1:]):
-            total = nm.add(total, sample_loss(model, s, i))
-        return nm.mul(total, 1.0 / len(samples))
-
     users = batch_user_embeddings(model, [s.history for s in samples], sample_indices)
     cand_seqs = []
     for s in samples:
@@ -403,16 +201,26 @@ def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: li
         cand_seqs.extend(s.negatives)
     cands = encode_candidates(cand_seqs, model.trans)
     B = len(samples)
-    C = 1 + counts.pop()
     d = model.trans.d
-    cands3 = nm.reshape(cands, (B, C, d))
-    z = nm.mul(
-        nm.vsum(nm.mul(cands3, nm.reshape(users, (B, 1, d))), axis=2),
-        1.0 / math.sqrt(d),
-    )
-    lse = nm.logsumexp(z, axis=-1)
-    z_pos = nm.reshape(nm.narrow(z, 1, 0, 1), (B,))
-    return nm.mean(nm.sub(lse, z_pos))
+    n_cands = np.array([1 + len(s.negatives) for s in samples])
+    first = np.concatenate([[0], np.cumsum(n_cands)[:-1]])
+    losses = []
+    for C in np.unique(n_cands):
+        mem = np.flatnonzero(n_cands == C)
+        if len(mem) == B:
+            u, c = users, cands
+        else:
+            u = nm.gather_rows(users, mem)
+            c = nm.gather_rows(cands, (first[mem][:, None] + np.arange(C)).ravel())
+        G = len(mem)
+        z = nm.mul(
+            nm.vsum(nm.mul(nm.reshape(c, (G, C, d)), nm.reshape(u, (G, 1, d))), axis=2),
+            1.0 / math.sqrt(d),
+        )
+        lse = nm.logsumexp(z, axis=-1)
+        z_pos = nm.reshape(nm.narrow(z, 1, 0, 1), (G,))
+        losses.append(nm.sub(lse, z_pos))
+    return nm.mean(losses[0] if len(losses) == 1 else nm.concat_rows(losses))
 
 
 # ---------------------------------------------------------------------------

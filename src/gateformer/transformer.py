@@ -8,8 +8,9 @@ ungated token sequence. Both pool to a single vector with a learned query
 word embedding table, which the gate shares too.
 
 Checkpoint format: ``<prefix>.manifest.json`` (sorted tensor names, shapes,
-byte offsets) plus ``<prefix>.bin`` holding the raw little-endian float64
-arrays concatenated in manifest order.
+byte offsets, total bytes) plus ``<prefix>.bin`` holding the raw
+little-endian float64 arrays concatenated in manifest order; the loader
+checks the manifest against the blob before reading any array.
 """
 
 from __future__ import annotations
@@ -298,19 +299,61 @@ def save_checkpoint(named: dict[str, Tensor], prefix) -> None:
     Path(f"{prefix}.bin").write_bytes(bytes(blob))
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def load_checkpoint(prefix) -> dict[str, np.ndarray]:
-    with open(f"{prefix}.manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
+    """Read a checkpoint, checking the manifest against the blob first.
+
+    Names must be sorted and unique, every shape a list of non-negative
+    integers, and the arrays must tile the blob exactly in manifest order.
+    A manifest that breaks any of these raises ``ValueError`` naming the file.
+    """
+    path = f"{prefix}.manifest.json"
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     blob = Path(f"{prefix}.bin").read_bytes()
-    if len(blob) != manifest["total_bytes"]:
-        raise ValueError(f"checkpoint blob size mismatch for {prefix}")
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"corrupt checkpoint manifest {path}: {why}")
+
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise bad(f"not JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise bad("not a JSON object")
+    for key in ("names", "shapes", "offsets", "total_bytes"):
+        if key not in manifest:
+            raise bad(f"no {key!r}")
+    names, shapes, offsets = manifest["names"], manifest["shapes"], manifest["offsets"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise bad("names must be a list of strings")
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise bad("names must be sorted and unique")
+    if not isinstance(shapes, dict) or not isinstance(offsets, dict):
+        raise bad("shapes and offsets must be objects")
+    if set(shapes) != set(names) or set(offsets) != set(names):
+        raise bad("shapes and offsets must name exactly the listed tensors")
+    if manifest["total_bytes"] != len(blob):
+        raise bad(f"total_bytes {manifest['total_bytes']} but {prefix}.bin holds {len(blob)}")
     out = {}
-    for name in manifest["names"]:
-        shape = tuple(manifest["shapes"][name])
-        off = manifest["offsets"][name]
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+    end = 0
+    for name in names:
+        shape = shapes[name]
+        if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+            raise bad(f"shape of {name} is not a list of non-negative integers")
+        if offsets[name] != end or not _is_count(offsets[name]):
+            raise bad(f"{name} starts at {offsets[name]}, expected {end}")
+        count = math.prod(shape)
+        if end + 8 * count > len(blob):
+            raise bad(f"{name} runs past the end of the {len(blob)}-byte blob")
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=end)
         out[name] = arr.astype(np.float64).reshape(shape)
+        end += 8 * count
+    if end != len(blob):
+        raise bad(f"arrays cover {end} of the blob's {len(blob)} bytes")
     return out
 
 

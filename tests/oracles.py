@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 
-from gateformer.numerics import Tape, backward
+from gateformer import numerics as nm
+from gateformer.gating import GateSelection, heuristic_scores
+from gateformer.numerics import Tape, backward, constant, gather_rows
 from gateformer.recall import bm25_term_weight
-from gateformer.training import user_embedding
-from gateformer.transformer import encode_candidate
+from gateformer.text import PAD_ID
+from gateformer.transformer import click_loss, encode_candidate, encode_user
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -88,6 +90,17 @@ def conv1d_oracle(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, w: int) 
     return out
 
 
+def conv1d_window_oracle(x, filters, bias, w: int):
+    """conv1d of one (L, d) tensor in composed tape ops: zero-pad, lay the
+    2w+1 shifted copies side by side into (L, (2w+1) d) windows, and apply
+    the filters to the windows in one product."""
+    L, d = x.data.shape
+    pad = constant(np.zeros((w, d)))
+    padded = nm.concat_rows([pad, x, pad])
+    windows = nm.concat_rows([nm.narrow(padded, 0, i, L) for i in range(2 * w + 1)], axis=1)
+    return nm.add(nm.matmul(windows, nm.transpose2d(filters)), bias)
+
+
 def softmax_oracle(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max())
     return e / e.sum()
@@ -129,8 +142,8 @@ def ndcg_oracle(scores, labels, k: int) -> float:
 
 
 def evaluate_oracle(model, samples) -> tuple:
-    """Mean (AUC, MRR, NDCG@5, NDCG@10) one impression at a time: a
-    per-sample user embedding, then one encode_candidate call per candidate,
+    """Mean (AUC, MRR, NDCG@5, NDCG@10) one impression at a time: a user
+    embedding through the reference gate, then one encode_candidate call per candidate,
     cached by news id where the sample has ids."""
     cache = {}
 
@@ -143,7 +156,7 @@ def evaluate_oracle(model, samples) -> tuple:
 
     rows = []
     for idx, sample in enumerate(samples):
-        u = user_embedding(model, sample.history, idx).data
+        u = user_embedding_oracle(model, sample.history, idx).data
         items = [(sample.positive, sample.positive_id)] + list(
             zip(sample.negatives, sample.negative_ids or [""] * len(sample.negatives))
         )
@@ -228,3 +241,164 @@ def postings_oracle(docs) -> dict:
         for tok, tf in counts.items():
             postings.setdefault(tok, []).append((key, tf))
     return dict(sorted(postings.items()))
+
+
+# ---------------------------------------------------------------------------
+# reference gate: one item at a time, in composed tape ops
+# ---------------------------------------------------------------------------
+
+def lstm_last_oracle(seq, params):
+    """Last hidden state of the LSTM over the rows of (N, in), or of each
+    chain of (B, N, in), one composed op per cell equation."""
+    batched = seq.data.ndim == 3
+    g = params.hidden
+    lead = (seq.data.shape[0],) if batched else ()
+    axis = len(lead)
+    h = constant(np.zeros((*lead, g)))
+    c = constant(np.zeros((*lead, g)))
+    w_ih_t = nm.transpose2d(params.w_ih)
+    w_hh_t = nm.transpose2d(params.w_hh)
+    for t in range(seq.data.shape[-2]):
+        x_t = nm.reshape(nm.narrow(seq, axis, t, 1), (*lead, params.input_dim))
+        z = nm.add(nm.add(nm.matmul(x_t, w_ih_t), nm.matmul(h, w_hh_t)), params.bias)
+        i_g = nm.sigmoid(nm.narrow(z, axis, 0, g))
+        f_g = nm.sigmoid(nm.narrow(z, axis, g, g))
+        c_hat = nm.tanh(nm.narrow(z, axis, 2 * g, g))
+        o_g = nm.sigmoid(nm.narrow(z, axis, 3 * g, g))
+        c = nm.add(nm.mul(f_g, c), nm.mul(i_g, c_hat))
+        h = nm.mul(o_g, nm.tanh(c))
+    return h
+
+
+def encode_item(seq, params):
+    """Context-aware token embeddings (L, N_f) of one item and their pooled
+    summary (N_f,); padding positions are masked out of the pooling."""
+    if len(seq) < 1:
+        raise ValueError("cannot encode an empty token sequence")
+    ctx = nm.relu(nm.conv1d(gather_rows(params.word_embeddings, seq.ids),
+                            params.filters, params.bias, params.window))
+    logits = nm.matmul(ctx, params.pool_v)
+    valid = np.array([t != PAD_ID for t in seq.ids])
+    if not valid.all():
+        logits = nm.add(logits, constant(np.where(valid, 0.0, -1e30)))
+    return ctx, nm.matmul(nm.softmax(logits), ctx)
+
+
+def attn_user_variant(items_h, params):
+    """Attention pooling over per-item summaries."""
+    if not items_h:
+        raise ValueError("attention user encoder needs at least one item")
+    stacked = nm.concat_rows([nm.reshape(h, (1, params.n_filters)) for h in items_h])
+    alpha = nm.softmax(nm.matmul(stacked, params.attn_v))
+    return nm.matmul(alpha, stacked)
+
+
+def _aggregate_user(pooled, params):
+    if params.user_encoder == "attn":
+        return attn_user_variant(pooled, params)
+    stacked = nm.concat_rows([nm.reshape(h, (1, params.n_filters)) for h in pooled])
+    return lstm_last_oracle(stacked, params.lstm)
+
+
+def encode_user_interest(history, params):
+    """User interest vector from the per-item summaries."""
+    return _aggregate_user([encode_item(seq, params)[1] for seq in history.items], params)
+
+
+def score_tokens(ctx, user_interest, word_group=None):
+    """Cosine of each context row with the interest vector; with
+    ``word_group``, rows are first averaged within each surface word."""
+    if word_group is not None:
+        L = len(word_group)
+        avg = np.zeros((L, L))
+        for j in range(L):
+            same = [m for m in range(L) if word_group[m] == word_group[j]]
+            avg[j, same] = 1.0 / len(same)
+        ctx = nm.matmul(constant(avg), ctx)
+    eps = 1e-12
+    num = nm.matmul(ctx, user_interest)
+    row_norm = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx, ctx), axis=1), eps * eps))
+    u_norm = nm.sqrt(nm.clamp_min(nm.dot(user_interest, user_interest), eps * eps))
+    return nm.div(num, nm.mul(row_norm, u_norm))
+
+
+def _selectable_scores(seq, scores):
+    """Scores with pads and repeated token ids (after the first) at -inf."""
+    masked = np.asarray(scores, dtype=float).copy()
+    seen = set()
+    for j, tok in enumerate(seq.ids):
+        if tok == PAD_ID or tok in seen:
+            masked[j] = -np.inf
+        else:
+            seen.add(tok)
+    return masked
+
+
+def select_positions_oracle(seq, scores, k):
+    """Top-k positions of one item by a full sort on (-score, index)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    masked = _selectable_scores(seq, scores)
+    ranked = sorted((j for j in range(len(masked)) if masked[j] > -np.inf),
+                    key=lambda j: (-masked[j], j))
+    return ranked[:k]
+
+
+def select_topk(seq, raw_scores, embeddings, k):
+    """Top-k gather of one item's embeddings, scaled by the softmax of the
+    selected scores."""
+    positions = select_positions_oracle(seq, raw_scores.data, k)
+    if not positions:
+        raise ValueError("no selectable tokens in item (all padding)")
+    weights = nm.softmax(gather_rows(raw_scores, positions))
+    gathered = nm.mul(gather_rows(embeddings, positions),
+                      nm.reshape(weights, (len(positions), 1)))
+    return GateSelection(positions=positions, raw_scores=raw_scores,
+                         weights=weights, gathered=gathered)
+
+
+def gate_history_oracle(history, params, k):
+    """The learned gate, one item at a time."""
+    interest = encode_user_interest(history, params)
+    sels = []
+    for seq in history.items:
+        group = seq.word_group if params.granularity == "word" else None
+        scores = score_tokens(encode_item(seq, params)[0], interest, group)
+        sels.append(select_topk(seq, scores, gather_rows(params.word_embeddings, seq.ids), k))
+    return sels
+
+
+def heuristic_gate_oracle(history, method, k, params, stats=None, rng=None):
+    """A heuristic selector, one item at a time, with uniform weights."""
+    sels = []
+    for seq in history.items:
+        scores = heuristic_scores(seq, method, stats, rng)
+        positions = select_positions_oracle(seq, scores, k)
+        weights = constant(np.full(len(positions), 1.0 / len(positions)))
+        gathered = nm.mul(gather_rows(params.word_embeddings, [seq.ids[p] for p in positions]),
+                          nm.reshape(weights, (len(positions), 1)))
+        sels.append(GateSelection(positions=positions, raw_scores=constant(scores),
+                                  weights=weights, gathered=gathered))
+    return sels
+
+
+def select_history_oracle(model, history, sample_index=0):
+    """The model's selector through the reference gate, with the random
+    selector's draws keyed as the package keys them."""
+    if model.gate_method == "learned":
+        return gate_history_oracle(history, model.gate, model.k)
+    rng = np.random.default_rng([model.seed, 7919, sample_index])
+    return heuristic_gate_oracle(history, model.gate_method, model.k, model.gate,
+                                 model.stats, rng)
+
+
+def user_embedding_oracle(model, history, sample_index=0):
+    return encode_user(select_history_oracle(model, history, sample_index), model.trans)
+
+
+def sample_loss(model, sample, sample_index=0):
+    """Click loss of one impression: reference gate, per-candidate encoder."""
+    user = user_embedding_oracle(model, sample.history, sample_index)
+    pos = encode_candidate(sample.positive, model.trans)
+    negs = [encode_candidate(n, model.trans) for n in sample.negatives]
+    return click_loss(user, pos, negs)

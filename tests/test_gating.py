@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from gateformer import numerics as nm
-from gateformer.gating import (
-    GateParams,
+from gateformer.gating import gate_history, heuristic_gate, init_gate_params, select_positions
+from gateformer.numerics import Tape, backward, tensor
+from gateformer.text import TokenSequence, UserHistory, Vocabulary, corpus_stats
+from oracles import (
+    _selectable_scores,
     attn_user_variant,
+    autodiff_grads,
+    check_grads,
+    conv1d_oracle,
     encode_item,
     encode_user_interest,
-    gate_history,
-    heuristic_gate,
-    init_gate_params,
+    gate_history_oracle,
+    heuristic_gate_oracle,
+    lstm_last_oracle,
+    rel_err,
     score_tokens,
-    select_positions,
+    select_positions_oracle,
     select_topk,
+    softmax_oracle,
 )
-from gateformer.numerics import LSTMParams, Tape, backward, tensor
-from gateformer.text import TokenSequence, UserHistory, Vocabulary, corpus_stats
-from oracles import check_grads, conv1d_oracle, fd_grads, rel_err, softmax_oracle
 
 
 def make_gate(vocab_size=20, d=6, n_f=5, window=1, seed=0, **kwargs):
@@ -42,10 +47,14 @@ def random_history(rng, n_items, length, vocab_size=20, distinct=True):
     return UserHistory(items)
 
 
+def select_row(seq, scores, k):
+    """select_positions on a group of one item."""
+    order, counts = select_positions(np.array([seq.ids]), np.array([scores]), k)
+    return order[0, :counts[0]].tolist()
+
+
 def ranked_gap(seq, scores, k):
     """Smallest gap among the top k+1 ranked selectable scores."""
-    from gateformer.gating import _selectable_scores
-
     masked = np.sort(_selectable_scores(seq, scores))[::-1]
     top = masked[: k + 1]
     top = top[np.isfinite(top)]
@@ -133,7 +142,7 @@ class TestEncodeUserInterest:
         history = UserHistory([seq_of([2, 3])])
         out = encode_user_interest(history, p)
         _, pooled = encode_item(history.items[0], p)
-        step = nm.lstm_last(nm.reshape(pooled, (1, p.n_filters)), p.lstm)
+        step = lstm_last_oracle(nm.reshape(pooled, (1, p.n_filters)), p.lstm)
         assert np.allclose(out.data, step.data, atol=1e-15)
 
     def test_order_sensitivity(self):
@@ -190,12 +199,12 @@ class TestScoreTokens:
 class TestSelectTopk:
     def test_basic_topk(self):
         seq = seq_of([5, 6, 7])
-        sel = select_positions(seq, np.array([0.9, 0.1, 0.5]), 2)
+        sel = select_row(seq, np.array([0.9, 0.1, 0.5]), 2)
         assert sel == [0, 2]
 
     def test_duplicate_token_masked_to_first_occurrence(self):
         seq = seq_of([4, 4, 9])
-        sel = select_positions(seq, np.array([0.9, 0.8, 0.1]), 2)
+        sel = select_row(seq, np.array([0.9, 0.8, 0.1]), 2)
         assert sel == [0, 2]
 
     def test_k_equals_l_selects_all_with_softmax_weights(self):
@@ -213,7 +222,7 @@ class TestSelectTopk:
 
     def test_pad_positions_never_selected(self):
         seq = TokenSequence([0, 5, 0, 7], [0, 1, 2, 3], [0] * 4)
-        sel = select_positions(seq, np.array([9.0, 0.5, 9.0, 0.1]), 3)
+        sel = select_row(seq, np.array([9.0, 0.5, 9.0, 0.1]), 3)
         assert sel == [1, 3]
 
     def test_k_exceeding_distinct_gives_ragged_k_eff(self):
@@ -224,7 +233,7 @@ class TestSelectTopk:
 
     def test_selected_order_descending_with_index_tiebreak(self):
         seq = seq_of([2, 3, 4, 5])
-        sel = select_positions(seq, np.array([0.5, 0.7, 0.5, 0.1]), 3)
+        sel = select_row(seq, np.array([0.5, 0.7, 0.5, 0.1]), 3)
         assert sel == [1, 0, 2]
 
     def test_weights_scale_gathered_rows(self):
@@ -292,10 +301,10 @@ class TestSelectionInvariants:
             seq = seq_of(ids)
             scores = rng.normal(size=length)
             k = int(rng.integers(1, 6))
-            base = select_positions(seq, scores, k)
+            base = select_row(seq, scores, k)
             for c in (2.0, 0.5, 3.0):
-                assert select_positions(seq, scores * c, k) == base
-            shifted = select_positions(seq, scores + 1.25, k)
+                assert select_row(seq, scores * c, k) == base
+            shifted = select_row(seq, scores + 1.25, k)
             assert shifted == base
 
     def test_beta_shift_invariance(self):
@@ -315,8 +324,13 @@ class TestSelectionInvariants:
             ids = rng.integers(0, 6, size=length).tolist()  # includes pads
             seq = seq_of(ids)
             k = int(rng.integers(1, 8))
-            pos = select_positions(seq, rng.normal(size=length), k)
+            scores = rng.normal(size=length)
             distinct = len({t for t in ids if t != 0})
+            if distinct == 0:
+                with pytest.raises(ValueError, match="padding"):
+                    select_row(seq, scores, k)
+                continue
+            pos = select_row(seq, scores, k)
             assert len(pos) == min(k, distinct)
             chosen = [ids[j] for j in pos]
             assert len(set(chosen)) == len(chosen)
@@ -348,7 +362,7 @@ class TestSelectionInvariants:
         for seq, pos in zip(history.items, baseline):
             scores = score_tokens(encode_item(seq, p)[0], interest).data
             for delta in (1e-6, -1e-6):
-                assert select_positions(seq, scores + delta, 2) == pos
+                assert select_row(seq, scores + delta, 2) == pos
 
         def build():
             sels = gate_history(history, p, 2)
@@ -437,3 +451,91 @@ class TestAttnUserVariant:
         history = random_history(rng, 3, 5)
         sels = gate_history(history, p, 2)
         assert all(s.k_eff == 2 for s in sels)
+
+
+class TestGroupedSelectPositions:
+    def test_matches_per_row_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            G, L = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            ids = rng.integers(0, 5, size=(G, L))         # pads and repeated ids
+            ids[:, int(rng.integers(0, L))] = rng.integers(1, 5, size=G)  # no all-pad row
+            scores = rng.integers(-2, 3, size=(G, L)).astype(float)  # ties
+            for k in range(1, L + 2):
+                order, counts = select_positions(ids, scores, k)
+                for row in range(G):
+                    expect = select_positions_oracle(seq_of(ids[row].tolist()), scores[row], k)
+                    assert order[row, :counts[row]].tolist() == expect
+
+    def test_all_pad_row_rejected(self):
+        ids = np.array([[3, 4], [0, 0]])
+        with pytest.raises(ValueError, match="padding"):
+            select_positions(ids, np.zeros((2, 2)), 1)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k"):
+            select_positions(np.array([[3, 4]]), np.zeros((1, 2)), 0)
+
+
+def oracle_history(rng, vocab_size, word=False):
+    """Items of mixed lengths with pads, repeated ids and, for k=3, items
+    with fewer than k distinct ids; ``word`` groups tokens into 2-token words."""
+    items = []
+    for length in (5, 3, 5, 2, 4, 5):
+        ids = rng.integers(1, vocab_size, size=length).tolist()
+        if length == 5:
+            ids[-1] = 0
+        if length == 2:
+            ids = [ids[0], ids[0]]
+        groups = [j // 2 for j in range(length)] if word else list(range(length))
+        items.append(TokenSequence(ids, groups, [0] * length))
+    return UserHistory(items)
+
+
+class TestGateMatchesOracle:
+    """gate_history / heuristic_gate (the grouped gate on one history)
+    against the per-item reference gate: positions, values, and gradients
+    through the gathered rows."""
+
+    @staticmethod
+    def assert_match(run, reference, params):
+        weights = [params.word_embeddings, *params.named_tensors().values()]
+        got_sels, ref_sels = run(), reference()
+        assert [s.positions for s in got_sels] == [s.positions for s in ref_sels]
+        for a, b in zip(got_sels, ref_sels):
+            for part in ("raw_scores", "weights", "gathered"):
+                assert rel_err(getattr(a, part).data, getattr(b, part).data) < 1e-12, part
+        c = np.random.default_rng(31).normal(size=(sum(s.k_eff for s in ref_sels), params.embed_dim))
+
+        def loss(fn):
+            return lambda: nm.vsum(nm.mul(nm.concat_rows([s.gathered for s in fn()]), tensor(c)))
+
+        fast = autodiff_grads(loss(run), weights)
+        slow = autodiff_grads(loss(reference), weights)
+        for name, a, b in zip(["embed", *params.named_tensors()], fast, slow):
+            if b is None:
+                assert a is None or not a.any(), name
+                continue
+            assert rel_err(a, b) < 1e-12, name
+
+    @pytest.mark.parametrize("encoder", ["lstm", "attn"])
+    @pytest.mark.parametrize("granularity", ["token", "word"])
+    def test_learned(self, encoder, granularity):
+        rng = np.random.default_rng(30)
+        p = make_gate(vocab_size=15, seed=30, user_encoder=encoder, granularity=granularity)
+        history = oracle_history(rng, 15, word=granularity == "word")
+        self.assert_match(
+            lambda: gate_history(history, p, 3), lambda: gate_history_oracle(history, p, 3), p
+        )
+
+    @pytest.mark.parametrize("method", ["first", "bm25", "random"])
+    def test_heuristic(self, method):
+        rng = np.random.default_rng(32)
+        p = make_gate(vocab_size=15, seed=32)
+        history = oracle_history(rng, 15)
+        stats = corpus_stats({str(i): seq for i, seq in enumerate(history.items)})
+        self.assert_match(
+            lambda: heuristic_gate(history, method, 3, p, stats, np.random.default_rng(4)),
+            lambda: heuristic_gate_oracle(history, method, 3, p, stats, np.random.default_rng(4)),
+            p,
+        )

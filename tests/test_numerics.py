@@ -31,7 +31,15 @@ from gateformer.numerics import (
     transpose2d,
     vsum,
 )
-from oracles import check_grads, conv1d_oracle, rel_err, softmax_oracle
+from oracles import (
+    autodiff_grads,
+    check_grads,
+    conv1d_oracle,
+    conv1d_window_oracle,
+    lstm_last_oracle,
+    rel_err,
+    softmax_oracle,
+)
 
 
 def rng(seed=0):
@@ -154,6 +162,36 @@ class TestConv1d:
         check_grads(lambda: vsum(mul(conv1d(x, f, b, 1), c)), [x, f, b], tol=1e-6)
 
 
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_tapwise_matches_window_oracle(self, w, L, batched):
+        # L < 2w+1 leaves some taps with no rows in range
+        r = rng(100 + 10 * w + L)
+        d, nf = 3, 4
+        x = tensor(r.normal(size=(2, L, d) if batched else (L, d)), requires_grad=True)
+        f = tensor(r.normal(size=(nf, (2 * w + 1) * d)), requires_grad=True)
+        b = tensor(r.normal(size=(nf,)), requires_grad=True)
+        c = r.normal(size=x.data.shape[:-1] + (nf,))
+
+        def oracle():
+            if not batched:
+                return conv1d_window_oracle(x, f, b, w)
+            rows = [conv1d_window_oracle(reshape(narrow(x, 0, i, 1), (L, d)), f, b, w)
+                    for i in range(2)]
+            return reshape(concat_rows(rows), (2, L, nf))
+
+        with nm.count_flops() as counted:
+            out = conv1d(x, f, b, w)
+        rows = x.data[..., 0].size
+        assert counted.flops == 2 * rows * nf * (2 * w + 1) * d + rows * nf
+        assert rel_err(out.data, oracle().data) < 1e-12
+        fast = autodiff_grads(lambda: vsum(mul(conv1d(x, f, b, w), tensor(c))), [x, f, b])
+        slow = autodiff_grads(lambda: vsum(mul(oracle(), tensor(c))), [x, f, b])
+        for a, e in zip(fast, slow):
+            assert rel_err(a, e) < 1e-12
+
+
 def make_lstm(r, g, in_dim, scale=0.4):
     return LSTMParams(
         tensor(r.normal(size=(4 * g, in_dim)) * scale, requires_grad=True),
@@ -195,6 +233,34 @@ class TestLstmLast:
             [seq, *params.tensors()],
             tol=1e-5,
         )
+
+
+    @pytest.mark.parametrize("n_steps", [1, 30])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_fused_matches_composed_oracle(self, n_steps, batch):
+        r = rng(12 + n_steps)
+        g, in_dim = 4, 5
+        params = make_lstm(r, g, in_dim)
+        shape = (n_steps, in_dim) if batch is None else (batch, n_steps, in_dim)
+        seq = tensor(r.normal(size=shape), requires_grad=True)
+        c = tensor(r.normal(size=shape[:-2] + (g,)))
+        with nm.count_flops() as fused_flops:
+            fused = lstm_last(seq, params)
+        with nm.count_flops() as composed_flops:
+            composed = lstm_last_oracle(seq, params)
+        assert fused_flops.flops == composed_flops.flops
+        assert rel_err(fused.data, composed.data) < 1e-12
+        weights = [seq, *params.tensors()]
+        fast = autodiff_grads(lambda: vsum(mul(lstm_last(seq, params), c)), weights)
+        slow = autodiff_grads(lambda: vsum(mul(lstm_last_oracle(seq, params), c)), weights)
+        for a, e in zip(fast, slow):
+            assert rel_err(a, e) < 1e-12
+
+    def test_one_tape_node(self):
+        params = make_lstm(rng(13), 3, 2)
+        with Tape() as tape:
+            lstm_last(tensor(rng(14).normal(size=(2, 30, 2)), requires_grad=True), params)
+        assert len(tape) == 1
 
 
 class TestCosine:

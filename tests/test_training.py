@@ -22,7 +22,6 @@ from gateformer.training import (
     lr_at,
     mrr_score,
     ndcg_at_k,
-    sample_loss,
     split_samples,
     train,
     user_embedding,
@@ -30,7 +29,7 @@ from gateformer.training import (
     write_metrics_csv,
 )
 from gateformer.transformer import encode_candidates, load_checkpoint
-from oracles import auc_oracle, evaluate_oracle, mrr_oracle, ndcg_oracle, rel_err
+from oracles import auc_oracle, evaluate_oracle, mrr_oracle, ndcg_oracle, rel_err, sample_loss
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +174,7 @@ class TestBatchEquivalence:
     """The grouped fast path must reproduce the per-sample reference."""
 
     @staticmethod
-    def assert_loss_and_gradients_match(model, samples):
+    def assert_loss_and_gradients_match(model, samples, tol=1e-9):
         named = model.named_tensors()
         idxs = list(range(len(samples)))
 
@@ -203,13 +202,21 @@ class TestBatchEquivalence:
             scale = max(np.abs(a).max(), np.abs(b).max())
             if scale < 1e-9:
                 continue
-            assert rel_err(a, b) < 1e-9, k
+            assert rel_err(a, b) < tol, k
 
     @pytest.mark.parametrize("method", ["learned", "first", "bm25", "random"])
     def test_loss_and_gradients_match(self, tiny_corpus, method):
         self.assert_loss_and_gradients_match(
             tiny_model(tiny_corpus, method), tiny_corpus.samples[:6]
         )
+
+    @pytest.mark.parametrize("method", ["learned", "random"])
+    def test_ragged_negative_counts_match(self, tiny_corpus, method):
+        samples = [
+            dataclasses.replace(s, negatives=s.negatives[: 1 + i % 3])
+            for i, s in enumerate(tiny_corpus.samples[:7])
+        ]
+        self.assert_loss_and_gradients_match(tiny_model(tiny_corpus, method), samples, tol=1e-12)
 
     def test_word_granularity_loss_and_gradients_match(self, tiny_corpus):
         samples = [two_token_words(s) for s in tiny_corpus.samples[:6]]

@@ -1,18 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from gateformer import numerics as nm
-from gateformer.gating import (
-    GateSelection,
-    encode_item,
-    encode_user_interest,
-    gate_history,
-    init_gate_params,
-    score_tokens,
-    select_positions,
-)
+from gateformer.gating import GateSelection, gate_history, init_gate_params
 from gateformer.numerics import Tape, backward, constant, gather_rows, tensor
 from gateformer.text import TokenSequence, UserHistory
 from gateformer.transformer import (
@@ -28,7 +21,15 @@ from gateformer.transformer import (
     score,
     weighted_pool,
 )
-from oracles import check_grads, rel_err, softmax_oracle
+from oracles import (
+    check_grads,
+    encode_item,
+    encode_user_interest,
+    rel_err,
+    score_tokens,
+    select_positions_oracle,
+    softmax_oracle,
+)
 
 
 def seq_of(ids):
@@ -336,7 +337,7 @@ class TestEndToEndGradient:
                         stable = False
                     if np.diff(-masked[:k]).min(initial=np.inf) < 2e-2:
                         stable = False
-                    item_pos.append(select_positions(seq, scores, k))
+                    item_pos.append(select_positions_oracle(seq, scores, k))
                 baselines.append(item_pos)
             if not stable:
                 continue
@@ -391,3 +392,64 @@ class TestCheckpoint:
         del loaded["trans.pool.q"]
         with pytest.raises(ValueError, match="missing"):
             apply_checkpoint(named, loaded)
+
+
+class TestCorruptCheckpoint:
+    """Manifests that do not describe the blob raise ValueError naming the
+    manifest file. The checkpoint holds a (6 floats) and b (4 floats): 80 bytes."""
+
+    @staticmethod
+    def write(tmp_path, edit=None, text=None):
+        named = {"a": tensor(np.arange(6.0)), "b": tensor(np.arange(4.0) + 10)}
+        save_checkpoint(named, tmp_path / "ckpt")
+        path = tmp_path / "ckpt.manifest.json"
+        manifest = json.loads(path.read_text())
+        if edit is not None:
+            edit(manifest)
+        path.write_text(text if text is not None else json.dumps(manifest))
+        return tmp_path / "ckpt"
+
+    def test_valid_checkpoint_loads(self, tmp_path):
+        loaded = load_checkpoint(self.write(tmp_path))
+        assert np.array_equal(loaded["a"], np.arange(6.0))
+        assert np.array_equal(loaded["b"], np.arange(4.0) + 10)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["offsets"].update(b=40),                      # b overlaps a
+        lambda m: m["offsets"].update(b=0),                       # both at 0
+        lambda m: m["offsets"].update(b=56),                      # gap, runs past the end
+        lambda m: m["shapes"].update(a=[3, 3]),                   # 9 floats where 6 are
+        lambda m: m["shapes"].update(a=[2, -3]),
+        lambda m: m["shapes"].update(a=[6.0]),
+        lambda m: m["shapes"].update(a=[True] * 6),
+        lambda m: m["shapes"].update(a=6),
+        lambda m: m["offsets"].update(a=False),
+        lambda m: m.pop("shapes"),
+        lambda m: m.pop("offsets"),
+        lambda m: m.pop("names"),
+        lambda m: m.pop("total_bytes"),
+        lambda m: m.update(total_bytes=72),
+        lambda m: m.update(names=["b", "a"]),
+        lambda m: m.update(names=["a", "a", "b"]),
+        lambda m: m.update(names=["a"]),                          # b's bytes unaccounted
+        lambda m: m["shapes"].pop("b"),
+        lambda m: m.update(names=[1, 2]),
+    ])
+    def test_inconsistent_manifest_rejected(self, tmp_path, edit):
+        prefix = self.write(tmp_path, edit)
+        with pytest.raises(ValueError, match="ckpt.manifest.json"):
+            load_checkpoint(prefix)
+
+    def test_cut_off_manifest_rejected(self, tmp_path):
+        text = (self.write(tmp_path).parent / "ckpt.manifest.json").read_text()
+        for cut in range(len(text)):
+            prefix = self.write(tmp_path, text=text[:cut])
+            with pytest.raises(ValueError, match="ckpt.manifest.json"):
+                load_checkpoint(prefix)
+
+    def test_cut_off_blob_rejected(self, tmp_path):
+        prefix = self.write(tmp_path)
+        blob = tmp_path / "ckpt.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="ckpt.manifest.json"):
+            load_checkpoint(prefix)
