@@ -594,13 +594,21 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     def bwd(g):
         g3 = g if batched else g[None]
         gproj = g3 @ filters.data                 # (B, L, span*d): tap i's block is g @ W_i
-        gx = np.zeros_like(xd)
+        gx = gproj[:, :, w * d:(w + 1) * d].copy()
         gf = np.zeros_like(filters.data)
+        n = B * L
+        g2, x2 = g3.reshape(n, nf), xd.reshape(n, d)
         for i, lo, hi, s in taps:
-            gx[:, lo + s:hi + s] += gproj[:, lo:hi, i * d:(i + 1) * d]
-            gf[:, i * d:(i + 1) * d] = np.tensordot(
-                g3[:, lo:hi], xd[:, lo + s:hi + s], axes=([0, 1], [0, 1])
-            )
+            if s:
+                gx[:, lo + s:hi + s] += gproj[:, lo:hi, i * d:(i + 1) * d]
+            # tap i pairs row t of the flattened batch with row t + s; the
+            # pairs that straddle two sequences are taken back out
+            block = g2[max(0, -s):n - max(0, s)].T @ x2[max(0, s):n + min(0, s)]
+            if s > 0:
+                block -= np.tensordot(g3[:-1, L - s:], xd[1:, :s], axes=([0, 1], [0, 1]))
+            elif s < 0:
+                block -= np.tensordot(g3[1:, :-s], xd[:-1, L + s:], axes=([0, 1], [0, 1]))
+            gf[:, i * d:(i + 1) * d] = block
         gb = g3.sum(axis=(0, 1))
         return (gx if batched else gx[0], gf, gb)
 
