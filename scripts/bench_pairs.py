@@ -2,8 +2,10 @@
 
     python3 scripts/bench_pairs.py --name dedup --parent HEAD --seeds 41-50
 
-The parent is ``git archive <parent>`` unpacked into a temporary directory;
-the change is the working tree this script sits in. For every workload of
+The parent is ``git archive <parent>`` and the change is the tracked files
+of the working tree this script sits in (``git stash create``, or ``HEAD``
+when the tree is clean), each unpacked into its own temporary directory, so
+both sides run from fresh checkouts of the same shape. For every workload of
 ``BENCHMARK.json`` and every seed the script makes one pair of runs of
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
 with ``T`` the benchmark's ``run_seconds``,
@@ -122,6 +124,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     seeds = seed_list(args.seeds)
     parent = git("rev-parse", args.parent).decode().strip()
+    # the working tree as a commit object; leaves the tree and the stash list alone
+    change = git("stash", "create").decode().strip() or git("rev-parse", "HEAD").decode().strip()
     untracked = git("ls-files", "--others", "--exclude-standard").decode().split()
     out_path = ROOT / f"BENCH_{args.name}.json"
     record = {
@@ -131,13 +135,15 @@ def main(argv=None) -> int:
             "after": {
                 "head": git("rev-parse", "HEAD").decode().strip(),
                 "working_tree_diff_sha256": hashlib.sha256(git("diff", "HEAD", "--binary")).hexdigest(),
+                "tree_commit": change,
                 "untracked_files": untracked,
             },
         },
         "commands": {
             "before": f"git archive {parent} | tar -x -C <tmp>; cd <tmp>; "
                       f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
-            "after": f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
+            "after": f"git archive {change} | tar -x -C <tmp2>; cd <tmp2>; "
+                     f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
             "per_layer": f"the same with --trace 1 and --seed {seeds[0]}, once per side",
             "this_script": "python3 scripts/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
         },
@@ -146,10 +152,13 @@ def main(argv=None) -> int:
         "environment": None,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(git("archive", parent))) as tar:
-            tar.extractall(tmp, filter="data")
-        roots = {"before": Path(tmp), "after": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {}
+        for side, rev in (("before", parent), ("after", change)):
+            roots[side] = Path(tmp) / side
+            roots[side].mkdir()
+            with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+                tar.extractall(roots[side], filter="data")
         for w in workloads:
             pairs: list[dict] = []
             for j, seed in enumerate(seeds):

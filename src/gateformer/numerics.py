@@ -593,14 +593,13 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
 
     def bwd(g):
         g3 = g if batched else g[None]
-        gproj = g3 @ filters.data                 # (B, L, span*d): tap i's block is g @ W_i
-        gx = gproj[:, :, w * d:(w + 1) * d].copy()
+        gx = g3 @ filters.data[:, w * d:(w + 1) * d]
         gf = np.zeros_like(filters.data)
         n = B * L
         g2, x2 = g3.reshape(n, nf), xd.reshape(n, d)
         for i, lo, hi, s in taps:
             if s:
-                gx[:, lo + s:hi + s] += gproj[:, lo:hi, i * d:(i + 1) * d]
+                gx[:, lo + s:hi + s] += g3[:, lo:hi] @ filters.data[:, i * d:(i + 1) * d]
             # tap i pairs row t of the flattened batch with row t + s; the
             # pairs that straddle two sequences are taken back out
             block = g2[max(0, -s):n - max(0, s)].T @ x2[max(0, s):n + min(0, s)]
