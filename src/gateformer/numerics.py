@@ -552,7 +552,9 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
 
     Computed tap by tap: one product projects every row through every tap's
     (N_f, d) block of ``filters``, and each output row adds the projections
-    of its in-range neighbours; backward shift-adds the same way.
+    of its in-range neighbours. Backward shift-adds the input gradient the
+    same way and takes each tap's filter gradient as one product over the
+    flattened batch.
     """
     x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
     if x.data.ndim not in (2, 3):
