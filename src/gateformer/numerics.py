@@ -48,6 +48,8 @@ __all__ = [
     "conv1d",
     "LSTMParams",
     "lstm_last",
+    "attention",
+    "feed_forward",
     "cosine",
     "relu",
     "sigmoid",
@@ -705,6 +707,113 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
         return (dx if batched else dx[0], d_ih, d_hh, d_b)
 
     return _make(h if batched else h[0], (seq, w_ih, w_hh, bias), bwd)
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int,
+              collect: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product self attention over (B, n, d).
+
+    Sequences of the stack never attend to each other. One product projects
+    x to queries, keys and values together, every head's scores and context
+    are batched products over (B, heads), and the heads' context goes
+    through the output projection. ``collect``, if given, receives the
+    attention maps as one constant (B, heads, n, n) tensor.
+
+    One tape node with a hand-written backward. The FLOP count is that of
+    the op-by-op form: four projections, four bias adds, two score/value
+    products, the score scaling and the softmax.
+    """
+    x = _as_tensor(x)
+    weights = [_as_tensor(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
+    if x.data.ndim != 3:
+        raise ValueError(f"attention expects a (B, n, d) input, got {x.data.shape}")
+    B, n, d = x.data.shape
+    if d % heads:
+        raise ValueError(f"model dim {d} not divisible by {heads} heads")
+    for i, t in enumerate(weights):
+        if t.data.shape != ((d, d) if i % 2 == 0 else (d,)):
+            raise ValueError(f"attention weight shape {t.data.shape} does not fit d={d}")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in weights)
+    w_qkv = np.concatenate([wq, wk, wv], axis=1)                  # (d, 3d)
+    x2 = x.data.reshape(B * n, d)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate([bq, bk, bv])
+    # (3, B, heads, n, dh) views of the one projection
+    q, k, v = qkv.reshape(B, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    alpha = q @ k.swapaxes(-1, -2)
+    alpha *= scale
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    ctx = (alpha @ v).transpose(0, 2, 1, 3).reshape(B * n, d)
+    out = ctx @ wo
+    out += bo
+    _count(B * (8 * n * d * d + 4 * n * n * d + 6 * heads * n * n + 4 * n * d))
+    if collect is not None:
+        collect.append(constant(alpha))
+
+    def bwd(g):
+        g2 = g.reshape(B * n, d)
+        d_wo = ctx.T @ g2
+        d_bo = g2.sum(axis=0)
+        d_ctx = (g2 @ wo.T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+        d_qkv = np.empty((B, n, 3, heads, dh))
+        dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
+        dv[...] = alpha.swapaxes(-1, -2) @ d_ctx
+        d_s = d_ctx @ v.swapaxes(-1, -2)
+        d_s -= np.vecdot(d_s, alpha)[..., None]
+        d_s *= alpha
+        d_s *= scale
+        dq[...] = d_s @ k
+        dk[...] = d_s.swapaxes(-1, -2) @ q
+        d_qkv = d_qkv.reshape(B * n, 3 * d)
+        dx = (d_qkv @ w_qkv.T).reshape(B, n, d)
+        d_w = x2.T @ d_qkv
+        d_b = d_qkv.sum(axis=0)
+        return (dx, d_w[:, :d], d_b[:d], d_w[:, d:2 * d], d_b[d:2 * d],
+                d_w[:, 2 * d:], d_b[2 * d:], d_wo, d_bo)
+
+    return _make(out.reshape(B, n, d), (x, *weights), bwd)
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """Position-wise ``relu(x @ w1 + b1) @ w2 + b2`` over the last axis of x.
+
+    One tape node: every leading axis is flattened into rows, so forward and
+    backward are 2-D products. The FLOP count is that of the op-by-op form:
+    two products, two bias adds and the relu.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    d, hidden = w1.data.shape
+    d_out = w2.data.shape[-1]
+    if x.data.shape[-1] != d or w2.data.shape != (hidden, d_out) \
+            or b1.data.shape != (hidden,) or b2.data.shape != (d_out,):
+        raise ValueError(
+            f"feed_forward shapes do not fit: x {x.data.shape}, w1 {w1.data.shape}, "
+            f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}"
+        )
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, d)
+    h = x2 @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+    rows = x2.shape[0]
+    _count(rows * (2 * d * hidden + 2 * hidden * d_out + 2 * hidden + d_out))
+
+    def bwd(g):
+        g2 = g.reshape(rows, d_out)
+        d_w2 = h.T @ g2
+        d_h = g2 @ w2.data.T
+        d_h *= h > 0.0
+        d_w1 = x2.T @ d_h
+        dx = (d_h @ w1.data.T).reshape(x.data.shape)
+        return (dx, d_w1, d_h.sum(axis=0), d_w2, g2.sum(axis=0))
+
+    return _make(out.reshape(*lead, d_out), (x, w1, b1, w2, b2), bwd)
 
 
 def cosine(a, b, eps: float = 1e-12) -> Tensor:

@@ -503,13 +503,16 @@ def train(
         if not math.isfinite(value):
             raise RuntimeError(f"diverged: non-finite loss {value} at step {step}")
         backward(tape, loss)
-        if clip_norm > 0:
-            clip_gradients(trainable, clip_norm)
+        log_step = bool(log_interval) and step % log_interval == 0
+        # the pre-clip norm; without clipping it is computed only to be logged
+        if clip_norm > 0 or log_step:
+            grad_norm = clip_gradients(trainable, clip_norm)
         adam_step(trainable, state)
         losses.append(value)
 
-        if log_interval and step % log_interval == 0:
-            log.info("step %d loss %.4f lr %.2e", step, value, lr_at(state, step))
+        if log_step:
+            log.info("step %d loss %.4f lr %.2e grad_norm %.4e",
+                     step, value, lr_at(state, step), grad_norm)
         if val_samples and eval_interval and (step % eval_interval == 0 or step == steps):
             report = evaluate(model, val_samples, threads=threads)
             history.append((step, value, *report.row()))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,41 +124,26 @@ def init_transformer_params(
     )
 
 
-def _attention(x: Tensor, layer: LayerParams, heads: int, collect: list | None = None) -> Tensor:
-    """Multi-head self attention over (B, n, d); all heads in one batch."""
-    B, n, d = x.data.shape
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(t):  # (B, n, d) -> (B, heads, n, dh)
-        return nm.transpose(nm.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
-
-    q = split(nm.add(nm.matmul(x, layer.wq), layer.bq))
-    k = split(nm.add(nm.matmul(x, layer.wk), layer.bk))
-    v = split(nm.add(nm.matmul(x, layer.wv), layer.bv))
-    scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale)
-    alpha = nm.softmax(scores, axis=-1)
-    if collect is not None:
-        collect.append(alpha)
-    ctx = nm.reshape(nm.transpose(nm.matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
-    return nm.add(nm.matmul(ctx, layer.wo), layer.bo)
-
-
 def encode_sequence(x: Tensor, params: TransformerParams, collect: list | None = None) -> Tensor:
     """Run the pre-norm layer stack; with zero layers this is the identity.
 
     Accepts one sequence (n, d) or a stack of equal-length sequences
-    (B, n, d); sequences in a stack never attend to each other.
+    (B, n, d); sequences in a stack never attend to each other. ``collect``,
+    if given, receives each layer's (B, heads, n, n) attention maps.
     """
     single = x.data.ndim == 2
     if single:
         x = nm.reshape(x, (1, *x.data.shape))
     for layer in params.layers:
         attn_in = nm.layer_norm(x, layer.ln1_gamma, layer.ln1_beta)
-        x = nm.add(x, _attention(attn_in, layer, params.heads, collect))
+        x = nm.add(x, nm.attention(
+            attn_in, layer.wq, layer.bq, layer.wk, layer.bk, layer.wv, layer.bv,
+            layer.wo, layer.bo, params.heads, collect,
+        ))
         ffn_in = nm.layer_norm(x, layer.ln2_gamma, layer.ln2_beta)
-        hidden = nm.relu(nm.add(nm.matmul(ffn_in, layer.ffn_w1), layer.ffn_b1))
-        x = nm.add(x, nm.add(nm.matmul(hidden, layer.ffn_w2), layer.ffn_b2))
+        x = nm.add(x, nm.feed_forward(
+            ffn_in, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2,
+        ))
     if single:
         x = nm.reshape(x, x.data.shape[1:])
     return x
@@ -283,6 +269,13 @@ def click_loss(user: Tensor, positive: Tensor, negatives: list[Tensor]) -> Tenso
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(named: dict[str, Tensor], prefix) -> None:
+    """Write ``<prefix>.bin``, then ``<prefix>.manifest.json``.
+
+    Each file is written and synced to a temporary file in the same
+    directory first; only when both are complete are they moved into place
+    with ``os.replace``, blob first. A save that fails while writing leaves
+    the previous checkpoint untouched.
+    """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     names = sorted(named)
@@ -294,9 +287,22 @@ def save_checkpoint(named: dict[str, Tensor], prefix) -> None:
         manifest["offsets"][name] = len(blob)
         blob += arr.astype("<f8").tobytes()
     manifest["total_bytes"] = len(blob)
-    with open(f"{prefix}.manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, separators=(",", ":"))
-    Path(f"{prefix}.bin").write_bytes(bytes(blob))
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    files = [(Path(f"{prefix}.bin"), bytes(blob)),
+             (Path(f"{prefix}.manifest.json"), text.encode("utf-8"))]
+    temps = []
+    try:
+        for path, data in files:
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            with open(temps[-1], "wb") as f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _is_count(v) -> bool:

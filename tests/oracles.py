@@ -101,6 +101,34 @@ def conv1d_window_oracle(x, filters, bias, w: int):
     return nm.add(nm.matmul(windows, nm.transpose2d(filters)), bias)
 
 
+def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, collect=None):
+    """Multi-head self attention over (B, n, d) in composed tape ops: one
+    projection per q/k/v, heads split by reshape and transpose, all heads
+    in one batched product."""
+    B, n, d = x.data.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(t):  # (B, n, d) -> (B, heads, n, dh)
+        return nm.transpose(nm.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
+
+    q = split(nm.add(nm.matmul(x, wq), bq))
+    k = split(nm.add(nm.matmul(x, wk), bk))
+    v = split(nm.add(nm.matmul(x, wv), bv))
+    scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale)
+    alpha = nm.softmax(scores, axis=-1)
+    if collect is not None:
+        collect.append(alpha)
+    ctx = nm.reshape(nm.transpose(nm.matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
+    return nm.add(nm.matmul(ctx, wo), bo)
+
+
+def feed_forward_oracle(x, w1, b1, w2, b2):
+    """Position-wise feed-forward in composed tape ops."""
+    hidden = nm.relu(nm.add(nm.matmul(x, w1), b1))
+    return nm.add(nm.matmul(hidden, w2), b2)
+
+
 def softmax_oracle(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max())
     return e / e.sum()

@@ -32,10 +32,12 @@ from gateformer.numerics import (
     vsum,
 )
 from oracles import (
+    attention_oracle,
     autodiff_grads,
     check_grads,
     conv1d_oracle,
     conv1d_window_oracle,
+    feed_forward_oracle,
     lstm_last_oracle,
     rel_err,
     softmax_oracle,
@@ -261,6 +263,86 @@ class TestLstmLast:
         with Tape() as tape:
             lstm_last(tensor(rng(14).normal(size=(2, 30, 2)), requires_grad=True), params)
         assert len(tape) == 1
+
+
+def assert_close_to_oracle(got, want, tol=1e-12):
+    """|got - want| <= tol * max(1, |want|) elementwise: the floor covers
+    entries that are zero in exact arithmetic, such as the key bias's
+    gradient (softmax ignores a shift shared by a row of scores)."""
+    assert got.shape == want.shape
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max(initial=0.0) <= tol, err.max()
+
+
+def kernel_matches_oracle(kernel, oracle, inputs, **kwargs):
+    """Values, every input's gradient and the FLOP count of ``kernel``
+    equal those of its composed ``oracle``; the kernel is one tape node."""
+    with nm.count_flops() as fast_flops:
+        fast = kernel(*inputs, **kwargs)
+    with nm.count_flops() as slow_flops:
+        slow = oracle(*inputs, **kwargs)
+    assert fast_flops.flops == slow_flops.flops
+    assert_close_to_oracle(fast.data, slow.data)
+    c = tensor(rng(99).normal(size=slow.data.shape))
+    grads = [t for t in inputs if isinstance(t, nm.Tensor)]
+    fast_grads = autodiff_grads(lambda: vsum(mul(kernel(*inputs, **kwargs), c)), grads)
+    slow_grads = autodiff_grads(lambda: vsum(mul(oracle(*inputs, **kwargs), c)), grads)
+    for a, e in zip(fast_grads, slow_grads):
+        assert_close_to_oracle(a, e)
+    with Tape() as tape:
+        kernel(*inputs, **kwargs)
+    assert len(tape) == 1
+
+
+class TestAttention:
+    @pytest.mark.parametrize("B", [1, 5])
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_matches_composed_oracle(self, B, n, heads):
+        r = rng(200 + 10 * B + n + heads)
+        d = 8
+        x = tensor(r.normal(size=(B, n, d)), requires_grad=True)
+        weights = [
+            tensor(r.normal(size=(d, d) if i % 2 == 0 else (d,)) * 0.5, requires_grad=True)
+            for i in range(8)
+        ]
+        kernel_matches_oracle(nm.attention, attention_oracle, [x, *weights, heads])
+        maps, oracle_maps = [], []
+        nm.attention(x, *weights, heads, collect=maps)
+        attention_oracle(x, *weights, heads, collect=oracle_maps)
+        assert len(maps) == 1 and not maps[0].requires_grad
+        assert maps[0].data.shape == (B, heads, n, n)
+        assert_close_to_oracle(maps[0].data, oracle_maps[0].data)
+
+    def test_rejects_bad_shapes(self):
+        d = 4
+        w = [tensor(np.zeros((d, d) if i % 2 == 0 else (d,))) for i in range(8)]
+        with pytest.raises(ValueError, match=r"\(B, n, d\)"):
+            nm.attention(tensor(np.zeros((3, d))), *w, 2)
+        with pytest.raises(ValueError, match="divisible"):
+            nm.attention(tensor(np.zeros((1, 3, d))), *w, 3)
+        w[3] = tensor(np.zeros((d, d)))
+        with pytest.raises(ValueError, match="does not fit"):
+            nm.attention(tensor(np.zeros((1, 3, d))), *w, 2)
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 30), (5, 7), (7,)])
+    def test_matches_composed_oracle(self, shape):
+        r = rng(300 + sum(shape))
+        d = 8
+        x = tensor(r.normal(size=(*shape, d)), requires_grad=True)
+        w1 = tensor(r.normal(size=(d, 4 * d)) * 0.5, requires_grad=True)
+        b1 = tensor(r.normal(size=(4 * d,)) * 0.5, requires_grad=True)
+        w2 = tensor(r.normal(size=(4 * d, d)) * 0.5, requires_grad=True)
+        b2 = tensor(r.normal(size=(d,)) * 0.5, requires_grad=True)
+        kernel_matches_oracle(nm.feed_forward, feed_forward_oracle, [x, w1, b1, w2, b2])
+
+    def test_rejects_bad_shapes(self):
+        x = tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="feed_forward shapes"):
+            nm.feed_forward(x, tensor(np.zeros((4, 8))), tensor(np.zeros(8)),
+                            tensor(np.zeros((8, 4))), tensor(np.zeros(8)))
 
 
 class TestCosine:

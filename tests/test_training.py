@@ -302,6 +302,39 @@ class TestTrainLoop:
         assert l1 == l2
         assert h1 == h2
 
+    def test_log_reports_pre_clip_grad_norm(self, tiny_corpus, caplog, monkeypatch):
+        from gateformer import training
+
+        calls = []
+        clip = training.clip_gradients
+
+        def counting_clip(named, max_norm):
+            calls.append(max_norm)
+            return clip(named, max_norm)
+
+        monkeypatch.setattr(training, "clip_gradients", counting_clip)
+
+        def logged_norms(clip_norm, log_interval):
+            caplog.clear()
+            model = tiny_model(tiny_corpus)
+            tr, _ = tiny_corpus.split()
+            with caplog.at_level("INFO", logger="gateformer.training"):
+                train(model, tr, [], steps=4, batch_size=4, peak_lr=1e-3, warmup=2,
+                      seed=5, log_interval=log_interval, clip_norm=clip_norm)
+            return [float(r.getMessage().split("grad_norm ")[1]) for r in caplog.records
+                    if "grad_norm" in r.getMessage()]
+
+        unclipped = logged_norms(0.0, 2)
+        assert len(unclipped) == 2 and all(n > 0 for n in unclipped)
+        assert calls == [0.0, 0.0]  # norm computed on logging steps only
+        # a bound never reached clips nothing, so the run and its norms are the same
+        assert logged_norms(1e9, 2) == unclipped
+        # under clipping the log shows the norm before clipping
+        assert all(n > 1e-6 for n in logged_norms(1e-6, 1))
+        calls.clear()
+        assert logged_norms(0.0, 0) == []
+        assert calls == []  # log_interval=0 computes no norm
+
     def test_loss_decreases_on_separable_data(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
         tr, va = tiny_corpus.split()

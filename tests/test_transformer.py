@@ -1,10 +1,12 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from gateformer import numerics as nm
+from gateformer import transformer
 from gateformer.gating import GateSelection, gate_history, init_gate_params
 from gateformer.numerics import Tape, backward, constant, gather_rows, tensor
 from gateformer.text import TokenSequence, UserHistory
@@ -383,6 +385,44 @@ class TestCheckpoint:
         assert (tmp_path / "a.manifest.json").read_bytes() == (
             tmp_path / "b.manifest.json"
         ).read_bytes()
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        p = make_params(seed=18)
+        named = {"embed.word": p.word_embeddings, **p.named_tensors()}
+        save_checkpoint(named, tmp_path / "ckpt")
+        originals = {k: v.data.copy() for k, v in named.items()}
+        files = sorted(tmp_path.iterdir())
+        for t in named.values():
+            t.data[...] += 1.0
+
+        class FailingFile:
+            """Opens (and so truncates) the file, then fails its first write."""
+
+            def __init__(self, path, *args, **kwargs):
+                self.f = open(path, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                raise OSError("disk full")
+
+        def failing_open(path, *args, **kwargs):
+            if "manifest" in os.path.basename(path):
+                return FailingFile(path, *args, **kwargs)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(transformer, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(named, tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == files  # no temporary file left behind
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        for k, v in originals.items():
+            assert np.array_equal(loaded[k], v), k
 
     def test_name_mismatch_rejected(self, tmp_path):
         p = make_params(seed=17)
