@@ -19,11 +19,15 @@ Op outputs may share storage with their inputs (reshape, transpose); treat
 tensor ``.data`` as read-only once it has entered an op. Gradient arrays are
 only ever replaced, never mutated in place, so aliasing between them is safe.
 
-Most ops are one numpy expression each. Two recurring kernels are written
-out by hand: :func:`lstm_last` runs the whole recurrence as one tape node
-with hand-written backpropagation through time, and :func:`conv1d` projects
-each tap once and shift-adds the projections instead of building a window
-buffer. Both report the FLOPs of the op-by-op form they replace.
+Most ops are one numpy expression each. Four recurring kernels are written
+out by hand, each one tape node with a hand-written backward:
+:func:`lstm_last` runs the whole recurrence with backpropagation through
+time, :func:`conv1d` projects each tap once and shift-adds the projections
+instead of building a window buffer, :func:`attention` makes one q/k/v
+projection and runs every head in batched products, and
+:func:`feed_forward` works on 2-D reshaped products. Each reports exactly
+the FLOPs of the op-by-op form it replaces, so the analytic cost model and
+the counter agree.
 
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed

@@ -5,12 +5,15 @@ embeddings from the whole history, with learned positions assigned globally
 over the concatenated sequence; the candidate side encodes the full,
 ungated token sequence. Both pool to a single vector with a learned query
 (weighted pooling aggregation) and share every parameter, including the
-word embedding table, which the gate shares too.
+word embedding table, which the gate shares too. A pre-norm layer is
+layer norm, :func:`numerics.attention`, residual add, layer norm,
+:func:`numerics.feed_forward`, residual add: six tape nodes.
 
 Checkpoint format: ``<prefix>.manifest.json`` (sorted tensor names, shapes,
 byte offsets, total bytes) plus ``<prefix>.bin`` holding the raw
 little-endian float64 arrays concatenated in manifest order; the loader
-checks the manifest against the blob before reading any array.
+checks the manifest against the blob before reading any array. Both files
+are written to temporary files and then moved into place, blob first.
 """
 
 from __future__ import annotations
