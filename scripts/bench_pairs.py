@@ -11,9 +11,9 @@ both sides run from fresh checkouts of the same shape. For every workload of
 with ``T`` the benchmark's ``run_seconds``,
 each from its own checkout's root, one run at a time. The side that runs
 first alternates from pair to pair. For each end-to-end metric of
-``BENCHMARK.json`` it writes both sides' runs, medians and quartiles, and
-how many pairs the change won (ties count for neither side) to
-``BENCH_<name>.json``, with the revisions, the commands and each run's
+``BENCHMARK.json`` it writes both sides' runs, medians and quartiles, how
+many pairs the change won (ties count for neither side) and a verdict (see
+:func:`verdict`) to ``BENCH_<name>.json``, with the revisions, the commands and each run's
 failed/attempted operation count. After a workload's pairs it makes one
 ``--trace 1`` run per side on the first seed and stores both sides'
 per-layer metrics under the workload's ``per_layer``. The file is rewritten
@@ -61,8 +61,24 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int =
     return {**json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def verdict(stats: dict, bound: float, pairs: int) -> str:
+    """``gain`` when the change won at least 9 in 10 pairs and its median is
+    better than the parent's by more than the parent's interquartile range;
+    ``worse`` when its median is worse than the parent's by more than
+    ``bound`` times the parent's median; ``unresolved`` otherwise, which
+    includes a change too small to tell from the spread."""
+    sign = 1 if stats["better"] == "higher" else -1
+    before, after = stats["before_median"], stats["after_median"]
+    if 10 * stats["after_wins"] >= 9 * pairs and sign * (after - before) > stats["before_iqr"]:
+        return "gain"
+    if sign * (before - after) > bound * abs(before):
+        return "worse"
+    return "unresolved"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' runs, medians, quartiles and the change's wins."""
+    """Per metric: both sides' runs, medians, quartiles, the change's wins
+    and the verdict."""
     done = [p for p in pairs if "result" in p["before"] and "result" in p["after"]]
     out = {
         "pairs": len(done),
@@ -93,6 +109,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "before_runs": runs["before"],
             "after_runs": runs["after"],
         }
+        out[name]["verdict"] = verdict(out[name], m["bound"], len(done))
     return out
 
 

@@ -17,7 +17,10 @@ path, which is what lets the gate learn which tokens to keep.
 :func:`gate_groups` is the one gate implementation. It gates many histories
 in one pass of grouped tensor ops: items bucketed by length for the CNN,
 pooling and scoring, histories bucketed by item count for the user encoder,
-and a vectorised top-k per length group. The heuristic selectors (first,
+and a vectorised top-k per length group. Each length group's masked item
+pooling and the attention user encoder are one
+:func:`numerics.attention_pool` node each, and each length group's scores
+one :func:`numerics.cosine` node. The heuristic selectors (first,
 bm25, random) share its selection and gather. :func:`gate_history` and
 :func:`heuristic_gate` run it on a batch of one history and split the result
 into one :class:`GateSelection` per item.
@@ -282,15 +285,11 @@ def _interest_scores(
     # items, per length group: embedding, CNN context and masked pooling
     ctxs, pooled_chunks = [], []
     for members, ids in groups:
-        G, L = ids.shape
         valid = ids != PAD_ID
         emb3 = gather_rows(params.word_embeddings, ids)
         ctx3 = nm.relu(nm.conv1d(emb3, params.filters, params.bias, params.window))
-        logits = nm.matmul(ctx3, params.pool_v)
-        if not valid.all():
-            logits = nm.add(logits, constant(np.where(valid, 0.0, NEG_MASK)))
-        alpha = nm.softmax(logits, axis=-1)
-        pooled_chunks.append(nm.reshape(nm.matmul(nm.reshape(alpha, (G, 1, L)), ctx3), (G, n_f)))
+        mask = None if valid.all() else np.where(valid, 0.0, NEG_MASK)
+        pooled_chunks.append(nm.attention_pool(ctx3, params.pool_v, mask))
         ctxs.append(ctx3)
     pooled = assemble_rows(pooled_chunks, np.concatenate([m for m, _ in groups]))
 
@@ -306,28 +305,23 @@ def _interest_scores(
             flat = (start[hs][:, None] + np.arange(N)).ravel()
             stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
         if params.user_encoder == "attn":
-            a = nm.softmax(nm.matmul(stacked, params.attn_v), axis=-1)
-            u = nm.reshape(nm.matmul(nm.reshape(a, (len(hs), 1, N)), stacked), (len(hs), n_f))
+            u = nm.attention_pool(stacked, params.attn_v)
         else:
             u = nm.lstm_last(stacked, params.lstm)
         u_chunks.append(u)
         u_order.append(hs)
     interest = assemble_rows(u_chunks, np.concatenate(u_order))
 
-    # cosine scores; word granularity first averages context rows within words
-    eps = 1e-12
+    # cosine scores of each item's (G, L) context rows against its history's
+    # interest vector, gathered as a (G, 1) row; word granularity first
+    # averages context rows within words
     owner = np.repeat(np.arange(len(histories)), n_items)
     scores = []
     for (members, ids), ctx3 in zip(groups, ctxs):
-        G = len(members)
         if params.granularity == "word":
             avg = word_average_matrix([items[i].word_group for i in members])
             ctx3 = nm.matmul(constant(avg), ctx3)
-        u = gather_rows(interest, owner[members])
-        num = nm.vsum(nm.mul(ctx3, nm.reshape(u, (G, 1, n_f))), axis=2)
-        ctx_n = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx3, ctx3), axis=2), eps * eps))
-        u_n = nm.reshape(nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(u, u), axis=1), eps * eps)), (G, 1))
-        scores.append(nm.div(num, nm.mul(ctx_n, u_n)))
+        scores.append(nm.cosine(ctx3, gather_rows(interest, owner[members][:, None])))
     return scores
 
 

@@ -19,15 +19,20 @@ Op outputs may share storage with their inputs (reshape, transpose); treat
 tensor ``.data`` as read-only once it has entered an op. Gradient arrays are
 only ever replaced, never mutated in place, so aliasing between them is safe.
 
-Most ops are one numpy expression each. Four recurring kernels are written
-out by hand, each one tape node with a hand-written backward:
-:func:`lstm_last` runs the whole recurrence with backpropagation through
-time, :func:`conv1d` projects each tap once and shift-adds the projections
-instead of building a window buffer, :func:`attention` makes one q/k/v
-projection and runs every head in batched products, and
-:func:`feed_forward` works on 2-D reshaped products. Each reports exactly
-the FLOPs of the op-by-op form it replaces, so the analytic cost model and
-the counter agree.
+Most ops are one numpy expression each. The recurring pieces of the model
+are kernels written out by hand, each one tape node with a hand-written
+backward: :func:`lstm_last` runs the whole recurrence with backpropagation
+through time, :func:`conv1d` projects each tap once and shift-adds the
+projections instead of building a window buffer, :func:`attention` makes
+one q/k/v projection and runs every head in batched products,
+:func:`feed_forward` works on 2-D reshaped products, :func:`layer_norm`
+normalises in place, :func:`attention_pool` pools rows by their softmax
+weights against a query, and :func:`cosine` scores rows against rows with
+broadcasting. Each reports exactly the FLOPs of the op-by-op form it
+replaces (layer norm keeps its 7 per element), so the analytic cost model
+and the counter agree. :func:`gather_rows` scatters its gradient back with
+one ``bincount``, which adds repeated picks in the order ``np.add.at``
+would.
 
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
@@ -54,6 +59,7 @@ __all__ = [
     "lstm_last",
     "attention",
     "feed_forward",
+    "attention_pool",
     "cosine",
     "relu",
     "sigmoid",
@@ -285,6 +291,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _sum_rows_to(coef: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """``coef[..., None] * rows`` summed down to ``shape``. When the sum runs
+    over the rows' own axis it is one product, with no full-size temporary."""
+    if rows.ndim >= 2 and rows.shape[-2] > 1 and (len(shape) < 2 or shape[-2] == 1):
+        return _unbroadcast(coef[..., None, :] @ rows, shape)
+    return _unbroadcast(coef[..., None] * rows, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -525,25 +539,42 @@ def logsumexp(x, axis: int | None = None) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization over the last axis, with affine params."""
+    """Row-wise layer normalization over the last axis, with affine params.
+
+    One tape node. The forward pass keeps two full-size arrays, the
+    normalised rows and the output: the variance is one ``vecdot`` per row
+    and the centred rows are normalised in place. The backward pass takes
+    every row reduction as a product with ``gamma``. The FLOP count is 7 per
+    element, the rate the cost model uses; the per-row variance, epsilon and
+    square root are not charged.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gamma.data + beta.data
+    d = x.data.shape[-1]
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
+        raise ValueError(
+            f"layer_norm params {gamma.data.shape}, {beta.data.shape} do not fit "
+            f"input {x.data.shape}"
+        )
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / d + eps)[..., None]
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
     _count(_FLOPS_PER_ELEM["layer_norm"] * data.size)
 
     def bwd(g):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) * inv
-        axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        return (dx, dgamma, dbeta)
+        g2, xhat2 = g.reshape(-1, d), xhat.reshape(-1, d)
+        gx = g2 * xhat2
+        d_gamma = gx.sum(axis=0)
+        # row means of dxhat = g * gamma and of dxhat * xhat
+        m1 = (g2 @ gamma.data / d)[:, None]
+        m2 = (gx @ gamma.data / d)[:, None]
+        np.multiply(xhat2, m2, out=gx)
+        dx = g2 * gamma.data
+        dx -= m1
+        dx -= gx
+        dx *= inv.reshape(-1, 1)
+        return (dx.reshape(x.data.shape), d_gamma, g2.sum(axis=0))
 
     return _make(data, (x, gamma, beta), bwd)
 
@@ -820,13 +851,88 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     return _make(out.reshape(*lead, d_out), (x, w1, b1, w2, b2), bwd)
 
 
+def attention_pool(x, query, mask=None) -> Tensor:
+    """Rows of x pooled by their softmax attention weights against ``query``.
+
+    x is (..., n, d) and query (d,); the result is (..., d), the softmax of
+    ``x @ query + mask`` over n times the rows. ``mask``, a constant additive
+    (..., n) array or tensor, keeps rows out of the pooling with a large
+    negative entry.
+
+    One tape node with a hand-written backward. The FLOP count is that of the
+    composed form: the score product, the mask add when there is a mask, the
+    softmax and the weighted sum.
+    """
+    x, query = _as_tensor(x), _as_tensor(query)
+    xd = x.data
+    if xd.ndim < 2 or query.data.shape != xd.shape[-1:]:
+        raise ValueError(
+            f"attention_pool expects (..., n, d) rows and a (d,) query, "
+            f"got {xd.shape} and {query.data.shape}"
+        )
+    logits = xd @ query.data
+    if mask is not None:
+        mask = _as_tensor(mask).data
+        if mask.shape != logits.shape:
+            raise ValueError(f"attention_pool mask shape {mask.shape}, expected {logits.shape}")
+        logits += mask
+    logits -= logits.max(axis=-1, keepdims=True)
+    alpha = np.exp(logits, out=logits)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    data = (alpha[..., None, :] @ xd)[..., 0, :]
+    _count(alpha.size * (4 * xd.shape[-1] + _FLOPS_PER_ELEM["softmax"]
+                         + (mask is not None)))
+
+    def bwd(g):
+        d_alpha = (xd @ g[..., :, None])[..., 0]
+        d_logits = d_alpha - np.vecdot(d_alpha, alpha)[..., None]
+        d_logits *= alpha
+        # dx = alpha (x) g + d_logits (x) query, as one (n, 2) @ (2, d) product
+        left = np.stack([alpha, d_logits], axis=-1)
+        right = np.stack([g, np.broadcast_to(query.data, g.shape)], axis=-2)
+        dx = left @ right
+        d_query = np.tensordot(d_logits, xd, axes=d_logits.ndim)
+        return (dx, d_query)
+
+    return _make(data, (x, query), bwd)
+
+
 def cosine(a, b, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity of two vectors; norms are clamped at ``eps``."""
+    """Cosine similarity along the last axis, broadcasting the leading axes.
+
+    Two vectors give a scalar; (..., d) rows against (..., d) rows give the
+    broadcast leading shape. Squared norms are clamped at ``eps ** 2``, so a
+    zero row scores 0 and passes no gradient through its norm.
+
+    One tape node with a hand-written backward. The FLOP count is that of
+    the composed form: the products and sums of the numerator and of both
+    squared norms, both clamps and square roots, and the product and
+    quotient of the last step.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    num = dot(a, b)
-    na = sqrt(clamp_min(dot(a, a), eps * eps))
-    nb = sqrt(clamp_min(dot(b, b), eps * eps))
-    return div(num, mul(na, nb))
+    ad, bd = a.data, b.data
+    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-1]:
+        raise ValueError(f"cosine needs rows of equal length, got {ad.shape} and {bd.shape}")
+    num = np.vecdot(ad, bd)          # raises ValueError if the rows do not broadcast
+    sq_a, sq_b = np.vecdot(ad, ad), np.vecdot(bd, bd)
+    lo = eps * eps
+    na = np.sqrt(np.maximum(sq_a, lo))
+    nb = np.sqrt(np.maximum(sq_b, lo))
+    denom = na * nb
+    data = num / denom
+    _count(2 * num.size * ad.shape[-1] + 2 * (ad.size + bd.size)
+           + 5 * (sq_a.size + sq_b.size) + 2 * num.size)
+
+    def bwd(g):
+        # d cos / d a = b / (|a| |b|) - cos * a / |a|^2 where the clamp is open
+        w, gc = g / denom, g * data
+        da = _sum_rows_to(w, bd, ad.shape)
+        da -= (_unbroadcast(gc, sq_a.shape) * (sq_a > lo) / (na * na))[..., None] * ad
+        db = _sum_rows_to(w, ad, bd.shape)
+        db -= (_unbroadcast(gc, sq_b.shape) * (sq_b > lo) / (nb * nb))[..., None] * bd
+        return (da, db)
+
+    return _make(data, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -835,15 +941,28 @@ def cosine(a, b, eps: float = 1e-12) -> Tensor:
 
 def gather_rows(x, indices) -> Tensor:
     """Select leading-axis entries of x (any index shape); backward
-    scatter-adds duplicate picks into the same source row."""
+    scatter-adds duplicate picks into the same source row.
+
+    Indices must lie in ``[0, len(x))``; a negative or out-of-range index
+    raises ``ValueError``. The backward pass is one ``bincount`` over the
+    flattened ``row * width + column`` positions, which adds the picks of a
+    row in index order, as ``np.add.at`` does.
+    """
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
+    rows = x.data.shape[0] if x.data.ndim else 0
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ValueError(
+            f"gather_rows index out of range [0, {rows}): "
+            f"min {idx.min()}, max {idx.max()}"
+        )
     data = x.data[idx]
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        width = x.data[0].size if rows else 0
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        gx = np.bincount(flat, weights=g.ravel(), minlength=x.data.size)
+        return (gx.reshape(x.data.shape),)
 
     return _make(data, (x,), bwd)
 

@@ -4,20 +4,23 @@ The user side encodes the concatenation of gated (weight-scaled) token
 embeddings from the whole history, with learned positions assigned globally
 over the concatenated sequence; the candidate side encodes the full,
 ungated token sequence. Both pool to a single vector with a learned query
-(weighted pooling aggregation) and share every parameter, including the
-word embedding table, which the gate shares too. A pre-norm layer is
-layer norm, :func:`numerics.attention`, residual add, layer norm,
+(weighted pooling aggregation, one :func:`numerics.attention_pool` node) and
+share every parameter, including the word embedding table, which the gate
+shares too. A pre-norm layer is :func:`numerics.layer_norm`,
+:func:`numerics.attention`, residual add, layer norm,
 :func:`numerics.feed_forward`, residual add: six tape nodes.
 
 Checkpoint format: ``<prefix>.manifest.json`` (sorted tensor names, shapes,
-byte offsets, total bytes) plus ``<prefix>.bin`` holding the raw
-little-endian float64 arrays concatenated in manifest order; the loader
-checks the manifest against the blob before reading any array. Both files
-are written to temporary files and then moved into place, blob first.
+byte offsets, total bytes and the blob's sha256) plus ``<prefix>.bin``
+holding the raw little-endian float64 arrays concatenated in manifest order;
+the loader checks the manifest against the blob, hash included, before
+reading any array. Both files are written to temporary files and then moved
+into place, blob first.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -153,16 +156,11 @@ def encode_sequence(x: Tensor, params: TransformerParams, collect: list | None =
 
 
 def weighted_pool(x: Tensor, query: Tensor) -> Tensor:
-    """Attention-style pooling with a learnable query.
+    """Attention-style pooling with a learnable query: :func:`numerics.attention_pool`.
 
     (n, d) pools to (d,); a stack (B, n, d) pools each sequence to (B, d).
     """
-    alpha = nm.softmax(nm.matmul(x, query), axis=-1)
-    if x.data.ndim == 2:
-        return nm.matmul(alpha, x)
-    B, n, _ = x.data.shape
-    pooled = nm.matmul(nm.reshape(alpha, (B, 1, n)), x)
-    return nm.reshape(pooled, (B, x.data.shape[2]))
+    return nm.attention_pool(x, query)
 
 
 def _with_positions(x: Tensor, params: TransformerParams) -> Tensor:
@@ -290,6 +288,7 @@ def save_checkpoint(named: dict[str, Tensor], prefix) -> None:
         manifest["offsets"][name] = len(blob)
         blob += arr.astype("<f8").tobytes()
     manifest["total_bytes"] = len(blob)
+    manifest["sha256"] = hashlib.sha256(blob).hexdigest()
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     files = [(Path(f"{prefix}.bin"), bytes(blob)),
              (Path(f"{prefix}.manifest.json"), text.encode("utf-8"))]
@@ -316,8 +315,11 @@ def load_checkpoint(prefix) -> dict[str, np.ndarray]:
     """Read a checkpoint, checking the manifest against the blob first.
 
     Names must be sorted and unique, every shape a list of non-negative
-    integers, and the arrays must tile the blob exactly in manifest order.
-    A manifest that breaks any of these raises ``ValueError`` naming the file.
+    integers, the arrays must tile the blob exactly in manifest order, and
+    the blob's sha256 must be the manifest's: a blob from another save, such
+    as one a crash between the two moves of a save left beside the previous
+    manifest, does not load. A manifest that breaks any of these raises
+    ``ValueError`` naming the file.
     """
     path = f"{prefix}.manifest.json"
     with open(path, encoding="utf-8") as f:
@@ -333,7 +335,7 @@ def load_checkpoint(prefix) -> dict[str, np.ndarray]:
         raise bad(f"not JSON ({e})") from None
     if not isinstance(manifest, dict):
         raise bad("not a JSON object")
-    for key in ("names", "shapes", "offsets", "total_bytes"):
+    for key in ("names", "shapes", "offsets", "total_bytes", "sha256"):
         if key not in manifest:
             raise bad(f"no {key!r}")
     names, shapes, offsets = manifest["names"], manifest["shapes"], manifest["offsets"]
@@ -347,6 +349,8 @@ def load_checkpoint(prefix) -> dict[str, np.ndarray]:
         raise bad("shapes and offsets must name exactly the listed tensors")
     if manifest["total_bytes"] != len(blob):
         raise bad(f"total_bytes {manifest['total_bytes']} but {prefix}.bin holds {len(blob)}")
+    if manifest["sha256"] != hashlib.sha256(blob).hexdigest():
+        raise bad(f"sha256 does not match {prefix}.bin")
     out = {}
     end = 0
     for name in names:

@@ -129,6 +129,44 @@ def feed_forward_oracle(x, w1, b1, w2, b2):
     return nm.add(nm.matmul(hidden, w2), b2)
 
 
+def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
+    """Layer normalization over the last axis in composed tape ops."""
+    xc = nm.sub(x, nm.mean(x, axis=-1, keepdims=True))
+    var = nm.mean(nm.mul(xc, xc), axis=-1, keepdims=True)
+    return nm.add(nm.mul(nm.div(xc, nm.sqrt(nm.add(var, eps))), gamma), beta)
+
+
+def attention_pool_oracle(x, query, mask=None):
+    """softmax(x @ query + mask)-weighted rows of (..., n, d) x, in composed
+    tape ops."""
+    logits = nm.matmul(x, query)
+    if mask is not None:
+        logits = nm.add(logits, mask)
+    alpha = nm.softmax(logits, axis=-1)
+    if x.data.ndim == 2:
+        return nm.matmul(alpha, x)
+    *lead, n, d = x.data.shape
+    return nm.reshape(nm.matmul(nm.reshape(alpha, (*lead, 1, n)), x), (*lead, d))
+
+
+def cosine_oracle(a, b, eps: float = 1e-12):
+    """Last-axis cosine with broadcasting in composed tape ops; squared norms
+    are clamped at eps ** 2."""
+    num = nm.vsum(nm.mul(a, b), axis=-1)
+    na = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(a, a), axis=-1), eps * eps))
+    nb = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(b, b), axis=-1), eps * eps))
+    return nm.div(num, nm.mul(na, nb))
+
+
+def gather_rows_oracle(x: np.ndarray, indices, g: np.ndarray):
+    """Rows x[indices] and the gradient w.r.t. x of a loss whose gradient at
+    the rows is g: ``np.add.at`` into a zeroed array."""
+    idx = np.asarray(indices, dtype=np.intp)
+    gx = np.zeros_like(x)
+    np.add.at(gx, idx, g)
+    return x[idx], gx
+
+
 def softmax_oracle(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max())
     return e / e.sum()

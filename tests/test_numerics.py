@@ -33,11 +33,15 @@ from gateformer.numerics import (
 )
 from oracles import (
     attention_oracle,
+    attention_pool_oracle,
     autodiff_grads,
     check_grads,
     conv1d_oracle,
     conv1d_window_oracle,
+    cosine_oracle,
     feed_forward_oracle,
+    gather_rows_oracle,
+    layer_norm_oracle,
     lstm_last_oracle,
     rel_err,
     softmax_oracle,
@@ -345,6 +349,123 @@ class TestFeedForward:
                             tensor(np.zeros((8, 4))), tensor(np.zeros(8)))
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 30), (2, 3, 7), (9,)])
+    def test_matches_composed_oracle(self, shape):
+        r = rng(400 + sum(shape))
+        d = 8
+        x = tensor(r.normal(size=(*shape, d)) * 3.0 + 1.0, requires_grad=True)
+        gamma = tensor(r.normal(size=d), requires_grad=True)
+        beta = tensor(r.normal(size=d), requires_grad=True)
+        with nm.count_flops() as flops:
+            out = layer_norm(x, gamma, beta)
+        # the cost model's 7 per element; the composed form's per-row
+        # epsilon add and square root are not charged
+        assert flops.flops == 7 * out.data.size
+        assert_close_to_oracle(out.data, layer_norm_oracle(x, gamma, beta).data)
+        c = tensor(rng(99).normal(size=out.data.shape))
+        params = [x, gamma, beta]
+        fast = autodiff_grads(lambda: vsum(mul(layer_norm(x, gamma, beta), c)), params)
+        slow = autodiff_grads(lambda: vsum(mul(layer_norm_oracle(x, gamma, beta), c)), params)
+        for a, e in zip(fast, slow):
+            assert_close_to_oracle(a, e)
+        with Tape() as tape:
+            layer_norm(x, gamma, beta)
+        assert len(tape) == 1
+
+    def test_constant_row_normalises_to_beta(self):
+        x = tensor(np.full((2, 4), 3.0))
+        out = layer_norm(x, tensor(np.ones(4)), tensor([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(out.data, np.tile([1.0, 2.0, 3.0, 4.0], (2, 1)))
+
+    def test_rejects_bad_shapes(self):
+        x = tensor(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="layer_norm params"):
+            layer_norm(x, tensor(np.ones(3)), tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="layer_norm params"):
+            layer_norm(x, tensor(np.ones(4)), tensor(np.zeros((1, 4))))
+
+
+class TestAttentionPool:
+    # the call sites' shapes: the gate's item pooling ((G, L, N_f) context
+    # rows, pads masked), the gate's attention user encoder ((H, N, N_f)
+    # item summaries) and transformer.weighted_pool ((n, d) or (B, n, d))
+    @pytest.mark.parametrize("shape, pads", [
+        ((6, 5, 8), True),
+        ((1, 1, 8), False),
+        ((4, 3, 8), False),
+        ((7, 8), False),
+        ((3, 9, 8), False),
+        ((2, 4, 3, 8), True),
+    ])
+    def test_matches_composed_oracle(self, shape, pads):
+        r = rng(500 + sum(shape))
+        x = tensor(r.normal(size=shape), requires_grad=True)
+        q = tensor(r.normal(size=shape[-1]), requires_grad=True)
+        mask = None
+        if pads:
+            valid = r.random(size=shape[:-1]) < 0.6
+            valid[..., 0] = True                            # one row per pooling
+            mask = np.where(valid, 0.0, -1e30)
+        kernel_matches_oracle(nm.attention_pool, attention_pool_oracle, [x, q], mask=mask)
+        if pads:
+            # a padded row gets no weight: changing it changes nothing
+            moved = x.data + np.where(valid, 0.0, 5.0)[..., None]
+            assert np.array_equal(nm.attention_pool(tensor(moved), q, mask).data,
+                                  nm.attention_pool(x, q, mask).data)
+
+    def test_one_row_pools_to_itself(self):
+        x = tensor(np.array([[[1.0, -2.0, 3.0]]]))
+        out = nm.attention_pool(x, tensor(np.ones(3)))
+        assert np.array_equal(out.data, x.data[:, 0])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., n, d\)"):
+            nm.attention_pool(tensor(np.zeros(4)), tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match=r"\(\.\.\., n, d\)"):
+            nm.attention_pool(tensor(np.zeros((2, 3, 4))), tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match="mask shape"):
+            nm.attention_pool(tensor(np.zeros((2, 3, 4))), tensor(np.zeros(4)), np.zeros((2, 4)))
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("source, indices", [
+        ((7,), [3, 0, 3, 3, 6]),                  # scores and weights: 1-D sources
+        ((7,), 2),
+        ((7,), [[1, 1], [4, 0], [1, 6]]),
+        ((9, 4), [8, 2, 2, 0, 8, 2]),              # a table; row 1 is never picked
+        ((9, 4), 5),
+        ((9, 4), [[0, 3, 3], [7, 0, 0]]),          # a (G, L) index array
+        ((9, 4), np.zeros(0, dtype=int)),
+        ((9, 4), np.zeros((2, 0), dtype=int)),
+        ((6, 2, 3), [5, 1, 5]),
+    ])
+    def test_matches_add_at_oracle_exactly(self, source, indices):
+        r = rng(600 + len(source))
+        x = tensor(r.normal(size=source), requires_grad=True)
+        want_rows, _ = gather_rows_oracle(x.data, indices, 0.0)
+        c = r.normal(size=want_rows.shape)
+        _, want_grad = gather_rows_oracle(x.data, indices, c)
+        assert np.array_equal(gather_rows(x, indices).data, want_rows)
+        (grad,) = autodiff_grads(lambda: vsum(mul(gather_rows(x, indices), tensor(c))), [x])
+        assert grad.shape == x.data.shape
+        assert np.array_equal(grad, want_grad)
+
+    def test_repeated_picks_sum_in_index_order(self):
+        # 1e16 + 1 + 1 rounds differently from 1e16 + 2: the scatter adds the
+        # picks of a row one by one, in index order, as np.add.at does
+        x = tensor(np.zeros((2, 1)), requires_grad=True)
+        g = np.array([[1e16], [1.0], [1.0]])
+        (grad,) = autodiff_grads(lambda: vsum(mul(gather_rows(x, [1, 1, 1]), tensor(g))), [x])
+        assert np.array_equal(grad, gather_rows_oracle(x.data, [1, 1, 1], g)[1])
+        assert grad[1, 0] == 1e16
+
+    @pytest.mark.parametrize("indices", [[0, -1], [3], -4, [[0, 1], [1, 9]]])
+    def test_out_of_range_index_rejected(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            gather_rows(tensor(np.zeros((3, 2))), indices)
+
+
 class TestCosine:
     def test_self_similarity_is_one(self):
         v = tensor([3.0, -4.0, 1.0])
@@ -373,6 +494,42 @@ class TestCosine:
         a = tensor(r.normal(size=(5,)), requires_grad=True)
         b = tensor(r.normal(size=(5,)), requires_grad=True)
         check_grads(lambda: cosine(a, b), [a, b], tol=1e-6)
+
+    # the gate's scoring is (G, L, N_f) context rows against (G, 1, N_f)
+    # interest vectors
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((5,), (5,)),
+        ((6, 4), (4,)),
+        ((4,), (6, 4)),
+        ((3, 7, 4), (3, 1, 4)),
+        ((3, 7, 4), (7, 4)),
+        ((2, 1, 4), (1, 5, 4)),
+    ])
+    def test_matches_composed_oracle(self, a_shape, b_shape):
+        r = rng(700 + len(a_shape) + 3 * len(b_shape))
+        a = tensor(r.normal(size=a_shape), requires_grad=True)
+        b = tensor(r.normal(size=b_shape), requires_grad=True)
+        kernel_matches_oracle(nm.cosine, cosine_oracle, [a, b])
+
+    def test_zero_rows_match_oracle_clamp(self):
+        r = rng(14)
+        ctx = r.normal(size=(3, 6, 4))
+        ctx[0, 2] = 0.0                       # a zero-norm context row
+        interest = r.normal(size=(3, 1, 4))
+        interest[1] = 0.0                     # a zero-norm interest vector
+        a = tensor(ctx, requires_grad=True)
+        b = tensor(interest, requires_grad=True)
+        kernel_matches_oracle(nm.cosine, cosine_oracle, [a, b])
+        out = nm.cosine(a, b).data
+        assert out[0, 2] == 0.0 and not out[1].any()
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="rows of equal length"):
+            cosine(tensor(np.zeros((2, 3))), tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="rows of equal length"):
+            cosine(tensor(1.0), tensor(1.0))
+        with pytest.raises(ValueError):
+            cosine(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 3))))
 
 
 class TestBackward:

@@ -1,0 +1,53 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_script("bench_pairs")
+
+
+def pairs_of(before, after, better="higher"):
+    pairs = [{"before": {"result": {"metrics": {"m": {"value": b}}, "failed": 0, "attempted": 1}},
+              "after": {"result": {"metrics": {"m": {"value": a}}, "failed": 0, "attempted": 1}}}
+             for b, a in zip(before, after)]
+    return bench_pairs.summarize(pairs, [{"name": "m", "unit": "u", "better": better,
+                                          "bound": 0.25}])["m"]
+
+
+class TestVerdict:
+    BEFORE = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+
+    def test_gain_needs_nine_wins_and_the_parents_iqr(self):
+        stats = pairs_of(self.BEFORE, [b + 10 for b in self.BEFORE])
+        assert stats["after_wins"] == 10 and stats["verdict"] == "gain"
+        # a tie counts for neither side: nine wins still make a gain
+        after = [b + 10 for b in self.BEFORE[:9]] + [self.BEFORE[9]]
+        assert pairs_of(self.BEFORE, after)["verdict"] == "gain"
+        # eight wins do not
+        after = [b + 10 for b in self.BEFORE[:8]] + self.BEFORE[8:]
+        assert pairs_of(self.BEFORE, after)["verdict"] == "unresolved"
+
+    def test_win_every_pair_inside_the_iqr_is_unresolved(self):
+        stats = pairs_of(self.BEFORE, [b + 0.5 for b in self.BEFORE])
+        assert stats["after_wins"] == 10 and stats["before_iqr"] > 0.5
+        assert stats["verdict"] == "unresolved"
+
+    @pytest.mark.parametrize("better, factor, expect", [
+        ("higher", 0.74, "worse"),
+        ("higher", 0.76, "unresolved"),
+        ("lower", 1.26, "worse"),
+        ("lower", 1.24, "unresolved"),
+        ("lower", 0.5, "gain"),
+    ])
+    def test_worse_is_past_the_bound(self, better, factor, expect):
+        assert pairs_of(self.BEFORE, [b * factor for b in self.BEFORE], better)["verdict"] == expect

@@ -24,6 +24,8 @@ from gateformer.transformer import (
     weighted_pool,
 )
 from oracles import (
+    attention_pool_oracle,
+    autodiff_grads,
     check_grads,
     encode_item,
     encode_user_interest,
@@ -104,6 +106,24 @@ class TestEncodeUser:
         p = make_params(p_max=2, seed=6)
         with pytest.raises(ValueError, match="max positions"):
             encode_user([manual_selection(seq_of([1, 2, 3]), p)], p)
+
+
+class TestWeightedPool:
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 5, 4)])
+    def test_is_the_attention_pool_kernel(self, shape):
+        rng = np.random.default_rng(40)
+        x = tensor(rng.normal(size=shape), requires_grad=True)
+        q = tensor(rng.normal(size=4), requires_grad=True)
+        with Tape() as tape:
+            out = weighted_pool(x, q)
+        assert len(tape) == 1 and out.data.shape == shape[:-2] + (4,)
+        want = attention_pool_oracle(x, q)
+        assert rel_err(out.data, want.data) < 1e-12
+        c = tensor(rng.normal(size=want.data.shape))
+        fast = autodiff_grads(lambda: nm.vsum(nm.mul(weighted_pool(x, q), c)), [x, q])
+        slow = autodiff_grads(lambda: nm.vsum(nm.mul(attention_pool_oracle(x, q), c)), [x, q])
+        for a, b in zip(fast, slow):
+            assert rel_err(a, b) < 1e-12
 
 
 class TestEncodeCandidate:
@@ -492,4 +512,28 @@ class TestCorruptCheckpoint:
         blob = tmp_path / "ckpt.bin"
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(ValueError, match="ckpt.manifest.json"):
+            load_checkpoint(prefix)
+
+    def test_blob_of_a_later_save_rejected(self, tmp_path):
+        # a crash between the save's two moves leaves the new blob beside
+        # the previous manifest; both describe the same layout
+        prefix = self.write(tmp_path)
+        earlier = (tmp_path / "ckpt.manifest.json").read_bytes()
+        save_checkpoint({"a": tensor(np.arange(6.0) + 1), "b": tensor(np.zeros(4))}, prefix)
+        (tmp_path / "ckpt.manifest.json").write_bytes(earlier)
+        with pytest.raises(ValueError, match=r"ckpt.manifest.json: sha256 does not match"):
+            load_checkpoint(prefix)
+
+    def test_flipped_blob_byte_rejected(self, tmp_path):
+        prefix = self.write(tmp_path)
+        blob = tmp_path / "ckpt.bin"
+        data = blob.read_bytes()
+        for i in range(len(data)):
+            blob.write_bytes(data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1:])
+            with pytest.raises(ValueError, match=r"ckpt.manifest.json: sha256 does not match"):
+                load_checkpoint(prefix)
+
+    def test_manifest_without_sha256_rejected(self, tmp_path):
+        prefix = self.write(tmp_path, lambda m: m.pop("sha256"))
+        with pytest.raises(ValueError, match=r"ckpt.manifest.json: no 'sha256'"):
             load_checkpoint(prefix)
