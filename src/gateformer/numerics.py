@@ -879,7 +879,8 @@ def attention_pool(x, query, mask=None) -> Tensor:
     logits -= logits.max(axis=-1, keepdims=True)
     alpha = np.exp(logits, out=logits)
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    data = (alpha[..., None, :] @ xd)[..., 0, :]
+    # a lone (n, d) sequence pools to an array of its own, not a view
+    data = alpha @ xd if xd.ndim == 2 else (alpha[..., None, :] @ xd)[..., 0, :]
     _count(alpha.size * (4 * xd.shape[-1] + _FLOPS_PER_ELEM["softmax"]
                          + (mask is not None)))
 
