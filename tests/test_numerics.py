@@ -515,8 +515,10 @@ class TestCosine:
         r = rng(14)
         ctx = r.normal(size=(3, 6, 4))
         ctx[0, 2] = 0.0                       # a zero-norm context row
+        ctx[2, 4] *= 1e-13                    # a nonzero row inside the clamp
         interest = r.normal(size=(3, 1, 4))
         interest[1] = 0.0                     # a zero-norm interest vector
+        interest[0] *= 1e-13
         a = tensor(ctx, requires_grad=True)
         b = tensor(interest, requires_grad=True)
         kernel_matches_oracle(nm.cosine, cosine_oracle, [a, b])
