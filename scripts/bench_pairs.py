@@ -15,9 +15,11 @@ first alternates from pair to pair. For each end-to-end metric of
 many pairs the change won (ties count for neither side) and a verdict (see
 :func:`verdict`) to ``BENCH_<name>.json``, with the revisions, the commands and each run's
 failed/attempted operation count. After a workload's pairs it makes one
-``--trace 1`` run per side on the first seed and stores both sides'
-per-layer metrics under the workload's ``per_layer``. The file is rewritten
-after every run, so an interrupted run leaves what it finished.
+``--trace 1`` run per side on each of the first ``TRACED_SEEDS`` seeds,
+alternating which side runs first, and stores each per-layer metric's
+median, range and runs per side under the workload's ``per_layer`` (see
+:func:`per_layer_table`). The file is rewritten after every run, so an
+interrupted run leaves what it finished.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ["python3", "perfbench/run.py"]
+# traced runs per side: one cannot tell a per-layer change under about 30%
+# from run-to-run spread
+TRACED_SEEDS = 3
 
 
 def git(*args: str) -> bytes:
@@ -113,19 +118,26 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def per_layer_table(traced: dict) -> dict:
-    """Both sides' traced runs as {metric: {"before": v, "after": v}}, plus
-    each run's correctness and failed/attempted count (or its exit code)."""
-    table = {
-        side: {k: r[k] for k in ("correct", "failed", "attempted", "exit", "stderr") if k in r}
-        for side, r in traced.items()
+def per_layer_table(traced: dict[str, list[dict]]) -> dict:
+    """Each side's traced runs as {metric: {side: {"median", "range", "runs"}}}
+    over the runs that report the metric (``None`` when none does), plus
+    each run's seed, correctness and failed/attempted count (or its exit
+    code) under the side's name."""
+    table: dict = {
+        side: [{k: r[k] for k in ("seed", "correct", "failed", "attempted", "exit", "stderr")
+                if k in r} for r in runs]
+        for side, runs in traced.items()
     }
-    names = [n for r in traced.values() for n in r.get("metrics", {})]
+    names = [n for runs in traced.values() for r in runs for n in r.get("metrics", {})]
     for name in dict.fromkeys(names):
-        table[name] = {
-            side: r["metrics"][name]["value"] if name in r.get("metrics", {}) else None
-            for side, r in traced.items()
-        }
+        table[name] = {}
+        for side, runs in traced.items():
+            values = [r["metrics"][name]["value"] for r in runs if name in r.get("metrics", {})]
+            table[name][side] = {
+                "median": statistics.median(values),
+                "range": [min(values), max(values)],
+                "runs": values,
+            } if values else None
     return table
 
 
@@ -161,7 +173,7 @@ def main(argv=None) -> int:
                       f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
             "after": f"git archive {change} | tar -x -C <tmp2>; cd <tmp2>; "
                      f"{' '.join(RUN)} --workload <w> --seed <s> --seconds {seconds} --trace 0",
-            "per_layer": f"the same with --trace 1 and --seed {seeds[0]}, once per side",
+            "per_layer": f"the same with --trace 1, once per side on each seed of {seeds[:TRACED_SEEDS]}",
             "this_script": "python3 scripts/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
         },
         "order": "pair j of a workload runs the parent first when j is even, the change first when odd",
@@ -198,13 +210,15 @@ def main(argv=None) -> int:
                     for p in pairs
                 ]
                 out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-            traced = {}
-            for side in ("before", "after"):
-                run = perfbench(roots[side], w, seeds[0], seconds, trace=1)
-                traced[side] = run.get("result", run)
-                print(f"{w} seed {seeds[0]} {side} traced: {json.dumps(traced[side])[:200]}", flush=True)
-            record["workloads"][w]["per_layer"] = per_layer_table(traced)
-            out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+            traced: dict[str, list[dict]] = {"before": [], "after": []}
+            for j, seed in enumerate(seeds[:TRACED_SEEDS]):
+                for side in ("before", "after") if j % 2 == 0 else ("after", "before"):
+                    run = perfbench(roots[side], w, seed, seconds, trace=1)
+                    traced[side].append({"seed": seed, **run.get("result", run)})
+                    print(f"{w} seed {seed} {side} traced: {json.dumps(traced[side][-1])[:200]}",
+                          flush=True)
+                record["workloads"][w]["per_layer"] = per_layer_table(traced)
+                out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
     return 0
 

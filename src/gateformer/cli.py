@@ -34,7 +34,6 @@ from .text import (
 )
 from .training import (
     Model,
-    encode_candidate_rows,
     evaluate,
     init_model,
     keyword_pairs,
@@ -279,7 +278,7 @@ def cmd_recall(args) -> int:
     index = build_index(dataset.news)
     doc_ids = sorted(dataset.news)
     doc_embs = dict(zip(
-        doc_ids, encode_candidate_rows([dataset.news[d] for d in doc_ids], model.trans)
+        doc_ids, model.items.rows([dataset.news[d] for d in doc_ids], model.trans)
     ))
     samples = dataset.val_samples[: args.max_impressions or len(dataset.val_samples)]
     sums = {(m, n): 0.0 for m in ("sparse", "dense", "hybrid") for n in n_values}

@@ -184,7 +184,9 @@ def bench(models, samples, k_values: list[int], repeats: int = 30) -> list[dict]
     ``models`` is either one trained model (reused across k) or a mapping
     k -> model (separately trained checkpoints). Each row reports the median
     wall time of one user encoding, the analytic user-side FLOPs, and the
-    evaluation AUC at that k.
+    evaluation AUC at that k. ``k`` does not reach the candidate encoder, so
+    a model's evaluations after its first take every candidate row from its
+    item store.
     """
     from .training import Model, evaluate, user_embedding
 

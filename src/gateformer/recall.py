@@ -196,12 +196,13 @@ def recall_dense(
     if not doc_ids:
         return []
     rows = [doc_embeddings[doc_id] for doc_id in doc_ids]
-    for doc_id, e in zip(doc_ids, rows):
-        if e.shape != (d,):
-            raise ValueError(f"embedding dim mismatch: user {d} vs doc {doc_id} shape {e.shape}")
+    if {e.shape for e in rows} != {(d,)}:
+        doc_id, e = next((i, e) for i, e in zip(doc_ids, rows) if e.shape != (d,))
+        raise ValueError(f"embedding dim mismatch: user {d} vs doc {doc_id} shape {e.shape}")
     # vecdot takes one dot product per row, so equal rows score equally
     # (a BLAS matrix-vector product may round them differently)
-    scores = np.vecdot(np.stack(rows), user_embedding) * (1.0 / math.sqrt(d))
+    matrix = np.concatenate(rows).reshape(len(rows), d)
+    scores = np.vecdot(matrix, user_embedding) * (1.0 / math.sqrt(d))
     return [doc_ids[j] for j in np.lexsort((np.arange(len(doc_ids)), -scores))[:n]]
 
 

@@ -6,8 +6,10 @@ the grouped gate (:func:`gating.gate_groups`) and both encoders on grouped
 tensors, with samples grouped by negative count. Tests pin it to a
 per-sample reference loss built from the oracle gate. Its ops and their
 reductions run in a fixed order, so runs are bit-reproducible for a fixed
-seed. Evaluation runs the same batched encoders without a tape. Validation
-AUC selects the checkpoint that is kept.
+seed. Evaluation runs the same batched encoders without a tape and reads
+candidate rows through the model's :class:`ItemStore`, which keeps them
+while the encoder's parameters are unchanged. Validation AUC selects the
+checkpoint that is kept.
 """
 
 from __future__ import annotations
@@ -51,6 +53,47 @@ log = logging.getLogger(__name__)
 ENCODE_CHUNK = 32
 
 
+class ItemStore:
+    """Forward-only candidate rows of one model, keyed by token ids.
+
+    A candidate's row depends only on its token ids and on the encoder's
+    tensors. The store keeps the rows it has encoded under the encoder's
+    :meth:`TransformerParams.fingerprint`, which it recomputes on every
+    call and which covers in-place edits (Adam, ``apply_checkpoint``) as
+    well as replaced arrays; when it differs, every row is dropped. Rows it
+    lacks are encoded by :func:`encode_candidate_rows` in order of first
+    occurrence. Rows are handed out read-only. Each :class:`Model` owns
+    one, so models never share rows.
+    """
+
+    def __init__(self) -> None:
+        self._fingerprint: str | None = None
+        self._rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def rows(
+        self, seqs: list[TokenSequence], params: TransformerParams, map_fn=map
+    ) -> list[np.ndarray]:
+        """One read-only (d,) row per sequence, in input order; ``map_fn``
+        runs the encoder's slices as in :func:`encode_candidate_rows`."""
+        fingerprint = params.fingerprint()
+        if fingerprint != self._fingerprint:
+            self._fingerprint, self._rows = fingerprint, {}
+        rows = self._rows
+        keys = [tuple(seq.ids) for seq in seqs]
+        missing: dict[tuple[int, ...], TokenSequence] = {}
+        for key, seq in zip(keys, seqs):
+            if key not in rows:
+                missing.setdefault(key, seq)
+        if missing:
+            block = encode_candidate_rows(list(missing.values()), params, map_fn)
+            block.flags.writeable = False
+            rows.update(zip(missing, block))
+        return [rows[key] for key in keys]
+
+
 @dataclass
 class Model:
     gate: GateParams
@@ -59,6 +102,7 @@ class Model:
     gate_method: str = "learned"
     stats: CorpusStats | None = None
     seed: int = 0
+    items: ItemStore = field(default_factory=ItemStore, init=False, repr=False, compare=False)
 
     def named_tensors(self) -> dict[str, Tensor]:
         return {
@@ -372,19 +416,21 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     User embeddings come from one :func:`batch_user_embeddings` call per
     ``ENCODE_CHUNK`` impressions, with each impression's index in
     ``samples`` as its sample index (so the random selector draws as it does
-    per sample). Candidates are keyed by token ids: each distinct one is
-    encoded once, by :func:`encode_candidate_rows` in order of first
-    occurrence, whatever its news id and however many objects hold it.
-    Which call encodes what depends on the sample order alone, so with
-    ``threads`` > 1 the calls run on a thread pool of that size and the
-    report equals the single-threaded one.
+    per sample). Candidate rows come from the model's :class:`ItemStore`:
+    each distinct token-id sequence is encoded once while the encoder's
+    parameters are unchanged, whatever its news id and however many
+    objects or calls hold it. With ``threads`` > 1 the encoder calls run on
+    a thread pool of that size and the report equals the single-threaded
+    one.
+
+    A row reused from an earlier call was encoded in another slice of
+    candidates, so the report also depends on the store's state. With a
+    BLAS whose products give a row the same bits whatever rows share its
+    batch, as the tests check for the one they run on, it does not change.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    distinct: dict[tuple[int, ...], TokenSequence] = {}
-    for s in samples:
-        for seq in (s.positive, *s.negatives):
-            distinct.setdefault(tuple(seq.ids), seq)
+    seqs = [seq for s in samples for seq in (s.positive, *s.negatives)]
 
     def user_chunk(start: int) -> np.ndarray:
         chunk = samples[start:start + ENCODE_CHUNK]
@@ -394,23 +440,23 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
 
     def encode_all(map_fn):
         user_parts = map_fn(user_chunk, range(0, len(samples), ENCODE_CHUNK))
-        rows = encode_candidate_rows(list(distinct.values()), model.trans, map_fn)
-        return np.concatenate(list(user_parts)), rows
+        rows = model.items.rows(seqs, model.trans, map_fn)
+        return np.concatenate(list(user_parts)), np.stack(rows)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            users, rows = encode_all(pool.map)
+            users, cands = encode_all(pool.map)
     else:
-        users, rows = encode_all(map)
-    cand_rows = dict(zip(distinct, rows))
+        users, cands = encode_all(map)
 
     sqrt_d = math.sqrt(users.shape[1])
     metrics = []
+    start = 0
     for u, s in zip(users, samples):
-        cands = np.stack([cand_rows[tuple(seq.ids)] for seq in (s.positive, *s.negatives)])
-        # vecdot takes each row's dot product on its own: equal rows tie exactly
-        scores = np.vecdot(cands, u) / sqrt_d
         labels = [1] + [0] * len(s.negatives)
+        # vecdot takes each row's dot product on its own: equal rows tie exactly
+        scores = np.vecdot(cands[start:start + len(labels)], u) / sqrt_d
+        start += len(labels)
         metrics.append((
             auc_score(scores, labels),
             mrr_score(scores, labels),

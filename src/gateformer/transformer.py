@@ -88,6 +88,18 @@ class TransformerParams:
             out.update(layer.named(f"trans.layer{i}"))
         return out
 
+    def fingerprint(self) -> str:
+        """sha256 over ``heads`` and every tensor the encoders read (name,
+        shape and float64 bytes, by sorted name), read afresh on every call,
+        so it changes with any edit to them, in place or not."""
+        named = {"embed.word": self.word_embeddings, **self.named_tensors()}
+        digest = hashlib.sha256(f"heads={self.heads}".encode("utf-8"))
+        for name in sorted(named):
+            arr = np.ascontiguousarray(named[name].data, dtype=np.float64)
+            digest.update(f";{name}{arr.shape}".encode("utf-8"))
+            digest.update(arr)
+        return digest.hexdigest()
+
 
 def init_transformer_params(
     word_embeddings: Tensor,

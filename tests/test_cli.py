@@ -193,6 +193,28 @@ class TestBenchCommand:
         ks = [int(line.split(",")[0]) for line in lines[2:]]
         assert ks == [1, 2, 3, 5, 8]
 
+    def test_each_distinct_candidate_encoded_once_across_k(self, tmp_path, monkeypatch):
+        import gateformer.training as training
+        from gateformer.cli import load_dataset, load_run
+        from gateformer.transformer import encode_candidates
+
+        data = synth(tmp_path, seed=10)
+        run = train_run(tmp_path, data, seed=10, steps=4)
+        encoded = []
+
+        def recording(seqs, params):
+            encoded.extend(tuple(seq.ids) for seq in seqs)
+            return encode_candidates(seqs, params)
+
+        monkeypatch.setattr(training, "encode_candidates", recording)
+        rc = main([
+            "bench", "--run", str(run), "--data", str(data), "--k", "1,2,3", "--repeats", "2",
+        ])
+        assert rc == 0
+        val = load_dataset(load_run(run, []), data).val_samples
+        distinct = {tuple(seq.ids) for s in val for seq in (s.positive, *s.negatives)}
+        assert sorted(encoded) == sorted(distinct)
+
 
 class TestRecallCommand:
     def test_emits_method_rows(self, tmp_path):

@@ -254,6 +254,13 @@ class TestRecallDense:
             recall_dense(np.zeros(3), {"A": np.zeros(3), "B": np.zeros(2)}, 1)
         with pytest.raises(ValueError, match="dim"):
             recall_dense(np.zeros(3), {"A": np.zeros(())}, 1)
+        # the rows are concatenated and reshaped: a bad row must not slip
+        # through when the sizes still add up to n * d
+        for bad in (np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="doc B shape"):
+                recall_dense(np.zeros(3), {"A": np.zeros(3), "B": bad, "C": np.zeros(3)}, 1)
+        with pytest.raises(ValueError, match="doc B shape"):
+            recall_dense(np.zeros(3), {"A": np.zeros(3), "B": np.zeros(4), "C": np.zeros(2)}, 1)
 
     def test_no_docs_returns_empty(self):
         assert recall_dense(np.zeros(3), {}, 5) == []

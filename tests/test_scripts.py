@@ -51,3 +51,26 @@ class TestVerdict:
     ])
     def test_worse_is_past_the_bound(self, better, factor, expect):
         assert pairs_of(self.BEFORE, [b * factor for b in self.BEFORE], better)["verdict"] == expect
+
+
+class TestPerLayerTable:
+    @staticmethod
+    def traced(seed, values, failed=0):
+        return {"seed": seed, "correct": failed == 0, "failed": failed, "attempted": 10,
+                "metrics": {name: {"value": v, "unit": "ms"} for name, v in values.items()}}
+
+    def test_median_and_range_per_side_over_the_runs_that_report(self):
+        traced = {
+            "before": [self.traced(1, {"a": 3.0, "b": 1.0}), self.traced(2, {"a": 1.0}),
+                       self.traced(3, {"a": 2.0, "b": 5.0})],
+            "after": [self.traced(1, {"a": 9.0}), {"seed": 2, "exit": 1, "stderr": "boom"},
+                      self.traced(3, {"a": 4.0}, failed=1)],
+        }
+        table = bench_pairs.per_layer_table(traced)
+        assert table["a"]["before"] == {"median": 2.0, "range": [1.0, 3.0], "runs": [3.0, 1.0, 2.0]}
+        assert table["a"]["after"] == {"median": 6.5, "range": [4.0, 9.0], "runs": [9.0, 4.0]}
+        assert table["b"]["before"] == {"median": 3.0, "range": [1.0, 5.0], "runs": [1.0, 5.0]}
+        assert table["b"]["after"] is None
+        assert [r["seed"] for r in table["after"]] == [1, 2, 3]
+        assert table["after"][1] == {"seed": 2, "exit": 1, "stderr": "boom"}
+        assert table["after"][2] == {"seed": 3, "correct": False, "failed": 1, "attempted": 10}

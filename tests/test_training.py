@@ -28,7 +28,12 @@ from gateformer.training import (
     user_keywords,
     write_metrics_csv,
 )
-from gateformer.transformer import encode_candidates, load_checkpoint
+from gateformer.transformer import (
+    apply_checkpoint,
+    encode_candidates,
+    load_checkpoint,
+    save_checkpoint,
+)
 from oracles import auc_oracle, evaluate_oracle, mrr_oracle, ndcg_oracle, rel_err, sample_loss
 
 
@@ -456,6 +461,116 @@ class TestEvaluate:
         distinct = {tuple(seq.ids) for s in samples for seq in (s.positive, *s.negatives)}
         assert sorted(encoded) == sorted(distinct)
         assert len(calls) > 1 and all(len(call) <= training.ENCODE_CHUNK for call in calls)
+
+
+def _adam(model, tmp_path):
+    named = model.trainable_tensors()
+    for p in named.values():
+        p.grad = np.full_like(p.data, 0.1)
+    adam_step(named, OptimState(peak_lr=0.01, warmup_steps=0, total_steps=10))
+
+
+def _load_other_checkpoint(model, tmp_path):
+    other = init_model(
+        vocab_size=model.trans.word_embeddings.data.shape[0], d=16, n_layers=1, heads=2,
+        max_positions=30, n_filters=8, window=1, seed=99, k=2,
+    )
+    save_checkpoint(other.named_tensors(), tmp_path / "other")
+    apply_checkpoint(model.named_tensors(), load_checkpoint(tmp_path / "other"))
+
+
+def _edit_word_row(model, tmp_path):
+    model.trans.word_embeddings.data[5] += 1e-3
+
+
+def _replace_data(model, tmp_path):
+    model.trans.pool_q.data = model.trans.pool_q.data * 1.5
+
+
+class TestItemStore:
+    @staticmethod
+    def counting(monkeypatch):
+        import gateformer.training as training
+
+        rows = []
+
+        def recording(seqs, params):
+            rows.extend(tuple(seq.ids) for seq in seqs)
+            return encode_candidates(seqs, params)
+
+        monkeypatch.setattr(training, "encode_candidates", recording)
+        return rows
+
+    @staticmethod
+    def candidates(corpus, n=30):
+        return [seq for s in corpus.samples[:n] for seq in (s.positive, *s.negatives)]
+
+    def test_fresh_model_starts_empty(self, tiny_corpus):
+        model = tiny_model(tiny_corpus)
+        evaluate(model, tiny_corpus.samples[:10])
+        assert len(model.items) > 0
+        # equal parameters, its own store
+        assert len(tiny_model(tiny_corpus).items) == 0
+
+    def test_rows_are_read_only(self, tiny_corpus):
+        model = tiny_model(tiny_corpus)
+        row = model.items.rows(self.candidates(tiny_corpus, 2), model.trans)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+        assert np.array_equal(model.items.rows(self.candidates(tiny_corpus, 2), model.trans)[0], row)
+
+    def test_each_distinct_candidate_encoded_once_per_parameters(self, tiny_corpus, monkeypatch):
+        encoded = self.counting(monkeypatch)
+        model = tiny_model(tiny_corpus)
+        seqs = self.candidates(tiny_corpus)
+        model.items.rows(seqs[:40], model.trans)
+        model.items.rows(seqs, model.trans)
+        distinct = list(dict.fromkeys(tuple(seq.ids) for seq in seqs))
+        # first-occurrence order, across the two calls
+        assert encoded == distinct and len(model.items) == len(distinct)
+
+    @pytest.mark.parametrize("change", [_adam, _load_other_checkpoint, _edit_word_row, _replace_data])
+    def test_parameter_change_drops_every_row(self, tiny_corpus, monkeypatch, tmp_path, change):
+        model = tiny_model(tiny_corpus)
+        seqs = self.candidates(tiny_corpus)
+        stale = np.stack(model.items.rows(seqs, model.trans))
+        change(model, tmp_path)
+        encoded = self.counting(monkeypatch)
+        fresh = np.stack(model.items.rows(seqs[:3], model.trans))
+        assert len(model.items) == len(encoded) == len({tuple(s.ids) for s in seqs[:3]})
+        np.testing.assert_array_equal(fresh, encode_candidates(seqs[:3], model.trans).data)
+        assert not np.array_equal(fresh, stale[:3])
+
+    def test_k_and_gate_method_keep_rows(self, tiny_corpus, monkeypatch):
+        model = tiny_model(tiny_corpus)
+        samples = tiny_corpus.samples[:20]
+        evaluate(model, samples)
+        held = len(model.items)
+        encoded = self.counting(monkeypatch)
+        model.k, model.gate_method = 1, "first"
+        evaluate(model, samples)
+        assert encoded == [] and len(model.items) == held
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_warm_evaluate_equals_cold(self, tiny_corpus, threads):
+        samples = tiny_corpus.samples[:45]
+        warm = tiny_model(tiny_corpus)
+        # rows encoded in other slices than a cold call of all 45 makes
+        evaluate(warm, samples[13:40], threads=threads)
+        evaluate(warm, samples[:7], threads=threads)
+        cold = tiny_model(tiny_corpus)
+        assert evaluate(warm, samples, threads=threads) == evaluate(cold, samples, threads=threads)
+        seqs = [seq for s in samples for seq in (s.positive, *s.negatives)]
+        np.testing.assert_allclose(
+            np.stack(warm.items.rows(seqs, warm.trans)),
+            np.stack(cold.items.rows(seqs, cold.trans)), rtol=0, atol=1e-12,
+        )
+
+    def test_threads_match_single_on_a_warm_store(self, tiny_corpus):
+        model = tiny_model(tiny_corpus)
+        samples = tiny_corpus.samples[:70]
+        evaluate(model, samples[:30])
+        assert evaluate(model, samples, threads=3) == evaluate(model, samples, threads=1)
 
 
 class TestEncodeCandidateRows:
