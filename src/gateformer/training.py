@@ -426,7 +426,8 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     A row reused from an earlier call was encoded in another slice of
     candidates, so the report also depends on the store's state. With a
     BLAS whose products give a row the same bits whatever rows share its
-    batch, as the tests check for the one they run on, it does not change.
+    batch it does not change; the tests check that a warm report equals a
+    cold one.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
