@@ -6,6 +6,14 @@ recall is exact brute-force scaled inner product; hybrid retrieves sparsely
 then re-ranks densely. No approximate pruning anywhere: desk-scale corpora
 make exactness cheap.
 
+Dense top-n scores every doc, then selects rather than sorts: it finds the
+n-th best score with ``np.partition``, keeps every doc at least that good
+(so ties at the cut survive) and sorts only the kept ones by (-score, doc
+id). A query over m docs of dimension d costs one O(m d) copy of the dict
+into a matrix, O(m d) for the scores, O(m) for the selection and
+O(n log n) for the sort; the copy dominates. A score that is not finite
+raises rather than ranking silently.
+
 Postings are CSR (compressed sparse rows): the postings of ``tokens[r]``
 are ``keys[offsets[r]:offsets[r + 1]]`` with term frequencies ``tfs`` at the
 same positions, keys ascending. A doc key indexes ``doc_ids``, the sorted
@@ -141,8 +149,8 @@ class UserQuery:
     ) -> "UserQuery":
         merged: dict[int, float] = {}
         for tok, w in pairs:
-            if w <= 0:
-                raise ValueError(f"keyword weights must be positive, got {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"keyword weights must be positive and finite, got {w}")
             merged[tok] = merged.get(tok, 0.0) + w
         keywords = sorted(merged.items())
         return cls(keywords=keywords, user_embedding=user_embedding)
@@ -188,22 +196,37 @@ def recall_sparse(index: InvertedIndex, query: UserQuery, n: int) -> list[str]:
 def recall_dense(
     user_embedding: np.ndarray, doc_embeddings: dict[str, np.ndarray], n: int
 ) -> list[str]:
-    """Exact top-n by scaled inner product; ties broken by doc id."""
+    """Exact top-n by scaled inner product; ties broken by doc id. A score
+    that is not finite (from the user embedding or a doc's) raises."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = user_embedding.shape[0]
-    doc_ids = sorted(doc_embeddings)
-    if not doc_ids:
+    if not doc_embeddings:
         return []
-    rows = [doc_embeddings[doc_id] for doc_id in doc_ids]
-    if {e.shape for e in rows} != {(d,)}:
-        doc_id, e = next((i, e) for i, e in zip(doc_ids, rows) if e.shape != (d,))
-        raise ValueError(f"embedding dim mismatch: user {d} vs doc {doc_id} shape {e.shape}")
+    d = user_embedding.shape[0]
+    doc_ids = list(doc_embeddings)
+    try:
+        matrix = np.array(list(doc_embeddings.values()))
+    except ValueError:  # ragged rows
+        matrix = None
+    if matrix is None or matrix.shape != (len(doc_ids), d):
+        doc_id = next(i for i in sorted(doc_ids) if np.shape(doc_embeddings[i]) != (d,))
+        shape = np.shape(doc_embeddings[doc_id])
+        raise ValueError(f"embedding dim mismatch: user {d} vs doc {doc_id} shape {shape}")
     # vecdot takes one dot product per row, so equal rows score equally
     # (a BLAS matrix-vector product may round them differently)
-    matrix = np.concatenate(rows).reshape(len(rows), d)
     scores = np.vecdot(matrix, user_embedding) * (1.0 / math.sqrt(d))
-    return [doc_ids[j] for j in np.lexsort((np.arange(len(doc_ids)), -scores))[:n]]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        doc_id = min(doc_ids[j] for j in np.flatnonzero(~finite))
+        raise ValueError(f"dense score of doc {doc_id} is not finite")
+    # keep every row at least as good as the n-th best, so ties at the cut
+    # survive, then order only those by (-score, doc id)
+    neg = -scores
+    if n < len(doc_ids):
+        keep = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+        neg, doc_ids = neg[keep], [doc_ids[j] for j in keep.tolist()]
+    ranked = sorted(zip(neg.tolist(), doc_ids))
+    return [doc_id for _, doc_id in ranked[:n]]
 
 
 def recall_hybrid(

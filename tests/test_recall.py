@@ -49,6 +49,40 @@ def with_duplicates(rng, docs, n_dup):
     return out
 
 
+def duplicate_rows(n_docs, d):
+    """Docs sharing a few embeddings, each in its own array: equal embeddings
+    must score equally wherever their rows sit, so ties break by id."""
+    rng = np.random.default_rng(300 + n_docs)
+    bases = rng.normal(size=(n_docs // 4 + 1, d))
+    embs = {f"D{i:04d}": bases[rng.integers(len(bases))].copy() for i in range(n_docs)}
+    return rng.normal(size=d), embs, (1, 10, n_docs, n_docs + 3)
+
+
+def tie_across_cut():
+    """Scores 3, 3, 3, then six docs tied at 2 from distinct rows, then 1, 1,
+    under shuffled ids; every n from 1 to past the doc count puts the n-th
+    place before, at either edge of, inside and after the tied run."""
+    scores = [3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]
+    ids = np.random.default_rng(9).permutation(len(scores)).tolist()
+    embs = {f"T{i:02d}": np.array([float(s), float(j)]) for i, (s, j) in enumerate(zip(scores, ids))}
+    return np.array([1.0, 0.0]), embs, range(1, len(scores) + 3)
+
+
+def signed_zero_scores():
+    """Docs scoring zero from -0.0 and 0.0 entries, between positive and
+    negative scores: -0.0 and 0.0 tie and break by id."""
+    rows = [[-0.0, 0.0], [1.0, 2.0], [0.0, -0.0], [-1.0, 5.0], [0.0, 3.0], [-0.0, -0.0], [2.0, -1.0]]
+    embs = {f"Z{i}": np.array(row) for i, row in enumerate(rows)}
+    return np.array([1.0, -0.0]), embs, range(1, len(rows) + 2)
+
+
+def zero_user():
+    """A user embedding of -0.0: every score is zero, so the ranking is id order."""
+    rng = np.random.default_rng(10)
+    embs = {f"U{i:02d}": rng.normal(size=4) for i in rng.permutation(30)}
+    return np.full(4, -0.0), embs, (1, 7, 30)
+
+
 def csr_postings(idx):
     """token -> [(doc key, tf)] read back from the CSR arrays."""
     return {
@@ -254,8 +288,7 @@ class TestRecallDense:
             recall_dense(np.zeros(3), {"A": np.zeros(3), "B": np.zeros(2)}, 1)
         with pytest.raises(ValueError, match="dim"):
             recall_dense(np.zeros(3), {"A": np.zeros(())}, 1)
-        # the rows are concatenated and reshaped: a bad row must not slip
-        # through when the sizes still add up to n * d
+        # a bad row must not slip through when the sizes still add up to n * d
         for bad in (np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(ValueError, match="doc B shape"):
                 recall_dense(np.zeros(3), {"A": np.zeros(3), "B": bad, "C": np.zeros(3)}, 1)
@@ -265,16 +298,38 @@ class TestRecallDense:
     def test_no_docs_returns_empty(self):
         assert recall_dense(np.zeros(3), {}, 5) == []
 
-    @pytest.mark.parametrize("n_docs,d", [(1, 4), (7, 33), (13, 64), (101, 16), (2051, 33)])
-    def test_matches_sorted_loop_oracle_with_duplicates(self, n_docs, d):
-        rng = np.random.default_rng(300 + n_docs)
-        # docs share a few embeddings, each in its own array: equal embeddings
-        # must score equally wherever their rows sit, so ties break by id
-        bases = rng.normal(size=(n_docs // 4 + 1, d))
-        embs = {f"D{i:04d}": bases[rng.integers(len(bases))].copy() for i in range(n_docs)}
-        u = rng.normal(size=d)
-        for n in (1, 10, n_docs):
-            assert recall_dense(u, embs, n) == dense_rank_oracle(u, embs, n)
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: duplicate_rows(n_docs, d), id=f"{n_docs}-{d}")
+        for n_docs, d in [(1, 4), (7, 33), (13, 64), (101, 16), (2051, 33)]
+    ] + [
+        pytest.param(tie_across_cut, id="tie-across-cut"),
+        pytest.param(signed_zero_scores, id="signed-zero-scores"),
+        pytest.param(zero_user, id="zero-user"),
+    ])
+    def test_matches_sorted_loop_oracle_with_duplicates(self, case):
+        u, embs, ns = case()
+        ids = list(embs)
+        perm = np.random.default_rng(len(ids)).permutation(len(ids)).tolist()
+        # the ranking must not depend on the dict's insertion order
+        for order in (ids, ids[::-1], [ids[j] for j in perm]):
+            shuffled = {doc_id: embs[doc_id] for doc_id in order}
+            for n in ns:
+                assert recall_dense(u, shuffled, n) == dense_rank_oracle(u, embs, n)
+
+    @pytest.mark.parametrize("u,bad,first", [
+        pytest.param(np.array([np.nan, 1.0]), 1.0, "A", id="nan-user"),
+        pytest.param(np.ones(2), np.nan, "B2", id="nan-doc"),
+        pytest.param(np.ones(2), np.inf, "B2", id="inf-doc"),
+        pytest.param(np.ones(2), -np.inf, "B2", id="neg-inf-doc"),
+    ])
+    def test_nonfinite_score_rejected(self, u, bad, first):
+        # the first bad doc in id order is named, not the first inserted
+        embs = {
+            "D": np.ones(2), "C": np.array([bad, 0.0]), "A": np.ones(2),
+            "B2": np.array([0.0, bad]), "B1": np.ones(2),
+        }
+        with pytest.raises(ValueError, match=f"doc {first} is not finite"):
+            recall_dense(u, embs, 1)
 
 
 class TestRecallHybrid:
@@ -318,6 +373,15 @@ class TestRecallHybrid:
         reranked = sorted(shortlist, key=lambda d: (-(u @ embs[d]), d))
         assert got == reranked[:5]
 
+    def test_nan_user_embedding_rejected(self):
+        rng = np.random.default_rng(12)
+        docs, embs = self.make_fixture(rng)
+        idx = build_index(docs)
+        q = UserQuery.from_pairs([(2, 1.0), (3, 1.0)], user_embedding=np.full(6, np.nan))
+        first = min(recall_sparse(idx, q, 10))
+        with pytest.raises(ValueError, match=f"doc {first} is not finite"):
+            recall_hybrid(idx, q, embs, n_sparse=10, n=5)
+
     def test_n_exceeding_n_sparse_rejected(self):
         idx = build_index({"A": seq_of([1])})
         q = UserQuery.from_pairs([(1, 1.0)], user_embedding=np.zeros(2))
@@ -355,6 +419,11 @@ class TestUserQuery:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             UserQuery.from_pairs([(3, 0.0)])
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, np.float64(np.nan)], ids=["nan", "inf", "np-nan"])
+    def test_nonfinite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            UserQuery.from_pairs([(3, 0.5), (4, w)])
 
 
 class TestPersistence:
