@@ -64,7 +64,7 @@ def tie_across_cut():
     place before, at either edge of, inside and after the tied run."""
     scores = [3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]
     ids = np.random.default_rng(9).permutation(len(scores)).tolist()
-    embs = {f"T{i:02d}": np.array([float(s), float(j)]) for i, (s, j) in enumerate(zip(scores, ids))}
+    embs = {f"T{j:02d}": np.array([float(s), float(j)]) for s, j in zip(scores, ids)}
     return np.array([1.0, 0.0]), embs, range(1, len(scores) + 3)
 
 
@@ -420,7 +420,9 @@ class TestUserQuery:
         with pytest.raises(ValueError):
             UserQuery.from_pairs([(3, 0.0)])
 
-    @pytest.mark.parametrize("w", [math.nan, math.inf, np.float64(np.nan)], ids=["nan", "inf", "np-nan"])
+    @pytest.mark.parametrize(
+        "w", [math.nan, math.inf, np.float64(np.nan)], ids=["nan", "inf", "np-nan"]
+    )
     def test_nonfinite_weight_rejected(self, w):
         with pytest.raises(ValueError, match="finite"):
             UserQuery.from_pairs([(3, 0.5), (4, w)])
