@@ -290,9 +290,9 @@ def cmd_recall(args) -> int:
             skipped += 1
             continue
         # one gating feeds both the dense embedding and the sparse keywords
-        selections = select_history(model, sample.history, i)
-        u = encode_user(selections, model.trans).data
-        query = UserQuery.from_pairs(keyword_pairs(sample.history, selections), user_embedding=u)
+        gated = select_history(model, sample.history, i)
+        u = encode_user(gated.rows, model.trans).data
+        query = UserQuery.from_pairs(keyword_pairs(sample.history, gated), user_embedding=u)
         results = {
             "sparse": recall_sparse(index, query, n_max),
             "dense": recall_dense(u, doc_embs, n_max),

@@ -226,25 +226,13 @@ def bench(models, samples, k_values: list[int], repeats: int = 30) -> list[dict]
 
 def measure_speedup(model, histories: list[UserHistory], repeats: int = 30) -> dict:
     """Median wall time of gated vs full-input user encoding."""
-    from .gating import GateSelection
-    from .numerics import constant, gather_rows, mul, reshape
+    from .numerics import gather_rows
     from .training import user_embedding
     from .transformer import encode_user
 
-    def full_selection(history):
-        sels = []
-        for seq in history.items:
-            L = len(seq)
-            gathered = gather_rows(model.gate.word_embeddings, seq.ids)
-            sels.append(
-                GateSelection(
-                    positions=list(range(L)),
-                    raw_scores=constant(np.zeros(L)),
-                    weights=constant(np.ones(L)),
-                    gathered=gathered,
-                )
-            )
-        return sels
+    def full_rows(history):
+        ids = [tok for seq in history.items for tok in seq.ids]
+        return gather_rows(model.gate.word_embeddings, ids)
 
     idx = {"i": 0}
 
@@ -253,7 +241,7 @@ def measure_speedup(model, histories: list[UserHistory], repeats: int = 30) -> d
         idx["i"] += 1
 
     def full():
-        encode_user(full_selection(histories[idx["i"] % len(histories)]), model.trans)
+        encode_user(full_rows(histories[idx["i"] % len(histories)]), model.trans)
         idx["i"] += 1
 
     t_gated = _median_seconds(gated, repeats)
@@ -272,9 +260,8 @@ def keyword_position_histogram(model, histories: list[UserHistory]) -> tuple[np.
     max_len = max(len(seq) for h in histories for seq in h.items)
     counts = np.zeros(max_len, dtype=np.int64)
     for i, history in enumerate(histories):
-        for sel in select_history(model, history, i):
-            for pos in sel.positions:
-                counts[pos] += 1
+        for positions in select_history(model, history, i).positions:
+            counts[positions] += 1
     total = counts.sum()
     freq = counts / total if total else counts.astype(float)
     return counts, freq

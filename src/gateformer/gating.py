@@ -21,13 +21,16 @@ and a vectorised top-k per length group. Each length group's masked item
 pooling and the attention user encoder are one
 :func:`numerics.attention_pool` node each, and each length group's scores
 one :func:`numerics.cosine` node. The heuristic selectors (first,
-bm25, random) share its selection and gather. :func:`gate_history` and
-:func:`heuristic_gate` run it on a batch of one history and split the result
-into one :class:`GateSelection` per item.
+bm25, random) share its selection and gather. :func:`gate_history` runs it
+on a batch of one history. Its :class:`GroupedSelection` holds the selected
+rows of every item in order, ready for the user encoder, and reads as a
+sequence of per-item :class:`GateSelection` objects, each narrowed out of
+the grouped tensors only when asked for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,12 +174,14 @@ class GateSelection:
         return len(self.positions)
 
 
-@dataclass
-class GroupedSelection:
+@dataclass(frozen=True, eq=False)
+class GroupedSelection(Sequence):
     """The gate's output for a list of histories.
 
     Items are numbered history-major across the histories, and the selected
-    rows run item by item in selection order.
+    rows run item by item in selection order. As a read-only sequence it
+    holds one :class:`GateSelection` per item, narrowed out of the grouped
+    tensors each time that item is asked for.
     """
 
     rows: Tensor                     # (n_selected, d) weight-scaled embeddings
@@ -192,17 +197,23 @@ class GroupedSelection:
         bounds = self.offsets[self.item_start]
         return [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    def selections(self) -> list[GateSelection]:
-        """One :class:`GateSelection` per item, narrowed out of the grouped tensors."""
-        out = []
-        for pos, (g, start, L), lo in zip(self.positions, self.score_at, self.offsets.tolist()):
-            out.append(GateSelection(
-                positions=pos,
-                raw_scores=nm.narrow(self.scores[g], 0, start, L),
-                weights=nm.narrow(self.weights, 0, lo, len(pos)),
-                gathered=nm.narrow(self.rows, 0, lo, len(pos)),
-            ))
-        return out
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i: int) -> GateSelection:
+        n = len(self.positions)
+        if not -n <= i < n:
+            raise IndexError(f"item {i} out of range for {n} items")
+        i %= n
+        pos = self.positions[i]
+        g, start, L = self.score_at[i]
+        lo = int(self.offsets[i])
+        return GateSelection(
+            positions=pos,
+            raw_scores=nm.narrow(self.scores[g], 0, start, L),
+            weights=nm.narrow(self.weights, 0, lo, len(pos)),
+            gathered=nm.narrow(self.rows, 0, lo, len(pos)),
+        )
 
 
 def assemble_rows(chunks: list[Tensor], order: np.ndarray) -> Tensor:
@@ -408,24 +419,14 @@ def gate_groups(
     )
 
 
-def gate_history(history: UserHistory, params: GateParams, k: int) -> list[GateSelection]:
-    """Run the learned gate over a user's history: one selection per item."""
-    return gate_groups([history], params, k).selections()
-
-
-def heuristic_gate(
+def gate_history(
     history: UserHistory,
-    method: str,
-    k: int,
     params: GateParams,
+    k: int,
+    method: str = "learned",
     stats: CorpusStats | None = None,
     rng: np.random.Generator | None = None,
-) -> list[GateSelection]:
-    """Non-learned selector baselines: first-k, BM25 term weight, or random.
-
-    Selected embeddings stay differentiable (the embedding table still
-    trains); the weights are constant and uniform at 1/K_eff.
-    """
-    if method not in ("first", "bm25", "random"):
-        raise ValueError(f"unknown heuristic gate method: {method}")
-    return gate_groups([history], params, k, method, stats, [rng]).selections()
+) -> GroupedSelection:
+    """Gate one user's history: :func:`gate_groups` on a batch of one, with
+    ``rng`` the random selector's draws."""
+    return gate_groups([history], params, k, method, stats, [rng])

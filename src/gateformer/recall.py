@@ -190,7 +190,13 @@ def recall_sparse(index: InvertedIndex, query: UserQuery, n: int) -> list[str]:
     if n < 1:
         raise ValueError("n must be >= 1")
     keys, scores = sparse_scores(index, query)
-    return [index.doc_ids[key] for key in keys[np.lexsort((keys, -scores))[:n]]]
+    # keep every doc at least as good as the n-th best, so ties at the cut
+    # survive, then order only those by (-score, doc key)
+    neg = -scores
+    if n < len(keys):
+        keep = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+        keys, neg = keys[keep], neg[keep]
+    return [index.doc_ids[key] for key in keys[np.lexsort((keys, neg))[:n]]]
 
 
 def recall_dense(

@@ -25,11 +25,10 @@ import numpy as np
 from . import numerics as nm
 from .gating import (
     GateParams,
-    GateSelection,
+    GroupedSelection,
     assemble_rows,
     gate_groups,
     gate_history,
-    heuristic_gate,
     init_gate_params,
 )
 from .numerics import Tape, Tensor, backward, tensor
@@ -142,29 +141,26 @@ def init_model(
     return Model(gate=gate, trans=trans, k=k, gate_method=gate_method, stats=stats, seed=seed)
 
 
-def select_history(model: Model, history: UserHistory, sample_index: int = 0) -> list[GateSelection]:
+def select_history(model: Model, history: UserHistory, sample_index: int = 0) -> GroupedSelection:
     """Selection policy dispatch; heuristic randomness is derived from the
     model seed and the sample index so it is stable across epochs."""
-    if model.gate_method == "learned":
-        return gate_history(history, model.gate, model.k)
     rng = None
     if model.gate_method == "random":
         rng = np.random.default_rng([model.seed, 7919, sample_index])
-    return heuristic_gate(
-        history, model.gate_method, model.k, model.gate, stats=model.stats, rng=rng
-    )
+    return gate_history(history, model.gate, model.k, model.gate_method, model.stats, rng)
 
 
 def user_embedding(model: Model, history: UserHistory, sample_index: int = 0) -> Tensor:
-    return encode_user(select_history(model, history, sample_index), model.trans)
+    return encode_user(select_history(model, history, sample_index).rows, model.trans)
 
 
-def keyword_pairs(history: UserHistory, selections: list[GateSelection]) -> list[tuple[int, float]]:
+def keyword_pairs(history: UserHistory, gated: GroupedSelection) -> list[tuple[int, float]]:
     """(token id, weight) pairs of one gating of ``history``, for recall queries."""
+    weights = gated.weights.data.tolist()
     return [
-        (seq.ids[pos], float(w))
-        for seq, sel in zip(history.items, selections)
-        for pos, w in zip(sel.positions, sel.weights.data)
+        (seq.ids[pos], weights[lo + j])
+        for seq, positions, lo in zip(history.items, gated.positions, gated.offsets.tolist())
+        for j, pos in enumerate(positions)
     ]
 
 

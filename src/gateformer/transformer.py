@@ -1,9 +1,10 @@
 """Compact pre-norm transformer encoder shared by the user and candidate sides.
 
-The user side encodes the concatenation of gated (weight-scaled) token
-embeddings from the whole history, with learned positions assigned globally
-over the concatenated sequence; the candidate side encodes the full,
-ungated token sequence. Both pool to a single vector with a learned query
+The user side encodes the gated (weight-scaled) token embeddings of the
+whole history, item by item in the order the gate's
+:class:`gating.GroupedSelection` holds them, with learned positions assigned
+globally over that sequence; the candidate side encodes the full, ungated
+token sequence. Both pool to a single vector with a learned query
 (weighted pooling aggregation, one :func:`numerics.attention_pool` node) and
 share every parameter, including the word embedding table, which the gate
 shares too. A pre-norm layer is :func:`numerics.layer_norm`,
@@ -30,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .gating import GateSelection
 from .numerics import Tensor, constant, gather_rows, tensor
 from .text import TokenSequence
 
@@ -184,18 +184,16 @@ def _with_positions(x: Tensor, params: TransformerParams) -> Tensor:
     return nm.add(x, nm.narrow(params.pos_embeddings, 0, 0, n))
 
 
-def encode_user(selections: list[GateSelection], params: TransformerParams) -> Tensor:
-    """User embedding from the concatenated gated history.
+def encode_user(rows: Tensor, params: TransformerParams) -> Tensor:
+    """User embedding from one history's (T, d) gated rows.
 
-    The weight-scaled gathered embeddings of all items are concatenated
-    (ragged per-item lengths are fine), positions 0..T-1 are added over the
-    concatenated sequence, and the encoded rows are weight-pooled.
+    Positions 0..T-1 are added to the rows as they are (a
+    :class:`gating.GroupedSelection`'s ``rows`` for one history), and the
+    encoded rows are weight-pooled.
     """
-    parts = [s.gathered for s in selections if s.k_eff > 0]
-    if not parts:
+    if rows.data.shape[0] == 0:
         raise ValueError("encode_user needs at least one selected token")
-    x = _with_positions(nm.concat_rows(parts), params)
-    encoded = encode_sequence(x, params)
+    encoded = encode_sequence(_with_positions(rows, params), params)
     return weighted_pool(encoded, params.pool_q)
 
 

@@ -14,7 +14,7 @@ from gateformer.gating import GateSelection, heuristic_scores
 from gateformer.numerics import Tape, backward, constant, gather_rows
 from gateformer.recall import bm25_term_weight
 from gateformer.text import PAD_ID
-from gateformer.transformer import click_loss, encode_candidate, encode_user
+from gateformer.transformer import click_loss, encode_candidate, encode_sequence, weighted_pool
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -458,8 +458,16 @@ def select_history_oracle(model, history, sample_index=0):
                                  model.stats, rng)
 
 
+def encode_user_oracle(selections, trans):
+    """User embedding from per-item selections: their gathered rows
+    concatenated item by item, positions 0..T-1 added, encoded and pooled."""
+    x = nm.concat_rows([s.gathered for s in selections])
+    x = nm.add(x, nm.narrow(trans.pos_embeddings, 0, 0, x.data.shape[0]))
+    return weighted_pool(encode_sequence(x, trans), trans.pool_q)
+
+
 def user_embedding_oracle(model, history, sample_index=0):
-    return encode_user(select_history_oracle(model, history, sample_index), model.trans)
+    return encode_user_oracle(select_history_oracle(model, history, sample_index), model.trans)
 
 
 def sample_loss(model, sample, sample_index=0):

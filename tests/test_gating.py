@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gateformer import numerics as nm
-from gateformer.gating import gate_history, heuristic_gate, init_gate_params, select_positions
+from gateformer.gating import gate_history, init_gate_params, select_positions
 from gateformer.numerics import Tape, backward, tensor
 from gateformer.text import TokenSequence, UserHistory, Vocabulary, corpus_stats
 from oracles import (
@@ -377,21 +377,21 @@ class TestHeuristicGate:
     def test_first_k(self):
         p = make_gate(seed=22)
         history = UserHistory([seq_of([3, 4, 5, 6])])
-        sels = heuristic_gate(history, "first", 3, p)
+        sels = gate_history(history, p, 3, "first")
         assert sels[0].positions == [0, 1, 2]
         assert np.allclose(sels[0].weights.data, 1 / 3, atol=1e-15)
 
     def test_first_k_skips_duplicates(self):
         p = make_gate(seed=22)
         history = UserHistory([seq_of([3, 3, 5, 6])])
-        sels = heuristic_gate(history, "first", 3, p)
+        sels = gate_history(history, p, 3, "first")
         assert sels[0].positions == [0, 2, 3]
 
     def test_random_reproducible(self):
         p = make_gate(seed=23)
         history = UserHistory([seq_of([3, 4, 5, 6, 7])])
-        a = heuristic_gate(history, "random", 2, p, rng=np.random.default_rng(5))
-        b = heuristic_gate(history, "random", 2, p, rng=np.random.default_rng(5))
+        a = gate_history(history, p, 2, "random", rng=np.random.default_rng(5))
+        b = gate_history(history, p, 2, "random", rng=np.random.default_rng(5))
         assert a[0].positions == b[0].positions
 
     def test_bm25_matches_hand_ranking(self):
@@ -404,7 +404,7 @@ class TestHeuristicGate:
         }
         stats = corpus_stats(docs)
         p = make_gate(vocab_size=len(vocab), seed=24)
-        sels = heuristic_gate(UserHistory([docs["D1"]]), "bm25", 2, p, stats=stats)
+        sels = gate_history(UserHistory([docs["D1"]]), p, 2, "bm25", stats=stats)
         # hand computation: apple idf=ln(2.5/1.5+1), tf=2, len=3=avg ->
         # w_apple = idf * 2*2.2/(2+1.2) ~= 1.349; banana idf=ln(1.6), tf=1 ->
         # w_banana = 0.470 * 1.0 = 0.470; apple wins, duplicate apple masked
@@ -416,11 +416,11 @@ class TestHeuristicGate:
 
     def test_bm25_requires_stats(self):
         with pytest.raises(ValueError, match="stats"):
-            heuristic_gate(UserHistory([seq_of([3])]), "bm25", 1, make_gate())
+            gate_history(UserHistory([seq_of([3])]), make_gate(), 1, "bm25")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
-            heuristic_gate(UserHistory([seq_of([3])]), "entity", 1, make_gate())
+            gate_history(UserHistory([seq_of([3])]), make_gate(), 1, "entity")
 
 
 class TestAttnUserVariant:
@@ -493,8 +493,9 @@ def oracle_history(rng, vocab_size, word=False):
 
 
 class TestGateMatchesOracle:
-    """gate_history / heuristic_gate (the grouped gate on one history)
-    against the per-item reference gate: positions, values, and gradients
+    """gate_history (the grouped gate on one history), read as a sequence of
+    per-item selections, against the per-item reference gate: positions,
+    values, and gradients
     through the gathered rows."""
 
     @staticmethod
@@ -535,7 +536,46 @@ class TestGateMatchesOracle:
         history = oracle_history(rng, 15)
         stats = corpus_stats({str(i): seq for i, seq in enumerate(history.items)})
         self.assert_match(
-            lambda: heuristic_gate(history, method, 3, p, stats, np.random.default_rng(4)),
+            lambda: gate_history(history, p, 3, method, stats, np.random.default_rng(4)),
             lambda: heuristic_gate_oracle(history, method, 3, p, stats, np.random.default_rng(4)),
             p,
         )
+
+
+class TestGroupedSelectionSequence:
+    """gate_history's result reads as a read-only sequence of per-item
+    selections, each narrowed out of the grouped rows."""
+
+    def test_len_indexing_and_iteration_match_oracle(self):
+        rng = np.random.default_rng(33)
+        p = make_gate(vocab_size=15, seed=33)
+        history = oracle_history(rng, 15)
+        gated = gate_history(history, p, 3)
+        ref = gate_history_oracle(history, p, 3)
+        n = len(history.items)
+        assert len(gated) == len(ref) == n
+
+        def same(a, b):
+            assert a.positions == b.positions and a.k_eff == b.k_eff
+            for part in ("raw_scores", "weights", "gathered"):
+                assert rel_err(getattr(a, part).data, getattr(b, part).data) < 1e-12, part
+
+        for i in range(n):
+            same(gated[i], ref[i])
+            same(gated[i - n], ref[i])
+        for a, b in zip(gated, ref, strict=True):
+            same(a, b)
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                gated[bad]
+
+    def test_items_tile_the_grouped_rows_and_read_only(self):
+        rng = np.random.default_rng(34)
+        p = make_gate(vocab_size=15, seed=34)
+        gated = gate_history(oracle_history(rng, 15), p, 3)
+        assert np.array_equal(np.concatenate([s.gathered.data for s in gated]), gated.rows.data)
+        assert np.array_equal(np.concatenate([s.weights.data for s in gated]), gated.weights.data)
+        with pytest.raises(AttributeError):
+            gated.rows = gated.weights
+        with pytest.raises(TypeError):
+            gated[0] = gated[1]

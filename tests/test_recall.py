@@ -253,6 +253,22 @@ class TestRecallSparse:
             for n in (1, 7, len(docs) + 5):
                 assert recall_sparse(idx, q, n) == bm25_rank_oracle(terms, pairs, n)
 
+    def test_ties_across_the_cut_match_rank_oracle(self):
+        # 3 docs tied at the top, 6 tied below them, 2 below those and 3 that
+        # hold no query token, under shuffled ids; every n from 1 to past the
+        # 11 touched docs puts the n-th place before, at either edge of,
+        # inside and after a tied run
+        items = [[3, 4, 4]] * 3 + [[3, 5]] * 6 + [[3, 6, 6, 6]] * 2 + [[7, 8]] * 3
+        names = np.random.default_rng(9).permutation(len(items)).tolist()
+        docs = {f"T{j:02d}": seq_of(ids) for j, ids in zip(names, items)}
+        idx = build_index(docs)
+        terms = {d: list(s.ids) for d, s in docs.items()}
+        pairs = [(3, 1.0), (4, 1.0)]
+        q = UserQuery.from_pairs(pairs)
+        for n in range(1, 14):
+            assert recall_sparse(idx, q, n) == bm25_rank_oracle(terms, pairs, n)
+        assert len(recall_sparse(idx, q, 13)) == 11
+
     def test_duplicate_docs_tie_broken_by_id(self):
         idx = build_index({"C": seq_of([3, 4]), "A": seq_of([3, 4]), "B": seq_of([3, 9])})
         assert recall_sparse(idx, UserQuery.from_pairs([(3, 1.0), (4, 1.0)]), 3) == ["A", "C", "B"]

@@ -22,6 +22,7 @@ from gateformer.training import (
     lr_at,
     mrr_score,
     ndcg_at_k,
+    select_history,
     split_samples,
     train,
     user_embedding,
@@ -34,7 +35,17 @@ from gateformer.transformer import (
     load_checkpoint,
     save_checkpoint,
 )
-from oracles import auc_oracle, evaluate_oracle, mrr_oracle, ndcg_oracle, rel_err, sample_loss
+from oracles import (
+    auc_oracle,
+    encode_user_oracle,
+    evaluate_oracle,
+    mrr_oracle,
+    ndcg_oracle,
+    rel_err,
+    sample_loss,
+    select_history_oracle,
+    user_embedding_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +57,14 @@ def tiny_corpus():
     )
 
 
-def tiny_model(corpus, method="learned", seed=0, k=2, granularity="token"):
+def tiny_model(corpus, method="learned", seed=0, k=2, granularity="token", user_encoder="lstm"):
     from gateformer.text import corpus_stats
 
     return init_model(
         vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
         max_positions=30, n_filters=8, window=1, seed=seed, k=k,
-        gate_method=method, granularity=granularity, stats=corpus_stats(corpus.news),
+        gate_method=method, user_encoder=user_encoder, granularity=granularity,
+        stats=corpus_stats(corpus.news),
     )
 
 
@@ -276,6 +288,47 @@ class TestUserKeywords:
         for tok, w in pairs:
             assert tok in hist_tokens
             assert w > 0
+
+
+class TestPerSampleMatchesOracle:
+    """user_embedding encodes the grouped gate's rows as they are. That is
+    bit for bit the per-item concatenation of the gate's own selections, and
+    the reference gate's embedding: bit for bit under the heuristic
+    selectors, whose weights are constants, and within 1e-12 under the
+    learned one, whose scores the reference computes in other ops.
+    user_keywords gives the reference gate's (token, weight) pairs."""
+
+    @pytest.mark.parametrize("method,encoder,granularity", [
+        ("learned", "lstm", "token"),
+        ("learned", "attn", "token"),
+        ("learned", "lstm", "word"),
+        ("learned", "attn", "word"),
+        ("first", "lstm", "token"),
+        ("bm25", "lstm", "token"),
+        ("random", "attn", "token"),
+    ])
+    def test_embedding_and_keywords(self, tiny_corpus, method, encoder, granularity):
+        model = tiny_model(tiny_corpus, method, granularity=granularity, user_encoder=encoder)
+        samples = tiny_corpus.samples[:6]
+        if granularity == "word":
+            samples = [two_token_words(s) for s in samples]
+        exact = method != "learned"
+        for i, s in enumerate(samples):
+            u = user_embedding(model, s.history, i).data
+            concat = encode_user_oracle(select_history(model, s.history, i), model.trans)
+            assert np.array_equal(u, concat.data)
+            ref = user_embedding_oracle(model, s.history, i).data
+            assert np.array_equal(u, ref) if exact else rel_err(u, ref) < 1e-12
+
+            want = [
+                (seq.ids[pos], float(w))
+                for seq, sel in zip(s.history.items, select_history_oracle(model, s.history, i))
+                for pos, w in zip(sel.positions, sel.weights.data)
+            ]
+            got = user_keywords(model, s.history, i)
+            assert [tok for tok, _ in got] == [tok for tok, _ in want]
+            got_w, want_w = np.array([w for _, w in got]), np.array([w for _, w in want])
+            assert np.array_equal(got_w, want_w) if exact else rel_err(got_w, want_w) < 1e-12
 
 
 class TestTrainLoop:

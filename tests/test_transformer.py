@@ -7,7 +7,7 @@ import pytest
 
 from gateformer import numerics as nm
 from gateformer import transformer
-from gateformer.gating import GateSelection, gate_history, init_gate_params
+from gateformer.gating import gate_history, init_gate_params
 from gateformer.numerics import Tape, backward, constant, gather_rows, tensor
 from gateformer.text import TokenSequence, UserHistory
 from gateformer.transformer import (
@@ -46,34 +46,26 @@ def make_params(vocab=16, d=4, layers=1, heads=2, p_max=24, seed=0):
     return init_transformer_params(emb, layers, heads, p_max, rng)
 
 
-def manual_selection(seq, params, weights=None):
-    """A GateSelection covering the whole item, built without the gate."""
-    L = len(seq)
-    w = np.ones(L) if weights is None else np.asarray(weights, dtype=float)
-    gathered = gather_rows(params.word_embeddings, seq.ids)
-    scaled = nm.mul(gathered, constant(w[:, None]))
-    return GateSelection(
-        positions=list(range(L)),
-        raw_scores=constant(np.zeros(L)),
-        weights=constant(w),
-        gathered=scaled,
-    )
+def manual_rows(seq, params, weights=None):
+    """Weight-scaled embedding rows of a whole item, built without the gate."""
+    w = np.ones(len(seq)) if weights is None else np.asarray(weights, dtype=float)
+    return nm.mul(gather_rows(params.word_embeddings, seq.ids), constant(w[:, None]))
 
 
 class TestEncodeUser:
     def test_single_token_is_its_encoded_position(self):
         p = make_params(seed=1)
-        sel = manual_selection(seq_of([5]), p)
-        out = encode_user([sel], p)
-        x = nm.add(sel.gathered, nm.narrow(p.pos_embeddings, 0, 0, 1))
+        rows = manual_rows(seq_of([5]), p)
+        out = encode_user(rows, p)
+        x = nm.add(rows, nm.narrow(p.pos_embeddings, 0, 0, 1))
         expected = encode_sequence(x, p).data[0]
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_zero_layers_pools_inputs_directly(self):
         p = make_params(layers=0, seed=2)
-        sel = manual_selection(seq_of([3, 7, 9]), p)
-        out = encode_user([sel], p)
-        x = sel.gathered.data + p.pos_embeddings.data[:3]
+        rows = manual_rows(seq_of([3, 7, 9]), p)
+        out = encode_user(rows, p)
+        x = rows.data + p.pos_embeddings.data[:3]
         alpha = softmax_oracle(x @ p.pool_q.data)
         assert rel_err(out.data, alpha @ x) < 1e-12
 
@@ -81,31 +73,34 @@ class TestEncodeUser:
         rng = np.random.default_rng(3)
         p = make_params(seed=3)
         items = [seq_of([4, 8, 2]), seq_of([11, 5, 9])]
-        sels = [
-            manual_selection(items[0], p, weights=softmax_oracle(rng.normal(size=3))),
-            manual_selection(items[1], p, weights=softmax_oracle(rng.normal(size=3))),
+        parts = [
+            manual_rows(items[0], p, weights=softmax_oracle(rng.normal(size=3))),
+            manual_rows(items[1], p, weights=softmax_oracle(rng.normal(size=3))),
         ]
-        out = encode_user(sels, p)
-        x_np = np.concatenate([s.gathered.data for s in sels]) + p.pos_embeddings.data[:6]
+        out = encode_user(nm.concat_rows(parts), p)
+        x_np = np.concatenate([r.data for r in parts]) + p.pos_embeddings.data[:6]
         encoded = encode_sequence(tensor(x_np), p)
         expected = weighted_pool(encoded, p.pool_q)
         assert rel_err(out.data, expected.data) < 1e-12
 
     def test_ragged_item_lengths_allowed(self):
+        # the gate's rows for items keeping 2 and 1 tokens encode as they are
         p = make_params(seed=4)
-        sels = [manual_selection(seq_of([4, 8]), p), manual_selection(seq_of([1]), p)]
-        out = encode_user(sels, p)
+        gate = init_gate_params(p.word_embeddings, 3, 1, np.random.default_rng(4))
+        gated = gate_history(UserHistory([seq_of([4, 8]), seq_of([1])]), gate, 2)
+        assert [s.k_eff for s in gated] == [2, 1]
+        out = encode_user(gated.rows, p)
         assert out.data.shape == (p.d,)
 
     def test_empty_selection_rejected(self):
         p = make_params(seed=5)
         with pytest.raises(ValueError, match="selected token"):
-            encode_user([], p)
+            encode_user(constant(np.zeros((0, p.d))), p)
 
     def test_position_capacity_enforced(self):
         p = make_params(p_max=2, seed=6)
         with pytest.raises(ValueError, match="max positions"):
-            encode_user([manual_selection(seq_of([1, 2, 3]), p)], p)
+            encode_user(manual_rows(seq_of([1, 2, 3]), p), p)
 
 
 class TestWeightedPool:
@@ -147,7 +142,7 @@ class TestEncodeCandidate:
         # transformer the same input the candidate path builds
         p = make_params(seed=9)
         seq = seq_of([2, 6, 10, 14])
-        user_emb = encode_user([manual_selection(seq, p)], p)
+        user_emb = encode_user(manual_rows(seq, p), p)
         cand_emb = encode_candidate(seq, p)
         assert np.allclose(user_emb.data, cand_emb.data, atol=1e-14)
 
@@ -288,11 +283,10 @@ class TestTransformerInvariants:
     def test_parameter_sharing_mutation_changes_both_sides(self):
         p = make_params(seed=14)
         seq = seq_of([3, 5])
-        sel_before = manual_selection(seq, p)
-        user_before = encode_user([sel_before], p).data.copy()
+        user_before = encode_user(manual_rows(seq, p), p).data.copy()
         cand_before = encode_candidate(seq, p).data.copy()
         p.pool_q.data[...] += 0.37
-        assert not np.allclose(encode_user([manual_selection(seq, p)], p).data, user_before)
+        assert not np.allclose(encode_user(manual_rows(seq, p), p).data, user_before)
         assert not np.allclose(encode_candidate(seq, p).data, cand_before)
 
     def test_fixed_seed_forward_backward_bit_reproducible(self):
@@ -301,7 +295,7 @@ class TestTransformerInvariants:
             emb = tensor(rng.normal(size=(10, 4)), requires_grad=True)
             p = init_transformer_params(emb, 1, 2, 12, rng)
             with Tape() as tape:
-                u = encode_user([manual_selection(seq_of([1, 2, 3]), p)], p)
+                u = encode_user(manual_rows(seq_of([1, 2, 3]), p), p)
                 c = encode_candidate(seq_of([4, 5]), p)
                 loss = click_loss(u, c, [encode_candidate(seq_of([6]), p)])
             backward(tape, loss)
@@ -367,9 +361,9 @@ class TestEndToEndGradient:
             def build():
                 total = None
                 for (history, pos, negs), expect in zip(batch, baselines):
-                    sels = gate_history(history, gate, k)
-                    assert [s.positions for s in sels] == expect
-                    u = encode_user(sels, trans)
+                    gated = gate_history(history, gate, k)
+                    assert [s.positions for s in gated] == expect
+                    u = encode_user(gated.rows, trans)
                     loss = click_loss(
                         u, encode_candidate(pos, trans),
                         [encode_candidate(n, trans) for n in negs],
