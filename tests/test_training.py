@@ -331,6 +331,35 @@ class TestPerSampleMatchesOracle:
             assert np.array_equal(got_w, want_w) if exact else rel_err(got_w, want_w) < 1e-12
 
 
+class TestUserEmbeddingCalls:
+    def test_calls_the_names_perfbench_wraps(self, tiny_corpus, monkeypatch):
+        # perfbench/tracing.py replaces training.gate_history and
+        # training.encode_user and reads per-item k_eff from the gate's result
+        from gateformer import training
+
+        calls = []
+
+        def spy(name):
+            original = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls.append((name, args[0], result))
+                return result
+
+            monkeypatch.setattr(training, name, wrapper)
+
+        spy("gate_history")
+        spy("encode_user")
+        model = tiny_model(tiny_corpus)
+        history = tiny_corpus.samples[0].history
+        u = user_embedding(model, history, 0)
+        assert [name for name, _, _ in calls] == ["gate_history", "encode_user"]
+        (_, first, gated), (_, _, out) = calls
+        assert first is history and out is u
+        assert [s.k_eff for s in gated] == [len(p) for p in gated.positions]
+
+
 class TestTrainLoop:
     def test_zero_steps_saves_initial_checkpoint(self, tiny_corpus, tmp_path):
         model = tiny_model(tiny_corpus)
