@@ -216,17 +216,6 @@ class GroupedSelection(Sequence):
         )
 
 
-def assemble_rows(chunks: list[Tensor], order: np.ndarray) -> Tensor:
-    """Concatenate row chunks and permute rows back to their global order.
-
-    ``order[r]`` is the global index of concatenated row r.
-    """
-    stacked = chunks[0] if len(chunks) == 1 else nm.concat_rows(chunks)
-    if np.array_equal(order, np.arange(len(order))):
-        return stacked
-    return gather_rows(stacked, np.argsort(order))
-
-
 def word_average_matrix(word_groups) -> np.ndarray:
     """(..., L, L) row-averaging matrices for (..., L) word groups: entry
     [j, k] is 1/n when tokens j and k belong to the same n-token word."""
@@ -302,7 +291,7 @@ def _interest_scores(
         mask = None if valid.all() else np.where(valid, 0.0, NEG_MASK)
         pooled_chunks.append(nm.attention_pool(ctx3, params.pool_v, mask))
         ctxs.append(ctx3)
-    pooled = assemble_rows(pooled_chunks, np.concatenate([m for m, _ in groups]))
+    pooled = nm.assemble_rows(pooled_chunks, np.concatenate([m for m, _ in groups]))
 
     # user interest, per count of items: the LSTM's last state or attention pooling
     n_items = np.array([len(h) for h in histories])
@@ -321,7 +310,7 @@ def _interest_scores(
             u = nm.lstm_last(stacked, params.lstm)
         u_chunks.append(u)
         u_order.append(hs)
-    interest = assemble_rows(u_chunks, np.concatenate(u_order))
+    interest = nm.assemble_rows(u_chunks, np.concatenate(u_order))
 
     # cosine scores of each item's (G, L) context rows against its history's
     # interest vector, gathered as a (G, 1) row; word granularity first
@@ -409,8 +398,8 @@ def gate_groups(
             row_order.append((offsets[members[rows]][:, None] + np.arange(kk)).ravel())
     row_order = np.concatenate(row_order)
     return GroupedSelection(
-        rows=assemble_rows(row_chunks, row_order),
-        weights=assemble_rows(weight_chunks, row_order),
+        rows=nm.assemble_rows(row_chunks, row_order),
+        weights=nm.assemble_rows(weight_chunks, row_order),
         positions=positions,
         offsets=offsets,
         item_start=np.concatenate([[0], np.cumsum([len(h) for h in histories])]),

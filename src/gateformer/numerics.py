@@ -75,6 +75,7 @@ __all__ = [
     "layer_norm",
     "gather_rows",
     "concat_rows",
+    "assemble_rows",
     "narrow",
     "reshape",
     "transpose",
@@ -983,6 +984,19 @@ def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(grads)
 
     return _make(data, tuple(parts), bwd)
+
+
+def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
+    """Concatenate row chunks and permute rows back to their global order.
+
+    ``order[r]`` is the global index of concatenated row r. One chunk in
+    global order comes back as it is, with no tape node.
+    """
+    stacked = chunks[0] if len(chunks) == 1 else concat_rows(chunks)
+    order = np.asarray(order)
+    if np.array_equal(order, np.arange(len(order))):
+        return stacked
+    return gather_rows(stacked, np.argsort(order))
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:

@@ -2,14 +2,16 @@
 
 A model is the gate plus the transformer sharing one word-embedding table.
 A training step records one tape for the whole batch: ``batch_loss`` runs
-the grouped gate (:func:`gating.gate_groups`) and both encoders on grouped
-tensors, with samples grouped by negative count. Tests pin it to a
-per-sample reference loss built from the oracle gate. Its ops and their
-reductions run in a fixed order, so runs are bit-reproducible for a fixed
-seed. Evaluation runs the same batched encoders without a tape and reads
-candidate rows through the model's :class:`ItemStore`, which keeps them
-while the encoder's parameters are unchanged. Validation AUC selects the
-checkpoint that is kept.
+the grouped gate (:func:`gating.gate_groups`) and both sides of the
+transformer on grouped tensors, each through one
+:func:`transformer.encode_sequences` call (the users' gated rows, and the
+candidates' distinct token ids), with samples grouped by negative count.
+Tests pin it to a per-sample reference loss built from the oracle gate. Its
+ops and their reductions run in a fixed order, so runs are bit-reproducible
+for a fixed seed. Evaluation runs the same batched encoders without a tape
+and reads candidate rows through the model's :class:`ItemStore`, which
+keeps them while the encoder's parameters are unchanged. Validation AUC
+selects the checkpoint that is kept.
 """
 
 from __future__ import annotations
@@ -23,21 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .gating import (
-    GateParams,
-    GroupedSelection,
-    assemble_rows,
-    gate_groups,
-    gate_history,
-    init_gate_params,
-)
+from .gating import GateParams, GroupedSelection, gate_groups, gate_history, init_gate_params
 from .numerics import Tape, Tensor, backward, tensor
 from .text import CorpusStats, ImpressionSample, TokenSequence, UserHistory
-from .transformer import (
+# encode_candidate, encode_sequence and weighted_pool are not called here:
+# perfbench/tracing.py wraps them under these names
+from .transformer import (  # noqa: F401
     TransformerParams,
     encode_candidate,
     encode_candidates,
     encode_sequence,
+    encode_sequences,
     encode_user,
     init_transformer_params,
     save_checkpoint,
@@ -141,12 +139,16 @@ def init_model(
     return Model(gate=gate, trans=trans, k=k, gate_method=gate_method, stats=stats, seed=seed)
 
 
+def sample_rng(model: Model, sample_index: int) -> np.random.Generator:
+    """The random selector's draws for one sample, keyed to the model seed
+    and the sample index so they are stable across epochs."""
+    return np.random.default_rng([model.seed, 7919, sample_index])
+
+
 def select_history(model: Model, history: UserHistory, sample_index: int = 0) -> GroupedSelection:
-    """Selection policy dispatch; heuristic randomness is derived from the
-    model seed and the sample index so it is stable across epochs."""
-    rng = None
-    if model.gate_method == "random":
-        rng = np.random.default_rng([model.seed, 7919, sample_index])
+    """Selection policy dispatch; the random selector draws from
+    :func:`sample_rng`."""
+    rng = sample_rng(model, sample_index) if model.gate_method == "random" else None
     return gate_history(history, model.gate, model.k, model.gate_method, model.stats, rng)
 
 
@@ -190,7 +192,7 @@ def batch_user_embeddings(
     seen: dict[tuple, int] = {}
     for idx, h in zip(sample_indices, histories):
         if model.gate_method == "random":
-            rngs.append(np.random.default_rng([model.seed, 7919, idx]))
+            rngs.append(sample_rng(model, idx))
         else:
             key = tuple(
                 (tuple(seq.ids), tuple(seq.word_group)) if word else tuple(seq.ids)
@@ -206,23 +208,8 @@ def batch_user_embeddings(
     gated = gate_groups(
         unique, model.gate, model.k, model.gate_method, model.stats, rngs or None
     )
-    spans = gated.spans()
-    trans = model.trans
-    by_t: dict[int, list[int]] = {}
-    for u_i, (_, length) in enumerate(spans):
-        by_t.setdefault(length, []).append(u_i)
-    chunks, order = [], []
-    for T in sorted(by_t):
-        mem = by_t[T]
-        flat = np.concatenate([np.arange(spans[u][0], spans[u][0] + T) for u in mem])
-        seq3 = nm.reshape(nm.gather_rows(gated.rows, flat), (len(mem), T, trans.d))
-        if T > trans.max_positions:
-            raise ValueError(f"sequence length {T} exceeds max positions {trans.max_positions}")
-        x = nm.add(seq3, nm.narrow(trans.pos_embeddings, 0, 0, T))
-        encoded = encode_sequence(x, trans)
-        chunks.append(weighted_pool(encoded, trans.pool_q))
-        order.extend(mem)
-    users_unique = assemble_rows(chunks, np.array(order))
+    index = [np.arange(start, start + length) for start, length in gated.spans()]
+    users_unique = encode_sequences(gated.rows, index, model.trans)
     if mapping == list(range(len(histories))):
         return users_unique
     return nm.gather_rows(users_unique, mapping)

@@ -4,12 +4,15 @@ The user side encodes the gated (weight-scaled) token embeddings of the
 whole history, item by item in the order the gate's
 :class:`gating.GroupedSelection` holds them, with learned positions assigned
 globally over that sequence; the candidate side encodes the full, ungated
-token sequence. Both pool to a single vector with a learned query
-(weighted pooling aggregation, one :func:`numerics.attention_pool` node) and
-share every parameter, including the word embedding table, which the gate
-shares too. A pre-norm layer is :func:`numerics.layer_norm`,
-:func:`numerics.attention`, residual add, layer norm,
-:func:`numerics.feed_forward`, residual add: six tape nodes.
+token sequence. Both sides run through :func:`encode_sequences`, which takes
+each sequence as row indices into a table (the gated rows, or the word
+embeddings), encodes sequences of equal length as one stack and pools each
+to a single vector with a learned query (weighted pooling aggregation, one
+:func:`numerics.attention_pool` node). The two sides share every parameter,
+including the word embedding table, which the gate shares too. A pre-norm
+layer is :func:`numerics.layer_norm`, :func:`numerics.attention`, residual
+add, layer norm, :func:`numerics.feed_forward`, residual add: six tape
+nodes.
 
 Checkpoint format: ``<prefix>.manifest.json`` (sorted tensor names, shapes,
 byte offsets, total bytes and the blob's sha256) plus ``<prefix>.bin``
@@ -25,13 +28,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor, constant, gather_rows, tensor
+from .numerics import Tensor, gather_rows, tensor
 from .text import TokenSequence
 
 
@@ -175,104 +178,77 @@ def weighted_pool(x: Tensor, query: Tensor) -> Tensor:
     return nm.attention_pool(x, query)
 
 
-def _with_positions(x: Tensor, params: TransformerParams) -> Tensor:
-    n = x.data.shape[0]
-    if n > params.max_positions:
-        raise ValueError(
-            f"sequence length {n} exceeds max positions {params.max_positions}"
-        )
-    return nm.add(x, nm.narrow(params.pos_embeddings, 0, 0, n))
+def encode_sequences(table: Tensor, index, params: TransformerParams) -> Tensor:
+    """(n, d) embeddings of n sequences, each given as row indices into ``table``.
 
-
-def encode_user(rows: Tensor, params: TransformerParams) -> Tensor:
-    """User embedding from one history's (T, d) gated rows.
-
-    Positions 0..T-1 are added to the rows as they are (a
-    :class:`gating.GroupedSelection`'s ``rows`` for one history), and the
-    encoded rows are weight-pooled.
+    Sequences of equal length L run through the encoder as one (G, L, d)
+    stack: their rows gathered out of ``table`` (or ``table`` reshaped, when
+    the stack reads every row of it in order), positions 0..L-1 added, the
+    layer stack run and each sequence weight-pooled. Rows come back in input
+    order. An empty sequence, or one longer than the position table, raises
+    ``ValueError``.
     """
-    if rows.data.shape[0] == 0:
-        raise ValueError("encode_user needs at least one selected token")
-    encoded = encode_sequence(_with_positions(rows, params), params)
-    return weighted_pool(encoded, params.pool_q)
-
-
-def encode_candidate(seq: TokenSequence, params: TransformerParams) -> Tensor:
-    """Candidate embedding from the full (ungated) token sequence."""
-    if len(seq) < 1:
-        raise ValueError("cannot encode an empty candidate")
-    emb = gather_rows(params.word_embeddings, seq.ids)
-    x = _with_positions(emb, params)
-    encoded = encode_sequence(x, params)
-    return weighted_pool(encoded, params.pool_q)
-
-
-def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> Tensor:
-    """All candidate embeddings as one (B, d) tensor, batching equal-length
-    sequences through the encoder together. Same math as
-    :func:`encode_candidate` per row, far fewer ops.
-
-    A candidate's embedding depends only on its token ids, so each distinct
-    id sequence is encoded once and its row gathered to every input position
-    holding it; the gather sums the gradients of repeated rows.
-    """
-    if not seqs:
-        raise ValueError("no candidate sequences")
-    row_of: dict[tuple[int, ...], int] = {}
-    unique: list[TokenSequence] = []
-    mapping: list[int] = []
-    for seq in seqs:
-        if len(seq) < 1:
-            raise ValueError("cannot encode an empty candidate")
-        key = tuple(seq.ids)
-        row = row_of.get(key)
-        if row is None:
-            row = row_of[key] = len(unique)
-            unique.append(seq)
-        mapping.append(row)
     by_len: dict[int, list[int]] = {}
-    for u, seq in enumerate(unique):
-        by_len.setdefault(len(seq), []).append(u)
-    chunks = []
-    order: list[int] = []
+    for i, rows in enumerate(index):
+        by_len.setdefault(len(rows), []).append(i)
+    if not by_len:
+        raise ValueError("no sequences to encode")
+    chunks, order = [], []
     for L in sorted(by_len):
-        members = by_len[L]
-        ids = np.array([unique[u].ids for u in members], dtype=np.intp)
-        emb = gather_rows(params.word_embeddings, ids)          # (G, L, d)
+        if L < 1:
+            raise ValueError("cannot encode an empty sequence")
         if L > params.max_positions:
             raise ValueError(
                 f"sequence length {L} exceeds max positions {params.max_positions}"
             )
-        x = nm.add(emb, nm.narrow(params.pos_embeddings, 0, 0, L))
-        encoded = encode_sequence(x, params)
-        chunks.append(weighted_pool(encoded, params.pool_q))    # (G, d)
+        members = by_len[L]
+        ids = np.array([index[i] for i in members], dtype=np.intp)      # (G, L)
+        if ids.size == len(table.data) and np.array_equal(ids.ravel(), np.arange(ids.size)):
+            x = nm.reshape(table, (len(members), L, params.d))
+        else:
+            x = gather_rows(table, ids)
+        x = nm.add(x, nm.narrow(params.pos_embeddings, 0, 0, L))
+        chunks.append(weighted_pool(encode_sequence(x, params), params.pool_q))
         order.extend(members)
-    stacked = chunks[0] if len(chunks) == 1 else nm.concat_rows(chunks)
-    # stacked row r holds unique sequence order[r]; input i wants mapping[i]
-    index = np.argsort(order)[mapping]
-    if np.array_equal(index, np.arange(len(seqs))):
-        return stacked
-    return gather_rows(stacked, index)
+    return nm.assemble_rows(chunks, order)
 
 
-def score(user: Tensor, cand: Tensor) -> Tensor:
-    """Scaled inner product z = <u, c> / sqrt(d)."""
-    if user.data.shape != cand.data.shape:
-        raise ValueError(
-            f"score dim mismatch: {user.data.shape} vs {cand.data.shape}"
-        )
-    d = user.data.shape[0]
-    return nm.mul(nm.dot(user, cand), 1.0 / math.sqrt(d))
+def encode_user(rows: Tensor, params: TransformerParams) -> Tensor:
+    """User embedding from one history's (T, d) gated rows (a
+    :class:`gating.GroupedSelection`'s ``rows`` for one history), encoded
+    as one sequence by :func:`encode_sequences`."""
+    T = rows.data.shape[0]
+    if T == 0:
+        raise ValueError("encode_user needs at least one selected token")
+    return nm.reshape(encode_sequences(rows, [np.arange(T)], params), (params.d,))
 
 
-def click_loss(user: Tensor, positive: Tensor, negatives: list[Tensor]) -> Tensor:
-    """Sampled-softmax click loss: -log p(positive | positive + negatives)."""
-    if not negatives:
-        raise ValueError("click_loss needs at least one negative")
-    z_pos = score(user, positive)
-    zs = [z_pos] + [score(user, n) for n in negatives]
-    stacked = nm.concat_rows([nm.reshape(z, (1,)) for z in zs])
-    return nm.sub(nm.logsumexp(stacked), z_pos)
+def encode_candidate(seq: TokenSequence, params: TransformerParams) -> Tensor:
+    """Candidate embedding from the full (ungated) token sequence."""
+    return nm.reshape(encode_candidates([seq], params), (params.d,))
+
+
+def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> Tensor:
+    """All candidate embeddings as one (B, d) tensor, from the full (ungated)
+    token sequences.
+
+    A candidate's embedding depends only on its token ids, so each distinct
+    id sequence is encoded once by :func:`encode_sequences` over the word
+    embeddings and its row gathered to every input position holding it; the
+    gather sums the gradients of repeated rows.
+    """
+    if any(len(seq) < 1 for seq in seqs):
+        raise ValueError("cannot encode an empty candidate")
+    keys = [tuple(seq.ids) for seq in seqs]
+    # distinct sequences in the order encode_sequences stacks them (by length,
+    # then first occurrence), so its rows need no reordering
+    unique = sorted(dict.fromkeys(keys), key=len)
+    row_of = {key: r for r, key in enumerate(unique)}
+    mapping = [row_of[key] for key in keys]
+    rows = encode_sequences(params.word_embeddings, unique, params)
+    if mapping == list(range(len(seqs))):
+        return rows
+    return gather_rows(rows, mapping)
 
 
 # ---------------------------------------------------------------------------

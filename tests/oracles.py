@@ -14,7 +14,7 @@ from gateformer.gating import GateSelection, heuristic_scores
 from gateformer.numerics import Tape, backward, constant, gather_rows
 from gateformer.recall import bm25_term_weight
 from gateformer.text import PAD_ID
-from gateformer.transformer import click_loss, encode_candidate, encode_sequence, weighted_pool
+from gateformer.transformer import encode_sequence, weighted_pool
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -209,15 +209,15 @@ def ndcg_oracle(scores, labels, k: int) -> float:
 
 def evaluate_oracle(model, samples) -> tuple:
     """Mean (AUC, MRR, NDCG@5, NDCG@10) one impression at a time: a user
-    embedding through the reference gate, then one encode_candidate call per candidate,
-    cached by news id where the sample has ids."""
+    embedding through the reference gate, then one encode_candidate_oracle
+    call per candidate, cached by news id where the sample has ids."""
     cache = {}
 
     def cand(seq, item_id):
         if not item_id:
-            return encode_candidate(seq, model.trans).data
+            return encode_candidate_oracle(seq, model.trans).data
         if item_id not in cache:
-            cache[item_id] = encode_candidate(seq, model.trans).data
+            cache[item_id] = encode_candidate_oracle(seq, model.trans).data
         return cache[item_id]
 
     rows = []
@@ -458,21 +458,52 @@ def select_history_oracle(model, history, sample_index=0):
                                  model.stats, rng)
 
 
-def encode_user_oracle(selections, trans):
-    """User embedding from per-item selections: their gathered rows
-    concatenated item by item, positions 0..T-1 added, encoded and pooled."""
-    x = nm.concat_rows([s.gathered for s in selections])
+def encode_rows_oracle(x, trans):
+    """One (T, d) sequence on its own: positions 0..T-1 added, encoded and
+    pooled."""
     x = nm.add(x, nm.narrow(trans.pos_embeddings, 0, 0, x.data.shape[0]))
     return weighted_pool(encode_sequence(x, trans), trans.pool_q)
+
+
+def encode_user_oracle(selections, trans):
+    """User embedding from per-item selections: their gathered rows
+    concatenated item by item, then encoded as one sequence."""
+    return encode_rows_oracle(nm.concat_rows([s.gathered for s in selections]), trans)
+
+
+def encode_candidate_oracle(seq, trans):
+    """Candidate embedding of one full token sequence, encoded on its own."""
+    return encode_rows_oracle(gather_rows(trans.word_embeddings, seq.ids), trans)
 
 
 def user_embedding_oracle(model, history, sample_index=0):
     return encode_user_oracle(select_history_oracle(model, history, sample_index), model.trans)
 
 
+def score(user, cand):
+    """Scaled inner product z = <u, c> / sqrt(d) of one user and one candidate."""
+    if user.data.shape != cand.data.shape:
+        raise ValueError(
+            f"score dim mismatch: {user.data.shape} vs {cand.data.shape}"
+        )
+    d = user.data.shape[0]
+    return nm.mul(nm.dot(user, cand), 1.0 / math.sqrt(d))
+
+
+def click_loss(user, positive, negatives):
+    """Sampled-softmax click loss of one impression:
+    -log p(positive | positive + negatives)."""
+    if not negatives:
+        raise ValueError("click_loss needs at least one negative")
+    z_pos = score(user, positive)
+    zs = [z_pos] + [score(user, n) for n in negatives]
+    stacked = nm.concat_rows([nm.reshape(z, (1,)) for z in zs])
+    return nm.sub(nm.logsumexp(stacked), z_pos)
+
+
 def sample_loss(model, sample, sample_index=0):
     """Click loss of one impression: reference gate, per-candidate encoder."""
     user = user_embedding_oracle(model, sample.history, sample_index)
-    pos = encode_candidate(sample.positive, model.trans)
-    negs = [encode_candidate(n, model.trans) for n in sample.negatives]
+    pos = encode_candidate_oracle(sample.positive, model.trans)
+    negs = [encode_candidate_oracle(n, model.trans) for n in sample.negatives]
     return click_loss(user, pos, negs)

@@ -466,6 +466,26 @@ class TestGatherRows:
             gather_rows(tensor(np.zeros((3, 2))), indices)
 
 
+class TestAssembleRows:
+    def test_one_chunk_in_order_adds_no_tape_node(self):
+        chunk = tensor(rng(610).normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = nm.assemble_rows([chunk], np.arange(4))
+        assert out is chunk and len(tape) == 0
+
+    def test_permuted_order_restored(self):
+        r = rng(611)
+        chunks = [tensor(r.normal(size=(2, 3)), requires_grad=True),
+                  tensor(r.normal(size=(3, 3)), requires_grad=True)]
+        order = np.array([3, 0, 4, 1, 2])        # concatenated row r is global row order[r]
+        out = nm.assemble_rows(chunks, order)
+        stacked = np.concatenate([ch.data for ch in chunks])
+        assert np.array_equal(out.data[order], stacked)
+        c = r.normal(size=(5, 3))
+        grads = autodiff_grads(lambda: vsum(mul(nm.assemble_rows(chunks, order), tensor(c))), chunks)
+        assert np.array_equal(np.concatenate(grads), c[order])
+
+
 class TestCosine:
     def test_self_similarity_is_one(self):
         v = tensor([3.0, -4.0, 1.0])

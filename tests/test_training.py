@@ -266,6 +266,19 @@ class TestBatchEquivalence:
         assert np.array_equal(out.data[0], out.data[1])
         assert np.array_equal(out.data[0], out.data[3])
 
+    def test_position_capacity_enforced(self, tiny_corpus):
+        # three items keeping two tokens each need six positions
+        from gateformer.text import corpus_stats
+
+        model = init_model(
+            vocab_size=len(tiny_corpus.vocab), d=16, n_layers=1, heads=2,
+            max_positions=4, n_filters=8, window=1, seed=0, k=2,
+            stats=corpus_stats(tiny_corpus.news),
+        )
+        hists = [s.history for s in tiny_corpus.samples[:3]]
+        with pytest.raises(ValueError, match="max positions"):
+            batch_user_embeddings(model, hists, [0, 1, 2])
+
     def test_mixed_history_lengths(self, tiny_corpus):
         from gateformer.text import UserHistory
 

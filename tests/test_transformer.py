@@ -12,24 +12,26 @@ from gateformer.numerics import Tape, backward, constant, gather_rows, tensor
 from gateformer.text import TokenSequence, UserHistory
 from gateformer.transformer import (
     apply_checkpoint,
-    click_loss,
     encode_candidate,
     encode_candidates,
     encode_sequence,
+    encode_sequences,
     encode_user,
     init_transformer_params,
     load_checkpoint,
     save_checkpoint,
-    score,
     weighted_pool,
 )
 from oracles import (
     attention_pool_oracle,
     autodiff_grads,
     check_grads,
+    click_loss,
+    encode_candidate_oracle,
     encode_item,
     encode_user_interest,
     rel_err,
+    score,
     score_tokens,
     select_positions_oracle,
     softmax_oracle,
@@ -147,8 +149,10 @@ class TestEncodeCandidate:
         assert np.allclose(user_emb.data, cand_emb.data, atol=1e-14)
 
     def test_empty_candidate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot encode an empty candidate"):
             encode_candidate(seq_of([]), make_params())
+        with pytest.raises(ValueError, match="cannot encode an empty candidate"):
+            encode_candidates([seq_of([1]), seq_of([])], make_params())
 
     def test_batched_matches_per_sequence_mixed_lengths(self):
         rng = np.random.default_rng(20)
@@ -161,7 +165,7 @@ class TestEncodeCandidate:
         seqs += [seqs[1], seq_of(seqs[3].ids), seqs[1]]
         batched = encode_candidates(seqs, p).data
         for i, seq in enumerate(seqs):
-            single = encode_candidate(seq, p).data
+            single = encode_candidate_oracle(seq, p).data
             assert rel_err(batched[i], single) < 1e-12
 
     def test_repeated_sequences_encoded_once(self):
@@ -190,7 +194,7 @@ class TestEncodeCandidate:
                     embs = encode_candidates(seqs, p)
                 else:
                     embs = nm.concat_rows(
-                        [nm.reshape(encode_candidate(s, p), (1, p.d)) for s in seqs]
+                        [nm.reshape(encode_candidate_oracle(s, p), (1, p.d)) for s in seqs]
                     )
                 loss = nm.vsum(nm.mul(embs, c))
             backward(tape, loss)
@@ -200,6 +204,51 @@ class TestEncodeCandidate:
         ls, gs = run(False)
         assert lb == pytest.approx(ls, abs=1e-12)
         assert rel_err(gb, gs) < 1e-12
+
+
+class TestEncodeSequences:
+    def test_mixed_lengths_with_repeats_in_input_order(self):
+        rng = np.random.default_rng(23)
+        p = make_params(seed=23)
+        index = [rng.integers(0, 16, size=L).tolist() for L in (3, 5, 3, 2, 5, 4)]
+        # repeats: the same list, and an equal-content copy
+        index += [index[1], list(index[3]), index[1]]
+        out = encode_sequences(p.word_embeddings, index, p).data
+        assert out.shape == (len(index), p.d)
+        for i, rows in enumerate(index):
+            alone = encode_sequences(p.word_embeddings, [rows], p).data
+            assert np.array_equal(out[i], alone[0]), i
+
+    def test_table_read_in_order_matches_gathered_stack(self):
+        # the two sequences read every row of the table in order, so the
+        # table is reshaped into the stack; alone, each is a gather of half
+        rng = np.random.default_rng(24)
+        p = make_params(seed=24)
+        table = tensor(rng.normal(size=(6, p.d)), requires_grad=True)
+        halves = [np.arange(0, 3), np.arange(3, 6)]
+        c = tensor(rng.normal(size=(2, p.d)))
+
+        def run(parts):
+            table.zero_grad()
+            with Tape() as tape:
+                out = nm.concat_rows(parts())
+                loss = nm.vsum(nm.mul(out, c))
+            backward(tape, loss)
+            return out.data, table.grad.copy()
+
+        whole = run(lambda: [encode_sequences(table, halves, p)])
+        alone = run(lambda: [encode_sequences(table, [h], p) for h in halves])
+        for a, b in zip(whole, alone):
+            assert np.array_equal(a, b)
+
+    def test_empty_and_overlong_sequences_rejected(self):
+        p = make_params(p_max=4, seed=25)
+        with pytest.raises(ValueError, match="empty sequence"):
+            encode_sequences(p.word_embeddings, [[1, 2], []], p)
+        with pytest.raises(ValueError, match="max positions"):
+            encode_sequences(p.word_embeddings, [[1, 2], [1, 2, 3, 4, 5]], p)
+        with pytest.raises(ValueError, match="no sequences"):
+            encode_sequences(p.word_embeddings, [], p)
 
 
 class TestScore:
