@@ -35,9 +35,9 @@ from .text import (
 from .training import (
     Model,
     evaluate,
+    gate_history,
     init_model,
     keyword_pairs,
-    select_history,
     split_samples,
     train,
     write_metrics_csv,
@@ -290,9 +290,9 @@ def cmd_recall(args) -> int:
             skipped += 1
             continue
         # one gating feeds both the dense embedding and the sparse keywords
-        gated = select_history(model, sample.history, i)
+        gated = gate_history(sample.history, model, i)
         u = encode_user(gated.rows, model.trans).data
-        query = UserQuery.from_pairs(keyword_pairs(sample.history, gated), user_embedding=u)
+        query = UserQuery.from_pairs(keyword_pairs(gated), user_embedding=u)
         results = {
             "sparse": recall_sparse(index, query, n_max),
             "dense": recall_dense(u, doc_embs, n_max),
@@ -338,13 +338,17 @@ def cmd_analyze(args) -> int:
 
     rows = []
     for i, sample in enumerate(samples[: args.users]):
-        sels = select_history(model, sample.history, i)
-        for item_pos, (seq, sel) in enumerate(zip(sample.history.items, sels)):
+        gated = gate_history(sample.history, model, i)
+        item_of = np.repeat(np.arange(len(gated)), np.diff(gated.offsets))
+        for item_pos, p, tok, w in zip(
+            item_of.tolist(), gated.positions.tolist(), gated.token_ids.tolist(),
+            gated.weights.data.tolist(),
+        ):
             item_id = sample.history_ids[item_pos] if sample.history_ids else str(item_pos)
-            for p, w in zip(sel.positions, sel.weights.data):
-                token = dataset.vocab.token_of(seq.ids[p])
-                score = float(sel.raw_scores.data[p])
-                rows.append(f"{i},{item_id},{p},{token},{_fmt(score)},{_fmt(float(w))}")
+            g, start, _ = gated.score_at[item_pos].tolist()
+            score = float(gated.scores[g].data[start + p])
+            token = dataset.vocab.token_of(tok)
+            rows.append(f"{i},{item_id},{p},{token},{_fmt(score)},{_fmt(w)}")
     _write_table(
         out_dir / "keywords.csv", cfg.fingerprint(),
         "impression,item,position,token,score,weight", rows,

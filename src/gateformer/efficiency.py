@@ -255,13 +255,11 @@ def measure_speedup(model, histories: list[UserHistory], repeats: int = 30) -> d
 
 def keyword_position_histogram(model, histories: list[UserHistory]) -> tuple[np.ndarray, np.ndarray]:
     """Counts and frequencies of selected tokens' original positions."""
-    from .training import select_history
+    from .training import gate_history
 
     max_len = max(len(seq) for h in histories for seq in h.items)
-    counts = np.zeros(max_len, dtype=np.int64)
-    for i, history in enumerate(histories):
-        for positions in select_history(model, history, i).positions:
-            counts[positions] += 1
+    selected = [gate_history(history, model, i).positions for i, history in enumerate(histories)]
+    counts = np.bincount(np.concatenate(selected), minlength=max_len)
     total = counts.sum()
     freq = counts / total if total else counts.astype(float)
     return counts, freq

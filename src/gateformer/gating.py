@@ -21,11 +21,12 @@ and a vectorised top-k per length group. Each length group's masked item
 pooling and the attention user encoder are one
 :func:`numerics.attention_pool` node each, and each length group's scores
 one :func:`numerics.cosine` node. The heuristic selectors (first,
-bm25, random) share its selection and gather. :func:`gate_history` runs it
-on a batch of one history. Its :class:`GroupedSelection` holds the selected
-rows of every item in order, ready for the user encoder, and reads as a
-sequence of per-item :class:`GateSelection` objects, each narrowed out of
-the grouped tensors only when asked for.
+bm25, random) share its selection and gather. Its :class:`GroupedSelection`
+is flat: the selected rows of every item in order, ready for the user
+encoder, lined up with their weights, positions and token ids. It also
+reads as a sequence of per-item :class:`GateSelection` objects, each
+narrowed out of the grouped tensors only when asked for.
+:func:`training.gate_history` runs the gate on one history of a model.
 """
 
 from __future__ import annotations
@@ -179,18 +180,20 @@ class GroupedSelection(Sequence):
     """The gate's output for a list of histories.
 
     Items are numbered history-major across the histories, and the selected
-    rows run item by item in selection order. As a read-only sequence it
-    holds one :class:`GateSelection` per item, narrowed out of the grouped
-    tensors each time that item is asked for.
+    rows run item by item in selection order; ``weights``, ``positions`` and
+    ``token_ids`` line up with ``rows``. As a read-only sequence it holds one
+    :class:`GateSelection` per item, narrowed out of the grouped tensors each
+    time that item is asked for.
     """
 
     rows: Tensor                     # (n_selected, d) weight-scaled embeddings
     weights: Tensor                  # (n_selected,)
-    positions: list[list[int]]       # per item
+    positions: np.ndarray            # (n_selected,) each row's position in its item
+    token_ids: np.ndarray            # (n_selected,) each row's token id
     offsets: np.ndarray              # (n_items + 1,): item i owns rows offsets[i]:offsets[i + 1]
     item_start: np.ndarray           # (n_histories + 1,): history h owns items item_start[h]:...
     scores: list[Tensor]             # per length group: its (G * L,) raw scores, row-major
-    score_at: list[tuple[int, int, int]]  # per item: (length group, start, length) in scores
+    score_at: np.ndarray             # (n_items, 3): (length group, start, length) in scores
 
     def spans(self) -> list[tuple[int, int]]:
         """(first row, row count) of each history's selected rows."""
@@ -198,21 +201,20 @@ class GroupedSelection(Sequence):
         return [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.score_at)
 
     def __getitem__(self, i: int) -> GateSelection:
-        n = len(self.positions)
+        n = len(self.score_at)
         if not -n <= i < n:
             raise IndexError(f"item {i} out of range for {n} items")
         i %= n
-        pos = self.positions[i]
-        g, start, L = self.score_at[i]
-        lo = int(self.offsets[i])
+        g, start, L = self.score_at[i].tolist()
+        lo, hi = self.offsets[i:i + 2].tolist()
         return GateSelection(
-            positions=pos,
+            positions=self.positions[lo:hi].tolist(),
             raw_scores=nm.narrow(self.scores[g], 0, start, L),
-            weights=nm.narrow(self.weights, 0, lo, len(pos)),
-            gathered=nm.narrow(self.rows, 0, lo, len(pos)),
+            weights=nm.narrow(self.weights, 0, lo, hi - lo),
+            gathered=nm.narrow(self.rows, 0, lo, hi - lo),
         )
 
 
@@ -250,26 +252,17 @@ def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(-masked, axis=1, kind="stable")[:, :k], counts
 
 
-def heuristic_scores(
-    seq: TokenSequence,
-    method: str,
-    stats: CorpusStats | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-token scores for the non-learned selectors. Uniform scores make
-    the index tie-break reproduce first-k selection."""
-    L = len(seq)
+def heuristic_scores(ids: np.ndarray, method: str, stats: CorpusStats | None = None) -> np.ndarray:
+    """(G, L) scores of a length group's (G, L) token ids under the first or
+    bm25 selector. Uniform scores make the index tie-break reproduce first-k
+    selection."""
     if method == "first":
-        return np.zeros(L)
-    if method == "random":
-        return rng.random(L)
-    _, inverse, counts = np.unique(seq.ids, return_inverse=True, return_counts=True)
+        return np.zeros(ids.shape)
+    tf = (ids[:, :, None] == ids[:, None, :]).sum(axis=-1)
+    df = np.array([stats.doc_freq.get(tok, 0) for tok in ids.ravel().tolist()], dtype=np.int64)
     return bm25_term_weight(
-        tf=counts[inverse],
-        df=np.array([stats.doc_freq.get(tok, 0) for tok in seq.ids], dtype=np.int64),
-        doc_len=L,
-        avg_len=stats.avg_len,
-        n_docs=stats.n_docs,
+        tf=tf, df=df.reshape(ids.shape), doc_len=ids.shape[1],
+        avg_len=stats.avg_len, n_docs=stats.n_docs,
     )
 
 
@@ -351,6 +344,7 @@ def gate_groups(
     if any(len(seq) < 1 for seq in items):
         raise ValueError("cannot gate an empty token sequence")
     lengths = np.array([len(seq) for seq in items])
+    item_start = np.concatenate([[0], np.cumsum([len(h) for h in histories])])
     groups = []
     for L in np.unique(lengths):
         members = np.flatnonzero(lengths == L)
@@ -358,13 +352,17 @@ def gate_groups(
 
     if method == "learned":
         scores = _interest_scores(params, histories, groups, items)
-    else:
-        owner = [h_i for h_i, h in enumerate(histories) for _ in h.items]
-        per_item = [
-            heuristic_scores(seq, method, stats, rngs[owner[i]] if rngs else None)
-            for i, seq in enumerate(items)
+    elif method == "random":
+        # each history's draws run through its items in order
+        token_start = np.concatenate([[0], np.cumsum(lengths)])
+        n_tokens = token_start[item_start[1:]] - token_start[item_start[:-1]]
+        draws = np.concatenate([rng.random(n) for rng, n in zip(rngs, n_tokens.tolist())])
+        scores = [
+            constant(draws[token_start[members][:, None] + np.arange(ids.shape[1])])
+            for members, ids in groups
         ]
-        scores = [constant(np.stack([per_item[i] for i in members])) for members, _ in groups]
+    else:
+        scores = [constant(heuristic_scores(ids, method, stats)) for _, ids in groups]
 
     # top-k per length group, then gather and weight per (group, K_eff)
     n_items = len(items)
@@ -373,49 +371,44 @@ def gate_groups(
     for (members, _), (_, counts) in zip(groups, picks):
         k_eff[members] = counts
     offsets = np.concatenate([[0], np.cumsum(k_eff)])
-    positions: list[list[int]] = [[] for _ in range(n_items)]
-    score_at: list[tuple[int, int, int]] = [(0, 0, 0)] * n_items
+    score_at = np.empty((n_items, 3), dtype=np.intp)
     flat_scores = []
-    row_chunks, weight_chunks, row_order = [], [], []
+    row_chunks, weight_chunks, pos_chunks, id_chunks, row_order = [], [], [], [], []
     for g, ((members, ids), r, (order, counts)) in enumerate(zip(groups, scores, picks)):
         G, L = ids.shape
         r_flat = nm.reshape(r, (G * L,))
         flat_scores.append(r_flat)
-        for row, (i, pos) in enumerate(zip(members.tolist(), order.tolist())):
-            positions[i] = pos[:counts[row]]
-            score_at[i] = (g, row * L, L)
+        score_at[members, 0] = g
+        score_at[members, 1] = np.arange(G) * L
+        score_at[members, 2] = L
         for kk in np.unique(counts):
             rows = np.flatnonzero(counts == kk)
-            flat_idx = (rows[:, None] * L + order[rows, :kk]).ravel()
+            pos = order[rows, :kk]
+            flat_idx = (rows[:, None] * L + pos).ravel()
             if method == "learned":
                 beta = nm.softmax(nm.reshape(gather_rows(r_flat, flat_idx), (len(rows), kk)), axis=-1)
             else:
                 beta = constant(np.full((len(rows), kk), 1.0 / kk))
             beta = nm.reshape(beta, (len(rows) * kk,))
-            picked = gather_rows(params.word_embeddings, ids.ravel()[flat_idx])
+            token_ids = ids.ravel()[flat_idx]
+            picked = gather_rows(params.word_embeddings, token_ids)
             row_chunks.append(nm.mul(picked, nm.reshape(beta, (len(rows) * kk, 1))))
             weight_chunks.append(beta)
+            pos_chunks.append(pos.ravel())
+            id_chunks.append(token_ids)
             row_order.append((offsets[members[rows]][:, None] + np.arange(kk)).ravel())
     row_order = np.concatenate(row_order)
+    positions = np.empty(len(row_order), dtype=np.intp)
+    positions[row_order] = np.concatenate(pos_chunks)
+    token_ids = np.empty(len(row_order), dtype=np.intp)
+    token_ids[row_order] = np.concatenate(id_chunks)
     return GroupedSelection(
         rows=nm.assemble_rows(row_chunks, row_order),
         weights=nm.assemble_rows(weight_chunks, row_order),
         positions=positions,
+        token_ids=token_ids,
         offsets=offsets,
-        item_start=np.concatenate([[0], np.cumsum([len(h) for h in histories])]),
+        item_start=item_start,
         scores=flat_scores,
         score_at=score_at,
     )
-
-
-def gate_history(
-    history: UserHistory,
-    params: GateParams,
-    k: int,
-    method: str = "learned",
-    stats: CorpusStats | None = None,
-    rng: np.random.Generator | None = None,
-) -> GroupedSelection:
-    """Gate one user's history: :func:`gate_groups` on a batch of one, with
-    ``rng`` the random selector's draws."""
-    return gate_groups([history], params, k, method, stats, [rng])

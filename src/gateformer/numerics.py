@@ -100,10 +100,6 @@ def _tape() -> "Tape | None":
     return getattr(_STATE, "tape", None)
 
 
-def _counter() -> "FlopCounter | None":
-    return getattr(_STATE, "flops", None)
-
-
 def _count(n: int) -> None:
     c = getattr(_STATE, "flops", None)
     if c is not None:
@@ -160,9 +156,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -490,21 +490,6 @@ def synth_corpus_full(
     )
 
 
-def synth_corpus(
-    seed: int,
-    n_users: int,
-    n_items: int,
-    n_topics: int,
-    tokens_per_item: int,
-    signal_positions: str = "random",
-    **kwargs,
-) -> tuple[dict[str, TokenSequence], list[ImpressionSample]]:
-    corpus = synth_corpus_full(
-        seed, n_users, n_items, n_topics, tokens_per_item, signal_positions, **kwargs
-    )
-    return corpus.news, corpus.samples
-
-
 def write_mind_files(corpus: SynthCorpus, out_dir) -> None:
     """Write a synthetic corpus as MIND-format news/behaviors plus its vocab.
 

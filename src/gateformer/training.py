@@ -12,6 +12,13 @@ for a fixed seed. Evaluation runs the same batched encoders without a tape
 and reads candidate rows through the model's :class:`ItemStore`, which
 keeps them while the encoder's parameters are unchanged. Validation AUC
 selects the checkpoint that is kept.
+
+Per sample, :func:`gate_history` is the one gate entry: the grouped gate on
+a batch of one history, with the model's selector. Its flat output feeds
+both :func:`user_embedding` (the gated rows) and :func:`user_keywords` (the
+selected token ids and their weights). :func:`sample_rngs` is where the
+random selector gets one generator per sample, for the per-sample and the
+batched entry alike.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .gating import GateParams, GroupedSelection, gate_groups, gate_history, init_gate_params
+from .gating import GateParams, GroupedSelection, gate_groups, init_gate_params
 from .numerics import Tape, Tensor, backward, tensor
 from .text import CorpusStats, ImpressionSample, TokenSequence, UserHistory
 # encode_candidate, encode_sequence and weighted_pool are not called here:
@@ -139,36 +146,36 @@ def init_model(
     return Model(gate=gate, trans=trans, k=k, gate_method=gate_method, stats=stats, seed=seed)
 
 
-def sample_rng(model: Model, sample_index: int) -> np.random.Generator:
-    """The random selector's draws for one sample, keyed to the model seed
-    and the sample index so they are stable across epochs."""
-    return np.random.default_rng([model.seed, 7919, sample_index])
+def sample_rngs(model: Model, sample_indices: list[int]) -> list[np.random.Generator] | None:
+    """The random selector's draws, one generator per sample, keyed to the
+    model seed and the sample index so they are stable across epochs; None
+    for the other selectors, which draw nothing."""
+    if model.gate_method != "random":
+        return None
+    return [np.random.default_rng([model.seed, 7919, i]) for i in sample_indices]
 
 
-def select_history(model: Model, history: UserHistory, sample_index: int = 0) -> GroupedSelection:
-    """Selection policy dispatch; the random selector draws from
-    :func:`sample_rng`."""
-    rng = sample_rng(model, sample_index) if model.gate_method == "random" else None
-    return gate_history(history, model.gate, model.k, model.gate_method, model.stats, rng)
+def gate_history(history: UserHistory, model: Model, sample_index: int = 0) -> GroupedSelection:
+    """Gate one user's history with the model's selector:
+    :func:`gating.gate_groups` on a batch of one."""
+    return gate_groups(
+        [history], model.gate, model.k, model.gate_method, model.stats,
+        sample_rngs(model, [sample_index]),
+    )
 
 
 def user_embedding(model: Model, history: UserHistory, sample_index: int = 0) -> Tensor:
-    return encode_user(select_history(model, history, sample_index).rows, model.trans)
+    return encode_user(gate_history(history, model, sample_index).rows, model.trans)
 
 
-def keyword_pairs(history: UserHistory, gated: GroupedSelection) -> list[tuple[int, float]]:
-    """(token id, weight) pairs of one gating of ``history``, for recall queries."""
-    weights = gated.weights.data.tolist()
-    return [
-        (seq.ids[pos], weights[lo + j])
-        for seq, positions, lo in zip(history.items, gated.positions, gated.offsets.tolist())
-        for j, pos in enumerate(positions)
-    ]
+def keyword_pairs(gated: GroupedSelection) -> list[tuple[int, float]]:
+    """(token id, weight) pairs of one gating, for recall queries."""
+    return list(zip(gated.token_ids.tolist(), gated.weights.data.tolist()))
 
 
 def user_keywords(model: Model, history: UserHistory, sample_index: int = 0) -> list[tuple[int, float]]:
     """(token id, weight) pairs across the gated history, for recall queries."""
-    return keyword_pairs(history, select_history(model, history, sample_index))
+    return keyword_pairs(gate_history(history, model, sample_index))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +193,12 @@ def batch_user_embeddings(
     index.
     """
     word = model.gate.granularity == "word"
+    rngs = sample_rngs(model, sample_indices)
     unique: list[UserHistory] = []
-    rngs: list = []
     mapping: list[int] = []
     seen: dict[tuple, int] = {}
-    for idx, h in zip(sample_indices, histories):
-        if model.gate_method == "random":
-            rngs.append(sample_rng(model, idx))
-        else:
+    for h in histories:
+        if rngs is None:
             key = tuple(
                 (tuple(seq.ids), tuple(seq.word_group)) if word else tuple(seq.ids)
                 for seq in h.items
@@ -205,9 +210,7 @@ def batch_user_embeddings(
         mapping.append(len(unique))
         unique.append(h)
 
-    gated = gate_groups(
-        unique, model.gate, model.k, model.gate_method, model.stats, rngs or None
-    )
+    gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs)
     index = [np.arange(start, start + length) for start, length in gated.spans()]
     users_unique = encode_sequences(gated.rows, index, model.trans)
     if mapping == list(range(len(histories))):

@@ -146,15 +146,11 @@ def init_transformer_params(
 
 
 def encode_sequence(x: Tensor, params: TransformerParams, collect: list | None = None) -> Tensor:
-    """Run the pre-norm layer stack; with zero layers this is the identity.
-
-    Accepts one sequence (n, d) or a stack of equal-length sequences
-    (B, n, d); sequences in a stack never attend to each other. ``collect``,
-    if given, receives each layer's (B, heads, n, n) attention maps.
+    """Run the pre-norm layer stack on a (B, n, d) stack of equal-length
+    sequences; with zero layers this is the identity. Sequences in a stack
+    never attend to each other. ``collect``, if given, receives each layer's
+    (B, heads, n, n) attention maps.
     """
-    single = x.data.ndim == 2
-    if single:
-        x = nm.reshape(x, (1, *x.data.shape))
     for layer in params.layers:
         attn_in = nm.layer_norm(x, layer.ln1_gamma, layer.ln1_beta)
         x = nm.add(x, nm.attention(
@@ -165,8 +161,6 @@ def encode_sequence(x: Tensor, params: TransformerParams, collect: list | None =
         x = nm.add(x, nm.feed_forward(
             ffn_in, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2,
         ))
-    if single:
-        x = nm.reshape(x, x.data.shape[1:])
     return x
 
 

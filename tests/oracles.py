@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from gateformer import numerics as nm
-from gateformer.gating import GateSelection, heuristic_scores
+from gateformer.gating import GateSelection
 from gateformer.numerics import Tape, backward, constant, gather_rows
 from gateformer.recall import bm25_term_weight
 from gateformer.text import PAD_ID
@@ -434,11 +434,29 @@ def gate_history_oracle(history, params, k):
     return sels
 
 
+def heuristic_scores_oracle(seq, method, stats=None, rng=None):
+    """One item's scores under a heuristic selector: zeros for first, the
+    item's own draws for random, per-token BM25 weights for bm25."""
+    L = len(seq)
+    if method == "first":
+        return np.zeros(L)
+    if method == "random":
+        return rng.random(L)
+    _, inverse, counts = np.unique(seq.ids, return_inverse=True, return_counts=True)
+    return bm25_term_weight(
+        tf=counts[inverse],
+        df=np.array([stats.doc_freq.get(tok, 0) for tok in seq.ids], dtype=np.int64),
+        doc_len=L,
+        avg_len=stats.avg_len,
+        n_docs=stats.n_docs,
+    )
+
+
 def heuristic_gate_oracle(history, method, k, params, stats=None, rng=None):
     """A heuristic selector, one item at a time, with uniform weights."""
     sels = []
     for seq in history.items:
-        scores = heuristic_scores(seq, method, stats, rng)
+        scores = heuristic_scores_oracle(seq, method, stats, rng)
         positions = select_positions_oracle(seq, scores, k)
         weights = constant(np.full(len(positions), 1.0 / len(positions)))
         gathered = nm.mul(gather_rows(params.word_embeddings, [seq.ids[p] for p in positions]),
@@ -459,10 +477,12 @@ def select_history_oracle(model, history, sample_index=0):
 
 
 def encode_rows_oracle(x, trans):
-    """One (T, d) sequence on its own: positions 0..T-1 added, encoded and
-    pooled."""
-    x = nm.add(x, nm.narrow(trans.pos_embeddings, 0, 0, x.data.shape[0]))
-    return weighted_pool(encode_sequence(x, trans), trans.pool_q)
+    """One (T, d) sequence on its own: positions 0..T-1 added, encoded as a
+    stack of one and pooled."""
+    T, d = x.data.shape
+    x = nm.add(x, nm.narrow(trans.pos_embeddings, 0, 0, T))
+    encoded = nm.reshape(encode_sequence(nm.reshape(x, (1, T, d)), trans), (T, d))
+    return weighted_pool(encoded, trans.pool_q)
 
 
 def encode_user_oracle(selections, trans):

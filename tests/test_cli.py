@@ -237,13 +237,13 @@ class TestRecallCommand:
         data = synth(tmp_path, seed=12)
         run = train_run(tmp_path, data, seed=12, steps=2)
         calls = []
-        original = cli.select_history
+        original = cli.gate_history
 
-        def counted(model, history, sample_index=0):
+        def counted(history, model, sample_index=0):
             calls.append(sample_index)
-            return original(model, history, sample_index)
+            return original(history, model, sample_index)
 
-        monkeypatch.setattr(cli, "select_history", counted)
+        monkeypatch.setattr(cli, "gate_history", counted)
         rc = main([
             "recall", "--run", str(run), "--data", str(data),
             "--n", "5", "--n-sparse", "10", "--max-impressions", "3",

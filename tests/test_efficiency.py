@@ -16,10 +16,11 @@ from gateformer.efficiency import (
     transformer_quadratic_coeff,
     user_side_flops,
 )
-from gateformer.gating import gate_history
-from gateformer.text import TokenSequence, UserHistory, synth_corpus_full
+from gateformer.gating import gate_groups
+from gateformer.text import TokenSequence, UserHistory, corpus_stats, synth_corpus_full
 from gateformer.training import Model, init_model
 from gateformer.transformer import encode_candidate
+from oracles import select_history_oracle
 
 
 def dims_of(model: Model, k: int, item_len: int) -> ModelDims:
@@ -67,7 +68,7 @@ class TestFlopsGate:
         )
         history = make_history(rng, N, L, 64)
         with nm.count_flops() as counter:
-            gate_history(history, model.gate, k)
+            gate_groups([history], model.gate, k)
         analytic = flops_gate(dims_of(model, k, L), N * L)
         assert abs(counter.flops - analytic) / counter.flops < 0.05
 
@@ -181,7 +182,7 @@ class TestBench:
 
 
 class TestPositionHistogram:
-    def make(self, method, seed=0):
+    def model_and_histories(self, method, seed=0):
         corpus = synth_corpus_full(
             seed=4, n_users=12, n_items=60, n_topics=3, tokens_per_item=12,
             n_signal=2, filler_pool=40, history_len=4, impressions_per_user=2,
@@ -189,10 +190,24 @@ class TestPositionHistogram:
         model = init_model(
             vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
             max_positions=48, n_filters=8, window=1, seed=seed, k=3,
-            gate_method=method,
+            gate_method=method, stats=corpus_stats(corpus.news),
         )
-        histories = [s.history for s in corpus.samples]
-        return keyword_position_histogram(model, histories)
+        return model, [s.history for s in corpus.samples]
+
+    def make(self, method, seed=0):
+        return keyword_position_histogram(*self.model_and_histories(method, seed))
+
+    @pytest.mark.parametrize("method", ["learned", "first", "bm25", "random"])
+    def test_counts_match_per_item_oracle(self, method):
+        model, histories = self.model_and_histories(method)
+        counts, freq = keyword_position_histogram(model, histories)
+        want = np.zeros(12, dtype=np.int64)
+        for i, history in enumerate(histories):
+            for sel in select_history_oracle(model, history, i):
+                for pos in sel.positions:
+                    want[pos] += 1
+        assert counts.tolist() == want.tolist()
+        assert np.array_equal(freq, want / want.sum())
 
     def test_first_gate_mass_on_leading_positions(self):
         counts, freq = self.make("first")

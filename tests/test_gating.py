@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gateformer import numerics as nm
-from gateformer.gating import gate_history, init_gate_params, select_positions
+from gateformer.gating import GATE_METHODS, gate_groups, init_gate_params, select_positions
 from gateformer.numerics import Tape, backward, tensor
 from gateformer.text import TokenSequence, UserHistory, Vocabulary, corpus_stats
 from oracles import (
@@ -77,7 +77,7 @@ def stable_gate_instance(k, margin, d=4, n_f=3, vocab_size=12):
                 ok = False
                 break
         if ok:
-            baseline = [s.positions for s in gate_history(history, p, k)]
+            baseline = [s.positions for s in gate_groups([history], p, k)]
             return p, history, baseline
     raise AssertionError("no stable instance found in 200 seeds")
 
@@ -264,7 +264,7 @@ class TestGateHistory:
     def test_single_item_full_selection(self):
         p = make_gate(seed=14)
         history = UserHistory([seq_of([3, 5, 7])])
-        sels = gate_history(history, p, 3)
+        sels = gate_groups([history], p, 3)
         assert len(sels) == 1
         assert sorted(sels[0].positions) == [0, 1, 2]
 
@@ -272,7 +272,7 @@ class TestGateHistory:
         rng = np.random.default_rng(15)
         p = make_gate(vocab_size=400, seed=15)
         history = random_history(rng, n_items=50, length=30, vocab_size=400)
-        sels = gate_history(history, p, 3)
+        sels = gate_groups([history], p, 3)
         total = sum(s.k_eff for s in sels)
         assert total <= 150
         assert total == 150  # distinct tokens per item: every item yields k
@@ -280,14 +280,14 @@ class TestGateHistory:
     def test_uniform_scores_select_smallest_indices(self):
         p = zero_gate()  # zero weights force identical scores everywhere
         history = UserHistory([seq_of([9, 8, 7, 6, 5])])
-        sels = gate_history(history, p, 3)
+        sels = gate_groups([history], p, 3)
         assert sels[0].positions == [0, 1, 2]
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(16)
         p = make_gate(seed=16)
         history = random_history(rng, 3, 6)
-        for sel in gate_history(history, p, 4):
+        for sel in gate_groups([history], p, 4):
             assert abs(sel.weights.data.sum() - 1.0) <= 1e-10
             assert (sel.weights.data > 0).all()
 
@@ -342,7 +342,7 @@ class TestSelectionInvariants:
         history = random_history(rng, 3, 5, vocab_size=30)
         p.word_embeddings.zero_grad()
         with Tape() as tape:
-            sels = gate_history(history, p, 2)
+            sels = gate_groups([history], p, 2)
             loss = nm.vsum(nm.concat_rows([s.gathered for s in sels]))
         backward(tape, loss)
         grad = p.word_embeddings.grad
@@ -365,7 +365,7 @@ class TestSelectionInvariants:
                 assert select_row(seq, scores + delta, 2) == pos
 
         def build():
-            sels = gate_history(history, p, 2)
+            sels = gate_groups([history], p, 2)
             assert [s.positions for s in sels] == baseline
             return nm.vsum(nm.mul(nm.concat_rows([s.gathered for s in sels]), c))
 
@@ -377,21 +377,21 @@ class TestHeuristicGate:
     def test_first_k(self):
         p = make_gate(seed=22)
         history = UserHistory([seq_of([3, 4, 5, 6])])
-        sels = gate_history(history, p, 3, "first")
+        sels = gate_groups([history], p, 3, "first")
         assert sels[0].positions == [0, 1, 2]
         assert np.allclose(sels[0].weights.data, 1 / 3, atol=1e-15)
 
     def test_first_k_skips_duplicates(self):
         p = make_gate(seed=22)
         history = UserHistory([seq_of([3, 3, 5, 6])])
-        sels = gate_history(history, p, 3, "first")
+        sels = gate_groups([history], p, 3, "first")
         assert sels[0].positions == [0, 2, 3]
 
     def test_random_reproducible(self):
         p = make_gate(seed=23)
         history = UserHistory([seq_of([3, 4, 5, 6, 7])])
-        a = gate_history(history, p, 2, "random", rng=np.random.default_rng(5))
-        b = gate_history(history, p, 2, "random", rng=np.random.default_rng(5))
+        a = gate_groups([history], p, 2, "random", rngs=[np.random.default_rng(5)])
+        b = gate_groups([history], p, 2, "random", rngs=[np.random.default_rng(5)])
         assert a[0].positions == b[0].positions
 
     def test_bm25_matches_hand_ranking(self):
@@ -404,7 +404,7 @@ class TestHeuristicGate:
         }
         stats = corpus_stats(docs)
         p = make_gate(vocab_size=len(vocab), seed=24)
-        sels = gate_history(UserHistory([docs["D1"]]), p, 2, "bm25", stats=stats)
+        sels = gate_groups([UserHistory([docs["D1"]])], p, 2, "bm25", stats=stats)
         # hand computation: apple idf=ln(2.5/1.5+1), tf=2, len=3=avg ->
         # w_apple = idf * 2*2.2/(2+1.2) ~= 1.349; banana idf=ln(1.6), tf=1 ->
         # w_banana = 0.470 * 1.0 = 0.470; apple wins, duplicate apple masked
@@ -416,11 +416,11 @@ class TestHeuristicGate:
 
     def test_bm25_requires_stats(self):
         with pytest.raises(ValueError, match="stats"):
-            gate_history(UserHistory([seq_of([3])]), make_gate(), 1, "bm25")
+            gate_groups([UserHistory([seq_of([3])])], make_gate(), 1, "bm25")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
-            gate_history(UserHistory([seq_of([3])]), make_gate(), 1, "entity")
+            gate_groups([UserHistory([seq_of([3])])], make_gate(), 1, "entity")
 
 
 class TestAttnUserVariant:
@@ -449,7 +449,7 @@ class TestAttnUserVariant:
         rng = np.random.default_rng(28)
         p = make_gate(seed=28, user_encoder="attn")
         history = random_history(rng, 3, 5)
-        sels = gate_history(history, p, 2)
+        sels = gate_groups([history], p, 2)
         assert all(s.k_eff == 2 for s in sels)
 
 
@@ -493,7 +493,7 @@ def oracle_history(rng, vocab_size, word=False):
 
 
 class TestGateMatchesOracle:
-    """gate_history (the grouped gate on one history), read as a sequence of
+    """gate_groups on one history, read as a sequence of
     per-item selections, against the per-item reference gate: positions,
     values, and gradients
     through the gathered rows."""
@@ -526,7 +526,7 @@ class TestGateMatchesOracle:
         p = make_gate(vocab_size=15, seed=30, user_encoder=encoder, granularity=granularity)
         history = oracle_history(rng, 15, word=granularity == "word")
         self.assert_match(
-            lambda: gate_history(history, p, 3), lambda: gate_history_oracle(history, p, 3), p
+            lambda: gate_groups([history], p, 3), lambda: gate_history_oracle(history, p, 3), p
         )
 
     @pytest.mark.parametrize("method", ["first", "bm25", "random"])
@@ -536,21 +536,21 @@ class TestGateMatchesOracle:
         history = oracle_history(rng, 15)
         stats = corpus_stats({str(i): seq for i, seq in enumerate(history.items)})
         self.assert_match(
-            lambda: gate_history(history, p, 3, method, stats, np.random.default_rng(4)),
+            lambda: gate_groups([history], p, 3, method, stats, [np.random.default_rng(4)]),
             lambda: heuristic_gate_oracle(history, method, 3, p, stats, np.random.default_rng(4)),
             p,
         )
 
 
 class TestGroupedSelectionSequence:
-    """gate_history's result reads as a read-only sequence of per-item
+    """gate_groups' result reads as a read-only sequence of per-item
     selections, each narrowed out of the grouped rows."""
 
     def test_len_indexing_and_iteration_match_oracle(self):
         rng = np.random.default_rng(33)
         p = make_gate(vocab_size=15, seed=33)
         history = oracle_history(rng, 15)
-        gated = gate_history(history, p, 3)
+        gated = gate_groups([history], p, 3)
         ref = gate_history_oracle(history, p, 3)
         n = len(history.items)
         assert len(gated) == len(ref) == n
@@ -572,10 +572,48 @@ class TestGroupedSelectionSequence:
     def test_items_tile_the_grouped_rows_and_read_only(self):
         rng = np.random.default_rng(34)
         p = make_gate(vocab_size=15, seed=34)
-        gated = gate_history(oracle_history(rng, 15), p, 3)
+        gated = gate_groups([oracle_history(rng, 15)], p, 3)
         assert np.array_equal(np.concatenate([s.gathered.data for s in gated]), gated.rows.data)
         assert np.array_equal(np.concatenate([s.weights.data for s in gated]), gated.weights.data)
         with pytest.raises(AttributeError):
             gated.rows = gated.weights
         with pytest.raises(TypeError):
             gated[0] = gated[1]
+
+
+class TestFlatOutput:
+    """gate_groups' flat arrays line up with its rows: each row's position in
+    its item and its token id, and each item's place in the raw scores."""
+
+    @pytest.mark.parametrize("method", GATE_METHODS)
+    @pytest.mark.parametrize("encoder", ["lstm", "attn"])
+    @pytest.mark.parametrize("granularity", ["token", "word"])
+    def test_positions_token_ids_and_scores_line_up(self, method, encoder, granularity):
+        rng = np.random.default_rng(35)
+        p = make_gate(vocab_size=15, seed=35, user_encoder=encoder, granularity=granularity)
+        histories = [oracle_history(rng, 15, word=granularity == "word") for _ in range(3)]
+        items = [seq for h in histories for seq in h.items]
+        stats = corpus_stats({str(i): seq for i, seq in enumerate(items)})
+        gated = gate_groups(histories, p, 3, method, stats,
+                            [np.random.default_rng(40 + h) for h in range(3)])
+        if method == "learned":
+            ref = [s for h in histories for s in gate_history_oracle(h, p, 3)]
+        else:
+            ref = [s for j, h in enumerate(histories) for s in heuristic_gate_oracle(
+                h, method, 3, p, stats, np.random.default_rng(40 + j))]
+
+        n_rows = len(gated.rows.data)
+        assert gated.positions.shape == gated.token_ids.shape == (n_rows,)
+        assert gated.score_at.shape == (len(items), 3)
+        assert gated.positions.tolist() == [pos for s in ref for pos in s.positions]
+        for i, seq in enumerate(items):
+            lo, hi = gated.offsets[i], gated.offsets[i + 1]
+            pos = gated.positions[lo:hi]
+            assert gated.token_ids[lo:hi].tolist() == [seq.ids[j] for j in pos]
+            g, start, length = gated.score_at[i]
+            assert length == len(seq)
+            got, want = gated.scores[g].data[start:start + length], ref[i].raw_scores.data
+            # the heuristics' scores come from the same arithmetic as the reference's
+            assert np.array_equal(got, want) if method != "learned" else rel_err(got, want) < 1e-12
+        scaled = p.word_embeddings.data[gated.token_ids] * gated.weights.data[:, None]
+        assert np.array_equal(gated.rows.data, scaled)

@@ -74,3 +74,15 @@ class TestPerLayerTable:
         assert [r["seed"] for r in table["after"]] == [1, 2, 3]
         assert table["after"][1] == {"seed": 2, "exit": 1, "stderr": "boom"}
         assert table["after"][2] == {"seed": 3, "correct": False, "failed": 1, "attempted": 10}
+
+
+class TestProfileStep:
+    def test_one_train_step_records_sixty_tape_nodes(self, capsys, monkeypatch):
+        # the script pins BLAS to one thread through the environment on import
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        profile_step = load_script("profile_step")
+        assert profile_step.main(["--workload", "train", "--steps", "1"]) == 0
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if line.startswith("| tape nodes |")]
+        assert rows == ["| tape nodes | 60.0 |"]

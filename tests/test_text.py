@@ -9,7 +9,6 @@ from gateformer.text import (
     corpus_stats,
     load_mind_behaviors,
     load_mind_news,
-    synth_corpus,
     synth_corpus_full,
     wordpiece_tokenize,
 )
@@ -215,11 +214,11 @@ class TestLoadMindBehaviors:
 
 class TestSynthCorpus:
     def test_same_seed_identical(self):
-        a = synth_corpus(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
-        b = synth_corpus(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
-        assert {k: v.ids for k, v in a[0].items()} == {k: v.ids for k, v in b[0].items()}
-        assert [s.positive_id for s in a[1]] == [s.positive_id for s in b[1]]
-        assert [s.negative_ids for s in a[1]] == [s.negative_ids for s in b[1]]
+        a = synth_corpus_full(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
+        b = synth_corpus_full(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
+        assert {k: v.ids for k, v in a.news.items()} == {k: v.ids for k, v in b.news.items()}
+        assert [s.positive_id for s in a.samples] == [s.positive_id for s in b.samples]
+        assert [s.negative_ids for s in a.samples] == [s.negative_ids for s in b.samples]
 
     def test_front_policy_places_signals_first(self):
         corpus = synth_corpus_full(
@@ -243,7 +242,7 @@ class TestSynthCorpus:
             assert words[-2].startswith("topic") and words[-1].startswith("topic")
 
     def test_item_tokens_distinct(self):
-        news, _ = synth_corpus(2, n_users=2, n_items=24, n_topics=3, tokens_per_item=20)
+        news = synth_corpus_full(2, n_users=2, n_items=24, n_topics=3, tokens_per_item=20).news
         for seq in news.values():
             assert len(set(seq.ids)) == len(seq.ids)
 
@@ -262,11 +261,11 @@ class TestSynthCorpus:
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="signal_positions"):
-            synth_corpus(0, 2, 24, 3, 10, signal_positions="middle")
+            synth_corpus_full(0, 2, 24, 3, 10, signal_positions="middle")
 
     def test_needs_two_topics(self):
         with pytest.raises(ValueError, match="topics"):
-            synth_corpus(0, 2, 24, 1, 10)
+            synth_corpus_full(0, 2, 24, 1, 10)
 
 
 class TestCorpusStats:

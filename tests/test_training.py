@@ -18,11 +18,11 @@ from gateformer.training import (
     clip_gradients,
     encode_candidate_rows,
     evaluate,
+    gate_history,
     init_model,
     lr_at,
     mrr_score,
     ndcg_at_k,
-    select_history,
     split_samples,
     train,
     user_embedding,
@@ -328,7 +328,7 @@ class TestPerSampleMatchesOracle:
         exact = method != "learned"
         for i, s in enumerate(samples):
             u = user_embedding(model, s.history, i).data
-            concat = encode_user_oracle(select_history(model, s.history, i), model.trans)
+            concat = encode_user_oracle(gate_history(s.history, model, i), model.trans)
             assert np.array_equal(u, concat.data)
             ref = user_embedding_oracle(model, s.history, i).data
             assert np.array_equal(u, ref) if exact else rel_err(u, ref) < 1e-12
@@ -370,7 +370,7 @@ class TestUserEmbeddingCalls:
         assert [name for name, _, _ in calls] == ["gate_history", "encode_user"]
         (_, first, gated), (_, _, out) = calls
         assert first is history and out is u
-        assert [s.k_eff for s in gated] == [len(p) for p in gated.positions]
+        assert [s.k_eff for s in gated] == np.diff(gated.offsets).tolist()
 
 
 class TestTrainLoop:

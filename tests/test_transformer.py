@@ -7,7 +7,7 @@ import pytest
 
 from gateformer import numerics as nm
 from gateformer import transformer
-from gateformer.gating import gate_history, init_gate_params
+from gateformer.gating import gate_groups, init_gate_params
 from gateformer.numerics import Tape, backward, constant, gather_rows, tensor
 from gateformer.text import TokenSequence, UserHistory
 from gateformer.transformer import (
@@ -60,7 +60,7 @@ class TestEncodeUser:
         rows = manual_rows(seq_of([5]), p)
         out = encode_user(rows, p)
         x = nm.add(rows, nm.narrow(p.pos_embeddings, 0, 0, 1))
-        expected = encode_sequence(x, p).data[0]
+        expected = encode_sequence(nm.reshape(x, (1, 1, p.d)), p).data[0, 0]
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_zero_layers_pools_inputs_directly(self):
@@ -81,15 +81,15 @@ class TestEncodeUser:
         ]
         out = encode_user(nm.concat_rows(parts), p)
         x_np = np.concatenate([r.data for r in parts]) + p.pos_embeddings.data[:6]
-        encoded = encode_sequence(tensor(x_np), p)
+        encoded = encode_sequence(tensor(x_np[None]), p)
         expected = weighted_pool(encoded, p.pool_q)
-        assert rel_err(out.data, expected.data) < 1e-12
+        assert rel_err(out.data, expected.data[0]) < 1e-12
 
     def test_ragged_item_lengths_allowed(self):
         # the gate's rows for items keeping 2 and 1 tokens encode as they are
         p = make_params(seed=4)
         gate = init_gate_params(p.word_embeddings, 3, 1, np.random.default_rng(4))
-        gated = gate_history(UserHistory([seq_of([4, 8]), seq_of([1])]), gate, 2)
+        gated = gate_groups([UserHistory([seq_of([4, 8]), seq_of([1])])], gate, 2)
         assert [s.k_eff for s in gated] == [2, 1]
         out = encode_user(gated.rows, p)
         assert out.data.shape == (p.d,)
@@ -129,7 +129,7 @@ class TestEncodeCandidate:
         out = encode_candidate(seq_of([9]), p)
         emb = gather_rows(p.word_embeddings, [9])
         x = nm.add(emb, nm.narrow(p.pos_embeddings, 0, 0, 1))
-        expected = encode_sequence(x, p).data[0]
+        expected = encode_sequence(nm.reshape(x, (1, 1, p.d)), p).data[0, 0]
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_deterministic(self):
@@ -320,10 +320,10 @@ class TestTransformerInvariants:
     def test_shape_preserved_and_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
         p = make_params(layers=2, seed=13)
-        x = tensor(rng.normal(size=(7, p.d)))
+        x = tensor(rng.normal(size=(1, 7, p.d)))
         collected: list = []
         out = encode_sequence(x, p, collect=collected)
-        assert out.data.shape == (7, p.d)
+        assert out.data.shape == (1, 7, p.d)
         assert len(collected) == 2  # one (B, heads, n, n) stack per layer
         for alpha in collected:
             assert alpha.data.shape == (1, p.heads, 7, 7)
@@ -410,7 +410,7 @@ class TestEndToEndGradient:
             def build():
                 total = None
                 for (history, pos, negs), expect in zip(batch, baselines):
-                    gated = gate_history(history, gate, k)
+                    gated = gate_groups([history], gate, k)
                     assert [s.positions for s in gated] == expect
                     u = encode_user(gated.rows, trans)
                     loss = click_loss(
