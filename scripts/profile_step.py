@@ -16,6 +16,10 @@ with BLAS on one thread. It prints one markdown table per corpus:
 * per step (medians): forward, backward and Adam ms, tape nodes, and minor
   page faults during forward and backward (``resource.getrusage``). The
   forward time no op accounts for is the Python around the ops.
+* forward only, with no tape: ms of ``batch_user_embeddings`` on B=32
+  distinct training histories and of ``evaluate`` on 32 val impressions,
+  each cold (a fresh model, so an empty item store) and warm (a second call
+  on it).
 
 The corpora are the ``train`` and ``serve-long`` workloads' synth settings;
 the script shares no code with the benchmark.
@@ -174,6 +178,7 @@ def profile_corpus(name: str, steps: int, seed: int, work: Path) -> str:
             totals["minor faults, forward"].append(f1 - f0)
             totals["minor faults, backward"].append(f2 - f1)
 
+    forward = forward_table(cfg, ds)
     rows = sorted(prof.calls, key=lambda k: -(prof.fwd[k] + prof.bwd[k]))
     lines = [
         f"### {name}: B={BATCH}, seed {seed}, {steps} steps after one warm-up, one BLAS thread",
@@ -190,7 +195,32 @@ def profile_corpus(name: str, steps: int, seed: int, work: Path) -> str:
         lines.append(f"| {key} | {statistics.median(values):.1f} |")
     lines.append(f"| forward ms outside ops (mean) | "
                  f"{statistics.mean(totals['forward ms']) - op_fwd:.1f} |")
-    return "\n".join(lines)
+    return "\n".join(lines + [""] + forward)
+
+
+def forward_table(cfg, ds) -> list[str]:
+    """Cold and warm ms of the forward-only batched entries, as table lines."""
+    # distinct histories: a batch dedups equal ones before gating
+    distinct = {tuple(tuple(seq.ids) for seq in s.history.items): s.history
+                for s in ds.train_samples}
+    histories = list(distinct.values())[:BATCH]
+    idx = list(range(len(histories)))
+    val = ds.val_samples[:BATCH]
+    calls = {
+        f"batch_user_embeddings, B={len(histories)}":
+            lambda model: training.batch_user_embeddings(model, histories, idx),
+        f"evaluate, {len(val)} val impressions": lambda model: training.evaluate(model, val),
+    }
+    lines = ["| forward only, no tape | cold ms | warm ms |", "| --- | ---: | ---: |"]
+    for label, call in calls.items():
+        model = cli.build_model(cfg, len(ds.vocab), ds.stats)
+        times = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            call(model)
+            times.append((time.perf_counter() - t0) * 1e3)
+        lines.append(f"| {label} | {times[0]:.1f} | {times[1]:.1f} |")
+    return lines
 
 
 def main(argv=None) -> int:

@@ -328,8 +328,9 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out) if args.out else run_dir
     samples = dataset.val_samples or dataset.train_samples
 
-    histories = [s.history for s in samples]
-    counts, freq = keyword_position_histogram(model, histories)
+    # one gating per sample feeds both tables
+    gatings = [gate_history(s.history, model, i) for i, s in enumerate(samples)]
+    counts, freq = keyword_position_histogram(gatings)
     _write_table(
         out_dir / "positions.csv", cfg.fingerprint(),
         "position,count,frequency",
@@ -337,8 +338,7 @@ def cmd_analyze(args) -> int:
     )
 
     rows = []
-    for i, sample in enumerate(samples[: args.users]):
-        gated = gate_history(sample.history, model, i)
+    for i, (sample, gated) in enumerate(zip(samples[: args.users], gatings)):
         item_of = np.repeat(np.arange(len(gated)), np.diff(gated.offsets))
         for item_pos, p, tok, w in zip(
             item_of.tolist(), gated.positions.tolist(), gated.token_ids.tolist(),

@@ -30,6 +30,10 @@ Transformer cost for a length-n sequence, per layer:
 
 plus once per sequence: 5 n d + 5 n (positions and weighted pooling).
 The attention/ffn leading terms make the cost strictly superlinear in n.
+
+These are the costs of a cold gate, as the per-sample path always runs it.
+A forward-only batched call that reads the model's item store skips the
+conv, relu and pooling of every item the store already holds.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gating import GroupedSelection
 from .text import UserHistory
 
 
@@ -253,13 +258,12 @@ def measure_speedup(model, histories: list[UserHistory], repeats: int = 30) -> d
     }
 
 
-def keyword_position_histogram(model, histories: list[UserHistory]) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and frequencies of selected tokens' original positions."""
-    from .training import gate_history
-
-    max_len = max(len(seq) for h in histories for seq in h.items)
-    selected = [gate_history(history, model, i).positions for i, history in enumerate(histories)]
-    counts = np.bincount(np.concatenate(selected), minlength=max_len)
+def keyword_position_histogram(gatings: list[GroupedSelection]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and frequencies of the selected tokens' positions in their
+    items, over the given gatings; there is one count per position of the
+    longest item gated."""
+    max_len = max(int(g.score_at[:, 2].max()) for g in gatings)
+    counts = np.bincount(np.concatenate([g.positions for g in gatings]), minlength=max_len)
     total = counts.sum()
     freq = counts / total if total else counts.astype(float)
     return counts, freq

@@ -17,15 +17,20 @@ path, which is what lets the gate learn which tokens to keep.
 :func:`gate_groups` is the one gate implementation. It gates many histories
 in one pass of grouped tensor ops: items bucketed by length for the CNN,
 pooling and scoring, histories bucketed by item count for the user encoder,
-and a vectorised top-k per length group. Each length group's masked item
-pooling and the attention user encoder are one
-:func:`numerics.attention_pool` node each, and each length group's scores
-one :func:`numerics.cosine` node. The heuristic selectors (first,
-bm25, random) share its selection and gather. Its :class:`GroupedSelection`
-is flat: the selected rows of every item in order, ready for the user
-encoder, lined up with their weights, positions and token ids. It also
-reads as a sequence of per-item :class:`GateSelection` objects, each
-narrowed out of the grouped tensors only when asked for.
+and a vectorised top-k per length group. The per-item part (embedding
+gather, CNN, ReLU and masked pooling) is :func:`item_features`; it depends
+only on the item's token ids and on the tensors
+:meth:`GateParams.item_fingerprint` covers, so a forward-only caller may
+pass a :class:`training.ItemStore` that keeps each item's features and
+computes only the items it lacks. Each length group's masked item pooling
+and the attention user encoder are one :func:`numerics.attention_pool` node
+each, and each length group's scores one :func:`numerics.cosine` node.
+The heuristic selectors (first, bm25, random) share its selection and
+gather. Its :class:`GroupedSelection` is flat: the selected rows of every
+item in order, ready for the user encoder, lined up with their weights,
+positions and token ids. It also reads as a sequence of per-item
+:class:`GateSelection` objects, each narrowed out of the grouped tensors
+only when asked for.
 :func:`training.gate_history` runs the gate on one history of a model.
 """
 
@@ -79,6 +84,17 @@ class GateParams:
     @property
     def embed_dim(self) -> int:
         return self.word_embeddings.data.shape[1]
+
+    def item_fingerprint(self) -> str:
+        """:func:`numerics.fingerprint` of ``window`` and exactly the tensors
+        :func:`item_features` reads: the word embeddings, the conv and the
+        item pooling query. The LSTM and ``attn_v`` are left out."""
+        return nm.fingerprint(f"window={self.window}", {
+            "embed.word": self.word_embeddings,
+            "gate.conv.filters": self.filters,
+            "gate.conv.bias": self.bias,
+            "gate.pool.v": self.pool_v,
+        })
 
     def named_tensors(self) -> dict[str, Tensor]:
         return {
@@ -266,25 +282,41 @@ def heuristic_scores(ids: np.ndarray, method: str, stats: CorpusStats | None = N
     )
 
 
+def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The gate's per-item work on a length group's (G, L) token ids: the
+    (G, L, n_f) ReLU conv context and the (G, n_f) masked attention pooling
+    of it. Each item's rows depend only on its ids and on the tensors
+    :meth:`GateParams.item_fingerprint` covers."""
+    valid = ids != PAD_ID
+    emb3 = gather_rows(params.word_embeddings, ids)
+    ctx3 = nm.relu(nm.conv1d(emb3, params.filters, params.bias, params.window))
+    mask = None if valid.all() else np.where(valid, 0.0, NEG_MASK)
+    return ctx3, nm.attention_pool(ctx3, params.pool_v, mask)
+
+
 def _interest_scores(
     params: GateParams,
     histories: list[UserHistory],
     groups: list[tuple[np.ndarray, np.ndarray]],
     items: list[TokenSequence],
+    store=None,
 ) -> list[Tensor]:
     """(G, L) cosine scores of every length group's tokens against the
-    interest vector of the history that holds them."""
+    interest vector of the history that holds them. The per-item features
+    come from ``store`` as constants when one is given, else from
+    :func:`item_features` on the current tape."""
     n_f = params.n_filters
-    # items, per length group: embedding, CNN context and masked pooling
-    ctxs, pooled_chunks = [], []
-    for members, ids in groups:
-        valid = ids != PAD_ID
-        emb3 = gather_rows(params.word_embeddings, ids)
-        ctx3 = nm.relu(nm.conv1d(emb3, params.filters, params.bias, params.window))
-        mask = None if valid.all() else np.where(valid, 0.0, NEG_MASK)
-        pooled_chunks.append(nm.attention_pool(ctx3, params.pool_v, mask))
-        ctxs.append(ctx3)
-    pooled = nm.assemble_rows(pooled_chunks, np.concatenate([m for m, _ in groups]))
+    if store is None:
+        features = [item_features(params, ids) for _, ids in groups]
+    else:
+        features = [
+            (constant(ctx3), constant(pooled))
+            for ctx3, pooled in store.gate_rows([ids for _, ids in groups], params)
+        ]
+    ctxs = [ctx3 for ctx3, _ in features]
+    pooled = nm.assemble_rows(
+        [p for _, p in features], np.concatenate([m for m, _ in groups])
+    )
 
     # user interest, per count of items: the LSTM's last state or attention pooling
     n_items = np.array([len(h) for h in histories])
@@ -325,15 +357,22 @@ def gate_groups(
     method: str = "learned",
     stats: CorpusStats | None = None,
     rngs: list[np.random.Generator] | None = None,
+    store=None,
 ) -> GroupedSelection:
     """Gate every item of every history in one pass of grouped tensor ops.
 
     ``method`` is the learned gate or one of the heuristic selectors; the
     heuristics' weights are constant and uniform at 1/K_eff, and ``random``
     draws each history's scores, item by item, from its own ``rngs`` entry.
+    ``store`` (a :class:`training.ItemStore`) supplies the learned gate's
+    per-item features as constants; it is for forward-only calls, so one
+    given while a tape records is rejected, as no gradient would reach the
+    tensors those features read.
     """
     if method not in GATE_METHODS:
         raise ValueError(f"unknown gate method: {method}")
+    if store is not None and nm.recording():
+        raise ValueError("an item store cannot feed the gate while a tape records")
     if method == "bm25" and stats is None:
         raise ValueError("bm25 gating requires corpus stats")
     if method == "random" and (rngs is None or len(rngs) != len(histories) or None in rngs):
@@ -351,7 +390,7 @@ def gate_groups(
         groups.append((members, np.array([items[i].ids for i in members], dtype=np.intp)))
 
     if method == "learned":
-        scores = _interest_scores(params, histories, groups, items)
+        scores = _interest_scores(params, histories, groups, items, store)
     elif method == "random":
         # each history's draws run through its items in order
         token_start = np.concatenate([[0], np.cumsum(lengths)])

@@ -37,10 +37,14 @@ would.
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
 per-element constants for the transcendental ops (see ``_FLOPS_PER_ELEM``).
+:func:`recording` tells whether a tape is active on the calling thread, and
+:func:`fingerprint` hashes a set of named tensors, for caches of values that
+depend on them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -49,6 +53,8 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "recording",
+    "fingerprint",
     "tensor",
     "constant",
     "backward",
@@ -98,6 +104,11 @@ _FLOPS_PER_ELEM = {
 
 def _tape() -> "Tape | None":
     return getattr(_STATE, "tape", None)
+
+
+def recording() -> bool:
+    """True while a :class:`Tape` is active on the calling thread."""
+    return _tape() is not None
 
 
 def _count(n: int) -> None:
@@ -202,6 +213,18 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def constant(data) -> Tensor:
     return tensor(data, requires_grad=False)
+
+
+def fingerprint(header: str, named: dict[str, "Tensor"]) -> str:
+    """sha256 over ``header`` and each named tensor's name, shape and float64
+    bytes, by sorted name. It reads the arrays afresh on every call, so it
+    changes with any edit to them, in place or not."""
+    digest = hashlib.sha256(header.encode("utf-8"))
+    for name in sorted(named):
+        arr = np.ascontiguousarray(named[name].data, dtype=np.float64)
+        digest.update(f";{name}{arr.shape}".encode("utf-8"))
+        digest.update(arr)
+    return digest.hexdigest()
 
 
 def _as_tensor(x) -> Tensor:

@@ -9,22 +9,27 @@ candidates' distinct token ids), with samples grouped by negative count.
 Tests pin it to a per-sample reference loss built from the oracle gate. Its
 ops and their reductions run in a fixed order, so runs are bit-reproducible
 for a fixed seed. Evaluation runs the same batched encoders without a tape
-and reads candidate rows through the model's :class:`ItemStore`, which
-keeps them while the encoder's parameters are unchanged. Validation AUC
-selects the checkpoint that is kept.
+and reads through the model's :class:`ItemStore`, which keeps candidate
+rows while the encoder's parameters are unchanged and the gate's per-item
+features while the tensors they read are unchanged. Only
+:func:`batch_user_embeddings` with no tape recording reads gate features
+from it, so training (always on a tape) computes them and its gradients
+reach the tensors they read. Validation AUC selects the checkpoint that is
+kept.
 
 Per sample, :func:`gate_history` is the one gate entry: the grouped gate on
-a batch of one history, with the model's selector. Its flat output feeds
-both :func:`user_embedding` (the gated rows) and :func:`user_keywords` (the
-selected token ids and their weights). :func:`sample_rngs` is where the
-random selector gets one generator per sample, for the per-sample and the
-batched entry alike.
+a batch of one history, with the model's selector, never reading the store.
+Its flat output feeds both :func:`user_embedding` (the gated rows) and
+:func:`user_keywords` (the selected token ids and their weights).
+:func:`sample_rngs` is where the random selector gets one generator per
+sample, for the per-sample and the batched entry alike.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .gating import GateParams, GroupedSelection, gate_groups, init_gate_params
+from .gating import GateParams, GroupedSelection, gate_groups, init_gate_params, item_features
 from .numerics import Tape, Tensor, backward, tensor
 from .text import CorpusStats, ImpressionSample, TokenSequence, UserHistory
 # encode_candidate, encode_sequence and weighted_pool are not called here:
@@ -57,45 +62,94 @@ log = logging.getLogger(__name__)
 ENCODE_CHUNK = 32
 
 
+class _Rows:
+    """Rows of one kind, keyed by token ids, kept while the fingerprint of
+    the tensors they read is unchanged. A lock makes each call's look-up,
+    computation and insertion one step."""
+
+    def __init__(self) -> None:
+        self.fingerprint: str | None = None
+        self.rows: dict[tuple[int, ...], object] = {}
+        self.lock = threading.Lock()
+
+    def get(self, fingerprint: str, keys: list[tuple[int, ...]], compute) -> list:
+        """The row of each key, in order; a new fingerprint drops every row
+        first, and ``compute`` makes the rows of the distinct missing keys,
+        given in order of first occurrence."""
+        with self.lock:
+            if fingerprint != self.fingerprint:
+                self.fingerprint, self.rows = fingerprint, {}
+            missing = list(dict.fromkeys(key for key in keys if key not in self.rows))
+            if missing:
+                self.rows.update(zip(missing, compute(missing)))
+            return [self.rows[key] for key in keys]
+
+
 class ItemStore:
-    """Forward-only candidate rows of one model, keyed by token ids.
+    """Forward-only rows of one model's items, keyed by token ids, of two
+    kinds: candidate rows and the learned gate's per-item features.
 
     A candidate's row depends only on its token ids and on the encoder's
-    tensors. The store keeps the rows it has encoded under the encoder's
-    :meth:`TransformerParams.fingerprint`, which it recomputes on every
-    call and which covers in-place edits (Adam, ``apply_checkpoint``) as
-    well as replaced arrays; when it differs, every row is dropped. Rows it
-    lacks are encoded by :func:`encode_candidate_rows` in order of first
-    occurrence. Rows are handed out read-only. Each :class:`Model` owns
-    one, so models never share rows.
+    tensors; a history item's gate features (its (L, n_f) ReLU conv context
+    and its (n_f,) pooled vector, :func:`gating.item_features`) only on its
+    token ids and on the tensors :meth:`GateParams.item_fingerprint` covers.
+    Each kind is kept under the fingerprint of the tensors it reads
+    (:meth:`TransformerParams.fingerprint` for candidates), recomputed on
+    every call, so in-place edits (Adam, ``apply_checkpoint``) and replaced
+    arrays are seen; when it differs, every row of that kind is dropped.
+    Rows a call lacks are computed once per distinct key, in order of first
+    occurrence, and handed out read-only. ``evaluate`` reads gate rows from
+    several threads at once; each kind's lock keeps its calls apart. Each
+    :class:`Model` owns one store, so models never share rows.
     """
 
     def __init__(self) -> None:
-        self._fingerprint: str | None = None
-        self._rows: dict[tuple[int, ...], np.ndarray] = {}
+        self._candidates = _Rows()
+        self._gate = _Rows()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        """Candidate rows held."""
+        return len(self._candidates.rows)
+
+    @property
+    def n_gate_rows(self) -> int:
+        """History items whose gate features are held."""
+        return len(self._gate.rows)
 
     def rows(
         self, seqs: list[TokenSequence], params: TransformerParams, map_fn=map
     ) -> list[np.ndarray]:
         """One read-only (d,) row per sequence, in input order; ``map_fn``
         runs the encoder's slices as in :func:`encode_candidate_rows`."""
-        fingerprint = params.fingerprint()
-        if fingerprint != self._fingerprint:
-            self._fingerprint, self._rows = fingerprint, {}
-        rows = self._rows
         keys = [tuple(seq.ids) for seq in seqs]
-        missing: dict[tuple[int, ...], TokenSequence] = {}
-        for key, seq in zip(keys, seqs):
-            if key not in rows:
-                missing.setdefault(key, seq)
-        if missing:
-            block = encode_candidate_rows(list(missing.values()), params, map_fn)
+        seq_of = dict(zip(keys, seqs))
+
+        def encode(missing):
+            block = encode_candidate_rows([seq_of[key] for key in missing], params, map_fn)
             block.flags.writeable = False
-            rows.update(zip(missing, block))
-        return [rows[key] for key in keys]
+            return block
+
+        return self._candidates.get(params.fingerprint(), keys, encode)
+
+    def gate_rows(
+        self, groups: list[np.ndarray], params: GateParams
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each length group's (G, L) token ids, the (G, L, n_f) context
+        and (G, n_f) pooled arrays :func:`gating.item_features` makes; the
+        distinct missing items of a group are computed in one call."""
+        fingerprint = params.item_fingerprint()
+
+        def compute(missing):
+            ctx3, pooled = item_features(params, np.array(missing, dtype=np.intp))
+            ctx3.data.flags.writeable = pooled.data.flags.writeable = False
+            return zip(ctx3.data, pooled.data)
+
+        out = []
+        for ids in groups:
+            keys = list(map(tuple, ids.tolist()))
+            ctxs, pools = zip(*self._gate.get(fingerprint, keys, compute))
+            out.append((np.stack(ctxs), np.stack(pools)))
+        return out
 
 
 @dataclass
@@ -157,7 +211,12 @@ def sample_rngs(model: Model, sample_indices: list[int]) -> list[np.random.Gener
 
 def gate_history(history: UserHistory, model: Model, sample_index: int = 0) -> GroupedSelection:
     """Gate one user's history with the model's selector:
-    :func:`gating.gate_groups` on a batch of one."""
+    :func:`gating.gate_groups` on a batch of one.
+
+    It never reads the item store: the benchmark's FLOP-model check counts
+    one per-sample ``user_embedding`` against the cold
+    ``efficiency.user_side_flops``, which a warm store would undercut.
+    """
     return gate_groups(
         [history], model.gate, model.k, model.gate_method, model.stats,
         sample_rngs(model, [sample_index]),
@@ -190,7 +249,9 @@ def batch_user_embeddings(
     Histories with equal content (the items' token ids, and their word
     groups under word granularity) are encoded once and share one row,
     except under the random selector whose draws are keyed to the sample
-    index.
+    index. With no tape recording, the learned gate reads its per-item
+    features from the model's :class:`ItemStore`; on a tape (``batch_loss``)
+    it computes them, so gradients reach the tensors they read.
     """
     word = model.gate.granularity == "word"
     rngs = sample_rngs(model, sample_indices)
@@ -210,7 +271,8 @@ def batch_user_embeddings(
         mapping.append(len(unique))
         unique.append(h)
 
-    gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs)
+    store = None if nm.recording() else model.items
+    gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs, store)
     index = [np.arange(start, start + length) for start, length in gated.spans()]
     users_unique = encode_sequences(gated.rows, index, model.trans)
     if mapping == list(range(len(histories))):
@@ -405,15 +467,15 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     per sample). Candidate rows come from the model's :class:`ItemStore`:
     each distinct token-id sequence is encoded once while the encoder's
     parameters are unchanged, whatever its news id and however many
-    objects or calls hold it. With ``threads`` > 1 the encoder calls run on
-    a thread pool of that size and the report equals the single-threaded
-    one.
+    objects or calls hold it; the learned gate's per-item features come
+    from the same store. With ``threads`` > 1 the encoder calls run on a
+    thread pool of that size and the report equals the single-threaded one.
 
-    A row reused from an earlier call was encoded in another slice of
-    candidates, so the report also depends on the store's state. With a
+    A row reused from an earlier call (or another chunk) was computed in
+    another batch, so the report also depends on the store's state. With a
     BLAS whose products give a row the same bits whatever rows share its
     batch it does not change; the tests check that a warm report equals a
-    cold one.
+    cold one and an uncached one.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")

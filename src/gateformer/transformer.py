@@ -92,16 +92,11 @@ class TransformerParams:
         return out
 
     def fingerprint(self) -> str:
-        """sha256 over ``heads`` and every tensor the encoders read (name,
-        shape and float64 bytes, by sorted name), read afresh on every call,
-        so it changes with any edit to them, in place or not."""
-        named = {"embed.word": self.word_embeddings, **self.named_tensors()}
-        digest = hashlib.sha256(f"heads={self.heads}".encode("utf-8"))
-        for name in sorted(named):
-            arr = np.ascontiguousarray(named[name].data, dtype=np.float64)
-            digest.update(f";{name}{arr.shape}".encode("utf-8"))
-            digest.update(arr)
-        return digest.hexdigest()
+        """:func:`numerics.fingerprint` of ``heads`` and every tensor the
+        encoders read, so it changes with any edit to them."""
+        return nm.fingerprint(
+            f"heads={self.heads}", {"embed.word": self.word_embeddings, **self.named_tensors()}
+        )
 
 
 def init_transformer_params(

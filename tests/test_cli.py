@@ -269,3 +269,23 @@ class TestAnalyzeCommand:
         kw_lines = (run / "keywords.csv").read_text().splitlines()
         assert kw_lines[1] == "impression,item,position,token,score,weight"
         assert len(kw_lines) > 2
+
+    def test_gates_each_sample_once(self, tmp_path, monkeypatch):
+        from gateformer import cli
+
+        data = synth(tmp_path, seed=12)
+        run = train_run(tmp_path, data, seed=12, steps=2)
+        cfg = cli.load_run(run, [])
+        n_samples = len(cli.load_dataset(cfg, data).val_samples)
+        calls = []
+        original = cli.gate_history
+
+        def counted(history, model, sample_index=0):
+            calls.append(sample_index)
+            return original(history, model, sample_index)
+
+        monkeypatch.setattr(cli, "gate_history", counted)
+        rc = main(["analyze", "--run", str(run), "--data", str(data), "--users", "5"])
+        assert rc == 0
+        assert n_samples > 5 and calls == list(range(n_samples))
+        assert len((run / "keywords.csv").read_text().splitlines()) > 2

@@ -18,7 +18,7 @@ from gateformer.efficiency import (
 )
 from gateformer.gating import gate_groups
 from gateformer.text import TokenSequence, UserHistory, corpus_stats, synth_corpus_full
-from gateformer.training import Model, init_model
+from gateformer.training import Model, gate_history, init_model
 from gateformer.transformer import encode_candidate
 from oracles import select_history_oracle
 
@@ -194,13 +194,17 @@ class TestPositionHistogram:
         )
         return model, [s.history for s in corpus.samples]
 
+    @staticmethod
+    def gatings(model, histories):
+        return [gate_history(h, model, i) for i, h in enumerate(histories)]
+
     def make(self, method, seed=0):
-        return keyword_position_histogram(*self.model_and_histories(method, seed))
+        return keyword_position_histogram(self.gatings(*self.model_and_histories(method, seed)))
 
     @pytest.mark.parametrize("method", ["learned", "first", "bm25", "random"])
     def test_counts_match_per_item_oracle(self, method):
         model, histories = self.model_and_histories(method)
-        counts, freq = keyword_position_histogram(model, histories)
+        counts, freq = keyword_position_histogram(self.gatings(model, histories))
         want = np.zeros(12, dtype=np.int64)
         for i, history in enumerate(histories):
             for sel in select_history_oracle(model, history, i):

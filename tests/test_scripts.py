@@ -1,4 +1,7 @@
+import contextlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -76,13 +79,27 @@ class TestPerLayerTable:
         assert table["after"][2] == {"seed": 3, "correct": False, "failed": 1, "attempted": 10}
 
 
-class TestProfileStep:
-    def test_one_train_step_records_sixty_tape_nodes(self, capsys, monkeypatch):
+@pytest.fixture(scope="module")
+def profile_output():
+    """What ``profile_step.py --workload train --steps 1`` prints."""
+    with pytest.MonkeyPatch.context() as mp:
         # the script pins BLAS to one thread through the environment on import
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")
+            mp.setenv(var, "1")
         profile_step = load_script("profile_step")
-        assert profile_step.main(["--workload", "train", "--steps", "1"]) == 0
-        out = capsys.readouterr().out
-        rows = [line for line in out.splitlines() if line.startswith("| tape nodes |")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert profile_step.main(["--workload", "train", "--steps", "1"]) == 0
+    return out.getvalue()
+
+
+class TestProfileStep:
+    def test_one_train_step_records_sixty_tape_nodes(self, profile_output):
+        rows = [line for line in profile_output.splitlines() if line.startswith("| tape nodes |")]
         assert rows == ["| tape nodes | 60.0 |"]
+
+    def test_forward_only_table_times_both_batched_entries(self, profile_output):
+        assert "| forward only, no tape | cold ms | warm ms |" in profile_output
+        for entry in ("batch_user_embeddings, B=32", "evaluate, 32 val impressions"):
+            row = rf"^\| {entry} \| [\d.]+ \| [\d.]+ \|$"
+            assert len(re.findall(row, profile_output, re.M)) == 1, entry

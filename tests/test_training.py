@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from gateformer import numerics as nm
+from gateformer.efficiency import ModelDims, user_side_flops
+from gateformer.gating import gate_groups, item_features
 from gateformer.numerics import Tape, backward, tensor
-from gateformer.text import ImpressionSample, TokenSequence, UserHistory, synth_corpus_full
+from gateformer.text import PAD_ID, ImpressionSample, TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import (
+    ENCODE_CHUNK,
     Model,
     OptimState,
     adam_step,
@@ -256,12 +259,13 @@ class TestBatchEquivalence:
                 assert rel_err(batched[i], single) < 1e-12
 
     def test_equal_content_histories_encoded_once(self, tiny_corpus):
-        model = tiny_model(tiny_corpus)
         h0, h1 = tiny_corpus.samples[0].history, tiny_corpus.samples[1].history
+        # a fresh model for each count: both calls start with a cold item store
+        first, second = tiny_model(tiny_corpus), tiny_model(tiny_corpus)
         with nm.count_flops() as distinct:
-            batch_user_embeddings(model, [h0, h1], [0, 1])
+            batch_user_embeddings(first, [h0, h1], [0, 1])
         with nm.count_flops() as repeated:
-            out = batch_user_embeddings(model, [h0, copy.deepcopy(h0), h1, h0], [0, 1, 2, 3])
+            out = batch_user_embeddings(second, [h0, copy.deepcopy(h0), h1, h0], [0, 1, 2, 3])
         assert repeated.flops == distinct.flops
         assert np.array_equal(out.data[0], out.data[1])
         assert np.array_equal(out.data[0], out.data[3])
@@ -666,6 +670,230 @@ class TestItemStore:
         samples = tiny_corpus.samples[:70]
         evaluate(model, samples[:30])
         assert evaluate(model, samples, threads=3) == evaluate(model, samples, threads=1)
+
+
+def ragged_with_pads(samples, words=False):
+    """The samples with each history item cut to 7-10 tokens and, in every
+    third item, its last two tokens set to PAD; with ``words``, the history
+    tokens grouped in words of two."""
+    out = []
+    for i, s in enumerate(samples):
+        items = []
+        for j, seq in enumerate(s.history.items):
+            n = len(seq) - (i + j) % 4
+            ids = list(seq.ids[:n])
+            if (i + j) % 3 == 0:
+                ids[-2:] = [PAD_ID, PAD_ID]
+            groups = [t // 2 for t in range(n)] if words else seq.word_group[:n]
+            items.append(TokenSequence(ids, groups, seq.source_positions[:n]))
+        out.append(dataclasses.replace(s, history=UserHistory(items)))
+    return out
+
+
+def _edit_filters(model, tmp_path):
+    model.gate.filters.data[0, 0] += 1e-3
+
+
+def _edit_pool_v(model, tmp_path):
+    model.gate.pool_v.data[0] += 1e-3
+
+
+def _replace_conv_bias(model, tmp_path):
+    model.gate.bias.data = model.gate.bias.data + 1e-3
+
+
+def _edit_lstm(model, tmp_path):
+    model.gate.lstm.w_ih.data[0, 0] += 1e-2
+
+
+def _edit_attn_v(model, tmp_path):
+    model.gate.attn_v.data[0] += 1e-2
+
+
+def _change_k(model, tmp_path):
+    model.k = 1
+
+
+class TestGateRows:
+    """The item store's second row kind: the learned gate's per-item
+    features, read by forward-only batched calls only."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Token ids of every item the store computes features for."""
+        import gateformer.training as training
+
+        computed = []
+
+        def recording(params, ids):
+            computed.extend(map(tuple, ids.tolist()))
+            return item_features(params, ids)
+
+        monkeypatch.setattr(training, "item_features", recording)
+        return computed
+
+    @staticmethod
+    def uncached(model):
+        """The model with a store that keeps no gate rows: each call computes
+        its length groups' features as the taped path does."""
+        model.items.gate_rows = lambda groups, params: [
+            (ctx3.data, pooled.data)
+            for ctx3, pooled in (item_features(params, ids) for ids in groups)
+        ]
+        return model
+
+    @staticmethod
+    def distinct_items(histories):
+        return list(dict.fromkeys(tuple(seq.ids) for h in histories for seq in h.items))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("granularity", ["token", "word"])
+    @pytest.mark.parametrize("encoder", ["lstm", "attn"])
+    def test_cold_warm_and_uncached_agree(self, tiny_corpus, encoder, granularity, threads):
+        samples = ragged_with_pads(tiny_corpus.samples[:45], words=granularity == "word")
+        hists = [s.history for s in samples]
+        assert len({len(seq) for h in hists for seq in h.items}) == 4
+        assert any(PAD_ID in seq.ids for h in hists for seq in h.items)
+        idx = list(range(len(hists)))
+
+        def fresh():
+            return tiny_model(tiny_corpus, granularity=granularity, user_encoder=encoder)
+
+        with Tape():
+            taped = batch_user_embeddings(fresh(), hists, idx).data
+        model = fresh()
+        cold = batch_user_embeddings(model, hists, idx).data
+        assert model.items.n_gate_rows == len(self.distinct_items(hists))
+        warm = batch_user_embeddings(model, hists, idx).data
+        assert np.array_equal(cold, taped) and np.array_equal(warm, taped)
+        # rows computed in other batches than this call's
+        rewarmed = fresh()
+        batch_user_embeddings(rewarmed, hists[13:40], idx[13:40])
+        batch_user_embeddings(rewarmed, hists[:7], idx[:7])
+        assert np.array_equal(batch_user_embeddings(rewarmed, hists, idx).data, taped)
+
+        want = evaluate(self.uncached(fresh()), samples, threads=threads)
+        model = fresh()
+        assert evaluate(model, samples, threads=threads) == want
+        assert model.items.n_gate_rows == len(self.distinct_items(hists))
+        model = fresh()
+        evaluate(model, samples[13:40], threads=threads)
+        evaluate(model, samples[:7], threads=threads)
+        assert evaluate(model, samples, threads=threads) == want
+
+    def test_taped_batch_loss_neither_reads_nor_writes(self, tiny_corpus, monkeypatch):
+        samples = tiny_corpus.samples[:8]
+        idx = list(range(len(samples)))
+
+        def step(model):
+            named = model.named_tensors()
+            for t in named.values():
+                t.zero_grad()
+            with Tape() as tape:
+                loss = batch_loss(model, samples, idx)
+            backward(tape, loss)
+            return len(tape), loss.item(), {k: v.grad for k, v in named.items()}
+
+        cold = tiny_model(tiny_corpus)
+        want = step(cold)
+        assert cold.items.n_gate_rows == 0
+        warm = tiny_model(tiny_corpus)
+        evaluate(warm, samples)
+        held = warm.items.n_gate_rows
+        assert held > 0
+        reads = []
+        monkeypatch.setattr(warm.items, "gate_rows", lambda *args: reads.append(args))
+        nodes, loss, grads = step(warm)
+        assert reads == [] and warm.items.n_gate_rows == held
+        assert (nodes, loss) == want[:2]
+        for name, grad in want[2].items():
+            other = grads[name]
+            assert (grad is None and other is None) or np.array_equal(grad, other), name
+        # the gate itself refuses a store while a tape records
+        with Tape(), pytest.raises(ValueError, match="tape"):
+            gate_groups([samples[0].history], warm.gate, warm.k, store=warm.items)
+
+    def test_each_distinct_item_computed_once_per_fingerprint(self, tiny_corpus, monkeypatch):
+        computed = self.recording(monkeypatch)
+        samples = ragged_with_pads(tiny_corpus.samples[:45])
+        hists = [s.history for s in samples]
+        model = tiny_model(tiny_corpus)
+        batch_user_embeddings(model, hists[:20], list(range(20)))
+        batch_user_embeddings(model, hists[10:], list(range(10, 45)))
+        evaluate(model, samples, threads=3)
+        distinct = self.distinct_items(hists)
+        assert len(distinct) < sum(len(h) for h in hists)
+        assert sorted(computed) == sorted(distinct)
+        assert model.items.n_gate_rows == len(distinct)
+        _adam(model, None)
+        computed.clear()
+        evaluate(model, samples, threads=3)
+        assert sorted(computed) == sorted(distinct)
+
+    @pytest.mark.parametrize("method", ["first", "bm25", "random"])
+    def test_heuristic_selectors_skip_the_store(self, tiny_corpus, monkeypatch, method):
+        computed = self.recording(monkeypatch)
+        model = tiny_model(tiny_corpus, method)
+        evaluate(model, tiny_corpus.samples[:20])
+        assert computed == [] and model.items.n_gate_rows == 0
+
+    @pytest.mark.parametrize("change", [
+        _adam, _load_other_checkpoint, _edit_word_row, _edit_filters, _edit_pool_v,
+        _replace_conv_bias,
+    ])
+    def test_item_tensor_change_drops_gate_rows(self, tiny_corpus, monkeypatch, tmp_path, change):
+        model = tiny_model(tiny_corpus)
+        hists = [s.history for s in tiny_corpus.samples[:20]]
+        batch_user_embeddings(model, hists, list(range(20)))
+        change(model, tmp_path)
+        computed = self.recording(monkeypatch)
+        got = batch_user_embeddings(model, hists[:3], [0, 1, 2]).data
+        distinct = self.distinct_items(hists[:3])
+        assert sorted(computed) == sorted(distinct)
+        assert model.items.n_gate_rows == len(distinct)
+        with Tape():
+            assert np.array_equal(got, batch_user_embeddings(model, hists[:3], [0, 1, 2]).data)
+
+    @pytest.mark.parametrize("change, encoder", [
+        (_edit_lstm, "lstm"), (_edit_attn_v, "attn"), (_replace_data, "lstm"), (_change_k, "lstm"),
+    ])
+    def test_other_changes_keep_gate_rows(
+        self, tiny_corpus, monkeypatch, tmp_path, change, encoder
+    ):
+        model = tiny_model(tiny_corpus, user_encoder=encoder)
+        hists = [s.history for s in tiny_corpus.samples[:20]]
+        idx = list(range(20))
+        before = batch_user_embeddings(model, hists, idx).data
+        held = model.items.n_gate_rows
+        change(model, tmp_path)
+        computed = self.recording(monkeypatch)
+        got = batch_user_embeddings(model, hists, idx).data
+        assert computed == [] and model.items.n_gate_rows == held
+        assert not np.array_equal(got, before)
+        with Tape():
+            assert np.array_equal(got, batch_user_embeddings(model, hists, idx).data)
+
+    def test_per_sample_gate_leaves_store_untouched(self, tiny_corpus, monkeypatch):
+        model = tiny_model(tiny_corpus)
+        samples = tiny_corpus.samples[:ENCODE_CHUNK]
+        evaluate(model, samples)  # a warm store, holding every item of these histories
+        held = model.items.n_gate_rows
+        history = samples[0].history
+        reads = []
+        monkeypatch.setattr(model.items, "gate_rows", lambda *args: reads.append(args))
+        with nm.count_flops() as counter:
+            user_embedding(model, history, 0)
+        gate_history(history, model, 0)
+        user_keywords(model, history, 0)
+        assert reads == [] and model.items.n_gate_rows == held
+        dims = ModelDims(
+            d=model.trans.d, layers=len(model.trans.layers), heads=model.trans.heads,
+            n_filters=model.gate.n_filters, window=model.gate.window, k=model.k,
+            item_len=len(history.items[0]),
+        )
+        predicted = user_side_flops(dims, len(history), gated=True)
+        # the tolerance perfbench's FLOP-model check allows
+        assert abs(counter.flops - predicted) / predicted <= 0.05
 
 
 class TestEncodeCandidateRows:
