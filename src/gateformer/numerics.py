@@ -76,7 +76,6 @@ __all__ = [
     "clamp_min",
     "vsum",
     "mean",
-    "dot",
     "logsumexp",
     "layer_norm",
     "gather_rows",
@@ -85,7 +84,6 @@ __all__ = [
     "narrow",
     "reshape",
     "transpose",
-    "transpose2d",
     "count_flops",
     "FlopCounter",
 ]
@@ -450,11 +448,6 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def dot(a, b) -> Tensor:
-    """Inner product of two vectors; returns a scalar tensor."""
-    return matmul(a, b)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -761,15 +754,13 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
     return _make(h if batched else h[0], (seq, w_ih, w_hh, bias), bwd)
 
 
-def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int,
-              collect: list | None = None) -> Tensor:
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     """Multi-head scaled dot-product self attention over (B, n, d).
 
     Sequences of the stack never attend to each other. One product projects
     x to queries, keys and values together, every head's scores and context
     are batched products over (B, heads), and the heads' context goes
-    through the output projection. ``collect``, if given, receives the
-    attention maps as one constant (B, heads, n, n) tensor.
+    through the output projection.
 
     One tape node with a hand-written backward. The FLOP count is that of
     the op-by-op form: four projections, four bias adds, two score/value
@@ -803,8 +794,6 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int,
     out = ctx @ wo
     out += bo
     _count(B * (8 * n * d * d + 4 * n * n * d + 6 * heads * n * n + 4 * n * d))
-    if collect is not None:
-        collect.append(constant(alpha))
 
     def bwd(g):
         g2 = g.reshape(B * n, d)
@@ -1034,13 +1023,6 @@ def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     data = x.data.reshape(shape)
     return _make(data, (x,), lambda g: (g.reshape(x.data.shape),))
-
-
-def transpose2d(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose2d expects a matrix, got shape {x.data.shape}")
-    return _make(x.data.T, (x,), lambda g: (g.T,))
 
 
 def transpose(x, axes: tuple) -> Tensor:

@@ -5,17 +5,20 @@ A training step records one tape for the whole batch: ``batch_loss`` runs
 the grouped gate (:func:`gating.gate_groups`) and both sides of the
 transformer on grouped tensors, each through one
 :func:`transformer.encode_sequences` call (the users' gated rows, and the
-candidates' distinct token ids), with samples grouped by negative count.
+candidates' distinct token ids), and scores them with
+:func:`impression_logits`, per group of samples with equal negative counts.
 Tests pin it to a per-sample reference loss built from the oracle gate. Its
 ops and their reductions run in a fixed order, so runs are bit-reproducible
-for a fixed seed. Evaluation runs the same batched encoders without a tape
-and reads through the model's :class:`ItemStore`, which keeps candidate
-rows while the encoder's parameters are unchanged and the gate's per-item
-features while the tensors they read are unchanged. Only
-:func:`batch_user_embeddings` with no tape recording reads gate features
-from it, so training (always on a tape) computes them and its gradients
-reach the tensors they read. Validation AUC selects the checkpoint that is
-kept.
+for a fixed seed. Evaluation runs the same batched encoders and the same
+scoring without a tape, and reads through the model's :class:`ItemStore`,
+which keeps candidate rows while the encoder's parameters are unchanged and
+the gate's per-item features while the tensors they read are unchanged.
+Only :func:`batch_user_embeddings` with no tape recording reads gate
+features from it, so training (always on a tape) computes them and its
+gradients reach the tensors they read. Every impression holds one positive,
+so :func:`rank_metrics` reads AUC, MRR and NDCG from how many negatives
+score above and level with it; the general reference metrics live in the
+tests. Validation AUC selects the checkpoint that is kept.
 
 Per sample, :func:`gate_history` is the one gate entry: the grouped gate on
 a batch of one history, with the model's selector, never reading the store.
@@ -280,23 +283,21 @@ def batch_user_embeddings(
     return nm.gather_rows(users_unique, mapping)
 
 
-def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: list[int]) -> Tensor:
-    """Mean click loss over a batch, computed on grouped tensors.
+def impression_logits(
+    users: Tensor, cands: Tensor, n_cands: np.ndarray
+) -> list[tuple[np.ndarray, Tensor]]:
+    """``(members, logits)`` per distinct candidate count C, in increasing C.
 
-    Users and candidates are encoded in one call each; the scores and
-    per-sample losses run per group of samples with equal negative counts.
+    ``users`` is (B, d); ``cands`` (N, d) holds each sample's candidates in
+    sample order, positive first, ``n_cands[i]`` of them for sample i.
+    ``members`` are the indices of the G samples with C candidates and
+    ``logits`` their (G, C) scores ``<user, candidate> / sqrt(d)``, the
+    positive in column 0. Each score is one row's own product and sum, so
+    equal candidate rows of an impression score equally.
     """
-    users = batch_user_embeddings(model, [s.history for s in samples], sample_indices)
-    cand_seqs = []
-    for s in samples:
-        cand_seqs.append(s.positive)
-        cand_seqs.extend(s.negatives)
-    cands = encode_candidates(cand_seqs, model.trans)
-    B = len(samples)
-    d = model.trans.d
-    n_cands = np.array([1 + len(s.negatives) for s in samples])
+    B, d = users.data.shape
     first = np.concatenate([[0], np.cumsum(n_cands)[:-1]])
-    losses = []
+    out = []
     for C in np.unique(n_cands):
         mem = np.flatnonzero(n_cands == C)
         if len(mem) == B:
@@ -309,8 +310,28 @@ def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: li
             nm.vsum(nm.mul(nm.reshape(c, (G, C, d)), nm.reshape(u, (G, 1, d))), axis=2),
             1.0 / math.sqrt(d),
         )
+        out.append((mem, z))
+    return out
+
+
+def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: list[int]) -> Tensor:
+    """Mean click loss over a batch, computed on grouped tensors.
+
+    Users and candidates are encoded in one call each; the scores
+    (:func:`impression_logits`) and per-sample losses run per group of
+    samples with equal negative counts.
+    """
+    users = batch_user_embeddings(model, [s.history for s in samples], sample_indices)
+    cand_seqs = []
+    for s in samples:
+        cand_seqs.append(s.positive)
+        cand_seqs.extend(s.negatives)
+    cands = encode_candidates(cand_seqs, model.trans)
+    n_cands = np.array([1 + len(s.negatives) for s in samples])
+    losses = []
+    for mem, z in impression_logits(users, cands, n_cands):
         lse = nm.logsumexp(z, axis=-1)
-        z_pos = nm.reshape(nm.narrow(z, 1, 0, 1), (G,))
+        z_pos = nm.reshape(nm.narrow(z, 1, 0, 1), (len(mem),))
         losses.append(nm.sub(lse, z_pos))
     return nm.mean(losses[0] if len(losses) == 1 else nm.concat_rows(losses))
 
@@ -404,47 +425,27 @@ class EvalReport:
         return (self.auc, self.mrr, self.ndcg5, self.ndcg10)
 
 
-def auc_score(scores, labels) -> float:
-    """Rank-based AUC with ties counted half (Mann-Whitney)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative")
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+def rank_metrics(z: np.ndarray) -> np.ndarray:
+    """(G, 4) rows of AUC, MRR, nDCG@5 and nDCG@10 for a (G, C) score
+    matrix whose column 0 holds each impression's one positive and whose
+    other columns hold its negatives.
 
-
-def _ranking(scores) -> list[int]:
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-
-
-def mrr_score(scores, labels) -> float:
-    for rank, i in enumerate(_ranking(scores), start=1):
-        if labels[i] == 1:
-            return 1.0 / rank
-    return 0.0
-
-
-def ndcg_at_k(scores, labels, k: int) -> float:
-    order = _ranking(scores)
-    dcg = 0.0
-    for rank, i in enumerate(order[:k], start=1):
-        if labels[i] == 1:
-            dcg += 1.0 / math.log2(rank + 1)
-    n_pos = int(sum(labels))
-    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, n_pos) + 1))
-    return dcg / idcg if idcg > 0 else 0.0
+    Each row's metrics follow from how many negatives score above, level
+    with and below the positive. Ties count half towards the AUC and rank
+    after the positive, which is first in its impression.
+    """
+    pos, neg = z[:, :1], z[:, 1:]
+    above = (neg > pos).sum(axis=1)
+    tied = (neg == pos).sum(axis=1)
+    less = neg.shape[1] - above - tied
+    rank = 1 + above
+    gain = 1.0 / np.log2(1 + rank)
+    return np.stack([
+        (less + 0.5 * tied) / neg.shape[1],
+        1.0 / rank,
+        np.where(rank <= 5, gain, 0.0),
+        np.where(rank <= 10, gain, 0.0),
+    ], axis=1)
 
 
 def encode_candidate_rows(
@@ -459,17 +460,25 @@ def encode_candidate_rows(
 
 
 def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) -> EvalReport:
-    """Mean AUC/MRR/NDCG over impressions; forward-only, no tape.
+    """Mean AUC, MRR, NDCG@5 and NDCG@10 over impressions; forward-only, no
+    tape.
 
     User embeddings come from one :func:`batch_user_embeddings` call per
     ``ENCODE_CHUNK`` impressions, with each impression's index in
     ``samples`` as its sample index (so the random selector draws as it does
-    per sample). Candidate rows come from the model's :class:`ItemStore`:
-    each distinct token-id sequence is encoded once while the encoder's
-    parameters are unchanged, whatever its news id and however many
-    objects or calls hold it; the learned gate's per-item features come
-    from the same store. With ``threads`` > 1 the encoder calls run on a
-    thread pool of that size and the report equals the single-threaded one.
+    per sample). Candidate rows come from one read of the model's
+    :class:`ItemStore`: each distinct token-id sequence is encoded once
+    while the encoder's parameters are unchanged, whatever its news id and
+    however many objects or calls hold it; the learned gate's per-item
+    features come from the same store. With ``threads`` > 1 the encoder
+    calls run on a thread pool of that size and the report equals the
+    single-threaded one.
+
+    Each ``ENCODE_CHUNK`` slice of impressions is scored by
+    :func:`impression_logits`, the scoring ``batch_loss`` trains, and ranked
+    by :func:`rank_metrics` from where its positive (the impression's one
+    click) falls among its negatives. An impression without negatives, or
+    with a non-finite score, raises ``ValueError`` naming the first one.
 
     A row reused from an earlier call (or another chunk) was computed in
     another batch, so the report also depends on the store's state. With a
@@ -479,6 +488,10 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
+    n_cands = np.array([1 + len(s.negatives) for s in samples])
+    if (n_cands < 2).any():
+        raise ValueError(f"impression {int(np.argmin(n_cands))} has no negatives to rank")
+    offsets = np.concatenate([[0], np.cumsum(n_cands)])
     seqs = [seq for s in samples for seq in (s.positive, *s.negatives)]
 
     def user_chunk(start: int) -> np.ndarray:
@@ -498,21 +511,18 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     else:
         users, cands = encode_all(map)
 
-    sqrt_d = math.sqrt(users.shape[1])
-    metrics = []
-    start = 0
-    for u, s in zip(users, samples):
-        labels = [1] + [0] * len(s.negatives)
-        # vecdot takes each row's dot product on its own: equal rows tie exactly
-        scores = np.vecdot(cands[start:start + len(labels)], u) / sqrt_d
-        start += len(labels)
-        metrics.append((
-            auc_score(scores, labels),
-            mrr_score(scores, labels),
-            ndcg_at_k(scores, labels, 5),
-            ndcg_at_k(scores, labels, 10),
-        ))
-    mean = np.asarray(metrics).mean(axis=0)
+    metrics = np.empty((len(samples), 4))
+    finite = np.empty(len(samples), dtype=bool)
+    for start in range(0, len(samples), ENCODE_CHUNK):
+        stop = min(start + ENCODE_CHUNK, len(samples))
+        u = nm.constant(users[start:stop])
+        c = nm.constant(cands[offsets[start]:offsets[stop]])
+        for mem, z in impression_logits(u, c, n_cands[start:stop]):
+            finite[start + mem] = np.isfinite(z.data).all(axis=1)
+            metrics[start + mem] = rank_metrics(z.data)
+    if not finite.all():
+        raise ValueError(f"non-finite score in impression {int(np.argmin(finite))}")
+    mean = metrics.mean(axis=0)
     return EvalReport(
         auc=float(mean[0]), mrr=float(mean[1]), ndcg5=float(mean[2]),
         ndcg10=float(mean[3]), n_impressions=len(samples),

@@ -140,17 +140,16 @@ def init_transformer_params(
     )
 
 
-def encode_sequence(x: Tensor, params: TransformerParams, collect: list | None = None) -> Tensor:
+def encode_sequence(x: Tensor, params: TransformerParams) -> Tensor:
     """Run the pre-norm layer stack on a (B, n, d) stack of equal-length
     sequences; with zero layers this is the identity. Sequences in a stack
-    never attend to each other. ``collect``, if given, receives each layer's
-    (B, heads, n, n) attention maps.
+    never attend to each other.
     """
     for layer in params.layers:
         attn_in = nm.layer_norm(x, layer.ln1_gamma, layer.ln1_beta)
         x = nm.add(x, nm.attention(
             attn_in, layer.wq, layer.bq, layer.wk, layer.bk, layer.wv, layer.bv,
-            layer.wo, layer.bo, params.heads, collect,
+            layer.wo, layer.bo, params.heads,
         ))
         ffn_in = nm.layer_norm(x, layer.ln2_gamma, layer.ln2_beta)
         x = nm.add(x, nm.feed_forward(

@@ -98,10 +98,10 @@ def conv1d_window_oracle(x, filters, bias, w: int):
     pad = constant(np.zeros((w, d)))
     padded = nm.concat_rows([pad, x, pad])
     windows = nm.concat_rows([nm.narrow(padded, 0, i, L) for i in range(2 * w + 1)], axis=1)
-    return nm.add(nm.matmul(windows, nm.transpose2d(filters)), bias)
+    return nm.add(nm.matmul(windows, nm.transpose(filters, (1, 0))), bias)
 
 
-def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, collect=None):
+def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
     """Multi-head self attention over (B, n, d) in composed tape ops: one
     projection per q/k/v, heads split by reshape and transpose, all heads
     in one batched product."""
@@ -117,8 +117,6 @@ def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, collect=None
     v = split(nm.add(nm.matmul(x, wv), bv))
     scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale)
     alpha = nm.softmax(scores, axis=-1)
-    if collect is not None:
-        collect.append(alpha)
     ctx = nm.reshape(nm.transpose(nm.matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
     return nm.add(nm.matmul(ctx, wo), bo)
 
@@ -322,8 +320,8 @@ def lstm_last_oracle(seq, params):
     axis = len(lead)
     h = constant(np.zeros((*lead, g)))
     c = constant(np.zeros((*lead, g)))
-    w_ih_t = nm.transpose2d(params.w_ih)
-    w_hh_t = nm.transpose2d(params.w_hh)
+    w_ih_t = nm.transpose(params.w_ih, (1, 0))
+    w_hh_t = nm.transpose(params.w_hh, (1, 0))
     for t in range(seq.data.shape[-2]):
         x_t = nm.reshape(nm.narrow(seq, axis, t, 1), (*lead, params.input_dim))
         z = nm.add(nm.add(nm.matmul(x_t, w_ih_t), nm.matmul(h, w_hh_t)), params.bias)
@@ -384,7 +382,7 @@ def score_tokens(ctx, user_interest, word_group=None):
     eps = 1e-12
     num = nm.matmul(ctx, user_interest)
     row_norm = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx, ctx), axis=1), eps * eps))
-    u_norm = nm.sqrt(nm.clamp_min(nm.dot(user_interest, user_interest), eps * eps))
+    u_norm = nm.sqrt(nm.clamp_min(nm.matmul(user_interest, user_interest), eps * eps))
     return nm.div(num, nm.mul(row_norm, u_norm))
 
 
@@ -507,7 +505,7 @@ def score(user, cand):
             f"score dim mismatch: {user.data.shape} vs {cand.data.shape}"
         )
     d = user.data.shape[0]
-    return nm.mul(nm.dot(user, cand), 1.0 / math.sqrt(d))
+    return nm.mul(nm.matmul(user, cand), 1.0 / math.sqrt(d))
 
 
 def click_loss(user, positive, negatives):

@@ -12,7 +12,6 @@ from gateformer.numerics import (
     concat_rows,
     conv1d,
     cosine,
-    dot,
     gather_rows,
     layer_norm,
     log,
@@ -28,7 +27,6 @@ from gateformer.numerics import (
     softmax,
     tanh,
     tensor,
-    transpose2d,
     vsum,
 )
 from oracles import (
@@ -78,8 +76,8 @@ class TestMatmul:
         m = tensor(r.normal(size=(3, 4)), requires_grad=True)
         v = tensor(r.normal(size=(4,)), requires_grad=True)
         u = tensor(r.normal(size=(3,)), requires_grad=True)
-        check_grads(lambda: dot(u, matmul(m, v)), [m, v, u], tol=1e-6)
-        check_grads(lambda: vsum(matmul(v, transpose2d(m))), [m, v], tol=1e-6)
+        check_grads(lambda: matmul(u, matmul(m, v)), [m, v, u], tol=1e-6)
+        check_grads(lambda: vsum(matmul(v, nm.transpose(m, (1, 0)))), [m, v], tol=1e-6)
 
 
 class TestSoftmax:
@@ -97,7 +95,7 @@ class TestSoftmax:
         r = rng(3)
         x = tensor(r.normal(size=(7,)), requires_grad=True)
         c = tensor(r.normal(size=(7,)))
-        check_grads(lambda: dot(softmax(x), c), [x], tol=1e-6)
+        check_grads(lambda: matmul(softmax(x), c), [x], tol=1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.floats(-100, 100))
@@ -235,7 +233,7 @@ class TestLstmLast:
         seq = tensor(r.normal(size=(3, in_dim)), requires_grad=True)
         c = tensor(r.normal(size=(g,)))
         check_grads(
-            lambda: dot(lstm_last(seq, params), c),
+            lambda: matmul(lstm_last(seq, params), c),
             [seq, *params.tensors()],
             tol=1e-5,
         )
@@ -311,12 +309,6 @@ class TestAttention:
             for i in range(8)
         ]
         kernel_matches_oracle(nm.attention, attention_oracle, [x, *weights, heads])
-        maps, oracle_maps = [], []
-        nm.attention(x, *weights, heads, collect=maps)
-        attention_oracle(x, *weights, heads, collect=oracle_maps)
-        assert len(maps) == 1 and not maps[0].requires_grad
-        assert maps[0].data.shape == (B, heads, n, n)
-        assert_close_to_oracle(maps[0].data, oracle_maps[0].data)
 
     def test_rejects_bad_shapes(self):
         d = 4
@@ -565,7 +557,7 @@ class TestBackward:
     def test_quadratic_gives_two_x(self):
         x = tensor([1.0, -2.0, 0.5], requires_grad=True)
         with Tape() as tape:
-            loss = dot(x, x)
+            loss = matmul(x, x)
         backward(tape, loss)
         assert np.allclose(x.grad, 2 * x.data, atol=1e-15)
 
@@ -579,7 +571,7 @@ class TestBackward:
     def test_repeated_backward_accumulates(self):
         x = tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = dot(x, x)
+            loss = matmul(x, x)
         backward(tape, loss)
         backward(tape, loss)
         assert np.allclose(x.grad, 4 * x.data, atol=1e-15)
@@ -636,13 +628,13 @@ class TestElementwiseGradients:
             (lambda: vsum(mul(log(x), c)), [x]),
             (lambda: vsum(mul(nm.sqrt(x), c)), [x]),
             (lambda: vsum(mul(clamp_min(x, 2.0), c)), [x]),
-            (lambda: dot(cv, v) * logsumexp(v), [v]),
+            (lambda: matmul(cv, v) * logsumexp(v), [v]),
             (lambda: vsum(mul(layer_norm(x, gm, bt), c)), [x, gm, bt]),
             (lambda: vsum(mul(mean(x, axis=0, keepdims=True), narrow(c, 0, 0, 1))), [x]),
             (lambda: mean(x), [x]),
-            (lambda: vsum(mul(reshape(x, (4, 3)), transpose2d(c))), [x]),
+            (lambda: vsum(mul(reshape(x, (4, 3)), nm.transpose(c, (1, 0)))), [x]),
             (lambda: vsum(mul(narrow(x, 1, 1, 2), narrow(c, 1, 0, 2))), [x]),
-            (lambda: dot(gather_rows(x, [2, 0, 2]).__matmul__(gm), tensor([1.0, -1.0, 0.5])), [x, gm]),
+            (lambda: matmul(gather_rows(x, [2, 0, 2]).__matmul__(gm), tensor([1.0, -1.0, 0.5])), [x, gm]),
             (lambda: vsum(mul(concat_rows([x, y]), concat_rows([c, c]))), [x, y]),
         ]
         for build, params in cases:
@@ -745,7 +737,7 @@ class TestBatchedOps:
             assert out[i] == pytest.approx(logsumexp(tensor(x[i])).item(), abs=1e-13)
         xt = tensor(x, requires_grad=True)
         c = tensor(r.normal(size=(3,)))
-        check_grads(lambda: dot(logsumexp(xt, axis=-1), c), [xt], tol=1e-6)
+        check_grads(lambda: matmul(logsumexp(xt, axis=-1), c), [xt], tol=1e-6)
 
     def test_gather_2d_index_gradient(self):
         r = rng(40)

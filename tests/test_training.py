@@ -15,7 +15,6 @@ from gateformer.training import (
     Model,
     OptimState,
     adam_step,
-    auc_score,
     batch_loss,
     batch_user_embeddings,
     clip_gradients,
@@ -24,8 +23,7 @@ from gateformer.training import (
     gate_history,
     init_model,
     lr_at,
-    mrr_score,
-    ndcg_at_k,
+    rank_metrics,
     split_samples,
     train,
     user_embedding,
@@ -155,39 +153,51 @@ class TestAdam:
 
 
 class TestMetrics:
+    """``rank_metrics`` on (G, C) score rows whose column 0 is the positive."""
+
     def test_positive_first_of_five(self):
-        scores, labels = [5.0, 1.0, 2.0, 3.0, 0.5], [1, 0, 0, 0, 0]
-        assert auc_score(scores, labels) == 1.0
-        assert mrr_score(scores, labels) == 1.0
-        assert ndcg_at_k(scores, labels, 5) == 1.0
+        rows = rank_metrics(np.array([[5.0, 1.0, 2.0, 3.0, 0.5]]))
+        assert rows.tolist() == [[1.0, 1.0, 1.0, 1.0]]
 
     def test_positive_last_of_two(self):
-        scores, labels = [1.0, 2.0], [1, 0]
-        assert auc_score(scores, labels) == 0.0
-        assert mrr_score(scores, labels) == 0.5
+        auc, mrr, ndcg5, ndcg10 = rank_metrics(np.array([[1.0, 2.0]]))[0]
+        assert (auc, mrr) == (0.0, 0.5)
+        assert ndcg5 == ndcg10 == 1.0 / math.log2(3)
 
     def test_ties_count_half(self):
-        assert auc_score([1.0, 1.0], [1, 0]) == 0.5
+        auc, mrr, _, _ = rank_metrics(np.array([[1.0, 1.0]]))[0]
+        assert (auc, mrr) == (0.5, 1.0)  # a tie ranks after the positive
 
     def test_random_fixtures_match_brute_force_oracles(self):
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            n = int(rng.integers(2, 9))
-            labels = np.zeros(n, dtype=int)
-            labels[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1
-            if labels.all():
-                labels[rng.integers(0, n)] = 0
-            scores = rng.choice(np.arange(-3, 4), size=n).astype(float)  # force ties
-            assert auc_score(scores, labels) == pytest.approx(
-                auc_oracle(scores, labels), abs=1e-12
-            )
-            assert mrr_score(scores, labels) == pytest.approx(
-                mrr_oracle(scores, labels), abs=1e-12
-            )
-            for k in (5, 10):
-                assert ndcg_at_k(scores, labels, k) == pytest.approx(
-                    ndcg_oracle(scores, labels, k), abs=1e-12
-                )
+        ranks, tied_ranks = set(), set()
+        for C in range(2, 13):
+            for _ in range(20):
+                G = int(rng.integers(1, 6))
+                z = rng.choice(np.arange(-3, 4), size=(G, C)).astype(float)
+                for row in z:
+                    if rng.random() < 0.25:  # sink the positive below every negative
+                        row[0] = row[1:].min() - 0.5
+                    if rng.random() < 0.5:  # then tie one or two negatives with it
+                        tied = min(int(rng.integers(1, 3)), C - 1)
+                        row[1 + rng.choice(C - 1, size=tied, replace=False)] = row[0]
+                rows = rank_metrics(z)
+                assert rows.shape == (G, 4)
+                labels = [1] + [0] * (C - 1)
+                for scores, got in zip(z.tolist(), rows.tolist()):
+                    want = [
+                        auc_oracle(scores, labels),
+                        mrr_oracle(scores, labels),
+                        ndcg_oracle(scores, labels, 5),
+                        ndcg_oracle(scores, labels, 10),
+                    ]
+                    assert got == want
+                    rank = round(1.0 / got[1])
+                    ranks.add(rank)
+                    if scores.count(scores[0]) > 1:
+                        tied_ranks.add(rank)
+        assert ranks == set(range(1, 13))
+        assert max(tied_ranks) > 10
 
 
 class TestBatchEquivalence:
@@ -543,6 +553,33 @@ class TestEvaluate:
     def test_empty_rejected(self, tiny_corpus):
         with pytest.raises(ValueError):
             evaluate(tiny_model(tiny_corpus), [])
+
+    def test_impression_without_negatives_rejected(self, tiny_corpus):
+        samples = list(tiny_corpus.samples[:5])
+        samples[2] = dataclasses.replace(samples[2], negatives=[], negative_ids=[])
+        with pytest.raises(ValueError, match="impression 2 has no negatives"):
+            evaluate(tiny_model(tiny_corpus), samples)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_score_names_first_impression(self, tiny_corpus, monkeypatch, value):
+        import gateformer.training as training
+
+        # ragged impression i holds 1 + i % 4 negatives: impression 3's group
+        # (4 negatives) is scored after impression 6's (3), and 40 is in the
+        # second chunk
+        model, samples = self.oracle_case(tiny_corpus, "ragged")
+        unpoisoned = training.batch_user_embeddings
+
+        def poisoned(model, histories, sample_indices):
+            data = unpoisoned(model, histories, sample_indices).data.copy()
+            for row, i in enumerate(sample_indices):
+                if i in (3, 6, 40):
+                    data[row, 1] = value
+            return nm.constant(data)
+
+        monkeypatch.setattr(training, "batch_user_embeddings", poisoned)
+        with pytest.raises(ValueError, match=r"non-finite score in impression 3$"):
+            evaluate(model, samples)
 
     def test_encoder_calls_bounded_and_candidates_encoded_once(self, tiny_corpus, monkeypatch):
         import gateformer.training as training

@@ -321,13 +321,19 @@ class TestTransformerInvariants:
         rng = np.random.default_rng(13)
         p = make_params(layers=2, seed=13)
         x = tensor(rng.normal(size=(1, 7, p.d)))
-        collected: list = []
-        out = encode_sequence(x, p, collect=collected)
-        assert out.data.shape == (1, 7, p.d)
-        assert len(collected) == 2  # one (B, heads, n, n) stack per layer
-        for alpha in collected:
-            assert alpha.data.shape == (1, p.heads, 7, 7)
-            assert np.abs(alpha.data.sum(axis=-1) - 1.0).max() <= 1e-10
+        assert encode_sequence(x, p).data.shape == (1, 7, p.d)
+        # every value row is c and the output projection is the identity, so
+        # each layer's attention adds c times its map's row sum to each token,
+        # and the zeroed feed-forward adds nothing
+        c = rng.normal(size=p.d)
+        for layer in p.layers:
+            layer.wv.data[...] = 0.0
+            layer.bv.data[...] = c
+            layer.wo.data[...] = np.eye(p.d)
+            for t in (layer.bo, layer.ffn_w2, layer.ffn_b2):
+                t.data[...] = 0.0
+        out = encode_sequence(x, p)
+        assert np.abs(out.data - (x.data + 2 * c)).max() <= 1e-10
 
     def test_parameter_sharing_mutation_changes_both_sides(self):
         p = make_params(seed=14)
