@@ -17,9 +17,11 @@ with BLAS on one thread. It prints one markdown table per corpus:
   page faults during forward and backward (``resource.getrusage``). The
   forward time no op accounts for is the Python around the ops.
 * forward only, with no tape: ms of ``batch_user_embeddings`` on B=32
-  distinct training histories and of ``evaluate`` on 32 val impressions,
-  each cold (a fresh model, so an empty item store) and warm (a second call
-  on it).
+  distinct training histories, of ``evaluate`` on 32 val impressions, and
+  of the item store's read of each row kind alone (the candidates of those
+  impressions, and the gate features of those histories' items), each cold
+  (a fresh model, so an empty item store) and warm (a second call on it,
+  which is the store's snapshot check and one gather).
 
 The corpora are the ``train`` and ``serve-long`` workloads' synth settings;
 the script shares no code with the benchmark.
@@ -206,10 +208,19 @@ def forward_table(cfg, ds) -> list[str]:
     histories = list(distinct.values())[:BATCH]
     idx = list(range(len(histories)))
     val = ds.val_samples[:BATCH]
+    cands = [seq for s in val for seq in (s.positive, *s.negatives)]
+    # the (G, L) token ids per item length, as the gate groups them
+    items = [seq for h in histories for seq in h.items]
+    groups = [np.array([seq.ids for seq in items if len(seq) == n], dtype=np.intp)
+              for n in sorted({len(seq) for seq in items})]
     calls = {
         f"batch_user_embeddings, B={len(histories)}":
             lambda model: training.batch_user_embeddings(model, histories, idx),
         f"evaluate, {len(val)} val impressions": lambda model: training.evaluate(model, val),
+        f"ItemStore.rows, {len(cands)} candidates":
+            lambda model: model.items.rows(cands, model.trans),
+        f"ItemStore.gate_rows, {len(items)} history items":
+            lambda model: model.items.gate_rows(groups, model.gate),
     }
     lines = ["| forward only, no tape | cold ms | warm ms |", "| --- | ---: | ---: |"]
     for label, call in calls.items():

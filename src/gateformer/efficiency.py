@@ -33,7 +33,8 @@ The attention/ffn leading terms make the cost strictly superlinear in n.
 
 These are the costs of a cold gate, as the per-sample path always runs it.
 A forward-only batched call that reads the model's item store skips the
-conv, relu and pooling of every item the store already holds.
+conv, relu and pooling of every item the store already holds; it pays a
+bit comparison of the tensors those rows read and one gather instead.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ in one pass of grouped tensor ops: items bucketed by length for the CNN,
 pooling and scoring, histories bucketed by item count for the user encoder,
 and a vectorised top-k per length group. The per-item part (embedding
 gather, CNN, ReLU and masked pooling) is :func:`item_features`; it depends
-only on the item's token ids and on the tensors
-:meth:`GateParams.item_fingerprint` covers, so a forward-only caller may
-pass a :class:`training.ItemStore` that keeps each item's features and
-computes only the items it lacks. Each length group's masked item pooling
+only on the item's token ids, the word embeddings, the conv and the item
+pooling query, so a forward-only caller may pass a
+:class:`training.ItemStore` that keeps each item's features, checks those
+tensors' bits against a private copy of them, and computes only the items
+it lacks. Each length group's masked item pooling
 and the attention user encoder are one :func:`numerics.attention_pool` node
 each, and each length group's scores one :func:`numerics.cosine` node.
 The heuristic selectors (first, bm25, random) share its selection and
@@ -84,17 +85,6 @@ class GateParams:
     @property
     def embed_dim(self) -> int:
         return self.word_embeddings.data.shape[1]
-
-    def item_fingerprint(self) -> str:
-        """:func:`numerics.fingerprint` of ``window`` and exactly the tensors
-        :func:`item_features` reads: the word embeddings, the conv and the
-        item pooling query. The LSTM and ``attn_v`` are left out."""
-        return nm.fingerprint(f"window={self.window}", {
-            "embed.word": self.word_embeddings,
-            "gate.conv.filters": self.filters,
-            "gate.conv.bias": self.bias,
-            "gate.pool.v": self.pool_v,
-        })
 
     def named_tensors(self) -> dict[str, Tensor]:
         return {
@@ -285,8 +275,9 @@ def heuristic_scores(ids: np.ndarray, method: str, stats: CorpusStats | None = N
 def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:
     """The gate's per-item work on a length group's (G, L) token ids: the
     (G, L, n_f) ReLU conv context and the (G, n_f) masked attention pooling
-    of it. Each item's rows depend only on its ids and on the tensors
-    :meth:`GateParams.item_fingerprint` covers."""
+    of it. Each item's rows depend only on its ids, ``window``, the word
+    embeddings, ``filters``, ``bias`` and ``pool_v``; not on the LSTM or
+    ``attn_v``."""
     valid = ids != PAD_ID
     emb3 = gather_rows(params.word_embeddings, ids)
     ctx3 = nm.relu(nm.conv1d(emb3, params.filters, params.bias, params.window))

@@ -37,14 +37,11 @@ would.
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
 per-element constants for the transcendental ops (see ``_FLOPS_PER_ELEM``).
-:func:`recording` tells whether a tape is active on the calling thread, and
-:func:`fingerprint` hashes a set of named tensors, for caches of values that
-depend on them.
+:func:`recording` tells whether a tape is active on the calling thread.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -54,7 +51,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "recording",
-    "fingerprint",
     "tensor",
     "constant",
     "backward",
@@ -211,18 +207,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def constant(data) -> Tensor:
     return tensor(data, requires_grad=False)
-
-
-def fingerprint(header: str, named: dict[str, "Tensor"]) -> str:
-    """sha256 over ``header`` and each named tensor's name, shape and float64
-    bytes, by sorted name. It reads the arrays afresh on every call, so it
-    changes with any edit to them, in place or not."""
-    digest = hashlib.sha256(header.encode("utf-8"))
-    for name in sorted(named):
-        arr = np.ascontiguousarray(named[name].data, dtype=np.float64)
-        digest.update(f";{name}{arr.shape}".encode("utf-8"))
-        digest.update(arr)
-    return digest.hexdigest()
 
 
 def _as_tensor(x) -> Tensor:

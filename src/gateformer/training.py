@@ -65,45 +65,92 @@ log = logging.getLogger(__name__)
 ENCODE_CHUNK = 32
 
 
-class _Rows:
-    """Rows of one kind, keyed by token ids, kept while the fingerprint of
-    the tensors they read is unchanged. A lock makes each call's look-up,
-    computation and insertion one step."""
+def same_bits(array: np.ndarray, copy: np.ndarray) -> bool:
+    """Whether a float64 array has the shape and the bit pattern of a float64
+    copy: -0.0 differs from 0.0, and NaNs are equal only with one payload."""
+    return array.dtype == copy.dtype and np.array_equal(array.view(np.int64), copy.view(np.int64))
+
+
+class _Table:
+    """Rows in contiguous arrays with a dict from each key to its row. The
+    capacity doubles as rows are appended; rows once written never change,
+    and growth copies them into new arrays, so arrays handed out stay valid."""
 
     def __init__(self) -> None:
-        self.fingerprint: str | None = None
-        self.rows: dict[tuple[int, ...], object] = {}
+        self.at: dict = {}
+        self.arrays: list[np.ndarray] = []
+
+    def index(self, keys: list, compute) -> np.ndarray:
+        """The row of each key; ``compute`` makes the rows of the keys not
+        held from the positions in ``keys`` of their first occurrences."""
+        at, first = self.at, {}
+        for i, key in enumerate(keys):
+            if key not in at:
+                first.setdefault(key, i)
+        if first:
+            parts = compute(list(first.values()))
+            n, stop = len(at), len(at) + len(first)
+            if not self.arrays or stop > len(self.arrays[0]):
+                grown = [np.empty((max(stop, 2 * n), *part.shape[1:])) for part in parts]
+                for new, old in zip(grown, self.arrays):
+                    new[:n] = old[:n]
+                self.arrays = grown
+            for table, part in zip(self.arrays, parts):
+                table[n:stop] = part
+            at.update(zip(first, range(n, stop)))
+        return np.fromiter(map(at.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+class _Rows:
+    """Rows of one kind, one :class:`_Table` per item length, kept while the
+    tensors they read hold the bits of the kind's private copy of them. A
+    lock makes each call's check, look-up and insertion one step."""
+
+    def __init__(self) -> None:
+        self.snapshot: tuple[int, list[np.ndarray]] | None = None
+        self.tables: dict[int, _Table] = {}
         self.lock = threading.Lock()
 
-    def get(self, fingerprint: str, keys: list[tuple[int, ...]], compute) -> list:
-        """The row of each key, in order; a new fingerprint drops every row
-        first, and ``compute`` makes the rows of the distinct missing keys,
-        given in order of first occurrence."""
+    def __len__(self) -> int:
+        return sum(len(table.at) for table in self.tables.values())
+
+    def get(self, setting: int, tensors: list[Tensor], length: int, keys: list, compute):
+        """The rows of ``keys`` in order, one read-only array per array of
+        the table of ``length`` (the item length; 0 for candidates). A new
+        ``setting``, or a tensor whose shape or bits differ from the copy,
+        drops every row and renews the copy."""
         with self.lock:
-            if fingerprint != self.fingerprint:
-                self.fingerprint, self.rows = fingerprint, {}
-            missing = list(dict.fromkeys(key for key in keys if key not in self.rows))
-            if missing:
-                self.rows.update(zip(missing, compute(missing)))
-            return [self.rows[key] for key in keys]
+            if self.snapshot is None or setting != self.snapshot[0] or not all(
+                map(same_bits, (t.data for t in tensors), self.snapshot[1])
+            ):
+                self.snapshot = (setting, [np.array(t.data, dtype=np.float64) for t in tensors])
+                self.tables = {}
+            table = self.tables.setdefault(length, _Table())
+            index, arrays = table.index(keys, compute), table.arrays
+        out = [array[index] for array in arrays]
+        for array in out:
+            array.flags.writeable = False
+        return out
 
 
 class ItemStore:
     """Forward-only rows of one model's items, keyed by token ids, of two
-    kinds: candidate rows and the learned gate's per-item features.
+    kinds: candidate rows and the learned gate's per-item features (an
+    item's (L, n_f) ReLU conv context and (n_f,) pooled vector,
+    :func:`gating.item_features`).
 
-    A candidate's row depends only on its token ids and on the encoder's
-    tensors; a history item's gate features (its (L, n_f) ReLU conv context
-    and its (n_f,) pooled vector, :func:`gating.item_features`) only on its
-    token ids and on the tensors :meth:`GateParams.item_fingerprint` covers.
-    Each kind is kept under the fingerprint of the tensors it reads
-    (:meth:`TransformerParams.fingerprint` for candidates), recomputed on
-    every call, so in-place edits (Adam, ``apply_checkpoint``) and replaced
-    arrays are seen; when it differs, every row of that kind is dropped.
-    Rows a call lacks are computed once per distinct key, in order of first
-    occurrence, and handed out read-only. ``evaluate`` reads gate rows from
-    several threads at once; each kind's lock keeps its calls apart. Each
-    :class:`Model` owns one store, so models never share rows.
+    Each kind keeps a private copy of the tensors its rows read (candidates:
+    ``embed.word`` and :meth:`TransformerParams.named_tensors`, with
+    ``heads``; gate rows: ``embed.word``, the conv and ``pool_v``, with
+    ``window``) and compares their shapes and bits with it on every call, so
+    in-place edits (Adam, ``apply_checkpoint``) and replaced arrays are
+    seen; on a difference every row of that kind is dropped. Rows live in
+    contiguous tables, one (N, d) table of candidates and one pair of gate
+    tables per item length, read with one gather. Rows a call lacks are
+    computed once per distinct key, in order of first occurrence; calls
+    return new read-only arrays. ``evaluate`` reads from several threads;
+    each kind's lock keeps its calls apart. Each :class:`Model` owns one
+    store, so models never share rows.
     """
 
     def __init__(self) -> None:
@@ -112,47 +159,38 @@ class ItemStore:
 
     def __len__(self) -> int:
         """Candidate rows held."""
-        return len(self._candidates.rows)
+        return len(self._candidates)
 
     @property
     def n_gate_rows(self) -> int:
         """History items whose gate features are held."""
-        return len(self._gate.rows)
+        return len(self._gate)
 
     def rows(
         self, seqs: list[TokenSequence], params: TransformerParams, map_fn=map
-    ) -> list[np.ndarray]:
-        """One read-only (d,) row per sequence, in input order; ``map_fn``
-        runs the encoder's slices as in :func:`encode_candidate_rows`."""
-        keys = [tuple(seq.ids) for seq in seqs]
-        seq_of = dict(zip(keys, seqs))
-
-        def encode(missing):
-            block = encode_candidate_rows([seq_of[key] for key in missing], params, map_fn)
-            block.flags.writeable = False
-            return block
-
-        return self._candidates.get(params.fingerprint(), keys, encode)
+    ) -> np.ndarray:
+        """Read-only (len(seqs), d) rows in input order; ``map_fn`` runs the
+        encoder's slices as in :func:`encode_candidate_rows`."""
+        tensors = [params.word_embeddings, *params.named_tensors().values()]
+        return self._candidates.get(
+            params.heads, tensors, 0, [tuple(seq.ids) for seq in seqs],
+            lambda first: [encode_candidate_rows([seqs[i] for i in first], params, map_fn)],
+        )[0]
 
     def gate_rows(
         self, groups: list[np.ndarray], params: GateParams
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """For each length group's (G, L) token ids, the (G, L, n_f) context
         and (G, n_f) pooled arrays :func:`gating.item_features` makes; the
-        distinct missing items of a group are computed in one call."""
-        fingerprint = params.item_fingerprint()
-
-        def compute(missing):
-            ctx3, pooled = item_features(params, np.array(missing, dtype=np.intp))
-            ctx3.data.flags.writeable = pooled.data.flags.writeable = False
-            return zip(ctx3.data, pooled.data)
-
-        out = []
-        for ids in groups:
-            keys = list(map(tuple, ids.tolist()))
-            ctxs, pools = zip(*self._gate.get(fingerprint, keys, compute))
-            out.append((np.stack(ctxs), np.stack(pools)))
-        return out
+        distinct missing items of a group are computed in one call. An
+        item's key is the bytes of its int64 ids."""
+        tensors = [params.word_embeddings, params.filters, params.bias, params.pool_v]
+        groups = [np.ascontiguousarray(ids, dtype=np.int64) for ids in groups]
+        return [tuple(self._gate.get(
+            params.window, tensors, ids.shape[1],
+            ids.view(np.dtype((np.void, 8 * ids.shape[1]))).ravel().tolist(),
+            lambda first, ids=ids: [t.data for t in item_features(params, ids[first])],
+        )) for ids in groups]
 
 
 @dataclass
@@ -258,27 +296,20 @@ def batch_user_embeddings(
     """
     word = model.gate.granularity == "word"
     rngs = sample_rngs(model, sample_indices)
-    unique: list[UserHistory] = []
-    mapping: list[int] = []
-    seen: dict[tuple, int] = {}
-    for h in histories:
-        if rngs is None:
-            key = tuple(
-                (tuple(seq.ids), tuple(seq.word_group)) if word else tuple(seq.ids)
-                for seq in h.items
-            )
-            if key in seen:
-                mapping.append(seen[key])
-                continue
-            seen[key] = len(unique)
-        mapping.append(len(unique))
-        unique.append(h)
+    keys = range(len(histories)) if rngs is not None else [
+        tuple((tuple(seq.ids), tuple(seq.word_group)) if word else tuple(seq.ids) for seq in h.items)
+        for h in histories
+    ]
+    seen: dict = {}
+    kept, mapping = np.unique([seen.setdefault(key, i) for i, key in enumerate(keys)],
+                              return_inverse=True)
+    unique = [histories[i] for i in kept]
 
     store = None if nm.recording() else model.items
     gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs, store)
     index = [np.arange(start, start + length) for start, length in gated.spans()]
     users_unique = encode_sequences(gated.rows, index, model.trans)
-    if mapping == list(range(len(histories))):
+    if len(unique) == len(histories):
         return users_unique
     return nm.gather_rows(users_unique, mapping)
 
@@ -467,12 +498,12 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     ``ENCODE_CHUNK`` impressions, with each impression's index in
     ``samples`` as its sample index (so the random selector draws as it does
     per sample). Candidate rows come from one read of the model's
-    :class:`ItemStore`: each distinct token-id sequence is encoded once
-    while the encoder's parameters are unchanged, whatever its news id and
-    however many objects or calls hold it; the learned gate's per-item
-    features come from the same store. With ``threads`` > 1 the encoder
-    calls run on a thread pool of that size and the report equals the
-    single-threaded one.
+    :class:`ItemStore`, as one (n, d) array: each distinct token-id sequence
+    is encoded once while the encoder's tensors keep their bits, whatever
+    its news id and however many objects or calls hold it; the learned
+    gate's per-item features come from the same store. With ``threads`` > 1
+    the encoder calls run on a thread pool of that size and the report
+    equals the single-threaded one.
 
     Each ``ENCODE_CHUNK`` slice of impressions is scored by
     :func:`impression_logits`, the scoring ``batch_loss`` trains, and ranked
@@ -502,8 +533,8 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
 
     def encode_all(map_fn):
         user_parts = map_fn(user_chunk, range(0, len(samples), ENCODE_CHUNK))
-        rows = model.items.rows(seqs, model.trans, map_fn)
-        return np.concatenate(list(user_parts)), np.stack(rows)
+        cands = model.items.rows(seqs, model.trans, map_fn)
+        return np.concatenate(list(user_parts)), cands
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -91,13 +91,6 @@ class TransformerParams:
             out.update(layer.named(f"trans.layer{i}"))
         return out
 
-    def fingerprint(self) -> str:
-        """:func:`numerics.fingerprint` of ``heads`` and every tensor the
-        encoders read, so it changes with any edit to them."""
-        return nm.fingerprint(
-            f"heads={self.heads}", {"embed.word": self.word_embeddings, **self.named_tensors()}
-        )
-
 
 def init_transformer_params(
     word_embeddings: Tensor,

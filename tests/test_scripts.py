@@ -103,3 +103,8 @@ class TestProfileStep:
         for entry in ("batch_user_embeddings, B=32", "evaluate, 32 val impressions"):
             row = rf"^\| {entry} \| [\d.]+ \| [\d.]+ \|$"
             assert len(re.findall(row, profile_output, re.M)) == 1, entry
+
+    def test_forward_only_table_times_each_store_read(self, profile_output):
+        for entry in (r"ItemStore\.rows, \d+ candidates", r"ItemStore\.gate_rows, 192 history items"):
+            row = rf"^\| {entry} \| [\d.]+ \| [\d.]+ \|$"
+            assert len(re.findall(row, profile_output, re.M)) == 1, entry

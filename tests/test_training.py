@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gateformer.training import (
     init_model,
     lr_at,
     rank_metrics,
+    same_bits,
     split_samples,
     train,
     user_embedding,
@@ -279,6 +281,17 @@ class TestBatchEquivalence:
         assert repeated.flops == distinct.flops
         assert np.array_equal(out.data[0], out.data[1])
         assert np.array_equal(out.data[0], out.data[3])
+
+    def test_word_granularity_keeps_equal_ids_in_other_words_apart(self, tiny_corpus):
+        model = tiny_model(tiny_corpus, granularity="word")
+        tokens = tiny_corpus.samples[0].history
+        words = two_token_words(tiny_corpus.samples[0]).history
+        hists = [tokens, words, copy.deepcopy(words), tokens]
+        out = batch_user_embeddings(model, hists, [0, 1, 2, 3]).data
+        assert not np.array_equal(out[0], out[1])
+        assert np.array_equal(out[1], out[2]) and np.array_equal(out[0], out[3])
+        for i, h in enumerate(hists):
+            assert rel_err(out[i], user_embedding(model, h, i).data) < 1e-12
 
     def test_position_capacity_enforced(self, tiny_corpus):
         # three items keeping two tokens each need six positions
@@ -669,10 +682,10 @@ class TestItemStore:
     def test_parameter_change_drops_every_row(self, tiny_corpus, monkeypatch, tmp_path, change):
         model = tiny_model(tiny_corpus)
         seqs = self.candidates(tiny_corpus)
-        stale = np.stack(model.items.rows(seqs, model.trans))
+        stale = model.items.rows(seqs, model.trans)
         change(model, tmp_path)
         encoded = self.counting(monkeypatch)
-        fresh = np.stack(model.items.rows(seqs[:3], model.trans))
+        fresh = model.items.rows(seqs[:3], model.trans)
         assert len(model.items) == len(encoded) == len({tuple(s.ids) for s in seqs[:3]})
         np.testing.assert_array_equal(fresh, encode_candidates(seqs[:3], model.trans).data)
         assert not np.array_equal(fresh, stale[:3])
@@ -698,8 +711,8 @@ class TestItemStore:
         assert evaluate(warm, samples, threads=threads) == evaluate(cold, samples, threads=threads)
         seqs = [seq for s in samples for seq in (s.positive, *s.negatives)]
         np.testing.assert_allclose(
-            np.stack(warm.items.rows(seqs, warm.trans)),
-            np.stack(cold.items.rows(seqs, cold.trans)), rtol=0, atol=1e-12,
+            warm.items.rows(seqs, warm.trans),
+            cold.items.rows(seqs, cold.trans), rtol=0, atol=1e-12,
         )
 
     def test_threads_match_single_on_a_warm_store(self, tiny_corpus):
@@ -931,6 +944,140 @@ class TestGateRows:
         predicted = user_side_flops(dims, len(history), gated=True)
         # the tolerance perfbench's FLOP-model check allows
         assert abs(counter.flops - predicted) / predicted <= 0.05
+
+
+class TestSnapshotCheck:
+    """Each row kind keeps a private copy of the tensors it reads and drops
+    its rows when a tensor's shape or bits differ from that copy."""
+
+    def test_same_bits_compares_shape_and_bit_pattern(self):
+        a = np.arange(6.0)
+        assert same_bits(a, a.copy())
+        assert not same_bits(a, a.reshape(2, 3).copy())
+        assert not same_bits(np.zeros(3), np.array([0.0, -0.0, 0.0]))
+        nan = np.array([1.0, np.nan])
+        assert same_bits(nan, nan.copy())
+        other_payload = nan.copy()
+        other_payload.view(np.int64)[1] += 1
+        assert np.isnan(other_payload[1]) and not same_bits(nan, other_payload)
+
+    @staticmethod
+    def warm(corpus, monkeypatch):
+        """A model whose store holds the rows of a few samples, with one
+        ``embed.word`` entry at 0.0, and the records of what it computes
+        from then on: (candidate ids, gate item ids)."""
+        model = tiny_model(corpus)
+        model.gate.word_embeddings.data[5, 0] = 0.0
+        samples = corpus.samples[:6]
+        evaluate(model, samples)
+        assert len(model.items) > 0 and model.items.n_gate_rows > 0
+        return model, samples, TestItemStore.counting(monkeypatch), TestGateRows.recording(monkeypatch)
+
+    def test_negative_zero_drops_both_kinds(self, tiny_corpus, monkeypatch):
+        model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
+        model.gate.word_embeddings.data[5, 0] = -0.0
+        evaluate(model, samples)
+        assert len(encoded) == len(model.items) and len(computed) == model.items.n_gate_rows
+
+    def test_nan_drops_gate_rows_once(self, tiny_corpus, monkeypatch):
+        model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
+        groups = [np.array([seq.ids for s in samples for seq in s.history.items])]
+        model.gate.pool_v.data[0] = np.nan
+        first = model.items.gate_rows(groups, model.gate)
+        assert len(computed) == model.items.n_gate_rows
+        assert np.isnan(first[0][1]).all()
+        computed.clear()
+        again = model.items.gate_rows(groups, model.gate)
+        assert computed == [] and np.array_equal(again[0][0], first[0][0])
+        assert encoded == []
+
+    def test_equal_bits_in_new_arrays_keep_rows(self, tiny_corpus, monkeypatch):
+        model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
+        for t in (model.trans.pool_q, model.gate.filters, model.gate.word_embeddings):
+            t.data = t.data.copy()
+        evaluate(model, samples)
+        assert encoded == [] and computed == []
+
+
+class _FirstCallBlocks:
+    """A stand-in for a row computation that records the token ids of every
+    item it makes and, once armed, blocks its first call until released."""
+
+    def __init__(self, fn, ids_of):
+        self.fn, self.ids_of = fn, ids_of
+        self.made: list[tuple] = []
+        self.armed = False
+        self.started, self.release = threading.Event(), threading.Event()
+
+    def __call__(self, *args):
+        self.made.extend(self.ids_of(*args))
+        if self.armed and not self.started.is_set():
+            self.started.set()
+            assert self.release.wait(10)
+        return self.fn(*args)
+
+
+class TestStoreLock:
+    """Two threads read one row kind at once: the first thread's computation
+    blocks until released, the second thread asks for rows the first is
+    computing and rows of its own, and the table grows past its capacity
+    while the second read is under way."""
+
+    @staticmethod
+    def race(read, items, compute):
+        """Fills a table with items[:20], then reads items[:40] on one thread
+        and items[30:] on another, releasing the first thread's computation
+        only after the second read has had half a second."""
+        read(items[:20])
+        compute.made.clear()
+        compute.armed = True
+        got = {}
+        one = threading.Thread(target=lambda: got.update(one=read(items[:40])))
+        two = threading.Thread(target=lambda: got.update(two=read(items[30:])))
+        one.start()
+        assert compute.started.wait(10)
+        two.start()
+        two.join(0.5)  # with the lock, the second read waits for the first
+        compute.release.set()
+        one.join(10)
+        two.join(10)
+        assert not one.is_alive() and not two.is_alive()
+        return got["one"], got["two"]
+
+    @staticmethod
+    def news(corpus):
+        seqs = list(corpus.news.values())[:60]
+        assert len({tuple(seq.ids) for seq in seqs}) == 60
+        return seqs
+
+    def test_candidate_rows(self, tiny_corpus, monkeypatch):
+        import gateformer.training as training
+
+        model = tiny_model(tiny_corpus)
+        seqs = self.news(tiny_corpus)
+        compute = _FirstCallBlocks(
+            encode_candidates, lambda part, params: [tuple(seq.ids) for seq in part]
+        )
+        monkeypatch.setattr(training, "encode_candidates", compute)
+        one, two = self.race(lambda part: model.items.rows(part, model.trans), seqs, compute)
+        assert np.array_equal(one, encode_candidates(seqs[:40], model.trans).data)
+        assert np.array_equal(two, encode_candidates(seqs[30:], model.trans).data)
+        assert sorted(compute.made) == sorted(tuple(seq.ids) for seq in seqs[20:])
+        assert len(model.items) == 60
+
+    def test_gate_rows(self, tiny_corpus, monkeypatch):
+        import gateformer.training as training
+
+        model = tiny_model(tiny_corpus)
+        ids = np.array([seq.ids for seq in self.news(tiny_corpus)])
+        compute = _FirstCallBlocks(item_features, lambda params, part: list(map(tuple, part.tolist())))
+        monkeypatch.setattr(training, "item_features", compute)
+        one, two = self.race(lambda part: model.items.gate_rows([part], model.gate)[0], ids, compute)
+        for got, part in ((one, ids[:40]), (two, ids[30:])):
+            want = item_features(model.gate, part)
+            assert all(np.array_equal(a, b.data) for a, b in zip(got, want))
+        assert sorted(compute.made) == sorted(map(tuple, ids[20:].tolist()))
+        assert model.items.n_gate_rows == 60
 
 
 class TestEncodeCandidateRows:
