@@ -5,6 +5,9 @@ flag overrides (flags win); every emitted table starts with a
 ``# config <fingerprint>`` comment so results are traceable. All commands
 are deterministic given the seed. The environment variable
 ``GATEFORMER_DATA_DIR`` provides the default data root.
+:func:`load_dataset` builds the news corpus's :class:`recall.InvertedIndex`
+once, as ``Dataset.stats``: the bm25 selector's statistics and ``recall``'s
+ranker.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .efficiency import bench, keyword_position_histogram, measure_speedup
-from .recall import UserQuery, build_index, recall_at_k, recall_dense, recall_hybrid, recall_sparse
+from .gating import GATE_METHODS
+from .recall import (
+    InvertedIndex, UserQuery, build_index, recall_at_k, recall_dense, recall_hybrid, recall_sparse,
+)
 from .text import (
-    CorpusStats,
+    POLICIES,
     TokenSequence,
     Vocabulary,
-    corpus_stats,
     load_mind_behaviors,
     load_mind_news,
     synth_corpus_full,
@@ -40,7 +45,6 @@ from .training import (
     keyword_pairs,
     split_samples,
     train,
-    write_metrics_csv,
 )
 from .transformer import (  # noqa: F401  encode_candidate: perfbench encodes its docs through this name
     apply_checkpoint,
@@ -58,7 +62,7 @@ class Dataset:
     news: dict[str, TokenSequence]
     train_samples: list
     val_samples: list
-    stats: CorpusStats
+    stats: InvertedIndex  # of the news corpus: recall ranks with it, the bm25 selector reads it
 
 
 def _data_root(args) -> Path:
@@ -73,7 +77,7 @@ def load_dataset(cfg: RunConfig, data_dir: Path) -> Dataset:
         data_dir / cfg.data.news, vocab, l_max=cfg.data.l_max,
         title_only=cfg.data.title_only,
     )
-    stats = corpus_stats(news)
+    stats = build_index(news)
     samples = load_mind_behaviors(
         data_dir / cfg.data.behaviors, news, k_neg=cfg.data.k_neg,
         n_max=cfg.data.n_max, seed=cfg.train.seed,
@@ -89,7 +93,7 @@ def load_dataset(cfg: RunConfig, data_dir: Path) -> Dataset:
     return Dataset(vocab, news, tr, va, stats)
 
 
-def build_model(cfg: RunConfig, vocab_size: int, stats: CorpusStats) -> Model:
+def build_model(cfg: RunConfig, vocab_size: int, stats: InvertedIndex) -> Model:
     return init_model(
         vocab_size=vocab_size,
         d=cfg.model.d,
@@ -198,7 +202,10 @@ def cmd_train(args) -> int:
         threads=cfg.train.threads,
     )
     cfg.dump(out / "config.ini")
-    write_metrics_csv(out / "metrics.csv", result.history, cfg.fingerprint())
+    _write_table(
+        out / "metrics.csv", cfg.fingerprint(), "step,loss,auc,mrr,ndcg5,ndcg10",
+        [",".join(map(_fmt, row)) for row in result.history],
+    )
     if result.final_report is not None:
         r = result.final_report
         print(
@@ -207,7 +214,7 @@ def cmd_train(args) -> int:
         )
         print(f"best:  auc={result.best_auc:.4f} at step {result.best_step}")
     else:
-        print("trained 0 steps; wrote initial checkpoint")
+        print(f"trained {len(result.losses)} steps without evaluation; wrote the final parameters")
     return 0
 
 
@@ -275,7 +282,6 @@ def cmd_recall(args) -> int:
     n_max = max(n_values)
     n_sparse = max(args.n_sparse, n_max)
 
-    index = build_index(dataset.news)
     doc_ids = sorted(dataset.news)
     doc_embs = dict(zip(
         doc_ids, model.items.rows([dataset.news[d] for d in doc_ids], model.trans)
@@ -294,9 +300,9 @@ def cmd_recall(args) -> int:
         u = encode_user(gated.rows, model.trans).data
         query = UserQuery.from_pairs(keyword_pairs(gated), user_embedding=u)
         results = {
-            "sparse": recall_sparse(index, query, n_max),
+            "sparse": recall_sparse(dataset.stats, query, n_max),
             "dense": recall_dense(u, doc_embs, n_max),
-            "hybrid": recall_hybrid(index, query, doc_embs, n_sparse, n_max),
+            "hybrid": recall_hybrid(dataset.stats, query, doc_embs, n_sparse, n_max),
         }
         for m, res in results.items():
             for n in n_values:
@@ -383,7 +389,7 @@ def make_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--out", help="output directory (default: data dir)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--policy", choices=("front", "random", "back"))
+    p.add_argument("--policy", choices=POLICIES)
     p.add_argument("--force", action="store_true", help="overwrite non-empty output dir")
     p.set_defaults(fn=cmd_synth)
 
@@ -393,8 +399,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--threads", type=int)
-    p.add_argument("--gate.method", dest="gate_method",
-                   choices=("learned", "first", "bm25", "random"))
+    p.add_argument("--gate.method", dest="gate_method", choices=GATE_METHODS)
     p.add_argument("--gate.k", dest="gate_k", type=int)
     p.set_defaults(fn=cmd_train)
 

@@ -15,6 +15,9 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .gating import GATE_METHODS, GRANULARITIES, USER_ENCODERS
+from .text import POLICIES
+
 
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -85,10 +88,10 @@ class SynthConfig:
 
 
 _CHOICES = {
-    ("gate", "user_encoder"): ("lstm", "attn"),
-    ("gate", "granularity"): ("token", "word"),
-    ("gate", "method"): ("learned", "first", "bm25", "random"),
-    ("synth", "policy"): ("front", "random", "back"),
+    ("gate", "user_encoder"): USER_ENCODERS,
+    ("gate", "granularity"): GRANULARITIES,
+    ("gate", "method"): GATE_METHODS,
+    ("synth", "policy"): POLICIES,
 }
 
 _SECTIONS = {

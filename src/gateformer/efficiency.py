@@ -82,13 +82,8 @@ def flops_transformer(dims: ModelDims, seq_len: int) -> float:
     """Transformer encode + pooling cost for one length-n sequence."""
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
-    n, d, H = seq_len, dims.d, dims.heads
-    per_layer = (
-        8 * n * d * d + 4 * n * n * d      # attention projections + scores/values
-        + 16 * n * d * d                   # feed-forward
-        + 6 * H * n * n + 29 * n * d       # softmax/scale, norms, biases, relu, residuals
-    )
-    return dims.layers * per_layer + 5 * n * d + 5 * n
+    n = seq_len
+    return transformer_linear_coeff(dims) * n + transformer_quadratic_coeff(dims) * n * n
 
 
 def transformer_linear_coeff(dims: ModelDims) -> float:
@@ -175,6 +170,8 @@ def user_side_flops(dims: ModelDims, n_items: int, gated: bool) -> float:
 # ---------------------------------------------------------------------------
 
 def _median_seconds(fn, repeats: int) -> float:
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     times = []
     fn()  # warm
     for _ in range(repeats):
@@ -197,7 +194,7 @@ def bench(models, samples, k_values: list[int], repeats: int = 30) -> list[dict]
     from .training import Model, evaluate, user_embedding
 
     rows = []
-    histories = [s.history for s in samples[: max(repeats, 1)]]
+    histories = [s.history for s in samples[:repeats]]
     for k in k_values:
         model: Model = models[k] if isinstance(models, dict) else models
         old_k = model.k

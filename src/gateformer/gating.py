@@ -27,9 +27,11 @@ it lacks. Each length group's masked item pooling
 and the attention user encoder are one :func:`numerics.attention_pool` node
 each, and each length group's scores one :func:`numerics.cosine` node.
 The heuristic selectors (first, bm25, random) share its selection and
-gather. Its :class:`GroupedSelection` is flat: the selected rows of every
-item in order, ready for the user encoder, lined up with their weights,
-positions and token ids. It also reads as a sequence of per-item
+gather; bm25 reads its statistics from the news corpus's
+:class:`recall.InvertedIndex`, the index sparse recall ranks with. Its
+:class:`GroupedSelection` is flat: the selected rows of every item in
+order, ready for the user encoder, lined up with their weights, positions
+and token ids. It also reads as a sequence of per-item
 :class:`GateSelection` objects, each narrowed out of the grouped tensors
 only when asked for.
 :func:`training.gate_history` runs the gate on one history of a model.
@@ -43,13 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .numerics import LSTMParams, Tensor, constant, gather_rows, tensor
-from .recall import bm25_term_weight
-from .text import PAD_ID, CorpusStats, TokenSequence, UserHistory
+from .numerics import LSTMParams, Tensor, constant, gather_rows, glorot, tensor
+from .recall import InvertedIndex, bm25_term_weight
+from .text import PAD_ID, TokenSequence, UserHistory
 
 NEG_MASK = -1e30  # additive log-space mask; finite to keep forwards NaN-free
 
 GATE_METHODS = ("learned", "first", "bm25", "random")
+USER_ENCODERS = ("lstm", "attn")
+GRANULARITIES = ("token", "word")
 
 
 @dataclass
@@ -77,6 +81,11 @@ class GateParams:
             )
         if self.window < 1:
             raise ValueError("gate window must be >= 1")
+        for name, choices in (("user_encoder", USER_ENCODERS), ("granularity", GRANULARITIES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"gate {name} must be one of {choices}, got {getattr(self, name)!r}"
+                )
 
     @property
     def n_filters(self) -> int:
@@ -127,11 +136,6 @@ def init_gate_params(
     """
     d = word_embeddings.data.shape[1]
     span = 2 * window + 1
-
-    def glorot(shape):
-        lim = np.sqrt(6.0 / (shape[0] + shape[-1]))
-        return tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
-
     filters = rng.normal(0, 0.05, size=(n_filters, span * d))
     filters[:, window * d:(window + 1) * d] += _orthonormal(n_filters, d, rng)
 
@@ -148,13 +152,13 @@ def init_gate_params(
         word_embeddings=word_embeddings,
         filters=tensor(filters, requires_grad=True),
         bias=tensor(np.zeros(n_filters), requires_grad=True),
-        pool_v=glorot((n_filters,)),
+        pool_v=glorot((n_filters,), rng),
         lstm=LSTMParams(
             tensor(w_ih, requires_grad=True),
             tensor(w_hh, requires_grad=True),
             tensor(bias, requires_grad=True),
         ),
-        attn_v=glorot((n_filters,)),
+        attn_v=glorot((n_filters,), rng),
         window=window,
         user_encoder=user_encoder,
         granularity=granularity,
@@ -258,16 +262,17 @@ def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(-masked, axis=1, kind="stable")[:, :k], counts
 
 
-def heuristic_scores(ids: np.ndarray, method: str, stats: CorpusStats | None = None) -> np.ndarray:
+def heuristic_scores(
+    ids: np.ndarray, method: str, stats: InvertedIndex | None = None
+) -> np.ndarray:
     """(G, L) scores of a length group's (G, L) token ids under the first or
-    bm25 selector. Uniform scores make the index tie-break reproduce first-k
-    selection."""
+    bm25 selector, bm25 with the statistics of the corpus index ``stats``.
+    Uniform scores make the index tie-break reproduce first-k selection."""
     if method == "first":
         return np.zeros(ids.shape)
     tf = (ids[:, :, None] == ids[:, None, :]).sum(axis=-1)
-    df = np.array([stats.doc_freq.get(tok, 0) for tok in ids.ravel().tolist()], dtype=np.int64)
     return bm25_term_weight(
-        tf=tf, df=df.reshape(ids.shape), doc_len=ids.shape[1],
+        tf=tf, df=stats.doc_freq(ids), doc_len=ids.shape[1],
         avg_len=stats.avg_len, n_docs=stats.n_docs,
     )
 
@@ -346,7 +351,7 @@ def gate_groups(
     params: GateParams,
     k: int,
     method: str = "learned",
-    stats: CorpusStats | None = None,
+    stats: InvertedIndex | None = None,
     rngs: list[np.random.Generator] | None = None,
     store=None,
 ) -> GroupedSelection:

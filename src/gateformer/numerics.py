@@ -209,6 +209,12 @@ def constant(data) -> Tensor:
     return tensor(data, requires_grad=False)
 
 
+def glorot(shape: tuple, rng: np.random.Generator) -> Tensor:
+    """Trainable Glorot-uniform draw, fans ``shape[0]`` and ``shape[-1]``."""
+    lim = np.sqrt(6.0 / (shape[0] + shape[-1]))
+    return tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
+
+
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x

@@ -4,7 +4,8 @@ Sparse recall is an exact inverted-index + Okapi BM25 ranker (k1=1.2,
 b=0.75) that accumulates scores term at a time over CSR postings; dense
 recall is exact brute-force scaled inner product; hybrid retrieves sparsely
 then re-ranks densely. No approximate pruning anywhere: desk-scale corpora
-make exactness cheap.
+make exactness cheap. The news corpus's index is also the bm25 selector's
+statistics: :meth:`InvertedIndex.doc_freq`, ``n_docs`` and ``avg_len``.
 
 Dense top-n scores every doc, then selects rather than sorts: it finds the
 n-th best score with ``np.partition``, keeps every doc at least that good
@@ -99,6 +100,16 @@ class InvertedIndex:
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
+
+    def doc_freq(self, toks) -> np.ndarray:
+        """Document frequency of every token id in ``toks`` (any shape): its
+        posting count, 0 for a token not indexed."""
+        toks = np.asarray(toks)
+        if not len(self.tokens):
+            return np.zeros(toks.shape, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self.tokens, toks), len(self.tokens) - 1)
+        hit = self.tokens[rows] == toks
+        return np.where(hit, self.offsets[rows + 1] - self.offsets[rows], 0)
 
     def span(self, tok: int) -> slice:
         """Where ``tok``'s postings sit in ``keys``/``tfs``/``weights``;

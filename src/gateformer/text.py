@@ -280,26 +280,6 @@ def load_mind_behaviors(
     return samples
 
 
-@dataclass
-class CorpusStats:
-    """Document frequencies and length statistics over a news corpus."""
-
-    doc_freq: dict[int, int]
-    n_docs: int
-    avg_len: float
-
-
-def corpus_stats(news: dict[str, TokenSequence]) -> CorpusStats:
-    df: dict[int, int] = {}
-    total = 0
-    for seq in news.values():
-        total += len(seq)
-        for tok in set(seq.ids):
-            df[tok] = df.get(tok, 0) + 1
-    n = len(news)
-    return CorpusStats(doc_freq=df, n_docs=n, avg_len=total / n if n else 0.0)
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------

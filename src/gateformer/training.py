@@ -18,7 +18,8 @@ features from it, so training (always on a tape) computes them and its
 gradients reach the tensors they read. Every impression holds one positive,
 so :func:`rank_metrics` reads AUC, MRR and NDCG from how many negatives
 score above and level with it; the general reference metrics live in the
-tests. Validation AUC selects the checkpoint that is kept.
+tests. Validation AUC selects the checkpoint that is kept; a run that never
+evaluates keeps its final parameters.
 
 Per sample, :func:`gate_history` is the one gate entry: the grouped gate on
 a batch of one history, with the model's selector, never reading the store.
@@ -42,7 +43,8 @@ import numpy as np
 from . import numerics as nm
 from .gating import GateParams, GroupedSelection, gate_groups, init_gate_params, item_features
 from .numerics import Tape, Tensor, backward, tensor
-from .text import CorpusStats, ImpressionSample, TokenSequence, UserHistory
+from .recall import InvertedIndex
+from .text import ImpressionSample, TokenSequence, UserHistory
 # encode_candidate, encode_sequence and weighted_pool are not called here:
 # perfbench/tracing.py wraps them under these names
 from .transformer import (  # noqa: F401
@@ -199,7 +201,7 @@ class Model:
     trans: TransformerParams
     k: int = 3
     gate_method: str = "learned"
-    stats: CorpusStats | None = None
+    stats: InvertedIndex | None = None  # the corpus index; the bm25 selector reads it
     seed: int = 0
     items: ItemStore = field(default_factory=ItemStore, init=False, repr=False, compare=False)
 
@@ -230,7 +232,7 @@ def init_model(
     gate_method: str = "learned",
     user_encoder: str = "lstm",
     granularity: str = "token",
-    stats: CorpusStats | None = None,
+    stats: InvertedIndex | None = None,
 ) -> Model:
     rng = np.random.default_rng(seed)
     emb = tensor(rng.normal(0, 0.1, size=(vocab_size, d)), requires_grad=True)
@@ -602,8 +604,10 @@ def train(
 ) -> TrainResult:
     """Mini-batch training with best-validation-AUC checkpoint retention.
 
-    With ``out_dir`` set, writes ``best.manifest.json``/``best.bin`` (the
-    best-AUC parameters, or the initial ones when no evaluation ran) there.
+    The returned model holds the parameters of the best evaluation, or the
+    final ones when no evaluation ran (no validation samples, or
+    ``eval_interval`` 0). With ``out_dir`` set, writes those parameters
+    there as ``best.manifest.json``/``best.bin``.
     """
     if not train_samples and steps > 0:
         raise ValueError("no training samples")
@@ -616,7 +620,7 @@ def train(
     losses: list[float] = []
     best_auc = -1.0
     best_step = 0
-    best_snapshot = {k: v.data.copy() for k, v in named.items()}
+    best_snapshot: dict[str, np.ndarray] | None = None
     final_report: EvalReport | None = None
 
     order: list[int] = []
@@ -659,8 +663,9 @@ def train(
                 best_snapshot = {k: v.data.copy() for k, v in named.items()}
 
     # restore the retained parameters so the returned model is the best one
-    for k, v in named.items():
-        v.data[...] = best_snapshot[k]
+    if best_snapshot is not None:
+        for k, v in named.items():
+            v.data[...] = best_snapshot[k]
     if out_dir is not None:
         save_checkpoint(named, Path(out_dir) / "best")
     return TrainResult(
@@ -671,12 +676,3 @@ def train(
         best_step=best_step,
         final_report=final_report,
     )
-
-
-def write_metrics_csv(path, history: list[tuple], fingerprint: str) -> None:
-    """Metrics history as CSV with a config-fingerprint comment line."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# config {fingerprint}\n")
-        f.write("step,loss,auc,mrr,ndcg5,ndcg10\n")
-        for row in history:
-            f.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor, gather_rows, tensor
+from .numerics import Tensor, gather_rows, glorot, tensor
 from .text import TokenSequence
 
 
@@ -101,10 +101,6 @@ def init_transformer_params(
 ) -> TransformerParams:
     d = word_embeddings.data.shape[1]
 
-    def glorot(shape):
-        lim = np.sqrt(6.0 / (shape[0] + shape[-1]))
-        return tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
-
     def zeros(shape):
         return tensor(np.zeros(shape), requires_grad=True)
 
@@ -113,14 +109,14 @@ def init_transformer_params(
 
     layers = [
         LayerParams(
-            wq=glorot((d, d)), bq=zeros(d),
-            wk=glorot((d, d)), bk=zeros(d),
-            wv=glorot((d, d)), bv=zeros(d),
-            wo=glorot((d, d)), bo=zeros(d),
+            wq=glorot((d, d), rng), bq=zeros(d),
+            wk=glorot((d, d), rng), bk=zeros(d),
+            wv=glorot((d, d), rng), bv=zeros(d),
+            wo=glorot((d, d), rng), bo=zeros(d),
             ln1_gamma=ones(d), ln1_beta=zeros(d),
             ln2_gamma=ones(d), ln2_beta=zeros(d),
-            ffn_w1=glorot((d, 4 * d)), ffn_b1=zeros(4 * d),
-            ffn_w2=glorot((4 * d, d)), ffn_b2=zeros(d),
+            ffn_w1=glorot((d, 4 * d), rng), ffn_b1=zeros(4 * d),
+            ffn_w2=glorot((4 * d, d), rng), ffn_b2=zeros(d),
         )
         for _ in range(n_layers)
     ]
@@ -128,7 +124,7 @@ def init_transformer_params(
         word_embeddings=word_embeddings,
         pos_embeddings=tensor(rng.normal(0, 0.02, size=(max_positions, d)), requires_grad=True),
         layers=layers,
-        pool_q=glorot((d,)),
+        pool_q=glorot((d,), rng),
         heads=heads,
     )
 

@@ -434,16 +434,18 @@ def gate_history_oracle(history, params, k):
 
 def heuristic_scores_oracle(seq, method, stats=None, rng=None):
     """One item's scores under a heuristic selector: zeros for first, the
-    item's own draws for random, per-token BM25 weights for bm25."""
+    item's own draws for random, per-token BM25 weights for bm25, with
+    each token's df read through the index's scalar ``span``."""
     L = len(seq)
     if method == "first":
         return np.zeros(L)
     if method == "random":
         return rng.random(L)
     _, inverse, counts = np.unique(seq.ids, return_inverse=True, return_counts=True)
+    spans = [stats.span(tok) for tok in seq.ids]
     return bm25_term_weight(
         tf=counts[inverse],
-        df=np.array([stats.doc_freq.get(tok, 0) for tok in seq.ids], dtype=np.int64),
+        df=np.array([span.stop - span.start for span in spans]),
         doc_len=L,
         avg_len=stats.avg_len,
         n_docs=stats.n_docs,

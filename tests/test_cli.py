@@ -71,6 +71,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be one of"):
             load_config(None, ["gate.method=entity"])
 
+    def test_choices_are_defined_where_they_are_used(self):
+        from gateformer.cli import make_parser
+        from gateformer.config import _CHOICES
+        from gateformer.gating import GATE_METHODS, GRANULARITIES, USER_ENCODERS
+        from gateformer.text import POLICIES
+
+        assert _CHOICES[("gate", "user_encoder")] is USER_ENCODERS
+        assert _CHOICES[("gate", "granularity")] is GRANULARITIES
+        assert _CHOICES[("gate", "method")] is GATE_METHODS
+        assert _CHOICES[("synth", "policy")] is POLICIES
+        commands = make_parser()._subparsers._group_actions[0].choices
+        flags = {(cmd, a.dest): a.choices for cmd in commands for a in commands[cmd]._actions}
+        assert flags[("train", "gate_method")] is GATE_METHODS
+        assert flags[("synth", "policy")] is POLICIES
+
     def test_file_roundtrip(self, tmp_path):
         cfg = load_config(None, ["train.seed=9", "model.d=32"])
         cfg.dump(tmp_path / "c.ini")
@@ -133,6 +148,31 @@ class TestTrainCommand:
             "step,loss,auc,mrr,ndcg5,ndcg10"
         )
 
+    def test_metrics_csv_format(self, tmp_path):
+        data = synth(tmp_path, seed=13)
+        run = train_run(tmp_path, data, seed=13, steps=10)
+        lines = (run / "metrics.csv").read_text().splitlines()
+        assert lines[0] == f"# config {load_config(run / 'config.ini').fingerprint()}"
+        assert lines[1] == "step,loss,auc,mrr,ndcg5,ndcg10"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [row[0] for row in rows] == ["5", "10"]
+        for row in rows:
+            assert len(row) == 6
+            assert all(x == repr(float(x)) for x in row[1:])
+
+    def test_without_evaluation_saves_the_final_parameters(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=14)
+        silent = train_run(tmp_path / "a", data, seed=14, steps=4,
+                           extra=["--set", "train.eval_interval=0"])
+        assert "trained 4 steps without evaluation" in capsys.readouterr().out
+        # evaluating only at the last step keeps the final parameters too
+        evaluated = train_run(tmp_path / "b", data, seed=14, steps=4,
+                              extra=["--set", "train.eval_interval=4"])
+        initial = train_run(tmp_path / "c", data, seed=14, steps=0)
+        assert (silent / "best.bin").read_bytes() == (evaluated / "best.bin").read_bytes()
+        assert (silent / "best.bin").read_bytes() != (initial / "best.bin").read_bytes()
+        assert (silent / "metrics.csv").read_text().splitlines()[2:] == []
+
     def test_gate_method_first_flag(self, tmp_path):
         data = synth(tmp_path, seed=6)
         run = train_run(tmp_path, data, seed=6, steps=4, extra=["--gate.method", "first"])
@@ -192,6 +232,14 @@ class TestBenchCommand:
         assert len(lines) == 2 + 5
         ks = [int(line.split(",")[0]) for line in lines[2:]]
         assert ks == [1, 2, 3, 5, 8]
+
+    def test_zero_repeats_exits_with_a_message(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=10)
+        run = train_run(tmp_path, data, seed=10, steps=2)
+        rc = main(["bench", "--run", str(run), "--data", str(data), "--k", "2", "--repeats", "0"])
+        assert rc == 1
+        assert "repeats must be >= 1" in capsys.readouterr().err
+        assert not (run / "bench.csv").exists()
 
     def test_each_distinct_candidate_encoded_once_across_k(self, tmp_path, monkeypatch):
         import gateformer.training as training

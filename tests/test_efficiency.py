@@ -17,7 +17,8 @@ from gateformer.efficiency import (
     user_side_flops,
 )
 from gateformer.gating import gate_groups
-from gateformer.text import TokenSequence, UserHistory, corpus_stats, synth_corpus_full
+from gateformer.recall import build_index
+from gateformer.text import TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import Model, gate_history, init_model
 from gateformer.transformer import encode_candidate
 from oracles import select_history_oracle
@@ -174,6 +175,13 @@ class TestBench:
         flops = [r["flops"] for r in rows]
         assert flops == sorted(flops)
 
+    def test_repeats_below_one_rejected(self, setup):
+        model, samples = setup
+        with pytest.raises(ValueError, match="repeats"):
+            bench(model, samples[:4], [2], repeats=0)
+        with pytest.raises(ValueError, match="repeats"):
+            measure_speedup(model, [s.history for s in samples[:3]], repeats=-1)
+
     def test_speedup_measurement_runs(self, setup):
         model, samples = setup
         out = measure_speedup(model, [s.history for s in samples[:3]], repeats=3)
@@ -190,7 +198,7 @@ class TestPositionHistogram:
         model = init_model(
             vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
             max_positions=48, n_filters=8, window=1, seed=seed, k=3,
-            gate_method=method, stats=corpus_stats(corpus.news),
+            gate_method=method, stats=build_index(corpus.news),
         )
         return model, [s.history for s in corpus.samples]
 

@@ -6,7 +6,8 @@ import pytest
 from gateformer import numerics as nm
 from gateformer.gating import GATE_METHODS, gate_groups, init_gate_params, select_positions
 from gateformer.numerics import Tape, backward, tensor
-from gateformer.text import TokenSequence, UserHistory, Vocabulary, corpus_stats
+from gateformer.recall import build_index
+from gateformer.text import TokenSequence, UserHistory, Vocabulary
 from oracles import (
     _selectable_scores,
     attn_user_variant,
@@ -402,7 +403,7 @@ class TestHeuristicGate:
             "D2": seq_of([4, 5]),
             "D3": seq_of([5, 5, 5, 6]),
         }
-        stats = corpus_stats(docs)
+        stats = build_index(docs)
         p = make_gate(vocab_size=len(vocab), seed=24)
         sels = gate_groups([UserHistory([docs["D1"]])], p, 2, "bm25", stats=stats)
         # hand computation: apple idf=ln(2.5/1.5+1), tf=2, len=3=avg ->
@@ -452,6 +453,15 @@ class TestAttnUserVariant:
         sels = gate_groups([history], p, 2)
         assert all(s.k_eff == 2 for s in sels)
 
+
+class TestGateOptions:
+    @pytest.mark.parametrize("option", [
+        {"user_encoder": "gru"}, {"granularity": "sentence"},
+        {"user_encoder": "gru", "granularity": "sentence"},
+    ])
+    def test_unknown_choice_rejected(self, option):
+        with pytest.raises(ValueError, match="must be one of"):
+            make_gate(**option)
 
 class TestGroupedSelectPositions:
     def test_matches_per_row_oracle(self):
@@ -534,7 +544,7 @@ class TestGateMatchesOracle:
         rng = np.random.default_rng(32)
         p = make_gate(vocab_size=15, seed=32)
         history = oracle_history(rng, 15)
-        stats = corpus_stats({str(i): seq for i, seq in enumerate(history.items)})
+        stats = build_index({str(i): seq for i, seq in enumerate(history.items)})
         self.assert_match(
             lambda: gate_groups([history], p, 3, method, stats, [np.random.default_rng(4)]),
             lambda: heuristic_gate_oracle(history, method, 3, p, stats, np.random.default_rng(4)),
@@ -593,7 +603,7 @@ class TestFlatOutput:
         p = make_gate(vocab_size=15, seed=35, user_encoder=encoder, granularity=granularity)
         histories = [oracle_history(rng, 15, word=granularity == "word") for _ in range(3)]
         items = [seq for h in histories for seq in h.items]
-        stats = corpus_stats({str(i): seq for i, seq in enumerate(items)})
+        stats = build_index({str(i): seq for i, seq in enumerate(items)})
         gated = gate_groups(histories, p, 3, method, stats,
                             [np.random.default_rng(40 + h) for h in range(3)])
         if method == "learned":

@@ -167,6 +167,37 @@ class TestBuildIndex:
             build_index({"A": seq_of([3, -1])})
 
 
+class TestIndexStats:
+    """The index as the bm25 selector's corpus statistics."""
+
+    def test_counts(self):
+        a, b = 1, 2
+        idx = build_index({"N1": seq_of([a, b]), "N2": seq_of([a, a])})
+        assert idx.n_docs == 2
+        assert idx.avg_len == 2.0
+        assert idx.doc_freq(a) == 2
+        assert idx.doc_freq(b) == 1
+
+    @pytest.mark.parametrize("n_docs", [1, 9, 120])
+    def test_doc_freq_matches_counted_docs_and_spans(self, n_docs):
+        rng = np.random.default_rng(40 + n_docs)
+        docs = random_docs(rng, n_docs, min_len=0)
+        idx = build_index(docs)
+        # every indexed token, tokens below, between and past them, in a 2-d shape
+        toks = np.arange(-3, 48).reshape(3, 17)
+        counted = [[sum(t in s.ids for s in docs.values()) for t in row] for row in toks.tolist()]
+        df = idx.doc_freq(toks)
+        assert df.shape == toks.shape
+        assert df.tolist() == counted
+        assert df.ravel().tolist() == [
+            idx.span(t).stop - idx.span(t).start for t in toks.ravel().tolist()
+        ]
+
+    def test_doc_freq_of_an_index_without_tokens_is_zero(self):
+        idx = build_index({"A": seq_of([]), "B": seq_of([])})
+        assert idx.doc_freq(np.array([[0, 3], [7, 9]])).tolist() == [[0, 0], [0, 0]]
+
+
 class TestBm25Score:
     def test_absent_query_term_contributes_zero(self):
         idx = build_index({"A": seq_of([3, 4])})

@@ -6,7 +6,6 @@ from gateformer.text import (
     TokenSequence,
     UserHistory,
     Vocabulary,
-    corpus_stats,
     load_mind_behaviors,
     load_mind_news,
     synth_corpus_full,
@@ -266,20 +265,6 @@ class TestSynthCorpus:
     def test_needs_two_topics(self):
         with pytest.raises(ValueError, match="topics"):
             synth_corpus_full(0, 2, 24, 1, 10)
-
-
-class TestCorpusStats:
-    def test_counts(self):
-        vocab = make_vocab("a", "b", "c")
-        news = {
-            "N1": TokenSequence([vocab.id_of["a"], vocab.id_of["b"]], [0, 1], [0, 2]),
-            "N2": TokenSequence([vocab.id_of["a"], vocab.id_of["a"]], [0, 1], [0, 2]),
-        }
-        stats = corpus_stats(news)
-        assert stats.n_docs == 2
-        assert stats.avg_len == 2.0
-        assert stats.doc_freq[vocab.id_of["a"]] == 2
-        assert stats.doc_freq[vocab.id_of["b"]] == 1
 
 
 class TestTypes:

@@ -30,7 +30,6 @@ from gateformer.training import (
     train,
     user_embedding,
     user_keywords,
-    write_metrics_csv,
 )
 from gateformer.transformer import (
     apply_checkpoint,
@@ -61,13 +60,13 @@ def tiny_corpus():
 
 
 def tiny_model(corpus, method="learned", seed=0, k=2, granularity="token", user_encoder="lstm"):
-    from gateformer.text import corpus_stats
+    from gateformer.recall import build_index
 
     return init_model(
         vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
         max_positions=30, n_filters=8, window=1, seed=seed, k=k,
         gate_method=method, user_encoder=user_encoder, granularity=granularity,
-        stats=corpus_stats(corpus.news),
+        stats=build_index(corpus.news),
     )
 
 
@@ -295,12 +294,12 @@ class TestBatchEquivalence:
 
     def test_position_capacity_enforced(self, tiny_corpus):
         # three items keeping two tokens each need six positions
-        from gateformer.text import corpus_stats
+        from gateformer.recall import build_index
 
         model = init_model(
             vocab_size=len(tiny_corpus.vocab), d=16, n_layers=1, heads=2,
             max_positions=4, n_filters=8, window=1, seed=0, k=2,
-            stats=corpus_stats(tiny_corpus.news),
+            stats=build_index(tiny_corpus.news),
         )
         hists = [s.history for s in tiny_corpus.samples[:3]]
         with pytest.raises(ValueError, match="max positions"):
@@ -499,14 +498,31 @@ class TestTrainLoop:
         for k, v in model.gate.named_tensors().items():
             assert np.array_equal(v.data, gate_before[k]), k
 
-    def test_metrics_csv_format(self, tmp_path):
-        rows = [(10, 1.5, 0.8, 0.5, 0.6, 0.7)]
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, rows, "abc123")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config abc123"
-        assert lines[1] == "step,loss,auc,mrr,ndcg5,ndcg10"
-        assert lines[2].startswith("10,1.5,0.8")
+    @pytest.mark.parametrize("eval_interval, n_val", [(0, 4), (2, 0)])
+    def test_without_evaluation_keeps_the_final_parameters(
+        self, tiny_corpus, tmp_path, eval_interval, n_val
+    ):
+        def run(val, interval, out_dir=None):
+            model = tiny_model(tiny_corpus)
+            initial = {k: v.data.copy() for k, v in model.named_tensors().items()}
+            res = train(
+                model, tiny_corpus.samples[:8], val, steps=5, batch_size=4,
+                peak_lr=1e-3, warmup=2, seed=0, eval_interval=interval,
+                log_interval=0, out_dir=out_dir,
+            )
+            return res, initial
+
+        res, initial = run(tiny_corpus.samples[8:8 + n_val], eval_interval, tmp_path)
+        assert res.final_report is None and res.history == []
+        # one evaluation, at the last step, retains the final parameters
+        ref, _ = run(tiny_corpus.samples[8:12], 5)
+        assert ref.best_step == 5
+        trained = {k: v.data for k, v in ref.model.named_tensors().items()}
+        assert any(not np.array_equal(trained[k], v) for k, v in initial.items())
+        loaded = load_checkpoint(tmp_path / "best")
+        for k, v in res.model.named_tensors().items():
+            assert np.array_equal(v.data, trained[k]), k
+            assert np.array_equal(loaded[k], trained[k]), k
 
 
 class TestEvaluate:
