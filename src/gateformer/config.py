@@ -94,6 +94,12 @@ _CHOICES = {
     ("synth", "policy"): POLICIES,
 }
 
+# smallest accepted value; 0 steps still writes the initial parameters
+_MINIMUM = {
+    ("train", "steps"): 0,
+    ("train", "batch_size"): 1,
+}
+
 _SECTIONS = {
     "data": DataConfig,
     "model": ModelConfig,
@@ -133,6 +139,9 @@ class RunConfig:
             raise ValueError(
                 f"{section}.{key} must be one of {choices}, got {value!r}"
             )
+        least = _MINIMUM.get((section, key))
+        if least is not None and value < least:
+            raise ValueError(f"{section}.{key} must be >= {least}, got {value}")
         setattr(target, key, value)
 
     def items(self) -> list[tuple[str, str, object]]:

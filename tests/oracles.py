@@ -285,6 +285,21 @@ def bm25_rank_oracle(docs, pairs, n: int) -> list:
     return [doc_id for _, doc_id in scored[:n]]
 
 
+def sparse_scores_oracle(index, query) -> tuple:
+    """(doc keys, BM25 scores) of every doc holding a query keyword, keys
+    ascending, accumulated term at a time: each keyword in the query's order
+    adds its weighted postings into a dense score array."""
+    score = np.zeros(index.n_docs)
+    touched = np.zeros(index.n_docs, dtype=bool)
+    for tok, w in query.keywords:
+        span = index.span(tok)
+        keys = index.keys[span]
+        score[keys] += w * index.weights[span]
+        touched[keys] = True
+    cands = np.flatnonzero(touched)
+    return cands, score[cands]
+
+
 def dense_rank_oracle(user_embedding, doc_embeddings, n: int) -> list:
     """Dense top-n by sorting every doc on (-scaled dot product, doc id)."""
     scale = 1.0 / np.sqrt(user_embedding.shape[0])

@@ -86,6 +86,17 @@ class TestConfig:
         assert flags[("train", "gate_method")] is GATE_METHODS
         assert flags[("synth", "policy")] is POLICIES
 
+    @pytest.mark.parametrize("item", ["train.steps=-1", "train.steps=-3", "train.batch_size=0",
+                                      "train.batch_size=-2"])
+    def test_below_minimum_rejected(self, item, tmp_path):
+        key = item.split("=")[0]
+        with pytest.raises(ValueError, match=rf"^{key} must be >= "):
+            load_config(None, [item])
+        section, rest = item.split(".")
+        (tmp_path / "c.ini").write_text(f"[{section}]\n{rest.replace('=', ' = ')}\n")
+        with pytest.raises(ValueError, match=rf"^{key} must be >= "):
+            load_config(tmp_path / "c.ini")
+
     def test_file_roundtrip(self, tmp_path):
         cfg = load_config(None, ["train.seed=9", "model.d=32"])
         cfg.dump(tmp_path / "c.ini")
@@ -147,6 +158,14 @@ class TestTrainCommand:
         assert (run / "metrics.csv").read_text().splitlines()[1] == (
             "step,loss,auc,mrr,ndcg5,ndcg10"
         )
+
+    def test_negative_steps_exit_with_a_message(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=5)
+        out = tmp_path / "neg"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--steps", "-3", *TINY_MODEL])
+        assert rc != 0
+        assert "train.steps must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metrics_csv_format(self, tmp_path):
         data = synth(tmp_path, seed=13)

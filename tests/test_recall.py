@@ -27,6 +27,7 @@ from oracles import (
     dense_rank_oracle,
     postings_oracle,
     recall_at_k_oracle,
+    sparse_scores_oracle,
 )
 
 
@@ -238,6 +239,63 @@ class TestBm25Score:
         got = dict(zip(keys.tolist(), scores.tolist()))
         for key, doc_id in enumerate(idx.doc_ids):
             assert bm25_score(idx, q, doc_id) == got.get(key, 0.0)
+
+
+def same_scores(got, want):
+    """Equal keys, and scores equal bit for bit (so -0.0 != 0.0 and NaN
+    matches only the same NaN)."""
+    (got_keys, got_scores), (want_keys, want_scores) = got, want
+    return (
+        np.array_equal(got_keys, want_keys)
+        and got_scores.dtype == want_scores.dtype == np.float64
+        and np.array_equal(got_scores.view(np.int64), want_scores.view(np.int64))
+    )
+
+
+class TestSparseScores:
+    @pytest.mark.parametrize("n_docs", [1, 6, 50, 300])
+    def test_matches_term_at_a_time_oracle_on_random_corpora(self, n_docs):
+        rng = np.random.default_rng(500 + n_docs)
+        docs = with_duplicates(rng, random_docs(rng, n_docs, min_len=0), n_docs // 3 + 1)
+        idx = build_index(docs)
+        for _ in range(8):
+            # tokens 0 and 40-44 are never indexed (random_docs draws 1-39)
+            toks = rng.integers(0, 45, size=rng.integers(1, 20)).tolist()
+            pairs = [(t, float(w)) for t, w in zip(toks, rng.uniform(0.05, 3.0, len(toks)))]
+            q = UserQuery.from_pairs(pairs)
+            assert same_scores(sparse_scores(idx, q), sparse_scores_oracle(idx, q))
+
+    def test_hand_built_query_keeps_its_order_and_repeats(self):
+        # not from from_pairs: keywords unsorted, token 7 twice; each keyword
+        # adds its postings in the query's order, as the oracle does
+        rng = np.random.default_rng(11)
+        idx = build_index(with_duplicates(rng, random_docs(rng, 60, vocab=12), 10))
+        q = UserQuery(keywords=[(7, 0.3), (3, 1.1), (9, 0.7), (7, 0.9), (5, 0.2), (3, 1e-3)])
+        assert same_scores(sparse_scores(idx, q), sparse_scores_oracle(idx, q))
+
+    def test_tokens_not_indexed(self):
+        idx = build_index({"A": seq_of([3, 5, 5]), "B": seq_of([5, 9]), "C": seq_of([9, 3])})
+        # below, between and above the indexed ids 3, 5 and 9
+        missing = UserQuery.from_pairs([(0, 1.0), (4, 1.0), (7, 2.0), (10, 1.0), (2**40, 1.0)])
+        keys, scores = sparse_scores(idx, missing)
+        assert keys.tolist() == [] and scores.tolist() == []
+        mixed = UserQuery.from_pairs([(0, 1.0), (4, 0.5), (5, 1.0), (7, 2.0), (12, 1.0)])
+        got = sparse_scores(idx, mixed)
+        assert got[0].tolist() == [0, 1]
+        assert same_scores(got, sparse_scores_oracle(idx, mixed))
+
+    def test_empty_keyword_list(self):
+        idx = build_index({"A": seq_of([3]), "B": seq_of([4])})
+        keys, scores = sparse_scores(idx, UserQuery(keywords=[]))
+        assert keys.shape == scores.shape == (0,)
+        assert recall_sparse(idx, UserQuery(keywords=[]), 5) == []
+
+    def test_index_of_empty_docs(self):
+        idx = build_index({"A": seq_of([]), "B": seq_of([])})
+        q = UserQuery.from_pairs([(0, 1.0), (3, 2.0)])
+        keys, scores = sparse_scores(idx, q)
+        assert keys.shape == scores.shape == (0,)
+        assert recall_sparse(idx, q, 5) == []
 
 
 class TestRecallSparse:
