@@ -2,9 +2,10 @@
 
 Sparse recall is an exact inverted-index + Okapi BM25 ranker (k1=1.2,
 b=0.75); dense recall is exact brute-force scaled inner product; hybrid
-retrieves sparsely then re-ranks densely. No approximate pruning anywhere: desk-scale corpora
-make exactness cheap. The news corpus's index is also the bm25 selector's
-statistics: :meth:`InvertedIndex.doc_freq`, ``n_docs`` and ``avg_len``.
+retrieves sparsely then re-ranks densely. No approximate pruning anywhere:
+desk-scale corpora make exactness cheap. The news corpus's index is also the
+bm25 selector's statistics: :meth:`InvertedIndex.doc_freq`, ``n_docs`` and
+``avg_len``.
 
 Sparse scoring is term-at-a-time accumulation (Turtle & Flood, 1995) done
 as one array pass: one ``searchsorted`` finds the postings of every query
