@@ -6,6 +6,7 @@ it is checking.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -311,15 +312,35 @@ def dense_rank_oracle(user_embedding, doc_embeddings, n: int) -> list:
 
 def postings_oracle(docs) -> dict:
     """token -> [(doc key, tf)] with keys the positions of the sorted doc ids,
-    built one doc and one token at a time."""
+    built one doc at a time from a Counter of its tokens."""
     postings = {}
     for key, doc_id in enumerate(sorted(docs)):
-        counts = {}
-        for tok in docs[doc_id]:
-            counts[tok] = counts.get(tok, 0) + 1
-        for tok, tf in counts.items():
+        for tok, tf in Counter(docs[doc_id]).items():
             postings.setdefault(tok, []).append((key, tf))
     return dict(sorted(postings.items()))
+
+
+def build_index_oracle(docs) -> dict:
+    """Every field of ``build_index`` over ``docs`` (doc id -> token ids) as
+    plain lists: the CSR arrays read off :func:`postings_oracle`, each doc's
+    length counted on its own, and each posting's weight from the scalar BM25
+    formula with its token's df and its doc's length."""
+    doc_ids = sorted(docs)
+    lengths = [len(docs[doc_id]) for doc_id in doc_ids]
+    avg_len = sum(lengths) / len(doc_ids)
+    postings = postings_oracle(docs)
+    fields = {"doc_ids": doc_ids, "tokens": list(postings), "offsets": [0], "keys": [],
+              "tfs": [], "doc_lengths": lengths, "avg_len": avg_len, "weights": [],
+              "doc_keys": {doc_id: key for key, doc_id in enumerate(doc_ids)}}
+    for plist in postings.values():
+        for key, tf in plist:
+            fields["keys"].append(key)
+            fields["tfs"].append(tf)
+            fields["weights"].append(
+                float(bm25_term_weight(tf, len(plist), lengths[key], avg_len, len(doc_ids)))
+            )
+        fields["offsets"].append(len(fields["keys"]))
+    return fields
 
 
 # ---------------------------------------------------------------------------

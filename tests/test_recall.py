@@ -24,6 +24,7 @@ from gateformer.text import TokenSequence
 from oracles import (
     bm25_oracle,
     bm25_rank_oracle,
+    build_index_oracle,
     dense_rank_oracle,
     postings_oracle,
     recall_at_k_oracle,
@@ -82,6 +83,30 @@ def zero_user():
     rng = np.random.default_rng(10)
     embs = {f"U{i:02d}": rng.normal(size=4) for i in rng.permutation(30)}
     return np.full(4, -0.0), embs, (1, 7, 30)
+
+
+def oracle_corpus(seed):
+    """Random docs with empty docs, repeated tokens, the token ids 0 and
+    2**32 - 1 and non-ASCII doc ids."""
+    rng = np.random.default_rng(seed)
+    vocab = np.array([0, 1, 2, 5, 9, 2**31, 2**32 - 2, 2**32 - 1])
+    prefixes = ["D", "é", "ß", "文", "z"]
+    return {
+        f"{prefixes[i % len(prefixes)]}{i:02d}": seq_of(rng.choice(vocab, size=rng.integers(0, 10)).tolist())
+        for i in range(int(rng.integers(1, 30)))
+    }
+
+
+ORACLE_CORPORA = [oracle_corpus(seed) for seed in range(6)] + [{"é": seq_of([]), "a": seq_of([])}]
+
+
+def assert_same_index(got, want):
+    """Field-by-field equality, the weights compared through their int64 bits."""
+    assert got.doc_ids == want.doc_ids and got.doc_keys == want.doc_keys
+    assert got.avg_len == want.avg_len
+    for name in ("tokens", "offsets", "keys", "tfs", "doc_lengths", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def csr_postings(idx):
@@ -162,6 +187,26 @@ class TestBuildIndex:
                     int(idx.tfs[pos]), int(e - s), int(idx.doc_lengths[key]),
                     idx.avg_len, idx.n_docs,
                 )
+
+    @pytest.mark.parametrize("docs", ORACLE_CORPORA)
+    def test_every_field_matches_counter_oracle(self, docs):
+        idx = build_index(docs)
+        want = build_index_oracle({doc_id: seq.ids for doc_id, seq in docs.items()})
+        for name in ("tokens", "offsets", "keys", "tfs", "doc_lengths"):
+            got = getattr(idx, name)
+            assert got.dtype == np.int64 and got.tolist() == want[name], name
+        weights = np.array(want["weights"], dtype=np.float64)
+        assert idx.weights.view(np.int64).tolist() == weights.view(np.int64).tolist()
+        assert idx.doc_ids == want["doc_ids"] and idx.avg_len == want["avg_len"]
+        assert idx.doc_keys == want["doc_keys"]
+
+    def test_doc_keys_built_on_first_use(self):
+        idx = build_index({"b": seq_of([1]), "é": seq_of([2, 2]), "a": seq_of([])})
+        assert "doc_keys" not in vars(idx)
+        assert idx.doc_keys == {"a": 0, "b": 1, "é": 2}
+        assert idx.doc_keys is idx.doc_keys
+        q = UserQuery.from_pairs([(2, 1.0)])
+        assert bm25_score(idx, q, "é") == sparse_scores(idx, q)[1][0] > 0
 
     def test_negative_token_id_rejected(self):
         with pytest.raises(ValueError, match="token ids"):
@@ -487,6 +532,12 @@ class TestRecallHybrid:
         with pytest.raises(ValueError, match=f"doc {first} is not finite"):
             recall_hybrid(idx, q, embs, n_sparse=10, n=5)
 
+    def test_missing_doc_embedding_rejected(self):
+        idx = build_index({"A": seq_of([1, 2]), "B": seq_of([2, 3])})
+        q = UserQuery.from_pairs([(3, 1.0)], user_embedding=np.zeros(2))
+        with pytest.raises(ValueError, match="doc B"):
+            recall_hybrid(idx, q, {"A": np.zeros(2)}, n_sparse=2, n=1)
+
     def test_n_exceeding_n_sparse_rejected(self):
         idx = build_index({"A": seq_of([1])})
         q = UserQuery.from_pairs([(1, 1.0)], user_embedding=np.zeros(2))
@@ -556,6 +607,12 @@ class TestPersistence:
         loaded = load_index(tmp_path / "c.idx")
         q = UserQuery.from_pairs([(4, 1.0), (9, 2.0)])
         assert recall_sparse(idx, q, 10) == recall_sparse(loaded, q, 10)
+
+    @pytest.mark.parametrize("docs", ORACLE_CORPORA + [random_docs(np.random.default_rng(4), 60)])
+    def test_load_of_save_keeps_every_field(self, tmp_path, docs):
+        idx = build_index(docs)
+        save_index(idx, tmp_path / "r.idx")
+        assert_same_index(load_index(tmp_path / "r.idx"), idx)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.idx"
@@ -655,6 +712,13 @@ class TestCorruptIndex:
     ])
     def test_inconsistent_section(self, tmp_path, raw, section, i, value, match):
         self.rejects(tmp_path, patched(raw, section, i, value), match)
+
+    def test_character_split_across_two_ids(self, tmp_path):
+        save_index(build_index({"aé": seq_of([1]), "b": seq_of([1])}), tmp_path / "s.idx")
+        raw = (tmp_path / "s.idx").read_bytes()
+        # the ids' bytes 61 C3 A9 62 are utf-8 as a whole; lengths 2 and 2
+        # cut the é in two
+        self.rejects(tmp_path, patched(patched(raw, "id_lens", 0, 2), "id_lens", 1, 2), "utf-8")
 
     def test_no_documents(self, tmp_path):
         empty = HEADER.pack(MAGIC, 2, 0, 0, 0, 0) + np.zeros(1, "<i8").tobytes()
