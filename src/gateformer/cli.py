@@ -53,8 +53,6 @@ from .transformer import (  # noqa: F401  encode_candidate: perfbench encodes it
     load_checkpoint,
 )
 
-log = logging.getLogger("gateformer")
-
 
 @dataclass
 class Dataset:
@@ -106,7 +104,6 @@ def build_model(cfg: RunConfig, vocab_size: int, stats: InvertedIndex) -> Model:
         k=cfg.gate.k,
         gate_method=cfg.gate.method,
         user_encoder=cfg.gate.user_encoder,
-        granularity=cfg.gate.granularity,
         stats=stats,
     )
 
@@ -287,14 +284,12 @@ def cmd_recall(args) -> int:
         doc_ids, model.items.rows([dataset.news[d] for d in doc_ids], model.trans)
     ))
     samples = dataset.val_samples[: args.max_impressions or len(dataset.val_samples)]
+    if not samples:
+        print("error: no validation impressions for recall", file=sys.stderr)
+        return 1
     sums = {(m, n): 0.0 for m in ("sparse", "dense", "hybrid") for n in n_values}
-    used = 0
-    skipped = 0
     for i, sample in enumerate(samples):
-        relevant = {sample.positive_id} if sample.positive_id else set()
-        if not relevant:
-            skipped += 1
-            continue
+        relevant = {sample.positive_id}
         # one gating feeds both the dense embedding and the sparse keywords
         gated = gate_history(sample.history, model, i)
         u = encode_user(gated.rows, model.trans).data
@@ -307,15 +302,9 @@ def cmd_recall(args) -> int:
         for m, res in results.items():
             for n in n_values:
                 sums[(m, n)] += recall_at_k(res, relevant, n)
-        used += 1
-    if skipped:
-        log.warning("skipped %d impressions with empty relevant sets", skipped)
-    if used == 0:
-        print("error: no usable impressions for recall", file=sys.stderr)
-        return 1
     out = Path(args.out) if args.out else run_dir / "recall.csv"
     rows = [
-        f"{m},{n},{_fmt(sums[(m, n)] / used)}"
+        f"{m},{n},{_fmt(sums[(m, n)] / len(samples))}"
         for m in ("sparse", "dense", "hybrid")
         for n in n_values
     ]
@@ -350,7 +339,7 @@ def cmd_analyze(args) -> int:
             item_of.tolist(), gated.positions.tolist(), gated.token_ids.tolist(),
             gated.weights.data.tolist(),
         ):
-            item_id = sample.history_ids[item_pos] if sample.history_ids else str(item_pos)
+            item_id = sample.history_ids[item_pos]
             g, start, _ = gated.score_at[item_pos].tolist()
             score = float(gated.scores[g].data[start + p])
             token = dataset.vocab.token_of(tok)

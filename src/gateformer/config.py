@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .gating import GATE_METHODS, GRANULARITIES, USER_ENCODERS
+from .gating import GATE_METHODS, USER_ENCODERS
 from .text import POLICIES
 
 
@@ -54,7 +55,6 @@ class GateConfig:
     window: int = 1
     filters: int = 32
     user_encoder: str = "lstm"
-    granularity: str = "token"
     method: str = "learned"
 
 
@@ -89,15 +89,24 @@ class SynthConfig:
 
 _CHOICES = {
     ("gate", "user_encoder"): USER_ENCODERS,
-    ("gate", "granularity"): GRANULARITIES,
     ("gate", "method"): GATE_METHODS,
     ("synth", "policy"): POLICIES,
 }
 
-# smallest accepted value; 0 steps still writes the initial parameters
+# smallest accepted value; 0 steps still writes the initial parameters, and
+# 0 layers, max_positions (derived), warmup, eval or log interval and
+# clip_norm each mean "none"
 _MINIMUM = {
-    ("train", "steps"): 0,
-    ("train", "batch_size"): 1,
+    **dict.fromkeys([
+        ("model", "d"), ("model", "heads"), ("gate", "k"), ("gate", "window"),
+        ("gate", "filters"), ("data", "l_max"), ("data", "n_max"), ("data", "k_neg"),
+        ("train", "batch_size"), ("train", "threads"),
+    ], 1),
+    **dict.fromkeys([
+        ("model", "layers"), ("model", "max_positions"), ("train", "steps"),
+        ("train", "warmup"), ("train", "eval_interval"), ("train", "log_interval"),
+        ("train", "clip_norm"),
+    ], 0),
 }
 
 _SECTIONS = {
@@ -132,6 +141,8 @@ class RunConfig:
             value = int(raw)
         elif isinstance(current, float):
             value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"{section}.{key} must be finite, got {value}")
         else:
             value = raw.strip()
         choices = _CHOICES.get((section, key))

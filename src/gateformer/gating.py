@@ -47,13 +47,12 @@ import numpy as np
 from . import numerics as nm
 from .numerics import LSTMParams, Tensor, constant, gather_rows, glorot, tensor
 from .recall import InvertedIndex, bm25_term_weight
-from .text import PAD_ID, TokenSequence, UserHistory
+from .text import PAD_ID, UserHistory
 
 NEG_MASK = -1e30  # additive log-space mask; finite to keep forwards NaN-free
 
 GATE_METHODS = ("learned", "first", "bm25", "random")
 USER_ENCODERS = ("lstm", "attn")
-GRANULARITIES = ("token", "word")
 
 
 @dataclass
@@ -70,7 +69,6 @@ class GateParams:
     attn_v: Tensor                   # (N_f,) query for the attention user encoder
     window: int = 1
     user_encoder: str = "lstm"       # lstm | attn
-    granularity: str = "token"       # token | word
 
     def __post_init__(self):
         n_f = self.filters.data.shape[0]
@@ -81,11 +79,10 @@ class GateParams:
             )
         if self.window < 1:
             raise ValueError("gate window must be >= 1")
-        for name, choices in (("user_encoder", USER_ENCODERS), ("granularity", GRANULARITIES)):
-            if getattr(self, name) not in choices:
-                raise ValueError(
-                    f"gate {name} must be one of {choices}, got {getattr(self, name)!r}"
-                )
+        if self.user_encoder not in USER_ENCODERS:
+            raise ValueError(
+                f"gate user_encoder must be one of {USER_ENCODERS}, got {self.user_encoder!r}"
+            )
 
     @property
     def n_filters(self) -> int:
@@ -119,7 +116,6 @@ def init_gate_params(
     window: int,
     rng: np.random.Generator,
     user_encoder: str = "lstm",
-    granularity: str = "token",
 ) -> GateParams:
     """Initialize the gate so token geometry survives to the cosine scorer.
 
@@ -161,7 +157,6 @@ def init_gate_params(
         attn_v=glorot((n_filters,), rng),
         window=window,
         user_encoder=user_encoder,
-        granularity=granularity,
     )
 
 
@@ -228,14 +223,6 @@ class GroupedSelection(Sequence):
         )
 
 
-def word_average_matrix(word_groups) -> np.ndarray:
-    """(..., L, L) row-averaging matrices for (..., L) word groups: entry
-    [j, k] is 1/n when tokens j and k belong to the same n-token word."""
-    groups = np.asarray(word_groups)
-    same = groups[..., :, None] == groups[..., None, :]
-    return same / same.sum(axis=-1, keepdims=True)
-
-
 def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k over (G, L) token ids and their scores.
 
@@ -294,7 +281,6 @@ def _interest_scores(
     params: GateParams,
     histories: list[UserHistory],
     groups: list[tuple[np.ndarray, np.ndarray]],
-    items: list[TokenSequence],
     store=None,
 ) -> list[Tensor]:
     """(G, L) cosine scores of every length group's tokens against the
@@ -334,16 +320,12 @@ def _interest_scores(
     interest = nm.assemble_rows(u_chunks, np.concatenate(u_order))
 
     # cosine scores of each item's (G, L) context rows against its history's
-    # interest vector, gathered as a (G, 1) row; word granularity first
-    # averages context rows within words
+    # interest vector, gathered as a (G, 1) row
     owner = np.repeat(np.arange(len(histories)), n_items)
-    scores = []
-    for (members, ids), ctx3 in zip(groups, ctxs):
-        if params.granularity == "word":
-            avg = word_average_matrix([items[i].word_group for i in members])
-            ctx3 = nm.matmul(constant(avg), ctx3)
-        scores.append(nm.cosine(ctx3, gather_rows(interest, owner[members][:, None])))
-    return scores
+    return [
+        nm.cosine(ctx3, gather_rows(interest, owner[members][:, None]))
+        for (members, _), ctx3 in zip(groups, ctxs)
+    ]
 
 
 def gate_groups(
@@ -386,7 +368,7 @@ def gate_groups(
         groups.append((members, np.array([items[i].ids for i in members], dtype=np.intp)))
 
     if method == "learned":
-        scores = _interest_scores(params, histories, groups, items, store)
+        scores = _interest_scores(params, histories, groups, store)
     elif method == "random":
         # each history's draws run through its items in order
         token_start = np.concatenate([[0], np.cumsum(lengths)])

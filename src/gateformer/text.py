@@ -15,7 +15,7 @@ File formats:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,24 +67,15 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Tokenized item text; parallel lists, one entry per subword token.
-
-    ``word_group`` is non-decreasing and groups the subword pieces of one
-    surface word; ``source_positions`` holds each token's character offset in
-    the original text.
-    """
+    """Tokenized item text: its subword token ids, in text order."""
 
     ids: list[int]
-    word_group: list[int]
-    source_positions: list[int]
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def truncated(self, l_max: int) -> "TokenSequence":
-        return TokenSequence(
-            self.ids[:l_max], self.word_group[:l_max], self.source_positions[:l_max]
-        )
+        return TokenSequence(self.ids[:l_max])
 
 
 @dataclass
@@ -108,36 +99,32 @@ class ImpressionSample:
     history: UserHistory
     positive: TokenSequence
     negatives: list[TokenSequence]
-    history_ids: list[str] = field(default_factory=list)
-    positive_id: str = ""
-    negative_ids: list[str] = field(default_factory=list)
+    history_ids: list[str]
+    positive_id: str
+    negative_ids: list[str]
 
 
-def _basic_tokenize(text: str) -> list[tuple[str, int]]:
-    """Lowercased words with their character offsets; punctuation chars are
-    standalone words."""
-    words: list[tuple[str, int]] = []
+def _basic_tokenize(text: str) -> list[str]:
+    """Lowercased words; punctuation chars are standalone words."""
+    words: list[str] = []
     cur: list[str] = []
-    cur_start = 0
-    for i, ch in enumerate(text):
+    for ch in text:
         if ch.isalnum():
-            if not cur:
-                cur_start = i
             cur.append(ch.lower())
         else:
             if cur:
-                words.append(("".join(cur), cur_start))
+                words.append("".join(cur))
                 cur = []
             if not ch.isspace():
-                words.append((ch, i))
+                words.append(ch)
     if cur:
-        words.append(("".join(cur), cur_start))
+        words.append("".join(cur))
     return words
 
 
-def _greedy_pieces(word: str, vocab: Vocabulary) -> list[tuple[str, int]] | None:
+def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str] | None:
     """Longest-match-first subword split; None if any remainder is unmatchable."""
-    pieces: list[tuple[str, int]] = []
+    pieces: list[str] = []
     start = 0
     while start < len(word):
         end = len(word)
@@ -152,7 +139,7 @@ def _greedy_pieces(word: str, vocab: Vocabulary) -> list[tuple[str, int]] | None
             end -= 1
         if found is None:
             return None
-        pieces.append((found, start))
+        pieces.append(found)
         start = end
     return pieces
 
@@ -160,20 +147,13 @@ def _greedy_pieces(word: str, vocab: Vocabulary) -> list[tuple[str, int]] | None
 def wordpiece_tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Greedy WordPiece over lowercased, punctuation-split words."""
     ids: list[int] = []
-    word_group: list[int] = []
-    source_positions: list[int] = []
-    for group, (word, offset) in enumerate(_basic_tokenize(text)):
+    for word in _basic_tokenize(text):
         pieces = _greedy_pieces(word, vocab)
         if pieces is None:
             ids.append(vocab.unk_id)
-            word_group.append(group)
-            source_positions.append(offset)
-            continue
-        for piece, within in pieces:
-            ids.append(vocab.id_of[piece])
-            word_group.append(group)
-            source_positions.append(offset + within)
-    return TokenSequence(ids, word_group, source_positions)
+        else:
+            ids.extend(vocab.id_of[piece] for piece in pieces)
+    return TokenSequence(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +278,6 @@ class SynthCorpus:
     vocab: Vocabulary
     item_topic: dict[str, int]
     user_pref: dict[str, int]
-    user_history_ids: dict[str, list[str]]
     sample_user: list[str]
     train_indices: list[int]
     val_indices: list[int]
@@ -402,9 +381,7 @@ def synth_corpus_full(
         for p in range(tokens_per_item):
             if not words[p]:
                 words[p] = filler_words[next(fit)]
-        ids = [vocab.id_of[w] for w in words]
-        offsets = np.cumsum([0] + [len(w) + 1 for w in words[:-1]]).tolist()
-        news[item_id] = TokenSequence(ids, list(range(tokens_per_item)), offsets)
+        news[item_id] = TokenSequence([vocab.id_of[w] for w in words])
         item_topic[item_id] = topic
         topic_items[topic].append(item_id)
 
@@ -416,7 +393,6 @@ def synth_corpus_full(
 
     samples: list[ImpressionSample] = []
     user_pref: dict[str, int] = {}
-    user_history_ids: dict[str, list[str]] = {}
     sample_user: list[str] = []
     train_indices: list[int] = []
     val_indices: list[int] = []
@@ -429,7 +405,6 @@ def synth_corpus_full(
         own = pools[pref]
         hist_idx = rng.choice(len(own), size=history_len, replace=False)
         hist_ids = [own[i] for i in hist_idx]
-        user_history_ids[user_id] = hist_ids
         history = UserHistory([news[h] for h in hist_ids])
         for _ in range(impressions_per_user):
             if noise > 0 and rng.random() < noise:
@@ -463,7 +438,6 @@ def synth_corpus_full(
         vocab=vocab,
         item_topic=item_topic,
         user_pref=user_pref,
-        user_history_ids=user_history_ids,
         sample_user=sample_user,
         train_indices=train_indices,
         val_indices=val_indices,

@@ -231,14 +231,11 @@ def init_model(
     k: int = 3,
     gate_method: str = "learned",
     user_encoder: str = "lstm",
-    granularity: str = "token",
     stats: InvertedIndex | None = None,
 ) -> Model:
     rng = np.random.default_rng(seed)
     emb = tensor(rng.normal(0, 0.1, size=(vocab_size, d)), requires_grad=True)
-    gate = init_gate_params(
-        emb, n_filters, window, rng, user_encoder=user_encoder, granularity=granularity
-    )
+    gate = init_gate_params(emb, n_filters, window, rng, user_encoder=user_encoder)
     trans = init_transformer_params(emb, n_layers, heads, max_positions, rng)
     return Model(gate=gate, trans=trans, k=k, gate_method=gate_method, stats=stats, seed=seed)
 
@@ -289,18 +286,16 @@ def batch_user_embeddings(
 ) -> Tensor:
     """(B, d) user embeddings for a batch of histories on the current tape.
 
-    Histories with equal content (the items' token ids, and their word
-    groups under word granularity) are encoded once and share one row,
-    except under the random selector whose draws are keyed to the sample
-    index. With no tape recording, the learned gate reads its per-item
-    features from the model's :class:`ItemStore`; on a tape (``batch_loss``)
-    it computes them, so gradients reach the tensors they read.
+    Histories with equal content (the items' token ids) are encoded once
+    and share one row, except under the random selector whose draws are
+    keyed to the sample index. With no tape recording, the learned gate
+    reads its per-item features from the model's :class:`ItemStore`; on a
+    tape (``batch_loss``) it computes them, so gradients reach the tensors
+    they read.
     """
-    word = model.gate.granularity == "word"
     rngs = sample_rngs(model, sample_indices)
     keys = range(len(histories)) if rngs is not None else [
-        tuple((tuple(seq.ids), tuple(seq.word_group)) if word else tuple(seq.ids) for seq in h.items)
-        for h in histories
+        tuple(tuple(seq.ids) for seq in h.items) for h in histories
     ]
     seen: dict = {}
     kept, mapping = np.unique([seen.setdefault(key, i) for i, key in enumerate(keys)],

@@ -405,16 +405,8 @@ def encode_user_interest(history, params):
     return _aggregate_user([encode_item(seq, params)[1] for seq in history.items], params)
 
 
-def score_tokens(ctx, user_interest, word_group=None):
-    """Cosine of each context row with the interest vector; with
-    ``word_group``, rows are first averaged within each surface word."""
-    if word_group is not None:
-        L = len(word_group)
-        avg = np.zeros((L, L))
-        for j in range(L):
-            same = [m for m in range(L) if word_group[m] == word_group[j]]
-            avg[j, same] = 1.0 / len(same)
-        ctx = nm.matmul(constant(avg), ctx)
+def score_tokens(ctx, user_interest):
+    """Cosine of each context row with the interest vector."""
     eps = 1e-12
     num = nm.matmul(ctx, user_interest)
     row_norm = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx, ctx), axis=1), eps * eps))
@@ -462,8 +454,7 @@ def gate_history_oracle(history, params, k):
     interest = encode_user_interest(history, params)
     sels = []
     for seq in history.items:
-        group = seq.word_group if params.granularity == "word" else None
-        scores = score_tokens(encode_item(seq, params)[0], interest, group)
+        scores = score_tokens(encode_item(seq, params)[0], interest)
         sels.append(select_topk(seq, scores, gather_rows(params.word_embeddings, seq.ids), k))
     return sels
 

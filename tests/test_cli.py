@@ -74,11 +74,10 @@ class TestConfig:
     def test_choices_are_defined_where_they_are_used(self):
         from gateformer.cli import make_parser
         from gateformer.config import _CHOICES
-        from gateformer.gating import GATE_METHODS, GRANULARITIES, USER_ENCODERS
+        from gateformer.gating import GATE_METHODS, USER_ENCODERS
         from gateformer.text import POLICIES
 
         assert _CHOICES[("gate", "user_encoder")] is USER_ENCODERS
-        assert _CHOICES[("gate", "granularity")] is GRANULARITIES
         assert _CHOICES[("gate", "method")] is GATE_METHODS
         assert _CHOICES[("synth", "policy")] is POLICIES
         commands = make_parser()._subparsers._group_actions[0].choices
@@ -86,8 +85,13 @@ class TestConfig:
         assert flags[("train", "gate_method")] is GATE_METHODS
         assert flags[("synth", "policy")] is POLICIES
 
-    @pytest.mark.parametrize("item", ["train.steps=-1", "train.steps=-3", "train.batch_size=0",
-                                      "train.batch_size=-2"])
+    @pytest.mark.parametrize("item", [
+        "train.steps=-1", "train.steps=-3", "train.batch_size=0", "train.batch_size=-2",
+        "model.d=0", "model.heads=0", "gate.k=0", "gate.window=0", "gate.filters=0",
+        "data.l_max=0", "data.n_max=0", "data.k_neg=0", "train.threads=0", "train.threads=-2",
+        "model.layers=-1", "model.max_positions=-1", "train.warmup=-5",
+        "train.eval_interval=-1", "train.log_interval=-1", "train.clip_norm=-1",
+    ])
     def test_below_minimum_rejected(self, item, tmp_path):
         key = item.split("=")[0]
         with pytest.raises(ValueError, match=rf"^{key} must be >= "):
@@ -95,6 +99,17 @@ class TestConfig:
         section, rest = item.split(".")
         (tmp_path / "c.ini").write_text(f"[{section}]\n{rest.replace('=', ' = ')}\n")
         with pytest.raises(ValueError, match=rf"^{key} must be >= "):
+            load_config(tmp_path / "c.ini")
+
+    @pytest.mark.parametrize("item", ["train.peak_lr=nan", "train.peak_lr=inf",
+                                      "train.clip_norm=-inf", "synth.noise=NaN"])
+    def test_non_finite_float_rejected(self, item, tmp_path):
+        key = item.split("=")[0]
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got "):
+            load_config(None, [item])
+        section, rest = item.split(".")
+        (tmp_path / "c.ini").write_text(f"[{section}]\n{rest.replace('=', ' = ')}\n")
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got "):
             load_config(tmp_path / "c.ini")
 
     def test_file_roundtrip(self, tmp_path):

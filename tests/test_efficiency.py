@@ -38,11 +38,7 @@ def dims_of(model: Model, k: int, item_len: int) -> ModelDims:
 
 def make_history(rng, n_items, length, vocab_size):
     items = [
-        TokenSequence(
-            rng.choice(np.arange(1, vocab_size), size=length, replace=False).tolist(),
-            list(range(length)),
-            [0] * length,
-        )
+        TokenSequence(rng.choice(np.arange(1, vocab_size), size=length, replace=False).tolist())
         for _ in range(n_items)
     ]
     return UserHistory(items)
@@ -104,10 +100,7 @@ class TestFlopsTransformer:
             vocab_size=64, d=d, n_layers=layers, heads=2, max_positions=n,
             n_filters=8, window=1, seed=5, k=3,
         )
-        seq = TokenSequence(
-            rng.choice(np.arange(1, 64), size=n, replace=False).tolist(),
-            list(range(n)), [0] * n,
-        )
+        seq = TokenSequence(rng.choice(np.arange(1, 64), size=n, replace=False).tolist())
         with nm.count_flops() as counter:
             encode_candidate(seq, model.trans)
         dims = dims_of(model, 3, n)

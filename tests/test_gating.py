@@ -34,7 +34,7 @@ def make_gate(vocab_size=20, d=6, n_f=5, window=1, seed=0, **kwargs):
 
 
 def seq_of(ids):
-    return TokenSequence(list(ids), list(range(len(ids))), [0] * len(ids))
+    return TokenSequence(list(ids))
 
 
 def random_history(rng, n_items, length, vocab_size=20, distinct=True):
@@ -121,7 +121,7 @@ class TestEncodeItem:
 
     def test_pad_positions_masked_from_pooling(self):
         p = make_gate(seed=4)
-        with_pad = TokenSequence([5, 8, 0], [0, 1, 2], [0, 0, 0])
+        with_pad = TokenSequence([5, 8, 0])
         _, pooled_padded = encode_item(with_pad, p)
         # the pad row contributes context via the conv window, so compare
         # against an explicit masked-pool oracle rather than the short item
@@ -186,16 +186,6 @@ class TestScoreTokens:
             expected = ctx[j] @ u / (np.linalg.norm(ctx[j]) * np.linalg.norm(u))
             assert scores[j] == pytest.approx(expected, abs=1e-12)
 
-    def test_word_granularity_averages_within_words(self):
-        rng = np.random.default_rng(9)
-        ctx = rng.normal(size=(4, 3))
-        u = rng.normal(size=3)
-        scores = score_tokens(tensor(ctx), tensor(u), word_group=[0, 0, 1, 1]).data
-        first = (ctx[0] + ctx[1]) / 2
-        expected = first @ u / (np.linalg.norm(first) * np.linalg.norm(u))
-        assert scores[0] == pytest.approx(expected, abs=1e-12)
-        assert scores[0] == pytest.approx(scores[1], abs=1e-15)
-
 
 class TestSelectTopk:
     def test_basic_topk(self):
@@ -222,7 +212,7 @@ class TestSelectTopk:
         )
 
     def test_pad_positions_never_selected(self):
-        seq = TokenSequence([0, 5, 0, 7], [0, 1, 2, 3], [0] * 4)
+        seq = TokenSequence([0, 5, 0, 7])
         sel = select_row(seq, np.array([9.0, 0.5, 9.0, 0.1]), 3)
         assert sel == [1, 3]
 
@@ -456,8 +446,7 @@ class TestAttnUserVariant:
 
 class TestGateOptions:
     @pytest.mark.parametrize("option", [
-        {"user_encoder": "gru"}, {"granularity": "sentence"},
-        {"user_encoder": "gru", "granularity": "sentence"},
+        {"user_encoder": "gru"}, {"user_encoder": "LSTM"}, {"user_encoder": ""},
     ])
     def test_unknown_choice_rejected(self, option):
         with pytest.raises(ValueError, match="must be one of"):
@@ -487,9 +476,9 @@ class TestGroupedSelectPositions:
             select_positions(np.array([[3, 4]]), np.zeros((1, 2)), 0)
 
 
-def oracle_history(rng, vocab_size, word=False):
+def oracle_history(rng, vocab_size):
     """Items of mixed lengths with pads, repeated ids and, for k=3, items
-    with fewer than k distinct ids; ``word`` groups tokens into 2-token words."""
+    with fewer than k distinct ids."""
     items = []
     for length in (5, 3, 5, 2, 4, 5):
         ids = rng.integers(1, vocab_size, size=length).tolist()
@@ -497,9 +486,12 @@ def oracle_history(rng, vocab_size, word=False):
             ids[-1] = 0
         if length == 2:
             ids = [ids[0], ids[0]]
-        groups = [j // 2 for j in range(length)] if word else list(range(length))
-        items.append(TokenSequence(ids, groups, [0] * length))
+        items.append(TokenSequence(ids))
     return UserHistory(items)
+
+
+# the gate scores tokens; test ids name that next to the user encoder
+TOKEN_ENCODERS = pytest.mark.parametrize("encoder", ["lstm", "attn"], ids=lambda e: f"token-{e}")
 
 
 class TestGateMatchesOracle:
@@ -529,12 +521,11 @@ class TestGateMatchesOracle:
                 continue
             assert rel_err(a, b) < 1e-12, name
 
-    @pytest.mark.parametrize("encoder", ["lstm", "attn"])
-    @pytest.mark.parametrize("granularity", ["token", "word"])
-    def test_learned(self, encoder, granularity):
+    @TOKEN_ENCODERS
+    def test_learned(self, encoder):
         rng = np.random.default_rng(30)
-        p = make_gate(vocab_size=15, seed=30, user_encoder=encoder, granularity=granularity)
-        history = oracle_history(rng, 15, word=granularity == "word")
+        p = make_gate(vocab_size=15, seed=30, user_encoder=encoder)
+        history = oracle_history(rng, 15)
         self.assert_match(
             lambda: gate_groups([history], p, 3), lambda: gate_history_oracle(history, p, 3), p
         )
@@ -596,12 +587,11 @@ class TestFlatOutput:
     its item and its token id, and each item's place in the raw scores."""
 
     @pytest.mark.parametrize("method", GATE_METHODS)
-    @pytest.mark.parametrize("encoder", ["lstm", "attn"])
-    @pytest.mark.parametrize("granularity", ["token", "word"])
-    def test_positions_token_ids_and_scores_line_up(self, method, encoder, granularity):
+    @TOKEN_ENCODERS
+    def test_positions_token_ids_and_scores_line_up(self, method, encoder):
         rng = np.random.default_rng(35)
-        p = make_gate(vocab_size=15, seed=35, user_encoder=encoder, granularity=granularity)
-        histories = [oracle_history(rng, 15, word=granularity == "word") for _ in range(3)]
+        p = make_gate(vocab_size=15, seed=35, user_encoder=encoder)
+        histories = [oracle_history(rng, 15) for _ in range(3)]
         items = [seq for h in histories for seq in h.items]
         stats = build_index({str(i): seq for i, seq in enumerate(items)})
         gated = gate_groups(histories, p, 3, method, stats,

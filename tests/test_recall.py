@@ -33,7 +33,7 @@ from oracles import (
 
 
 def seq_of(ids):
-    return TokenSequence(list(ids), list(range(len(ids))), [0] * len(ids))
+    return TokenSequence(list(ids))
 
 
 def random_docs(rng, n_docs, vocab=40, min_len=3, max_len=12):

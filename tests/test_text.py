@@ -23,8 +23,6 @@ class TestWordpiece:
         vocab = make_vocab("hello")
         seq = wordpiece_tokenize("hello", vocab)
         assert seq.ids == [vocab.id_of["hello"]]
-        assert seq.word_group == [0]
-        assert seq.source_positions == [0]
 
     def test_greedy_longest_match(self):
         # un|##afford|##able: the matcher must prefer "##afford" over any
@@ -32,14 +30,14 @@ class TestWordpiece:
         vocab = make_vocab("un", "##afford", "##able", "##a")
         seq = wordpiece_tokenize("unaffordable", vocab)
         assert [vocab.token_of(i) for i in seq.ids] == ["un", "##afford", "##able"]
-        assert seq.word_group == [0, 0, 0]
-        assert seq.source_positions == [0, 2, 8]
+        # a word after a space starts fresh: no continuation piece opens it
+        seq = wordpiece_tokenize("un able", vocab)
+        assert [vocab.token_of(i) for i in seq.ids] == ["un", "[UNK]"]
 
     def test_unmatched_word_maps_to_unk(self):
         vocab = make_vocab("hello")
         seq = wordpiece_tokenize("qzx", vocab)
         assert seq.ids == [vocab.unk_id]
-        assert seq.word_group == [0]
 
     def test_empty_text(self):
         seq = wordpiece_tokenize("", make_vocab("a"))
@@ -49,8 +47,6 @@ class TestWordpiece:
         vocab = make_vocab("hello", "world", ",")
         seq = wordpiece_tokenize("Hello, World", vocab)
         assert [vocab.token_of(i) for i in seq.ids] == ["hello", ",", "world"]
-        assert seq.word_group == [0, 1, 2]
-        assert seq.source_positions == [0, 5, 7]
 
     def test_partial_match_falls_back_to_unk(self):
         # "un" matches but "usual" has no continuation piece: whole word -> unk
@@ -273,6 +269,6 @@ class TestTypes:
             UserHistory([])
 
     def test_truncated_never_exceeds_l_max(self):
-        seq = TokenSequence(list(range(1, 9)), [0] * 8, [0] * 8)
+        seq = TokenSequence(list(range(1, 9)))
         assert len(seq.truncated(3)) == 3
         assert len(seq.truncated(20)) == 8

@@ -10,7 +10,7 @@ from gateformer import numerics as nm
 from gateformer.efficiency import ModelDims, user_side_flops
 from gateformer.gating import gate_groups, item_features
 from gateformer.numerics import Tape, backward, tensor
-from gateformer.text import PAD_ID, ImpressionSample, TokenSequence, UserHistory, synth_corpus_full
+from gateformer.text import PAD_ID, TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import (
     ENCODE_CHUNK,
     Model,
@@ -59,29 +59,17 @@ def tiny_corpus():
     )
 
 
-def tiny_model(corpus, method="learned", seed=0, k=2, granularity="token", user_encoder="lstm"):
+def tiny_model(corpus, method="learned", seed=0, k=2, user_encoder="lstm"):
     from gateformer.recall import build_index
 
     return init_model(
         vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
         max_positions=30, n_filters=8, window=1, seed=seed, k=k,
-        gate_method=method, user_encoder=user_encoder, granularity=granularity,
+        gate_method=method, user_encoder=user_encoder,
         stats=build_index(corpus.news),
     )
 
 
-def two_token_words(sample: ImpressionSample) -> ImpressionSample:
-    """The sample with every item's tokens grouped into words of two tokens
-    (the synthetic corpus has one token per word)."""
-    def regroup(seq):
-        return TokenSequence(seq.ids, [j // 2 for j in range(len(seq))], seq.source_positions)
-
-    return dataclasses.replace(
-        sample,
-        history=UserHistory([regroup(seq) for seq in sample.history.items]),
-        positive=regroup(sample.positive),
-        negatives=[regroup(seq) for seq in sample.negatives],
-    )
 
 
 class TestAdam:
@@ -249,25 +237,15 @@ class TestBatchEquivalence:
         ]
         self.assert_loss_and_gradients_match(tiny_model(tiny_corpus, method), samples, tol=1e-12)
 
-    def test_word_granularity_loss_and_gradients_match(self, tiny_corpus):
-        samples = [two_token_words(s) for s in tiny_corpus.samples[:6]]
-        model = tiny_model(tiny_corpus, granularity="word")
-        self.assert_loss_and_gradients_match(model, samples)
-
     def test_user_embeddings_match(self, tiny_corpus):
         samples = tiny_corpus.samples[:5]
-        # the last word history has the first one's token ids, other words
-        word_samples = [two_token_words(s) for s in samples] + samples[:1]
-        for model, batch in (
-            (tiny_model(tiny_corpus), samples),
-            (tiny_model(tiny_corpus, granularity="word"), word_samples),
-        ):
-            batched = batch_user_embeddings(
-                model, [s.history for s in batch], list(range(len(batch)))
-            ).data
-            for i, s in enumerate(batch):
-                single = user_embedding(model, s.history, i).data
-                assert rel_err(batched[i], single) < 1e-12
+        model = tiny_model(tiny_corpus)
+        batched = batch_user_embeddings(
+            model, [s.history for s in samples], list(range(len(samples)))
+        ).data
+        for i, s in enumerate(samples):
+            single = user_embedding(model, s.history, i).data
+            assert rel_err(batched[i], single) < 1e-12
 
     def test_equal_content_histories_encoded_once(self, tiny_corpus):
         h0, h1 = tiny_corpus.samples[0].history, tiny_corpus.samples[1].history
@@ -280,17 +258,6 @@ class TestBatchEquivalence:
         assert repeated.flops == distinct.flops
         assert np.array_equal(out.data[0], out.data[1])
         assert np.array_equal(out.data[0], out.data[3])
-
-    def test_word_granularity_keeps_equal_ids_in_other_words_apart(self, tiny_corpus):
-        model = tiny_model(tiny_corpus, granularity="word")
-        tokens = tiny_corpus.samples[0].history
-        words = two_token_words(tiny_corpus.samples[0]).history
-        hists = [tokens, words, copy.deepcopy(words), tokens]
-        out = batch_user_embeddings(model, hists, [0, 1, 2, 3]).data
-        assert not np.array_equal(out[0], out[1])
-        assert np.array_equal(out[1], out[2]) and np.array_equal(out[0], out[3])
-        for i, h in enumerate(hists):
-            assert rel_err(out[i], user_embedding(model, h, i).data) < 1e-12
 
     def test_position_capacity_enforced(self, tiny_corpus):
         # three items keeping two tokens each need six positions
@@ -337,20 +304,15 @@ class TestPerSampleMatchesOracle:
     learned one, whose scores the reference computes in other ops.
     user_keywords gives the reference gate's (token, weight) pairs."""
 
-    @pytest.mark.parametrize("method,encoder,granularity", [
-        ("learned", "lstm", "token"),
-        ("learned", "attn", "token"),
-        ("learned", "lstm", "word"),
-        ("learned", "attn", "word"),
-        ("first", "lstm", "token"),
-        ("bm25", "lstm", "token"),
-        ("random", "attn", "token"),
+    # the gate scores tokens; test ids name that after the selector and encoder
+    @pytest.mark.parametrize("method,encoder", [
+        pytest.param(method, encoder, id=f"{method}-{encoder}-token")
+        for method, encoder in [("learned", "lstm"), ("learned", "attn"), ("first", "lstm"),
+                                ("bm25", "lstm"), ("random", "attn")]
     ])
-    def test_embedding_and_keywords(self, tiny_corpus, method, encoder, granularity):
-        model = tiny_model(tiny_corpus, method, granularity=granularity, user_encoder=encoder)
+    def test_embedding_and_keywords(self, tiny_corpus, method, encoder):
+        model = tiny_model(tiny_corpus, method, user_encoder=encoder)
         samples = tiny_corpus.samples[:6]
-        if granularity == "word":
-            samples = [two_token_words(s) for s in samples]
         exact = method != "learned"
         for i, s in enumerate(samples):
             u = user_embedding(model, s.history, i).data
@@ -547,8 +509,6 @@ class TestEvaluate:
         """(model, samples) for one evaluate-vs-oracle case; 45 samples, so
         one full chunk of 32 and a partial one."""
         samples = corpus.samples[:45]
-        if case == "word":
-            return tiny_model(corpus, granularity="word"), [two_token_words(s) for s in samples]
         if case in ("learned", "first", "random"):
             return tiny_model(corpus, case), samples
         if case == "ragged":
@@ -571,7 +531,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(
-        "case", ["learned", "first", "random", "word", "ragged", "no_ids", "copies"]
+        "case", ["learned", "first", "random", "ragged", "no_ids", "copies"]
     )
     def test_matches_per_impression_oracle(self, tiny_corpus, case, threads):
         model, samples = self.oracle_case(tiny_corpus, case)
@@ -738,10 +698,9 @@ class TestItemStore:
         assert evaluate(model, samples, threads=3) == evaluate(model, samples, threads=1)
 
 
-def ragged_with_pads(samples, words=False):
+def ragged_with_pads(samples):
     """The samples with each history item cut to 7-10 tokens and, in every
-    third item, its last two tokens set to PAD; with ``words``, the history
-    tokens grouped in words of two."""
+    third item, its last two tokens set to PAD."""
     out = []
     for i, s in enumerate(samples):
         items = []
@@ -750,8 +709,7 @@ def ragged_with_pads(samples, words=False):
             ids = list(seq.ids[:n])
             if (i + j) % 3 == 0:
                 ids[-2:] = [PAD_ID, PAD_ID]
-            groups = [t // 2 for t in range(n)] if words else seq.word_group[:n]
-            items.append(TokenSequence(ids, groups, seq.source_positions[:n]))
+            items.append(TokenSequence(ids))
         out.append(dataclasses.replace(s, history=UserHistory(items)))
     return out
 
@@ -813,17 +771,17 @@ class TestGateRows:
         return list(dict.fromkeys(tuple(seq.ids) for h in histories for seq in h.items))
 
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("granularity", ["token", "word"])
-    @pytest.mark.parametrize("encoder", ["lstm", "attn"])
-    def test_cold_warm_and_uncached_agree(self, tiny_corpus, encoder, granularity, threads):
-        samples = ragged_with_pads(tiny_corpus.samples[:45], words=granularity == "word")
+    # the gate scores tokens; test ids name that after the user encoder
+    @pytest.mark.parametrize("encoder", ["lstm", "attn"], ids=lambda e: f"{e}-token")
+    def test_cold_warm_and_uncached_agree(self, tiny_corpus, encoder, threads):
+        samples = ragged_with_pads(tiny_corpus.samples[:45])
         hists = [s.history for s in samples]
         assert len({len(seq) for h in hists for seq in h.items}) == 4
         assert any(PAD_ID in seq.ids for h in hists for seq in h.items)
         idx = list(range(len(hists)))
 
         def fresh():
-            return tiny_model(tiny_corpus, granularity=granularity, user_encoder=encoder)
+            return tiny_model(tiny_corpus, user_encoder=encoder)
 
         with Tape():
             taped = batch_user_embeddings(fresh(), hists, idx).data

@@ -39,7 +39,7 @@ from oracles import (
 
 
 def seq_of(ids):
-    return TokenSequence(list(ids), list(range(len(ids))), [0] * len(ids))
+    return TokenSequence(list(ids))
 
 
 def make_params(vocab=16, d=4, layers=1, heads=2, p_max=24, seed=0):
