@@ -124,6 +124,15 @@ def restore_model(cfg: RunConfig, run_dir: Path, dataset: Dataset) -> Model:
     return model
 
 
+def _open_run(args) -> tuple[Path, RunConfig, Dataset, Model]:
+    """The run directory of ``--run``, its config with ``--set`` applied, the
+    dataset it names and the model restored from its checkpoint."""
+    run_dir = Path(args.run)
+    cfg = load_run(run_dir, args.set)
+    dataset = load_dataset(cfg, _data_root(args))
+    return run_dir, cfg, dataset, restore_model(cfg, run_dir, dataset)
+
+
 def _write_table(path: Path, fingerprint: str, header: str, rows: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
@@ -216,10 +225,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    run_dir = Path(args.run)
-    cfg = load_run(run_dir, args.set)
-    dataset = load_dataset(cfg, _data_root(args))
-    model = restore_model(cfg, run_dir, dataset)
+    run_dir, cfg, dataset, model = _open_run(args)
     samples = {
         "val": dataset.val_samples,
         "train": dataset.train_samples,
@@ -240,10 +246,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    run_dir = Path(args.run)
-    cfg = load_run(run_dir, args.set)
-    dataset = load_dataset(cfg, _data_root(args))
-    model = restore_model(cfg, run_dir, dataset)
+    run_dir, cfg, dataset, model = _open_run(args)
     k_values = [int(k) for k in args.k.split(",")]
     rows = bench(model, dataset.val_samples, k_values, repeats=args.repeats)
     out = Path(args.out) if args.out else run_dir / "bench.csv"
@@ -271,11 +274,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_recall(args) -> int:
-    run_dir = Path(args.run)
-    cfg = load_run(run_dir, args.set)
-    dataset = load_dataset(cfg, _data_root(args))
-    model = restore_model(cfg, run_dir, dataset)
     n_values = sorted(int(n) for n in args.n.split(","))
+    if n_values[0] < 1:
+        raise ValueError(f"--n cutoffs must be at least 1, got {n_values[0]}")
+    if args.max_impressions < 0:
+        raise ValueError(f"--max-impressions must be at least 0, got {args.max_impressions}")
+    run_dir, cfg, dataset, model = _open_run(args)
     n_max = max(n_values)
     n_sparse = max(args.n_sparse, n_max)
 
@@ -302,24 +306,21 @@ def cmd_recall(args) -> int:
         for m, res in results.items():
             for n in n_values:
                 sums[(m, n)] += recall_at_k(res, relevant, n)
+    means = {key: total / len(samples) for key, total in sums.items()}
     out = Path(args.out) if args.out else run_dir / "recall.csv"
-    rows = [
-        f"{m},{n},{_fmt(sums[(m, n)] / len(samples))}"
-        for m in ("sparse", "dense", "hybrid")
-        for n in n_values
-    ]
-    _write_table(out, cfg.fingerprint(), "method,n,recall", rows)
-    for row in rows:
-        m, n, val = row.split(",")
-        print(f"{m:7s} recall@{n:>4s} = {float(val):.4f}")
+    _write_table(
+        out, cfg.fingerprint(), "method,n,recall",
+        [f"{m},{n},{_fmt(value)}" for (m, n), value in means.items()],
+    )
+    for (m, n), value in means.items():
+        print(f"{m:7s} recall@{n:>4d} = {value:.4f}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    run_dir = Path(args.run)
-    cfg = load_run(run_dir, args.set)
-    dataset = load_dataset(cfg, _data_root(args))
-    model = restore_model(cfg, run_dir, dataset)
+    if args.users < 0:
+        raise ValueError(f"--users must be at least 0, got {args.users}")
+    run_dir, cfg, dataset, model = _open_run(args)
     out_dir = Path(args.out) if args.out else run_dir
     samples = dataset.val_samples or dataset.train_samples
 

@@ -44,8 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as nm
+from . import training, transformer
 from .gating import GroupedSelection
-from .text import UserHistory
+from .text import ImpressionSample, UserHistory
 
 
 @dataclass
@@ -181,22 +183,19 @@ def _median_seconds(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
-def bench(models, samples, k_values: list[int], repeats: int = 30) -> list[dict]:
-    """Accuracy/efficiency table across selection sizes.
+def bench(
+    model: training.Model, samples: list[ImpressionSample], k_values: list[int], repeats: int = 30
+) -> list[dict]:
+    """Accuracy/efficiency table across selection sizes of one model.
 
-    ``models`` is either one trained model (reused across k) or a mapping
-    k -> model (separately trained checkpoints). Each row reports the median
-    wall time of one user encoding, the analytic user-side FLOPs, and the
-    evaluation AUC at that k. ``k`` does not reach the candidate encoder, so
-    a model's evaluations after its first take every candidate row from its
-    item store.
+    Each row reports the median wall time of one user encoding, the
+    analytic user-side FLOPs, and the evaluation AUC at that k. ``k`` does
+    not reach the candidate encoder, so the evaluations after the first
+    take every candidate row from the model's item store.
     """
-    from .training import Model, evaluate, user_embedding
-
     rows = []
     histories = [s.history for s in samples[:repeats]]
     for k in k_values:
-        model: Model = models[k] if isinstance(models, dict) else models
         old_k = model.k
         model.k = k
         try:
@@ -205,7 +204,7 @@ def bench(models, samples, k_values: list[int], repeats: int = 30) -> list[dict]
             def encode_once():
                 h = histories[idx["i"] % len(histories)]
                 idx["i"] += 1
-                user_embedding(model, h)
+                training.user_embedding(model, h)
 
             wall = _median_seconds(encode_once, repeats)
             n_items = int(np.mean([len(h.items) for h in histories]))
@@ -220,31 +219,27 @@ def bench(models, samples, k_values: list[int], repeats: int = 30) -> list[dict]
                 item_len=item_len,
             )
             flops = user_side_flops(dims, n_items, gated=True)
-            auc = evaluate(model, samples).auc
+            auc = training.evaluate(model, samples).auc
             rows.append({"k": k, "wall_time_per_user": wall, "flops": flops, "auc": auc})
         finally:
             model.k = old_k
     return rows
 
 
-def measure_speedup(model, histories: list[UserHistory], repeats: int = 30) -> dict:
+def measure_speedup(model: training.Model, histories: list[UserHistory], repeats: int = 30) -> dict:
     """Median wall time of gated vs full-input user encoding."""
-    from .numerics import gather_rows
-    from .training import user_embedding
-    from .transformer import encode_user
-
     def full_rows(history):
         ids = [tok for seq in history.items for tok in seq.ids]
-        return gather_rows(model.gate.word_embeddings, ids)
+        return nm.gather_rows(model.gate.word_embeddings, ids)
 
     idx = {"i": 0}
 
     def gated():
-        user_embedding(model, histories[idx["i"] % len(histories)])
+        training.user_embedding(model, histories[idx["i"] % len(histories)])
         idx["i"] += 1
 
     def full():
-        encode_user(full_rows(histories[idx["i"] % len(histories)]), model.trans)
+        transformer.encode_user(full_rows(histories[idx["i"] % len(histories)]), model.trans)
         idx["i"] += 1
 
     t_gated = _median_seconds(gated, repeats)

@@ -330,7 +330,10 @@ def recall_hybrid(
 
 
 def recall_at_k(results: list[str], relevant: set[str], k: int) -> float:
-    """|top-k hits| / |relevant|; undefined (raises) for an empty relevant set."""
+    """|top-k hits| / |relevant|; undefined (raises) for an empty relevant set
+    and for a cutoff ``k`` below 1."""
+    if k < 1:
+        raise ValueError(f"recall cutoff k must be at least 1, got {k}")
     if not relevant:
         raise ValueError("recall undefined for an empty relevant set")
     return len(set(results[:k]) & set(relevant)) / len(relevant)

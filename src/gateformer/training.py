@@ -9,10 +9,12 @@ candidates' distinct token ids), and scores them with
 :func:`impression_logits`, per group of samples with equal negative counts.
 Tests pin it to a per-sample reference loss built from the oracle gate. Its
 ops and their reductions run in a fixed order, so runs are bit-reproducible
-for a fixed seed. Evaluation runs the same batched encoders and the same
-scoring without a tape, and reads through the model's :class:`ItemStore`,
-which keeps candidate rows while the encoder's parameters are unchanged and
-the gate's per-item features while the tensors they read are unchanged.
+for a fixed seed. Evaluation scores its impressions slice by slice, each
+``ENCODE_CHUNK`` slice start to finish with the same batched encoders and
+the same scoring without a tape, and reads through the model's
+:class:`ItemStore`, which keeps candidate rows while the encoder's
+parameters are unchanged and the gate's per-item features while the tensors
+they read are unchanged.
 Only :func:`batch_user_embeddings` with no tape recording reads gate
 features from it, so training (always on a tape) computes them and its
 gradients reach the tensors they read. Every impression holds one positive,
@@ -61,9 +63,9 @@ from .transformer import (  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-# Inputs per batched encoder call where a caller splits a long list
-# (evaluate's impressions and candidates, recall's news items); it bounds the
-# size of the (rows, heads, L, L) attention arrays.
+# Inputs per batched encoder call where a long list is split (evaluate's
+# impressions, the candidates an ItemStore read encodes); it bounds the size
+# of the (rows, heads, L, L) attention arrays.
 ENCODE_CHUNK = 32
 
 
@@ -150,7 +152,8 @@ class ItemStore:
     contiguous tables, one (N, d) table of candidates and one pair of gate
     tables per item length, read with one gather. Rows a call lacks are
     computed once per distinct key, in order of first occurrence; calls
-    return new read-only arrays. ``evaluate`` reads from several threads;
+    return new read-only arrays. With ``threads`` > 1, ``evaluate`` scores
+    its slices of impressions on several threads, each reading the store;
     each kind's lock keeps its calls apart. Each :class:`Model` owns one
     store, so models never share rows.
     """
@@ -168,15 +171,20 @@ class ItemStore:
         """History items whose gate features are held."""
         return len(self._gate)
 
-    def rows(
-        self, seqs: list[TokenSequence], params: TransformerParams, map_fn=map
-    ) -> np.ndarray:
-        """Read-only (len(seqs), d) rows in input order; ``map_fn`` runs the
-        encoder's slices as in :func:`encode_candidate_rows`."""
+    def rows(self, seqs: list[TokenSequence], params: TransformerParams) -> np.ndarray:
+        """Read-only (len(seqs), d) candidate rows in input order; the rows
+        missing are made by :func:`encode_candidates` calls on slices of
+        ``ENCODE_CHUNK`` distinct sequences."""
+        def compute(first: list[int]) -> list[np.ndarray]:
+            missing = [seqs[i] for i in first]
+            return [np.concatenate([
+                encode_candidates(missing[i:i + ENCODE_CHUNK], params).data
+                for i in range(0, len(missing), ENCODE_CHUNK)
+            ])]
+
         tensors = [params.word_embeddings, *params.named_tensors().values()]
         return self._candidates.get(
-            params.heads, tensors, 0, [tuple(seq.ids) for seq in seqs],
-            lambda first: [encode_candidate_rows([seqs[i] for i in first], params, map_fn)],
+            params.heads, tensors, 0, [tuple(seq.ids) for seq in seqs], compute
         )[0]
 
     def gate_rows(
@@ -476,39 +484,27 @@ def rank_metrics(z: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def encode_candidate_rows(
-    seqs: list[TokenSequence], params: TransformerParams, map_fn=map
-) -> np.ndarray:
-    """(len(seqs), d) forward-only candidate embeddings in input order, made
-    by :func:`encode_candidates` calls on slices of ``ENCODE_CHUNK``
-    sequences. ``map_fn`` runs the slices: the builtin ``map``, or a thread
-    pool's ``map``."""
-    slices = [seqs[i:i + ENCODE_CHUNK] for i in range(0, len(seqs), ENCODE_CHUNK)]
-    return np.concatenate(list(map_fn(lambda part: encode_candidates(part, params).data, slices)))
-
-
 def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) -> EvalReport:
     """Mean AUC, MRR, NDCG@5 and NDCG@10 over impressions; forward-only, no
     tape.
 
-    User embeddings come from one :func:`batch_user_embeddings` call per
-    ``ENCODE_CHUNK`` impressions, with each impression's index in
+    Each ``ENCODE_CHUNK`` slice of impressions is scored start to finish:
+    one :func:`batch_user_embeddings` call, with each impression's index in
     ``samples`` as its sample index (so the random selector draws as it does
-    per sample). Candidate rows come from one read of the model's
-    :class:`ItemStore`, as one (n, d) array: each distinct token-id sequence
-    is encoded once while the encoder's tensors keep their bits, whatever
-    its news id and however many objects or calls hold it; the learned
-    gate's per-item features come from the same store. With ``threads`` > 1
-    the encoder calls run on a thread pool of that size and the report
-    equals the single-threaded one.
+    per sample); one read of the slice's candidates from the model's
+    :class:`ItemStore`, which encodes each distinct token-id sequence once
+    while the encoder's tensors keep their bits, whatever its news id and
+    however many objects, slices or calls hold it (the learned gate's
+    per-item features come from the same store); :func:`impression_logits`,
+    the scoring ``batch_loss`` trains; and :func:`rank_metrics`, from where
+    its positive (the impression's one click) falls among its negatives. So
+    only one slice's rows are held at a time, besides the store. With
+    ``threads`` > 1 the slices are scored on a thread pool of that size and
+    the report equals the single-threaded one. An impression without
+    negatives, or with a non-finite score, raises ``ValueError`` naming the
+    first one.
 
-    Each ``ENCODE_CHUNK`` slice of impressions is scored by
-    :func:`impression_logits`, the scoring ``batch_loss`` trains, and ranked
-    by :func:`rank_metrics` from where its positive (the impression's one
-    click) falls among its negatives. An impression without negatives, or
-    with a non-finite score, raises ``ValueError`` naming the first one.
-
-    A row reused from an earlier call (or another chunk) was computed in
+    A row reused from an earlier call (or another slice) was computed in
     another batch, so the report also depends on the store's state. With a
     BLAS whose products give a row the same bits whatever rows share its
     batch it does not change; the tests check that a warm report equals a
@@ -519,35 +515,31 @@ def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) ->
     n_cands = np.array([1 + len(s.negatives) for s in samples])
     if (n_cands < 2).any():
         raise ValueError(f"impression {int(np.argmin(n_cands))} has no negatives to rank")
-    offsets = np.concatenate([[0], np.cumsum(n_cands)])
-    seqs = [seq for s in samples for seq in (s.positive, *s.negatives)]
 
-    def user_chunk(start: int) -> np.ndarray:
+    def score(start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (G, 4) metrics of the slice's G impressions and whether each
+        one's scores are finite."""
         chunk = samples[start:start + ENCODE_CHUNK]
-        return batch_user_embeddings(
+        users = batch_user_embeddings(
             model, [s.history for s in chunk], list(range(start, start + len(chunk)))
-        ).data
+        )
+        cands = nm.constant(model.items.rows(
+            [seq for s in chunk for seq in (s.positive, *s.negatives)], model.trans
+        ))
+        metrics = np.empty((len(chunk), 4))
+        finite = np.empty(len(chunk), dtype=bool)
+        for mem, z in impression_logits(users, cands, n_cands[start:start + len(chunk)]):
+            finite[mem] = np.isfinite(z.data).all(axis=1)
+            metrics[mem] = rank_metrics(z.data)
+        return metrics, finite
 
-    def encode_all(map_fn):
-        user_parts = map_fn(user_chunk, range(0, len(samples), ENCODE_CHUNK))
-        cands = model.items.rows(seqs, model.trans, map_fn)
-        return np.concatenate(list(user_parts)), cands
-
+    starts = range(0, len(samples), ENCODE_CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            users, cands = encode_all(pool.map)
+            parts = list(pool.map(score, starts))
     else:
-        users, cands = encode_all(map)
-
-    metrics = np.empty((len(samples), 4))
-    finite = np.empty(len(samples), dtype=bool)
-    for start in range(0, len(samples), ENCODE_CHUNK):
-        stop = min(start + ENCODE_CHUNK, len(samples))
-        u = nm.constant(users[start:stop])
-        c = nm.constant(cands[offsets[start]:offsets[stop]])
-        for mem, z in impression_logits(u, c, n_cands[start:stop]):
-            finite[start + mem] = np.isfinite(z.data).all(axis=1)
-            metrics[start + mem] = rank_metrics(z.data)
+        parts = list(map(score, starts))
+    metrics, finite = (np.concatenate(part) for part in zip(*parts))
     if not finite.all():
         raise ValueError(f"non-finite score in impression {int(np.argmin(finite))}")
     mean = metrics.mean(axis=0)

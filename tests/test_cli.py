@@ -333,6 +333,18 @@ class TestRecallCommand:
         assert rc == 0
         assert calls == [0, 1, 2]
 
+    def test_negative_counts_exit_naming_the_flag(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=12)
+        run = train_run(tmp_path, data, seed=12, steps=2)
+        for flags, named in (
+            (["--max-impressions", "-1"], "--max-impressions"),
+            (["--n", "0,5"], "--n"),
+            (["--n", "5,-1"], "--n"),
+        ):
+            rc = main(["recall", "--run", str(run), "--data", str(data), *flags])
+            assert rc == 1 and named in capsys.readouterr().err
+        assert not (run / "recall.csv").exists()
+
 
 class TestAnalyzeCommand:
     def test_first_gate_histogram_confined_to_first_k(self, tmp_path):
@@ -371,3 +383,15 @@ class TestAnalyzeCommand:
         assert rc == 0
         assert n_samples > 5 and calls == list(range(n_samples))
         assert len((run / "keywords.csv").read_text().splitlines()) > 2
+
+    def test_negative_users_exit_and_zero_dumps_none(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=12)
+        run = train_run(tmp_path, data, seed=12, steps=2)
+        rc = main(["analyze", "--run", str(run), "--data", str(data), "--users", "-1"])
+        assert rc == 1 and "--users" in capsys.readouterr().err
+        assert not (run / "keywords.csv").exists()
+        rc = main(["analyze", "--run", str(run), "--data", str(data), "--users", "0"])
+        assert rc == 0
+        assert (run / "keywords.csv").read_text().splitlines()[1:] == [
+            "impression,item,position,token,score,weight"
+        ]

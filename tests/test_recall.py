@@ -566,6 +566,11 @@ class TestRecallAtK:
         with pytest.raises(ValueError):
             recall_at_k(["A"], set(), 1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="cutoff"):
+            recall_at_k(["A", "B", "C"], {"C"}, k)
+
 
 class TestUserQuery:
     def test_duplicates_merge_with_summed_weights(self):

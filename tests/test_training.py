@@ -19,7 +19,6 @@ from gateformer.training import (
     batch_loss,
     batch_user_embeddings,
     clip_gradients,
-    encode_candidate_rows,
     evaluate,
     gate_history,
     init_model,
@@ -587,6 +586,21 @@ class TestEvaluate:
         assert sorted(encoded) == sorted(distinct)
         assert len(calls) > 1 and all(len(call) <= training.ENCODE_CHUNK for call in calls)
 
+    def test_reads_the_store_once_per_slice(self, tiny_corpus, monkeypatch):
+        model, samples = self.oracle_case(tiny_corpus, "ragged")
+        reads = []
+        rows = model.items.rows
+
+        def recording(seqs, params):
+            reads.append(seqs)
+            return rows(seqs, params)
+
+        monkeypatch.setattr(model.items, "rows", recording)
+        evaluate(model, samples)
+        slices = [samples[i:i + ENCODE_CHUNK] for i in range(0, len(samples), ENCODE_CHUNK)]
+        assert len(slices) > 1
+        assert reads == [[seq for s in part for seq in (s.positive, *s.negatives)] for part in slices]
+
 
 def _adam(model, tmp_path):
     named = model.trainable_tensors()
@@ -690,6 +704,15 @@ class TestItemStore:
             warm.items.rows(seqs, warm.trans),
             cold.items.rows(seqs, cold.trans), rtol=0, atol=1e-12,
         )
+
+    def test_rows_match_one_encode_candidates_call_in_input_order(self, tiny_corpus):
+        model = tiny_model(tiny_corpus)
+        news = list(tiny_corpus.news.values())
+        distinct = news + [TokenSequence(seq.ids[::-1]) for seq in news]
+        assert len({tuple(seq.ids) for seq in distinct}) > 2 * ENCODE_CHUNK
+        seqs = distinct[::-1] + distinct[::3]
+        whole = encode_candidates(seqs, model.trans).data
+        np.testing.assert_allclose(model.items.rows(seqs, model.trans), whole, rtol=0, atol=1e-12)
 
     def test_threads_match_single_on_a_warm_store(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
@@ -1052,20 +1075,6 @@ class TestStoreLock:
             assert all(np.array_equal(a, b.data) for a, b in zip(got, want))
         assert sorted(compute.made) == sorted(map(tuple, ids[20:].tolist()))
         assert model.items.n_gate_rows == 60
-
-
-class TestEncodeCandidateRows:
-    def test_matches_one_call_in_input_order(self, tiny_corpus):
-        from concurrent.futures import ThreadPoolExecutor
-
-        model = tiny_model(tiny_corpus)
-        seqs = [seq for s in tiny_corpus.samples[:30] for seq in (s.positive, *s.negatives)]
-        assert len(seqs) > 2 * 32
-        whole = encode_candidates(seqs, model.trans).data
-        np.testing.assert_allclose(encode_candidate_rows(seqs, model.trans), whole, rtol=0, atol=1e-12)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = encode_candidate_rows(seqs, model.trans, pool.map)
-        np.testing.assert_array_equal(pooled, encode_candidate_rows(seqs, model.trans))
 
 
 class TestSplitSamples:
