@@ -191,8 +191,11 @@ def bench(
     Each row reports the median wall time of one user encoding, the
     analytic user-side FLOPs, and the evaluation AUC at that k. ``k`` does
     not reach the candidate encoder, so the evaluations after the first
-    take every candidate row from the model's item store.
+    take every candidate row from the model's item store. An empty sample
+    list raises ``ValueError``.
     """
+    if not samples:
+        raise ValueError("bench needs at least one impression sample, got none")
     rows = []
     histories = [s.history for s in samples[:repeats]]
     for k in k_values:
@@ -227,7 +230,10 @@ def bench(
 
 
 def measure_speedup(model: training.Model, histories: list[UserHistory], repeats: int = 30) -> dict:
-    """Median wall time of gated vs full-input user encoding."""
+    """Median wall time of gated vs full-input user encoding; an empty
+    history list raises ``ValueError``."""
+    if not histories:
+        raise ValueError("measure_speedup needs at least one history, got none")
     def full_rows(history):
         ids = [tok for seq in history.items for tok in seq.ids]
         return nm.gather_rows(model.gate.word_embeddings, ids)
@@ -254,7 +260,9 @@ def measure_speedup(model: training.Model, histories: list[UserHistory], repeats
 def keyword_position_histogram(gatings: list[GroupedSelection]) -> tuple[np.ndarray, np.ndarray]:
     """Counts and frequencies of the selected tokens' positions in their
     items, over the given gatings; there is one count per position of the
-    longest item gated."""
+    longest item gated. No gatings raise ``ValueError``."""
+    if not gatings:
+        raise ValueError("no impressions to analyze")
     max_len = max(int(g.score_at[:, 2].max()) for g in gatings)
     counts = np.bincount(np.concatenate([g.positions for g in gatings]), minlength=max_len)
     total = counts.sum()

@@ -306,11 +306,8 @@ def _interest_scores(
     u_chunks, u_order = [], []
     for N in np.unique(n_items):
         hs = np.flatnonzero(n_items == N)
-        if len(hs) == len(histories):
-            stacked = nm.reshape(pooled, (len(hs), N, n_f))
-        else:
-            flat = (start[hs][:, None] + np.arange(N)).ravel()
-            stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
+        flat = (start[hs][:, None] + np.arange(N)).ravel()
+        stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
         if params.user_encoder == "attn":
             u = nm.attention_pool(stacked, params.attn_v)
         else:

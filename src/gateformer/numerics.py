@@ -32,7 +32,9 @@ broadcasting. Each reports exactly the FLOPs of the op-by-op form it
 replaces (layer norm keeps its 7 per element), so the analytic cost model
 and the counter agree. :func:`gather_rows` scatters its gradient back with
 one ``bincount``, which adds repeated picks in the order ``np.add.at``
-would.
+would. Ops own their no-op cases, so callers need no fast path of their
+own: a gather that picks every row once and in order records no gather,
+and a :func:`concat_rows` of one part returns that part.
 
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
@@ -514,18 +516,10 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def logsumexp(x, axis: int | None = None) -> Tensor:
-    """Stable log(sum(exp(x))); over the whole vector or along ``axis``."""
+def logsumexp(x, axis: int = -1) -> Tensor:
+    """Stable log(sum(exp(x))) along ``axis``, which is dropped from the
+    shape; a vector gives a shape-``()`` value."""
     x = _as_tensor(x)
-    if axis is None:
-        if x.data.ndim != 1:
-            raise ValueError(f"logsumexp expects a vector, got shape {x.data.shape}")
-        m = x.data.max()
-        e = np.exp(x.data - m)
-        s = e.sum()
-        data = np.asarray(m + np.log(s))
-        _count(_FLOPS_PER_ELEM["softmax"] * x.data.size)
-        return _make(data, (x,), lambda g: (g * (e / s),))
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     s = e.sum(axis=axis, keepdims=True)
@@ -941,13 +935,19 @@ def gather_rows(x, indices) -> Tensor:
     scatter-adds duplicate picks into the same source row.
 
     Indices must lie in ``[0, len(x))``; a negative or out-of-range index
-    raises ``ValueError``. The backward pass is one ``bincount`` over the
-    flattened ``row * width + column`` positions, which adds the picks of a
-    row in index order, as ``np.add.at`` does.
+    raises ``ValueError``. An index that picks every row once, in order,
+    records no gather: a 1-D one returns ``x`` itself and any other shape
+    returns ``x`` reshaped to ``indices.shape + x.shape[1:]``. Otherwise the
+    backward pass is one ``bincount`` over the flattened
+    ``row * width + column`` positions, which adds the picks of a row in
+    index order, as ``np.add.at`` does.
     """
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     rows = x.data.shape[0] if x.data.ndim else 0
+    # an identity index is in range, so it skips the range check's reductions
+    if rows and idx.size == rows and np.array_equal(idx.ravel(), np.arange(rows)):
+        return x if idx.ndim == 1 else reshape(x, idx.shape + x.data.shape[1:])
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ValueError(
             f"gather_rows index out of range [0, {rows}): "
@@ -965,6 +965,9 @@ def gather_rows(x, indices) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate ``parts`` along ``axis``; one part comes back as it is."""
+    if len(parts) == 1:
+        return _as_tensor(parts[0])
     parts = [_as_tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
@@ -987,11 +990,7 @@ def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
     ``order[r]`` is the global index of concatenated row r. One chunk in
     global order comes back as it is, with no tape node.
     """
-    stacked = chunks[0] if len(chunks) == 1 else concat_rows(chunks)
-    order = np.asarray(order)
-    if np.array_equal(order, np.arange(len(order))):
-        return stacked
-    return gather_rows(stacked, np.argsort(order))
+    return gather_rows(concat_rows(chunks), np.argsort(order))
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:

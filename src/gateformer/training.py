@@ -313,10 +313,7 @@ def batch_user_embeddings(
     store = None if nm.recording() else model.items
     gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs, store)
     index = [np.arange(start, start + length) for start, length in gated.spans()]
-    users_unique = encode_sequences(gated.rows, index, model.trans)
-    if len(unique) == len(histories):
-        return users_unique
-    return nm.gather_rows(users_unique, mapping)
+    return nm.gather_rows(encode_sequences(gated.rows, index, model.trans), mapping)
 
 
 def impression_logits(
@@ -331,16 +328,13 @@ def impression_logits(
     positive in column 0. Each score is one row's own product and sum, so
     equal candidate rows of an impression score equally.
     """
-    B, d = users.data.shape
+    d = users.data.shape[1]
     first = np.concatenate([[0], np.cumsum(n_cands)[:-1]])
     out = []
     for C in np.unique(n_cands):
         mem = np.flatnonzero(n_cands == C)
-        if len(mem) == B:
-            u, c = users, cands
-        else:
-            u = nm.gather_rows(users, mem)
-            c = nm.gather_rows(cands, (first[mem][:, None] + np.arange(C)).ravel())
+        u = nm.gather_rows(users, mem)
+        c = nm.gather_rows(cands, (first[mem][:, None] + np.arange(C)).ravel())
         G = len(mem)
         z = nm.mul(
             nm.vsum(nm.mul(nm.reshape(c, (G, C, d)), nm.reshape(u, (G, 1, d))), axis=2),
@@ -369,7 +363,7 @@ def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: li
         lse = nm.logsumexp(z, axis=-1)
         z_pos = nm.reshape(nm.narrow(z, 1, 0, 1), (len(mem),))
         losses.append(nm.sub(lse, z_pos))
-    return nm.mean(losses[0] if len(losses) == 1 else nm.concat_rows(losses))
+    return nm.mean(nm.concat_rows(losses))
 
 
 # ---------------------------------------------------------------------------

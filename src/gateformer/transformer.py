@@ -159,11 +159,10 @@ def encode_sequences(table: Tensor, index, params: TransformerParams) -> Tensor:
     """(n, d) embeddings of n sequences, each given as row indices into ``table``.
 
     Sequences of equal length L run through the encoder as one (G, L, d)
-    stack: their rows gathered out of ``table`` (or ``table`` reshaped, when
-    the stack reads every row of it in order), positions 0..L-1 added, the
-    layer stack run and each sequence weight-pooled. Rows come back in input
-    order. An empty sequence, or one longer than the position table, raises
-    ``ValueError``.
+    stack: their rows gathered out of ``table`` (a gather that reads every
+    row in order is a reshape), positions 0..L-1 added, the layer stack run
+    and each sequence weight-pooled. Rows come back in input order. An empty
+    sequence, or one longer than the position table, raises ``ValueError``.
     """
     by_len: dict[int, list[int]] = {}
     for i, rows in enumerate(index):
@@ -180,11 +179,7 @@ def encode_sequences(table: Tensor, index, params: TransformerParams) -> Tensor:
             )
         members = by_len[L]
         ids = np.array([index[i] for i in members], dtype=np.intp)      # (G, L)
-        if ids.size == len(table.data) and np.array_equal(ids.ravel(), np.arange(ids.size)):
-            x = nm.reshape(table, (len(members), L, params.d))
-        else:
-            x = gather_rows(table, ids)
-        x = nm.add(x, nm.narrow(params.pos_embeddings, 0, 0, L))
+        x = nm.add(gather_rows(table, ids), nm.narrow(params.pos_embeddings, 0, 0, L))
         chunks.append(weighted_pool(encode_sequence(x, params), params.pool_q))
         order.extend(members)
     return nm.assemble_rows(chunks, order)
@@ -222,10 +217,7 @@ def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> T
     unique = sorted(dict.fromkeys(keys), key=len)
     row_of = {key: r for r, key in enumerate(unique)}
     mapping = [row_of[key] for key in keys]
-    rows = encode_sequences(params.word_embeddings, unique, params)
-    if mapping == list(range(len(seqs))):
-        return rows
-    return gather_rows(rows, mapping)
+    return gather_rows(encode_sequences(params.word_embeddings, unique, params), mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,18 @@ class TestBenchCommand:
         assert "repeats must be >= 1" in capsys.readouterr().err
         assert not (run / "bench.csv").exists()
 
+    def test_no_validation_impressions_exits_with_a_message(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=10)
+        (data / "behaviors_val.tsv").unlink()
+        run = train_run(tmp_path, data, seed=10, steps=2, extra=["--set", "data.val_fraction=0"])
+        rc = main([
+            "bench", "--run", str(run), "--data", str(data), "--k", "2", "--repeats", "2",
+            "--speedup",
+        ])
+        assert rc == 1
+        assert "bench needs at least one impression sample" in capsys.readouterr().err
+        assert not (run / "bench.csv").exists()
+
     def test_each_distinct_candidate_encoded_once_across_k(self, tmp_path, monkeypatch):
         import gateformer.training as training
         from gateformer.cli import load_dataset, load_run
@@ -383,6 +395,19 @@ class TestAnalyzeCommand:
         assert rc == 0
         assert n_samples > 5 and calls == list(range(n_samples))
         assert len((run / "keywords.csv").read_text().splitlines()) > 2
+
+    def test_no_impressions_exits_with_a_message(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=12)
+        run = train_run(tmp_path, data, seed=12, steps=2)
+        (data / "behaviors_val.tsv").unlink()
+        (data / "empty.tsv").write_text("")
+        rc = main([
+            "analyze", "--run", str(run), "--data", str(data),
+            "--set", "data.behaviors=empty.tsv",
+        ])
+        assert rc == 1
+        assert "error: no impressions to analyze" in capsys.readouterr().err
+        assert not (run / "positions.csv").exists()
 
     def test_negative_users_exit_and_zero_dumps_none(self, tmp_path, capsys):
         data = synth(tmp_path, seed=12)

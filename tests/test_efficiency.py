@@ -175,6 +175,13 @@ class TestBench:
         with pytest.raises(ValueError, match="repeats"):
             measure_speedup(model, [s.history for s in samples[:3]], repeats=-1)
 
+    def test_empty_samples_rejected(self, setup):
+        model, _ = setup
+        with pytest.raises(ValueError, match="at least one impression sample"):
+            bench(model, [], [2], repeats=2)
+        with pytest.raises(ValueError, match="at least one history"):
+            measure_speedup(model, [], repeats=2)
+
     def test_speedup_measurement_runs(self, setup):
         model, samples = setup
         out = measure_speedup(model, [s.history for s in samples[:3]], repeats=3)
@@ -201,6 +208,10 @@ class TestPositionHistogram:
 
     def make(self, method, seed=0):
         return keyword_position_histogram(self.gatings(*self.model_and_histories(method, seed)))
+
+    def test_no_gatings_rejected(self):
+        with pytest.raises(ValueError, match="no impressions to analyze"):
+            keyword_position_histogram([])
 
     @pytest.mark.parametrize("method", ["learned", "first", "bm25", "random"])
     def test_counts_match_per_item_oracle(self, method):

@@ -457,6 +457,43 @@ class TestGatherRows:
         with pytest.raises(ValueError, match="out of range"):
             gather_rows(tensor(np.zeros((3, 2))), indices)
 
+    def test_1d_identity_returns_its_input_and_records_nothing(self):
+        x = tensor(rng(605).normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = gather_rows(x, np.arange(4))
+        assert out is x and len(tape) == 0
+
+    def test_2d_identity_is_one_reshape_node(self):
+        r = rng(606)
+        x = tensor(r.normal(size=(6, 3)), requires_grad=True)
+        idx = np.arange(6).reshape(2, 3)
+        with Tape() as tape:
+            out = gather_rows(x, idx)
+        assert len(tape) == 1
+        assert np.array_equal(out.data, x.data[idx])
+        assert np.shares_memory(out.data, x.data)        # a view, no gathered copy
+        c = r.normal(size=(2, 3, 3))
+        (grad,) = autodiff_grads(lambda: vsum(mul(gather_rows(x, idx), tensor(c))), [x])
+        assert np.array_equal(grad, c.reshape(6, 3))
+
+    def test_same_size_permutation_still_gathers(self):
+        r = rng(607)
+        x = tensor(r.normal(size=(4, 3)), requires_grad=True)
+        idx = np.array([2, 0, 3, 1])
+        out = gather_rows(x, idx)
+        assert out is not x and np.array_equal(out.data, x.data[idx])
+        c = r.normal(size=(4, 3))
+        (grad,) = autodiff_grads(lambda: vsum(mul(gather_rows(x, idx), tensor(c))), [x])
+        assert np.array_equal(grad, c[np.argsort(idx)])
+
+
+class TestConcatRows:
+    def test_one_part_returns_it_and_records_nothing(self):
+        x = tensor(rng(608).normal(size=(3, 2)), requires_grad=True)
+        with Tape() as tape:
+            out = concat_rows([x])
+        assert out is x and len(tape) == 0
+
 
 class TestAssembleRows:
     def test_one_chunk_in_order_adds_no_tape_node(self):
