@@ -46,6 +46,20 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
+def tree_commit() -> str:
+    """The tracked files of the working tree as a commit object (``git stash
+    create``, which leaves the tree and the stash list alone), or ``HEAD``
+    when the tree is clean."""
+    return git("stash", "create").decode().strip() or git("rev-parse", "HEAD").decode().strip()
+
+
+def checkout(rev: str, dest: Path) -> None:
+    """Unpacks ``git archive <rev>`` into the directory ``dest``."""
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def seed_list(spec: str) -> list[int]:
     """'41-50' or '41,43,47'."""
     if "-" in spec:
@@ -153,8 +167,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     seeds = seed_list(args.seeds)
     parent = git("rev-parse", args.parent).decode().strip()
-    # the working tree as a commit object; leaves the tree and the stash list alone
-    change = git("stash", "create").decode().strip() or git("rev-parse", "HEAD").decode().strip()
+    change = tree_commit()
     untracked = git("ls-files", "--others", "--exclude-standard").decode().split()
     out_path = ROOT / f"BENCH_{args.name}.json"
     record = {
@@ -185,9 +198,7 @@ def main(argv=None) -> int:
         roots = {}
         for side, rev in (("before", parent), ("after", change)):
             roots[side] = Path(tmp) / side
-            roots[side].mkdir()
-            with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
-                tar.extractall(roots[side], filter="data")
+            checkout(rev, roots[side])
         for w in workloads:
             pairs: list[dict] = []
             for j, seed in enumerate(seeds):

@@ -64,7 +64,7 @@ CORPORA = {
                    "synth.filler_pool=1000", "synth.distractors=0"],
 }
 # numerics functions that are not ops: they build or read tensors and tapes
-NOT_OPS = {"tensor", "constant", "backward"}
+NOT_OPS = {"tensor", "constant", "backward", "first_occurrences"}
 
 
 class OpProfile:
@@ -203,16 +203,15 @@ def profile_corpus(name: str, steps: int, seed: int, work: Path) -> str:
 def forward_table(cfg, ds) -> list[str]:
     """Cold and warm ms of the forward-only batched entries, as table lines."""
     # distinct histories: a batch dedups equal ones before gating
-    distinct = {tuple(tuple(seq.ids) for seq in s.history.items): s.history
-                for s in ds.train_samples}
+    distinct = {tuple(seq.key for seq in s.history.items): s.history for s in ds.train_samples}
     histories = list(distinct.values())[:BATCH]
     idx = list(range(len(histories)))
     val = ds.val_samples[:BATCH]
     cands = [seq for s in val for seq in (s.positive, *s.negatives)]
-    # the (G, L) token ids per item length, as the gate groups them
+    # the item keys and (G, L) token ids per item length, as the gate groups them
     items = [seq for h in histories for seq in h.items]
-    groups = [np.array([seq.ids for seq in items if len(seq) == n], dtype=np.intp)
-              for n in sorted({len(seq) for seq in items})]
+    by_len = [[seq for seq in items if len(seq) == n] for n in sorted({len(seq) for seq in items})]
+    groups = [([seq.key for seq in g], np.stack([seq.ids for seq in g])) for g in by_len]
     calls = {
         f"batch_user_embeddings, B={len(histories)}":
             lambda model: training.batch_user_embeddings(model, histories, idx),

@@ -235,7 +235,7 @@ def measure_speedup(model: training.Model, histories: list[UserHistory], repeats
     if not histories:
         raise ValueError("measure_speedup needs at least one history, got none")
     def full_rows(history):
-        ids = [tok for seq in history.items for tok in seq.ids]
+        ids = np.concatenate([seq.ids for seq in history.items])
         return nm.gather_rows(model.gate.word_embeddings, ids)
 
     idx = {"i": 0}

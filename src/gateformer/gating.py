@@ -47,7 +47,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import LSTMParams, Tensor, constant, gather_rows, glorot, tensor
 from .recall import InvertedIndex, bm25_term_weight
-from .text import PAD_ID, UserHistory
+from .text import PAD_ID, TokenSequence, UserHistory
 
 NEG_MASK = -1e30  # additive log-space mask; finite to keep forwards NaN-free
 
@@ -279,34 +279,34 @@ def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:
 
 def _interest_scores(
     params: GateParams,
-    histories: list[UserHistory],
+    items: list[TokenSequence],
+    item_start: np.ndarray,
     groups: list[tuple[np.ndarray, np.ndarray]],
     store=None,
 ) -> list[Tensor]:
     """(G, L) cosine scores of every length group's tokens against the
-    interest vector of the history that holds them. The per-item features
-    come from ``store`` as constants when one is given, else from
+    interest vector of the history that holds them; history h holds
+    ``items[item_start[h]:item_start[h + 1]]``. The per-item features come
+    from ``store`` as constants when one is given, else from
     :func:`item_features` on the current tape."""
     n_f = params.n_filters
     if store is None:
         features = [item_features(params, ids) for _, ids in groups]
     else:
-        features = [
-            (constant(ctx3), constant(pooled))
-            for ctx3, pooled in store.gate_rows([ids for _, ids in groups], params)
-        ]
+        keyed = [([items[i].key for i in members], ids) for members, ids in groups]
+        features = [(constant(ctx3), constant(pooled))
+                    for ctx3, pooled in store.gate_rows(keyed, params)]
     ctxs = [ctx3 for ctx3, _ in features]
     pooled = nm.assemble_rows(
         [p for _, p in features], np.concatenate([m for m, _ in groups])
     )
 
     # user interest, per count of items: the LSTM's last state or attention pooling
-    n_items = np.array([len(h) for h in histories])
-    start = np.concatenate([[0], np.cumsum(n_items)])
+    n_items = np.diff(item_start)
     u_chunks, u_order = [], []
     for N in np.unique(n_items):
         hs = np.flatnonzero(n_items == N)
-        flat = (start[hs][:, None] + np.arange(N)).ravel()
+        flat = (item_start[hs][:, None] + np.arange(N)).ravel()
         stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
         if params.user_encoder == "attn":
             u = nm.attention_pool(stacked, params.attn_v)
@@ -318,7 +318,7 @@ def _interest_scores(
 
     # cosine scores of each item's (G, L) context rows against its history's
     # interest vector, gathered as a (G, 1) row
-    owner = np.repeat(np.arange(len(histories)), n_items)
+    owner = np.repeat(np.arange(len(n_items)), n_items)
     return [
         nm.cosine(ctx3, gather_rows(interest, owner[members][:, None]))
         for (members, _), ctx3 in zip(groups, ctxs)
@@ -359,13 +359,11 @@ def gate_groups(
         raise ValueError("cannot gate an empty token sequence")
     lengths = np.array([len(seq) for seq in items])
     item_start = np.concatenate([[0], np.cumsum([len(h) for h in histories])])
-    groups = []
-    for L in np.unique(lengths):
-        members = np.flatnonzero(lengths == L)
-        groups.append((members, np.array([items[i].ids for i in members], dtype=np.intp)))
+    by_length = [np.flatnonzero(lengths == L) for L in np.unique(lengths)]
+    groups = [(members, np.stack([items[i].ids for i in members])) for members in by_length]
 
     if method == "learned":
-        scores = _interest_scores(params, histories, groups, store)
+        scores = _interest_scores(params, items, item_start, groups, store)
     elif method == "random":
         # each history's draws run through its items in order
         token_start = np.concatenate([[0], np.cumsum(lengths)])

@@ -574,12 +574,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def conv1d(x, filters, bias, window: int) -> Tensor:
-    """Width-(2w+1) 1-D convolution over a (L, d) sequence, stride 1.
+    """Width-(2w+1) 1-D convolution over each sequence of a (B, L, d) stack,
+    stride 1.
 
     Zero-pads ``window`` positions on each side so the output keeps length L.
-    Row j of the output is ``filters @ concat(x[j-w : j+w]) + bias``, with no
-    activation: callers apply their own nonlinearity. A stacked (B, L, d)
-    input convolves each sequence independently.
+    Row j of a sequence's output is ``filters @ concat(x[j-w : j+w]) + bias``,
+    with no activation: callers apply their own nonlinearity. Sequences of
+    the stack are convolved independently.
 
     Computed tap by tap: one product projects every row through every tap's
     (N_f, d) block of ``filters``, and each output row adds the projections
@@ -588,10 +589,9 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     flattened batch.
     """
     x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
-    if x.data.ndim not in (2, 3):
-        raise ValueError(f"conv1d expects (L, d) or (B, L, d) input, got {x.data.shape}")
-    batched = x.data.ndim == 3
-    xd = x.data if batched else x.data[None]
+    if x.data.ndim != 3:
+        raise ValueError(f"conv1d expects a (B, L, d) input, got {x.data.shape}")
+    xd = x.data
     B, L, d = xd.shape
     w = int(window)
     if w < 1:
@@ -621,11 +621,9 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     for i, lo, hi, s in taps:
         if s:
             out[:, lo:hi] += proj[:, lo + s:hi + s, i]
-    data = out if batched else out[0]
     _count(2 * B * L * nf * span * d + B * L * nf)
 
-    def bwd(g):
-        g3 = g if batched else g[None]
+    def bwd(g3):
         gx = g3 @ filters.data[:, w * d:(w + 1) * d]
         gf = np.zeros_like(filters.data)
         n = B * L
@@ -642,9 +640,9 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
                 block -= np.tensordot(g3[1:, :-s], xd[:-1, L + s:], axes=([0, 1], [0, 1]))
             gf[:, i * d:(i + 1) * d] = block
         gb = g3.sum(axis=(0, 1))
-        return (gx if batched else gx[0], gf, gb)
+        return (gx, gf, gb)
 
-    return _make(data, (x, filters, bias), bwd)
+    return _make(out, (x, filters, bias), bwd)
 
 
 class LSTMParams:
@@ -673,10 +671,8 @@ class LSTMParams:
 
 
 def lstm_last(seq, params: LSTMParams) -> Tensor:
-    """Last hidden state of a standard LSTM run over the rows of (N, in).
-
-    A stacked (B, N, in) input runs B independent chains of the same length
-    and returns (B, g).
+    """Last hidden states (B, g) of a standard LSTM run over each sequence
+    of a (B, N, in) stack: B independent chains of the same length.
 
     One tape node: the forward pass steps through plain arrays (the input
     projection of every step is one product up front) and the backward pass
@@ -685,13 +681,9 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
     two adds, three sigmoids, two tanhs, two products and an add.
     """
     seq = _as_tensor(seq)
-    if seq.data.ndim not in (2, 3) or seq.data.shape[-2] < 1:
-        raise ValueError(
-            f"lstm_last expects a non-empty (N, in) or (B, N, in) sequence, "
-            f"got {seq.data.shape}"
-        )
-    batched = seq.data.ndim == 3
-    x = seq.data if batched else seq.data[None]
+    if seq.data.ndim != 3 or seq.data.shape[1] < 1:
+        raise ValueError(f"lstm_last expects a non-empty (B, N, in) stack, got {seq.data.shape}")
+    x = seq.data
     B, n_steps, in_dim = x.shape
     g = params.hidden
     w_ih, w_hh, bias = params.tensors()
@@ -714,8 +706,7 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
         tanh_cs.append(tanh_c)
     _count(n_steps * B * (8 * g * (in_dim + g) + 32 * g))
 
-    def bwd(grad):
-        dh = grad if batched else grad[None]
+    def bwd(dh):
         dc = np.zeros((B, g))
         dz = np.empty((B, n_steps, 4 * g))
         for t in reversed(range(n_steps)):
@@ -733,9 +724,9 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
         d_ih = np.tensordot(dz, x, axes=([0, 1], [0, 1]))
         d_hh = np.tensordot(dz, h_in, axes=([0, 1], [0, 1]))
         d_b = dz.sum(axis=(0, 1))
-        return (dx if batched else dx[0], d_ih, d_hh, d_b)
+        return (dx, d_ih, d_hh, d_b)
 
-    return _make(h if batched else h[0], (seq, w_ih, w_hh, bias), bwd)
+    return _make(h, (seq, w_ih, w_hh, bias), bwd)
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
@@ -991,6 +982,19 @@ def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
     global order comes back as it is, with no tape node.
     """
     return gather_rows(concat_rows(chunks), np.argsort(order))
+
+
+def first_occurrences(keys: Sequence) -> tuple[list[int], np.ndarray]:
+    """Positions of the distinct ``keys``' first occurrences, in input order,
+    and the inverse map (each key's index among them): rows made once per
+    distinct key reach every position by ``gather_rows(rows, inverse)``."""
+    slot: dict = {}
+    first: list[int] = []
+    for i, key in enumerate(keys):
+        if key not in slot:
+            slot[key] = len(first)
+            first.append(i)
+    return first, np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:

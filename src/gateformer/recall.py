@@ -49,9 +49,9 @@ Doc lengths (the per-doc sum of tfs), the average length and the BM25
 weight of every posting are derived on build and on load, never stored: one
 idf per token from its posting count, one length normalisation per doc, then
 one array pass over the postings; the id -> key map is built on first use.
-No step walks the postings in Python. At 2,048 docs and 61,440 postings,
-about a third of a build is the ``np.fromiter`` over the docs' id lists and
-most of the rest the sort of the (token, doc) codes and the derived fields.
+No step walks the postings in Python. A build concatenates the docs'
+int64 id arrays (:attr:`text.TokenSequence.ids`) in one call; most of its
+time is the sort of the (token, doc) codes and the derived fields.
 A load is mostly the checks and the derived fields, then the doc ids, which
 decode in one call and are sliced at their byte offsets when they are pure
 ASCII; other ids decode one by one, which also rejects a character split
@@ -64,7 +64,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -177,9 +176,8 @@ def build_index(docs: dict[str, TokenSequence]) -> InvertedIndex:
         raise ValueError("cannot index an empty corpus")
     doc_ids = sorted(docs)
     n_docs = len(doc_ids)
-    id_lists = [docs[doc_id].ids for doc_id in doc_ids]
-    lengths = list(map(len, id_lists))
-    flat = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=sum(lengths))
+    lengths = [len(docs[doc_id]) for doc_id in doc_ids]
+    flat = np.concatenate([docs[doc_id].ids for doc_id in doc_ids])
     if flat.size and (flat.min() < 0 or flat.max() >= 2**32):
         raise ValueError("token ids must lie in [0, 2**32)")
     # one code per (token, doc key) pair; sorting the codes orders postings

@@ -15,7 +15,7 @@ File formats:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +65,22 @@ class Vocabulary:
                 f.write(t + "\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenSequence:
-    """Tokenized item text: its subword token ids, in text order."""
+    """Tokenized item text: its subword token ids in text order, one read-only
+    int64 array, and ``key``, that array's bytes, both made once. ``key`` is
+    every content key (store rows, dedupe) and what equality compares."""
 
-    ids: list[int]
+    ids: np.ndarray = field(compare=False)
+    key: bytes = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ids = np.array(self.ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError(f"token ids must be one sequence, got shape {ids.shape}")
+        ids.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "key", ids.tobytes())
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -166,7 +177,8 @@ def load_mind_news(
     l_max: int = 30,
     title_only: bool = False,
 ) -> dict[str, TokenSequence]:
-    """Parse a news file into truncated token sequences keyed by news id."""
+    """Parse a news file into truncated token sequences keyed by news id;
+    rows with too few columns or no token are skipped, with one warning."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"news file not found: {path}")
@@ -178,14 +190,16 @@ def load_mind_news(
             if not line:
                 continue
             cols = line.split("\t")
-            if len(cols) < 5:
-                skipped += 1
-                continue
-            news_id, _category, _subcategory, title, abstract = cols[:5]
-            text = title if title_only else f"{title} {abstract}"
-            news[news_id] = wordpiece_tokenize(text, vocab).truncated(l_max)
+            if len(cols) >= 5:
+                news_id, _category, _subcategory, title, abstract = cols[:5]
+                text = title if title_only else f"{title} {abstract}"
+                seq = wordpiece_tokenize(text, vocab).truncated(l_max)
+                if len(seq):
+                    news[news_id] = seq
+                    continue
+            skipped += 1
     if skipped:
-        log.warning("skipped %d malformed news rows in %s", skipped, path)
+        log.warning("skipped %d malformed or empty news rows in %s", skipped, path)
     return news
 
 
@@ -208,11 +222,6 @@ def load_mind_behaviors(
     rng = np.random.default_rng(seed)
     samples: list[ImpressionSample] = []
     skipped = 0
-
-    def known(item_id: str) -> bool:
-        seq = news.get(item_id)
-        return seq is not None and len(seq) > 0
-
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.rstrip("\n")
@@ -223,7 +232,7 @@ def load_mind_behaviors(
                 skipped += 1
                 continue
             _imp_id, _user_id, _time, history_field, impression_field = cols[:5]
-            hist_ids = [h for h in history_field.split() if known(h)][-n_max:]
+            hist_ids = [h for h in history_field.split() if h in news][-n_max:]
             if not hist_ids:
                 continue
             history = UserHistory([news[h] for h in hist_ids])
@@ -232,7 +241,7 @@ def load_mind_behaviors(
             non_clicked: list[str] = []
             for entry in impression_field.split():
                 item_id, _, label = entry.rpartition("-")
-                if label not in ("0", "1") or not known(item_id):
+                if label not in ("0", "1") or item_id not in news:
                     continue
                 (clicked if label == "1" else non_clicked).append(item_id)
 
@@ -457,7 +466,7 @@ def write_mind_files(corpus: SynthCorpus, out_dir) -> None:
     with open(out / "news.tsv", "w", encoding="utf-8") as f:
         for item_id in sorted(corpus.news):
             seq = corpus.news[item_id]
-            title = " ".join(corpus.vocab.token_of(t) for t in seq.ids)
+            title = " ".join(corpus.vocab.token_of(t) for t in seq.ids.tolist())
             topic = corpus.item_topic[item_id]
             f.write(f"{item_id}\tt{topic}\t-\t{title}\t\t-\t[]\t[]\n")
 

@@ -14,7 +14,8 @@ for a fixed seed. Evaluation scores its impressions slice by slice, each
 the same scoring without a tape, and reads through the model's
 :class:`ItemStore`, which keeps candidate rows while the encoder's
 parameters are unchanged and the gate's per-item features while the tensors
-they read are unchanged.
+they read are unchanged, each row under its item's
+:attr:`text.TokenSequence.key`.
 Only :func:`batch_user_embeddings` with no tape recording reads gate
 features from it, so training (always on a tape) computes them and its
 gradients reach the tensors they read. Every impression holds one positive,
@@ -87,13 +88,12 @@ class _Table:
     def index(self, keys: list, compute) -> np.ndarray:
         """The row of each key; ``compute`` makes the rows of the keys not
         held from the positions in ``keys`` of their first occurrences."""
-        at, first = self.at, {}
-        for i, key in enumerate(keys):
-            if key not in at:
-                first.setdefault(key, i)
-        if first:
-            parts = compute(list(first.values()))
-            n, stop = len(at), len(at) + len(first)
+        at = self.at
+        first, inverse = nm.first_occurrences(keys)
+        missing = [i for i in first if keys[i] not in at]
+        if missing:
+            parts = compute(missing)
+            n, stop = len(at), len(at) + len(missing)
             if not self.arrays or stop > len(self.arrays[0]):
                 grown = [np.empty((max(stop, 2 * n), *part.shape[1:])) for part in parts]
                 for new, old in zip(grown, self.arrays):
@@ -101,8 +101,8 @@ class _Table:
                 self.arrays = grown
             for table, part in zip(self.arrays, parts):
                 table[n:stop] = part
-            at.update(zip(first, range(n, stop)))
-        return np.fromiter(map(at.__getitem__, keys), dtype=np.intp, count=len(keys))
+            at.update(zip([keys[i] for i in missing], range(n, stop)))
+        return np.array([at[keys[i]] for i in first], dtype=np.intp)[inverse]
 
 
 class _Rows:
@@ -138,7 +138,8 @@ class _Rows:
 
 
 class ItemStore:
-    """Forward-only rows of one model's items, keyed by token ids, of two
+    """Forward-only rows of one model's items, keyed by their
+    :attr:`text.TokenSequence.key` (the bytes of the int64 token ids), of two
     kinds: candidate rows and the learned gate's per-item features (an
     item's (L, n_f) ReLU conv context and (n_f,) pooled vector,
     :func:`gating.item_features`).
@@ -183,24 +184,20 @@ class ItemStore:
             ])]
 
         tensors = [params.word_embeddings, *params.named_tensors().values()]
-        return self._candidates.get(
-            params.heads, tensors, 0, [tuple(seq.ids) for seq in seqs], compute
-        )[0]
+        return self._candidates.get(params.heads, tensors, 0, [seq.key for seq in seqs], compute)[0]
 
     def gate_rows(
-        self, groups: list[np.ndarray], params: GateParams
+        self, groups: list[tuple[list[bytes], np.ndarray]], params: GateParams
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """For each length group's (G, L) token ids, the (G, L, n_f) context
-        and (G, n_f) pooled arrays :func:`gating.item_features` makes; the
-        distinct missing items of a group are computed in one call. An
-        item's key is the bytes of its int64 ids."""
+        """For each length group's item keys and (G, L) token ids, the
+        (G, L, n_f) context and (G, n_f) pooled arrays
+        :func:`gating.item_features` makes; the distinct missing items of a
+        group are computed in one call."""
         tensors = [params.word_embeddings, params.filters, params.bias, params.pool_v]
-        groups = [np.ascontiguousarray(ids, dtype=np.int64) for ids in groups]
         return [tuple(self._gate.get(
-            params.window, tensors, ids.shape[1],
-            ids.view(np.dtype((np.void, 8 * ids.shape[1]))).ravel().tolist(),
+            params.window, tensors, ids.shape[1], keys,
             lambda first, ids=ids: [t.data for t in item_features(params, ids[first])],
-        )) for ids in groups]
+        )) for keys, ids in groups]
 
 
 @dataclass
@@ -294,26 +291,24 @@ def batch_user_embeddings(
 ) -> Tensor:
     """(B, d) user embeddings for a batch of histories on the current tape.
 
-    Histories with equal content (the items' token ids) are encoded once
-    and share one row, except under the random selector whose draws are
-    keyed to the sample index. With no tape recording, the learned gate
-    reads its per-item features from the model's :class:`ItemStore`; on a
-    tape (``batch_loss``) it computes them, so gradients reach the tensors
+    Histories with equal content (the tuple of their items' keys) are
+    encoded once and share one row, except under the random selector whose
+    draws are keyed to the sample index. With no tape recording, the learned
+    gate reads its per-item features from the model's :class:`ItemStore`; on
+    a tape (``batch_loss``) it computes them, so gradients reach the tensors
     they read.
     """
     rngs = sample_rngs(model, sample_indices)
     keys = range(len(histories)) if rngs is not None else [
-        tuple(tuple(seq.ids) for seq in h.items) for h in histories
+        tuple(seq.key for seq in h.items) for h in histories
     ]
-    seen: dict = {}
-    kept, mapping = np.unique([seen.setdefault(key, i) for i, key in enumerate(keys)],
-                              return_inverse=True)
-    unique = [histories[i] for i in kept]
+    first, inverse = nm.first_occurrences(keys)
+    unique = [histories[i] for i in first]
 
     store = None if nm.recording() else model.items
     gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs, store)
     index = [np.arange(start, start + length) for start, length in gated.spans()]
-    return nm.gather_rows(encode_sequences(gated.rows, index, model.trans), mapping)
+    return nm.gather_rows(encode_sequences(gated.rows, index, model.trans), inverse)
 
 
 def impression_logits(
@@ -352,11 +347,9 @@ def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: li
     samples with equal negative counts.
     """
     users = batch_user_embeddings(model, [s.history for s in samples], sample_indices)
-    cand_seqs = []
-    for s in samples:
-        cand_seqs.append(s.positive)
-        cand_seqs.extend(s.negatives)
-    cands = encode_candidates(cand_seqs, model.trans)
+    cands = encode_candidates(
+        [seq for s in samples for seq in (s.positive, *s.negatives)], model.trans
+    )
     n_cands = np.array([1 + len(s.negatives) for s in samples])
     losses = []
     for mem, z in impression_logits(users, cands, n_cands):

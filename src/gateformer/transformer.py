@@ -205,19 +205,16 @@ def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> T
     token sequences.
 
     A candidate's embedding depends only on its token ids, so each distinct
-    id sequence is encoded once by :func:`encode_sequences` over the word
-    embeddings and its row gathered to every input position holding it; the
-    gather sums the gradients of repeated rows.
+    id sequence (each distinct ``key``) is encoded once by
+    :func:`encode_sequences` over the word embeddings and its row gathered to
+    every input position holding it; the gather sums the gradients of
+    repeated rows.
     """
     if any(len(seq) < 1 for seq in seqs):
         raise ValueError("cannot encode an empty candidate")
-    keys = [tuple(seq.ids) for seq in seqs]
-    # distinct sequences in the order encode_sequences stacks them (by length,
-    # then first occurrence), so its rows need no reordering
-    unique = sorted(dict.fromkeys(keys), key=len)
-    row_of = {key: r for r, key in enumerate(unique)}
-    mapping = [row_of[key] for key in keys]
-    return gather_rows(encode_sequences(params.word_embeddings, unique, params), mapping)
+    first, inverse = nm.first_occurrences([seq.key for seq in seqs])
+    rows = encode_sequences(params.word_embeddings, [seqs[i].ids for i in first], params)
+    return gather_rows(rows, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,12 @@ def encode_item(seq, params):
     summary (N_f,); padding positions are masked out of the pooling."""
     if len(seq) < 1:
         raise ValueError("cannot encode an empty token sequence")
-    ctx = nm.relu(nm.conv1d(gather_rows(params.word_embeddings, seq.ids),
-                            params.filters, params.bias, params.window))
+    # the conv runs on a stack of one item, read back as the item's (L, N_f)
+    ctx = nm.relu(nm.reshape(
+        nm.conv1d(gather_rows(params.word_embeddings, seq.ids[None]),
+                  params.filters, params.bias, params.window),
+        (len(seq), params.n_filters),
+    ))
     logits = nm.matmul(ctx, params.pool_v)
     valid = np.array([t != PAD_ID for t in seq.ids])
     if not valid.all():

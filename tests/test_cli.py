@@ -161,7 +161,7 @@ class TestSynthCommand:
         )
         assert set(news) == set(corpus.news)
         for item_id, seq in corpus.news.items():
-            assert news[item_id].ids == seq.ids, item_id
+            assert np.array_equal(news[item_id].ids, seq.ids), item_id
 
 
 class TestTrainCommand:
@@ -324,6 +324,15 @@ class TestRecallCommand:
         methods = {line.split(",")[0] for line in lines[2:]}
         assert methods == {"sparse", "dense", "hybrid"}
         assert len(lines) == 2 + 6
+
+    def test_news_row_without_tokens_is_skipped(self, tmp_path, capsys):
+        data = synth(tmp_path, seed=1)
+        with open(data / "news.tsv", "a", encoding="utf-8") as f:
+            f.write("N9999\tt0\t-\t\t\t-\t[]\t[]\n")
+        run = train_run(tmp_path, data, seed=1, steps=1)
+        for command in ("recall", "eval"):
+            assert main([command, "--run", str(run), "--data", str(data)]) == 0, command
+        assert "empty" not in capsys.readouterr().err
 
     def test_gates_each_query_once(self, tmp_path, monkeypatch):
         from gateformer import cli

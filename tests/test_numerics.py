@@ -117,8 +117,12 @@ class TestSoftmax:
 
 class TestConv1d:
     def test_zero_input_zero_bias(self):
-        out = conv1d(tensor(np.zeros((4, 3))), tensor(np.ones((2, 9))), tensor(np.zeros(2)), 1)
-        assert np.array_equal(out.data, np.zeros((4, 2)))
+        out = conv1d(tensor(np.zeros((1, 4, 3))), tensor(np.ones((2, 9))), tensor(np.zeros(2)), 1)
+        assert np.array_equal(out.data[0], np.zeros((4, 2)))
+
+    def test_unstacked_input_rejected(self):
+        with pytest.raises(ValueError, match=r"\(B, L, d\)"):
+            conv1d(tensor(np.zeros((4, 3))), tensor(np.ones((2, 9))), tensor(np.zeros(2)), 1)
 
     def test_length_one_uses_zero_padding(self):
         # With L=1 and w=1 both neighbors are padding, so only the center
@@ -126,9 +130,9 @@ class TestConv1d:
         x = np.array([[1.0, 2.0]])
         f = rng(5).normal(size=(3, 6))
         b = np.zeros(3)
-        out = conv1d(tensor(x), tensor(f), tensor(b), 1)
-        assert out.data.shape == (1, 3)
-        assert np.allclose(out.data[0], f[:, 2:4] @ x[0], atol=1e-15)
+        out = conv1d(tensor(x[None]), tensor(f), tensor(b), 1)
+        assert out.data.shape == (1, 1, 3)
+        assert np.allclose(out.data[0, 0], f[:, 2:4] @ x[0], atol=1e-15)
 
     def test_matches_sliding_window_oracle_exactly(self):
         # Integer-valued inputs keep every float64 intermediate exact, so the
@@ -137,32 +141,32 @@ class TestConv1d:
         x = r.integers(-8, 9, size=(5, 3)).astype(float)
         f = r.integers(-8, 9, size=(2, 9)).astype(float)
         b = r.integers(-8, 9, size=(2,)).astype(float)
-        out = conv1d(tensor(x), tensor(f), tensor(b), 1)
-        assert np.array_equal(out.data, conv1d_oracle(x, f, b, 1))
+        out = conv1d(tensor(x[None]), tensor(f), tensor(b), 1)
+        assert np.array_equal(out.data[0], conv1d_oracle(x, f, b, 1))
 
     def test_matches_oracle_on_floats(self):
         r = rng(6)
         x = r.normal(size=(5, 3))
         f = r.normal(size=(2, 9))
         b = r.normal(size=(2,))
-        out = conv1d(tensor(x), tensor(f), tensor(b), 1)
-        np.testing.assert_allclose(out.data, conv1d_oracle(x, f, b, 1), rtol=1e-13, atol=1e-14)
+        out = conv1d(tensor(x[None]), tensor(f), tensor(b), 1)
+        np.testing.assert_allclose(out.data[0], conv1d_oracle(x, f, b, 1), rtol=1e-13, atol=1e-14)
 
     def test_preserves_length(self):
         r = rng(7)
         for L in (1, 2, 5, 9):
             for w in (1, 2):
-                x = tensor(r.normal(size=(L, 3)))
+                x = tensor(r.normal(size=(1, L, 3)))
                 f = tensor(r.normal(size=(4, (2 * w + 1) * 3)))
                 out = conv1d(x, f, tensor(np.zeros(4)), w)
-                assert out.data.shape == (L, 4)
+                assert out.data.shape == (1, L, 4)
 
     def test_gradient_matches_finite_differences(self):
         r = rng(8)
-        x = tensor(r.normal(size=(5, 3)), requires_grad=True)
+        x = tensor(r.normal(size=(1, 5, 3)), requires_grad=True)
         f = tensor(r.normal(size=(2, 9)), requires_grad=True)
         b = tensor(r.normal(size=(2,)), requires_grad=True)
-        c = tensor(r.normal(size=(5, 2)))
+        c = tensor(r.normal(size=(1, 5, 2)))
         check_grads(lambda: vsum(mul(conv1d(x, f, b, 1), c)), [x, f, b], tol=1e-6)
 
 
@@ -170,13 +174,19 @@ class TestConv1d:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("batched", [False, True])
     def test_tapwise_matches_window_oracle(self, w, L, batched):
-        # L < 2w+1 leaves some taps with no rows in range
+        # L < 2w+1 leaves some taps with no rows in range; unbatched, one
+        # (L, d) sequence runs as a stack of one
         r = rng(100 + 10 * w + L)
         d, nf = 3, 4
         x = tensor(r.normal(size=(2, L, d) if batched else (L, d)), requires_grad=True)
         f = tensor(r.normal(size=(nf, (2 * w + 1) * d)), requires_grad=True)
         b = tensor(r.normal(size=(nf,)), requires_grad=True)
         c = r.normal(size=x.data.shape[:-1] + (nf,))
+
+        def fused():
+            if batched:
+                return conv1d(x, f, b, w)
+            return reshape(conv1d(reshape(x, (1, L, d)), f, b, w), (L, nf))
 
         def oracle():
             if not batched:
@@ -186,11 +196,11 @@ class TestConv1d:
             return reshape(concat_rows(rows), (2, L, nf))
 
         with nm.count_flops() as counted:
-            out = conv1d(x, f, b, w)
+            out = fused()
         rows = x.data[..., 0].size
         assert counted.flops == 2 * rows * nf * (2 * w + 1) * d + rows * nf
         assert rel_err(out.data, oracle().data) < 1e-12
-        fast = autodiff_grads(lambda: vsum(mul(conv1d(x, f, b, w), tensor(c))), [x, f, b])
+        fast = autodiff_grads(lambda: vsum(mul(fused(), tensor(c))), [x, f, b])
         slow = autodiff_grads(lambda: vsum(mul(oracle(), tensor(c))), [x, f, b])
         for a, e in zip(fast, slow):
             assert rel_err(a, e) < 1e-12
@@ -210,15 +220,19 @@ class TestLstmLast:
         params = LSTMParams(
             tensor(np.zeros((4 * g, 2))), tensor(np.zeros((4 * g, g))), tensor(np.zeros(4 * g))
         )
-        out = lstm_last(tensor(rng(9).normal(size=(4, 2))), params)
-        assert np.array_equal(out.data, np.zeros(g))
+        out = lstm_last(tensor(rng(9).normal(size=(1, 4, 2))), params)
+        assert np.array_equal(out.data[0], np.zeros(g))
+
+    def test_unstacked_input_rejected(self):
+        with pytest.raises(ValueError, match=r"\(B, N, in\)"):
+            lstm_last(tensor(np.zeros((4, 2))), make_lstm(rng(9), 3, 2))
 
     def test_single_step_matches_hand_cell(self):
         r = rng(10)
         g, in_dim = 3, 2
         params = make_lstm(r, g, in_dim)
         x = r.normal(size=(1, in_dim))
-        out = lstm_last(tensor(x), params).data
+        out = lstm_last(tensor(x[None]), params).data[0]
 
         z = params.w_ih.data @ x[0] + params.bias.data  # h0 = 0
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -230,10 +244,10 @@ class TestLstmLast:
         r = rng(11)
         g, in_dim = 4, 4
         params = make_lstm(r, g, in_dim)
-        seq = tensor(r.normal(size=(3, in_dim)), requires_grad=True)
+        seq = tensor(r.normal(size=(1, 3, in_dim)), requires_grad=True)
         c = tensor(r.normal(size=(g,)))
         check_grads(
-            lambda: matmul(lstm_last(seq, params), c),
+            lambda: matmul(reshape(lstm_last(seq, params), (g,)), c),
             [seq, *params.tensors()],
             tol=1e-5,
         )
@@ -242,20 +256,27 @@ class TestLstmLast:
     @pytest.mark.parametrize("n_steps", [1, 30])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_fused_matches_composed_oracle(self, n_steps, batch):
+        # with no batch, the oracle's one (N, in) chain runs fused as a stack of one
         r = rng(12 + n_steps)
         g, in_dim = 4, 5
         params = make_lstm(r, g, in_dim)
         shape = (n_steps, in_dim) if batch is None else (batch, n_steps, in_dim)
         seq = tensor(r.normal(size=shape), requires_grad=True)
         c = tensor(r.normal(size=shape[:-2] + (g,)))
+
+        def fused_last(seq, params):
+            if batch is not None:
+                return lstm_last(seq, params)
+            return reshape(lstm_last(reshape(seq, (1, *shape)), params), (g,))
+
         with nm.count_flops() as fused_flops:
-            fused = lstm_last(seq, params)
+            fused = fused_last(seq, params)
         with nm.count_flops() as composed_flops:
             composed = lstm_last_oracle(seq, params)
         assert fused_flops.flops == composed_flops.flops
         assert rel_err(fused.data, composed.data) < 1e-12
         weights = [seq, *params.tensors()]
-        fast = autodiff_grads(lambda: vsum(mul(lstm_last(seq, params), c)), weights)
+        fast = autodiff_grads(lambda: vsum(mul(fused_last(seq, params), c)), weights)
         slow = autodiff_grads(lambda: vsum(mul(lstm_last_oracle(seq, params), c)), weights)
         for a, e in zip(fast, slow):
             assert rel_err(a, e) < 1e-12
@@ -515,6 +536,19 @@ class TestAssembleRows:
         assert np.array_equal(np.concatenate(grads), c[order])
 
 
+class TestFirstOccurrences:
+    @pytest.mark.parametrize("keys", [
+        [], [b"a"], [b"b", b"a", b"b", b"c", b"a", b"a"], [(b"x", b"y"), (b"x",), (b"x", b"y")],
+        list(range(5)),
+    ])
+    def test_positions_and_inverse_rebuild_the_keys(self, keys):
+        first, inverse = nm.first_occurrences(keys)
+        distinct = list(dict.fromkeys(keys))
+        assert first == [keys.index(key) for key in distinct]
+        assert inverse.dtype == np.intp and len(inverse) == len(keys)
+        assert [distinct[j] for j in inverse] == keys
+
+
 class TestCosine:
     def test_self_similarity_is_one(self):
         v = tensor([3.0, -4.0, 1.0])
@@ -735,7 +769,7 @@ class TestBatchedOps:
         b = tensor(r.normal(size=(4,)))
         out = conv1d(tensor(x), f, b, 1).data
         for i in range(3):
-            single = conv1d(tensor(x[i]), f, b, 1).data
+            single = conv1d(tensor(x[i][None]), f, b, 1).data[0]
             assert np.allclose(out[i], single, atol=1e-13)
 
     def test_conv1d_batched_gradient(self):
@@ -752,7 +786,7 @@ class TestBatchedOps:
         seqs = r.normal(size=(4, 5, 2))
         batched = lstm_last(tensor(seqs), params).data
         for i in range(4):
-            single = lstm_last(tensor(seqs[i]), params).data
+            single = lstm_last(tensor(seqs[i][None]), params).data[0]
             assert np.allclose(batched[i], single, atol=1e-13)
 
     def test_lstm_batched_gradient(self):
@@ -836,7 +870,7 @@ class TestFlopCounter:
 
     def test_nested_ops_accumulate(self):
         with nm.count_flops() as c:
-            conv1d(tensor(np.ones((5, 3))), tensor(np.ones((2, 9))), tensor(np.zeros(2)), 1)
+            conv1d(tensor(np.ones((1, 5, 3))), tensor(np.ones((2, 9))), tensor(np.zeros(2)), 1)
         assert c.flops == 2 * 5 * 2 * 9 + 5 * 2
 
     def test_counter_scoped(self):

@@ -108,3 +108,31 @@ class TestProfileStep:
         for entry in (r"ItemStore\.rows, \d+ candidates", r"ItemStore\.gate_rows, 192 history items"):
             row = rf"^\| {entry} \| [\d.]+ \| [\d.]+ \|$"
             assert len(re.findall(row, profile_output, re.M)) == 1, entry
+
+
+@pytest.fixture(scope="module")
+def same_numbers():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(SCRIPTS))  # it imports bench_pairs' checkout code
+        yield load_script("same_numbers")
+
+
+class TestSameNumbers:
+    def test_working_tree_against_itself_is_same(self, same_numbers):
+        sides = [same_numbers.run_side(same_numbers.ROOT, ["tiny"], ["learned-lstm"], 2, "1")
+                 for _ in range(2)]
+        lines = same_numbers.compare(*sides)
+        assert len(lines) == 11
+        assert all(re.fullmatch(r"tiny/learned-lstm/\w+ same", line) for line in lines), lines
+
+    def test_a_field_that_differs_or_is_on_one_side_differs(self, same_numbers):
+        lines = same_numbers.compare({"a": "1", "b": "2"}, {"a": "1", "b": "3", "c": "4"})
+        assert lines == ["a same", "b differs", "c differs"]
+
+    def test_bench_table_hashed_without_its_timings(self, same_numbers, tmp_path):
+        tables = []
+        for i, wall in enumerate(("0.0012", "0.0034")):
+            path = tmp_path / f"bench{i}.csv"
+            path.write_text(f"# config abc\nk,wall_time_per_user,flops,auc\n1,{wall},10,0.5\n")
+            tables.append(same_numbers.without_column(path, "wall_time_per_user"))
+        assert tables[0] == tables[1] == b"# config abc\nk,flops,auc\n1,10,0.5"

@@ -22,7 +22,7 @@ class TestWordpiece:
     def test_single_known_word(self):
         vocab = make_vocab("hello")
         seq = wordpiece_tokenize("hello", vocab)
-        assert seq.ids == [vocab.id_of["hello"]]
+        assert seq.ids.tolist() == [vocab.id_of["hello"]]
 
     def test_greedy_longest_match(self):
         # un|##afford|##able: the matcher must prefer "##afford" over any
@@ -37,7 +37,7 @@ class TestWordpiece:
     def test_unmatched_word_maps_to_unk(self):
         vocab = make_vocab("hello")
         seq = wordpiece_tokenize("qzx", vocab)
-        assert seq.ids == [vocab.unk_id]
+        assert seq.ids.tolist() == [vocab.unk_id]
 
     def test_empty_text(self):
         seq = wordpiece_tokenize("", make_vocab("a"))
@@ -52,7 +52,7 @@ class TestWordpiece:
         # "un" matches but "usual" has no continuation piece: whole word -> unk
         vocab = make_vocab("un")
         seq = wordpiece_tokenize("unusual", vocab)
-        assert seq.ids == [vocab.unk_id]
+        assert seq.ids.tolist() == [vocab.unk_id]
 
     def test_deterministic_and_idempotent_at_id_level(self):
         vocab = make_vocab("re", "##al", "##ly", "nice")
@@ -60,7 +60,7 @@ class TestWordpiece:
         b = wordpiece_tokenize("Really nice!", vocab)
         assert a == b
         rejoined = " ".join(vocab.token_of(i).removeprefix("##") for i in a.ids)
-        assert wordpiece_tokenize(rejoined, vocab).ids[: len(a.ids)]  # re-tokenizable
+        assert wordpiece_tokenize(rejoined, vocab).ids[: len(a.ids)].tolist()  # re-tokenizable
 
     def test_vocab_roundtrip(self, tmp_path):
         vocab = make_vocab("alpha", "##beta")
@@ -95,21 +95,21 @@ class TestLoadMindNews:
         news = load_mind_news(path, news_vocab)
         assert set(news) == {"N1", "N2", "N3"}
         ids = lambda *words: [news_vocab.id_of[w] for w in words]
-        assert news["N1"].ids == ids("big", "match", "tonight", "teams", "ready")
-        assert news["N3"].ids == ids("market", "up", "investors", "cheer", "loudly")
+        assert news["N1"].ids.tolist() == ids("big", "match", "tonight", "teams", "ready")
+        assert news["N3"].ids.tolist() == ids("market", "up", "investors", "cheer", "loudly")
 
     def test_empty_abstract_uses_title_alone(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
         news = load_mind_news(path, news_vocab)
-        assert news["N2"].ids == [news_vocab.id_of["new"], news_vocab.id_of["chip"]]
+        assert news["N2"].ids.tolist() == [news_vocab.id_of["new"], news_vocab.id_of["chip"]]
 
     def test_truncation_to_l_max(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
         news = load_mind_news(path, news_vocab, l_max=2)
         assert all(len(seq) <= 2 for seq in news.values())
-        assert news["N1"].ids == [news_vocab.id_of["big"], news_vocab.id_of["match"]]
+        assert news["N1"].ids.tolist() == [news_vocab.id_of["big"], news_vocab.id_of["match"]]
 
     def test_malformed_row_skipped_with_warning(self, tmp_path, news_vocab, caplog):
         path = tmp_path / "news.tsv"
@@ -123,11 +123,19 @@ class TestLoadMindNews:
         with pytest.raises(FileNotFoundError):
             load_mind_news("/nonexistent/news.tsv", news_vocab)
 
+    def test_row_without_tokens_skipped_and_counted(self, tmp_path, news_vocab, caplog):
+        path = tmp_path / "news.tsv"
+        path.write_text(NEWS_FIXTURE + "N9\tt0\t-\t\t\t-\t[]\t[]\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            news = load_mind_news(path, news_vocab)
+        assert set(news) == {"N1", "N2", "N3"}
+        assert any("skipped 2 malformed or empty news rows" in r.message for r in caplog.records)
+
     def test_title_only_flag(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
         news = load_mind_news(path, news_vocab, title_only=True)
-        assert news["N1"].ids == [
+        assert news["N1"].ids.tolist() == [
             news_vocab.id_of[w] for w in ("big", "match", "tonight")
         ]
 
@@ -211,7 +219,7 @@ class TestSynthCorpus:
     def test_same_seed_identical(self):
         a = synth_corpus_full(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
         b = synth_corpus_full(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
-        assert {k: v.ids for k, v in a.news.items()} == {k: v.ids for k, v in b.news.items()}
+        assert {k: v.ids.tolist() for k, v in a.news.items()} == {k: v.ids.tolist() for k, v in b.news.items()}
         assert [s.positive_id for s in a.samples] == [s.positive_id for s in b.samples]
         assert [s.negative_ids for s in a.samples] == [s.negative_ids for s in b.samples]
 
@@ -272,3 +280,31 @@ class TestTypes:
         seq = TokenSequence(list(range(1, 9)))
         assert len(seq.truncated(3)) == 3
         assert len(seq.truncated(20)) == 8
+
+    def test_ids_are_one_read_only_int64_array(self):
+        seq = TokenSequence([3, 1, 2])
+        assert seq.ids.dtype == np.int64 and seq.ids.shape == (3,)
+        with pytest.raises(ValueError, match="read-only"):
+            seq.ids[0] = 7
+        with pytest.raises(AttributeError):
+            seq.ids = np.array([1])
+        # the caller's array is copied, so editing it leaves the sequence alone
+        src = np.array([4, 5])
+        kept = TokenSequence(src)
+        src[0] = 9
+        assert kept.ids.tolist() == [4, 5]
+
+    def test_key_is_the_bytes_of_the_ids(self):
+        seq = TokenSequence([3, 1, 2])
+        assert seq.key == seq.ids.tobytes()
+        assert TokenSequence(np.array([3, 1, 2], dtype=np.int32)).key == seq.key
+        assert TokenSequence([3, 1, 2]) == seq and TokenSequence([3, 2, 1]) != seq
+
+    def test_different_lengths_never_share_a_key(self):
+        seqs = [TokenSequence([0] * n) for n in range(5)] + [TokenSequence([1, 0]), TokenSequence([1])]
+        assert len({seq.key for seq in seqs}) == len(seqs)
+        assert TokenSequence([5, 6, 7]).truncated(2).key == TokenSequence([5, 6]).key
+
+    def test_nested_ids_rejected(self):
+        with pytest.raises(ValueError, match="one sequence"):
+            TokenSequence([[1, 2], [3, 4]])

@@ -705,6 +705,18 @@ class TestItemStore:
             cold.items.rows(seqs, cold.trans), rtol=0, atol=1e-12,
         )
 
+    def test_equal_ids_in_two_objects_share_one_row(self, tiny_corpus, monkeypatch):
+        encoded = self.counting(monkeypatch)
+        model = tiny_model(tiny_corpus)
+        history = tiny_corpus.samples[0].history
+        copies = [TokenSequence(seq.ids.tolist()) for seq in history.items]
+        assert all(c is not s and c.ids is not s.ids for c, s in zip(copies, history.items))
+        rows = model.items.rows([history.items[0], copies[0]], model.trans)
+        assert len(model.items) == len(encoded) == 1 and np.array_equal(rows[0], rows[1])
+        both = batch_user_embeddings(model, [history, UserHistory(copies)], [0, 1]).data
+        assert model.items.n_gate_rows == len({seq.key for seq in history.items})
+        assert np.array_equal(both[0], both[1])
+
     def test_rows_match_one_encode_candidates_call_in_input_order(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
         news = list(tiny_corpus.news.values())
@@ -785,7 +797,7 @@ class TestGateRows:
         its length groups' features as the taped path does."""
         model.items.gate_rows = lambda groups, params: [
             (ctx3.data, pooled.data)
-            for ctx3, pooled in (item_features(params, ids) for ids in groups)
+            for ctx3, pooled in (item_features(params, ids) for _, ids in groups)
         ]
         return model
 
@@ -978,7 +990,8 @@ class TestSnapshotCheck:
 
     def test_nan_drops_gate_rows_once(self, tiny_corpus, monkeypatch):
         model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
-        groups = [np.array([seq.ids for s in samples for seq in s.history.items])]
+        items = [seq for s in samples for seq in s.history.items]
+        groups = [([seq.key for seq in items], np.stack([seq.ids for seq in items]))]
         model.gate.pool_v.data[0] = np.nan
         first = model.items.gate_rows(groups, model.gate)
         assert len(computed) == model.items.n_gate_rows
@@ -1066,10 +1079,16 @@ class TestStoreLock:
         import gateformer.training as training
 
         model = tiny_model(tiny_corpus)
-        ids = np.array([seq.ids for seq in self.news(tiny_corpus)])
+        seqs = self.news(tiny_corpus)
+        ids = np.stack([seq.ids for seq in seqs])
         compute = _FirstCallBlocks(item_features, lambda params, part: list(map(tuple, part.tolist())))
         monkeypatch.setattr(training, "item_features", compute)
-        one, two = self.race(lambda part: model.items.gate_rows([part], model.gate)[0], ids, compute)
+
+        def read(part):
+            group = ([seq.key for seq in part], np.stack([seq.ids for seq in part]))
+            return model.items.gate_rows([group], model.gate)[0]
+
+        one, two = self.race(read, seqs, compute)
         for got, part in ((one, ids[:40]), (two, ids[30:])):
             want = item_features(model.gate, part)
             assert all(np.array_equal(a, b.data) for a, b in zip(got, want))
