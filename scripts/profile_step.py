@@ -64,7 +64,7 @@ CORPORA = {
                    "synth.filler_pool=1000", "synth.distractors=0"],
 }
 # numerics functions that are not ops: they build or read tensors and tapes
-NOT_OPS = {"tensor", "constant", "backward", "first_occurrences"}
+NOT_OPS = {"tensor", "constant", "backward"}
 
 
 class OpProfile:

@@ -16,7 +16,7 @@ and ``recall.save_index``, and it reads no field of a token sequence.
 
 For every corpus and every case (a selector, and for the learned gate a
 user encoder) the worker writes the corpus with ``gateformer synth`` (seed
-1), trains ``--steps`` steps with two evaluations through ``gateformer
+1), trains ``STEPS`` steps with two evaluations through ``gateformer
 train``, restores the kept checkpoint and records a sha256 of each field:
 
 * ``checkpoint``: the bytes of ``best.bin`` and ``best.manifest.json``;
@@ -57,6 +57,7 @@ from pathlib import Path
 from bench_pairs import ROOT, checkout, git, tree_commit
 
 SEED = 1
+STEPS = 4  # training steps per case, with an evaluation every STEPS // 2
 TINY_MODEL = [
     "model.d=16", "model.layers=1", "model.heads=2", "gate.filters=8", "gate.k=2",
     "data.l_max=8", "data.n_max=6", "train.batch_size=4", "train.warmup=2",
@@ -114,16 +115,15 @@ def cli_run(args: list[str]) -> None:
         raise RuntimeError(f"gateformer {args[0]} exited {rc}")
 
 
-def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: str,
-                steps: int) -> dict[str, str]:
+def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: str) -> dict[str, str]:
     """The hashed fields of one case, trained on the corpus in ``data``."""
     from gateformer import cli, recall, training
     from gateformer import numerics as nm
 
     cli_run([
         "train", "--data", str(data), "--out", str(run), "--seed", str(SEED),
-        "--steps", str(steps), *flags(sets),
-        "--set", f"train.eval_interval={steps // 2}", "--set", "train.log_interval=0",
+        "--steps", str(STEPS), *flags(sets),
+        "--set", f"train.eval_interval={STEPS // 2}", "--set", "train.log_interval=0",
         "--set", f"gate.method={method}", "--set", f"gate.user_encoder={encoder}",
     ])
     cli_run(["recall", "--run", str(run), "--data", str(data),
@@ -167,7 +167,7 @@ def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: st
     return fields
 
 
-def worker(root: Path, corpora: list[str], cases: list[str], steps: int) -> dict[str, str]:
+def worker(root: Path, corpora: list[str], cases: list[str]) -> dict[str, str]:
     """Every field of every corpus and case, computed by the package under
     ``root/src``."""
     import numpy  # noqa: F401  before gateformer, so an unset BLAS setting stays unset
@@ -185,14 +185,12 @@ def worker(root: Path, corpora: list[str], cases: list[str], steps: int) -> dict
             cli_run(["synth", "--out", str(data), "--seed", str(SEED), *flags(synth_sets)])
             model_sets = [s for s in CORPORA[corpus] if not s.startswith("synth.")]
             for case in cases:
-                fields = case_fields(data, Path(tmp) / f"{corpus}-{case}", model_sets,
-                                     *CASES[case], steps)
+                fields = case_fields(data, Path(tmp) / f"{corpus}-{case}", model_sets, *CASES[case])
                 out.update({f"{corpus}/{case}/{name}": value for name, value in fields.items()})
     return out
 
 
-def run_side(root: Path, corpora: list[str], cases: list[str], steps: int,
-             blas_threads: str) -> dict[str, str]:
+def run_side(root: Path, corpora: list[str], cases: list[str], blas_threads: str) -> dict[str, str]:
     """This script's worker on the checkout at ``root``, in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     if blas_threads != "default":
@@ -202,7 +200,7 @@ def run_side(root: Path, corpora: list[str], cases: list[str], steps: int,
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(root),
              "--corpora", ",".join(corpora), "--cases", ",".join(cases),
-             "--steps", str(steps), "--out", out.name],
+             "--out", out.name],
             cwd=root, env=env, capture_output=True, text=True,
         )
         if proc.returncode != 0:
@@ -226,7 +224,6 @@ def main(argv=None) -> int:
                         help=f"comma-separated, of {', '.join(CORPORA)}")
     parser.add_argument("--cases", default=",".join(CASES),
                         help=f"comma-separated, of {', '.join(CASES)}")
-    parser.add_argument("--steps", type=int, default=4, help="training steps per case")
     parser.add_argument("--blas-threads", default="1", help="a count, or 'default'")
     parser.add_argument("--worker", metavar="ROOT", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
@@ -236,11 +233,9 @@ def main(argv=None) -> int:
         unknown = [n for n in name if n not in known]
         if unknown:
             parser.error(f"unknown {', '.join(unknown)}; choose from {', '.join(known)}")
-    if args.steps < 2:
-        parser.error("--steps must be at least 2, for two evaluations")
 
     if args.worker:
-        fields = worker(Path(args.worker), corpora, cases, args.steps)
+        fields = worker(Path(args.worker), corpora, cases)
         Path(args.out).write_text(json.dumps(fields, indent=1), encoding="utf-8")
         return 0
 
@@ -252,7 +247,7 @@ def main(argv=None) -> int:
         for side, rev in (("before", parent), ("after", change)):
             checkout(rev, Path(tmp) / side)
             try:
-                sides[side] = run_side(Path(tmp) / side, corpora, cases, args.steps, args.blas_threads)
+                sides[side] = run_side(Path(tmp) / side, corpora, cases, args.blas_threads)
             except RuntimeError as err:
                 print(f"error: {side}: {err}", file=sys.stderr)
                 return 2

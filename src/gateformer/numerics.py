@@ -984,19 +984,6 @@ def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
     return gather_rows(concat_rows(chunks), np.argsort(order))
 
 
-def first_occurrences(keys: Sequence) -> tuple[list[int], np.ndarray]:
-    """Positions of the distinct ``keys``' first occurrences, in input order,
-    and the inverse map (each key's index among them): rows made once per
-    distinct key reach every position by ``gather_rows(rows, inverse)``."""
-    slot: dict = {}
-    first: list[int] = []
-    for i, key in enumerate(keys):
-        if key not in slot:
-            slot[key] = len(first)
-            first.append(i)
-    return first, np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-
-
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
     x = _as_tensor(x)
     sl = [slice(None)] * x.data.ndim

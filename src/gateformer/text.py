@@ -89,6 +89,18 @@ class TokenSequence:
         return TokenSequence(self.ids[:l_max])
 
 
+def first_occurrences(keys) -> tuple[list[int], np.ndarray]:
+    """Positions of the distinct ``keys``' first occurrences, in input order,
+    and each key's index among them: ``gather_rows(rows, inverse)``."""
+    slot: dict = {}
+    first: list[int] = []
+    for i, key in enumerate(keys):
+        if key not in slot:
+            slot[key] = len(first)
+            first.append(i)
+    return first, np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
 @dataclass
 class UserHistory:
     """Chronological click history, most recent last."""

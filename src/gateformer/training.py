@@ -47,7 +47,7 @@ from . import numerics as nm
 from .gating import GateParams, GroupedSelection, gate_groups, init_gate_params, item_features
 from .numerics import Tape, Tensor, backward, tensor
 from .recall import InvertedIndex
-from .text import ImpressionSample, TokenSequence, UserHistory
+from .text import ImpressionSample, TokenSequence, UserHistory, first_occurrences
 # encode_candidate, encode_sequence and weighted_pool are not called here:
 # perfbench/tracing.py wraps them under these names
 from .transformer import (  # noqa: F401
@@ -89,7 +89,7 @@ class _Table:
         """The row of each key; ``compute`` makes the rows of the keys not
         held from the positions in ``keys`` of their first occurrences."""
         at = self.at
-        first, inverse = nm.first_occurrences(keys)
+        first, inverse = first_occurrences(keys)
         missing = [i for i in first if keys[i] not in at]
         if missing:
             parts = compute(missing)
@@ -177,10 +177,9 @@ class ItemStore:
         missing are made by :func:`encode_candidates` calls on slices of
         ``ENCODE_CHUNK`` distinct sequences."""
         def compute(first: list[int]) -> list[np.ndarray]:
-            missing = [seqs[i] for i in first]
             return [np.concatenate([
-                encode_candidates(missing[i:i + ENCODE_CHUNK], params).data
-                for i in range(0, len(missing), ENCODE_CHUNK)
+                encode_candidates([seqs[i] for i in first[j:j + ENCODE_CHUNK]], params).data
+                for j in range(0, len(first), ENCODE_CHUNK)
             ])]
 
         tensors = [params.word_embeddings, *params.named_tensors().values()]
@@ -302,7 +301,7 @@ def batch_user_embeddings(
     keys = range(len(histories)) if rngs is not None else [
         tuple(seq.key for seq in h.items) for h in histories
     ]
-    first, inverse = nm.first_occurrences(keys)
+    first, inverse = first_occurrences(keys)
     unique = [histories[i] for i in first]
 
     store = None if nm.recording() else model.items

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor, gather_rows, glorot, tensor
-from .text import TokenSequence
+from .text import TokenSequence, first_occurrences
 
 
 @dataclass
@@ -212,9 +212,11 @@ def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> T
     """
     if any(len(seq) < 1 for seq in seqs):
         raise ValueError("cannot encode an empty candidate")
-    first, inverse = nm.first_occurrences([seq.key for seq in seqs])
-    rows = encode_sequences(params.word_embeddings, [seqs[i].ids for i in first], params)
-    return gather_rows(rows, inverse)
+    first, inverse = first_occurrences([seq.key for seq in seqs])
+    # by length, as encode_sequences stacks them, so its rows need no reordering
+    order = sorted(range(len(first)), key=lambda j: len(seqs[first[j]]))
+    rows = encode_sequences(params.word_embeddings, [seqs[first[j]].ids for j in order], params)
+    return gather_rows(rows, np.argsort(order)[inverse])
 
 
 # ---------------------------------------------------------------------------

@@ -536,19 +536,6 @@ class TestAssembleRows:
         assert np.array_equal(np.concatenate(grads), c[order])
 
 
-class TestFirstOccurrences:
-    @pytest.mark.parametrize("keys", [
-        [], [b"a"], [b"b", b"a", b"b", b"c", b"a", b"a"], [(b"x", b"y"), (b"x",), (b"x", b"y")],
-        list(range(5)),
-    ])
-    def test_positions_and_inverse_rebuild_the_keys(self, keys):
-        first, inverse = nm.first_occurrences(keys)
-        distinct = list(dict.fromkeys(keys))
-        assert first == [keys.index(key) for key in distinct]
-        assert inverse.dtype == np.intp and len(inverse) == len(keys)
-        assert [distinct[j] for j in inverse] == keys
-
-
 class TestCosine:
     def test_self_similarity_is_one(self):
         v = tensor([3.0, -4.0, 1.0])

@@ -119,7 +119,7 @@ def same_numbers():
 
 class TestSameNumbers:
     def test_working_tree_against_itself_is_same(self, same_numbers):
-        sides = [same_numbers.run_side(same_numbers.ROOT, ["tiny"], ["learned-lstm"], 2, "1")
+        sides = [same_numbers.run_side(same_numbers.ROOT, ["tiny"], ["learned-lstm"], "1")
                  for _ in range(2)]
         lines = same_numbers.compare(*sides)
         assert len(lines) == 11

@@ -6,6 +6,7 @@ from gateformer.text import (
     TokenSequence,
     UserHistory,
     Vocabulary,
+    first_occurrences,
     load_mind_behaviors,
     load_mind_news,
     synth_corpus_full,
@@ -308,3 +309,16 @@ class TestTypes:
     def test_nested_ids_rejected(self):
         with pytest.raises(ValueError, match="one sequence"):
             TokenSequence([[1, 2], [3, 4]])
+
+
+class TestFirstOccurrences:
+    @pytest.mark.parametrize("keys", [
+        [], [b"a"], [b"b", b"a", b"b", b"c", b"a", b"a"], [(b"x", b"y"), (b"x",), (b"x", b"y")],
+        list(range(5)),
+    ])
+    def test_positions_and_inverse_rebuild_the_keys(self, keys):
+        first, inverse = first_occurrences(keys)
+        distinct = list(dict.fromkeys(keys))
+        assert first == [keys.index(key) for key in distinct]
+        assert inverse.dtype == np.intp and len(inverse) == len(keys)
+        assert [distinct[j] for j in inverse] == keys

@@ -179,6 +179,18 @@ class TestEncodeCandidate:
         assert np.array_equal(out.data[1], out.data[2])
         assert np.array_equal(out.data[0], out.data[3])
 
+    def test_input_order_adds_no_tape_node(self):
+        # distinct sequences reach encode_sequences sorted by length, so only
+        # the gather back to the input positions depends on the input order
+        p = make_params(seed=26)
+        short, long = seq_of([3, 1]), seq_of([1, 5, 9, 2])
+        tapes = []
+        for seqs in ([short, long], [long, short], [long, short, long, seq_of(short.ids)]):
+            with Tape() as tape:
+                encode_candidates(seqs, p)
+            tapes.append(len(tape))
+        assert tapes[1] == tapes[2] == tapes[0] + 1
+
     def test_batched_gradients_match_per_sequence(self):
         rng = np.random.default_rng(21)
         p = make_params(seed=21)
