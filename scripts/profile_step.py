@@ -23,6 +23,21 @@ with BLAS on one thread. It prints one markdown table per corpus:
   (a fresh model, so an empty item store) and warm (a second call on it,
   which is the store's snapshot check and one gather).
 
+Then one table of the batch-of-one forward path, in us per call: the mean
+over 32 distinct histories of one ``user_embedding`` each, and over 32 items
+of one ``encode_candidate`` each; each row is the median over ``REPEATS``
+rounds, after one unmeasured round. ``user_embedding`` is timed as it is
+and then again with its parts wrapped, and the split comes from the
+wrapped round:
+
+* ``gate_history``: its kernels (``item_features``, ``lstm_last`` or the
+  attention user encoder's ``attention_pool``, and ``cosine``),
+  ``select_positions``, and the rest, the gate's bookkeeping;
+* ``encode_user``: its layer stack and pooling (``encode_sequence`` and
+  ``weighted_pool``) and the rest, the encoder's bookkeeping.
+
+The wrappers' own cost falls in the bookkeeping rows.
+
 The corpora are the ``train`` and ``serve-long`` workloads' synth settings;
 the script shares no code with the benchmark.
 """
@@ -52,7 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from gateformer import cli, training  # noqa: E402
+from gateformer import cli, gating, training, transformer  # noqa: E402
 from gateformer import numerics as nm  # noqa: E402
 from gateformer.config import load_config  # noqa: E402
 
@@ -65,6 +80,17 @@ CORPORA = {
 }
 # numerics functions that are not ops: they build or read tensors and tapes
 NOT_OPS = {"tensor", "constant", "backward"}
+REPEATS = 5  # measured rounds of the batch-of-one table
+# the batch-of-one table's stages and the parts timed inside them, each
+# (module, name) wrapped in the module its caller looks it up in
+STAGES = {"gate": (training, "gate_history"), "encoder": (training, "encode_user"),
+          "candidate": (transformer, "encode_candidate")}
+PARTS = {
+    "kernels": [(gating, "item_features"), (nm, "lstm_last"), (nm, "attention_pool"),
+                (nm, "cosine"), (transformer, "encode_sequence"),
+                (transformer, "weighted_pool")],
+    "select": [(gating, "select_positions")],
+}
 
 
 class OpProfile:
@@ -197,7 +223,7 @@ def profile_corpus(name: str, steps: int, seed: int, work: Path) -> str:
         lines.append(f"| {key} | {statistics.median(values):.1f} |")
     lines.append(f"| forward ms outside ops (mean) | "
                  f"{statistics.mean(totals['forward ms']) - op_fwd:.1f} |")
-    return "\n".join(lines + [""] + forward)
+    return "\n".join(lines + [""] + forward + [""] + single_table(cfg, ds))
 
 
 def forward_table(cfg, ds) -> list[str]:
@@ -230,6 +256,97 @@ def forward_table(cfg, ds) -> list[str]:
             call(model)
             times.append((time.perf_counter() - t0) * 1e3)
         lines.append(f"| {label} | {times[0]:.1f} | {times[1]:.1f} |")
+    return lines
+
+
+class PartTimer:
+    """Wraps the batch-of-one table's stages and parts; a part is timed under
+    the stage running it, and a part called inside another part counts
+    towards the outer one."""
+
+    def __init__(self) -> None:
+        self.us: dict[tuple[str, str], float] = defaultdict(float)
+        self._stage: str | None = None
+        self._in_part = False
+        self._patched: list[tuple[object, str, object]] = []
+
+    def _wrap(self, mod, attr, stage=None, part=None) -> None:
+        fn = getattr(mod, attr)
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            if part is not None and (self._in_part or self._stage is None):
+                return fn(*args, **kwargs)
+            outer = (self._stage, self._in_part)
+            if stage is not None:
+                self._stage = stage
+            else:
+                self._in_part = True
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.us[self._stage, part or "total"] += (time.perf_counter() - t0) * 1e6
+                self._stage, self._in_part = outer
+
+        self._patched.append((mod, attr, fn))
+        setattr(mod, attr, timed)
+
+    def __enter__(self) -> "PartTimer":
+        for stage, (mod, attr) in STAGES.items():
+            self._wrap(mod, attr, stage=stage)
+        for part, targets in PARTS.items():
+            for mod, attr in targets:
+                self._wrap(mod, attr, part=part)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for mod, attr, fn in reversed(self._patched):
+            setattr(mod, attr, fn)
+        self._patched.clear()
+
+
+def single_table(cfg, ds) -> list[str]:
+    """The batch-of-one table's lines."""
+    model = cli.build_model(cfg, len(ds.vocab), ds.stats)
+    distinct = {tuple(seq.key for seq in s.history.items): s.history
+                for s in ds.train_samples + ds.val_samples}
+    histories = list(distinct.values())[:BATCH]
+    items = [ds.news[n] for n in sorted(ds.news)[:BATCH]]
+    rows: dict[str, list[float]] = defaultdict(list)
+    for round_ in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        for i, h in enumerate(histories):
+            training.user_embedding(model, h, i)
+        plain = (time.perf_counter() - t0) * 1e6 / len(histories)
+        with PartTimer() as timer:
+            for i, h in enumerate(histories):
+                training.user_embedding(model, h, i)
+            for seq in items:
+                transformer.encode_candidate(seq, model.trans)
+        if not round_:
+            continue
+        calls = {"gate": len(histories), "encoder": len(histories), "candidate": len(items)}
+        us = {(stage, part): v / calls[stage] for (stage, part), v in timer.us.items()}
+        gate, enc, cand = us["gate", "total"], us["encoder", "total"], us["candidate", "total"]
+        for label, value in (
+            ("user_embedding", plain),
+            ("gate_history", gate),
+            ("gate kernels", us["gate", "kernels"]),
+            ("select_positions", us["gate", "select"]),
+            ("gate bookkeeping", gate - us["gate", "kernels"] - us["gate", "select"]),
+            ("encode_user", enc),
+            ("encoder layers and pooling", us["encoder", "kernels"]),
+            ("encoder bookkeeping", enc - us["encoder", "kernels"]),
+            ("encode_candidate", cand),
+            ("candidate layers and pooling", us["candidate", "kernels"]),
+            ("candidate bookkeeping", cand - us["candidate", "kernels"]),
+        ):
+            rows[label].append(value)
+    n_items = len(histories[0])
+    lines = [f"| batch of one, {n_items}-item histories, no tape | us per call |",
+             "| --- | ---: |"]
+    lines += [f"| {label} | {statistics.median(values):.0f} |" for label, values in rows.items()]
     return lines
 
 

@@ -11,8 +11,10 @@ directory. Each side runs this script's worker in a fresh interpreter with
 its own checkout's ``src`` first on ``PYTHONPATH``. The worker calls only
 names that both trees are expected to have: the CLI subcommands and
 ``cli.load_run``, ``load_dataset``, ``restore_model``, ``training.evaluate``,
-``batch_loss``, ``batch_user_embeddings``, ``numerics.Tape``, ``backward``
-and ``recall.save_index``, and it reads no field of a token sequence.
+``batch_loss``, ``batch_user_embeddings``, ``impression_logits``,
+``ItemStore`` and its ``rows``, ``ENCODE_CHUNK``, ``numerics.Tape``,
+``constant``, ``backward`` and ``recall.save_index``, and it reads no field
+of a token sequence.
 
 For every corpus and every case (a selector, and for the learned gate a
 user encoder) the worker writes the corpus with ``gateformer synth`` (seed
@@ -28,6 +30,14 @@ train``, restores the kept checkpoint and records a sha256 of each field:
   first training samples; ``batch_loss_grads``: the gradients it leaves;
 * ``batch_user_embeddings``: the (B, d) output for the first 48 validation
   histories, without a tape;
+* ``impression_logits_cold`` / ``impression_logits_warm``: the scores
+  ``evaluate`` ranks, of every validation impression, made as it makes
+  them (per ``ENCODE_CHUNK`` slice: batched user embeddings, the
+  candidates' rows from the item store, ``impression_logits``), on an
+  empty item store and then on the warm one; ``candidate_rows``: the
+  store's rows of those candidates on the cold pass. The ``evaluate`` and
+  bench fields hash rank metrics, which a change to score bits that
+  reorders no impression leaves alone; these do not;
 * ``index_file``: the corpus index written by ``recall.save_index``;
 * ``recall_csv``: ``gateformer recall`` on 32 impressions;
 * ``bench_csv``: ``gateformer bench --k 1,3``, without its
@@ -156,6 +166,8 @@ def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: st
         for name in sorted(named)
     ))
 
+    fields.update(score_fields(model, dataset.val_samples))
+
     histories = [s.history for s in dataset.val_samples[:48]]
     users = training.batch_user_embeddings(model, histories, list(range(len(histories))))
     fields["batch_user_embeddings"] = sha(users.data.tobytes())
@@ -164,6 +176,36 @@ def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: st
     fields["index_file"] = sha((run / "index.bin").read_bytes())
     fields["recall_csv"] = sha((run / "recall.csv").read_bytes())
     fields["bench_csv"] = sha(without_column(run / "bench.csv", "wall_time_per_user"))
+    return fields
+
+
+def score_fields(model, samples) -> dict[str, str]:
+    """The hashed impression scores of ``samples`` on an empty item store and
+    on the warm one, and the candidate rows the cold pass read."""
+    import numpy as np
+
+    from gateformer import training
+    from gateformer import numerics as nm
+
+    model.items = training.ItemStore()
+    fields = {}
+    for when in ("cold", "warm"):
+        scores, rows = [], []
+        for start in range(0, len(samples), training.ENCODE_CHUNK):
+            chunk = samples[start:start + training.ENCODE_CHUNK]
+            users = training.batch_user_embeddings(
+                model, [s.history for s in chunk], list(range(start, start + len(chunk)))
+            )
+            cands = model.items.rows(
+                [seq for s in chunk for seq in (s.positive, *s.negatives)], model.trans
+            )
+            rows.append(cands.tobytes())
+            n_cands = np.array([1 + len(s.negatives) for s in chunk])
+            for members, z in training.impression_logits(users, nm.constant(cands), n_cands):
+                scores += [members.astype(np.int64).tobytes(), z.data.tobytes()]
+        fields[f"impression_logits_{when}"] = sha(*scores)
+        if when == "cold":
+            fields["candidate_rows"] = sha(*rows)
     return fields
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -237,11 +238,12 @@ def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     # first occurrence of each id in its row: a stable sort puts it first
     # among its equals
     by_id = np.argsort(ids, axis=1, kind="stable")
-    sorted_ids = np.take_along_axis(ids, by_id, axis=1)
+    row = np.arange(len(ids))[:, None]
+    sorted_ids = ids[row, by_id]
     first_sorted = np.ones(ids.shape, dtype=bool)
     first_sorted[:, 1:] = sorted_ids[:, 1:] != sorted_ids[:, :-1]
     first = np.empty_like(first_sorted)
-    np.put_along_axis(first, by_id, first_sorted, axis=1)
+    first[row, by_id] = first_sorted
     masked = np.where(first & (ids != PAD_ID), np.asarray(scores, dtype=float), -np.inf)
     counts = np.minimum((masked > -np.inf).sum(axis=1), k)
     if not counts.all():
@@ -277,6 +279,12 @@ def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:
     return ctx3, nm.attention_pool(ctx3, params.pool_v, mask)
 
 
+def _by_value(values: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each distinct value of a 1-D int array, ascending, with the positions
+    that hold it."""
+    return [(v, (values == v).nonzero()[0]) for v in sorted(set(values.tolist()))]
+
+
 def _interest_scores(
     params: GateParams,
     items: list[TokenSequence],
@@ -293,10 +301,9 @@ def _interest_scores(
     if store is None:
         features = [item_features(params, ids) for _, ids in groups]
     else:
-        keyed = [([items[i].key for i in members], ids) for members, ids in groups]
+        keyed = [([items[i].key for i in members.tolist()], ids) for members, ids in groups]
         features = [(constant(ctx3), constant(pooled))
                     for ctx3, pooled in store.gate_rows(keyed, params)]
-    ctxs = [ctx3 for ctx3, _ in features]
     pooled = nm.assemble_rows(
         [p for _, p in features], np.concatenate([m for m, _ in groups])
     )
@@ -304,8 +311,7 @@ def _interest_scores(
     # user interest, per count of items: the LSTM's last state or attention pooling
     n_items = np.diff(item_start)
     u_chunks, u_order = [], []
-    for N in np.unique(n_items):
-        hs = np.flatnonzero(n_items == N)
+    for N, hs in _by_value(n_items):
         flat = (item_start[hs][:, None] + np.arange(N)).ravel()
         stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
         if params.user_encoder == "attn":
@@ -321,7 +327,7 @@ def _interest_scores(
     owner = np.repeat(np.arange(len(n_items)), n_items)
     return [
         nm.cosine(ctx3, gather_rows(interest, owner[members][:, None]))
-        for (members, _), ctx3 in zip(groups, ctxs)
+        for (members, _), (ctx3, _) in zip(groups, features)
     ]
 
 
@@ -355,12 +361,15 @@ def gate_groups(
     if not histories:
         raise ValueError("no histories to gate")
     items = [seq for h in histories for seq in h.items]
-    if any(len(seq) < 1 for seq in items):
+    lengths = [len(seq) for seq in items]
+    if 0 in lengths:
         raise ValueError("cannot gate an empty token sequence")
-    lengths = np.array([len(seq) for seq in items])
-    item_start = np.concatenate([[0], np.cumsum([len(h) for h in histories])])
-    by_length = [np.flatnonzero(lengths == L) for L in np.unique(lengths)]
-    groups = [(members, np.stack([items[i].ids for i in members])) for members in by_length]
+    lengths = np.array(lengths)
+    item_start = np.array([0, *accumulate(len(h) for h in histories)])
+    groups = [
+        (members, np.array([items[i].ids for i in members.tolist()]))
+        for _, members in _by_value(lengths)
+    ]
 
     if method == "learned":
         scores = _interest_scores(params, items, item_start, groups, store)
@@ -382,7 +391,7 @@ def gate_groups(
     k_eff = np.empty(n_items, dtype=np.intp)
     for (members, _), (_, counts) in zip(groups, picks):
         k_eff[members] = counts
-    offsets = np.concatenate([[0], np.cumsum(k_eff)])
+    offsets = np.array([0, *accumulate(k_eff.tolist())])
     score_at = np.empty((n_items, 3), dtype=np.intp)
     flat_scores = []
     row_chunks, weight_chunks, pos_chunks, id_chunks, row_order = [], [], [], [], []
@@ -393,8 +402,7 @@ def gate_groups(
         score_at[members, 0] = g
         score_at[members, 1] = np.arange(G) * L
         score_at[members, 2] = L
-        for kk in np.unique(counts):
-            rows = np.flatnonzero(counts == kk)
+        for kk, rows in _by_value(counts):
             pos = order[rows, :kk]
             flat_idx = (rows[:, None] * L + pos).ravel()
             if method == "learned":

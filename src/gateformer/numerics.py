@@ -86,7 +86,14 @@ __all__ = [
     "FlopCounter",
 ]
 
-_STATE = threading.local()
+class _State(threading.local):
+    """Per-thread tape and FLOP counter; ``None`` when not armed."""
+
+    tape: "Tape | None" = None
+    flops: "FlopCounter | None" = None
+
+
+_STATE = _State()
 
 # Fixed per-element costs for non-multiply-add work; the analytic cost model
 # in the efficiency module uses the same table.
@@ -99,7 +106,7 @@ _FLOPS_PER_ELEM = {
 
 
 def _tape() -> "Tape | None":
-    return getattr(_STATE, "tape", None)
+    return _STATE.tape
 
 
 def recording() -> bool:
@@ -108,7 +115,7 @@ def recording() -> bool:
 
 
 def _count(n: int) -> None:
-    c = getattr(_STATE, "flops", None)
+    c = _STATE.flops
     if c is not None:
         c.flops += n
 
@@ -126,7 +133,7 @@ class count_flops:
     """Context manager arming a thread-local multiply-add counter."""
 
     def __enter__(self) -> FlopCounter:
-        self._prev = getattr(_STATE, "flops", None)
+        self._prev = _STATE.flops
         c = FlopCounter()
         _STATE.flops = c
         return c
@@ -239,7 +246,7 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        self._prev = getattr(_STATE, "tape", None)
+        self._prev = _STATE.tape
         _STATE.tape = self
         return self
 
@@ -549,7 +556,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm params {gamma.data.shape}, {beta.data.shape} do not fit "
             f"input {x.data.shape}"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the sum and division of ndarray.mean, without its Python wrapper
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / d + eps)[..., None]
     xhat *= inv
     data = xhat * gamma.data
@@ -675,10 +683,11 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
     of a (B, N, in) stack: B independent chains of the same length.
 
     One tape node: the forward pass steps through plain arrays (the input
-    projection of every step is one product up front) and the backward pass
-    is hand-written backpropagation through time. The FLOP count is that of
-    the cell written out op by op: per step and chain, two gate products,
-    two adds, three sigmoids, two tanhs, two products and an add.
+    projection of every step is one product up front, and each step's gate
+    rows are updated in place) and the backward pass is hand-written
+    backpropagation through time. The FLOP count is that of the cell written
+    out op by op: per step and chain, two gate products, two adds, three
+    sigmoids, two tanhs, two products and an add.
     """
     seq = _as_tensor(seq)
     if seq.data.ndim != 3 or seq.data.shape[1] < 1:
@@ -688,21 +697,29 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
     g = params.hidden
     w_ih, w_hh, bias = params.tensors()
     x_proj = x @ w_ih.data.T                                  # (B, N, 4g)
+    w_hh_t = w_hh.data.T
     h = np.zeros((B, g))
     c = np.zeros((B, g))
-    # per step: input h, input c, and the cell's gate values, for backward
-    hs, cs, gates, tanh_cs = [], [], [], []
-    for t in range(n_steps):
+    # per step: input h, input c, the sigmoid of every gate row (the i, f
+    # and o blocks are used), c_hat and tanh(c), for backward
+    hs, cs, sigs, c_hats, tanh_cs = [], [], [], [], []
+    for x_t in x_proj.transpose(1, 0, 2):
         hs.append(h)
         cs.append(c)
-        z = x_proj[:, t] + h @ w_hh.data.T + bias.data
-        sig = 1.0 / (1.0 + np.exp(-z))                       # i, f, o blocks used
+        z = h @ w_hh_t
+        z += x_t
+        z += bias.data
         c_hat = np.tanh(z[:, 2 * g:3 * g])
-        i_g, f_g, o_g = sig[:, 0:g], sig[:, g:2 * g], sig[:, 3 * g:4 * g]
-        c = f_g * c + i_g * c_hat
+        np.negative(z, z)                                     # z = 1 / (1 + exp(-z))
+        np.exp(z, z)
+        z += 1.0
+        np.divide(1.0, z, z)
+        c = z[:, g:2 * g] * c
+        c += z[:, 0:g] * c_hat
         tanh_c = np.tanh(c)
-        h = o_g * tanh_c
-        gates.append((i_g, f_g, c_hat, o_g))
+        h = z[:, 3 * g:4 * g] * tanh_c
+        sigs.append(z)
+        c_hats.append(c_hat)
         tanh_cs.append(tanh_c)
     _count(n_steps * B * (8 * g * (in_dim + g) + 32 * g))
 
@@ -710,8 +727,8 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
         dc = np.zeros((B, g))
         dz = np.empty((B, n_steps, 4 * g))
         for t in reversed(range(n_steps)):
-            i_g, f_g, c_hat, o_g = gates[t]
-            tanh_c = tanh_cs[t]
+            sig, c_hat, tanh_c = sigs[t], c_hats[t], tanh_cs[t]
+            i_g, f_g, o_g = sig[:, 0:g], sig[:, g:2 * g], sig[:, 3 * g:4 * g]
             dc = dc + dh * o_g * (1.0 - tanh_c * tanh_c)
             dz[:, t, 0:g] = dc * c_hat * i_g * (1.0 - i_g)
             dz[:, t, g:2 * g] = dc * cs[t] * f_g * (1.0 - f_g)
@@ -921,6 +938,11 @@ def cosine(a, b, eps: float = 1e-12) -> Tensor:
 # indexing / shaping
 # ---------------------------------------------------------------------------
 
+def _in_order(idx: np.ndarray, n: int) -> bool:
+    """Whether an index array reads 0, 1, ..., n - 1, each once and in order."""
+    return idx.size == n and bool((idx.ravel() == np.arange(n)).all())
+
+
 def gather_rows(x, indices) -> Tensor:
     """Select leading-axis entries of x (any index shape); backward
     scatter-adds duplicate picks into the same source row.
@@ -936,10 +958,11 @@ def gather_rows(x, indices) -> Tensor:
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     rows = x.data.shape[0] if x.data.ndim else 0
-    # an identity index is in range, so it skips the range check's reductions
-    if rows and idx.size == rows and np.array_equal(idx.ravel(), np.arange(rows)):
+    # an identity index is in range, so it skips the range check
+    if rows and _in_order(idx, rows):
         return x if idx.ndim == 1 else reshape(x, idx.shape + x.data.shape[1:])
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+    # one reduction: as unsigned, a negative index reads as out of range
+    if idx.size and np.maximum.reduce(idx.view(np.uintp), axis=None) >= rows:
         raise ValueError(
             f"gather_rows index out of range [0, {rows}): "
             f"min {idx.min()}, max {idx.max()}"
@@ -979,8 +1002,11 @@ def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
     """Concatenate row chunks and permute rows back to their global order.
 
     ``order[r]`` is the global index of concatenated row r. One chunk in
-    global order comes back as it is, with no tape node.
+    global order comes back as it is: no tape node, and no sort.
     """
+    order = np.asarray(order, dtype=np.intp)
+    if len(chunks) == 1 and _in_order(order, len(order)):
+        return _as_tensor(chunks[0])
     return gather_rows(concat_rows(chunks), np.argsort(order))
 
 

@@ -15,6 +15,7 @@ File formats:
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,7 @@ class Vocabulary:
             raise ValueError("vocabulary contains duplicate tokens")
         self.pad_id = PAD_ID
         self.unk_id = self.id_of[UNK_TOKEN]
+        self.longest = max(map(len, self.tokens))  # no piece is longer
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -85,9 +87,6 @@ class TokenSequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def truncated(self, l_max: int) -> "TokenSequence":
-        return TokenSequence(self.ids[:l_max])
-
 
 def first_occurrences(keys) -> tuple[list[int], np.ndarray]:
     """Positions of the distinct ``keys``' first occurrences, in input order,
@@ -127,30 +126,32 @@ class ImpressionSample:
     negative_ids: list[str]
 
 
+# a word is a run of alphanumeric characters (re's \w is str.isalnum() and
+# the underscore); any other character that is not a space (str.isspace())
+# is a punctuation word of its own
+_WORDS = re.compile(r"([^\W_]+)|(\S)")
+
+
+def _lower(word: str) -> str:
+    """The word with each character lowered on its own. ``str.lower`` does
+    that too, except that it gives a capital sigma at the end of a word the
+    final form, so such a word is lowered character by character."""
+    return word.lower() if "\u03a3" not in word else "".join(map(str.lower, word))
+
+
 def _basic_tokenize(text: str) -> list[str]:
-    """Lowercased words; punctuation chars are standalone words."""
-    words: list[str] = []
-    cur: list[str] = []
-    for ch in text:
-        if ch.isalnum():
-            cur.append(ch.lower())
-        else:
-            if cur:
-                words.append("".join(cur))
-                cur = []
-            if not ch.isspace():
-                words.append(ch)
-    if cur:
-        words.append("".join(cur))
-    return words
+    """Lowercased words; punctuation chars are standalone words, as they are."""
+    return [_lower(word) if word else punct for word, punct in _WORDS.findall(text)]
 
 
 def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str] | None:
-    """Longest-match-first subword split; None if any remainder is unmatchable."""
+    """Longest-match-first subword split; None if any remainder is unmatchable.
+    A match is tried from the vocabulary's longest piece down, so a long
+    word costs each position a bounded number of look-ups."""
     pieces: list[str] = []
     start = 0
     while start < len(word):
-        end = len(word)
+        end = min(len(word), start + vocab.longest)
         found = None
         while start < end:
             sub = word[start:end]
@@ -167,16 +168,24 @@ def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str] | None:
     return pieces
 
 
-def wordpiece_tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
-    """Greedy WordPiece over lowercased, punctuation-split words."""
+def _token_ids(text: str, vocab: Vocabulary, split: dict[str, list[int]]) -> list[int]:
+    """Greedy WordPiece ids of a text; each distinct word is split once per
+    ``split``, which maps a word to its ids."""
     ids: list[int] = []
     for word in _basic_tokenize(text):
-        pieces = _greedy_pieces(word, vocab)
-        if pieces is None:
-            ids.append(vocab.unk_id)
-        else:
-            ids.extend(vocab.id_of[piece] for piece in pieces)
-    return TokenSequence(ids)
+        word_ids = split.get(word)
+        if word_ids is None:
+            pieces = _greedy_pieces(word, vocab)
+            word_ids = split[word] = (
+                [vocab.unk_id] if pieces is None else [vocab.id_of[piece] for piece in pieces]
+            )
+        ids.extend(word_ids)
+    return ids
+
+
+def wordpiece_tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
+    """Greedy WordPiece over lowercased, punctuation-split words."""
+    return TokenSequence(_token_ids(text, vocab, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +198,14 @@ def load_mind_news(
     l_max: int = 30,
     title_only: bool = False,
 ) -> dict[str, TokenSequence]:
-    """Parse a news file into truncated token sequences keyed by news id;
-    rows with too few columns or no token are skipped, with one warning."""
+    """Parse a news file into token sequences of at most ``l_max`` ids, keyed
+    by news id; rows with too few columns or no token are skipped, with one
+    warning. Each distinct word is split into pieces once per call."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"news file not found: {path}")
     news: dict[str, TokenSequence] = {}
+    split: dict[str, list[int]] = {}
     skipped = 0
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -205,9 +216,9 @@ def load_mind_news(
             if len(cols) >= 5:
                 news_id, _category, _subcategory, title, abstract = cols[:5]
                 text = title if title_only else f"{title} {abstract}"
-                seq = wordpiece_tokenize(text, vocab).truncated(l_max)
-                if len(seq):
-                    news[news_id] = seq
+                ids = _token_ids(text, vocab, split)[:l_max]
+                if ids:
+                    news[news_id] = TokenSequence(ids)
                     continue
             skipped += 1
     if skipped:

@@ -171,6 +171,49 @@ def softmax_oracle(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def basic_tokenize_oracle(text: str) -> list[str]:
+    """Words of a text by a character loop: runs of ``str.isalnum``
+    characters, each lowered on its own, and every other non-space
+    character (``str.isspace``) as a word of its own, unchanged."""
+    words: list[str] = []
+    cur: list[str] = []
+    for ch in text:
+        if ch.isalnum():
+            cur.append(ch.lower())
+        else:
+            if cur:
+                words.append("".join(cur))
+                cur = []
+            if not ch.isspace():
+                words.append(ch)
+    if cur:
+        words.append("".join(cur))
+    return words
+
+
+def greedy_pieces_oracle(word: str, vocab) -> list[str] | None:
+    """Longest-match-first subword split that tries every end of the word,
+    from the last down; None if any remainder is unmatchable."""
+    pieces: list[str] = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        found = None
+        while start < end:
+            sub = word[start:end]
+            if start > 0:
+                sub = "##" + sub
+            if sub in vocab:
+                found = sub
+                break
+            end -= 1
+        if found is None:
+            return None
+        pieces.append(found)
+        start = end
+    return pieces
+
+
 def auc_oracle(scores, labels) -> float:
     """Pairwise P(score_pos > score_neg) with ties counted 1/2."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

@@ -466,6 +466,25 @@ class TestGroupedSelectPositions:
                     expect = select_positions_oracle(seq_of(ids[row].tolist()), scores[row], k)
                     assert order[row, :counts[row]].tolist() == expect
 
+    def test_repeated_ids_and_pads_by_plain_indexing(self, monkeypatch):
+        def no_along_axis(*args, **kwargs):
+            raise AssertionError("an along-axis helper was called")
+
+        monkeypatch.setattr(np, "take_along_axis", no_along_axis)
+        monkeypatch.setattr(np, "put_along_axis", no_along_axis)
+        ids = np.array([[5, 0, 5, 7, 0, 7, 2],
+                        [0, 0, 3, 3, 3, 0, 0],
+                        [9, 8, 7, 9, 8, 7, 0]])
+        scores = np.array([[0.1, 9.0, 0.5, 0.5, 9.0, 2.0, 0.5],
+                           [9.0, 9.0, -1.0, 5.0, 5.0, 9.0, 9.0],
+                           [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 3.0]])
+        for k in (1, 2, 3, 7):
+            order, counts = select_positions(ids, scores, k)
+            assert counts.tolist() == [min(k, 3), 1, min(k, 3)]
+            for row in range(3):
+                expect = select_positions_oracle(seq_of(ids[row].tolist()), scores[row], k)
+                assert order[row, :counts[row]].tolist() == expect
+
     def test_all_pad_row_rejected(self):
         ids = np.array([[3, 4], [0, 0]])
         with pytest.raises(ValueError, match="padding"):
@@ -529,6 +548,35 @@ class TestGateMatchesOracle:
         self.assert_match(
             lambda: gate_groups([history], p, 3), lambda: gate_history_oracle(history, p, 3), p
         )
+
+    @TOKEN_ENCODERS
+    def test_groups_with_no_numpy_unique(self, encoder, monkeypatch):
+        # the gate groups items by length, histories by item count and rows
+        # by K_eff with a set over a short list, not np.unique; test_learned
+        # pins the same gate to the oracle
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        rng = np.random.default_rng(34)
+        p = make_gate(vocab_size=15, seed=34, user_encoder=encoder)
+        histories = [oracle_history(rng, 15), UserHistory(oracle_history(rng, 15).items[:2]),
+                     oracle_history(rng, 15)]
+        weights = [p.word_embeddings, *p.named_tensors().values()]
+        c = np.random.default_rng(35).normal(size=(64, p.embed_dim))
+
+        def run():
+            gated = gate_groups(histories, p, 3)
+            return gated, lambda: nm.vsum(nm.mul(gate_groups(histories, p, 3).rows,
+                                                 tensor(c[:len(gated.rows.data)])))
+
+        want, loss = run()
+        want_grads = autodiff_grads(loss, weights)
+        monkeypatch.setattr(np, "unique", no_unique)
+        got, loss = run()
+        assert np.array_equal(got.rows.data, want.rows.data)
+        assert np.array_equal(got.offsets, want.offsets)
+        for a, b in zip(autodiff_grads(loss, weights), want_grads):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
     @pytest.mark.parametrize("method", ["first", "bm25", "random"])
     def test_heuristic(self, method):

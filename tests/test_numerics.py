@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,23 @@ class TestLstmLast:
         for a, e in zip(fast, slow):
             assert rel_err(a, e) < 1e-12
 
+    def test_one_chain_of_thirty_steps_matches_oracle_and_finite_differences(self):
+        # B = 1, N = 30: the shape of one 30-item history's interest vector
+        r = rng(15)
+        g, in_dim = 3, 3
+        params = make_lstm(r, g, in_dim)
+        seq = tensor(r.normal(size=(1, 30, in_dim)), requires_grad=True)
+        out = lstm_last(seq, params)
+        want = lstm_last_oracle(reshape(seq, (30, in_dim)), params)
+        assert out.data.shape == (1, g)
+        assert rel_err(out.data[0], want.data) < 1e-12
+        c = tensor(r.normal(size=(g,)))
+        check_grads(
+            lambda: matmul(reshape(lstm_last(seq, params), (g,)), c),
+            [seq, *params.tensors()],
+            tol=1e-5,
+        )
+
     def test_one_tape_node(self):
         params = make_lstm(rng(13), 3, 2)
         with Tape() as tape:
@@ -386,6 +405,19 @@ class TestLayerNorm:
             layer_norm(x, gamma, beta)
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("shape", [(1, 18, 64), (5, 7), (3, 200)])
+    def test_centring_has_the_bits_of_ndarray_mean(self, shape):
+        # the row mean is np.add.reduce and one division, as ndarray.mean
+        # computes it; every later step is as written here
+        r = rng(380)
+        x = r.normal(size=shape) * 3.0 + 1.0
+        gamma, beta = r.normal(size=shape[-1]), r.normal(size=shape[-1])
+        d = shape[-1]
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        xhat *= 1.0 / np.sqrt(np.vecdot(xhat, xhat) / d + 1e-5)[..., None]
+        want = xhat * gamma + beta
+        assert np.array_equal(layer_norm(tensor(x), tensor(gamma), tensor(beta)).data, want)
+
     def test_constant_row_normalises_to_beta(self):
         x = tensor(np.full((2, 4), 3.0))
         out = layer_norm(x, tensor(np.ones(4)), tensor([1.0, 2.0, 3.0, 4.0]))
@@ -484,6 +516,22 @@ class TestGatherRows:
             out = gather_rows(x, np.arange(4))
         assert out is x and len(tape) == 0
 
+    def test_identity_check_is_no_array_compare(self, monkeypatch):
+        def no_compare(*args, **kwargs):
+            raise AssertionError("np.array_equal called")
+
+        monkeypatch.setattr(np, "array_equal", no_compare)
+        x = tensor(rng(609).normal(size=(6, 3)))
+        assert gather_rows(x, np.arange(6)) is x
+        assert gather_rows(x, [0]).data.shape == (1, 3)
+
+    @pytest.mark.parametrize("indices", [[-(2 ** 62)], [0, 2 ** 62], [[np.iinfo(np.intp).min]]])
+    def test_extreme_index_rejected(self, indices):
+        # the range check reads the index as unsigned, so a negative index
+        # of any size is past the last row
+        with pytest.raises(ValueError, match="out of range"):
+            gather_rows(tensor(np.zeros((3, 2))), indices)
+
     def test_2d_identity_is_one_reshape_node(self):
         r = rng(606)
         x = tensor(r.normal(size=(6, 3)), requires_grad=True)
@@ -522,6 +570,15 @@ class TestAssembleRows:
         with Tape() as tape:
             out = nm.assemble_rows([chunk], np.arange(4))
         assert out is chunk and len(tape) == 0
+
+    @pytest.mark.parametrize("order", [np.arange(4), [0, 1, 2, 3]])
+    def test_one_chunk_in_order_sorts_nothing(self, monkeypatch, order):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.argsort called")
+
+        chunk = tensor(rng(612).normal(size=(4, 3)), requires_grad=True)
+        monkeypatch.setattr(np, "argsort", no_sort)
+        assert nm.assemble_rows([chunk], order) is chunk
 
     def test_permuted_order_restored(self):
         r = rng(611)
@@ -846,6 +903,30 @@ class TestNoNansOnFiniteInput:
         ]
         for o in outs:
             assert np.isfinite(o).all()
+
+
+class TestThreadState:
+    def test_fresh_thread_reads_no_tape_and_no_counter(self):
+        # the state has class-level defaults, so every op's look-up of the
+        # tape and the counter succeeds on a thread that never set them
+        seen = []
+
+        def read():
+            seen.append((nm._STATE.tape, nm._STATE.flops, nm.recording()))
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        thread.join()
+        assert seen == [(None, None, False)]
+
+    def test_tape_and_counter_stay_on_their_thread(self):
+        seen = []
+        with Tape(), nm.count_flops():
+            thread = threading.Thread(target=lambda: seen.append((nm.recording(), nm._STATE.flops)))
+            thread.start()
+            thread.join()
+            assert nm.recording()
+        assert seen == [(False, None)] and not nm.recording() and nm._STATE.flops is None
 
 
 class TestFlopCounter:

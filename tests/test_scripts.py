@@ -110,6 +110,25 @@ class TestProfileStep:
             assert len(re.findall(row, profile_output, re.M)) == 1, entry
 
 
+    def test_batch_of_one_table_splits_each_entry(self, profile_output):
+        assert "| batch of one, 6-item histories, no tape | us per call |" in profile_output
+        for label in ("user_embedding", "gate_history", "gate kernels", "select_positions",
+                      "gate bookkeeping", "encode_user", "encoder layers and pooling",
+                      "encoder bookkeeping", "encode_candidate", "candidate layers and pooling",
+                      "candidate bookkeeping"):
+            row = rf"^\| {label} \| \d+ \|$"
+            assert len(re.findall(row, profile_output, re.M)) == 1, label
+
+    def test_batch_of_one_parts_add_up(self, profile_output):
+        us = dict(re.findall(r"^\| ([a-z_ ]+) \| (\d+) \|$", profile_output, re.M))
+        us = {label: int(v) for label, v in us.items()}
+        # each part is at most its stage, up to the rounding of each row
+        assert us["gate kernels"] + us["select_positions"] <= us["gate_history"] + 2
+        assert us["encoder layers and pooling"] <= us["encode_user"] + 1
+        assert us["candidate layers and pooling"] <= us["encode_candidate"] + 1
+        assert us["gate kernels"] > 0 and us["encoder layers and pooling"] > 0
+
+
 @pytest.fixture(scope="module")
 def same_numbers():
     with pytest.MonkeyPatch.context() as mp:
@@ -122,7 +141,7 @@ class TestSameNumbers:
         sides = [same_numbers.run_side(same_numbers.ROOT, ["tiny"], ["learned-lstm"], "1")
                  for _ in range(2)]
         lines = same_numbers.compare(*sides)
-        assert len(lines) == 11
+        assert len(lines) == 14
         assert all(re.fullmatch(r"tiny/learned-lstm/\w+ same", line) for line in lines), lines
 
     def test_a_field_that_differs_or_is_on_one_side_differs(self, same_numbers):

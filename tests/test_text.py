@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gateformer.text import (
     ImpressionSample,
     TokenSequence,
     UserHistory,
     Vocabulary,
+    _basic_tokenize,
+    _greedy_pieces,
     first_occurrences,
     load_mind_behaviors,
     load_mind_news,
     synth_corpus_full,
     wordpiece_tokenize,
 )
-from oracles import auc_oracle
+from oracles import auc_oracle, basic_tokenize_oracle, greedy_pieces_oracle
 
 
 def make_vocab(*words):
@@ -63,6 +67,48 @@ class TestWordpiece:
         rejoined = " ".join(vocab.token_of(i).removeprefix("##") for i in a.ids)
         assert wordpiece_tokenize(rejoined, vocab).ids[: len(a.ids)].tolist()  # re-tokenizable
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=40))
+    def test_words_match_the_character_loop(self, text):
+        assert _basic_tokenize(text) == basic_tokenize_oracle(text)
+
+    @pytest.mark.parametrize("text", [
+        "ΟΔΟΣ ΣΟΦΟΣ aΣ Σ", "İstanbul", "snake_case __init__", "x²+y₂ ½ Ⅻ",
+        "Ⓐ ⓐ 𝐀𝐁", "tab\tnew\nline\x1c\u2028end", "e\u0301 ǅ ß ﬁ", "",
+    ])
+    def test_hard_characters_match_the_character_loop(self, text):
+        # final sigma, multi-character lowering, the underscore, numerics,
+        # symbols with case, the separators str.isspace() counts, combining
+        # marks, title case
+        assert _basic_tokenize(text) == basic_tokenize_oracle(text)
+
+    def test_longest_match_bounded_by_the_longest_piece(self):
+        rng = np.random.default_rng(40)
+        pieces = ["a", "b", "ab", "abc", "##a", "##b", "##c", "##bc", "##cab", "c"]
+        for _ in range(300):
+            vocab = make_vocab(*rng.choice(pieces, size=int(rng.integers(1, 8)), replace=False))
+            word = "".join(rng.choice(list("abcd"), size=int(rng.integers(1, 12))))
+            assert _greedy_pieces(word, vocab) == greedy_pieces_oracle(word, vocab)
+
+    def test_long_word_costs_a_bounded_number_of_lookups(self):
+        # a vocabulary of the 26 letters and their continuation pieces, as
+        # any BERT vocabulary holds; each position of a 4,000-character word
+        # tries at most as many pieces as the longest token is long
+        class CountingVocabulary(Vocabulary):
+            lookups = 0
+
+            def __contains__(self, token):
+                CountingVocabulary.lookups += 1
+                return super().__contains__(token)
+
+        letters = [chr(c) for c in range(ord("a"), ord("z") + 1)]
+        vocab = CountingVocabulary(["[PAD]", "[UNK]", *letters, *("##" + c for c in letters)])
+        word = "".join(letters[i % 26] for i in range(4000))
+        seq = wordpiece_tokenize(word, vocab)
+        assert [vocab.token_of(i) for i in seq.ids[:3]] == ["a", "##b", "##c"]
+        assert len(seq) == 4000
+        assert CountingVocabulary.lookups <= vocab.longest * len(word)
+
     def test_vocab_roundtrip(self, tmp_path):
         vocab = make_vocab("alpha", "##beta")
         vocab.save(tmp_path / "v.txt")
@@ -111,6 +157,8 @@ class TestLoadMindNews:
         news = load_mind_news(path, news_vocab, l_max=2)
         assert all(len(seq) <= 2 for seq in news.values())
         assert news["N1"].ids.tolist() == [news_vocab.id_of["big"], news_vocab.id_of["match"]]
+        # a row shorter than l_max keeps every id
+        assert len(load_mind_news(path, news_vocab, l_max=20)["N1"]) == 5
 
     def test_malformed_row_skipped_with_warning(self, tmp_path, news_vocab, caplog):
         path = tmp_path / "news.tsv"
@@ -277,11 +325,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             UserHistory([])
 
-    def test_truncated_never_exceeds_l_max(self):
-        seq = TokenSequence(list(range(1, 9)))
-        assert len(seq.truncated(3)) == 3
-        assert len(seq.truncated(20)) == 8
-
     def test_ids_are_one_read_only_int64_array(self):
         seq = TokenSequence([3, 1, 2])
         assert seq.ids.dtype == np.int64 and seq.ids.shape == (3,)
@@ -304,7 +347,7 @@ class TestTypes:
     def test_different_lengths_never_share_a_key(self):
         seqs = [TokenSequence([0] * n) for n in range(5)] + [TokenSequence([1, 0]), TokenSequence([1])]
         assert len({seq.key for seq in seqs}) == len(seqs)
-        assert TokenSequence([5, 6, 7]).truncated(2).key == TokenSequence([5, 6]).key
+        assert TokenSequence(TokenSequence([5, 6, 7]).ids[:2]).key == TokenSequence([5, 6]).key
 
     def test_nested_ids_rejected(self):
         with pytest.raises(ValueError, match="one sequence"):

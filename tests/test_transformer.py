@@ -94,6 +94,19 @@ class TestEncodeUser:
         out = encode_user(gated.rows, p)
         assert out.data.shape == (p.d,)
 
+    def test_one_sequence_sorts_and_compares_no_array(self, monkeypatch):
+        # its index reads every row in order and its one pooled row is in
+        # order: the gather is a reshape and the assembly returns the row
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        p = make_params(seed=7)
+        rows = manual_rows(seq_of([4, 8, 2, 9]), p)
+        want = encode_user(rows, p).data
+        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(np, "array_equal", refuse)
+        assert encode_user(rows, p).data.tobytes() == want.tobytes()
+
     def test_empty_selection_rejected(self):
         p = make_params(seed=5)
         with pytest.raises(ValueError, match="selected token"):
