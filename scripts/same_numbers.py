@@ -43,6 +43,13 @@ train``, restores the kept checkpoint and records a sha256 of each field:
 * ``bench_csv``: ``gateformer bench --k 1,3``, without its
   ``wall_time_per_user`` column, since timings are not bits.
 
+The corpora are the benchmark workloads' (``train``, ``serve-long``), each
+with one item length and one history length, a ``tiny`` one for the smoke
+test, and ``ragged``: the ``train`` corpus with each news title cut to a
+seeded random count of its words (1-30) and each behaviors history to a
+seeded random count of its most recent items (1-6), so that batches hold
+several item lengths, item counts and K_eff values, some below ``gate.k``.
+
 It prints one line per field, ``<corpus>/<case>/<field> same`` or
 ``differs``, and exits 1 when any field differs (2 when a side fails to
 run). BLAS runs on ``--blas-threads`` threads; ``default`` leaves the BLAS
@@ -84,7 +91,10 @@ CORPORA = {
     "train": [],
     "serve-long": ["synth.items=2048", "synth.history_len=30",
                    "synth.filler_pool=1000", "synth.distractors=0"],
+    "ragged": [],
 }
+RAGGED_WORDS = 30  # a ragged title keeps 1..RAGGED_WORDS of its words
+RAGGED_ITEMS = 6   # a ragged history keeps its 1..RAGGED_ITEMS most recent items
 CASES = {
     "learned-lstm": ("learned", "lstm"),
     "learned-attn": ("learned", "attn"),
@@ -109,6 +119,26 @@ def without_column(path: Path, column: str) -> bytes:
     drop = rows[0].index(column)
     kept = [",".join(v for i, v in enumerate(row) if i != drop) for row in rows]
     return "\n".join(comments + kept).encode("utf-8")
+
+
+def make_ragged(data: Path) -> None:
+    """Cut the written corpus in ``data`` to ragged lengths: each news title
+    to its first 1..RAGGED_WORDS words and each behaviors history to its
+    1..RAGGED_ITEMS most recent items, every count a seeded random draw."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+
+    def cut(path: Path, most: int, keep) -> None:
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            # column 3 is a news row's title and a behaviors row's history
+            row[3] = " ".join(keep(row[3].split(), int(rng.integers(1, most + 1))))
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+
+    cut(data / "news.tsv", RAGGED_WORDS, lambda words, n: words[:n])
+    for name in ("behaviors.tsv", "behaviors_val.tsv"):
+        cut(data / name, RAGGED_ITEMS, lambda items, n: items[-n:])
 
 
 def flags(sets: list[str]) -> list[str]:
@@ -225,6 +255,8 @@ def worker(root: Path, corpora: list[str], cases: list[str]) -> dict[str, str]:
             data = Path(tmp) / corpus
             synth_sets = [s for s in CORPORA[corpus] if s.startswith("synth.")]
             cli_run(["synth", "--out", str(data), "--seed", str(SEED), *flags(synth_sets)])
+            if corpus == "ragged":
+                make_ragged(data)
             model_sets = [s for s in CORPORA[corpus] if not s.startswith("synth.")]
             for case in cases:
                 fields = case_fields(data, Path(tmp) / f"{corpus}-{case}", model_sets, *CASES[case])
@@ -262,7 +294,7 @@ def compare(before: dict[str, str], after: dict[str, str]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--corpora", default="train,serve-long",
+    parser.add_argument("--corpora", default="train,serve-long,ragged",
                         help=f"comma-separated, of {', '.join(CORPORA)}")
     parser.add_argument("--cases", default=",".join(CASES),
                         help=f"comma-separated, of {', '.join(CASES)}")

@@ -184,7 +184,7 @@ class RunConfig:
     def max_positions(self) -> int:
         if self.model.max_positions > 0:
             return self.model.max_positions
-        return max(self.data.l_max, self.data.n_max * self.data.l_max)
+        return self.data.n_max * self.data.l_max
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:

@@ -17,13 +17,14 @@ path, which is what lets the gate learn which tokens to keep.
 :func:`gate_groups` is the one gate implementation. It gates many histories
 in one pass of grouped tensor ops: items bucketed by length for the CNN,
 pooling and scoring, histories bucketed by item count for the user encoder,
-and a vectorised top-k per length group. The per-item part (embedding
-gather, CNN, ReLU and masked pooling) is :func:`item_features`; it depends
-only on the item's token ids, the word embeddings, the conv and the item
-pooling query, so a forward-only caller may pass a
-:class:`training.ItemStore` that keeps each item's features, checks those
-tensors' bits against a private copy of them, and computes only the items
-it lacks. Each length group's masked item pooling
+a vectorised top-k per length group, and the selected rows bucketed by
+K_eff for their weights; each bucketing is one :func:`numerics.by_length`.
+The per-item part (embedding gather, CNN, ReLU and masked pooling) is
+:func:`item_features`; it depends only on the item's token ids, the word
+embeddings, the conv and the item pooling query, so a forward-only caller
+may pass a :class:`training.ItemStore` that keeps each item's features,
+checks those tensors' bits against a private copy of them, and computes
+only the items it lacks. Each length group's masked item pooling
 and the attention user encoder are one :func:`numerics.attention_pool` node
 each, and each length group's scores one :func:`numerics.cosine` node.
 The heuristic selectors (first, bm25, random) share its selection and
@@ -201,11 +202,6 @@ class GroupedSelection(Sequence):
     scores: list[Tensor]             # per length group: its (G * L,) raw scores, row-major
     score_at: np.ndarray             # (n_items, 3): (length group, start, length) in scores
 
-    def spans(self) -> list[tuple[int, int]]:
-        """(first row, row count) of each history's selected rows."""
-        bounds = self.offsets[self.item_start]
-        return [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
-
     def __len__(self) -> int:
         return len(self.score_at)
 
@@ -279,12 +275,6 @@ def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:
     return ctx3, nm.attention_pool(ctx3, params.pool_v, mask)
 
 
-def _by_value(values: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Each distinct value of a 1-D int array, ascending, with the positions
-    that hold it."""
-    return [(v, (values == v).nonzero()[0]) for v in sorted(set(values.tolist()))]
-
-
 def _interest_scores(
     params: GateParams,
     items: list[TokenSequence],
@@ -311,9 +301,8 @@ def _interest_scores(
     # user interest, per count of items: the LSTM's last state or attention pooling
     n_items = np.diff(item_start)
     u_chunks, u_order = [], []
-    for N, hs in _by_value(n_items):
-        flat = (item_start[hs][:, None] + np.arange(N)).ravel()
-        stacked = nm.reshape(gather_rows(pooled, flat), (len(hs), N, n_f))
+    for N, hs, at in nm.by_length(item_start[:-1], n_items):
+        stacked = nm.reshape(gather_rows(pooled, at.ravel()), (len(hs), N, n_f))
         if params.user_encoder == "attn":
             u = nm.attention_pool(stacked, params.attn_v)
         else:
@@ -364,24 +353,19 @@ def gate_groups(
     lengths = [len(seq) for seq in items]
     if 0 in lengths:
         raise ValueError("cannot gate an empty token sequence")
-    lengths = np.array(lengths)
+    token_start = np.array([0, *accumulate(lengths)])
     item_start = np.array([0, *accumulate(len(h) for h in histories)])
-    groups = [
-        (members, np.array([items[i].ids for i in members.tolist()]))
-        for _, members in _by_value(lengths)
-    ]
+    spans = nm.by_length(token_start[:-1], lengths)
+    flat_ids = np.concatenate([seq.ids for seq in items])
+    groups = [(members, flat_ids[at]) for _, members, at in spans]
 
     if method == "learned":
         scores = _interest_scores(params, items, item_start, groups, store)
     elif method == "random":
-        # each history's draws run through its items in order
-        token_start = np.concatenate([[0], np.cumsum(lengths)])
+        # each history's draws run through its items in order, as its tokens do
         n_tokens = token_start[item_start[1:]] - token_start[item_start[:-1]]
         draws = np.concatenate([rng.random(n) for rng, n in zip(rngs, n_tokens.tolist())])
-        scores = [
-            constant(draws[token_start[members][:, None] + np.arange(ids.shape[1])])
-            for members, ids in groups
-        ]
+        scores = [constant(draws[at]) for _, _, at in spans]
     else:
         scores = [constant(heuristic_scores(ids, method, stats)) for _, ids in groups]
 
@@ -402,7 +386,7 @@ def gate_groups(
         score_at[members, 0] = g
         score_at[members, 1] = np.arange(G) * L
         score_at[members, 2] = L
-        for kk, rows in _by_value(counts):
+        for kk, rows, at in nm.by_length(offsets[members], counts):
             pos = order[rows, :kk]
             flat_idx = (rows[:, None] * L + pos).ravel()
             if method == "learned":
@@ -416,7 +400,7 @@ def gate_groups(
             weight_chunks.append(beta)
             pos_chunks.append(pos.ravel())
             id_chunks.append(token_ids)
-            row_order.append((offsets[members[rows]][:, None] + np.arange(kk)).ravel())
+            row_order.append(at.ravel())
     row_order = np.concatenate(row_order)
     positions = np.empty(len(row_order), dtype=np.intp)
     positions[row_order] = np.concatenate(pos_chunks)

@@ -998,6 +998,21 @@ def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(parts), bwd)
 
 
+def by_length(starts, lengths) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Ragged spans bucketed by length, the inverse of :func:`assemble_rows`:
+    span i covers ``lengths[i]`` entries of a flat array from ``starts[i]``,
+    and for each distinct length L, ascending, the result holds ``(L,
+    members, positions)``, the ascending indices of the G spans of that
+    length and their (G, L) positions in the flat array."""
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = []
+    for L in sorted(set(lengths.tolist())):
+        members = (lengths == L).nonzero()[0]
+        out.append((L, members, starts[members, None] + np.arange(L)))
+    return out
+
+
 def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
     """Concatenate row chunks and permute rows back to their global order.
 

@@ -164,10 +164,8 @@ class InvertedIndex:
     def span(self, tok: int) -> slice:
         """Where ``tok``'s postings sit in ``keys``/``tfs``/``weights``;
         empty when the token is not indexed."""
-        row = int(np.searchsorted(self.tokens, tok))
-        if row < len(self.tokens) and self.tokens[row] == tok:
-            return slice(int(self.offsets[row]), int(self.offsets[row + 1]))
-        return slice(0, 0)
+        start, count = map(int, self._postings(tok))
+        return slice(start, start + count)
 
 
 def build_index(docs: dict[str, TokenSequence]) -> InvertedIndex:
@@ -253,18 +251,24 @@ def sparse_scores(index: InvertedIndex, query: UserQuery) -> tuple[np.ndarray, n
     return cands, score[cands]
 
 
+def _contenders(scores: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Negated scores of every entry at least as good as the n-th best, so ties
+    at the cut survive, and those entries' indices (None: all are kept)."""
+    neg = -scores
+    if n >= len(neg):
+        return neg, None
+    keep = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+    return neg[keep], keep
+
+
 def recall_sparse(index: InvertedIndex, query: UserQuery, n: int) -> list[str]:
     """Exact BM25 top-n over the union of the query terms' postings; ties
     broken by doc id."""
     if n < 1:
         raise ValueError("n must be >= 1")
     keys, scores = sparse_scores(index, query)
-    # keep every doc at least as good as the n-th best, so ties at the cut
-    # survive, then order only those by (-score, doc key)
-    neg = -scores
-    if n < len(keys):
-        keep = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
-        keys, neg = keys[keep], neg[keep]
+    neg, keep = _contenders(scores, n)
+    keys = keys if keep is None else keys[keep]
     return [index.doc_ids[key] for key in keys[np.lexsort((keys, neg))[:n]]]
 
 
@@ -294,12 +298,8 @@ def recall_dense(
     if not finite.all():
         doc_id = min(doc_ids[j] for j in np.flatnonzero(~finite))
         raise ValueError(f"dense score of doc {doc_id} is not finite")
-    # keep every row at least as good as the n-th best, so ties at the cut
-    # survive, then order only those by (-score, doc id)
-    neg = -scores
-    if n < len(doc_ids):
-        keep = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
-        neg, doc_ids = neg[keep], [doc_ids[j] for j in keep.tolist()]
+    neg, keep = _contenders(scores, n)
+    doc_ids = doc_ids if keep is None else [doc_ids[j] for j in keep.tolist()]
     ranked = sorted(zip(neg.tolist(), doc_ids))
     return [doc_id for _, doc_id in ranked[:n]]
 

@@ -192,6 +192,18 @@ def wordpiece_tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
 # MIND-format ingestion
 # ---------------------------------------------------------------------------
 
+def _tsv_rows(path, what: str):
+    """The tab-separated columns of each non-blank line of a MIND file; a
+    missing one raises ``FileNotFoundError`` naming it the ``what`` file."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if line:
+                yield line.split("\t")
+
+
 def load_mind_news(
     path,
     vocab: Vocabulary,
@@ -201,26 +213,18 @@ def load_mind_news(
     """Parse a news file into token sequences of at most ``l_max`` ids, keyed
     by news id; rows with too few columns or no token are skipped, with one
     warning. Each distinct word is split into pieces once per call."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"news file not found: {path}")
     news: dict[str, TokenSequence] = {}
     split: dict[str, list[int]] = {}
     skipped = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
+    for cols in _tsv_rows(path, "news"):
+        if len(cols) >= 5:
+            news_id, _category, _subcategory, title, abstract = cols[:5]
+            text = title if title_only else f"{title} {abstract}"
+            ids = _token_ids(text, vocab, split)[:l_max]
+            if ids:
+                news[news_id] = TokenSequence(ids)
                 continue
-            cols = line.split("\t")
-            if len(cols) >= 5:
-                news_id, _category, _subcategory, title, abstract = cols[:5]
-                text = title if title_only else f"{title} {abstract}"
-                ids = _token_ids(text, vocab, split)[:l_max]
-                if ids:
-                    news[news_id] = TokenSequence(ids)
-                    continue
-            skipped += 1
+        skipped += 1
     if skipped:
         log.warning("skipped %d malformed or empty news rows in %s", skipped, path)
     return news
@@ -239,54 +243,46 @@ def load_mind_behaviors(
     non-clicked items; if fewer than ``k_neg`` are shown, draws fall back to
     sampling with replacement. Histories keep the most recent ``n_max`` items.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"behaviors file not found: {path}")
     rng = np.random.default_rng(seed)
     samples: list[ImpressionSample] = []
     skipped = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 5:
-                skipped += 1
-                continue
-            _imp_id, _user_id, _time, history_field, impression_field = cols[:5]
-            hist_ids = [h for h in history_field.split() if h in news][-n_max:]
-            if not hist_ids:
-                continue
-            history = UserHistory([news[h] for h in hist_ids])
+    for cols in _tsv_rows(path, "behaviors"):
+        if len(cols) < 5:
+            skipped += 1
+            continue
+        _imp_id, _user_id, _time, history_field, impression_field = cols[:5]
+        hist_ids = [h for h in history_field.split() if h in news][-n_max:]
+        if not hist_ids:
+            continue
+        history = UserHistory([news[h] for h in hist_ids])
 
-            clicked: list[str] = []
-            non_clicked: list[str] = []
-            for entry in impression_field.split():
-                item_id, _, label = entry.rpartition("-")
-                if label not in ("0", "1") or item_id not in news:
-                    continue
-                (clicked if label == "1" else non_clicked).append(item_id)
+        clicked: list[str] = []
+        non_clicked: list[str] = []
+        for entry in impression_field.split():
+            item_id, _, label = entry.rpartition("-")
+            if label not in ("0", "1") or item_id not in news:
+                continue
+            (clicked if label == "1" else non_clicked).append(item_id)
 
-            for pos_id in clicked:
-                pool = [n for n in non_clicked if n != pos_id]
-                if not pool:
-                    continue
-                if len(pool) >= k_neg:
-                    neg_ids = list(rng.choice(len(pool), size=k_neg, replace=False))
-                else:
-                    neg_ids = list(rng.integers(0, len(pool), size=k_neg))
-                negs = [pool[i] for i in neg_ids]
-                samples.append(
-                    ImpressionSample(
-                        history=history,
-                        positive=news[pos_id],
-                        negatives=[news[n] for n in negs],
-                        history_ids=hist_ids,
-                        positive_id=pos_id,
-                        negative_ids=negs,
-                    )
+        for pos_id in clicked:
+            pool = [n for n in non_clicked if n != pos_id]
+            if not pool:
+                continue
+            if len(pool) >= k_neg:
+                neg_ids = list(rng.choice(len(pool), size=k_neg, replace=False))
+            else:
+                neg_ids = list(rng.integers(0, len(pool), size=k_neg))
+            negs = [pool[i] for i in neg_ids]
+            samples.append(
+                ImpressionSample(
+                    history=history,
+                    positive=news[pos_id],
+                    negatives=[news[n] for n in negs],
+                    history_ids=hist_ids,
+                    positive_id=pos_id,
+                    negative_ids=negs,
                 )
+            )
     if skipped:
         log.warning("skipped %d malformed behavior rows in %s", skipped, path)
     return samples

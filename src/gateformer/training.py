@@ -6,7 +6,8 @@ the grouped gate (:func:`gating.gate_groups`) and both sides of the
 transformer on grouped tensors, each through one
 :func:`transformer.encode_sequences` call (the users' gated rows, and the
 candidates' distinct token ids), and scores them with
-:func:`impression_logits`, per group of samples with equal negative counts.
+:func:`impression_logits`, per group of samples with equal negative counts;
+each of these ragged batches is bucketed by :func:`numerics.by_length`.
 Tests pin it to a per-sample reference loss built from the oracle gate. Its
 ops and their reductions run in a fixed order, so runs are bit-reproducible
 for a fixed seed. Evaluation scores its impressions slice by slice, each
@@ -306,8 +307,9 @@ def batch_user_embeddings(
 
     store = None if nm.recording() else model.items
     gated = gate_groups(unique, model.gate, model.k, model.gate_method, model.stats, rngs, store)
-    index = [np.arange(start, start + length) for start, length in gated.spans()]
-    return nm.gather_rows(encode_sequences(gated.rows, index, model.trans), inverse)
+    bounds = gated.offsets[gated.item_start]  # history h's rows: bounds[h]:bounds[h + 1]
+    rows = encode_sequences(gated.rows, np.arange(bounds[-1]), bounds, model.trans)
+    return nm.gather_rows(rows, inverse)
 
 
 def impression_logits(
@@ -325,10 +327,9 @@ def impression_logits(
     d = users.data.shape[1]
     first = np.concatenate([[0], np.cumsum(n_cands)[:-1]])
     out = []
-    for C in np.unique(n_cands):
-        mem = np.flatnonzero(n_cands == C)
+    for C, mem, at in nm.by_length(first, n_cands):
         u = nm.gather_rows(users, mem)
-        c = nm.gather_rows(cands, (first[mem][:, None] + np.arange(C)).ravel())
+        c = nm.gather_rows(cands, at.ravel())
         G = len(mem)
         z = nm.mul(
             nm.vsum(nm.mul(nm.reshape(c, (G, C, d)), nm.reshape(u, (G, 1, d))), axis=2),

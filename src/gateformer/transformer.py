@@ -5,9 +5,10 @@ whole history, item by item in the order the gate's
 :class:`gating.GroupedSelection` holds them, with learned positions assigned
 globally over that sequence; the candidate side encodes the full, ungated
 token sequence. Both sides run through :func:`encode_sequences`, which takes
-each sequence as row indices into a table (the gated rows, or the word
-embeddings), encodes sequences of equal length as one stack and pools each
-to a single vector with a learned query (weighted pooling aggregation, one
+its sequences as CSR row indices into a table (the gated rows, or the word
+embeddings), encodes sequences of equal length as one stack (bucketed by
+:func:`numerics.by_length`) and pools each to a single vector with a
+learned query (weighted pooling aggregation, one
 :func:`numerics.attention_pool` node). The two sides share every parameter,
 including the word embedding table, which the gate shares too. A pre-norm
 layer is :func:`numerics.layer_norm`, :func:`numerics.attention`, residual
@@ -29,6 +30,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +157,9 @@ def weighted_pool(x: Tensor, query: Tensor) -> Tensor:
     return nm.attention_pool(x, query)
 
 
-def encode_sequences(table: Tensor, index, params: TransformerParams) -> Tensor:
-    """(n, d) embeddings of n sequences, each given as row indices into ``table``.
+def encode_sequences(table: Tensor, ids, offsets, params: TransformerParams) -> Tensor:
+    """(n, d) embeddings of n sequences given in CSR form: sequence i is the
+    rows ``ids[offsets[i]:offsets[i + 1]]`` of ``table``.
 
     Sequences of equal length L run through the encoder as one (G, L, d)
     stack: their rows gathered out of ``table`` (a gather that reads every
@@ -164,25 +167,22 @@ def encode_sequences(table: Tensor, index, params: TransformerParams) -> Tensor:
     and each sequence weight-pooled. Rows come back in input order. An empty
     sequence, or one longer than the position table, raises ``ValueError``.
     """
-    by_len: dict[int, list[int]] = {}
-    for i, rows in enumerate(index):
-        by_len.setdefault(len(rows), []).append(i)
-    if not by_len:
+    ids = np.asarray(ids, dtype=np.intp)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if len(offsets) < 2:
         raise ValueError("no sequences to encode")
     chunks, order = [], []
-    for L in sorted(by_len):
+    for L, members, at in nm.by_length(offsets[:-1], offsets[1:] - offsets[:-1]):
         if L < 1:
             raise ValueError("cannot encode an empty sequence")
         if L > params.max_positions:
             raise ValueError(
                 f"sequence length {L} exceeds max positions {params.max_positions}"
             )
-        members = by_len[L]
-        ids = np.array([index[i] for i in members], dtype=np.intp)      # (G, L)
-        x = nm.add(gather_rows(table, ids), nm.narrow(params.pos_embeddings, 0, 0, L))
+        x = nm.add(gather_rows(table, ids[at]), nm.narrow(params.pos_embeddings, 0, 0, L))
         chunks.append(weighted_pool(encode_sequence(x, params), params.pool_q))
-        order.extend(members)
-    return nm.assemble_rows(chunks, order)
+        order.append(members)
+    return nm.assemble_rows(chunks, np.concatenate(order))
 
 
 def encode_user(rows: Tensor, params: TransformerParams) -> Tensor:
@@ -192,7 +192,7 @@ def encode_user(rows: Tensor, params: TransformerParams) -> Tensor:
     T = rows.data.shape[0]
     if T == 0:
         raise ValueError("encode_user needs at least one selected token")
-    return nm.reshape(encode_sequences(rows, [np.arange(T)], params), (params.d,))
+    return nm.reshape(encode_sequences(rows, np.arange(T), [0, T], params), (params.d,))
 
 
 def encode_candidate(seq: TokenSequence, params: TransformerParams) -> Tensor:
@@ -215,7 +215,9 @@ def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> T
     first, inverse = first_occurrences([seq.key for seq in seqs])
     # by length, as encode_sequences stacks them, so its rows need no reordering
     order = sorted(range(len(first)), key=lambda j: len(seqs[first[j]]))
-    rows = encode_sequences(params.word_embeddings, [seqs[first[j]].ids for j in order], params)
+    distinct = [seqs[first[j]].ids for j in order]
+    offsets = np.array([0, *accumulate(map(len, distinct))])
+    rows = encode_sequences(params.word_embeddings, np.concatenate(distinct), offsets, params)
     return gather_rows(rows, np.argsort(order)[inverse])
 
 

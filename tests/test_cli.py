@@ -228,6 +228,25 @@ class TestTrainCommand:
         assert rc != 0
 
 
+class TestBadPaths:
+    """A path that names a file where a directory is wanted exits 1 with one
+    error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda data, f: ["synth", "--out", str(f), *TINY_SYNTH],
+        lambda data, f: ["train", "--data", str(f), "--out", str(f.parent / "run"), *TINY_MODEL],
+        lambda data, f: ["train", "--data", str(data), "--out", str(f), *TINY_MODEL],
+    ], ids=["synth-out", "train-data", "train-out"])
+    def test_file_for_a_directory_exits_with_one_error_line(self, tmp_path, capsys, argv):
+        data = synth(tmp_path)
+        capsys.readouterr()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory\n")
+        assert main(argv(data, a_file)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 class TestEvalCommand:
     def test_eval_reproduces_metrics_exactly(self, tmp_path):
         data = synth(tmp_path, seed=8)

@@ -564,6 +564,27 @@ class TestConcatRows:
         assert out is x and len(tape) == 0
 
 
+class TestByLength:
+    def test_buckets_ascending_with_their_positions(self):
+        # spans of a flat array: (start, length) = (0, 3), (3, 1), (4, 0), (4, 3), (7, 1)
+        buckets = nm.by_length([0, 3, 4, 4, 7], [3, 1, 0, 3, 1])
+        assert [L for L, _, _ in buckets] == [0, 1, 3]
+        assert [m.tolist() for _, m, _ in buckets] == [[2], [1, 4], [0, 3]]
+        assert [p.tolist() for _, _, p in buckets] == [[[]], [[3], [7]], [[0, 1, 2], [4, 5, 6]]]
+
+    def test_buckets_rebuild_the_flat_array_with_assemble_rows(self):
+        lengths = rng(613).integers(1, 5, size=9)
+        starts = np.cumsum([0, *lengths[:-1]])
+        flat = tensor(rng(614).normal(size=(lengths.sum(), 2)))
+        buckets = nm.by_length(starts, lengths)
+        chunks = [gather_rows(flat, p.ravel()) for _, _, p in buckets]
+        order = np.concatenate([p.ravel() for _, _, p in buckets])
+        assert np.array_equal(nm.assemble_rows(chunks, order).data, flat.data)
+
+    def test_empty_input_has_no_buckets(self):
+        assert nm.by_length([], []) == []
+
+
 class TestAssembleRows:
     def test_one_chunk_in_order_adds_no_tape_node(self):
         chunk = tensor(rng(610).normal(size=(4, 3)), requires_grad=True)

@@ -231,6 +231,11 @@ class TestEncodeCandidate:
         assert rel_err(gb, gs) < 1e-12
 
 
+def csr(index):
+    """(ids, offsets) of a list of row-index lists."""
+    return [r for rows in index for r in rows], np.cumsum([0, *map(len, index)])
+
+
 class TestEncodeSequences:
     def test_mixed_lengths_with_repeats_in_input_order(self):
         rng = np.random.default_rng(23)
@@ -238,10 +243,10 @@ class TestEncodeSequences:
         index = [rng.integers(0, 16, size=L).tolist() for L in (3, 5, 3, 2, 5, 4)]
         # repeats: the same list, and an equal-content copy
         index += [index[1], list(index[3]), index[1]]
-        out = encode_sequences(p.word_embeddings, index, p).data
+        out = encode_sequences(p.word_embeddings, *csr(index), p).data
         assert out.shape == (len(index), p.d)
         for i, rows in enumerate(index):
-            alone = encode_sequences(p.word_embeddings, [rows], p).data
+            alone = encode_sequences(p.word_embeddings, rows, [0, len(rows)], p).data
             assert np.array_equal(out[i], alone[0]), i
 
     def test_table_read_in_order_matches_gathered_stack(self):
@@ -261,19 +266,19 @@ class TestEncodeSequences:
             backward(tape, loss)
             return out.data, table.grad.copy()
 
-        whole = run(lambda: [encode_sequences(table, halves, p)])
-        alone = run(lambda: [encode_sequences(table, [h], p) for h in halves])
+        whole = run(lambda: [encode_sequences(table, np.arange(6), [0, 3, 6], p)])
+        alone = run(lambda: [encode_sequences(table, h, [0, 3], p) for h in halves])
         for a, b in zip(whole, alone):
             assert np.array_equal(a, b)
 
     def test_empty_and_overlong_sequences_rejected(self):
         p = make_params(p_max=4, seed=25)
         with pytest.raises(ValueError, match="empty sequence"):
-            encode_sequences(p.word_embeddings, [[1, 2], []], p)
+            encode_sequences(p.word_embeddings, *csr([[1, 2], []]), p)
         with pytest.raises(ValueError, match="max positions"):
-            encode_sequences(p.word_embeddings, [[1, 2], [1, 2, 3, 4, 5]], p)
+            encode_sequences(p.word_embeddings, *csr([[1, 2], [1, 2, 3, 4, 5]]), p)
         with pytest.raises(ValueError, match="no sequences"):
-            encode_sequences(p.word_embeddings, [], p)
+            encode_sequences(p.word_embeddings, [], [0], p)
 
 
 class TestScore:
