@@ -5,7 +5,7 @@ constants the numerics layer charges for transcendental work (softmax 5,
 layer norm 7, exp/sqrt-family 4, elementwise 1). The closed forms below
 mirror the gate's and the transformer's forward ops one by one, so they
 track the instrumented counter to well under the 5% tolerance the tests
-enforce (on an item without padding the gate's count is exact).
+enforce (the gate's count is exact when every item selects k tokens).
 
 Gate cost per token t of an item with L tokens (n_filters f, window w,
 embedding dim d, selection size k; the gate's LSTM hidden size equals f):

@@ -19,12 +19,12 @@ in one pass of grouped tensor ops: items bucketed by length for the CNN,
 pooling and scoring, histories bucketed by item count for the user encoder,
 a vectorised top-k per length group, and the selected rows bucketed by
 K_eff for their weights; each bucketing is one :func:`numerics.by_length`.
-The per-item part (embedding gather, CNN, ReLU and masked pooling) is
+The per-item part (embedding gather, CNN, ReLU and pooling) is
 :func:`item_features`; it depends only on the item's token ids, the word
 embeddings, the conv and the item pooling query, so a forward-only caller
 may pass a :class:`training.ItemStore` that keeps each item's features,
 checks those tensors' bits against a private copy of them, and computes
-only the items it lacks. Each length group's masked item pooling
+only the items it lacks. Each length group's item pooling
 and the attention user encoder are one :func:`numerics.attention_pool` node
 each, and each length group's scores one :func:`numerics.cosine` node.
 The heuristic selectors (first, bm25, random) share its selection and
@@ -49,9 +49,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import LSTMParams, Tensor, constant, gather_rows, glorot, tensor
 from .recall import InvertedIndex, bm25_term_weight
-from .text import PAD_ID, TokenSequence, UserHistory
-
-NEG_MASK = -1e30  # additive log-space mask; finite to keep forwards NaN-free
+from .text import TokenSequence, UserHistory
 
 GATE_METHODS = ("learned", "first", "bm25", "random")
 USER_ENCODERS = ("lstm", "attn")
@@ -167,7 +165,8 @@ class GateSelection:
     """Selected token positions for one item, plus the differentiable pieces.
 
     ``positions`` are distinct, ordered by descending score with smaller
-    index winning ties, and never repeat a token id (first occurrence only).
+    index winning ties, and never repeat a token id (first occurrence only);
+    an item with L >= 1 tokens has min(k, its distinct ids) of them.
     ``weights`` are positive and sum to 1. ``gathered`` holds the selected
     token embeddings already scaled row-wise by ``weights``.
     """
@@ -224,9 +223,10 @@ def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k over (G, L) token ids and their scores.
 
     Returns the (G, min(k, L)) positions in selection order and each row's
-    count of selected ones: row g selects ``order[g, :counts[g]]``. Pads and
-    repeated ids (after their first occurrence) are never selected, ties go
-    to the smaller index, and order is descending score.
+    count of selected ones, min(k, its distinct ids): row g selects
+    ``order[g, :counts[g]]``. Every id is an ordinary token; repeated ids
+    (after their first occurrence) are never selected, ties go to the
+    smaller index, and order is descending score.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -240,11 +240,8 @@ def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     first_sorted[:, 1:] = sorted_ids[:, 1:] != sorted_ids[:, :-1]
     first = np.empty_like(first_sorted)
     first[row, by_id] = first_sorted
-    masked = np.where(first & (ids != PAD_ID), np.asarray(scores, dtype=float), -np.inf)
-    counts = np.minimum((masked > -np.inf).sum(axis=1), k)
-    if not counts.all():
-        raise ValueError("no selectable tokens in item (all padding)")
-    return np.argsort(-masked, axis=1, kind="stable")[:, :k], counts
+    masked = np.where(first, np.asarray(scores, dtype=float), -np.inf)
+    return np.argsort(-masked, axis=1, kind="stable")[:, :k], np.minimum(first.sum(axis=1), k)
 
 
 def heuristic_scores(
@@ -264,15 +261,13 @@ def heuristic_scores(
 
 def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:
     """The gate's per-item work on a length group's (G, L) token ids: the
-    (G, L, n_f) ReLU conv context and the (G, n_f) masked attention pooling
-    of it. Each item's rows depend only on its ids, ``window``, the word
+    (G, L, n_f) ReLU conv context and the (G, n_f) attention pooling of
+    it. Each item's rows depend only on its ids, ``window``, the word
     embeddings, ``filters``, ``bias`` and ``pool_v``; not on the LSTM or
     ``attn_v``."""
-    valid = ids != PAD_ID
     emb3 = gather_rows(params.word_embeddings, ids)
     ctx3 = nm.relu(nm.conv1d(emb3, params.filters, params.bias, params.window))
-    mask = None if valid.all() else np.where(valid, 0.0, NEG_MASK)
-    return ctx3, nm.attention_pool(ctx3, params.pool_v, mask)
+    return ctx3, nm.attention_pool(ctx3, params.pool_v)
 
 
 def _interest_scores(

@@ -849,17 +849,14 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     return _make(out.reshape(*lead, d_out), (x, w1, b1, w2, b2), bwd)
 
 
-def attention_pool(x, query, mask=None) -> Tensor:
+def attention_pool(x, query) -> Tensor:
     """Rows of x pooled by their softmax attention weights against ``query``.
 
     x is (..., n, d) and query (d,); the result is (..., d), the softmax of
-    ``x @ query + mask`` over n times the rows. ``mask``, a constant additive
-    (..., n) array or tensor, keeps rows out of the pooling with a large
-    negative entry.
+    ``x @ query`` over n times the rows.
 
     One tape node with a hand-written backward. The FLOP count is that of the
-    composed form: the score product, the mask add when there is a mask, the
-    softmax and the weighted sum.
+    composed form: the score product, the softmax and the weighted sum.
     """
     x, query = _as_tensor(x), _as_tensor(query)
     xd = x.data
@@ -869,18 +866,12 @@ def attention_pool(x, query, mask=None) -> Tensor:
             f"got {xd.shape} and {query.data.shape}"
         )
     logits = xd @ query.data
-    if mask is not None:
-        mask = _as_tensor(mask).data
-        if mask.shape != logits.shape:
-            raise ValueError(f"attention_pool mask shape {mask.shape}, expected {logits.shape}")
-        logits += mask
     logits -= logits.max(axis=-1, keepdims=True)
     alpha = np.exp(logits, out=logits)
     alpha /= alpha.sum(axis=-1, keepdims=True)
     # a lone (n, d) sequence pools to an array of its own, not a view
     data = alpha @ xd if xd.ndim == 2 else (alpha[..., None, :] @ xd)[..., 0, :]
-    _count(alpha.size * (4 * xd.shape[-1] + _FLOPS_PER_ELEM["softmax"]
-                         + (mask is not None)))
+    _count(alpha.size * (4 * xd.shape[-1] + _FLOPS_PER_ELEM["softmax"]))
 
     def bwd(g):
         d_alpha = (xd @ g[..., :, None])[..., 0]

@@ -3,8 +3,9 @@
 File formats:
 
 * vocab file — one token per line, line index = token id; continuation
-  subword pieces carry a ``##`` prefix; line 0 is the padding token and
-  ``[UNK]`` must be present.
+  subword pieces carry a ``##`` prefix and ``[UNK]`` must be present. Line
+  0 holds ``[PAD]`` by convention (BERT's); nothing treats id 0 apart, and
+  tokenizing never yields it, since ``[`` and ``]`` split off as words.
 * news file — tab-separated, UTF-8, columns: news_id, category, subcategory,
   title, abstract, url, title_entities, abstract_entities.
 * behaviors file — tab-separated: impression_id, user_id, time, history
@@ -23,14 +24,13 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-PAD_ID = 0
 UNK_TOKEN = "[UNK]"
 
 POLICIES = ("front", "random", "back")
 
 
 class Vocabulary:
-    """Dense token id space; id 0 is padding."""
+    """Dense token id space: a token's id is its line in the vocab file."""
 
     def __init__(self, tokens: list[str]):
         if UNK_TOKEN not in tokens:
@@ -39,7 +39,6 @@ class Vocabulary:
         self.id_of = {t: i for i, t in enumerate(self.tokens)}
         if len(self.id_of) != len(self.tokens):
             raise ValueError("vocabulary contains duplicate tokens")
-        self.pad_id = PAD_ID
         self.unk_id = self.id_of[UNK_TOKEN]
         self.longest = max(map(len, self.tokens))  # no piece is longer
 

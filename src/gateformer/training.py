@@ -109,7 +109,7 @@ class _Table:
 class _Rows:
     """Rows of one kind, one :class:`_Table` per item length, kept while the
     tensors they read hold the bits of the kind's private copy of them. A
-    lock makes each call's check, look-up and insertion one step."""
+    lock makes each call's check, look-ups and insertions one step."""
 
     def __init__(self) -> None:
         self.snapshot: tuple[int, list[np.ndarray]] | None = None
@@ -119,22 +119,26 @@ class _Rows:
     def __len__(self) -> int:
         return sum(len(table.at) for table in self.tables.values())
 
-    def get(self, setting: int, tensors: list[Tensor], length: int, keys: list, compute):
-        """The rows of ``keys`` in order, one read-only array per array of
-        the table of ``length`` (the item length; 0 for candidates). A new
-        ``setting``, or a tensor whose shape or bits differ from the copy,
-        drops every row and renews the copy."""
+    def get(self, setting: int, tensors: list[Tensor], parts: list) -> list[list[np.ndarray]]:
+        """For each ``(length, keys, compute)`` of ``parts``, the rows of
+        ``keys`` in order, one read-only array per array of the table of
+        ``length`` (the item length; 0 for candidates). The tensors are
+        checked once per call: a new ``setting``, or a tensor whose shape or
+        bits differ from the copy, drops every row and renews the copy."""
         with self.lock:
             if self.snapshot is None or setting != self.snapshot[0] or not all(
                 map(same_bits, (t.data for t in tensors), self.snapshot[1])
             ):
                 self.snapshot = (setting, [np.array(t.data, dtype=np.float64) for t in tensors])
                 self.tables = {}
-            table = self.tables.setdefault(length, _Table())
-            index, arrays = table.index(keys, compute), table.arrays
-        out = [array[index] for array in arrays]
-        for array in out:
-            array.flags.writeable = False
+            found = []
+            for length, keys, compute in parts:
+                table = self.tables.setdefault(length, _Table())
+                found.append((table.index(keys, compute), table.arrays))
+        out = [[array[index] for array in arrays] for index, arrays in found]
+        for rows in out:
+            for array in rows:
+                array.flags.writeable = False
         return out
 
 
@@ -184,20 +188,22 @@ class ItemStore:
             ])]
 
         tensors = [params.word_embeddings, *params.named_tensors().values()]
-        return self._candidates.get(params.heads, tensors, 0, [seq.key for seq in seqs], compute)[0]
+        keys = [seq.key for seq in seqs]
+        return self._candidates.get(params.heads, tensors, [(0, keys, compute)])[0][0]
 
     def gate_rows(
         self, groups: list[tuple[list[bytes], np.ndarray]], params: GateParams
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """For each length group's item keys and (G, L) token ids, the
         (G, L, n_f) context and (G, n_f) pooled arrays
-        :func:`gating.item_features` makes; the distinct missing items of a
-        group are computed in one call."""
+        :func:`gating.item_features` makes, all read under one check of the
+        tensors; the distinct missing items of a group are computed in one
+        call."""
         tensors = [params.word_embeddings, params.filters, params.bias, params.pool_v]
-        return [tuple(self._gate.get(
-            params.window, tensors, ids.shape[1], keys,
-            lambda first, ids=ids: [t.data for t in item_features(params, ids[first])],
-        )) for keys, ids in groups]
+        parts = [(ids.shape[1], keys,
+                  lambda first, ids=ids: [t.data for t in item_features(params, ids[first])])
+                 for keys, ids in groups]
+        return [tuple(rows) for rows in self._gate.get(params.window, tensors, parts)]
 
 
 @dataclass

@@ -190,8 +190,6 @@ def encode_user(rows: Tensor, params: TransformerParams) -> Tensor:
     :class:`gating.GroupedSelection`'s ``rows`` for one history), encoded
     as one sequence by :func:`encode_sequences`."""
     T = rows.data.shape[0]
-    if T == 0:
-        raise ValueError("encode_user needs at least one selected token")
     return nm.reshape(encode_sequences(rows, np.arange(T), [0, T], params), (params.d,))
 
 
@@ -210,6 +208,8 @@ def encode_candidates(seqs: list[TokenSequence], params: TransformerParams) -> T
     every input position holding it; the gather sums the gradients of
     repeated rows.
     """
+    if not seqs:
+        raise ValueError("no candidates to encode")
     if any(len(seq) < 1 for seq in seqs):
         raise ValueError("cannot encode an empty candidate")
     first, inverse = first_occurrences([seq.key for seq in seqs])

@@ -14,7 +14,6 @@ from gateformer import numerics as nm
 from gateformer.gating import GateSelection
 from gateformer.numerics import Tape, backward, constant, gather_rows
 from gateformer.recall import bm25_term_weight
-from gateformer.text import PAD_ID
 from gateformer.transformer import encode_sequence, weighted_pool
 
 
@@ -135,13 +134,10 @@ def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
     return nm.add(nm.mul(nm.div(xc, nm.sqrt(nm.add(var, eps))), gamma), beta)
 
 
-def attention_pool_oracle(x, query, mask=None):
-    """softmax(x @ query + mask)-weighted rows of (..., n, d) x, in composed
-    tape ops."""
-    logits = nm.matmul(x, query)
-    if mask is not None:
-        logits = nm.add(logits, mask)
-    alpha = nm.softmax(logits, axis=-1)
+def attention_pool_oracle(x, query):
+    """softmax(x @ query)-weighted rows of (..., n, d) x, in composed tape
+    ops."""
+    alpha = nm.softmax(nm.matmul(x, query), axis=-1)
     if x.data.ndim == 2:
         return nm.matmul(alpha, x)
     *lead, n, d = x.data.shape
@@ -415,7 +411,7 @@ def lstm_last_oracle(seq, params):
 
 def encode_item(seq, params):
     """Context-aware token embeddings (L, N_f) of one item and their pooled
-    summary (N_f,); padding positions are masked out of the pooling."""
+    summary (N_f,)."""
     if len(seq) < 1:
         raise ValueError("cannot encode an empty token sequence")
     # the conv runs on a stack of one item, read back as the item's (L, N_f)
@@ -424,11 +420,7 @@ def encode_item(seq, params):
                   params.filters, params.bias, params.window),
         (len(seq), params.n_filters),
     ))
-    logits = nm.matmul(ctx, params.pool_v)
-    valid = np.array([t != PAD_ID for t in seq.ids])
-    if not valid.all():
-        logits = nm.add(logits, constant(np.where(valid, 0.0, -1e30)))
-    return ctx, nm.matmul(nm.softmax(logits), ctx)
+    return ctx, nm.matmul(nm.softmax(nm.matmul(ctx, params.pool_v)), ctx)
 
 
 def attn_user_variant(items_h, params):
@@ -462,11 +454,11 @@ def score_tokens(ctx, user_interest):
 
 
 def _selectable_scores(seq, scores):
-    """Scores with pads and repeated token ids (after the first) at -inf."""
+    """Scores with repeated token ids (after the first) at -inf."""
     masked = np.asarray(scores, dtype=float).copy()
     seen = set()
     for j, tok in enumerate(seq.ids):
-        if tok == PAD_ID or tok in seen:
+        if tok in seen:
             masked[j] = -np.inf
         else:
             seen.add(tok)
@@ -487,8 +479,6 @@ def select_topk(seq, raw_scores, embeddings, k):
     """Top-k gather of one item's embeddings, scaled by the softmax of the
     selected scores."""
     positions = select_positions_oracle(seq, raw_scores.data, k)
-    if not positions:
-        raise ValueError("no selectable tokens in item (all padding)")
     weights = nm.softmax(gather_rows(raw_scores, positions))
     gathered = nm.mul(gather_rows(embeddings, positions),
                       nm.reshape(weights, (len(positions), 1)))

@@ -155,3 +155,46 @@ class TestSameNumbers:
             path.write_text(f"# config abc\nk,wall_time_per_user,flops,auc\n1,{wall},10,0.5\n")
             tables.append(same_numbers.without_column(path, "wall_time_per_user"))
         assert tables[0] == tables[1] == b"# config abc\nk,flops,auc\n1,10,0.5"
+
+
+NEWS_AND_BEHAVIORS = ("news.tsv", "behaviors.tsv", "behaviors_val.tsv")
+
+
+def rows(path):
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestMakeRagged:
+    @staticmethod
+    def ragged(same_numbers, out):
+        """A small synth corpus of 40-word titles and 7-item histories written
+        to ``out``, cut by make_ragged; the rows of each file before the cut."""
+        from gateformer.text import synth_corpus_full, write_mind_files
+
+        corpus = synth_corpus_full(
+            seed=1, n_users=10, n_items=96, n_topics=3, tokens_per_item=40, n_signal=2,
+            filler_pool=60, history_len=7, impressions_per_user=2, val_fraction=0.25,
+        )
+        write_mind_files(corpus, out)
+        before = {name: rows(out / name) for name in NEWS_AND_BEHAVIORS}
+        same_numbers.make_ragged(out)
+        return before
+
+    def test_titles_and_histories_cut_to_ragged_lengths(self, same_numbers, tmp_path):
+        before = self.ragged(same_numbers, tmp_path)
+        for name, most, keep in (("news.tsv", 30, lambda words, n: words[:n]),
+                                 ("behaviors.tsv", 6, lambda items, n: items[-n:]),
+                                 ("behaviors_val.tsv", 6, lambda items, n: items[-n:])):
+            counts = set()
+            for old, new in zip(before[name], rows(tmp_path / name), strict=True):
+                n = len(new[3].split())
+                assert 1 <= n <= most and new[3].split() == keep(old[3].split(), n)
+                assert old[:3] + old[4:] == new[:3] + new[4:]
+                counts.add(n)
+            assert len(counts) > 1, name
+
+    def test_two_runs_write_identical_files(self, same_numbers, tmp_path):
+        for run in ("a", "b"):
+            self.ragged(same_numbers, tmp_path / run)
+        for name in NEWS_AND_BEHAVIORS:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

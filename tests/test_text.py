@@ -116,7 +116,44 @@ class TestWordpiece:
         assert loaded.tokens == vocab.tokens
         for i, t in enumerate(loaded.tokens):
             assert loaded.lookup(t) == i
-        assert loaded.pad_id == 0
+
+
+# a BERT-style vocabulary: [PAD] on line 0, beside tokens and pieces that
+# spell it out
+PAD_FIRST = ["[PAD]", "[UNK]", "[", "]", "pad", "p", "##ad", "##a", "##d", "[pad]"]
+# text built around the spellings of [PAD], with arbitrary text between them
+PAD_TEXT = st.lists(
+    st.one_of(st.sampled_from(["[PAD]", "[pad]", "[Pad]", "[", "]", "pad", "##ad", " "]),
+              st.text(max_size=6)),
+    max_size=12,
+).map("".join)
+
+
+class TestIdZero:
+    """Id 0 is an ordinary token to the model; the tokenizer never yields it
+    from a vocabulary whose line 0 is [PAD], since [ and ] are words of
+    their own."""
+
+    def test_pad_spelled_out_is_three_words(self):
+        vocab = Vocabulary(PAD_FIRST)
+        seq = wordpiece_tokenize("[PAD] [pad]", vocab)
+        assert [vocab.token_of(i) for i in seq.ids] == ["[", "pad", "]"] * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=PAD_TEXT)
+    def test_wordpiece_never_yields_id_0(self, text):
+        assert 0 not in wordpiece_tokenize(text, Vocabulary(PAD_FIRST)).ids.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(PAD_TEXT, min_size=1, max_size=4))
+    def test_load_mind_news_never_yields_id_0(self, tmp_path_factory, texts):
+        # tabs and line breaks would split the row itself
+        texts = [t.translate({ord(c): " " for c in "\t\n\r"}) for t in texts]
+        path = tmp_path_factory.mktemp("news") / "news.tsv"
+        path.write_text("".join(f"N{i}\tc\ts\t{t}\t{t[::-1]}\t-\t[]\t[]\n"
+                                for i, t in enumerate(texts)), encoding="utf-8")
+        news = load_mind_news(path, Vocabulary(PAD_FIRST))
+        assert all(0 not in seq.ids.tolist() for seq in news.values())
 
 
 NEWS_FIXTURE = (

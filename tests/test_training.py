@@ -10,7 +10,7 @@ from gateformer import numerics as nm
 from gateformer.efficiency import ModelDims, user_side_flops
 from gateformer.gating import gate_groups, item_features
 from gateformer.numerics import Tape, backward, tensor
-from gateformer.text import PAD_ID, TokenSequence, UserHistory, synth_corpus_full
+from gateformer.text import TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import (
     ENCODE_CHUNK,
     Model,
@@ -733,9 +733,10 @@ class TestItemStore:
         assert evaluate(model, samples, threads=3) == evaluate(model, samples, threads=1)
 
 
-def ragged_with_pads(samples):
+def ragged_with_id0(samples):
     """The samples with each history item cut to 7-10 tokens and, in every
-    third item, its last two tokens set to PAD."""
+    third item, its last two tokens set to id 0, an ordinary token that
+    repeats there."""
     out = []
     for i, s in enumerate(samples):
         items = []
@@ -743,7 +744,7 @@ def ragged_with_pads(samples):
             n = len(seq) - (i + j) % 4
             ids = list(seq.ids[:n])
             if (i + j) % 3 == 0:
-                ids[-2:] = [PAD_ID, PAD_ID]
+                ids[-2:] = [0, 0]
             items.append(TokenSequence(ids))
         out.append(dataclasses.replace(s, history=UserHistory(items)))
     return out
@@ -809,10 +810,10 @@ class TestGateRows:
     # the gate scores tokens; test ids name that after the user encoder
     @pytest.mark.parametrize("encoder", ["lstm", "attn"], ids=lambda e: f"{e}-token")
     def test_cold_warm_and_uncached_agree(self, tiny_corpus, encoder, threads):
-        samples = ragged_with_pads(tiny_corpus.samples[:45])
+        samples = ragged_with_id0(tiny_corpus.samples[:45])
         hists = [s.history for s in samples]
         assert len({len(seq) for h in hists for seq in h.items}) == 4
-        assert any(PAD_ID in seq.ids for h in hists for seq in h.items)
+        assert any(0 in seq.ids for h in hists for seq in h.items)
         idx = list(range(len(hists)))
 
         def fresh():
@@ -874,7 +875,7 @@ class TestGateRows:
 
     def test_each_distinct_item_computed_once_per_fingerprint(self, tiny_corpus, monkeypatch):
         computed = self.recording(monkeypatch)
-        samples = ragged_with_pads(tiny_corpus.samples[:45])
+        samples = ragged_with_id0(tiny_corpus.samples[:45])
         hists = [s.history for s in samples]
         model = tiny_model(tiny_corpus)
         batch_user_embeddings(model, hists[:20], list(range(20)))
@@ -987,6 +988,33 @@ class TestSnapshotCheck:
         model.gate.word_embeddings.data[5, 0] = -0.0
         evaluate(model, samples)
         assert len(encoded) == len(model.items) and len(computed) == model.items.n_gate_rows
+
+    def test_one_check_per_gate_rows_call(self, tiny_corpus, monkeypatch):
+        import gateformer.training as training
+
+        by_length = {}
+        for s in ragged_with_id0(tiny_corpus.samples[:12]):
+            for seq in s.history.items:
+                by_length.setdefault(len(seq), []).append(seq)
+        groups = [([seq.key for seq in seqs], np.stack([seq.ids for seq in seqs]))
+                  for seqs in by_length.values()]
+        assert len(groups) == 4
+        model = tiny_model(tiny_corpus)
+        cold = model.items.gate_rows(groups, model.gate)
+        checks = []
+
+        def counting(array, copy):
+            checks.append(array.shape)
+            return same_bits(array, copy)
+
+        monkeypatch.setattr(training, "same_bits", counting)
+        warm = model.items.gate_rows(groups, model.gate)
+        # embed.word, filters, bias and pool_v, once for the whole call
+        assert len(checks) == 4
+        for (_, ids), cold_rows, warm_rows in zip(groups, cold, warm):
+            want = [t.data for t in item_features(model.gate, ids)]
+            for got in (cold_rows, warm_rows):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_nan_drops_gate_rows_once(self, tiny_corpus, monkeypatch):
         model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)

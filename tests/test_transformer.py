@@ -109,7 +109,7 @@ class TestEncodeUser:
 
     def test_empty_selection_rejected(self):
         p = make_params(seed=5)
-        with pytest.raises(ValueError, match="selected token"):
+        with pytest.raises(ValueError, match="cannot encode an empty sequence"):
             encode_user(constant(np.zeros((0, p.d))), p)
 
     def test_position_capacity_enforced(self):
@@ -166,6 +166,10 @@ class TestEncodeCandidate:
             encode_candidate(seq_of([]), make_params())
         with pytest.raises(ValueError, match="cannot encode an empty candidate"):
             encode_candidates([seq_of([1]), seq_of([])], make_params())
+
+    def test_no_candidates_rejected(self):
+        with pytest.raises(ValueError, match="no candidates to encode"):
+            encode_candidates([], make_params())
 
     def test_batched_matches_per_sequence_mixed_lengths(self):
         rng = np.random.default_rng(20)
