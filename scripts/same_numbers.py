@@ -71,7 +71,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, checkout, git, tree_commit
+from bench_pairs import checkout, git, tree_commit
 
 SEED = 1
 STEPS = 4  # training steps per case, with an evaluation every STEPS // 2

@@ -26,7 +26,12 @@ def _bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    raise ValueError(raw)
+
+
+# parser of a raw value by the type of the key's default, and what the value
+# must be when it does not parse
+_PARSERS = {bool: (_bool, "a boolean"), int: (int, "an integer"), float: (float, "a number")}
 
 
 @dataclass
@@ -109,6 +114,9 @@ _MINIMUM = {
     ], 0),
 }
 
+# shares of a whole
+_FRACTIONS = {("data", "val_fraction"), ("synth", "val_fraction"), ("synth", "noise")}
+
 _SECTIONS = {
     "data": DataConfig,
     "model": ModelConfig,
@@ -134,17 +142,13 @@ class RunConfig:
         spec = {f.name: f.type for f in fields(target)}
         if key not in spec:
             raise ValueError(f"unknown config key: {section}.{key}")
-        current = getattr(target, key)
-        if isinstance(current, bool):
-            value = _bool(raw)
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(f"{section}.{key} must be finite, got {value}")
-        else:
-            value = raw.strip()
+        parse, kind = _PARSERS.get(type(getattr(target, key)), (str.strip, ""))
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ValueError(f"{section}.{key} must be {kind}, got {raw.strip()!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{section}.{key} must be finite, got {value}")
         choices = _CHOICES.get((section, key))
         if choices and value not in choices:
             raise ValueError(
@@ -153,6 +157,8 @@ class RunConfig:
         least = _MINIMUM.get((section, key))
         if least is not None and value < least:
             raise ValueError(f"{section}.{key} must be >= {least}, got {value}")
+        if (section, key) in _FRACTIONS and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{section}.{key} must be in [0, 1], got {value}")
         setattr(target, key, value)
 
     def items(self) -> list[tuple[str, str, object]]:

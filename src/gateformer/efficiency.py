@@ -2,7 +2,7 @@
 
 FLOPs are counted as multiply-adds x2, plus the same fixed per-element
 constants the numerics layer charges for transcendental work (softmax 5,
-layer norm 7, exp/sqrt-family 4, elementwise 1). The closed forms below
+layer norm 7, sqrt/sigmoid/tanh 4, elementwise 1). The closed forms below
 mirror the gate's and the transformer's forward ops one by one, so they
 track the instrumented counter to well under the 5% tolerance the tests
 enforce (the gate's count is exact when every item selects k tokens).

@@ -88,10 +88,6 @@ class GateParams:
     def n_filters(self) -> int:
         return self.filters.data.shape[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.word_embeddings.data.shape[1]
-
     def named_tensors(self) -> dict[str, Tensor]:
         return {
             "gate.conv.filters": self.filters,

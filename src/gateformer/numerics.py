@@ -5,8 +5,7 @@ determinism plus tight finite-difference agreement matter more than speed.
 Gradients are recorded define-by-run on an explicit :class:`Tape`:
 
     with Tape() as tape:
-        y = matmul(w, x)
-        loss = vsum(y * y)
+        loss = vsum(matmul(w, x))
     backward(tape, loss)        # w.grad now holds dloss/dw
 
 A tape is single-threaded; independent samples may each run their own tape
@@ -45,7 +44,7 @@ per-element constants for the transcendental ops (see ``_FLOPS_PER_ELEM``).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,8 +67,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "tanh",
-    "exp",
-    "log",
     "sqrt",
     "clamp_min",
     "vsum",
@@ -95,11 +92,11 @@ class _State(threading.local):
 
 _STATE = _State()
 
-# Fixed per-element costs for non-multiply-add work; the analytic cost model
-# in the efficiency module uses the same table.
+# Fixed per-element costs for non-multiply-add work. The analytic cost model
+# in the efficiency module does not read this table: it hard-codes the same
+# constants in its closed forms, and its tests hold the two in agreement.
 _FLOPS_PER_ELEM = {
-    "elementwise": 1,
-    "transcendental": 4,  # exp, log, sqrt, sigmoid, tanh
+    "transcendental": 4,  # sqrt, sigmoid, tanh
     "softmax": 5,
     "layer_norm": 7,
 }
@@ -158,14 +155,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
@@ -176,37 +165,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; all dispatch to the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -386,20 +344,6 @@ def tanh(x) -> Tensor:
     return _make(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.exp(x.data)
-    _count(_FLOPS_PER_ELEM["transcendental"] * data.size)
-    return _make(data, (x,), lambda g: (g * data,))
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.log(x.data)
-    _count(_FLOPS_PER_ELEM["transcendental"] * data.size)
-    return _make(data, (x,), lambda g: (g / x.data,))
-
-
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
     data = np.sqrt(x.data)
@@ -452,60 +396,32 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix/vector product with numpy matmul semantics.
+    """Matrix product with numpy's rule for every operand rank.
 
-    Supported operand ranks: 1-D/2-D in any combination, stacked (>=3-D)
-    against a shared 2-D or 1-D right operand, and equal-leading-shape
-    stacked batches on both sides.
+    A 1-D ``a`` is a row and a 1-D ``b`` a column, and the result drops
+    them; leading axes broadcast. The backward pass is one product per
+    operand on the row/column forms, summed back to that operand's shape.
+    The FLOP count is ``2 * out.size * contract``.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ValueError(f"matmul needs array operands, got {ad.shape} @ {bd.shape}")
-    contract = ad.shape[-1]
-    if bd.ndim >= 2:
-        if bd.shape[-2] != contract:
-            raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
-    elif bd.shape[0] != contract:
+    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
+    data = ad @ bd
+    _count(2 * data.size * ad.shape[-1])
+    a2 = ad[None, :] if ad.ndim == 1 else ad
+    b2 = bd[:, None] if bd.ndim == 1 else bd
 
-    if ad.ndim <= 2 and bd.ndim <= 2:
-        data = ad @ bd
-        _count(2 * data.size * contract if data.ndim else 2 * contract)
-        if ad.ndim == 2 and bd.ndim == 2:
-            bwd = lambda g: (g @ bd.T, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            bwd = lambda g: (bd @ g, np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:
-            bwd = lambda g: (np.outer(g, bd), ad.T @ g)
-        else:  # vector dot
-            bwd = lambda g: (g * bd, g * ad)
-        return _make(data, (a, b), bwd)
+    def bwd(g):
+        if bd.ndim == 1:
+            g = g[..., None]
+        if ad.ndim == 1:
+            g = g[..., None, :]
+        ga = _unbroadcast(g @ b2.swapaxes(-1, -2), a2.shape)
+        gb = _unbroadcast(a2.swapaxes(-1, -2) @ g, b2.shape)
+        return (ga.reshape(ad.shape), gb.reshape(bd.shape))
 
-    if ad.ndim >= 3 and bd.ndim == 1:
-        # (..., n, k) @ (k,) -> (..., n)
-        data = ad @ bd
-        _count(2 * data.size * contract)
-        lead = tuple(range(ad.ndim - 1))
-        bwd = lambda g: (g[..., None] * bd, (g[..., None] * ad).sum(axis=lead))
-        return _make(data, (a, b), bwd)
-
-    if ad.ndim >= 3 and bd.ndim == 2:
-        # (..., n, k) @ (k, m) -> (..., n, m)
-        data = ad @ bd
-        _count(2 * data.size * contract)
-        axes = tuple(range(ad.ndim - 1))
-        bwd = lambda g: (g @ bd.T, np.tensordot(ad, g, axes=(axes, axes)))
-        return _make(data, (a, b), bwd)
-
-    if ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]:
-        # stacked batch on both sides
-        data = ad @ bd
-        _count(2 * data.size * contract)
-        bwd = lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
-        return _make(data, (a, b), bwd)
-
-    raise ValueError(f"unsupported matmul operand shapes: {ad.shape} @ {bd.shape}")
+    return _make(data, (a, b), bwd)
 
 
 def softmax(x, axis: int = -1) -> Tensor:

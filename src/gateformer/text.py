@@ -48,9 +48,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.id_of
 
-    def lookup(self, token: str) -> int:
-        return self.id_of.get(token, self.unk_id)
-
     def token_of(self, idx: int) -> str:
         return self.tokens[idx]
 

@@ -1,11 +1,10 @@
-import filecmp
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
 
 from gateformer.cli import main
-from gateformer.config import RunConfig, load_config
+from gateformer.config import load_config
 from gateformer.text import Vocabulary, load_mind_news
 
 TINY_SYNTH = [
@@ -111,6 +110,43 @@ class TestConfig:
         (tmp_path / "c.ini").write_text(f"[{section}]\n{rest.replace('=', ' = ')}\n")
         with pytest.raises(ValueError, match=rf"^{key} must be finite, got "):
             load_config(tmp_path / "c.ini")
+
+    @pytest.mark.parametrize("item", [
+        "data.val_fraction=-0.5", "data.val_fraction=1.5", "synth.val_fraction=2",
+        "synth.val_fraction=-0.01", "synth.noise=3", "synth.noise=-0.1",
+    ])
+    def test_fraction_outside_unit_interval_rejected(self, item, tmp_path):
+        key = item.split("=")[0]
+        with pytest.raises(ValueError, match=rf"^{key} must be in \[0, 1\], got "):
+            load_config(None, [item])
+        section, rest = item.split(".", 1)
+        (tmp_path / "c.ini").write_text(f"[{section}]\n{rest.replace('=', ' = ')}\n")
+        with pytest.raises(ValueError, match=rf"^{key} must be in \[0, 1\], got "):
+            load_config(tmp_path / "c.ini")
+
+    def test_fraction_bounds_accepted(self):
+        cfg = load_config(None, ["data.val_fraction=0", "synth.val_fraction=1", "synth.noise=1"])
+        assert (cfg.data.val_fraction, cfg.synth.val_fraction, cfg.synth.noise) == (0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("item, kind", [
+        ("train.steps=1.5", "an integer"),
+        ("train.peak_lr=abc", "a number"),
+        ("data.title_only=maybe", "a boolean"),
+    ])
+    def test_unparsable_value_names_the_key(self, item, kind, tmp_path, capsys):
+        key, raw = item.split("=")
+        message = f"{key} must be {kind}, got '{raw}'"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            load_config(None, [item])
+        section, rest = item.split(".", 1)
+        (tmp_path / "c.ini").write_text(f"[{section}]\n{rest.replace('=', ' = ')}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            load_config(tmp_path / "c.ini")
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--config", str(tmp_path / "c.ini")]) == 1
+        assert main(["synth", "--out", str(out), "--set", item]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"] * 2
+        assert not out.exists()
 
     def test_file_roundtrip(self, tmp_path):
         cfg = load_config(None, ["train.seed=9", "model.d=32"])

@@ -3,7 +3,6 @@ import pytest
 
 from gateformer import numerics as nm
 from gateformer.efficiency import (
-    AccelReport,
     CostModel,
     ModelDims,
     acceleration_ratio,
@@ -12,9 +11,7 @@ from gateformer.efficiency import (
     flops_transformer,
     keyword_position_histogram,
     measure_speedup,
-    transformer_linear_coeff,
     transformer_quadratic_coeff,
-    user_side_flops,
 )
 from gateformer.gating import gate_groups
 from gateformer.recall import build_index
@@ -167,6 +164,14 @@ class TestBench:
         rows = bench(model, samples[:4], [1, 2, 3, 5, 10], repeats=2)
         flops = [r["flops"] for r in rows]
         assert flops == sorted(flops)
+
+    def test_model_k_restored(self, setup):
+        model, samples = setup
+        bench(model, samples[:4], [1, 2], repeats=2)
+        assert model.k == 3
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            bench(model, samples[:4], [2, 0], repeats=2)
+        assert model.k == 3
 
     def test_repeats_below_one_rejected(self, setup):
         model, samples = setup

@@ -497,7 +497,8 @@ class TestGateMatchesOracle:
         for a, b in zip(got_sels, ref_sels):
             for part in ("raw_scores", "weights", "gathered"):
                 assert rel_err(getattr(a, part).data, getattr(b, part).data) < 1e-12, part
-        c = np.random.default_rng(31).normal(size=(sum(s.k_eff for s in ref_sels), params.embed_dim))
+        d = params.word_embeddings.data.shape[1]
+        c = np.random.default_rng(31).normal(size=(sum(s.k_eff for s in ref_sels), d))
 
         def loss(fn):
             return lambda: nm.vsum(nm.mul(nm.concat_rows([s.gathered for s in fn()]), tensor(c)))
@@ -532,7 +533,7 @@ class TestGateMatchesOracle:
         histories = [oracle_history(rng, 15), UserHistory(oracle_history(rng, 15).items[:2]),
                      oracle_history(rng, 15)]
         weights = [p.word_embeddings, *p.named_tensors().values()]
-        c = np.random.default_rng(35).normal(size=(64, p.embed_dim))
+        c = np.random.default_rng(35).normal(size=(64, p.word_embeddings.data.shape[1]))
 
         def run():
             gated = gate_groups(histories, p, 3)

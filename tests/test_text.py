@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateformer.text import (
-    ImpressionSample,
     TokenSequence,
     UserHistory,
     Vocabulary,
@@ -115,7 +114,7 @@ class TestWordpiece:
         loaded = Vocabulary.from_file(tmp_path / "v.txt")
         assert loaded.tokens == vocab.tokens
         for i, t in enumerate(loaded.tokens):
-            assert loaded.lookup(t) == i
+            assert loaded.id_of[t] == i
 
 
 # a BERT-style vocabulary: [PAD] on line 0, beside tokens and pieces that

@@ -13,7 +13,6 @@ from gateformer.numerics import Tape, backward, tensor
 from gateformer.text import TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import (
     ENCODE_CHUNK,
-    Model,
     OptimState,
     adam_step,
     batch_loss,
