@@ -40,6 +40,9 @@ train``, restores the kept checkpoint and records a sha256 of each field:
   reorders no impression leaves alone; these do not;
 * ``index_file``: the corpus index written by ``recall.save_index``;
 * ``recall_csv``: ``gateformer recall`` on 32 impressions;
+* ``analyze_csv``: the ``positions.csv`` and ``keywords.csv`` of
+  ``gateformer analyze --users 8``, the per-sample gate's position counts
+  and the raw scores and weights of the tokens it keeps;
 * ``bench_csv``: ``gateformer bench --k 1,3``, without its
   ``wall_time_per_user`` column, since timings are not bits.
 
@@ -169,6 +172,7 @@ def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: st
     cli_run(["recall", "--run", str(run), "--data", str(data),
              "--n", "5,10", "--n-sparse", "20", "--max-impressions", "32"])
     cli_run(["bench", "--run", str(run), "--data", str(data), "--k", "1,3", "--repeats", "2"])
+    cli_run(["analyze", "--run", str(run), "--data", str(data), "--users", "8"])
 
     fields = {
         "checkpoint": sha((run / "best.bin").read_bytes(), (run / "best.manifest.json").read_bytes()),
@@ -205,6 +209,7 @@ def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: st
     recall.save_index(dataset.stats, run / "index.bin")
     fields["index_file"] = sha((run / "index.bin").read_bytes())
     fields["recall_csv"] = sha((run / "recall.csv").read_bytes())
+    fields["analyze_csv"] = sha((run / "positions.csv").read_bytes(), (run / "keywords.csv").read_bytes())
     fields["bench_csv"] = sha(without_column(run / "bench.csv", "wall_time_per_user"))
     return fields
 

@@ -244,9 +244,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _cutoffs(raw: str, flag: str) -> list[int]:
+    """The comma-separated cutoffs of ``flag``, in order; a ``ValueError``
+    naming the flag on an entry that is not an integer or is below 1."""
+    try:
+        values = [int(v) for v in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {raw!r}") from None
+    if min(values) < 1:
+        raise ValueError(f"{flag} cutoffs must be at least 1, got {min(values)}")
+    return values
+
+
 def cmd_bench(args) -> int:
+    k_values = _cutoffs(args.k, "--k")
     run_dir, cfg, dataset, model = _open_run(args)
-    k_values = [int(k) for k in args.k.split(",")]
     rows = bench(model, dataset.val_samples, k_values, repeats=args.repeats)
     out = Path(args.out) if args.out else run_dir / "bench.csv"
     _write_table(
@@ -273,9 +285,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_recall(args) -> int:
-    n_values = sorted(int(n) for n in args.n.split(","))
-    if n_values[0] < 1:
-        raise ValueError(f"--n cutoffs must be at least 1, got {n_values[0]}")
+    n_values = sorted(_cutoffs(args.n, "--n"))
     if args.max_impressions < 0:
         raise ValueError(f"--max-impressions must be at least 0, got {args.max_impressions}")
     run_dir, cfg, dataset, model = _open_run(args)

@@ -12,7 +12,10 @@ through two differentiable paths:
   scale the gathered embeddings row-wise.
 
 Unselected tokens still receive gradient through the interest-encoding
-path, which is what lets the gate learn which tokens to keep.
+path, but none that moves them towards selection: a token's score reaches
+the loss only through the softmax over the K tokens already kept, so a
+token left out is never pushed in. Training-time exploration (ROADMAP
+item 1, step 2: Gumbel-perturbed top-k) is the planned fix.
 
 :func:`gate_groups` is the one gate implementation. It gates many histories
 in one pass of grouped tensor ops: items bucketed by length for the CNN,

@@ -5,7 +5,7 @@ determinism plus tight finite-difference agreement matter more than speed.
 Gradients are recorded define-by-run on an explicit :class:`Tape`:
 
     with Tape() as tape:
-        loss = vsum(matmul(w, x))
+        loss = cosine(w, x)
     backward(tape, loss)        # w.grad now holds dloss/dw
 
 A tape is single-threaded; independent samples may each run their own tape
@@ -14,9 +14,10 @@ so gradient accumulation order is deterministic and runs are bit-reproducible
 for a fixed seed. Repeated ``backward`` calls without ``zero_grad`` add
 another full dloss/dtensor into ``.grad``.
 
-Op outputs may share storage with their inputs (reshape, transpose); treat
-tensor ``.data`` as read-only once it has entered an op. Gradient arrays are
-only ever replaced, never mutated in place, so aliasing between them is safe.
+Op outputs may share storage with their inputs (reshape, an identity
+gather); treat tensor ``.data`` as read-only once it has entered an op.
+Gradient arrays are only ever replaced, never mutated in place, so aliasing
+between them is safe.
 
 Most ops are one numpy expression each. The recurring pieces of the model
 are kernels written out by hand, each one tape node with a hand-written
@@ -37,7 +38,7 @@ and a :func:`concat_rows` of one part returns that part.
 
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
-per-element constants for the transcendental ops (see ``_FLOPS_PER_ELEM``).
+per-element constants for softmax and layer norm (see ``_FLOPS_PER_ELEM``).
 :func:`recording` tells whether a tape is active on the calling thread.
 """
 
@@ -55,7 +56,6 @@ __all__ = [
     "tensor",
     "constant",
     "backward",
-    "matmul",
     "softmax",
     "conv1d",
     "LSTMParams",
@@ -65,10 +65,6 @@ __all__ = [
     "attention_pool",
     "cosine",
     "relu",
-    "sigmoid",
-    "tanh",
-    "sqrt",
-    "clamp_min",
     "vsum",
     "mean",
     "logsumexp",
@@ -78,7 +74,6 @@ __all__ = [
     "assemble_rows",
     "narrow",
     "reshape",
-    "transpose",
     "count_flops",
     "FlopCounter",
 ]
@@ -96,7 +91,6 @@ _STATE = _State()
 # in the efficiency module does not read this table: it hard-codes the same
 # constants in its closed forms, and its tests hold the two in agreement.
 _FLOPS_PER_ELEM = {
-    "transcendental": 4,  # sqrt, sigmoid, tanh
     "softmax": 5,
     "layer_norm": 7,
 }
@@ -310,52 +304,11 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-    _count(data.size)
-    return _make(
-        data, (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     data = np.maximum(x.data, 0.0)
     _count(data.size)
     return _make(data, (x,), lambda g: (g * (x.data > 0.0),))
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    data = 1.0 / (1.0 + np.exp(-x.data))
-    _count(_FLOPS_PER_ELEM["transcendental"] * data.size)
-    return _make(data, (x,), lambda g: (g * data * (1.0 - data),))
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.tanh(x.data)
-    _count(_FLOPS_PER_ELEM["transcendental"] * data.size)
-    return _make(data, (x,), lambda g: (g * (1.0 - data * data),))
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.sqrt(x.data)
-    _count(_FLOPS_PER_ELEM["transcendental"] * data.size)
-    return _make(data, (x,), lambda g: (g / (2.0 * data),))
-
-
-def clamp_min(x, lo: float) -> Tensor:
-    x = _as_tensor(x)
-    data = np.maximum(x.data, lo)
-    _count(data.size)
-    return _make(data, (x,), lambda g: (g * (x.data > lo),))
 
 
 # ---------------------------------------------------------------------------
@@ -389,39 +342,6 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gk / n, x.data.shape),)
 
     return _make(data, (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-# ---------------------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy's rule for every operand rank.
-
-    A 1-D ``a`` is a row and a 1-D ``b`` a column, and the result drops
-    them; leading axes broadcast. The backward pass is one product per
-    operand on the row/column forms, summed back to that operand's shape.
-    The FLOP count is ``2 * out.size * contract``.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
-        raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
-    data = ad @ bd
-    _count(2 * data.size * ad.shape[-1])
-    a2 = ad[None, :] if ad.ndim == 1 else ad
-    b2 = bd[:, None] if bd.ndim == 1 else bd
-
-    def bwd(g):
-        if bd.ndim == 1:
-            g = g[..., None]
-        if ad.ndim == 1:
-            g = g[..., None, :]
-        ga = _unbroadcast(g @ b2.swapaxes(-1, -2), a2.shape)
-        gb = _unbroadcast(a2.swapaxes(-1, -2) @ g, b2.shape)
-        return (ga.reshape(ad.shape), gb.reshape(bd.shape))
-
-    return _make(data, (a, b), bwd)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -952,9 +872,3 @@ def reshape(x, shape) -> Tensor:
     data = x.data.reshape(shape)
     return _make(data, (x,), lambda g: (g.reshape(x.data.shape),))
 
-
-def transpose(x, axes: tuple) -> Tensor:
-    """General axis permutation; backward applies the inverse permutation."""
-    x = _as_tensor(x)
-    inv = tuple(np.argsort(axes))
-    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))

@@ -179,11 +179,6 @@ def _token_ids(text: str, vocab: Vocabulary, split: dict[str, list[int]]) -> lis
     return ids
 
 
-def wordpiece_tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
-    """Greedy WordPiece over lowercased, punctuation-split words."""
-    return TokenSequence(_token_ids(text, vocab, {}))
-
-
 # ---------------------------------------------------------------------------
 # MIND-format ingestion
 # ---------------------------------------------------------------------------
@@ -305,12 +300,6 @@ class SynthCorpus:
     sample_user: list[str]
     train_indices: list[int]
     val_indices: list[int]
-
-    def split(self) -> tuple[list[ImpressionSample], list[ImpressionSample]]:
-        return (
-            [self.samples[i] for i in self.train_indices],
-            [self.samples[i] for i in self.val_indices],
-        )
 
 
 def synth_corpus_full(

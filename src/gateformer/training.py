@@ -172,11 +172,6 @@ class ItemStore:
         """Candidate rows held."""
         return len(self._candidates)
 
-    @property
-    def n_gate_rows(self) -> int:
-        """History items whose gate features are held."""
-        return len(self._gate)
-
     def rows(self, seqs: list[TokenSequence], params: TransformerParams) -> np.ndarray:
         """Read-only (len(seqs), d) candidate rows in input order; the rows
         missing are made by :func:`encode_candidates` calls on slices of

@@ -3,6 +3,12 @@
 Everything here is deliberately written the dumb way (loops, O(n^2) pair
 counting, central differences) and never calls into the package's fast paths
 it is checking.
+
+The composed forms of the fused kernels are built from the package's plain
+tape ops plus the generic ones only they need: ``div``, ``sigmoid``,
+``tanh``, ``sqrt``, ``clamp_min``, ``matmul`` and ``transpose`` live here,
+on the tape and FLOP counter of ``gateformer.numerics``, so each kernel's
+values, gradients and FLOP count are pinned to an op-by-op reference.
 """
 
 import math
@@ -13,8 +19,93 @@ import numpy as np
 from gateformer import numerics as nm
 from gateformer.gating import GateSelection
 from gateformer.numerics import Tape, backward, constant, gather_rows
+from gateformer.numerics import _as_tensor, _count, _make, _unbroadcast
 from gateformer.recall import bm25_term_weight
 from gateformer.transformer import encode_sequence, weighted_pool
+
+
+# ---------------------------------------------------------------------------
+# the generic tape ops of the composed forms
+# ---------------------------------------------------------------------------
+
+TRANSCENDENTAL_FLOPS = 4  # per element of sqrt, sigmoid and tanh
+
+
+def div(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data / b.data
+    _count(data.size)
+    return _make(
+        data, (a, b),
+        lambda g: (
+            _unbroadcast(g / b.data, a.data.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+        ),
+    )
+
+
+def sigmoid(x):
+    x = _as_tensor(x)
+    data = 1.0 / (1.0 + np.exp(-x.data))
+    _count(TRANSCENDENTAL_FLOPS * data.size)
+    return _make(data, (x,), lambda g: (g * data * (1.0 - data),))
+
+
+def tanh(x):
+    x = _as_tensor(x)
+    data = np.tanh(x.data)
+    _count(TRANSCENDENTAL_FLOPS * data.size)
+    return _make(data, (x,), lambda g: (g * (1.0 - data * data),))
+
+
+def sqrt(x):
+    x = _as_tensor(x)
+    data = np.sqrt(x.data)
+    _count(TRANSCENDENTAL_FLOPS * data.size)
+    return _make(data, (x,), lambda g: (g / (2.0 * data),))
+
+
+def clamp_min(x, lo: float):
+    x = _as_tensor(x)
+    data = np.maximum(x.data, lo)
+    _count(data.size)
+    return _make(data, (x,), lambda g: (g * (x.data > lo),))
+
+
+def matmul(a, b):
+    """Matrix product with numpy's rule for every operand rank.
+
+    A 1-D ``a`` is a row and a 1-D ``b`` a column, and the result drops
+    them; leading axes broadcast. The backward pass is one product per
+    operand on the row/column forms, summed back to that operand's shape.
+    The FLOP count is ``2 * out.size * contract``.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
+    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
+        raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
+    data = ad @ bd
+    _count(2 * data.size * ad.shape[-1])
+    a2 = ad[None, :] if ad.ndim == 1 else ad
+    b2 = bd[:, None] if bd.ndim == 1 else bd
+
+    def bwd(g):
+        if bd.ndim == 1:
+            g = g[..., None]
+        if ad.ndim == 1:
+            g = g[..., None, :]
+        ga = _unbroadcast(g @ b2.swapaxes(-1, -2), a2.shape)
+        gb = _unbroadcast(a2.swapaxes(-1, -2) @ g, b2.shape)
+        return (ga.reshape(ad.shape), gb.reshape(bd.shape))
+
+    return _make(data, (a, b), bwd)
+
+
+def transpose(x, axes: tuple):
+    """General axis permutation; backward applies the inverse permutation."""
+    x = _as_tensor(x)
+    inv = tuple(np.argsort(axes))
+    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,7 +189,7 @@ def conv1d_window_oracle(x, filters, bias, w: int):
     pad = constant(np.zeros((w, d)))
     padded = nm.concat_rows([pad, x, pad])
     windows = nm.concat_rows([nm.narrow(padded, 0, i, L) for i in range(2 * w + 1)], axis=1)
-    return nm.add(nm.matmul(windows, nm.transpose(filters, (1, 0))), bias)
+    return nm.add(matmul(windows, transpose(filters, (1, 0))), bias)
 
 
 def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
@@ -110,47 +201,47 @@ def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
     scale = 1.0 / math.sqrt(dh)
 
     def split(t):  # (B, n, d) -> (B, heads, n, dh)
-        return nm.transpose(nm.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
+        return transpose(nm.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
 
-    q = split(nm.add(nm.matmul(x, wq), bq))
-    k = split(nm.add(nm.matmul(x, wk), bk))
-    v = split(nm.add(nm.matmul(x, wv), bv))
-    scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale)
+    q = split(nm.add(matmul(x, wq), bq))
+    k = split(nm.add(matmul(x, wk), bk))
+    v = split(nm.add(matmul(x, wv), bv))
+    scores = nm.mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
     alpha = nm.softmax(scores, axis=-1)
-    ctx = nm.reshape(nm.transpose(nm.matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
-    return nm.add(nm.matmul(ctx, wo), bo)
+    ctx = nm.reshape(transpose(matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
+    return nm.add(matmul(ctx, wo), bo)
 
 
 def feed_forward_oracle(x, w1, b1, w2, b2):
     """Position-wise feed-forward in composed tape ops."""
-    hidden = nm.relu(nm.add(nm.matmul(x, w1), b1))
-    return nm.add(nm.matmul(hidden, w2), b2)
+    hidden = nm.relu(nm.add(matmul(x, w1), b1))
+    return nm.add(matmul(hidden, w2), b2)
 
 
 def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
     """Layer normalization over the last axis in composed tape ops."""
     xc = nm.sub(x, nm.mean(x, axis=-1, keepdims=True))
     var = nm.mean(nm.mul(xc, xc), axis=-1, keepdims=True)
-    return nm.add(nm.mul(nm.div(xc, nm.sqrt(nm.add(var, eps))), gamma), beta)
+    return nm.add(nm.mul(div(xc, sqrt(nm.add(var, eps))), gamma), beta)
 
 
 def attention_pool_oracle(x, query):
     """softmax(x @ query)-weighted rows of (..., n, d) x, in composed tape
     ops."""
-    alpha = nm.softmax(nm.matmul(x, query), axis=-1)
+    alpha = nm.softmax(matmul(x, query), axis=-1)
     if x.data.ndim == 2:
-        return nm.matmul(alpha, x)
+        return matmul(alpha, x)
     *lead, n, d = x.data.shape
-    return nm.reshape(nm.matmul(nm.reshape(alpha, (*lead, 1, n)), x), (*lead, d))
+    return nm.reshape(matmul(nm.reshape(alpha, (*lead, 1, n)), x), (*lead, d))
 
 
 def cosine_oracle(a, b, eps: float = 1e-12):
     """Last-axis cosine with broadcasting in composed tape ops; squared norms
     are clamped at eps ** 2."""
     num = nm.vsum(nm.mul(a, b), axis=-1)
-    na = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(a, a), axis=-1), eps * eps))
-    nb = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(b, b), axis=-1), eps * eps))
-    return nm.div(num, nm.mul(na, nb))
+    na = sqrt(clamp_min(nm.vsum(nm.mul(a, a), axis=-1), eps * eps))
+    nb = sqrt(clamp_min(nm.vsum(nm.mul(b, b), axis=-1), eps * eps))
+    return div(num, nm.mul(na, nb))
 
 
 def gather_rows_oracle(x: np.ndarray, indices, g: np.ndarray):
@@ -395,17 +486,17 @@ def lstm_last_oracle(seq, params):
     axis = len(lead)
     h = constant(np.zeros((*lead, g)))
     c = constant(np.zeros((*lead, g)))
-    w_ih_t = nm.transpose(params.w_ih, (1, 0))
-    w_hh_t = nm.transpose(params.w_hh, (1, 0))
+    w_ih_t = transpose(params.w_ih, (1, 0))
+    w_hh_t = transpose(params.w_hh, (1, 0))
     for t in range(seq.data.shape[-2]):
         x_t = nm.reshape(nm.narrow(seq, axis, t, 1), (*lead, params.input_dim))
-        z = nm.add(nm.add(nm.matmul(x_t, w_ih_t), nm.matmul(h, w_hh_t)), params.bias)
-        i_g = nm.sigmoid(nm.narrow(z, axis, 0, g))
-        f_g = nm.sigmoid(nm.narrow(z, axis, g, g))
-        c_hat = nm.tanh(nm.narrow(z, axis, 2 * g, g))
-        o_g = nm.sigmoid(nm.narrow(z, axis, 3 * g, g))
+        z = nm.add(nm.add(matmul(x_t, w_ih_t), matmul(h, w_hh_t)), params.bias)
+        i_g = sigmoid(nm.narrow(z, axis, 0, g))
+        f_g = sigmoid(nm.narrow(z, axis, g, g))
+        c_hat = tanh(nm.narrow(z, axis, 2 * g, g))
+        o_g = sigmoid(nm.narrow(z, axis, 3 * g, g))
         c = nm.add(nm.mul(f_g, c), nm.mul(i_g, c_hat))
-        h = nm.mul(o_g, nm.tanh(c))
+        h = nm.mul(o_g, tanh(c))
     return h
 
 
@@ -420,7 +511,7 @@ def encode_item(seq, params):
                   params.filters, params.bias, params.window),
         (len(seq), params.n_filters),
     ))
-    return ctx, nm.matmul(nm.softmax(nm.matmul(ctx, params.pool_v)), ctx)
+    return ctx, matmul(nm.softmax(matmul(ctx, params.pool_v)), ctx)
 
 
 def attn_user_variant(items_h, params):
@@ -428,8 +519,8 @@ def attn_user_variant(items_h, params):
     if not items_h:
         raise ValueError("attention user encoder needs at least one item")
     stacked = nm.concat_rows([nm.reshape(h, (1, params.n_filters)) for h in items_h])
-    alpha = nm.softmax(nm.matmul(stacked, params.attn_v))
-    return nm.matmul(alpha, stacked)
+    alpha = nm.softmax(matmul(stacked, params.attn_v))
+    return matmul(alpha, stacked)
 
 
 def _aggregate_user(pooled, params):
@@ -447,10 +538,10 @@ def encode_user_interest(history, params):
 def score_tokens(ctx, user_interest):
     """Cosine of each context row with the interest vector."""
     eps = 1e-12
-    num = nm.matmul(ctx, user_interest)
-    row_norm = nm.sqrt(nm.clamp_min(nm.vsum(nm.mul(ctx, ctx), axis=1), eps * eps))
-    u_norm = nm.sqrt(nm.clamp_min(nm.matmul(user_interest, user_interest), eps * eps))
-    return nm.div(num, nm.mul(row_norm, u_norm))
+    num = matmul(ctx, user_interest)
+    row_norm = sqrt(clamp_min(nm.vsum(nm.mul(ctx, ctx), axis=1), eps * eps))
+    u_norm = sqrt(clamp_min(matmul(user_interest, user_interest), eps * eps))
+    return div(num, nm.mul(row_norm, u_norm))
 
 
 def _selectable_scores(seq, scores):
@@ -571,7 +662,7 @@ def score(user, cand):
             f"score dim mismatch: {user.data.shape} vs {cand.data.shape}"
         )
     d = user.data.shape[0]
-    return nm.mul(nm.matmul(user, cand), 1.0 / math.sqrt(d))
+    return nm.mul(matmul(user, cand), 1.0 / math.sqrt(d))
 
 
 def click_loss(user, positive, negatives):

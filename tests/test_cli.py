@@ -365,6 +365,25 @@ class TestBenchCommand:
         assert sorted(encoded) == sorted(distinct)
 
 
+class TestCutoffFlags:
+    @pytest.mark.parametrize("command, flag, raw, message", [
+        ("bench", "--k", "0", "--k cutoffs must be at least 1, got 0"),
+        ("bench", "--k", "3,-2", "--k cutoffs must be at least 1, got -2"),
+        ("bench", "--k", "1,,3", "--k takes comma-separated integers, got '1,,3'"),
+        ("bench", "--k", "2.5", "--k takes comma-separated integers, got '2.5'"),
+        ("recall", "--n", "10,,50", "--n takes comma-separated integers, got '10,,50'"),
+        ("recall", "--n", "x", "--n takes comma-separated integers, got 'x'"),
+        ("recall", "--n", "5,0", "--n cutoffs must be at least 1, got 0"),
+    ])
+    def test_bad_entry_exits_naming_the_flag_before_the_run_opens(
+        self, tmp_path, capsys, command, flag, raw, message
+    ):
+        # the run directory does not exist: opening it would fail otherwise
+        rc = main([command, "--run", str(tmp_path / "absent"), flag, raw])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestRecallCommand:
     def test_emits_method_rows(self, tmp_path):
         data = synth(tmp_path, seed=11)

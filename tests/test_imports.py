@@ -1,13 +1,24 @@
-"""Every imported name is read by the module that imports it.
+"""Every imported name is read by the module that imports it, and every
+definition in the package is read by the package.
 
-A static check over the package, the tests and the scripts: each name an
-``import`` binds must be read somewhere in its module, in code, in a string
-annotation or in ``__all__``. An import kept on purpose (a re-export, or an
-import made for its side effect) says so with ``# noqa: F401`` on one of its
-lines. ``perfbench/`` is left out.
+Two static checks. The first runs over the package, the tests and the
+scripts: each name an ``import`` binds must be read somewhere in its module,
+in code, in a string annotation or in ``__all__``. An import kept on purpose
+(a re-export, or an import made for its side effect) says so with
+``# noqa: F401`` on one of its lines. ``perfbench/`` is left out.
+
+The second runs over ``src/gateformer`` alone: each top-level function or
+class, and each method that is not a dunder, must be read by code of the
+package outside its own body. The package holds what the product runs; a
+reference form that only the tests need lives in ``tests/oracles.py``. The
+few definitions read only from outside the package are listed in
+``UNREAD_IN_SRC``, each with its readers and the ROADMAP item that removes
+it; the list may only shrink.
 """
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -16,6 +27,25 @@ ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
     p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")
 )
+PACKAGE = sorted((ROOT / "src" / "gateformer").glob("*.py"))
+
+# definition -> its readers outside the package, and the ROADMAP item that
+# gives it a reader in the package or removes it
+UNREAD_IN_SRC = {
+    "efficiency.CostModel.from_dims": "perfbench, tests; item 9",
+    "efficiency.acceleration_ratio": "perfbench, tests; item 9",
+    "numerics.count_flops": "perfbench, tests; item 9",
+    "gating.GateSelection.k_eff": "perfbench's tracing._tokens, tests; item 5",
+    "recall.bm25_score": "perfbench's check, tests; item 5",
+    "recall.save_index": "perfbench, tests, scripts/same_numbers.py; item 7",
+    "recall.load_index": "perfbench, tests; item 7",
+    "training.user_keywords": "perfbench, tests; item 5",
+    "transformer.encode_candidate": (
+        "perfbench through the cli and training re-exports, scripts/profile_step.py, "
+        "tests; item 5"
+    ),
+}
+UNREAD_IN_SRC_MAX = 9  # lower it with each entry removed
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -26,26 +56,33 @@ def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
     ]
 
 
-def _read_names(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere in the module, in string annotations too, plus
-    the entries of ``__all__``."""
-    read = set()
+def _loads(tree: ast.AST):
+    """(line, node) of every name load and attribute read in ``tree``; the
+    names in a string annotation are read at the annotation's line."""
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+        if isinstance(node, ast.Name | ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node
         elif isinstance(node, ast.arg | ast.AnnAssign) and node.annotation is not None:
             annotations.append(node.annotation)
         elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.returns:
             annotations.append(node.returns)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read.update(ast.literal_eval(node.value))
     for ann in annotations:
         for sub in ast.walk(ann):
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                read |= _read_names(ast.parse(sub.value, mode="eval"))
+                for _, node in _loads(ast.parse(sub.value, mode="eval")):
+                    yield sub.lineno, node
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the module, in string annotations too, plus
+    the entries of ``__all__``."""
+    read = {node.id for _, node in _loads(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
     return read
 
 
@@ -64,9 +101,82 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return unused
 
 
+def _package_modules(tree: ast.Module) -> set[str]:
+    """Names the module's imports bind to modules of the package."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "gateformer" or (node.level and node.module is None)
+        ):
+            bound.update(_bound_names(node))
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname for a in node.names
+                         if a.asname and a.name.startswith("gateformer."))
+    return bound
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node, is_method) of each top-level function or class
+    and of each non-dunder method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs[:2]) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub, True
+
+
+def unread_definitions(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each definition in ``sources`` (module name ->
+    source) that no code in them reads outside the definition's own body.
+
+    A top-level name is read by a name load or by ``mod.name`` where ``mod``
+    binds a module of the package; a method by any attribute of its name.
+    Docstrings, ``__all__`` and import statements read nothing.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    # name -> (module, line, reads a top-level name, reads a method)
+    reads = defaultdict(list)
+    for module, tree in trees.items():
+        package_modules = _package_modules(tree)
+        for line, node in _loads(tree):
+            if isinstance(node, ast.Name):
+                reads[node.id].append((module, line, True, False))
+            else:
+                top = isinstance(node.value, ast.Name) and node.value.id in package_modules
+                reads[node.attr].append((module, line, top, True))
+    unread = set()
+    for module, tree in trees.items():
+        for qualname, node, is_method in _definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                (method if is_method else top) and not (where == module and line in own)
+                for where, line, top, method in reads[node.name]
+            ):
+                unread.add(f"{module}.{qualname}")
+    return unread
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def allowlist_problems(unread: set[str], allowlist: dict[str, str]) -> list[str]:
+    """Each unread definition the allowlist lacks, and each entry that is
+    read or gone."""
+    return [f"unread, not allowlisted: {name}" for name in sorted(unread - set(allowlist))] + [
+        f"stale allowlist entry: {name}" for name in sorted(set(allowlist) - unread)
+    ]
+
+
+def test_every_definition_is_read_by_the_package():
+    unread = unread_definitions({p.stem: p.read_text() for p in PACKAGE})
+    assert allowlist_problems(unread, UNREAD_IN_SRC) == []
+    assert len(UNREAD_IN_SRC) <= UNREAD_IN_SRC_MAX
+    assert all(re.fullmatch(r".+; item \d+", why) for why in UNREAD_IN_SRC.values())
 
 
 class TestChecker:
@@ -88,3 +198,56 @@ class TestChecker:
             "__all__ = ['e']\n"
         )
         assert unused_imports(src) == []
+
+
+class TestReaderCheck:
+    def test_flags_an_unread_function_and_method(self):
+        src = (
+            "def used():\n    pass\n"
+            "def unused():\n    pass\n"
+            "class C:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def read(self):\n        pass\n"
+            "    def unread(self):\n        pass\n"
+            "used()\n"
+            "C().read()\n"
+        )
+        assert unread_definitions({"m": src}) == {"m.unused", "m.C.unread"}
+
+    def test_counts_package_module_attributes_but_not_others(self):
+        sources = {
+            "ops": "def tanh(x):\n    pass\ndef sqrt(x):\n    pass\n",
+            "user": (
+                "import numpy as np\n"
+                "from . import ops as pkgmod\n"
+                "pkgmod.tanh(np.sqrt(2.0))\n"
+            ),
+        }
+        assert unread_definitions(sources) == {"ops.sqrt"}
+
+    def test_a_name_load_reads_no_method(self):
+        src = "class C:\n    def f(self):\n        pass\nf = 1\nprint(f, C)\n"
+        assert unread_definitions({"m": src}) == {"m.C.f"}
+
+    def test_own_body_all_and_docstrings_read_nothing(self):
+        src = (
+            '"""Calls loop() and walk(), and C.step()."""\n'
+            "__all__ = ['loop', 'walk', 'C']\n"
+            "def loop(n):\n    return loop(n - 1) if n else 0\n"
+            "def walk():\n    '''walk() calls itself.'''\n"
+            "class C:\n"
+            "    def step(self):\n        return self.step()\n"
+        )
+        assert unread_definitions({"m": src}) == {"m.loop", "m.walk", "m.C", "m.C.step"}
+
+    def test_reads_in_string_annotations_count(self):
+        src = "class T:\n    pass\ndef f(x: 'T | None'):\n    pass\nf(1)\n"
+        assert unread_definitions({"m": src}) == set()
+
+    def test_stale_and_missing_allowlist_entries_fail(self):
+        allowlist = {"m.f": "tests; item 1", "m.g": "tests; item 1"}
+        assert allowlist_problems({"m.f"}, allowlist) == ["stale allowlist entry: m.g"]
+        assert allowlist_problems({"m.f", "m.g", "m.h"}, allowlist) == [
+            "unread, not allowlisted: m.h"
+        ]
+        assert allowlist_problems({"m.f", "m.g"}, allowlist) == []

@@ -141,7 +141,7 @@ class TestSameNumbers:
         sides = [same_numbers.run_side(bench_pairs.ROOT, ["tiny"], ["learned-lstm"], "1")
                  for _ in range(2)]
         lines = same_numbers.compare(*sides)
-        assert len(lines) == 14
+        assert len(lines) == 15
         assert all(re.fullmatch(r"tiny/learned-lstm/\w+ same", line) for line in lines), lines
 
     def test_a_field_that_differs_or_is_on_one_side_differs(self, same_numbers):

@@ -9,17 +9,22 @@ from gateformer.text import (
     Vocabulary,
     _basic_tokenize,
     _greedy_pieces,
+    _token_ids,
     first_occurrences,
     load_mind_behaviors,
     load_mind_news,
     synth_corpus_full,
-    wordpiece_tokenize,
 )
 from oracles import auc_oracle, basic_tokenize_oracle, greedy_pieces_oracle
 
 
 def make_vocab(*words):
     return Vocabulary(["[PAD]", "[UNK]", *words])
+
+
+def wordpiece_tokenize(text, vocab):
+    """The ids ``load_mind_news`` gives one text, before its ``l_max`` cut."""
+    return TokenSequence(_token_ids(text, vocab, {}))
 
 
 class TestWordpiece:

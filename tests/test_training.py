@@ -57,6 +57,17 @@ def tiny_corpus():
     )
 
 
+def train_val(corpus):
+    """The corpus's training and validation samples."""
+    return ([corpus.samples[i] for i in corpus.train_indices],
+            [corpus.samples[i] for i in corpus.val_indices])
+
+
+def gate_rows_held(model):
+    """History items whose gate features the model's item store holds."""
+    return len(model.items._gate)
+
+
 def tiny_model(corpus, method="learned", seed=0, k=2, user_encoder="lstm"):
     from gateformer.recall import build_index
 
@@ -376,7 +387,7 @@ class TestTrainLoop:
     def test_training_is_deterministic(self, tiny_corpus):
         def run():
             model = tiny_model(tiny_corpus)
-            tr, va = tiny_corpus.split()
+            tr, va = train_val(tiny_corpus)
             res = train(
                 model, tr, va, steps=8, batch_size=4, peak_lr=1e-3,
                 warmup=2, seed=5, eval_interval=4, log_interval=0,
@@ -403,7 +414,7 @@ class TestTrainLoop:
         def logged_norms(clip_norm, log_interval):
             caplog.clear()
             model = tiny_model(tiny_corpus)
-            tr, _ = tiny_corpus.split()
+            tr, _ = train_val(tiny_corpus)
             with caplog.at_level("INFO", logger="gateformer.training"):
                 train(model, tr, [], steps=4, batch_size=4, peak_lr=1e-3, warmup=2,
                       seed=5, log_interval=log_interval, clip_norm=clip_norm)
@@ -423,7 +434,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_separable_data(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
-        tr, va = tiny_corpus.split()
+        tr, va = train_val(tiny_corpus)
         res = train(
             model, tr, va, steps=60, batch_size=8, peak_lr=2e-3,
             warmup=10, seed=0, eval_interval=30, log_interval=0,
@@ -435,7 +446,7 @@ class TestTrainLoop:
 
     def test_best_checkpoint_retained(self, tiny_corpus, tmp_path):
         model = tiny_model(tiny_corpus)
-        tr, va = tiny_corpus.split()
+        tr, va = train_val(tiny_corpus)
         res = train(
             model, tr, va, steps=20, batch_size=4, peak_lr=2e-3,
             warmup=5, seed=1, eval_interval=10, log_interval=0, out_dir=tmp_path,
@@ -450,7 +461,7 @@ class TestTrainLoop:
         gate_before = {
             k: v.data.copy() for k, v in model.gate.named_tensors().items()
         }
-        tr, va = tiny_corpus.split()
+        tr, va = train_val(tiny_corpus)
         train(
             model, tr, va, steps=6, batch_size=4, peak_lr=5e-3,
             warmup=1, seed=0, eval_interval=0, log_interval=0,
@@ -713,7 +724,7 @@ class TestItemStore:
         rows = model.items.rows([history.items[0], copies[0]], model.trans)
         assert len(model.items) == len(encoded) == 1 and np.array_equal(rows[0], rows[1])
         both = batch_user_embeddings(model, [history, UserHistory(copies)], [0, 1]).data
-        assert model.items.n_gate_rows == len({seq.key for seq in history.items})
+        assert gate_rows_held(model) == len({seq.key for seq in history.items})
         assert np.array_equal(both[0], both[1])
 
     def test_rows_match_one_encode_candidates_call_in_input_order(self, tiny_corpus):
@@ -822,7 +833,7 @@ class TestGateRows:
             taped = batch_user_embeddings(fresh(), hists, idx).data
         model = fresh()
         cold = batch_user_embeddings(model, hists, idx).data
-        assert model.items.n_gate_rows == len(self.distinct_items(hists))
+        assert gate_rows_held(model) == len(self.distinct_items(hists))
         warm = batch_user_embeddings(model, hists, idx).data
         assert np.array_equal(cold, taped) and np.array_equal(warm, taped)
         # rows computed in other batches than this call's
@@ -834,7 +845,7 @@ class TestGateRows:
         want = evaluate(self.uncached(fresh()), samples, threads=threads)
         model = fresh()
         assert evaluate(model, samples, threads=threads) == want
-        assert model.items.n_gate_rows == len(self.distinct_items(hists))
+        assert gate_rows_held(model) == len(self.distinct_items(hists))
         model = fresh()
         evaluate(model, samples[13:40], threads=threads)
         evaluate(model, samples[:7], threads=threads)
@@ -855,15 +866,15 @@ class TestGateRows:
 
         cold = tiny_model(tiny_corpus)
         want = step(cold)
-        assert cold.items.n_gate_rows == 0
+        assert gate_rows_held(cold) == 0
         warm = tiny_model(tiny_corpus)
         evaluate(warm, samples)
-        held = warm.items.n_gate_rows
+        held = gate_rows_held(warm)
         assert held > 0
         reads = []
         monkeypatch.setattr(warm.items, "gate_rows", lambda *args: reads.append(args))
         nodes, loss, grads = step(warm)
-        assert reads == [] and warm.items.n_gate_rows == held
+        assert reads == [] and gate_rows_held(warm) == held
         assert (nodes, loss) == want[:2]
         for name, grad in want[2].items():
             other = grads[name]
@@ -883,7 +894,7 @@ class TestGateRows:
         distinct = self.distinct_items(hists)
         assert len(distinct) < sum(len(h) for h in hists)
         assert sorted(computed) == sorted(distinct)
-        assert model.items.n_gate_rows == len(distinct)
+        assert gate_rows_held(model) == len(distinct)
         _adam(model, None)
         computed.clear()
         evaluate(model, samples, threads=3)
@@ -894,7 +905,7 @@ class TestGateRows:
         computed = self.recording(monkeypatch)
         model = tiny_model(tiny_corpus, method)
         evaluate(model, tiny_corpus.samples[:20])
-        assert computed == [] and model.items.n_gate_rows == 0
+        assert computed == [] and gate_rows_held(model) == 0
 
     @pytest.mark.parametrize("change", [
         _adam, _load_other_checkpoint, _edit_word_row, _edit_filters, _edit_pool_v,
@@ -909,7 +920,7 @@ class TestGateRows:
         got = batch_user_embeddings(model, hists[:3], [0, 1, 2]).data
         distinct = self.distinct_items(hists[:3])
         assert sorted(computed) == sorted(distinct)
-        assert model.items.n_gate_rows == len(distinct)
+        assert gate_rows_held(model) == len(distinct)
         with Tape():
             assert np.array_equal(got, batch_user_embeddings(model, hists[:3], [0, 1, 2]).data)
 
@@ -923,11 +934,11 @@ class TestGateRows:
         hists = [s.history for s in tiny_corpus.samples[:20]]
         idx = list(range(20))
         before = batch_user_embeddings(model, hists, idx).data
-        held = model.items.n_gate_rows
+        held = gate_rows_held(model)
         change(model, tmp_path)
         computed = self.recording(monkeypatch)
         got = batch_user_embeddings(model, hists, idx).data
-        assert computed == [] and model.items.n_gate_rows == held
+        assert computed == [] and gate_rows_held(model) == held
         assert not np.array_equal(got, before)
         with Tape():
             assert np.array_equal(got, batch_user_embeddings(model, hists, idx).data)
@@ -936,7 +947,7 @@ class TestGateRows:
         model = tiny_model(tiny_corpus)
         samples = tiny_corpus.samples[:ENCODE_CHUNK]
         evaluate(model, samples)  # a warm store, holding every item of these histories
-        held = model.items.n_gate_rows
+        held = gate_rows_held(model)
         history = samples[0].history
         reads = []
         monkeypatch.setattr(model.items, "gate_rows", lambda *args: reads.append(args))
@@ -944,7 +955,7 @@ class TestGateRows:
             user_embedding(model, history, 0)
         gate_history(history, model, 0)
         user_keywords(model, history, 0)
-        assert reads == [] and model.items.n_gate_rows == held
+        assert reads == [] and gate_rows_held(model) == held
         dims = ModelDims(
             d=model.trans.d, layers=len(model.trans.layers), heads=model.trans.heads,
             n_filters=model.gate.n_filters, window=model.gate.window, k=model.k,
@@ -979,14 +990,14 @@ class TestSnapshotCheck:
         model.gate.word_embeddings.data[5, 0] = 0.0
         samples = corpus.samples[:6]
         evaluate(model, samples)
-        assert len(model.items) > 0 and model.items.n_gate_rows > 0
+        assert len(model.items) > 0 and gate_rows_held(model) > 0
         return model, samples, TestItemStore.counting(monkeypatch), TestGateRows.recording(monkeypatch)
 
     def test_negative_zero_drops_both_kinds(self, tiny_corpus, monkeypatch):
         model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
         model.gate.word_embeddings.data[5, 0] = -0.0
         evaluate(model, samples)
-        assert len(encoded) == len(model.items) and len(computed) == model.items.n_gate_rows
+        assert len(encoded) == len(model.items) and len(computed) == gate_rows_held(model)
 
     def test_one_check_per_gate_rows_call(self, tiny_corpus, monkeypatch):
         import gateformer.training as training
@@ -1021,7 +1032,7 @@ class TestSnapshotCheck:
         groups = [([seq.key for seq in items], np.stack([seq.ids for seq in items]))]
         model.gate.pool_v.data[0] = np.nan
         first = model.items.gate_rows(groups, model.gate)
-        assert len(computed) == model.items.n_gate_rows
+        assert len(computed) == gate_rows_held(model)
         assert np.isnan(first[0][1]).all()
         computed.clear()
         again = model.items.gate_rows(groups, model.gate)
@@ -1120,7 +1131,7 @@ class TestStoreLock:
             want = item_features(model.gate, part)
             assert all(np.array_equal(a, b.data) for a, b in zip(got, want))
         assert sorted(compute.made) == sorted(map(tuple, ids[20:].tolist()))
-        assert model.items.n_gate_rows == 60
+        assert gate_rows_held(model) == 60
 
 
 class TestSplitSamples:
