@@ -13,6 +13,7 @@ ranker.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
@@ -132,13 +133,15 @@ def _open_run(args) -> tuple[Path, RunConfig, Dataset, Model]:
     return run_dir, cfg, dataset, restore_model(cfg, run_dir, dataset)
 
 
-def _write_table(path: Path, fingerprint: str, header: str, rows: list[str]) -> None:
+def _write_table(path: Path, fingerprint: str, header: str, rows: list) -> None:
+    """A table under a ``# config`` line, each row's fields formatted by
+    :func:`_fmt` and written by :mod:`csv`, which quotes a field holding a
+    comma or a quote, so it reads back whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# config {fingerprint}\n")
         f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+        csv.writer(f, lineterminator="\n").writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _fmt(x) -> str:
@@ -209,7 +212,7 @@ def cmd_train(args) -> int:
     cfg.dump(out / "config.ini")
     _write_table(
         out / "metrics.csv", cfg.fingerprint(), "step,loss,auc,mrr,ndcg5,ndcg10",
-        [",".join(map(_fmt, row)) for row in result.history],
+        result.history,
     )
     if result.final_report is not None:
         r = result.final_report
@@ -235,7 +238,7 @@ def cmd_eval(args) -> int:
     _write_table(
         out, cfg.fingerprint(),
         "auc,mrr,ndcg5,ndcg10,n_impressions",
-        [",".join(map(_fmt, [*report.row(), report.n_impressions]))],
+        [[*report.row(), report.n_impressions]],
     )
     print(
         f"auc={report.auc:.6f} mrr={report.mrr:.6f} ndcg5={report.ndcg5:.6f} "
@@ -264,10 +267,7 @@ def cmd_bench(args) -> int:
     _write_table(
         out, cfg.fingerprint(),
         "k,wall_time_per_user,flops,auc",
-        [
-            ",".join(_fmt(r[c]) for c in ("k", "wall_time_per_user", "flops", "auc"))
-            for r in rows
-        ],
+        [[r[c] for c in ("k", "wall_time_per_user", "flops", "auc")] for r in rows],
     )
     for r in rows:
         print(
@@ -319,7 +319,7 @@ def cmd_recall(args) -> int:
     out = Path(args.out) if args.out else run_dir / "recall.csv"
     _write_table(
         out, cfg.fingerprint(), "method,n,recall",
-        [f"{m},{n},{_fmt(value)}" for (m, n), value in means.items()],
+        [[m, n, value] for (m, n), value in means.items()],
     )
     for (m, n), value in means.items():
         print(f"{m:7s} recall@{n:>4d} = {value:.4f}")
@@ -339,21 +339,18 @@ def cmd_analyze(args) -> int:
     _write_table(
         out_dir / "positions.csv", cfg.fingerprint(),
         "position,count,frequency",
-        [f"{i},{int(c)},{_fmt(f)}" for i, (c, f) in enumerate(zip(counts, freq))],
+        [[i, int(c), f] for i, (c, f) in enumerate(zip(counts, freq))],
     )
 
     rows = []
     for i, (sample, gated) in enumerate(zip(samples[: args.users], gatings)):
         item_of = np.repeat(np.arange(len(gated)), np.diff(gated.offsets))
-        for item_pos, p, tok, w in zip(
+        scores = gated.scores.data[gated.token_start[item_of] + gated.positions]
+        for item_pos, p, tok, score, w in zip(
             item_of.tolist(), gated.positions.tolist(), gated.token_ids.tolist(),
-            gated.weights.data.tolist(),
+            scores.tolist(), gated.weights.data.tolist(),
         ):
-            item_id = sample.history_ids[item_pos]
-            g, start, _ = gated.score_at[item_pos].tolist()
-            score = float(gated.scores[g].data[start + p])
-            token = dataset.vocab.token_of(tok)
-            rows.append(f"{i},{item_id},{p},{token},{_fmt(score)},{_fmt(w)}")
+            rows.append([i, sample.history_ids[item_pos], p, dataset.vocab.token_of(tok), score, w])
     _write_table(
         out_dir / "keywords.csv", cfg.fingerprint(),
         "impression,item,position,token,score,weight", rows,

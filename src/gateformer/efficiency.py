@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -202,14 +203,8 @@ def bench(
         old_k = model.k
         model.k = k
         try:
-            idx = {"i": 0}
-
-            def encode_once():
-                h = histories[idx["i"] % len(histories)]
-                idx["i"] += 1
-                training.user_embedding(model, h)
-
-            wall = _median_seconds(encode_once, repeats)
+            turns = cycle(histories)
+            wall = _median_seconds(lambda: training.user_embedding(model, next(turns)), repeats)
             n_items = int(np.mean([len(h.items) for h in histories]))
             item_len = int(np.mean([len(seq) for h in histories for seq in h.items]))
             dims = ModelDims(
@@ -238,18 +233,13 @@ def measure_speedup(model: training.Model, histories: list[UserHistory], repeats
         ids = np.concatenate([seq.ids for seq in history.items])
         return nm.gather_rows(model.gate.word_embeddings, ids)
 
-    idx = {"i": 0}
-
-    def gated():
-        training.user_embedding(model, histories[idx["i"] % len(histories)])
-        idx["i"] += 1
-
-    def full():
-        transformer.encode_user(full_rows(histories[idx["i"] % len(histories)]), model.trans)
-        idx["i"] += 1
-
-    t_gated = _median_seconds(gated, repeats)
-    t_full = _median_seconds(full, repeats)
+    # both timings draw from one cycle through the histories, the full one
+    # carrying on where the gated one stopped
+    turns = cycle(histories)
+    t_gated = _median_seconds(lambda: training.user_embedding(model, next(turns)), repeats)
+    t_full = _median_seconds(
+        lambda: transformer.encode_user(full_rows(next(turns)), model.trans), repeats
+    )
     return {
         "t_gated": t_gated,
         "t_full": t_full,
@@ -263,7 +253,7 @@ def keyword_position_histogram(gatings: list[GroupedSelection]) -> tuple[np.ndar
     longest item gated. No gatings raise ``ValueError``."""
     if not gatings:
         raise ValueError("no impressions to analyze")
-    max_len = max(int(g.score_at[:, 2].max()) for g in gatings)
+    max_len = max(int(np.diff(g.token_start).max()) for g in gatings)
     counts = np.bincount(np.concatenate([g.positions for g in gatings]), minlength=max_len)
     total = counts.sum()
     freq = counts / total if total else counts.astype(float)

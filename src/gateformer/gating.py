@@ -19,25 +19,28 @@ item 1, step 2: Gumbel-perturbed top-k) is the planned fix.
 
 :func:`gate_groups` is the one gate implementation. It gates many histories
 in one pass of grouped tensor ops: items bucketed by length for the CNN,
-pooling and scoring, histories bucketed by item count for the user encoder,
-a vectorised top-k per length group, and the selected rows bucketed by
-K_eff for their weights; each bucketing is one :func:`numerics.by_length`.
-The per-item part (embedding gather, CNN, ReLU and pooling) is
-:func:`item_features`; it depends only on the item's token ids, the word
-embeddings, the conv and the item pooling query, so a forward-only caller
-may pass a :class:`training.ItemStore` that keeps each item's features,
-checks those tensors' bits against a private copy of them, and computes
-only the items it lacks. Each length group's item pooling
-and the attention user encoder are one :func:`numerics.attention_pool` node
-each, and each length group's scores one :func:`numerics.cosine` node.
-The heuristic selectors (first, bm25, random) share its selection and
-gather; bm25 reads its statistics from the news corpus's
-:class:`recall.InvertedIndex`, the index sparse recall ranks with. Its
-:class:`GroupedSelection` is flat: the selected rows of every item in
-order, ready for the user encoder, lined up with their weights, positions
-and token ids. It also reads as a sequence of per-item
-:class:`GateSelection` objects, each narrowed out of the grouped tensors
-only when asked for.
+pooling, scoring and a vectorised top-k, histories bucketed by item count
+for the user encoder, and the kept scores bucketed by K_eff for their
+softmax; each bucketing is one :func:`numerics.by_length`. The per-item
+part (embedding gather, CNN, ReLU and pooling) is :func:`item_features`; it
+depends only on the item's token ids, the word embeddings, the conv and the
+item pooling query, so a forward-only caller may pass a
+:class:`training.ItemStore` that keeps each item's features, checks those
+tensors' bits against a private copy of them, and computes only the items
+it lacks. Each length group's item pooling and the attention user encoder
+are one :func:`numerics.attention_pool` node each, and each length group's
+scores one :func:`numerics.cosine` node. The heuristic selectors (first,
+bm25, random) share its selection and gather; bm25 reads its statistics
+from the news corpus's :class:`recall.InvertedIndex`, the index sparse
+recall ranks with.
+
+Its output, a :class:`GroupedSelection`, is compressed sparse rows at two
+levels: histories own runs of items, and each item owns a run of tokens
+in one flat score tensor and a run of kept rows. The kept rows are one
+gather of the word embeddings times one weight vector, ready for the user
+encoder and lined up with their positions and token ids. It also reads as
+a sequence of per-item :class:`GateSelection` objects, each narrowed out
+of the flat tensors only when asked for.
 :func:`training.gate_history` runs the gate on one history of a model.
 """
 
@@ -182,37 +185,40 @@ class GateSelection:
 
 @dataclass(frozen=True, eq=False)
 class GroupedSelection(Sequence):
-    """The gate's output for a list of histories.
+    """The gate's output for a list of histories, in compressed sparse rows.
 
-    Items are numbered history-major across the histories, and the selected
-    rows run item by item in selection order; ``weights``, ``positions`` and
-    ``token_ids`` line up with ``rows``. As a read-only sequence it holds one
-    :class:`GateSelection` per item, narrowed out of the grouped tensors each
-    time that item is asked for.
+    Items are numbered history-major across the histories: history h owns
+    items ``item_start[h]:item_start[h + 1]``. Item i owns tokens
+    ``token_start[i]:token_start[i + 1]`` of ``scores``, its raw scores in
+    token order, and kept rows ``offsets[i]:offsets[i + 1]``, in selection
+    order; ``weights``, ``positions`` and ``token_ids`` line up with
+    ``rows``. As a read-only sequence it holds one :class:`GateSelection`
+    per item, narrowed out of the flat tensors each time that item is asked
+    for.
     """
 
-    rows: Tensor                     # (n_selected, d) weight-scaled embeddings
-    weights: Tensor                  # (n_selected,)
-    positions: np.ndarray            # (n_selected,) each row's position in its item
-    token_ids: np.ndarray            # (n_selected,) each row's token id
-    offsets: np.ndarray              # (n_items + 1,): item i owns rows offsets[i]:offsets[i + 1]
-    item_start: np.ndarray           # (n_histories + 1,): history h owns items item_start[h]:...
-    scores: list[Tensor]             # per length group: its (G * L,) raw scores, row-major
-    score_at: np.ndarray             # (n_items, 3): (length group, start, length) in scores
+    item_start: np.ndarray           # (n_histories + 1,)
+    token_start: np.ndarray          # (n_items + 1,)
+    scores: Tensor                   # (n_tokens,) every token's raw score
+    offsets: np.ndarray              # (n_items + 1,)
+    rows: Tensor                     # (n_kept, d) weight-scaled embeddings
+    weights: Tensor                  # (n_kept,)
+    positions: np.ndarray            # (n_kept,) each row's position in its item
+    token_ids: np.ndarray            # (n_kept,) each row's token id
 
     def __len__(self) -> int:
-        return len(self.score_at)
+        return len(self.offsets) - 1
 
     def __getitem__(self, i: int) -> GateSelection:
-        n = len(self.score_at)
+        n = len(self)
         if not -n <= i < n:
             raise IndexError(f"item {i} out of range for {n} items")
         i %= n
-        g, start, L = self.score_at[i].tolist()
+        start, stop = self.token_start[i:i + 2].tolist()
         lo, hi = self.offsets[i:i + 2].tolist()
         return GateSelection(
             positions=self.positions[lo:hi].tolist(),
-            raw_scores=nm.narrow(self.scores[g], 0, start, L),
+            raw_scores=nm.narrow(self.scores, 0, start, stop - start),
             weights=nm.narrow(self.weights, 0, lo, hi - lo),
             gathered=nm.narrow(self.rows, 0, lo, hi - lo),
         )
@@ -243,14 +249,10 @@ def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(-masked, axis=1, kind="stable")[:, :k], np.minimum(first.sum(axis=1), k)
 
 
-def heuristic_scores(
-    ids: np.ndarray, method: str, stats: InvertedIndex | None = None
-) -> np.ndarray:
-    """(G, L) scores of a length group's (G, L) token ids under the first or
-    bm25 selector, bm25 with the statistics of the corpus index ``stats``.
-    Uniform scores make the index tie-break reproduce first-k selection."""
-    if method == "first":
-        return np.zeros(ids.shape)
+def bm25_scores(ids: np.ndarray, stats: InvertedIndex) -> np.ndarray:
+    """(G, L) BM25 weights of a length group's (G, L) token ids, each token's
+    term frequency counted in its own item, with the statistics of the
+    corpus index ``stats``."""
     tf = (ids[:, :, None] == ids[:, None, :]).sum(axis=-1)
     return bm25_term_weight(
         tf=tf, df=stats.doc_freq(ids), doc_len=ids.shape[1],
@@ -273,23 +275,25 @@ def _interest_scores(
     params: GateParams,
     items: list[TokenSequence],
     item_start: np.ndarray,
-    groups: list[tuple[np.ndarray, np.ndarray]],
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     store=None,
-) -> list[Tensor]:
-    """(G, L) cosine scores of every length group's tokens against the
-    interest vector of the history that holds them; history h holds
-    ``items[item_start[h]:item_start[h + 1]]``. The per-item features come
-    from ``store`` as constants when one is given, else from
-    :func:`item_features` on the current tape."""
+) -> Tensor:
+    """(n_tokens,) cosine scores of every token against the interest vector
+    of the history that holds it, item by item; history h holds
+    ``items[item_start[h]:item_start[h + 1]]``, and each length group is
+    ``(members, at, ids)``: its items, their (G, L) places in the flat
+    tokens and their token ids. The per-item features come from ``store``
+    as constants when one is given, else from :func:`item_features` on the
+    current tape."""
     n_f = params.n_filters
     if store is None:
-        features = [item_features(params, ids) for _, ids in groups]
+        features = [item_features(params, ids) for _, _, ids in groups]
     else:
-        keyed = [([items[i].key for i in members.tolist()], ids) for members, ids in groups]
+        keyed = [([items[i].key for i in members.tolist()], ids) for members, _, ids in groups]
         features = [(constant(ctx3), constant(pooled))
                     for ctx3, pooled in store.gate_rows(keyed, params)]
     pooled = nm.assemble_rows(
-        [p for _, p in features], np.concatenate([m for m, _ in groups])
+        [p for _, p in features], np.concatenate([m for m, _, _ in groups])
     )
 
     # user interest, per count of items: the LSTM's last state or attention pooling
@@ -308,10 +312,11 @@ def _interest_scores(
     # cosine scores of each item's (G, L) context rows against its history's
     # interest vector, gathered as a (G, 1) row
     owner = np.repeat(np.arange(len(n_items)), n_items)
-    return [
-        nm.cosine(ctx3, gather_rows(interest, owner[members][:, None]))
-        for (members, _), (ctx3, _) in zip(groups, features)
+    scores = [
+        nm.reshape(nm.cosine(ctx3, gather_rows(interest, owner[members][:, None])), (at.size,))
+        for (members, at, _), (ctx3, _) in zip(groups, features)
     ]
+    return nm.assemble_rows(scores, np.concatenate([at.ravel() for _, at, _ in groups]))
 
 
 def gate_groups(
@@ -349,64 +354,57 @@ def gate_groups(
         raise ValueError("cannot gate an empty token sequence")
     token_start = np.array([0, *accumulate(lengths)])
     item_start = np.array([0, *accumulate(len(h) for h in histories)])
-    spans = nm.by_length(token_start[:-1], lengths)
     flat_ids = np.concatenate([seq.ids for seq in items])
-    groups = [(members, flat_ids[at]) for _, members, at in spans]
+    # per length group: its items, their (G, L) places in the flat tokens, their ids
+    spans = nm.by_length(token_start[:-1], lengths)
+    groups = [(members, at, flat_ids[at]) for _, members, at in spans]
 
     if method == "learned":
         scores = _interest_scores(params, items, item_start, groups, store)
     elif method == "random":
         # each history's draws run through its items in order, as its tokens do
         n_tokens = token_start[item_start[1:]] - token_start[item_start[:-1]]
-        draws = np.concatenate([rng.random(n) for rng, n in zip(rngs, n_tokens.tolist())])
-        scores = [constant(draws[at]) for _, _, at in spans]
+        draws = [rng.random(n) for rng, n in zip(rngs, n_tokens.tolist())]
+        scores = constant(np.concatenate(draws))
     else:
-        scores = [constant(heuristic_scores(ids, method, stats)) for _, ids in groups]
+        # uniform scores make the index tie-break reproduce first-k selection
+        flat = np.zeros(token_start[-1])
+        if method == "bm25":
+            for _, at, ids in groups:
+                flat[at] = bm25_scores(ids, stats)
+        scores = constant(flat)
 
-    # top-k per length group, then gather and weight per (group, K_eff)
-    n_items = len(items)
-    picks = [select_positions(ids, r.data, k) for (_, ids), r in zip(groups, scores)]
-    k_eff = np.empty(n_items, dtype=np.intp)
-    for (members, _), (_, counts) in zip(groups, picks):
+    # top-k per length group: item i keeps positions chosen[i, :k_eff[i]]
+    picks = [select_positions(ids, scores.data[at], k) for _, at, ids in groups]
+    chosen = np.zeros((len(items), max(order.shape[1] for order, _ in picks)), dtype=np.intp)
+    k_eff = np.empty(len(items), dtype=np.intp)
+    for (members, _, _), (order, counts) in zip(groups, picks):
+        chosen[members, :order.shape[1]] = order
         k_eff[members] = counts
     offsets = np.array([0, *accumulate(k_eff.tolist())])
-    score_at = np.empty((n_items, 3), dtype=np.intp)
-    flat_scores = []
-    row_chunks, weight_chunks, pos_chunks, id_chunks, row_order = [], [], [], [], []
-    for g, ((members, ids), r, (order, counts)) in enumerate(zip(groups, scores, picks)):
-        G, L = ids.shape
-        r_flat = nm.reshape(r, (G * L,))
-        flat_scores.append(r_flat)
-        score_at[members, 0] = g
-        score_at[members, 1] = np.arange(G) * L
-        score_at[members, 2] = L
-        for kk, rows, at in nm.by_length(offsets[members], counts):
-            pos = order[rows, :kk]
-            flat_idx = (rows[:, None] * L + pos).ravel()
-            if method == "learned":
-                beta = nm.softmax(nm.reshape(gather_rows(r_flat, flat_idx), (len(rows), kk)), axis=-1)
-            else:
-                beta = constant(np.full((len(rows), kk), 1.0 / kk))
-            beta = nm.reshape(beta, (len(rows) * kk,))
-            token_ids = ids.ravel()[flat_idx]
-            picked = gather_rows(params.word_embeddings, token_ids)
-            row_chunks.append(nm.mul(picked, nm.reshape(beta, (len(rows) * kk, 1))))
-            weight_chunks.append(beta)
-            pos_chunks.append(pos.ravel())
-            id_chunks.append(token_ids)
-            row_order.append(at.ravel())
-    row_order = np.concatenate(row_order)
-    positions = np.empty(len(row_order), dtype=np.intp)
-    positions[row_order] = np.concatenate(pos_chunks)
-    token_ids = np.empty(len(row_order), dtype=np.intp)
-    token_ids[row_order] = np.concatenate(id_chunks)
+    positions = chosen[np.arange(chosen.shape[1]) < k_eff[:, None]]
+    kept = np.repeat(token_start[:-1], k_eff) + positions  # each kept row's token in scores
+    token_ids = flat_ids[kept]
+
+    if method == "learned":
+        # one softmax over the kept scores of each K_eff bucket
+        buckets = nm.by_length(offsets[:-1], k_eff)
+        weights = nm.assemble_rows(
+            [nm.reshape(nm.softmax(gather_rows(scores, kept[at])), (at.size,))
+             for _, _, at in buckets],
+            np.concatenate([at.ravel() for _, _, at in buckets]),
+        )
+    else:
+        weights = constant(np.repeat(1.0 / k_eff, k_eff))
+    picked = gather_rows(params.word_embeddings, token_ids)
+    rows = nm.mul(picked, nm.reshape(weights, (len(kept), 1)))
     return GroupedSelection(
-        rows=nm.assemble_rows(row_chunks, row_order),
-        weights=nm.assemble_rows(weight_chunks, row_order),
+        item_start=item_start,
+        token_start=token_start,
+        scores=scores,
+        offsets=offsets,
+        rows=rows,
+        weights=weights,
         positions=positions,
         token_ids=token_ids,
-        offsets=offsets,
-        item_start=item_start,
-        scores=flat_scores,
-        score_at=score_at,
     )

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -458,6 +459,22 @@ class TestAnalyzeCommand:
         kw_lines = (run / "keywords.csv").read_text().splitlines()
         assert kw_lines[1] == "impression,item,position,token,score,weight"
         assert len(kw_lines) > 2
+
+    def test_keywords_csv_reads_back_tokens_holding_a_comma_or_a_quote(self, tmp_path):
+        data = synth(tmp_path, seed=12)
+        with open(data / "vocab.txt", "a", encoding="utf-8") as f:
+            f.write(',\n"\n')
+        rows = [line.split("\t") for line in (data / "news.tsv").read_text().splitlines()]
+        for cols in rows:
+            cols[3] = f', " {cols[3]}'  # the title: the first gate keeps both marks
+        (data / "news.tsv").write_text("".join("\t".join(cols) + "\n" for cols in rows))
+        run = train_run(tmp_path, data, seed=12, steps=1, extra=["--gate.method", "first"])
+        assert main(["analyze", "--run", str(run), "--data", str(data), "--users", "5"]) == 0
+        with open(run / "keywords.csv", encoding="utf-8", newline="") as f:
+            table = list(csv.reader(f))
+        assert table[1] == ["impression", "item", "position", "token", "score", "weight"]
+        assert len(table) > 2 and all(len(row) == 6 for row in table[2:])
+        assert {row[3] for row in table[2:]} == {",", '"'}
 
     def test_gates_each_sample_once(self, tmp_path, monkeypatch):
         from gateformer import cli

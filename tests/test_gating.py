@@ -602,8 +602,9 @@ class TestGroupedSelectionSequence:
 
 
 class TestFlatOutput:
-    """gate_groups' flat arrays line up with its rows: each row's position in
-    its item and its token id, and each item's place in the raw scores."""
+    """gate_groups' flat arrays line up: each item's run of raw scores in
+    ``scores`` through ``token_start``, and each kept row's position in its
+    item and its token id."""
 
     @pytest.mark.parametrize("method", GATE_METHODS)
     @TOKEN_ENCODERS
@@ -623,16 +624,48 @@ class TestFlatOutput:
 
         n_rows = len(gated.rows.data)
         assert gated.positions.shape == gated.token_ids.shape == (n_rows,)
-        assert gated.score_at.shape == (len(items), 3)
+        assert np.diff(gated.token_start).tolist() == [len(seq) for seq in items]
+        assert gated.scores.data.shape == (gated.token_start[-1],)
         assert gated.positions.tolist() == [pos for s in ref for pos in s.positions]
         for i, seq in enumerate(items):
             lo, hi = gated.offsets[i], gated.offsets[i + 1]
             pos = gated.positions[lo:hi]
             assert gated.token_ids[lo:hi].tolist() == [seq.ids[j] for j in pos]
-            g, start, length = gated.score_at[i]
-            assert length == len(seq)
-            got, want = gated.scores[g].data[start:start + length], ref[i].raw_scores.data
+            got = gated.scores.data[gated.token_start[i]:gated.token_start[i + 1]]
+            want = ref[i].raw_scores.data
             # the heuristics' scores come from the same arithmetic as the reference's
             assert np.array_equal(got, want) if method != "learned" else rel_err(got, want) < 1e-12
         scaled = p.word_embeddings.data[gated.token_ids] * gated.weights.data[:, None]
         assert np.array_equal(gated.rows.data, scaled)
+
+    @pytest.mark.parametrize("method", GATE_METHODS)
+    def test_one_kept_row_gather_and_one_row_product(self, method, monkeypatch):
+        # oracle_history mixes item lengths and K_eff values, so a gate that
+        # gathered and weighted per bucket would make several of each
+        from gateformer import gating
+
+        rng = np.random.default_rng(36)
+        p = make_gate(vocab_size=15, seed=36)
+        histories = [oracle_history(rng, 15) for _ in range(3)]
+        items = [seq for h in histories for seq in h.items]
+        stats = build_index({str(i): seq for i, seq in enumerate(items)})
+        gathers, products = [], []
+        gather, mul = gating.gather_rows, nm.mul
+
+        def counted_gather(x, indices):
+            if x is p.word_embeddings and np.ndim(indices) == 1:
+                gathers.append(len(indices))
+            return gather(x, indices)
+
+        def counted_mul(a, b):
+            products.append(np.shape(a.data))
+            return mul(a, b)
+
+        monkeypatch.setattr(gating, "gather_rows", counted_gather)
+        monkeypatch.setattr(nm, "mul", counted_mul)
+        gated = gate_groups(histories, p, 3, method, stats,
+                            [np.random.default_rng(40 + h) for h in range(3)])
+        assert gathers == [len(gated.rows.data)]
+        assert products == [gated.rows.data.shape]
+        assert len(set(np.diff(gated.offsets).tolist())) > 1
+        assert len(set(np.diff(gated.token_start).tolist())) > 1
