@@ -103,6 +103,7 @@ CASES = {
     "learned-attn": ("learned", "attn"),
     "random": ("random", "lstm"),
     "first": ("first", "lstm"),
+    "bm25": ("bm25", "lstm"),
 }
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -233,12 +233,12 @@ def measure_speedup(model: training.Model, histories: list[UserHistory], repeats
         ids = np.concatenate([seq.ids for seq in history.items])
         return nm.gather_rows(model.gate.word_embeddings, ids)
 
-    # both timings draw from one cycle through the histories, the full one
-    # carrying on where the gated one stopped
-    turns = cycle(histories)
-    t_gated = _median_seconds(lambda: training.user_embedding(model, next(turns)), repeats)
+    # each timing cycles through the histories from the first, so both
+    # medians cover the same histories in the same order
+    gated, full = cycle(histories), cycle(histories)
+    t_gated = _median_seconds(lambda: training.user_embedding(model, next(gated)), repeats)
     t_full = _median_seconds(
-        lambda: transformer.encode_user(full_rows(next(turns)), model.trans), repeats
+        lambda: transformer.encode_user(full_rows(next(full)), model.trans), repeats
     )
     return {
         "t_gated": t_gated,

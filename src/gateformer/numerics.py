@@ -23,18 +23,19 @@ Most ops are one numpy expression each. The recurring pieces of the model
 are kernels written out by hand, each one tape node with a hand-written
 backward: :func:`lstm_last` runs the whole recurrence with backpropagation
 through time, :func:`conv1d` projects each tap once and shift-adds the
-projections instead of building a window buffer, :func:`attention` makes
-one q/k/v projection and runs every head in batched products,
-:func:`feed_forward` works on 2-D reshaped products, :func:`layer_norm`
-normalises in place, :func:`attention_pool` pools rows by their softmax
-weights against a query, and :func:`cosine` scores rows against rows with
-broadcasting. Each reports exactly the FLOPs of the op-by-op form it
-replaces (layer norm keeps its 7 per element), so the analytic cost model
-and the counter agree. :func:`gather_rows` scatters its gradient back with
-one ``bincount``, which adds repeated picks in the order ``np.add.at``
-would. Ops own their no-op cases, so callers need no fast path of their
-own: a gather that picks every row once and in order records no gather,
-and a :func:`concat_rows` of one part returns that part.
+projections instead of building a window buffer, :func:`attention`
+projects to queries, keys and values with one product by its one (d, 3d)
+weight and runs every head in batched products, :func:`feed_forward` works
+on 2-D reshaped products, :func:`layer_norm` normalises in place,
+:func:`attention_pool` pools rows by their softmax weights against a query,
+and :func:`cosine` scores rows against rows with broadcasting. Each
+reports exactly the FLOPs of the op-by-op form it replaces (layer norm
+keeps its 7 per element), so the analytic cost model and the counter agree.
+:func:`gather_rows` scatters its gradient back with one ``bincount``, which
+adds repeated picks in the order ``np.add.at`` would. Ops own their no-op
+cases, so callers need no fast path of their own: a gather that picks every
+row once and in order records no gather, and a :func:`concat_rows` of one
+part returns that part.
 
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
@@ -582,35 +583,34 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
     return _make(h, (seq, w_ih, w_hh, bias), bwd)
 
 
-def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+def attention(x, w_qkv, b_qkv, wo, bo, heads: int) -> Tensor:
     """Multi-head scaled dot-product self attention over (B, n, d).
 
-    Sequences of the stack never attend to each other. One product projects
-    x to queries, keys and values together, every head's scores and context
-    are batched products over (B, heads), and the heads' context goes
-    through the output projection.
+    ``w_qkv`` (d, 3d) and ``b_qkv`` (3d,) hold the query, key and value
+    projections side by side, in that order, so one product projects x to
+    all three. Sequences of the stack never attend to each other, every
+    head's scores and context are batched products over (B, heads), and the
+    heads' context goes through the output projection ``wo`` (d, d), ``bo``
+    (d,).
 
     One tape node with a hand-written backward. The FLOP count is that of
     the op-by-op form: four projections, four bias adds, two score/value
     products, the score scaling and the softmax.
     """
-    x = _as_tensor(x)
-    weights = [_as_tensor(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
+    x, w_qkv, b_qkv, wo, bo = (_as_tensor(t) for t in (x, w_qkv, b_qkv, wo, bo))
     if x.data.ndim != 3:
         raise ValueError(f"attention expects a (B, n, d) input, got {x.data.shape}")
     B, n, d = x.data.shape
     if d % heads:
         raise ValueError(f"model dim {d} not divisible by {heads} heads")
-    for i, t in enumerate(weights):
-        if t.data.shape != ((d, d) if i % 2 == 0 else (d,)):
+    for t, shape in ((w_qkv, (d, 3 * d)), (b_qkv, (3 * d,)), (wo, (d, d)), (bo, (d,))):
+        if t.data.shape != shape:
             raise ValueError(f"attention weight shape {t.data.shape} does not fit d={d}")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in weights)
-    w_qkv = np.concatenate([wq, wk, wv], axis=1)                  # (d, 3d)
     x2 = x.data.reshape(B * n, d)
-    qkv = x2 @ w_qkv
-    qkv += np.concatenate([bq, bk, bv])
+    qkv = x2 @ w_qkv.data
+    qkv += b_qkv.data
     # (3, B, heads, n, dh) views of the one projection
     q, k, v = qkv.reshape(B, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     alpha = q @ k.swapaxes(-1, -2)
@@ -619,15 +619,15 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=-1, keepdims=True)
     ctx = (alpha @ v).transpose(0, 2, 1, 3).reshape(B * n, d)
-    out = ctx @ wo
-    out += bo
+    out = ctx @ wo.data
+    out += bo.data
     _count(B * (8 * n * d * d + 4 * n * n * d + 6 * heads * n * n + 4 * n * d))
 
     def bwd(g):
         g2 = g.reshape(B * n, d)
         d_wo = ctx.T @ g2
         d_bo = g2.sum(axis=0)
-        d_ctx = (g2 @ wo.T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+        d_ctx = (g2 @ wo.data.T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
         d_qkv = np.empty((B, n, 3, heads, dh))
         dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
         dv[...] = alpha.swapaxes(-1, -2) @ d_ctx
@@ -638,13 +638,10 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
         dq[...] = d_s @ k
         dk[...] = d_s.swapaxes(-1, -2) @ q
         d_qkv = d_qkv.reshape(B * n, 3 * d)
-        dx = (d_qkv @ w_qkv.T).reshape(B, n, d)
-        d_w = x2.T @ d_qkv
-        d_b = d_qkv.sum(axis=0)
-        return (dx, d_w[:, :d], d_b[:d], d_w[:, d:2 * d], d_b[d:2 * d],
-                d_w[:, 2 * d:], d_b[2 * d:], d_wo, d_bo)
+        dx = (d_qkv @ w_qkv.data.T).reshape(B, n, d)
+        return (dx, x2.T @ d_qkv, d_qkv.sum(axis=0), d_wo, d_bo)
 
-    return _make(out.reshape(B, n, d), (x, *weights), bwd)
+    return _make(out.reshape(B, n, d), (x, w_qkv, b_qkv, wo, bo), bwd)
 
 
 def feed_forward(x, w1, b1, w2, b2) -> Tensor:

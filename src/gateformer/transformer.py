@@ -13,7 +13,10 @@ learned query (weighted pooling aggregation, one
 including the word embedding table, which the gate shares too. A pre-norm
 layer is :func:`numerics.layer_norm`, :func:`numerics.attention`, residual
 add, layer norm, :func:`numerics.feed_forward`, residual add: six tape
-nodes.
+nodes. A layer holds 12 tensors; its query, key and value projections are
+one (d, 3d) weight ``w_qkv`` and one (3d,) bias ``b_qkv``, side by side in
+that order, as attention multiplies by them; checkpoints name them
+``trans.layer{i}.w_qkv`` and ``trans.layer{i}.b_qkv``.
 
 Checkpoint format: ``<prefix>.manifest.json`` (sorted tensor names, shapes,
 byte offsets, total bytes and the blob's sha256) plus ``<prefix>.bin``
@@ -42,12 +45,8 @@ from .text import TokenSequence, first_occurrences
 
 @dataclass
 class LayerParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
+    w_qkv: Tensor                    # (d, 3d): the q, k and v projections side by side
+    b_qkv: Tensor                    # (3d,)
     wo: Tensor
     bo: Tensor
     ln1_gamma: Tensor
@@ -109,11 +108,13 @@ def init_transformer_params(
     def ones(shape):
         return tensor(np.ones(shape), requires_grad=True)
 
+    def qkv_weight():  # three (d, d) draws, so each keeps its own fans
+        return tensor(np.concatenate([glorot((d, d), rng).data for _ in range(3)], axis=1),
+                      requires_grad=True)
+
     layers = [
         LayerParams(
-            wq=glorot((d, d), rng), bq=zeros(d),
-            wk=glorot((d, d), rng), bk=zeros(d),
-            wv=glorot((d, d), rng), bv=zeros(d),
+            w_qkv=qkv_weight(), b_qkv=zeros(3 * d),
             wo=glorot((d, d), rng), bo=zeros(d),
             ln1_gamma=ones(d), ln1_beta=zeros(d),
             ln2_gamma=ones(d), ln2_beta=zeros(d),
@@ -139,8 +140,7 @@ def encode_sequence(x: Tensor, params: TransformerParams) -> Tensor:
     for layer in params.layers:
         attn_in = nm.layer_norm(x, layer.ln1_gamma, layer.ln1_beta)
         x = nm.add(x, nm.attention(
-            attn_in, layer.wq, layer.bq, layer.wk, layer.bk, layer.wv, layer.bv,
-            layer.wo, layer.bo, params.heads,
+            attn_in, layer.w_qkv, layer.b_qkv, layer.wo, layer.bo, params.heads,
         ))
         ffn_in = nm.layer_norm(x, layer.ln2_gamma, layer.ln2_beta)
         x = nm.add(x, nm.feed_forward(

@@ -192,10 +192,11 @@ def conv1d_window_oracle(x, filters, bias, w: int):
     return nm.add(matmul(windows, transpose(filters, (1, 0))), bias)
 
 
-def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
-    """Multi-head self attention over (B, n, d) in composed tape ops: one
-    projection per q/k/v, heads split by reshape and transpose, all heads
-    in one batched product."""
+def attention_oracle(x, w_qkv, b_qkv, wo, bo, heads: int):
+    """Multi-head self attention over (B, n, d) in composed tape ops: the
+    (d, 3d) weight and (3d,) bias narrowed into the textbook three
+    projections, one projection per q/k/v, heads split by reshape and
+    transpose, all heads in one batched product."""
     B, n, d = x.data.shape
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
@@ -203,9 +204,12 @@ def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int):
     def split(t):  # (B, n, d) -> (B, heads, n, dh)
         return transpose(nm.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
 
-    q = split(nm.add(matmul(x, wq), bq))
-    k = split(nm.add(matmul(x, wk), bk))
-    v = split(nm.add(matmul(x, wv), bv))
+    def project(i):  # i = 0, 1, 2: queries, keys, values
+        w = nm.narrow(w_qkv, 1, i * d, d)
+        b = nm.narrow(b_qkv, 0, i * d, d)
+        return split(nm.add(matmul(x, w), b))
+
+    q, k, v = project(0), project(1), project(2)
     scores = nm.mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
     alpha = nm.softmax(scores, axis=-1)
     ctx = nm.reshape(transpose(matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))

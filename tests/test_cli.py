@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from gateformer.cli import main
+from gateformer.cli import load_dataset, load_run, main, restore_model
 from gateformer.config import load_config
+from gateformer.numerics import tensor
 from gateformer.text import Vocabulary, load_mind_news
+from gateformer.transformer import load_checkpoint, save_checkpoint
 
 TINY_SYNTH = [
     "--set", "synth.users=12",
@@ -299,6 +301,31 @@ class TestEvalCommand:
         assert lines[0].startswith("# config ")
         assert lines[1] == "auc,mrr,ndcg5,ndcg10,n_impressions"
 
+    def test_checkpoint_with_split_qkv_names_is_refused(self, tmp_path, capsys):
+        """A checkpoint that names each layer's q/k/v projection as six split
+        tensors, not one ``w_qkv`` and one ``b_qkv``, does not load."""
+        data = synth(tmp_path, seed=10)
+        run = train_run(tmp_path, data, seed=10, steps=2)
+        loaded = load_checkpoint(run / "best")
+        w, b = loaded.pop("trans.layer0.w_qkv"), loaded.pop("trans.layer0.b_qkv")
+        d = b.shape[0] // 3
+        for i, part in enumerate("qkv"):
+            loaded[f"trans.layer0.w{part}"] = w[:, i * d:(i + 1) * d]
+            loaded[f"trans.layer0.b{part}"] = b[i * d:(i + 1) * d]
+        save_checkpoint({name: tensor(arr) for name, arr in loaded.items()}, run / "best")
+        cfg = load_run(run, [])
+        with pytest.raises(ValueError, match="checkpoint mismatch") as err:
+            restore_model(cfg, run, load_dataset(cfg, data))
+        missing, extra = re.fullmatch(
+            r"checkpoint mismatch: missing=(\[.*\]) extra=(\[.*\])", str(err.value)
+        ).groups()
+        assert missing == str(["trans.layer0.b_qkv", "trans.layer0.w_qkv"])
+        assert extra == str([f"trans.layer0.{k}" for k in ("bk", "bq", "bv", "wk", "wq", "wv")])
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", str(data)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: checkpoint mismatch"), lines
+
     def test_missing_checkpoint_nonzero_exit(self, tmp_path):
         data = synth(tmp_path, seed=9)
         fake_run = tmp_path / "fake"
@@ -322,6 +349,26 @@ class TestBenchCommand:
         assert len(lines) == 2 + 5
         ks = [int(line.split(",")[0]) for line in lines[2:]]
         assert ks == [1, 2, 3, 5, 8]
+
+    def test_speedup_times_both_encoders_on_the_same_histories(self, monkeypatch):
+        """``bench --speedup``'s two medians (gated and full input) each
+        cycle through the histories from the first: a warm-up call and
+        ``repeats`` timed calls, in the same order on both sides."""
+        from gateformer import efficiency
+        from gateformer.text import TokenSequence, UserHistory
+        from gateformer.training import init_model
+
+        model = init_model(vocab_size=40, d=16, n_layers=1, heads=2, max_positions=30,
+                           n_filters=8, window=1, seed=0, k=2)
+        # history i holds i + 1 items of 3 tokens, so its full input has 3(i + 1) rows
+        histories = [UserHistory([TokenSequence([1, 2, 3])] * (i + 1)) for i in range(5)]
+        seen = {"gated": [], "full": []}
+        monkeypatch.setattr(efficiency.training, "user_embedding",
+                            lambda m, h: seen["gated"].append(histories.index(h)))
+        monkeypatch.setattr(efficiency.transformer, "encode_user",
+                            lambda rows, p: seen["full"].append(rows.data.shape[0] // 3 - 1))
+        efficiency.measure_speedup(model, histories, repeats=2)
+        assert seen == {"gated": [0, 1, 2], "full": [0, 1, 2]}
 
     def test_zero_repeats_exits_with_a_message(self, tmp_path, capsys):
         data = synth(tmp_path, seed=10)

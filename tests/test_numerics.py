@@ -347,21 +347,23 @@ class TestAttention:
         d = 8
         x = tensor(r.normal(size=(B, n, d)), requires_grad=True)
         weights = [
-            tensor(r.normal(size=(d, d) if i % 2 == 0 else (d,)) * 0.5, requires_grad=True)
-            for i in range(8)
+            tensor(r.normal(size=shape) * 0.5, requires_grad=True)
+            for shape in ((d, 3 * d), (3 * d,), (d, d), (d,))
         ]
         kernel_matches_oracle(nm.attention, attention_oracle, [x, *weights, heads])
 
     def test_rejects_bad_shapes(self):
         d = 4
-        w = [tensor(np.zeros((d, d) if i % 2 == 0 else (d,))) for i in range(8)]
+        w = [tensor(np.zeros(shape)) for shape in ((d, 3 * d), (3 * d,), (d, d), (d,))]
         with pytest.raises(ValueError, match=r"\(B, n, d\)"):
             nm.attention(tensor(np.zeros((3, d))), *w, 2)
         with pytest.raises(ValueError, match="divisible"):
             nm.attention(tensor(np.zeros((1, 3, d))), *w, 3)
-        w[3] = tensor(np.zeros((d, d)))
-        with pytest.raises(ValueError, match="does not fit"):
-            nm.attention(tensor(np.zeros((1, 3, d))), *w, 2)
+        for i, bad in enumerate([(d, d), (d,), (d, 3 * d), (3 * d,)]):
+            wrong = list(w)
+            wrong[i] = tensor(np.zeros(bad))
+            with pytest.raises(ValueError, match="does not fit"):
+                nm.attention(tensor(np.zeros((1, 3, d))), *wrong, 2)
 
 
 class TestFeedForward:

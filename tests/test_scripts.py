@@ -144,6 +144,11 @@ class TestSameNumbers:
         assert len(lines) == 15
         assert all(re.fullmatch(r"tiny/learned-lstm/\w+ same", line) for line in lines), lines
 
+    def test_every_gate_method_has_a_case(self, same_numbers):
+        from gateformer.gating import GATE_METHODS
+
+        assert {method for method, _ in same_numbers.CASES.values()} == set(GATE_METHODS)
+
     def test_a_field_that_differs_or_is_on_one_side_differs(self, same_numbers):
         lines = same_numbers.compare({"a": "1", "b": "2"}, {"a": "1", "b": "3", "c": "4"})
         assert lines == ["a same", "b differs", "c differs"]

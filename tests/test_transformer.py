@@ -361,8 +361,8 @@ class TestTransformerInvariants:
         # and the zeroed feed-forward adds nothing
         c = rng.normal(size=p.d)
         for layer in p.layers:
-            layer.wv.data[...] = 0.0
-            layer.bv.data[...] = c
+            layer.w_qkv.data[:, 2 * p.d:] = 0.0
+            layer.b_qkv.data[2 * p.d:] = c
             layer.wo.data[...] = np.eye(p.d)
             for t in (layer.bo, layer.ffn_w2, layer.ffn_b2):
                 t.data[...] = 0.0
