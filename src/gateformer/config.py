@@ -193,14 +193,38 @@ class RunConfig:
         return self.data.n_max * self.data.l_max
 
 
+def _parse_error(e: configparser.Error) -> str:
+    """One line on where and how a config file breaks the INI syntax."""
+    if isinstance(e, configparser.DuplicateOptionError):
+        return f"line {e.lineno} repeats key {e.option!r} of section [{e.section}]"
+    if isinstance(e, configparser.DuplicateSectionError):
+        return f"line {e.lineno} repeats section [{e.section}]"
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        return f"line {e.lineno} comes before any [section] header"
+    lineno, line = e.errors[0]  # the other ParsingError: a line without "="
+    return f"line {lineno} is not key = value: {line}"
+
+
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
-    """Defaults, then the INI file, then ``section.key=value`` overrides."""
+    """Defaults, then the INI file, then ``section.key=value`` overrides.
+
+    The file is read as UTF-8 without interpolation, so values read back as
+    :meth:`RunConfig.dump` wrote them, ``%`` too. A file that is not UTF-8
+    or not INI raises ``ValueError`` naming it.
+    """
     cfg = RunConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(f"config file not found: {path}")
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path, encoding="utf-8") as f:
+                parser.read_file(f)
+        except FileNotFoundError:
+            raise FileNotFoundError(f"config file not found: {path}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"bad config file {path}: not UTF-8") from None
+        except (configparser.DuplicateSectionError, configparser.DuplicateOptionError,
+                configparser.ParsingError) as e:
+            raise ValueError(f"bad config file {path}: {_parse_error(e)}") from None
         for section in parser.sections():
             for key, raw in parser.items(section):
                 cfg.apply(section, key, raw)

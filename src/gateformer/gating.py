@@ -39,8 +39,10 @@ levels: histories own runs of items, and each item owns a run of tokens
 in one flat score tensor and a run of kept rows. The kept rows are one
 gather of the word embeddings times one weight vector, ready for the user
 encoder and lined up with their positions and token ids. It also reads as
-a sequence of per-item :class:`GateSelection` objects, each narrowed out
-of the flat tensors only when asked for.
+a sequence of per-item :class:`GateSelection` objects, each holding only
+that item's kept positions (and so its K_eff); every tensor stays flat.
+bm25 scores compose the three BM25 factors of :mod:`recall`, as the
+index's posting weights do.
 :func:`training.gate_history` runs the gate on one history of a model.
 """
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import LSTMParams, Tensor, constant, gather_rows, glorot, tensor
-from .recall import InvertedIndex, bm25_term_weight
+from .recall import InvertedIndex, bm25_idf, bm25_length_norm, bm25_weight
 from .text import TokenSequence, UserHistory
 
 GATE_METHODS = ("learned", "first", "bm25", "random")
@@ -164,19 +166,16 @@ def init_gate_params(
 
 @dataclass
 class GateSelection:
-    """Selected token positions for one item, plus the differentiable pieces.
+    """Selected token positions for one item.
 
     ``positions`` are distinct, ordered by descending score with smaller
     index winning ties, and never repeat a token id (first occurrence only);
-    an item with L >= 1 tokens has min(k, its distinct ids) of them.
-    ``weights`` are positive and sum to 1. ``gathered`` holds the selected
-    token embeddings already scaled row-wise by ``weights``.
+    an item with L >= 1 tokens has min(k, its distinct ids) of them. The
+    item's scores, weights and weighted rows stay in the flat tensors of
+    the :class:`GroupedSelection` it came from.
     """
 
     positions: list[int]
-    raw_scores: Tensor               # (L,)
-    weights: Tensor                  # (K_eff,)
-    gathered: Tensor                 # (K_eff, d)
 
     @property
     def k_eff(self) -> int:
@@ -193,8 +192,8 @@ class GroupedSelection(Sequence):
     token order, and kept rows ``offsets[i]:offsets[i + 1]``, in selection
     order; ``weights``, ``positions`` and ``token_ids`` line up with
     ``rows``. As a read-only sequence it holds one :class:`GateSelection`
-    per item, narrowed out of the flat tensors each time that item is asked
-    for.
+    per item, that item's slice of ``positions``, made each time the item is
+    asked for; it copies no tensor and records nothing on a tape.
     """
 
     item_start: np.ndarray           # (n_histories + 1,)
@@ -214,14 +213,8 @@ class GroupedSelection(Sequence):
         if not -n <= i < n:
             raise IndexError(f"item {i} out of range for {n} items")
         i %= n
-        start, stop = self.token_start[i:i + 2].tolist()
         lo, hi = self.offsets[i:i + 2].tolist()
-        return GateSelection(
-            positions=self.positions[lo:hi].tolist(),
-            raw_scores=nm.narrow(self.scores, 0, start, stop - start),
-            weights=nm.narrow(self.weights, 0, lo, hi - lo),
-            gathered=nm.narrow(self.rows, 0, lo, hi - lo),
-        )
+        return GateSelection(self.positions[lo:hi].tolist())
 
 
 def select_positions(ids, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +247,8 @@ def bm25_scores(ids: np.ndarray, stats: InvertedIndex) -> np.ndarray:
     term frequency counted in its own item, with the statistics of the
     corpus index ``stats``."""
     tf = (ids[:, :, None] == ids[:, None, :]).sum(axis=-1)
-    return bm25_term_weight(
-        tf=tf, df=stats.doc_freq(ids), doc_len=ids.shape[1],
-        avg_len=stats.avg_len, n_docs=stats.n_docs,
-    )
+    norm = bm25_length_norm(ids.shape[1], stats.avg_len)
+    return bm25_weight(bm25_idf(stats.doc_freq(ids), stats.n_docs), tf, norm)
 
 
 def item_features(params: GateParams, ids: np.ndarray) -> tuple[Tensor, Tensor]:

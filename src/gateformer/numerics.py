@@ -11,8 +11,9 @@ Gradients are recorded define-by-run on an explicit :class:`Tape`:
 A tape is single-threaded; independent samples may each run their own tape
 concurrently. ``backward`` walks the tape once, in reverse recording order,
 so gradient accumulation order is deterministic and runs are bit-reproducible
-for a fixed seed. Repeated ``backward`` calls without ``zero_grad`` add
-another full dloss/dtensor into ``.grad``.
+for a fixed seed. Only leaves (tensors no op of the tape produced, such as
+parameters) get a ``.grad``, and repeated ``backward`` calls without
+``zero_grad`` add another full dloss/dleaf into it.
 
 Op outputs may share storage with their inputs (reshape, an identity
 gather); treat tensor ``.data`` as read-only once it has entered an op.
@@ -35,7 +36,9 @@ keeps its 7 per element), so the analytic cost model and the counter agree.
 adds repeated picks in the order ``np.add.at`` would. Ops own their no-op
 cases, so callers need no fast path of their own: a gather that picks every
 row once and in order records no gather, and a :func:`concat_rows` of one
-part returns that part.
+part returns that part. :func:`softmax` and :func:`logsumexp` reduce the
+last axis, and layer norm's and cosine's epsilons are the constants
+``LAYER_NORM_EPS`` and ``COSINE_EPS``.
 
 A thread-local FLOP counter (:func:`count_flops`) can be armed around any
 forward pass; every op then reports its cost as multiply-adds x2 plus fixed
@@ -50,34 +53,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "recording",
-    "tensor",
-    "constant",
-    "backward",
-    "softmax",
-    "conv1d",
-    "LSTMParams",
-    "lstm_last",
-    "attention",
-    "feed_forward",
-    "attention_pool",
-    "cosine",
-    "relu",
-    "vsum",
-    "mean",
-    "logsumexp",
-    "layer_norm",
-    "gather_rows",
-    "concat_rows",
-    "assemble_rows",
-    "narrow",
-    "reshape",
-    "count_flops",
-    "FlopCounter",
-]
 
 class _State(threading.local):
     """Per-thread tape and FLOP counter; ``None`` when not armed."""
@@ -95,6 +70,8 @@ _FLOPS_PER_ELEM = {
     "softmax": 5,
     "layer_norm": 7,
 }
+LAYER_NORM_EPS = 1e-5
+COSINE_EPS = 1e-12
 
 
 def _tape() -> "Tape | None":
@@ -137,10 +114,10 @@ class count_flops:
 class Tensor:
     """A shaped float64 array with an optional gradient slot.
 
-    ``grad`` is populated by :func:`backward` for every tensor that had
-    ``requires_grad`` when the tape recorded it. Tensors are value-like:
-    ops never mutate ``data`` (the optimizer, which owns the parameters,
-    is the one exception).
+    ``grad`` is populated by :func:`backward` for every leaf (no op's output)
+    that had ``requires_grad`` when the tape recorded it. Tensors are
+    value-like: ops never mutate ``data`` (the optimizer, which owns the
+    parameters, is the one exception).
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -221,11 +198,13 @@ def _make(data: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate dloss/dt into ``t.grad`` for every recorded tensor.
+    """Accumulate dloss/dt into ``t.grad`` for every leaf ``t`` on ``tape``:
+    a tensor with ``requires_grad`` that no node produced. Op outputs get no
+    ``.grad``: their adjoints live in a side table until passed on.
 
-    ``loss`` must be a scalar produced on ``tape``. Adjoints are assembled
-    in a side table and only ever replaced (never mutated in place), so a
-    returned gradient may safely alias op output storage.
+    ``loss`` must be a scalar produced on ``tape``. Adjoints are only ever
+    replaced (never mutated in place), so a returned gradient may safely
+    alias op output storage.
     """
     if loss.data.ndim != 0:
         raise ValueError(
@@ -236,8 +215,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         g = adj.pop(node.out, None)
         if g is None:
             continue
-        if node.out.requires_grad:
-            node.out.grad = g if node.out.grad is None else node.out.grad + g
         for t, gi in zip(node.inputs, node.bwd(g)):
             if gi is None or not t.requires_grad:
                 continue
@@ -316,68 +293,65 @@ def relu(x) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
-def vsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def vsum(x, axis=None) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
     _count(x.data.size)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, x.data.shape),)
 
     return _make(data, (x,), bwd)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x, axis=None) -> Tensor:
     x = _as_tensor(x)
     n = x.data.size if axis is None else x.data.shape[axis]
-    data = x.data.mean(axis=axis, keepdims=keepdims)
+    data = x.data.mean(axis=axis)
     _count(x.data.size)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, x.data.shape),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk / n, x.data.shape),)
 
     return _make(data, (x,), bwd)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Probabilities along ``axis``; max-subtracted for stability."""
+def softmax(x) -> Tensor:
+    """Probabilities along the last axis; max-subtracted for stability."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
     _count(_FLOPS_PER_ELEM["softmax"] * data.size)
 
     def bwd(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
+        inner = (g * data).sum(axis=-1, keepdims=True)
         return ((g - inner) * data,)
 
     return _make(data, (x,), bwd)
 
 
-def logsumexp(x, axis: int = -1) -> Tensor:
-    """Stable log(sum(exp(x))) along ``axis``, which is dropped from the
-    shape; a vector gives a shape-``()`` value."""
+def logsumexp(x) -> Tensor:
+    """Stable log(sum(exp(x))) along the last axis, which is dropped from
+    the shape; a vector gives a shape-``()`` value."""
     x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
+    m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    data = (m + np.log(s)).squeeze(axis)
+    s = e.sum(axis=-1, keepdims=True)
+    data = (m + np.log(s)).squeeze(-1)
     _count(_FLOPS_PER_ELEM["softmax"] * x.data.size)
 
     def bwd(g):
-        return (np.expand_dims(g, axis) * (e / s),)
+        return (g[..., None] * (e / s),)
 
     return _make(data, (x,), bwd)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization over the last axis, with affine params.
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Row-wise layer normalization over the last axis, with affine params
+    and ``LAYER_NORM_EPS`` added to each row's variance.
 
     One tape node. The forward pass keeps two full-size arrays, the
     normalised rows and the output: the variance is one ``vecdot`` per row
@@ -395,7 +369,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         )
     # the sum and division of ndarray.mean, without its Python wrapper
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / d + eps)[..., None]
+    inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / d + LAYER_NORM_EPS)[..., None]
     xhat *= inv
     data = xhat * gamma.data
     data += beta.data
@@ -720,12 +694,12 @@ def attention_pool(x, query) -> Tensor:
     return _make(data, (x, query), bwd)
 
 
-def cosine(a, b, eps: float = 1e-12) -> Tensor:
+def cosine(a, b) -> Tensor:
     """Cosine similarity along the last axis, broadcasting the leading axes.
 
     Two vectors give a scalar; (..., d) rows against (..., d) rows give the
-    broadcast leading shape. Squared norms are clamped at ``eps ** 2``, so a
-    zero row scores 0 and passes no gradient through its norm.
+    broadcast leading shape. Squared norms are clamped at ``COSINE_EPS ** 2``,
+    so a zero row scores 0 and passes no gradient through its norm.
 
     One tape node with a hand-written backward. The FLOP count is that of
     the composed form: the products and sums of the numerator and of both
@@ -738,7 +712,7 @@ def cosine(a, b, eps: float = 1e-12) -> Tensor:
         raise ValueError(f"cosine needs rows of equal length, got {ad.shape} and {bd.shape}")
     num = np.vecdot(ad, bd)          # raises ValueError if the rows do not broadcast
     sq_a, sq_b = np.vecdot(ad, ad), np.vecdot(bd, bd)
-    lo = eps * eps
+    lo = COSINE_EPS * COSINE_EPS
     na = np.sqrt(np.maximum(sq_a, lo))
     nb = np.sqrt(np.maximum(sq_b, lo))
     denom = na * nb

@@ -1,11 +1,13 @@
 """Sparse, dense, and hybrid candidate recall over gated keywords.
 
-Sparse recall is an exact inverted-index + Okapi BM25 ranker (k1=1.2,
-b=0.75); dense recall is exact brute-force scaled inner product; hybrid
-retrieves sparsely then re-ranks densely. No approximate pruning anywhere:
-desk-scale corpora make exactness cheap. The news corpus's index is also the
-bm25 selector's statistics: :meth:`InvertedIndex.doc_freq`, ``n_docs`` and
-``avg_len``.
+Sparse recall is an exact inverted-index + Okapi BM25 ranker (``K1`` =
+1.2, ``B`` = 0.75); dense recall is exact brute-force scaled inner product;
+hybrid retrieves sparsely then re-ranks densely. No approximate pruning
+anywhere: desk-scale corpora make exactness cheap. The news corpus's index
+is also the bm25 selector's statistics: :meth:`InvertedIndex.doc_freq`,
+``n_docs`` and ``avg_len``. BM25 is spelled once, as the factors
+:func:`bm25_idf`, :func:`bm25_length_norm` and :func:`bm25_weight` that the
+index's posting weights and the selector's token scores both compose.
 
 Sparse scoring is term-at-a-time accumulation (Turtle & Flood, 1995) done
 as one array pass: one ``searchsorted`` finds the postings of every query
@@ -84,26 +86,15 @@ def bm25_idf(df, n_docs):
     return np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def bm25_length_norm(doc_len, avg_len, k1: float = K1, b: float = B):
+def bm25_length_norm(doc_len, avg_len):
     """BM25 length normalisation of a document of ``doc_len`` tokens."""
-    return k1 * (1.0 - b + b * doc_len / avg_len)
+    return K1 * (1.0 - B + B * doc_len / avg_len)
 
 
-def bm25_weight(idf, tf, norm, k1: float = K1):
+def bm25_weight(idf, tf, norm):
     """BM25 contribution of a term of inverse document frequency ``idf``
     occurring tf >= 1 times in a document of length normalisation ``norm``."""
-    return idf * tf * (k1 + 1.0) / (tf + norm)
-
-
-def bm25_term_weight(tf, df, doc_len, avg_len, n_docs, k1: float = K1, b: float = B):
-    """Okapi BM25 contribution of one term occurring tf times in a document.
-
-    Every argument may be a scalar or an array (they broadcast); the result
-    is an array, zero where tf <= 0.
-    """
-    tf = np.asarray(tf, dtype=np.float64)
-    weight = bm25_weight(bm25_idf(df, n_docs), tf, bm25_length_norm(doc_len, avg_len, k1, b), k1)
-    return np.where(tf > 0, weight, 0.0)
+    return idf * tf * (K1 + 1.0) / (tf + norm)
 
 
 @dataclass(eq=False)

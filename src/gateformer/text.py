@@ -462,7 +462,8 @@ def write_mind_files(corpus: SynthCorpus, out_dir) -> None:
 
     When the corpus carries a held-out split, the held-out impressions go to
     ``behaviors_val.tsv`` so the generalization split survives the round trip
-    through files.
+    through files; otherwise a ``behaviors_val.tsv`` left in ``out_dir`` by an
+    earlier corpus is removed, so the loader cannot validate on it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -486,3 +487,5 @@ def write_mind_files(corpus: SynthCorpus, out_dir) -> None:
     write_behaviors(out / "behaviors.tsv", corpus.train_indices)
     if corpus.val_indices:
         write_behaviors(out / "behaviors_val.tsv", corpus.val_indices)
+    else:
+        (out / "behaviors_val.tsv").unlink(missing_ok=True)

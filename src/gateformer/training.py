@@ -354,7 +354,7 @@ def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: li
     n_cands = np.array([1 + len(s.negatives) for s in samples])
     losses = []
     for mem, z in impression_logits(users, cands, n_cands):
-        lse = nm.logsumexp(z, axis=-1)
+        lse = nm.logsumexp(z)
         z_pos = nm.reshape(nm.narrow(z, 1, 0, 1), (len(mem),))
         losses.append(nm.sub(lse, z_pos))
     return nm.mean(nm.concat_rows(losses))
@@ -364,14 +364,16 @@ def batch_loss(model: Model, samples: list[ImpressionSample], sample_indices: li
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     peak_lr: float
     warmup_steps: int
     total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -388,7 +390,8 @@ def lr_at(state: OptimState, t: int) -> float:
 
 
 def adam_step(named: dict[str, Tensor], state: OptimState) -> float:
-    """One Adam update with bias correction; returns the lr used.
+    """One Adam update with bias correction, betas ``ADAM_BETA1`` and
+    ``ADAM_BETA2`` and epsilon ``ADAM_EPS``; returns the lr used.
 
     Parameters without a populated gradient are treated as zero-gradient.
     A NaN gradient aborts the step before any parameter moves.
@@ -399,17 +402,17 @@ def adam_step(named: dict[str, Tensor], state: OptimState) -> float:
     state.step += 1
     t = state.step
     lr = lr_at(state, t)
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in named.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return lr
 
 

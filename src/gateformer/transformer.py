@@ -278,15 +278,16 @@ def load_checkpoint(prefix) -> dict[str, np.ndarray]:
     ``ValueError`` naming the file.
     """
     path = f"{prefix}.manifest.json"
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    raw = Path(path).read_bytes()
     blob = Path(f"{prefix}.bin").read_bytes()
 
     def bad(why: str) -> ValueError:
         return ValueError(f"corrupt checkpoint manifest {path}: {why}")
 
     try:
-        manifest = json.loads(text)
+        manifest = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise bad("not UTF-8") from None
     except json.JSONDecodeError as e:
         raise bad(f"not JSON ({e})") from None
     if not isinstance(manifest, dict):

@@ -13,14 +13,14 @@ values, gradients and FLOP count are pinned to an op-by-op reference.
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from gateformer import numerics as nm
-from gateformer.gating import GateSelection
-from gateformer.numerics import Tape, backward, constant, gather_rows
+from gateformer.numerics import Tape, Tensor, backward, constant, gather_rows
 from gateformer.numerics import _as_tensor, _count, _make, _unbroadcast
-from gateformer.recall import bm25_term_weight
+from gateformer.recall import B, K1
 from gateformer.transformer import encode_sequence, weighted_pool
 
 
@@ -211,7 +211,7 @@ def attention_oracle(x, w_qkv, b_qkv, wo, bo, heads: int):
 
     q, k, v = project(0), project(1), project(2)
     scores = nm.mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
-    alpha = nm.softmax(scores, axis=-1)
+    alpha = nm.softmax(scores)
     ctx = nm.reshape(transpose(matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
     return nm.add(matmul(ctx, wo), bo)
 
@@ -224,15 +224,16 @@ def feed_forward_oracle(x, w1, b1, w2, b2):
 
 def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
     """Layer normalization over the last axis in composed tape ops."""
-    xc = nm.sub(x, nm.mean(x, axis=-1, keepdims=True))
-    var = nm.mean(nm.mul(xc, xc), axis=-1, keepdims=True)
+    rows = x.data.shape[:-1] + (1,)
+    xc = nm.sub(x, nm.reshape(nm.mean(x, axis=-1), rows))
+    var = nm.reshape(nm.mean(nm.mul(xc, xc), axis=-1), rows)
     return nm.add(nm.mul(div(xc, sqrt(nm.add(var, eps))), gamma), beta)
 
 
 def attention_pool_oracle(x, query):
     """softmax(x @ query)-weighted rows of (..., n, d) x, in composed tape
     ops."""
-    alpha = nm.softmax(matmul(x, query), axis=-1)
+    alpha = nm.softmax(matmul(x, query))
     if x.data.ndim == 2:
         return matmul(alpha, x)
     *lead, n, d = x.data.shape
@@ -372,6 +373,17 @@ def evaluate_oracle(model, samples) -> tuple:
 
 def recall_at_k_oracle(results, relevant, k: int) -> float:
     return len(set(results[:k]) & set(relevant)) / len(relevant)
+
+
+def bm25_term_weight(tf, df, doc_len, avg_len, n_docs, k1: float = K1, b: float = B):
+    """Okapi BM25 contribution of one term occurring tf times in a document,
+    in one expression of the textbook formula. Every argument may be a scalar
+    or an array (they broadcast); the result is an array, zero where
+    tf <= 0."""
+    tf = np.asarray(tf, dtype=np.float64)
+    idf = np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+    weight = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doc_len / avg_len))
+    return np.where(tf > 0, weight, 0.0)
 
 
 def bm25_oracle(query_terms, doc_terms, all_docs, k1: float = 1.2, b: float = 0.75) -> float:
@@ -570,6 +582,39 @@ def select_positions_oracle(seq, scores, k):
     return ranked[:k]
 
 
+@dataclass
+class ItemSelection:
+    """One item's gate output as the reference gate returns it: the kept
+    positions, the item's raw scores, the kept scores' weights, which are
+    positive and sum to 1, and the kept embeddings scaled row-wise by them."""
+
+    positions: list[int]
+    raw_scores: Tensor               # (L,)
+    weights: Tensor                  # (K_eff,)
+    gathered: Tensor                 # (K_eff, d)
+
+    @property
+    def k_eff(self) -> int:
+        return len(self.positions)
+
+
+def item_views(gated):
+    """A ``GroupedSelection`` as one :class:`ItemSelection` per item, each
+    item's runs narrowed out of the flat ``scores``, ``weights`` and ``rows``
+    on the current tape, so gradients flow through them."""
+    views = []
+    for i in range(len(gated)):
+        start, stop = gated.token_start[i:i + 2].tolist()
+        lo, hi = gated.offsets[i:i + 2].tolist()
+        views.append(ItemSelection(
+            positions=gated.positions[lo:hi].tolist(),
+            raw_scores=nm.narrow(gated.scores, 0, start, stop - start),
+            weights=nm.narrow(gated.weights, 0, lo, hi - lo),
+            gathered=nm.narrow(gated.rows, 0, lo, hi - lo),
+        ))
+    return views
+
+
 def select_topk(seq, raw_scores, embeddings, k):
     """Top-k gather of one item's embeddings, scaled by the softmax of the
     selected scores."""
@@ -577,7 +622,7 @@ def select_topk(seq, raw_scores, embeddings, k):
     weights = nm.softmax(gather_rows(raw_scores, positions))
     gathered = nm.mul(gather_rows(embeddings, positions),
                       nm.reshape(weights, (len(positions), 1)))
-    return GateSelection(positions=positions, raw_scores=raw_scores,
+    return ItemSelection(positions=positions, raw_scores=raw_scores,
                          weights=weights, gathered=gathered)
 
 
@@ -620,7 +665,7 @@ def heuristic_gate_oracle(history, method, k, params, stats=None, rng=None):
         weights = constant(np.full(len(positions), 1.0 / len(positions)))
         gathered = nm.mul(gather_rows(params.word_embeddings, [seq.ids[p] for p in positions]),
                           nm.reshape(weights, (len(positions), 1)))
-        sels.append(GateSelection(positions=positions, raw_scores=constant(scores),
+        sels.append(ItemSelection(positions=positions, raw_scores=constant(scores),
                                   weights=weights, gathered=gathered))
     return sels
 

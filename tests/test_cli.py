@@ -7,7 +7,8 @@ import pytest
 from gateformer.cli import load_dataset, load_run, main, restore_model
 from gateformer.config import load_config
 from gateformer.numerics import tensor
-from gateformer.text import Vocabulary, load_mind_news
+from gateformer.text import Vocabulary, load_mind_behaviors, load_mind_news
+from gateformer.training import split_samples
 from gateformer.transformer import load_checkpoint, save_checkpoint
 
 TINY_SYNTH = [
@@ -158,6 +159,31 @@ class TestConfig:
         assert again.items() == cfg.items()
         assert again.fingerprint() == cfg.fingerprint()
 
+    def test_file_roundtrip_keeps_percent_signs(self, tmp_path):
+        cfg = load_config(None, ["data.news=100%.tsv", "data.behaviors=%(x)s.tsv"])
+        cfg.dump(tmp_path / "c.ini")
+        again = load_config(tmp_path / "c.ini")
+        assert (again.data.news, again.data.behaviors) == ("100%.tsv", "%(x)s.tsv")
+        assert again.items() == cfg.items()
+
+    @pytest.mark.parametrize("content, why", [
+        (b"seed = 1\n[train]\n", "line 1 comes before any [section] header"),
+        (b"[train]\nseed = 1\n[train]\nsteps = 2\n", "line 3 repeats section [train]"),
+        (b"[train]\nseed = 1\nseed = 2\n", "line 3 repeats key 'seed' of section [train]"),
+        (b"[train]\nseed\n", "line 2 is not key = value: 'seed\\n'"),
+        (b"[data]\nnews = \xff.tsv\n", "not UTF-8"),
+    ], ids=["no-section", "duplicate-section", "duplicate-key", "no-equals", "not-utf8"])
+    def test_bad_file_names_itself(self, tmp_path, capsys, content, why):
+        path = tmp_path / "c.ini"
+        path.write_bytes(content)
+        message = f"bad config file {path}: {why}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            load_config(path)
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_fingerprint_tracks_values(self):
         a = load_config(None, ["train.seed=1"])
         b = load_config(None, ["train.seed=2"])
@@ -186,6 +212,25 @@ class TestSynthCommand:
         assert rc != 0
         rc = main(["synth", "--out", str(out), "--seed", "3", "--force", *TINY_SYNTH])
         assert rc == 0
+
+    def test_force_without_a_held_out_split_removes_the_old_one(self, tmp_path, capsys):
+        out = synth(tmp_path, seed=3)
+        assert (out / "behaviors_val.tsv").exists()
+        rc = main(["synth", "--out", str(out), "--seed", "3", "--force", *TINY_SYNTH,
+                   "--set", "synth.val_fraction=0"])
+        assert rc == 0
+        assert not (out / "behaviors_val.tsv").exists()
+        # the loader falls back to splitting the new corpus's impressions
+        cfg = load_config(None, [])
+        dataset = load_dataset(cfg, out)
+        samples = load_mind_behaviors(out / "behaviors.tsv", dataset.news, k_neg=cfg.data.k_neg,
+                                      n_max=cfg.data.n_max, seed=cfg.train.seed)
+        _, val = split_samples(samples, cfg.data.val_fraction, cfg.train.seed)
+
+        def ids(samples):
+            return [(s.history_ids, s.positive_id, s.negative_ids) for s in samples]
+
+        assert val and ids(dataset.val_samples) == ids(val)
 
     def test_round_trip_reingests_losslessly(self, tmp_path):
         from gateformer.text import synth_corpus_full

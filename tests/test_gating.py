@@ -18,6 +18,7 @@ from oracles import (
     encode_user_interest,
     gate_history_oracle,
     heuristic_gate_oracle,
+    item_views,
     lstm_last_oracle,
     rel_err,
     score_tokens,
@@ -260,7 +261,7 @@ class TestGateHistory:
         rng = np.random.default_rng(16)
         p = make_gate(seed=16)
         history = random_history(rng, 3, 6)
-        for sel in gate_groups([history], p, 4):
+        for sel in item_views(gate_groups([history], p, 4)):
             assert abs(sel.weights.data.sum() - 1.0) <= 1e-10
             assert (sel.weights.data > 0).all()
 
@@ -309,7 +310,7 @@ class TestSelectionInvariants:
         history = random_history(rng, 3, 5, vocab_size=30)
         p.word_embeddings.zero_grad()
         with Tape() as tape:
-            sels = gate_groups([history], p, 2)
+            sels = item_views(gate_groups([history], p, 2))
             loss = nm.vsum(nm.concat_rows([s.gathered for s in sels]))
         backward(tape, loss)
         grad = p.word_embeddings.grad
@@ -332,7 +333,7 @@ class TestSelectionInvariants:
                 assert select_row(seq, scores + delta, 2) == pos
 
         def build():
-            sels = gate_groups([history], p, 2)
+            sels = item_views(gate_groups([history], p, 2))
             assert [s.positions for s in sels] == baseline
             return nm.vsum(nm.mul(nm.concat_rows([s.gathered for s in sels]), c))
 
@@ -344,7 +345,7 @@ class TestHeuristicGate:
     def test_first_k(self):
         p = make_gate(seed=22)
         history = UserHistory([seq_of([3, 4, 5, 6])])
-        sels = gate_groups([history], p, 3, "first")
+        sels = item_views(gate_groups([history], p, 3, "first"))
         assert sels[0].positions == [0, 1, 2]
         assert np.allclose(sels[0].weights.data, 1 / 3, atol=1e-15)
 
@@ -371,7 +372,7 @@ class TestHeuristicGate:
         }
         stats = build_index(docs)
         p = make_gate(vocab_size=len(vocab), seed=24)
-        sels = gate_groups([UserHistory([docs["D1"]])], p, 2, "bm25", stats=stats)
+        sels = item_views(gate_groups([UserHistory([docs["D1"]])], p, 2, "bm25", stats=stats))
         # hand computation: apple idf=ln(2.5/1.5+1), tf=2, len=3=avg ->
         # w_apple = idf * 2*2.2/(2+1.2) ~= 1.349; banana idf=ln(1.6), tf=1 ->
         # w_banana = 0.470 * 1.0 = 0.470; apple wins, duplicate apple masked
@@ -517,7 +518,8 @@ class TestGateMatchesOracle:
         p = make_gate(vocab_size=15, seed=30, user_encoder=encoder)
         history = oracle_history(rng, 15)
         self.assert_match(
-            lambda: gate_groups([history], p, 3), lambda: gate_history_oracle(history, p, 3), p
+            lambda: item_views(gate_groups([history], p, 3)),
+            lambda: gate_history_oracle(history, p, 3), p,
         )
 
     @TOKEN_ENCODERS
@@ -556,7 +558,8 @@ class TestGateMatchesOracle:
         history = oracle_history(rng, 15)
         stats = build_index({str(i): seq for i, seq in enumerate(history.items)})
         self.assert_match(
-            lambda: gate_groups([history], p, 3, method, stats, [np.random.default_rng(4)]),
+            lambda: item_views(gate_groups([history], p, 3, method, stats,
+                                           [np.random.default_rng(4)])),
             lambda: heuristic_gate_oracle(history, method, 3, p, stats, np.random.default_rng(4)),
             p,
         )
@@ -564,25 +567,27 @@ class TestGateMatchesOracle:
 
 class TestGroupedSelectionSequence:
     """gate_groups' result reads as a read-only sequence of per-item
-    selections, each narrowed out of the grouped rows."""
+    selections, each that item's kept positions; the per-item views of the
+    flat tensors (``item_views``) match the reference gate and tile them."""
 
     def test_len_indexing_and_iteration_match_oracle(self):
         rng = np.random.default_rng(33)
         p = make_gate(vocab_size=15, seed=33)
         history = oracle_history(rng, 15)
         gated = gate_groups([history], p, 3)
+        views = item_views(gated)
         ref = gate_history_oracle(history, p, 3)
         n = len(history.items)
-        assert len(gated) == len(ref) == n
+        assert len(gated) == len(views) == len(ref) == n
 
         def same(a, b):
             assert a.positions == b.positions and a.k_eff == b.k_eff
-            for part in ("raw_scores", "weights", "gathered"):
-                assert rel_err(getattr(a, part).data, getattr(b, part).data) < 1e-12, part
 
         for i in range(n):
             same(gated[i], ref[i])
             same(gated[i - n], ref[i])
+            for part in ("raw_scores", "weights", "gathered"):
+                assert rel_err(getattr(views[i], part).data, getattr(ref[i], part).data) < 1e-12
         for a, b in zip(gated, ref, strict=True):
             same(a, b)
         for bad in (n, -n - 1):
@@ -593,12 +598,24 @@ class TestGroupedSelectionSequence:
         rng = np.random.default_rng(34)
         p = make_gate(vocab_size=15, seed=34)
         gated = gate_groups([oracle_history(rng, 15)], p, 3)
-        assert np.array_equal(np.concatenate([s.gathered.data for s in gated]), gated.rows.data)
-        assert np.array_equal(np.concatenate([s.weights.data for s in gated]), gated.weights.data)
+        views = item_views(gated)
+        assert np.array_equal(np.concatenate([s.gathered.data for s in views]), gated.rows.data)
+        assert np.array_equal(np.concatenate([s.weights.data for s in views]), gated.weights.data)
+        assert [pos for s in gated for pos in s.positions] == gated.positions.tolist()
         with pytest.raises(AttributeError):
             gated.rows = gated.weights
         with pytest.raises(TypeError):
             gated[0] = gated[1]
+
+    def test_an_item_view_records_nothing(self):
+        p = make_gate(vocab_size=15, seed=37)
+        history = oracle_history(np.random.default_rng(37), 15)
+        with Tape() as tape:
+            gated = gate_groups([history], p, 3)
+            recorded = len(tape)
+            sels = list(gated)
+        assert len(tape) == recorded
+        assert [s.k_eff for s in sels] == np.diff(gated.offsets).tolist()
 
 
 class TestFlatOutput:

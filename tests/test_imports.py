@@ -1,7 +1,8 @@
-"""Every imported name is read by the module that imports it, and every
-definition in the package is read by the package.
+"""Every imported name is read by the module that imports it, every
+definition in the package is read by the package, and every parameter with
+a default is set by some caller.
 
-Two static checks. The first runs over the package, the tests and the
+Three static checks. The first runs over the package, the tests and the
 scripts: each name an ``import`` binds must be read somewhere in its module,
 in code, in a string annotation or in ``__all__``. An import kept on purpose
 (a re-export, or an import made for its side effect) says so with
@@ -14,6 +15,16 @@ reference form that only the tests need lives in ``tests/oracles.py``. The
 few definitions read only from outside the package are listed in
 ``UNREAD_IN_SRC``, each with its readers and the ROADMAP item that removes
 it; the list may only shrink.
+
+The third holds the package's parameters to the same rule: each parameter
+with a default, of a top-level function or of a method of a top-level class,
+must be passed something other than its default, by keyword or by position,
+by some call in ``src/``, ``scripts/`` or ``perfbench/`` outside the
+function's own body. A value every caller leaves at its default is a
+constant. Callees are matched by name, as reads are, so a call to a
+builtin of the same name (``ndarray.mean(axis=0)``) counts; review such
+names by hand. The exceptions, set only by the tests, are listed in
+``DEFAULT_ONLY``, each with its setters; the list may only shrink.
 """
 
 import ast
@@ -46,6 +57,16 @@ UNREAD_IN_SRC = {
     ),
 }
 UNREAD_IN_SRC_MAX = 9  # lower it with each entry removed
+
+# the callers a parameter's value may come from
+CALLERS = sorted(
+    p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+# parameter -> the code outside those callers that sets it
+DEFAULT_ONLY = {
+    "numerics.concat_rows.axis": "tests/oracles.py's conv1d_window_oracle",
+}
+DEFAULT_ONLY_MAX = 1  # lower it with each entry removed
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -159,6 +180,79 @@ def unread_definitions(sources: dict[str, str]) -> set[str]:
     return unread
 
 
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified parameter, function node, callee name, keyword, position,
+    default) of each parameter with a default of each top-level function and
+    each method of a top-level class. An ``__init__`` is called by its
+    class's name, and a method's positions do not count ``self``; a
+    keyword-only parameter has position None. The default is its AST dump."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            functions = [(node, None)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [(sub, node.name) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef | ast.AsyncFunctionDef)]
+        else:
+            continue
+        for fn, cls in functions:
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            )
+            callee = cls if fn.name == "__init__" else fn.name
+            prefix = f"{cls}.{fn.name}" if cls else fn.name
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, (arg, default) in enumerate(zip(positional[first:], args.defaults)):
+                yield (f"{prefix}.{arg.arg}", fn, callee, arg.arg, first + i - bound,
+                       ast.dump(default))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}.{arg.arg}", fn, callee, arg.arg, None, ast.dump(default)
+
+
+def default_only_parameters(package: dict[str, str], callers: dict[str, str]) -> set[str]:
+    """``module.function.parameter`` of each defaulted parameter in
+    ``package`` (module name -> source) that no call in ``callers`` (name ->
+    source; a package module under its own name) passes a value other than
+    the default's literal, outside the function's own body."""
+    calls = defaultdict(list)  # callee name -> (caller, call)
+    for where, source in callers.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name | ast.Attribute):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls[name].append((where, node))
+    unset = set()
+    for module, source in package.items():
+        for qualname, fn, callee, keyword, position, default in _defaulted_parameters(
+            ast.parse(source)
+        ):
+            own = range(fn.lineno, fn.end_lineno + 1)
+            passed = [
+                value
+                for where, call in calls[callee]
+                if not (where == module and call.lineno in own)
+                for value in [k.value for k in call.keywords if k.arg == keyword] + (
+                    [call.args[position]]
+                    if position is not None and position < len(call.args) and not any(
+                        isinstance(a, ast.Starred) for a in call.args[:position + 1])
+                    else []
+                )
+            ]
+            if all(ast.dump(value) == default for value in passed):
+                unset.add(f"{module}.{qualname}")
+    return unset
+
+
+def _caller_sources() -> dict[str, str]:
+    """Every caller's source, a package module under its module name."""
+    return {
+        p.stem if p.parent == ROOT / "src" / "gateformer" else str(p.relative_to(ROOT)):
+        p.read_text()
+        for p in CALLERS
+    }
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
@@ -177,6 +271,26 @@ def test_every_definition_is_read_by_the_package():
     assert allowlist_problems(unread, UNREAD_IN_SRC) == []
     assert len(UNREAD_IN_SRC) <= UNREAD_IN_SRC_MAX
     assert all(re.fullmatch(r".+; item \d+", why) for why in UNREAD_IN_SRC.values())
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unset = default_only_parameters({p.stem: p.read_text() for p in PACKAGE}, _caller_sources())
+    assert unset == set(DEFAULT_ONLY)
+    assert len(DEFAULT_ONLY) <= DEFAULT_ONLY_MAX
+
+
+def test_a_parameter_put_back_fails_the_check():
+    """A copy of the package with cosine's ``eps`` put back, as a parameter
+    no caller sets, fails."""
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    callers = _caller_sources()
+    head = "def cosine(a, b) -> Tensor:"
+    assert package["numerics"].count(head) == 1
+    package["numerics"] = callers["numerics"] = package["numerics"].replace(
+        head, "def cosine(a, b, eps: float = 1e-12) -> Tensor:"
+    )
+    unset = default_only_parameters(package, callers)
+    assert unset - set(DEFAULT_ONLY) == {"numerics.cosine.eps"}
 
 
 class TestChecker:
@@ -251,3 +365,36 @@ class TestReaderCheck:
             "unread, not allowlisted: m.h"
         ]
         assert allowlist_problems({"m.f", "m.g"}, allowlist) == []
+
+
+class TestParameterCheck:
+    def test_keyword_and_positional_values_set_a_parameter(self):
+        src = (
+            "def f(x, a=1, b=2, *, c=3):\n    pass\n"
+            "f(0, 5)\n"
+            "f(0, c=4)\n"
+            "f(0, 1, b=2)\n"
+        )
+        assert default_only_parameters({"m": src}, {"m": src}) == {"m.f.b"}
+
+    def test_own_body_and_other_callers(self):
+        lib = "def f(x, a=1):\n    return f(x, a=a) if x else 0\n"
+        assert default_only_parameters({"lib": lib}, {"lib": lib}) == {"lib.f.a"}
+        user = "import lib\nlib.f(1, a=2)\n"
+        assert default_only_parameters({"lib": lib}, {"lib": lib, "user.py": user}) == set()
+
+    def test_methods_skip_self_and_init_goes_by_the_class(self):
+        src = (
+            "class C:\n"
+            "    def __init__(self, a=1, b=2):\n        pass\n"
+            "    def step(self, lr=0.1):\n        pass\n"
+            "    @staticmethod\n"
+            "    def make(n=1):\n        pass\n"
+            "C(3).step(0.5)\n"
+            "C.make(2)\n"
+        )
+        assert default_only_parameters({"m": src}, {"m": src}) == {"m.C.__init__.b"}
+
+    def test_a_starred_argument_sets_nothing_after_it(self):
+        src = "def f(x, a=1, b=2):\n    pass\nf(*[0, 5])\nf(0, *[5], b=3)\n"
+        assert default_only_parameters({"m": src}, {"m": src}) == {"m.f.a"}

@@ -10,7 +10,6 @@ from gateformer.recall import (
     MAGIC,
     UserQuery,
     bm25_score,
-    bm25_term_weight,
     build_index,
     load_index,
     recall_at_k,
@@ -24,6 +23,7 @@ from gateformer.text import TokenSequence
 from oracles import (
     bm25_oracle,
     bm25_rank_oracle,
+    bm25_term_weight,
     build_index_oracle,
     dense_rank_oracle,
     postings_oracle,

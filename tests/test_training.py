@@ -39,6 +39,7 @@ from oracles import (
     auc_oracle,
     encode_user_oracle,
     evaluate_oracle,
+    item_views,
     mrr_oracle,
     ndcg_oracle,
     rel_err,
@@ -325,7 +326,7 @@ class TestPerSampleMatchesOracle:
         exact = method != "learned"
         for i, s in enumerate(samples):
             u = user_embedding(model, s.history, i).data
-            concat = encode_user_oracle(gate_history(s.history, model, i), model.trans)
+            concat = encode_user_oracle(item_views(gate_history(s.history, model, i)), model.trans)
             assert np.array_equal(u, concat.data)
             ref = user_embedding_oracle(model, s.history, i).data
             assert np.array_equal(u, ref) if exact else rel_err(u, ref) < 1e-12

@@ -590,6 +590,14 @@ class TestCorruptCheckpoint:
             with pytest.raises(ValueError, match="ckpt.manifest.json"):
                 load_checkpoint(prefix)
 
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        prefix = self.write(tmp_path)
+        path = tmp_path / "ckpt.manifest.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(prefix)
+        assert str(err.value) == f"corrupt checkpoint manifest {path}: not UTF-8"
+
     def test_cut_off_blob_rejected(self, tmp_path):
         prefix = self.write(tmp_path)
         blob = tmp_path / "ckpt.bin"
