@@ -1,7 +1,10 @@
 """Command-line entry point: synth, train, eval, bench, recall, analyze.
 
 One binary, subcommand style. Settings come from an INI config file plus
-flag overrides (flags win); every emitted table starts with a
+``--set section.key=value`` overrides. Each config flag of ``synth`` and
+``train`` (``_ALIASES``) is another spelling of one ``--set`` key, applied
+after the ``--set`` items so it wins, and checked by the config's rules
+like any other value. Every emitted table starts with a
 ``# config <fingerprint>`` comment so results are traceable. All commands
 are deterministic given the seed. The environment variable
 ``GATEFORMER_DATA_DIR`` provides the default data root.
@@ -24,12 +27,10 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .efficiency import bench, keyword_position_histogram, measure_speedup
-from .gating import GATE_METHODS
 from .recall import (
     InvertedIndex, UserQuery, build_index, recall_at_k, recall_dense, recall_hybrid, recall_sparse,
 )
 from .text import (
-    POLICIES,
     TokenSequence,
     Vocabulary,
     load_mind_behaviors,
@@ -153,11 +154,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config, args.set)
-    if args.policy:
-        cfg.apply("synth", "policy", args.policy)
-    if args.seed is not None:
-        cfg.apply("train", "seed", str(args.seed))
+    cfg = load_config(args.config, _overrides(args))
     out = Path(args.out) if args.out else _data_root(args)
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: output dir {out} is not empty (use --force)", file=sys.stderr)
@@ -180,16 +177,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
-    for flag, dotted in (
-        ("seed", "train.seed"), ("steps", "train.steps"),
-        ("threads", "train.threads"), ("gate_method", "gate.method"),
-        ("gate_k", "gate.k"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            section, key = dotted.split(".")
-            cfg.apply(section, key, str(value))
+    cfg = load_config(args.config, _overrides(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(cfg, _data_root(args))
@@ -374,6 +362,24 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="data directory (default: $GATEFORMER_DATA_DIR or .)")
 
 
+# command -> its flags, each another spelling of one config key
+_ALIASES = {
+    "synth": {"--seed": "train.seed", "--policy": "synth.policy"},
+    "train": {"--seed": "train.seed", "--steps": "train.steps", "--gate.method": "gate.method"},
+}
+
+
+def _aliases(p: argparse.ArgumentParser, command: str) -> None:
+    for flag, key in _ALIASES[command].items():
+        p.add_argument(flag, dest=key, metavar="VALUE", help=f"same as --set {key}=VALUE")
+
+
+def _overrides(args) -> list[str]:
+    """The ``--set`` items, then one item per alias flag given, so flags win."""
+    given = [(key, getattr(args, key)) for key in _ALIASES[args.command].values()]
+    return args.set + [f"{key}={value}" for key, value in given if value is not None]
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gateformer",
@@ -384,19 +390,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus in MIND format")
     _common(p)
     p.add_argument("--out", help="output directory (default: data dir)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--policy", choices=POLICIES)
+    _aliases(p, "synth")
     p.add_argument("--force", action="store_true", help="overwrite non-empty output dir")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on MIND-format data")
     _common(p)
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--gate.method", dest="gate_method", choices=GATE_METHODS)
-    p.add_argument("--gate.k", dest="gate_k", type=int)
+    _aliases(p, "train")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained run")

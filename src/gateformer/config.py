@@ -1,11 +1,15 @@
-"""Run configuration: schema-validated INI sections plus flag overrides.
+"""Run configuration: schema-validated INI sections plus command-line overrides.
 
 A config file has [data] / [model] / [gate] / [train] / [synth] sections of
-key=value pairs; every key is validated against the schema below and unknown
-sections or keys are rejected before any work starts. Command-line overrides
-(``--set section.key=value`` or dedicated flags) win over the file. The
-fingerprint of the resolved config is stamped into every emitted table so
-results stay traceable to the exact settings that produced them.
+key=value pairs, one section per field of :class:`RunConfig`. Each key is
+declared once, on its dataclass field: its type is its default's, and
+:func:`_key` adds its least value, its upper bound (for a share of a whole)
+and its choices. Every value, from a file or an override, is checked
+against that declaration, and unknown sections or keys are rejected, before
+any work starts. Overrides (``--set section.key=value``, or a command-line
+flag that spells one) win over the file. The fingerprint of the resolved
+config is stamped into every emitted table so results stay traceable to the
+exact settings that produced them.
 """
 
 from __future__ import annotations
@@ -34,96 +38,75 @@ def _bool(raw: str) -> bool:
 _PARSERS = {bool: (_bool, "a boolean"), int: (int, "an integer"), float: (float, "a number")}
 
 
+def _key(default, least=None, most=None, choices=None):
+    """A config field: its default, its least value, its greatest value (a
+    share of a whole has both) and the values it may take."""
+    return field(default=default,
+                 metadata={"least": least, "most": most, "choices": choices})
+
+
+# least values: a count is at least 1 where 0 would be meaningless; 0 steps
+# still writes the initial parameters, and 0 layers, max_positions (derived),
+# warmup, eval or log interval, clip_norm, signals, distractors and filler
+# pool each mean "none"
+
+
 @dataclass
 class DataConfig:
     news: str = "news.tsv"
     behaviors: str = "behaviors.tsv"
     vocab: str = "vocab.txt"
-    l_max: int = 30
-    n_max: int = 50
-    k_neg: int = 4
+    l_max: int = _key(30, least=1)
+    n_max: int = _key(50, least=1)
+    k_neg: int = _key(4, least=1)
     title_only: bool = False
-    val_fraction: float = 0.2
+    val_fraction: float = _key(0.2, least=0, most=1)
 
 
 @dataclass
 class ModelConfig:
-    d: int = 64
-    layers: int = 2
-    heads: int = 4
-    max_positions: int = 0  # 0 = derived from n_max * l_max
+    d: int = _key(64, least=1)
+    layers: int = _key(2, least=0)
+    heads: int = _key(4, least=1)
+    max_positions: int = _key(0, least=0)  # 0 = derived from n_max * l_max
 
 
 @dataclass
 class GateConfig:
-    k: int = 3
-    window: int = 1
-    filters: int = 32
-    user_encoder: str = "lstm"
-    method: str = "learned"
+    k: int = _key(3, least=1)
+    window: int = _key(1, least=1)
+    filters: int = _key(32, least=1)
+    user_encoder: str = _key("lstm", choices=USER_ENCODERS)
+    method: str = _key("learned", choices=GATE_METHODS)
 
 
 @dataclass
 class TrainConfig:
-    steps: int = 2000
-    batch_size: int = 32
-    peak_lr: float = 1e-3
-    warmup: int = 100
-    seed: int = 0
-    log_interval: int = 50
-    eval_interval: int = 200
-    clip_norm: float = 0.0
-    threads: int = 1
+    steps: int = _key(2000, least=0)
+    batch_size: int = _key(32, least=1)
+    peak_lr: float = _key(1e-3, least=0)
+    warmup: int = _key(100, least=0)
+    seed: int = _key(0, least=0)
+    log_interval: int = _key(50, least=0)
+    eval_interval: int = _key(200, least=0)
+    clip_norm: float = _key(0.0, least=0)
+    threads: int = _key(1, least=1)
 
 
 @dataclass
 class SynthConfig:
-    users: int = 160
-    items: int = 320
-    topics: int = 8
-    tokens_per_item: int = 30
-    policy: str = "random"
-    signals: int = 2
-    distractors: int = 2
-    filler_pool: int = 120
-    history_len: int = 6
-    impressions_per_user: int = 4
-    noise: float = 0.0
-    val_fraction: float = 0.25
-
-
-_CHOICES = {
-    ("gate", "user_encoder"): USER_ENCODERS,
-    ("gate", "method"): GATE_METHODS,
-    ("synth", "policy"): POLICIES,
-}
-
-# smallest accepted value; 0 steps still writes the initial parameters, and
-# 0 layers, max_positions (derived), warmup, eval or log interval and
-# clip_norm each mean "none"
-_MINIMUM = {
-    **dict.fromkeys([
-        ("model", "d"), ("model", "heads"), ("gate", "k"), ("gate", "window"),
-        ("gate", "filters"), ("data", "l_max"), ("data", "n_max"), ("data", "k_neg"),
-        ("train", "batch_size"), ("train", "threads"),
-    ], 1),
-    **dict.fromkeys([
-        ("model", "layers"), ("model", "max_positions"), ("train", "steps"),
-        ("train", "warmup"), ("train", "eval_interval"), ("train", "log_interval"),
-        ("train", "clip_norm"),
-    ], 0),
-}
-
-# shares of a whole
-_FRACTIONS = {("data", "val_fraction"), ("synth", "val_fraction"), ("synth", "noise")}
-
-_SECTIONS = {
-    "data": DataConfig,
-    "model": ModelConfig,
-    "gate": GateConfig,
-    "train": TrainConfig,
-    "synth": SynthConfig,
-}
+    users: int = _key(160, least=1)
+    items: int = _key(320, least=1)
+    topics: int = _key(8, least=2)
+    tokens_per_item: int = _key(30, least=1)
+    policy: str = _key("random", choices=POLICIES)
+    signals: int = _key(2, least=0)
+    distractors: int = _key(2, least=0)
+    filler_pool: int = _key(120, least=0)
+    history_len: int = _key(6, least=1)
+    impressions_per_user: int = _key(4, least=1)
+    noise: float = _key(0.0, least=0, most=1)
+    val_fraction: float = _key(0.25, least=0, most=1)
 
 
 @dataclass
@@ -135,11 +118,12 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def apply(self, section: str, key: str, raw: str) -> None:
-        """Set one value from its string form, validating name and type."""
-        if section not in _SECTIONS:
+        """Set one value from its string form, validating it against the
+        field's declaration: its name, type, choices and range."""
+        if section not in {f.name for f in fields(self)}:
             raise ValueError(f"unknown config section: [{section}]")
         target = getattr(self, section)
-        spec = {f.name: f.type for f in fields(target)}
+        spec = {f.name: f.metadata for f in fields(target)}
         if key not in spec:
             raise ValueError(f"unknown config key: {section}.{key}")
         parse, kind = _PARSERS.get(type(getattr(target, key)), (str.strip, ""))
@@ -149,21 +133,21 @@ class RunConfig:
             raise ValueError(f"{section}.{key} must be {kind}, got {raw.strip()!r}") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{section}.{key} must be finite, got {value}")
-        choices = _CHOICES.get((section, key))
+        declared = spec[key]
+        choices, least, most = declared.get("choices"), declared.get("least"), declared.get("most")
         if choices and value not in choices:
             raise ValueError(
                 f"{section}.{key} must be one of {choices}, got {value!r}"
             )
-        least = _MINIMUM.get((section, key))
+        if most is not None and not least <= value <= most:
+            raise ValueError(f"{section}.{key} must be in [{least}, {most}], got {value}")
         if least is not None and value < least:
             raise ValueError(f"{section}.{key} must be >= {least}, got {value}")
-        if (section, key) in _FRACTIONS and not 0.0 <= value <= 1.0:
-            raise ValueError(f"{section}.{key} must be in [0, 1], got {value}")
         setattr(target, key, value)
 
     def items(self) -> list[tuple[str, str, object]]:
         out = []
-        for section in sorted(_SECTIONS):
+        for section in sorted(f.name for f in fields(self)):
             target = getattr(self, section)
             for f in sorted(fields(target), key=lambda f: f.name):
                 out.append((section, f.name, getattr(target, f.name)))

@@ -305,15 +305,14 @@ def vsum(x, axis=None) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def mean(x, axis=None) -> Tensor:
+def mean(x) -> Tensor:
+    """The mean of every entry, a shape-``()`` value."""
     x = _as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    data = x.data.mean(axis=axis)
+    data = x.data.mean()
     _count(x.data.size)
 
     def bwd(g):
-        gk = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk / n, x.data.shape),)
+        return (np.broadcast_to(g / x.data.size, x.data.shape),)
 
     return _make(data, (x,), bwd)
 
@@ -776,22 +775,17 @@ def gather_rows(x, indices) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate ``parts`` along ``axis``; one part comes back as it is."""
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate ``parts`` along the first axis; one part comes back as it
+    is."""
     if len(parts) == 1:
         return _as_tensor(parts[0])
     parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([p.data for p in parts])
+    offsets = np.cumsum([0] + [len(p.data) for p in parts])
 
     def bwd(g):
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(parts)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _make(data, tuple(parts), bwd)
 

@@ -304,6 +304,8 @@ def recall_hybrid(
 ) -> list[str]:
     """Sparse top-n_sparse, densely re-ranked, truncated to n. A shortlisted
     doc without an entry in ``doc_embeddings`` raises."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > n_sparse:
         raise ValueError(f"n ({n}) must be <= n_sparse ({n_sparse})")
     if query.user_embedding is None:

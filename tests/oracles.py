@@ -186,9 +186,12 @@ def conv1d_window_oracle(x, filters, bias, w: int):
     2w+1 shifted copies side by side into (L, (2w+1) d) windows, and apply
     the filters to the windows in one product."""
     L, d = x.data.shape
+    span = 2 * w + 1
     pad = constant(np.zeros((w, d)))
     padded = nm.concat_rows([pad, x, pad])
-    windows = nm.concat_rows([nm.narrow(padded, 0, i, L) for i in range(2 * w + 1)], axis=1)
+    shifted = nm.reshape(nm.concat_rows([nm.narrow(padded, 0, i, L) for i in range(span)]),
+                         (span, L, d))
+    windows = nm.reshape(transpose(shifted, (1, 0, 2)), (L, span * d))
     return nm.add(matmul(windows, transpose(filters, (1, 0))), bias)
 
 
@@ -224,9 +227,14 @@ def feed_forward_oracle(x, w1, b1, w2, b2):
 
 def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
     """Layer normalization over the last axis in composed tape ops."""
+    d = x.data.shape[-1]
     rows = x.data.shape[:-1] + (1,)
-    xc = nm.sub(x, nm.reshape(nm.mean(x, axis=-1), rows))
-    var = nm.reshape(nm.mean(nm.mul(xc, xc), axis=-1), rows)
+
+    def row_mean(t):  # np.add.reduce and one division, as ndarray.mean
+        return nm.reshape(div(nm.vsum(t, axis=-1), d), rows)
+
+    xc = nm.sub(x, row_mean(x))
+    var = row_mean(nm.mul(xc, xc))
     return nm.add(nm.mul(div(xc, sqrt(nm.add(var, eps))), gamma), beta)
 
 

@@ -1,5 +1,6 @@
 import csv
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -75,18 +76,34 @@ class TestConfig:
             load_config(None, ["gate.method=entity"])
 
     def test_choices_are_defined_where_they_are_used(self):
-        from gateformer.cli import make_parser
-        from gateformer.config import _CHOICES
+        from gateformer.cli import _ALIASES, make_parser
+        from gateformer.config import GateConfig, SynthConfig
         from gateformer.gating import GATE_METHODS, USER_ENCODERS
         from gateformer.text import POLICIES
 
-        assert _CHOICES[("gate", "user_encoder")] is USER_ENCODERS
-        assert _CHOICES[("gate", "method")] is GATE_METHODS
-        assert _CHOICES[("synth", "policy")] is POLICIES
+        def choices(cls):
+            return {f.name: f.metadata.get("choices") for f in fields(cls)}
+
+        assert choices(GateConfig)["user_encoder"] is USER_ENCODERS
+        assert choices(GateConfig)["method"] is GATE_METHODS
+        assert choices(SynthConfig)["policy"] is POLICIES
+        # a flag is a spelling of its key: the key's declaration checks it
         commands = make_parser()._subparsers._group_actions[0].choices
-        flags = {(cmd, a.dest): a.choices for cmd in commands for a in commands[cmd]._actions}
-        assert flags[("train", "gate_method")] is GATE_METHODS
-        assert flags[("synth", "policy")] is POLICIES
+        aliases = [(cmd, a) for cmd in _ALIASES for a in commands[cmd]._actions
+                   if a.dest in _ALIASES[cmd].values()]
+        assert len(aliases) == sum(map(len, _ALIASES.values())) == 5
+        for cmd, action in aliases:
+            assert action.choices is None and action.type is None, (cmd, action.dest)
+            assert _ALIASES[cmd][action.option_strings[0]] == action.dest
+
+    def test_every_number_declares_a_least_value(self):
+        from gateformer.config import RunConfig
+
+        cfg = RunConfig()
+        for section in fields(cfg):
+            for f in fields(getattr(cfg, section.name)):
+                if type(f.default) in (int, float):
+                    assert f.metadata.get("least") is not None, f"{section.name}.{f.name}"
 
     @pytest.mark.parametrize("item", [
         "train.steps=-1", "train.steps=-3", "train.batch_size=0", "train.batch_size=-2",
@@ -94,6 +111,10 @@ class TestConfig:
         "data.l_max=0", "data.n_max=0", "data.k_neg=0", "train.threads=0", "train.threads=-2",
         "model.layers=-1", "model.max_positions=-1", "train.warmup=-5",
         "train.eval_interval=-1", "train.log_interval=-1", "train.clip_norm=-1",
+        "train.seed=-1", "train.peak_lr=-1", "synth.topics=1", "synth.users=-3",
+        "synth.items=0", "synth.tokens_per_item=0", "synth.history_len=0",
+        "synth.impressions_per_user=-1", "synth.signals=-1", "synth.distractors=-1",
+        "synth.filler_pool=-1",
     ])
     def test_below_minimum_rejected(self, item, tmp_path):
         key = item.split("=")[0]
@@ -203,8 +224,13 @@ class TestSynthCommand:
 
     def test_policy_flag_accepted_and_validated(self, tmp_path, capsys):
         synth(tmp_path, seed=2, extra=["--policy", "front"])
-        with pytest.raises(SystemExit):
-            main(["synth", "--out", str(tmp_path / "x"), "--policy", "middle"])
+        capsys.readouterr()
+        rc = main(["synth", "--out", str(tmp_path / "x"), "--policy", "middle"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: synth.policy must be one of ('front', 'random', 'back'), got 'middle'\n"
+        )
+        assert not (tmp_path / "x").exists()
 
     def test_refuses_nonempty_dir_without_force(self, tmp_path):
         out = synth(tmp_path, seed=3)

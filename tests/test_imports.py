@@ -21,10 +21,12 @@ with a default, of a top-level function or of a method of a top-level class,
 must be passed something other than its default, by keyword or by position,
 by some call in ``src/``, ``scripts/`` or ``perfbench/`` outside the
 function's own body. A value every caller leaves at its default is a
-constant. Callees are matched by name, as reads are, so a call to a
-builtin of the same name (``ndarray.mean(axis=0)``) counts; review such
-names by hand. The exceptions, set only by the tests, are listed in
-``DEFAULT_ONLY``, each with its setters; the list may only shrink.
+constant. Callees are resolved as reads are: a top-level function or class
+is called by its name or by ``mod.name`` where ``mod`` binds a module of
+the package, so ``ndarray.mean(axis=0)`` sets nothing of ``numerics.mean``;
+a method is matched by name, so a builtin's method of the same name counts
+(review such names by hand). The exceptions, set only by the tests, are
+listed in ``DEFAULT_ONLY``, each with its setters; the list may only shrink.
 """
 
 import ast
@@ -63,10 +65,8 @@ CALLERS = sorted(
     p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
 )
 # parameter -> the code outside those callers that sets it
-DEFAULT_ONLY = {
-    "numerics.concat_rows.axis": "tests/oracles.py's conv1d_window_oracle",
-}
-DEFAULT_ONLY_MAX = 1  # lower it with each entry removed
+DEFAULT_ONLY: dict[str, str] = {}
+DEFAULT_ONLY_MAX = 0  # lower it with each entry removed
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -215,23 +215,34 @@ def default_only_parameters(package: dict[str, str], callers: dict[str, str]) ->
     """``module.function.parameter`` of each defaulted parameter in
     ``package`` (module name -> source) that no call in ``callers`` (name ->
     source; a package module under its own name) passes a value other than
-    the default's literal, outside the function's own body."""
-    calls = defaultdict(list)  # callee name -> (caller, call)
+    the default's literal, outside the function's own body. Calls resolve as
+    reads do in :func:`unread_definitions`: ``name(...)``, and
+    ``mod.name(...)`` where ``mod`` binds a module of the package, call a
+    top-level function or class; any ``x.name(...)`` calls a method."""
+    calls = defaultdict(list)  # callee name -> (caller, call, calls a top-level name)
     for where, source in callers.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name | ast.Attribute):
-                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                calls[name].append((where, node))
+        tree = ast.parse(source)
+        package_modules = _package_modules(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                calls[node.func.id].append((where, node, True))
+            elif isinstance(node.func, ast.Attribute):
+                receiver = node.func.value
+                top = isinstance(receiver, ast.Name) and receiver.id in package_modules
+                calls[node.func.attr].append((where, node, top))
     unset = set()
     for module, source in package.items():
         for qualname, fn, callee, keyword, position, default in _defaulted_parameters(
             ast.parse(source)
         ):
             own = range(fn.lineno, fn.end_lineno + 1)
+            method = not qualname.startswith(f"{callee}.")  # not a function or an __init__
             passed = [
                 value
-                for where, call in calls[callee]
-                if not (where == module and call.lineno in own)
+                for where, call, top in calls[callee]
+                if (top or method) and not (where == module and call.lineno in own)
                 for value in [k.value for k in call.keywords if k.arg == keyword] + (
                     [call.args[position]]
                     if position is not None and position < len(call.args) and not any(
@@ -380,7 +391,7 @@ class TestParameterCheck:
     def test_own_body_and_other_callers(self):
         lib = "def f(x, a=1):\n    return f(x, a=a) if x else 0\n"
         assert default_only_parameters({"lib": lib}, {"lib": lib}) == {"lib.f.a"}
-        user = "import lib\nlib.f(1, a=2)\n"
+        user = "from gateformer import lib\nlib.f(1, a=2)\n"
         assert default_only_parameters({"lib": lib}, {"lib": lib, "user.py": user}) == set()
 
     def test_methods_skip_self_and_init_goes_by_the_class(self):
@@ -394,6 +405,19 @@ class TestParameterCheck:
             "C.make(2)\n"
         )
         assert default_only_parameters({"m": src}, {"m": src}) == {"m.C.__init__.b"}
+
+    def test_a_call_on_a_value_sets_no_function(self):
+        lib = "def mean(x, axis=None):\n    pass\ndef vsum(x, axis=None):\n    pass\n"
+        user = (
+            "import numpy as np\n"
+            "from gateformer import lib as nm\n"
+            "def f(metrics):\n"
+            "    metrics.mean(axis=0)\n"
+            "    np.mean(metrics, axis=0)\n"
+            "    nm.vsum(metrics, axis=0)\n"
+        )
+        callers = {"lib": lib, "user.py": user}
+        assert default_only_parameters({"lib": lib}, callers) == {"lib.mean.axis"}
 
     def test_a_starred_argument_sets_nothing_after_it(self):
         src = "def f(x, a=1, b=2):\n    pass\nf(*[0, 5])\nf(0, *[5], b=3)\n"

@@ -764,7 +764,7 @@ class TestElementwiseGradients:
             (lambda: vsum(mul(clamp_min(x, 2.0), c)), [x]),
             (lambda: mul(matmul(cv, v), logsumexp(v)), [v]),
             (lambda: vsum(mul(layer_norm(x, gm, bt), c)), [x, gm, bt]),
-            (lambda: vsum(mul(reshape(mean(x, axis=0), (1, 4)), narrow(c, 0, 0, 1))), [x]),
+            (lambda: mean(mul(x, c)), [x]),
             (lambda: mean(x), [x]),
             (lambda: vsum(mul(reshape(x, (4, 3)), transpose(c, (1, 0)))), [x]),
             (lambda: vsum(mul(narrow(x, 1, 1, 2), narrow(c, 1, 0, 2))), [x]),

@@ -544,6 +544,14 @@ class TestRecallHybrid:
         with pytest.raises(ValueError):
             recall_hybrid(idx, q, {"A": np.zeros(2)}, n_sparse=1, n=2)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    @pytest.mark.parametrize("token", [1, 99], ids=["shortlist", "empty_shortlist"])
+    def test_n_below_one_rejected(self, n, token):
+        idx = build_index({"A": seq_of([1])})
+        q = UserQuery.from_pairs([(token, 1.0)], user_embedding=np.zeros(2))
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            recall_hybrid(idx, q, {"A": np.zeros(2)}, n_sparse=1, n=n)
+
 
 class TestRecallAtK:
     def test_all_relevant_in_topk(self):
