@@ -1,10 +1,12 @@
-"""Per-op profile of B=32 training steps on the benchmark workloads' corpora.
+"""Per-op profile of B=32 training steps on the benchmark workloads' corpora
+and a ragged one.
 
-    python3 scripts/profile_step.py                 # both corpora, 5 steps each
+    python3 scripts/profile_step.py                 # every corpus, 5 steps each
     python3 scripts/profile_step.py --workload serve-long --steps 10
 
 For each corpus the script writes the synthetic data with ``gateformer
-synth`` into a temporary directory, builds a seeded model and runs one
+synth`` into a temporary directory (and for ``ragged`` cuts it with
+``same_numbers.make_ragged``), builds a seeded model and runs one
 unmeasured warm-up step and then ``--steps`` measured steps of the training
 loop's own pieces (``batch_loss`` on a tape, ``backward``, ``adam_step``),
 with BLAS on one thread. It prints one markdown table per corpus:
@@ -38,8 +40,10 @@ wrapped round:
 
 The wrappers' own cost falls in the bookkeeping rows.
 
-The corpora are the ``train`` and ``serve-long`` workloads' synth settings;
-the script shares no code with the benchmark.
+The corpora are ``same_numbers.CORPORA``'s ``train``, ``serve-long`` and
+``ragged``: the two benchmark workloads' synth settings, and the ``train``
+corpus cut to ragged lengths, so that a batch holds many item lengths and
+item counts. The script shares no code with the benchmark.
 """
 
 from __future__ import annotations
@@ -70,14 +74,11 @@ import numpy as np  # noqa: E402
 from gateformer import cli, gating, training, transformer  # noqa: E402
 from gateformer import numerics as nm  # noqa: E402
 from gateformer.config import load_config  # noqa: E402
+from same_numbers import CORPORA, make_ragged  # noqa: E402
 
 BATCH = 32
 SEED = 1
-CORPORA = {
-    "train": [],
-    "serve-long": ["synth.items=2048", "synth.history_len=30",
-                   "synth.filler_pool=1000", "synth.distractors=0"],
-}
+WORKLOADS = ("train", "serve-long", "ragged")  # CORPORA less the smoke test's tiny one
 # numerics functions that are not ops: they build or read tensors and tapes
 NOT_OPS = {"tensor", "constant", "backward"}
 REPEATS = 5  # measured rounds of the batch-of-one table
@@ -174,6 +175,8 @@ def profile_corpus(name: str, steps: int, seed: int, work: Path) -> str:
         args = cli.make_parser().parse_args(argv)
         if args.fn(args) != 0:
             raise RuntimeError("gateformer synth failed")
+    if name == "ragged":
+        make_ragged(data)
     cfg = load_config(None, overrides)
     ds = cli.load_dataset(cfg, data)
     model = cli.build_model(cfg, len(ds.vocab), ds.stats)
@@ -343,7 +346,9 @@ def single_table(cfg, ds) -> list[str]:
             ("candidate bookkeeping", cand - us["candidate", "kernels"]),
         ):
             rows[label].append(value)
-    n_items = len(histories[0])
+    # a ragged corpus's histories hold from fewest to most items
+    fewest, most = min(map(len, histories)), max(map(len, histories))
+    n_items = fewest if fewest == most else f"{fewest}-{most}"
     lines = [f"| batch of one, {n_items}-item histories, no tape | us per call |",
              "| --- | ---: |"]
     lines += [f"| {label} | {statistics.median(values):.0f} |" for label, values in rows.items()]
@@ -352,10 +357,10 @@ def single_table(cfg, ds) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=[*CORPORA, "all"], default="all")
+    parser.add_argument("--workload", choices=[*WORKLOADS, "all"], default="all")
     parser.add_argument("--steps", type=int, default=5, help="measured steps per corpus")
     args = parser.parse_args(argv)
-    names = list(CORPORA) if args.workload == "all" else [args.workload]
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory(prefix="profile-step-") as tmp:
         for name in names:
             print(profile_corpus(name, args.steps, SEED, Path(tmp)), flush=True)

@@ -5,8 +5,8 @@ determinism plus tight finite-difference agreement matter more than speed.
 Gradients are recorded define-by-run on an explicit :class:`Tape`:
 
     with Tape() as tape:
-        loss = cosine(w, x)
-    backward(tape, loss)        # w.grad now holds dloss/dw
+        loss = mean(cosine(rows, interest))
+    backward(tape, loss)        # rows.grad now holds dloss/drows
 
 A tape is single-threaded; independent samples may each run their own tape
 concurrently. ``backward`` walks the tape once, in reverse recording order,
@@ -28,10 +28,15 @@ projections instead of building a window buffer, :func:`attention`
 projects to queries, keys and values with one product by its one (d, 3d)
 weight and runs every head in batched products, :func:`feed_forward` works
 on 2-D reshaped products, :func:`layer_norm` normalises in place,
-:func:`attention_pool` pools rows by their softmax weights against a query,
-and :func:`cosine` scores rows against rows with broadcasting. Each
-reports exactly the FLOPs of the op-by-op form it replaces (layer norm
-keeps its 7 per element), so the analytic cost model and the counter agree.
+:func:`attention_pool` pools each sequence of a stack by its rows' softmax
+weights against a query, and :func:`cosine` scores each row of a stack
+against its stack's one row. Each reports exactly the FLOPs of the
+op-by-op form it replaces (layer norm keeps its 7 per element), so the
+analytic cost model and the counter agree. An op takes only the layouts
+its callers in the package pass: every kernel but :func:`feed_forward` and
+:func:`layer_norm` takes a (G, L, ...) stack and no lone sequence or
+vector, so a test passes a stack of one, and :func:`vsum` sums the one
+axis it is given.
 :func:`gather_rows` scatters its gradient back with one ``bincount``, which
 adds repeated picks in the order ``np.add.at`` would. Ops own their no-op
 cases, so callers need no fast path of their own: a gather that picks every
@@ -128,7 +133,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
 
     def item(self) -> float:
-        if self.data.size != 1:
+        """The value of a shape-() tensor, such as a loss."""
+        if self.data.ndim:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data)
 
@@ -237,14 +243,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _sum_rows_to(coef: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """``coef[..., None] * rows`` summed down to ``shape``. When the sum runs
-    over the rows' own axis it is one product, with no full-size temporary."""
-    if rows.ndim >= 2 and rows.shape[-2] > 1 and (len(shape) < 2 or shape[-2] == 1):
-        return _unbroadcast(coef[..., None, :] @ rows, shape)
-    return _unbroadcast(coef[..., None] * rows, shape)
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 # ---------------------------------------------------------------------------
@@ -293,16 +291,12 @@ def relu(x) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
-def vsum(x, axis=None) -> Tensor:
+def vsum(x, axis: int) -> Tensor:
+    """The sum along ``axis``, which is dropped from the shape."""
     x = _as_tensor(x)
     data = x.data.sum(axis=axis)
     _count(x.data.size)
-
-    def bwd(g):
-        gk = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk, x.data.shape),)
-
-    return _make(data, (x,), bwd)
+    return _make(data, (x,), lambda g: (np.broadcast_to(np.expand_dims(g, axis), x.data.shape),))
 
 
 def mean(x) -> Tensor:
@@ -656,49 +650,47 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
 
 
 def attention_pool(x, query) -> Tensor:
-    """Rows of x pooled by their softmax attention weights against ``query``.
-
-    x is (..., n, d) and query (d,); the result is (..., d), the softmax of
-    ``x @ query`` over n times the rows.
+    """Each sequence of a (G, n, d) stack pooled by its rows' softmax
+    attention weights against ``query`` (d,): the (G, d) result is, per
+    sequence, the softmax of ``x @ query`` over n times the rows.
 
     One tape node with a hand-written backward. The FLOP count is that of the
     composed form: the score product, the softmax and the weighted sum.
     """
     x, query = _as_tensor(x), _as_tensor(query)
     xd = x.data
-    if xd.ndim < 2 or query.data.shape != xd.shape[-1:]:
+    if xd.ndim != 3 or query.data.shape != xd.shape[-1:]:
         raise ValueError(
-            f"attention_pool expects (..., n, d) rows and a (d,) query, "
+            f"attention_pool expects a (G, n, d) stack and a (d,) query, "
             f"got {xd.shape} and {query.data.shape}"
         )
     logits = xd @ query.data
     logits -= logits.max(axis=-1, keepdims=True)
     alpha = np.exp(logits, out=logits)
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    # a lone (n, d) sequence pools to an array of its own, not a view
-    data = alpha @ xd if xd.ndim == 2 else (alpha[..., None, :] @ xd)[..., 0, :]
+    data = (alpha[:, None, :] @ xd)[:, 0, :]
     _count(alpha.size * (4 * xd.shape[-1] + _FLOPS_PER_ELEM["softmax"]))
 
     def bwd(g):
-        d_alpha = (xd @ g[..., :, None])[..., 0]
+        d_alpha = (xd @ g[:, :, None])[..., 0]
         d_logits = d_alpha - np.vecdot(d_alpha, alpha)[..., None]
         d_logits *= alpha
         # dx = alpha (x) g + d_logits (x) query, as one (n, 2) @ (2, d) product
         left = np.stack([alpha, d_logits], axis=-1)
         right = np.stack([g, np.broadcast_to(query.data, g.shape)], axis=-2)
         dx = left @ right
-        d_query = np.tensordot(d_logits, xd, axes=d_logits.ndim)
+        d_query = np.tensordot(d_logits, xd, axes=2)
         return (dx, d_query)
 
     return _make(data, (x, query), bwd)
 
 
 def cosine(a, b) -> Tensor:
-    """Cosine similarity along the last axis, broadcasting the leading axes.
-
-    Two vectors give a scalar; (..., d) rows against (..., d) rows give the
-    broadcast leading shape. Squared norms are clamped at ``COSINE_EPS ** 2``,
-    so a zero row scores 0 and passes no gradient through its norm.
+    """Cosine similarity of each row of a (G, L, f) stack with its stack's
+    one (G, 1, f) row, as a (G, L) score: the gate's context rows against
+    their history's interest vector. Squared norms are clamped at
+    ``COSINE_EPS ** 2``, so a zero row scores 0 and passes no gradient
+    through its norm.
 
     One tape node with a hand-written backward. The FLOP count is that of
     the composed form: the products and sums of the numerator and of both
@@ -707,9 +699,11 @@ def cosine(a, b) -> Tensor:
     """
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-1]:
-        raise ValueError(f"cosine needs rows of equal length, got {ad.shape} and {bd.shape}")
-    num = np.vecdot(ad, bd)          # raises ValueError if the rows do not broadcast
+    if ad.ndim != 3 or bd.shape != (ad.shape[0], 1, ad.shape[2]):
+        raise ValueError(
+            f"cosine expects a (G, L, f) stack and its (G, 1, f) rows, got {ad.shape} and {bd.shape}"
+        )
+    num = np.vecdot(ad, bd)
     sq_a, sq_b = np.vecdot(ad, ad), np.vecdot(bd, bd)
     lo = COSINE_EPS * COSINE_EPS
     na = np.sqrt(np.maximum(sq_a, lo))
@@ -722,10 +716,11 @@ def cosine(a, b) -> Tensor:
     def bwd(g):
         # d cos / d a = b / (|a| |b|) - cos * a / |a|^2 where the clamp is open
         w, gc = g / denom, g * data
-        da = _sum_rows_to(w, bd, ad.shape)
-        da -= (_unbroadcast(gc, sq_a.shape) * (sq_a > lo) / (na * na))[..., None] * ad
-        db = _sum_rows_to(w, ad, bd.shape)
-        db -= (_unbroadcast(gc, sq_b.shape) * (sq_b > lo) / (nb * nb))[..., None] * bd
+        da = w[..., None] * bd
+        da -= (gc * (sq_a > lo) / (na * na))[..., None] * ad
+        # each stack's one row takes the sum over its L rows as one product
+        db = w[:, None, :] @ ad
+        db -= (gc.sum(axis=-1, keepdims=True) * (sq_b > lo) / (nb * nb))[..., None] * bd
         return (da, db)
 
     return _make(data, (a, b), bwd)
@@ -754,7 +749,7 @@ def gather_rows(x, indices) -> Tensor:
     """
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
-    rows = x.data.shape[0] if x.data.ndim else 0
+    rows = len(x.data)
     # an identity index is in range, so it skips the range check
     if rows and _in_order(idx, rows):
         return x if idx.ndim == 1 else reshape(x, idx.shape + x.data.shape[1:])

@@ -100,28 +100,27 @@ def bm25_weight(idf, tf, norm):
 @dataclass(eq=False)
 class InvertedIndex:
     """CSR postings over the docs ``doc_ids`` (sorted; a doc's key is its
-    position). Doc lengths, the average length, the per-posting BM25 weights
-    and the id -> key map are derived from the postings."""
+    position). The average doc length, the per-posting BM25 weights and the
+    id -> key map are derived from the postings."""
 
     doc_ids: list[str]
     tokens: np.ndarray   # int64 [n_tokens], strictly increasing
     offsets: np.ndarray  # int64 [n_tokens + 1]
     keys: np.ndarray     # int64 [n_postings]
     tfs: np.ndarray      # int64 [n_postings]
-    doc_lengths: np.ndarray = field(init=False)
     avg_len: float = field(init=False)
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n_docs = len(self.doc_ids)
-        self.doc_lengths = np.bincount(self.keys, weights=self.tfs, minlength=n_docs).astype(np.int64)
-        self.avg_len = int(self.doc_lengths.sum()) / n_docs
+        doc_lengths = np.bincount(self.keys, weights=self.tfs, minlength=n_docs)
+        self.avg_len = int(doc_lengths.sum()) / n_docs
         # idf depends on a token's df alone and the length normalisation on a
         # doc's length alone: each is computed once per token or doc, then
         # repeated over the postings. Every indexed tf is at least 1.
         df = np.diff(self.offsets)
         # avg_len is 0 only in an index without postings, which has no weights
-        norm = bm25_length_norm(self.doc_lengths, self.avg_len) if self.avg_len else self.doc_lengths
+        norm = bm25_length_norm(doc_lengths, self.avg_len) if self.avg_len else doc_lengths
         self.weights = bm25_weight(
             np.repeat(bm25_idf(df, n_docs), df), self.tfs.astype(np.float64), norm[self.keys]
         )

@@ -233,17 +233,21 @@ def load_mind_behaviors(
     Negatives are drawn uniformly without replacement from the impression's
     non-clicked items; if fewer than ``k_neg`` are shown, draws fall back to
     sampling with replacement. Histories keep the most recent ``n_max`` items.
+    One warning counts what yields no sample: malformed rows, impressions
+    whose history holds no known item, and clicks whose impression shows no
+    other candidate.
     """
     rng = np.random.default_rng(seed)
     samples: list[ImpressionSample] = []
-    skipped = 0
+    malformed = no_history = no_negative = 0
     for cols in _tsv_rows(path, "behaviors"):
         if len(cols) < 5:
-            skipped += 1
+            malformed += 1
             continue
         _imp_id, _user_id, _time, history_field, impression_field = cols[:5]
         hist_ids = [h for h in history_field.split() if h in news][-n_max:]
         if not hist_ids:
+            no_history += 1
             continue
         history = UserHistory([news[h] for h in hist_ids])
 
@@ -258,6 +262,7 @@ def load_mind_behaviors(
         for pos_id in clicked:
             pool = [n for n in non_clicked if n != pos_id]
             if not pool:
+                no_negative += 1
                 continue
             if len(pool) >= k_neg:
                 neg_ids = list(rng.choice(len(pool), size=k_neg, replace=False))
@@ -274,8 +279,11 @@ def load_mind_behaviors(
                     negative_ids=negs,
                 )
             )
-    if skipped:
-        log.warning("skipped %d malformed behavior rows in %s", skipped, path)
+    if malformed or no_history or no_negative:
+        log.warning(
+            "skipped %d malformed behavior rows, %d impressions with no known history item "
+            "and %d clicks with no other candidate in %s", malformed, no_history, no_negative, path,
+        )
     return samples
 
 
@@ -353,6 +361,11 @@ def synth_corpus_full(
         raise ValueError("too few training items per topic for the requested history length")
     if val_fraction > 0 and n_val_items < history_len + 1:
         raise ValueError("too few held-out items per topic for the requested history length")
+    n_val_users = int(round(n_users * val_fraction))
+    if val_fraction > 0 and not n_val_users:
+        raise ValueError(
+            f"synth.val_fraction={val_fraction} of synth.users={n_users} holds out no user"
+        )
 
     rng = np.random.default_rng(seed)
     signal_words = [[f"topic{t}sig{j}" for j in range(n_signal)] for t in range(n_topics)]
@@ -401,7 +414,6 @@ def synth_corpus_full(
     # last n_val_items of each topic are the held-out pool
     train_pool = [items[: per_topic - n_val_items] for items in topic_items]
     val_pool = [items[per_topic - n_val_items:] for items in topic_items]
-    n_val_users = int(round(n_users * val_fraction))
     val_users = set(rng.permutation(n_users)[:n_val_users].tolist())
 
     samples: list[ImpressionSample] = []

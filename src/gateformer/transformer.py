@@ -150,10 +150,8 @@ def encode_sequence(x: Tensor, params: TransformerParams) -> Tensor:
 
 
 def weighted_pool(x: Tensor, query: Tensor) -> Tensor:
-    """Attention-style pooling with a learnable query: :func:`numerics.attention_pool`.
-
-    (n, d) pools to (d,); a stack (B, n, d) pools each sequence to (B, d).
-    """
+    """Attention-style pooling with a learnable query: :func:`numerics.attention_pool`,
+    which pools each sequence of a (G, n, d) stack to one row of (G, d)."""
     return nm.attention_pool(x, query)
 
 

@@ -108,6 +108,12 @@ def transpose(x, axes: tuple):
     return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
 
+def total(x):
+    """The sum of every entry of ``x``, a shape-() value, in tape ops: the
+    loss the gradient tests take of an op's output."""
+    return nm.vsum(nm.reshape(x, (-1,)), axis=0)
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Max absolute difference scaled by the larger magnitude."""
     a = np.asarray(a, dtype=np.float64)
@@ -239,18 +245,17 @@ def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
 
 
 def attention_pool_oracle(x, query):
-    """softmax(x @ query)-weighted rows of (..., n, d) x, in composed tape
-    ops."""
+    """softmax(x @ query)-weighted rows of each sequence of a (G, n, d)
+    stack, in composed tape ops."""
     alpha = nm.softmax(matmul(x, query))
-    if x.data.ndim == 2:
-        return matmul(alpha, x)
-    *lead, n, d = x.data.shape
-    return nm.reshape(matmul(nm.reshape(alpha, (*lead, 1, n)), x), (*lead, d))
+    G, n, d = x.data.shape
+    return nm.reshape(matmul(nm.reshape(alpha, (G, 1, n)), x), (G, d))
 
 
 def cosine_oracle(a, b, eps: float = 1e-12):
-    """Last-axis cosine with broadcasting in composed tape ops; squared norms
-    are clamped at eps ** 2."""
+    """Cosine of each row of a (G, L, f) stack with its stack's (G, 1, f)
+    row, by broadcasting in composed tape ops; squared norms are clamped at
+    eps ** 2."""
     num = nm.vsum(nm.mul(a, b), axis=-1)
     na = sqrt(clamp_min(nm.vsum(nm.mul(a, a), axis=-1), eps * eps))
     nb = sqrt(clamp_min(nm.vsum(nm.mul(b, b), axis=-1), eps * eps))
@@ -476,15 +481,15 @@ def postings_oracle(docs) -> dict:
 
 def build_index_oracle(docs) -> dict:
     """Every field of ``build_index`` over ``docs`` (doc id -> token ids) as
-    plain lists: the CSR arrays read off :func:`postings_oracle`, each doc's
-    length counted on its own, and each posting's weight from the scalar BM25
-    formula with its token's df and its doc's length."""
+    plain lists: the CSR arrays read off :func:`postings_oracle`, and each
+    posting's weight from the scalar BM25 formula with its token's df and its
+    doc's length, counted on its own."""
     doc_ids = sorted(docs)
     lengths = [len(docs[doc_id]) for doc_id in doc_ids]
     avg_len = sum(lengths) / len(doc_ids)
     postings = postings_oracle(docs)
     fields = {"doc_ids": doc_ids, "tokens": list(postings), "offsets": [0], "keys": [],
-              "tfs": [], "doc_lengths": lengths, "avg_len": avg_len, "weights": [],
+              "tfs": [], "avg_len": avg_len, "weights": [],
               "doc_keys": {doc_id: key for key, doc_id in enumerate(doc_ids)}}
     for plist in postings.values():
         for key, tf in plist:
@@ -693,8 +698,8 @@ def encode_rows_oracle(x, trans):
     stack of one and pooled."""
     T, d = x.data.shape
     x = nm.add(x, nm.narrow(trans.pos_embeddings, 0, 0, T))
-    encoded = nm.reshape(encode_sequence(nm.reshape(x, (1, T, d)), trans), (T, d))
-    return weighted_pool(encoded, trans.pool_q)
+    encoded = encode_sequence(nm.reshape(x, (1, T, d)), trans)
+    return nm.reshape(weighted_pool(encoded, trans.pool_q), (d,))
 
 
 def encode_user_oracle(selections, trans):

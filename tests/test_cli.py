@@ -232,6 +232,18 @@ class TestSynthCommand:
         )
         assert not (tmp_path / "x").exists()
 
+    def test_a_held_out_share_of_no_user_exits_naming_both_keys(self, tmp_path, capsys):
+        # 1 user at 0.5 rounds to 0 held-out users: no corpus, not a corpus
+        # whose validation set is silently empty
+        out = tmp_path / "x"
+        rc = main(["synth", "--out", str(out), "--set", "synth.users=1",
+                   "--set", "synth.val_fraction=0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: synth.val_fraction=0.5 of synth.users=1 holds out no user"
+        ]
+        assert not out.exists()
+
     def test_refuses_nonempty_dir_without_force(self, tmp_path):
         out = synth(tmp_path, seed=3)
         rc = main(["synth", "--out", str(out), "--seed", "3", *TINY_SYNTH])

@@ -25,6 +25,7 @@ from oracles import (
     select_positions_oracle,
     select_topk,
     softmax_oracle,
+    total,
 )
 
 
@@ -229,7 +230,7 @@ class TestSelectTopk:
         def build():
             sel = select_topk(seq, r, emb, 2)
             assert sel.positions == [0, 2]  # margins >> fd step: set is stable
-            return nm.vsum(nm.mul(sel.gathered, c))
+            return total(nm.mul(sel.gathered, c))
 
         check_grads(build, [r, emb], tol=1e-6)
 
@@ -311,7 +312,7 @@ class TestSelectionInvariants:
         p.word_embeddings.zero_grad()
         with Tape() as tape:
             sels = item_views(gate_groups([history], p, 2))
-            loss = nm.vsum(nm.concat_rows([s.gathered for s in sels]))
+            loss = total(nm.concat_rows([s.gathered for s in sels]))
         backward(tape, loss)
         grad = p.word_embeddings.grad
         for seq in history.items:
@@ -335,7 +336,7 @@ class TestSelectionInvariants:
         def build():
             sels = item_views(gate_groups([history], p, 2))
             assert [s.positions for s in sels] == baseline
-            return nm.vsum(nm.mul(nm.concat_rows([s.gathered for s in sels]), c))
+            return total(nm.mul(nm.concat_rows([s.gathered for s in sels]), c))
 
         params = [p.word_embeddings, *p.named_tensors().values()]
         check_grads(build, params[:-1], tol=1e-4)  # attn_v unused by lstm encoder
@@ -502,7 +503,7 @@ class TestGateMatchesOracle:
         c = np.random.default_rng(31).normal(size=(sum(s.k_eff for s in ref_sels), d))
 
         def loss(fn):
-            return lambda: nm.vsum(nm.mul(nm.concat_rows([s.gathered for s in fn()]), tensor(c)))
+            return lambda: total(nm.mul(nm.concat_rows([s.gathered for s in fn()]), tensor(c)))
 
         fast = autodiff_grads(loss(run), weights)
         slow = autodiff_grads(loss(reference), weights)
@@ -539,7 +540,7 @@ class TestGateMatchesOracle:
 
         def run():
             gated = gate_groups(histories, p, 3)
-            return gated, lambda: nm.vsum(nm.mul(gate_groups(histories, p, 3).rows,
+            return gated, lambda: total(nm.mul(gate_groups(histories, p, 3).rows,
                                                  tensor(c[:len(gated.rows.data)])))
 
         want, loss = run()

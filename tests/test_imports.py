@@ -1,8 +1,8 @@
 """Every imported name is read by the module that imports it, every
-definition in the package is read by the package, and every parameter with
-a default is set by some caller.
+definition in the package is read by the package, every parameter with a
+default is set by some caller, and every stored field is read.
 
-Three static checks. The first runs over the package, the tests and the
+Four static checks. The first runs over the package, the tests and the
 scripts: each name an ``import`` binds must be read somewhere in its module,
 in code, in a string annotation or in ``__all__``. An import kept on purpose
 (a re-export, or an import made for its side effect) says so with
@@ -27,6 +27,20 @@ the package, so ``ndarray.mean(axis=0)`` sets nothing of ``numerics.mean``;
 a method is matched by name, so a builtin's method of the same name counts
 (review such names by hand). The exceptions, set only by the tests, are
 listed in ``DEFAULT_ONLY``, each with its setters; the list may only shrink.
+
+The fourth holds stored values to it: each field of a top-level class of
+the package, an annotated name of the class body (a dataclass field) or a
+``self.<name>`` that one of its methods assigns, must be read as an
+attribute of that name by code in ``src/``, ``scripts/`` or
+``perfbench/``, outside the constructor (``__init__`` or
+``__post_init__``) that stores it. A value that only the constructor
+computing it reads is a local; a method that reads what an earlier call of
+it stored (a cache's snapshot) reads a field. Reads are matched by name,
+whatever the object read, so a field sharing its name with another read
+attribute passes (review such names by hand). The exceptions, read only by
+the tests, are listed in ``UNREAD_FIELDS``, each with its readers and the
+ROADMAP item that gives it a reader or removes it; the list may only
+shrink.
 """
 
 import ast
@@ -67,6 +81,14 @@ CALLERS = sorted(
 # parameter -> the code outside those callers that sets it
 DEFAULT_ONLY: dict[str, str] = {}
 DEFAULT_ONLY_MAX = 0  # lower it with each entry removed
+
+# field -> its readers outside the callers, and the ROADMAP item that gives it
+# a reader or removes it
+UNREAD_FIELDS = {
+    "efficiency.AccelReport.gamma": "tests; item 9",
+    "text.SynthCorpus.user_pref": "tests; item 14",
+}
+UNREAD_FIELDS_MAX = 2  # lower it with each entry removed
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -255,6 +277,49 @@ def default_only_parameters(package: dict[str, str], callers: dict[str, str]) ->
     return unset
 
 
+CONSTRUCTORS = ("__init__", "__post_init__")
+
+
+def _stored_fields(tree: ast.Module):
+    """(qualified name, attribute, line ranges of the constructors storing
+    it) of each field of each top-level class: an annotated name of the
+    class body, or a ``self.<name>`` some method of the class assigns."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        stores: dict[str, list[range]] = {}
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                stores.setdefault(node.target.id, [])
+            elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+                own = [range(node.lineno, node.end_lineno + 1)] if node.name in CONSTRUCTORS else []
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) \
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                        stores.setdefault(sub.attr, []).extend(own)
+        for attr, spans in stores.items():
+            yield f"{cls.name}.{attr}", attr, spans
+
+
+def unread_fields(package: dict[str, str], readers: dict[str, str]) -> set[str]:
+    """``module.Class.field`` of each field in ``package`` (module name ->
+    source) that no attribute load in ``readers`` (name -> source; a package
+    module under its own name) reads outside the constructors that store
+    it."""
+    reads = defaultdict(list)  # attribute -> (reader, line)
+    for where, source in readers.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads[node.attr].append((where, node.lineno))
+    unread = set()
+    for module, source in package.items():
+        for qualname, attr, spans in _stored_fields(ast.parse(source)):
+            if all(where == module and any(line in own for own in spans)
+                   for where, line in reads[attr]):
+                unread.add(f"{module}.{qualname}")
+    return unread
+
+
 def _caller_sources() -> dict[str, str]:
     """Every caller's source, a package module under its module name."""
     return {
@@ -302,6 +367,27 @@ def test_a_parameter_put_back_fails_the_check():
     )
     unset = default_only_parameters(package, callers)
     assert unset - set(DEFAULT_ONLY) == {"numerics.cosine.eps"}
+
+
+def test_every_stored_field_is_read():
+    unread = unread_fields({p.stem: p.read_text() for p in PACKAGE}, _caller_sources())
+    assert allowlist_problems(unread, UNREAD_FIELDS) == []
+    assert len(UNREAD_FIELDS) <= UNREAD_FIELDS_MAX
+    assert all(re.fullmatch(r".+; item \d+", why) for why in UNREAD_FIELDS.values())
+
+
+def test_a_field_put_back_fails_the_check():
+    """A copy of the package with the index's doc lengths stored again, read
+    only by the constructor that computes them, fails."""
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    readers = _caller_sources()
+    local = "        doc_lengths = np.bincount("
+    assert package["recall"].count(local) == 1
+    package["recall"] = readers["recall"] = package["recall"].replace(
+        local, "        self.doc_lengths = doc_lengths = np.bincount("
+    )
+    unread = unread_fields(package, readers)
+    assert unread - set(UNREAD_FIELDS) == {"recall.InvertedIndex.doc_lengths"}
 
 
 class TestChecker:
@@ -422,3 +508,40 @@ class TestParameterCheck:
     def test_a_starred_argument_sets_nothing_after_it(self):
         src = "def f(x, a=1, b=2):\n    pass\nf(*[0, 5])\nf(0, *[5], b=3)\n"
         assert default_only_parameters({"m": src}, {"m": src}) == {"m.f.a"}
+
+
+class TestFieldCheck:
+    def test_flags_unread_fields_and_stores(self):
+        src = (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class D:\n"
+            "    read: int\n"
+            "    unread: int\n"
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self.kept = 1\n"
+            "        self.lost = 2\n"
+            "print(D(1, 2).read, C().kept)\n"
+        )
+        assert unread_fields({"m": src}, {"m": src}) == {"m.D.unread", "m.C.lost"}
+
+    def test_a_read_by_the_storing_constructor_is_no_read(self):
+        src = (
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self.total = 1\n"
+            "        self.half = self.total / 2\n"
+            "        self.last = None\n"
+            "    def show(self, x):\n"
+            "        prev, self.last = self.last, x\n"
+            "        return self.half, prev\n"
+            "C().show(1)\n"
+        )
+        assert unread_fields({"m": src}, {"m": src}) == {"m.C.total"}
+
+    def test_reads_count_in_any_caller_and_on_any_object(self):
+        lib = "class C:\n    def __init__(self):\n        self.n = 1\n"
+        user = "from gateformer import lib\nprint(lib.C().n)\n"
+        assert unread_fields({"lib": lib}, {"lib": lib}) == {"lib.C.n"}
+        assert unread_fields({"lib": lib}, {"lib": lib, "user.py": user}) == set()

@@ -104,7 +104,7 @@ def assert_same_index(got, want):
     """Field-by-field equality, the weights compared through their int64 bits."""
     assert got.doc_ids == want.doc_ids and got.doc_keys == want.doc_keys
     assert got.avg_len == want.avg_len
-    for name in ("tokens", "offsets", "keys", "tfs", "doc_lengths", "weights"):
+    for name in ("tokens", "offsets", "keys", "tfs", "weights"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
@@ -124,7 +124,6 @@ class TestBuildIndex:
         assert idx.offsets.tolist() == [0, 1]
         assert idx.keys.tolist() == [0]
         assert idx.tfs.tolist() == [1]
-        assert idx.doc_lengths.tolist() == [1]
         assert idx.avg_len == 1.0
 
     def test_absent_token_has_no_postings(self):
@@ -147,7 +146,6 @@ class TestBuildIndex:
             3: [(0, 2)], 4: [(0, 1), (1, 1)], 5: [(1, 1), (2, 3)], 6: [(2, 1)],
         }
         assert idx.tfs[idx.span(5)].tolist() == [1, 3]
-        assert idx.doc_lengths.tolist() == [3, 2, 4]
         assert idx.avg_len == 3.0
         assert idx.doc_keys == {"A": 0, "B": 1, "C": 2}
 
@@ -169,7 +167,6 @@ class TestBuildIndex:
         docs = random_docs(rng, n_docs, min_len=0)
         idx = build_index(docs)
         assert csr_postings(idx) == postings_oracle({d: s.ids for d, s in docs.items()})
-        assert idx.doc_lengths.tolist() == [len(docs[d]) for d in sorted(docs)]
         assert idx.avg_len == sum(len(s) for s in docs.values()) / n_docs
 
     def test_all_empty_docs_index_nothing(self):
@@ -179,20 +176,20 @@ class TestBuildIndex:
 
     def test_weights_are_the_scalar_formula(self):
         rng = np.random.default_rng(11)
-        idx = build_index(random_docs(rng, 25))
+        docs = random_docs(rng, 25)
+        idx = build_index(docs)
         for s, e in zip(idx.offsets[:-1], idx.offsets[1:]):
             for pos in range(s, e):
-                key = idx.keys[pos]
+                doc = docs[idx.doc_ids[idx.keys[pos]]]
                 assert idx.weights[pos] == bm25_term_weight(
-                    int(idx.tfs[pos]), int(e - s), int(idx.doc_lengths[key]),
-                    idx.avg_len, idx.n_docs,
+                    int(idx.tfs[pos]), int(e - s), len(doc), idx.avg_len, idx.n_docs,
                 )
 
     @pytest.mark.parametrize("docs", ORACLE_CORPORA)
     def test_every_field_matches_counter_oracle(self, docs):
         idx = build_index(docs)
         want = build_index_oracle({doc_id: seq.ids for doc_id, seq in docs.items()})
-        for name in ("tokens", "offsets", "keys", "tfs", "doc_lengths"):
+        for name in ("tokens", "offsets", "keys", "tfs"):
             got = getattr(idx, name)
             assert got.dtype == np.int64 and got.tolist() == want[name], name
         weights = np.array(want["weights"], dtype=np.float64)
@@ -607,7 +604,7 @@ class TestPersistence:
         assert loaded.doc_ids == idx.doc_ids
         assert loaded.doc_keys == idx.doc_keys
         assert loaded.avg_len == idx.avg_len
-        for name in ("tokens", "offsets", "keys", "tfs", "doc_lengths", "weights"):
+        for name in ("tokens", "offsets", "keys", "tfs", "weights"):
             a, b = getattr(loaded, name), getattr(idx, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert csr_postings(loaded) == csr_postings(idx)

@@ -79,24 +79,38 @@ class TestPerLayerTable:
         assert table["after"][2] == {"seed": 3, "correct": False, "failed": 1, "attempted": 10}
 
 
-@pytest.fixture(scope="module")
-def profile_output():
-    """What ``profile_step.py --workload train --steps 1`` prints."""
+def profile(workload):
+    """What ``profile_step.py --workload <workload> --steps 1`` prints."""
     with pytest.MonkeyPatch.context() as mp:
         # the script pins BLAS to one thread through the environment on import
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             mp.setenv(var, "1")
+        mp.syspath_prepend(str(SCRIPTS))  # it takes its corpora from same_numbers
         profile_step = load_script("profile_step")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert profile_step.main(["--workload", "train", "--steps", "1"]) == 0
+            assert profile_step.main(["--workload", workload, "--steps", "1"]) == 0
     return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def profile_output():
+    return profile("train")
 
 
 class TestProfileStep:
     def test_one_train_step_records_fifty_nine_tape_nodes(self, profile_output):
         rows = [line for line in profile_output.splitlines() if line.startswith("| tape nodes |")]
         assert rows == ["| tape nodes | 59.0 |"]
+
+    def test_a_ragged_step_records_more_tape_nodes(self):
+        # each item length, item count and candidate length is a bucket of
+        # its own, and each bucket records its own nodes
+        out = profile("ragged")
+        assert out.startswith("### ragged: B=32")
+        assert "| batch of one, 1-6-item histories, no tape | us per call |" in out
+        (nodes,) = re.findall(r"^\| tape nodes \| ([\d.]+) \|$", out, re.M)
+        assert float(nodes) > 59
 
     def test_forward_only_table_times_both_batched_entries(self, profile_output):
         assert "| forward only, no tape | cold ms | warm ms |" in profile_output

@@ -290,12 +290,33 @@ class TestLoadMindBehaviors:
         assert any("skipped 2 malformed behavior rows" in r.message for r in caplog.records)
 
     def test_well_formed_file_logs_no_warning(self, tmp_path, news_vocab, caplog):
+        # the fixture less its row 2, whose empty history the warning counts
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
-        path.write_text(BEHAVIORS_FIXTURE, encoding="utf-8")
+        rows = BEHAVIORS_FIXTURE.splitlines(keepends=True)
+        path.write_text(rows[0] + rows[2], encoding="utf-8")
         with caplog.at_level("WARNING"):
-            load_mind_behaviors(path, news, k_neg=2)
+            assert len(load_mind_behaviors(path, news, k_neg=2)) == 3
         assert not any("behavior" in r.message for r in caplog.records)
+
+    def test_dropped_impressions_and_clicks_are_counted(self, tmp_path, news_vocab, caplog):
+        news = self.make_news(news_vocab, tmp_path)
+        path = tmp_path / "behaviors.tsv"
+        path.write_text(
+            BEHAVIORS_FIXTURE                   # row 2: an empty history
+            + "4\tU4\t0\tN77 N78\tN1-1 N2-0\n"   # no history item is known
+            + "5\tU5\t0\tN1\tN2-1\n"             # the click is the only candidate
+            + "6\tU6\t0\tN1\tN2-1 N3-1 N77-0\n"  # two clicks, no known other candidate
+            + "7\tU7\n",                        # malformed
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING"):
+            samples = load_mind_behaviors(path, news, k_neg=2)
+        assert len(samples) == 3
+        assert [r.message for r in caplog.records if "behavior" in r.message] == [
+            f"skipped 1 malformed behavior rows, 2 impressions with no known history item "
+            f"and 3 clicks with no other candidate in {path}"
+        ]
 
     def test_history_truncates_to_most_recent(self, tmp_path, news_vocab):
         news = self.make_news(news_vocab, tmp_path)
@@ -359,6 +380,13 @@ class TestSynthCorpus:
     def test_needs_two_topics(self):
         with pytest.raises(ValueError, match="topics"):
             synth_corpus_full(0, 2, 24, 1, 10)
+
+    def test_a_held_out_share_of_no_user_rejected(self):
+        # round(1 * 0.5) is 0: the corpus would have no validation impressions
+        with pytest.raises(ValueError, match=r"^synth\.val_fraction=0\.5 of synth\.users=1 "):
+            synth_corpus_full(0, 1, 48, 3, 10, val_fraction=0.5)
+        corpus = synth_corpus_full(0, 2, 48, 3, 10, val_fraction=0.5)
+        assert corpus.val_indices and corpus.train_indices
 
 
 class TestTypes:
