@@ -276,9 +276,12 @@ def cmd_recall(args) -> int:
     n_values = sorted(_cutoffs(args.n, "--n"))
     if args.max_impressions < 0:
         raise ValueError(f"--max-impressions must be at least 0, got {args.max_impressions}")
-    run_dir, cfg, dataset, model = _open_run(args)
     n_max = max(n_values)
-    n_sparse = max(args.n_sparse, n_max)
+    if args.n_sparse < n_max:
+        raise ValueError(
+            f"--n-sparse must be at least the largest --n cutoff, {n_max}, got {args.n_sparse}"
+        )
+    run_dir, cfg, dataset, model = _open_run(args)
 
     doc_ids = sorted(dataset.news)
     doc_embs = dict(zip(
@@ -298,7 +301,7 @@ def cmd_recall(args) -> int:
         results = {
             "sparse": recall_sparse(dataset.stats, query, n_max),
             "dense": recall_dense(u, doc_embs, n_max),
-            "hybrid": recall_hybrid(dataset.stats, query, doc_embs, n_sparse, n_max),
+            "hybrid": recall_hybrid(dataset.stats, query, doc_embs, args.n_sparse, n_max),
         }
         for m, res in results.items():
             for n in n_values:
@@ -421,7 +424,8 @@ def make_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--run", required=True)
     p.add_argument("--n", default="10,50,100", help="comma-separated cutoffs")
-    p.add_argument("--n-sparse", dest="n_sparse", type=int, default=100)
+    p.add_argument("--n-sparse", dest="n_sparse", type=int, default=100,
+                   help="sparse shortlist the hybrid re-ranks; at least the largest --n cutoff")
     p.add_argument("--max-impressions", dest="max_impressions", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_recall)

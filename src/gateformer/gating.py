@@ -55,7 +55,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import numerics as nm
-from .numerics import LSTMParams, Tensor, constant, gather_rows, glorot, tensor
+from .numerics import Tensor, constant, gather_rows, glorot, tensor
 from .recall import InvertedIndex, bm25_idf, bm25_length_norm, bm25_weight
 from .text import TokenSequence, UserHistory
 
@@ -66,25 +66,26 @@ USER_ENCODERS = ("lstm", "attn")
 @dataclass
 class GateParams:
     """Learnable gate tensors. The word embedding table is shared with the
-    transformer module; the gate's own space is n_filters-dimensional and
-    the LSTM hidden size must equal it."""
+    transformer module; the gate's own space is n_filters-dimensional, the
+    input and hidden size of the LSTM user encoder, whose ``lstm_w_ih``,
+    ``lstm_w_hh`` and ``lstm_bias`` hold its gates' rows in the order i, f, g, o."""
 
     word_embeddings: Tensor          # (V, d)
     filters: Tensor                  # (N_f, (2w+1) * d)
     bias: Tensor                     # (N_f,)
     pool_v: Tensor                   # (N_f,)
-    lstm: LSTMParams                 # input N_f, hidden N_f
+    lstm_w_ih: Tensor                # (4 N_f, N_f)
+    lstm_w_hh: Tensor                # (4 N_f, N_f)
+    lstm_bias: Tensor                # (4 N_f,)
     attn_v: Tensor                   # (N_f,) query for the attention user encoder
     window: int = 1
     user_encoder: str = "lstm"       # lstm | attn
 
     def __post_init__(self):
         n_f = self.filters.data.shape[0]
-        if self.lstm.hidden != n_f or self.lstm.input_dim != n_f:
-            raise ValueError(
-                f"gate LSTM dims {self.lstm.input_dim}->{self.lstm.hidden} "
-                f"must equal n_filters {n_f}"
-            )
+        shapes = (self.lstm_w_ih.data.shape, self.lstm_w_hh.data.shape, self.lstm_bias.data.shape)
+        if shapes != ((4 * n_f, n_f), (4 * n_f, n_f), (4 * n_f,)):
+            raise ValueError(f"gate LSTM shapes {shapes} do not fit n_filters {n_f}")
         if self.window < 1:
             raise ValueError("gate window must be >= 1")
         if self.user_encoder not in USER_ENCODERS:
@@ -101,9 +102,9 @@ class GateParams:
             "gate.conv.filters": self.filters,
             "gate.conv.bias": self.bias,
             "gate.pool.v": self.pool_v,
-            "gate.lstm.w_ih": self.lstm.w_ih,
-            "gate.lstm.w_hh": self.lstm.w_hh,
-            "gate.lstm.bias": self.lstm.bias,
+            "gate.lstm.w_ih": self.lstm_w_ih,
+            "gate.lstm.w_hh": self.lstm_w_hh,
+            "gate.lstm.bias": self.lstm_bias,
             "gate.attn.v": self.attn_v,
         }
 
@@ -153,11 +154,9 @@ def init_gate_params(
         filters=tensor(filters, requires_grad=True),
         bias=tensor(np.zeros(n_filters), requires_grad=True),
         pool_v=glorot((n_filters,), rng),
-        lstm=LSTMParams(
-            tensor(w_ih, requires_grad=True),
-            tensor(w_hh, requires_grad=True),
-            tensor(bias, requires_grad=True),
-        ),
+        lstm_w_ih=tensor(w_ih, requires_grad=True),
+        lstm_w_hh=tensor(w_hh, requires_grad=True),
+        lstm_bias=tensor(bias, requires_grad=True),
         attn_v=glorot((n_filters,), rng),
         window=window,
         user_encoder=user_encoder,
@@ -295,7 +294,7 @@ def _interest_scores(
         if params.user_encoder == "attn":
             u = nm.attention_pool(stacked, params.attn_v)
         else:
-            u = nm.lstm_last(stacked, params.lstm)
+            u = nm.lstm_last(stacked, params.lstm_w_ih, params.lstm_w_hh, params.lstm_bias)
         u_chunks.append(u)
         u_order.append(hs)
     interest = nm.assemble_rows(u_chunks, np.concatenate(u_order))

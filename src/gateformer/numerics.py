@@ -32,11 +32,13 @@ on 2-D reshaped products, :func:`layer_norm` normalises in place,
 weights against a query, and :func:`cosine` scores each row of a stack
 against its stack's one row. Each reports exactly the FLOPs of the
 op-by-op form it replaces (layer norm keeps its 7 per element), so the
-analytic cost model and the counter agree. An op takes only the layouts
-its callers in the package pass: every kernel but :func:`feed_forward` and
-:func:`layer_norm` takes a (G, L, ...) stack and no lone sequence or
-vector, so a test passes a stack of one, and :func:`vsum` sums the one
-axis it is given.
+analytic cost model and the counter agree. Every op takes Tensors (a fixed
+number is a :func:`constant`) and every kernel its weight tensors, as
+:func:`lstm_last` takes ``w_ih``, ``w_hh`` and ``bias``. An op takes only
+the layouts its callers in the package pass: every kernel but
+:func:`feed_forward` and :func:`layer_norm` takes a (G, L, ...) stack and
+no lone sequence or vector, so a test passes a stack of one, and
+:func:`vsum` sums the one axis it is given.
 :func:`gather_rows` scatters its gradient back with one ``bincount``, which
 adds repeated picks in the order ``np.add.at`` would. Ops own their no-op
 cases, so callers need no fast path of their own: a gather that picks every
@@ -160,12 +162,6 @@ def glorot(shape: tuple, rng: np.random.Generator) -> Tensor:
     return tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return tensor(x)
-
-
 class _Node:
     __slots__ = ("out", "inputs", "bwd")
 
@@ -248,7 +244,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
     _count(data.size)
     return _make(
@@ -258,7 +253,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data - b.data
     _count(data.size)
     return _make(
@@ -268,7 +262,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
     _count(data.size)
     return _make(
@@ -281,7 +274,6 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    x = _as_tensor(x)
     data = np.maximum(x.data, 0.0)
     _count(data.size)
     return _make(data, (x,), lambda g: (g * (x.data > 0.0),))
@@ -293,7 +285,6 @@ def relu(x) -> Tensor:
 
 def vsum(x, axis: int) -> Tensor:
     """The sum along ``axis``, which is dropped from the shape."""
-    x = _as_tensor(x)
     data = x.data.sum(axis=axis)
     _count(x.data.size)
     return _make(data, (x,), lambda g: (np.broadcast_to(np.expand_dims(g, axis), x.data.shape),))
@@ -301,7 +292,6 @@ def vsum(x, axis: int) -> Tensor:
 
 def mean(x) -> Tensor:
     """The mean of every entry, a shape-``()`` value."""
-    x = _as_tensor(x)
     data = x.data.mean()
     _count(x.data.size)
 
@@ -313,7 +303,6 @@ def mean(x) -> Tensor:
 
 def softmax(x) -> Tensor:
     """Probabilities along the last axis; max-subtracted for stability."""
-    x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
@@ -329,7 +318,6 @@ def softmax(x) -> Tensor:
 def logsumexp(x) -> Tensor:
     """Stable log(sum(exp(x))) along the last axis, which is dropped from
     the shape; a vector gives a shape-``()`` value."""
-    x = _as_tensor(x)
     m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
     s = e.sum(axis=-1, keepdims=True)
@@ -353,7 +341,6 @@ def layer_norm(x, gamma, beta) -> Tensor:
     element, the rate the cost model uses; the per-row variance, epsilon and
     square root are not charged.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(
@@ -400,7 +387,6 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     same way and takes each tap's filter gradient as one product over the
     flattened batch.
     """
-    x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
     if x.data.ndim != 3:
         raise ValueError(f"conv1d expects a (B, L, d) input, got {x.data.shape}")
     xd = x.data
@@ -457,34 +443,11 @@ def conv1d(x, filters, bias, window: int) -> Tensor:
     return _make(out, (x, filters, bias), bwd)
 
 
-class LSTMParams:
-    """Single-layer LSTM weights; gate order along rows is i, f, g, o."""
-
-    def __init__(self, w_ih: Tensor, w_hh: Tensor, bias: Tensor):
-        four_g, hidden = w_hh.data.shape
-        if four_g != 4 * hidden:
-            raise ValueError(f"w_hh shape {w_hh.data.shape} is not (4g, g)")
-        if w_ih.data.shape[0] != four_g or bias.data.shape != (four_g,):
-            raise ValueError("LSTM parameter shapes are inconsistent")
-        self.w_ih = w_ih
-        self.w_hh = w_hh
-        self.bias = bias
-
-    @property
-    def hidden(self) -> int:
-        return self.w_hh.data.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_ih.data.shape[1]
-
-    def tensors(self) -> tuple:
-        return (self.w_ih, self.w_hh, self.bias)
-
-
-def lstm_last(seq, params: LSTMParams) -> Tensor:
+def lstm_last(seq, w_ih, w_hh, bias) -> Tensor:
     """Last hidden states (B, g) of a standard LSTM run over each sequence
-    of a (B, N, in) stack: B independent chains of the same length.
+    of a (B, N, in) stack: B independent chains of the same length. The
+    rows of ``w_ih`` (4g, in), ``w_hh`` (4g, g) and ``bias`` (4g,) are the
+    gates i, f, g, o.
 
     One tape node: the forward pass steps through plain arrays (the input
     projection of every step is one product up front, and each step's gate
@@ -493,13 +456,14 @@ def lstm_last(seq, params: LSTMParams) -> Tensor:
     out op by op: per step and chain, two gate products, two adds, three
     sigmoids, two tanhs, two products and an add.
     """
-    seq = _as_tensor(seq)
     if seq.data.ndim != 3 or seq.data.shape[1] < 1:
         raise ValueError(f"lstm_last expects a non-empty (B, N, in) stack, got {seq.data.shape}")
     x = seq.data
     B, n_steps, in_dim = x.shape
-    g = params.hidden
-    w_ih, w_hh, bias = params.tensors()
+    g = w_hh.data.shape[-1]
+    shapes = (w_ih.data.shape, w_hh.data.shape, bias.data.shape)
+    if shapes != ((4 * g, in_dim), (4 * g, g), (4 * g,)):
+        raise ValueError(f"lstm_last weight shapes {shapes} are not (4g, {in_dim}), (4g, g), (4g,)")
     x_proj = x @ w_ih.data.T                                  # (B, N, 4g)
     w_hh_t = w_hh.data.T
     h = np.zeros((B, g))
@@ -564,7 +528,6 @@ def attention(x, w_qkv, b_qkv, wo, bo, heads: int) -> Tensor:
     the op-by-op form: four projections, four bias adds, two score/value
     products, the score scaling and the softmax.
     """
-    x, w_qkv, b_qkv, wo, bo = (_as_tensor(t) for t in (x, w_qkv, b_qkv, wo, bo))
     if x.data.ndim != 3:
         raise ValueError(f"attention expects a (B, n, d) input, got {x.data.shape}")
     B, n, d = x.data.shape
@@ -618,7 +581,6 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     backward are 2-D products. The FLOP count is that of the op-by-op form:
     two products, two bias adds and the relu.
     """
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     d, hidden = w1.data.shape
     d_out = w2.data.shape[-1]
     if x.data.shape[-1] != d or w2.data.shape != (hidden, d_out) \
@@ -657,7 +619,6 @@ def attention_pool(x, query) -> Tensor:
     One tape node with a hand-written backward. The FLOP count is that of the
     composed form: the score product, the softmax and the weighted sum.
     """
-    x, query = _as_tensor(x), _as_tensor(query)
     xd = x.data
     if xd.ndim != 3 or query.data.shape != xd.shape[-1:]:
         raise ValueError(
@@ -697,7 +658,6 @@ def cosine(a, b) -> Tensor:
     squared norms, both clamps and square roots, and the product and
     quotient of the last step.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim != 3 or bd.shape != (ad.shape[0], 1, ad.shape[2]):
         raise ValueError(
@@ -747,7 +707,6 @@ def gather_rows(x, indices) -> Tensor:
     ``row * width + column`` positions, which adds the picks of a row in
     index order, as ``np.add.at`` does.
     """
-    x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     rows = len(x.data)
     # an identity index is in range, so it skips the range check
@@ -774,8 +733,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate ``parts`` along the first axis; one part comes back as it
     is."""
     if len(parts) == 1:
-        return _as_tensor(parts[0])
-    parts = [_as_tensor(p) for p in parts]
+        return parts[0]
     data = np.concatenate([p.data for p in parts])
     offsets = np.cumsum([0] + [len(p.data) for p in parts])
 
@@ -808,12 +766,11 @@ def assemble_rows(chunks: Sequence[Tensor], order) -> Tensor:
     """
     order = np.asarray(order, dtype=np.intp)
     if len(chunks) == 1 and _in_order(order, len(order)):
-        return _as_tensor(chunks[0])
+        return chunks[0]
     return gather_rows(concat_rows(chunks), np.argsort(order))
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
-    x = _as_tensor(x)
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
@@ -828,7 +785,6 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
     data = x.data.reshape(shape)
     return _make(data, (x,), lambda g: (g.reshape(x.data.shape),))
 

@@ -334,7 +334,7 @@ def impression_logits(
         G = len(mem)
         z = nm.mul(
             nm.vsum(nm.mul(nm.reshape(c, (G, C, d)), nm.reshape(u, (G, 1, d))), axis=2),
-            1.0 / math.sqrt(d),
+            nm.constant(1.0 / math.sqrt(d)),
         )
         out.append((mem, z))
     return out

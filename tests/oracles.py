@@ -19,7 +19,7 @@ import numpy as np
 
 from gateformer import numerics as nm
 from gateformer.numerics import Tape, Tensor, backward, constant, gather_rows
-from gateformer.numerics import _as_tensor, _count, _make, _unbroadcast
+from gateformer.numerics import _count, _make, _unbroadcast
 from gateformer.recall import B, K1
 from gateformer.transformer import encode_sequence, weighted_pool
 
@@ -32,7 +32,6 @@ TRANSCENDENTAL_FLOPS = 4  # per element of sqrt, sigmoid and tanh
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data / b.data
     _count(data.size)
     return _make(
@@ -45,28 +44,24 @@ def div(a, b):
 
 
 def sigmoid(x):
-    x = _as_tensor(x)
     data = 1.0 / (1.0 + np.exp(-x.data))
     _count(TRANSCENDENTAL_FLOPS * data.size)
     return _make(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def tanh(x):
-    x = _as_tensor(x)
     data = np.tanh(x.data)
     _count(TRANSCENDENTAL_FLOPS * data.size)
     return _make(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
 def sqrt(x):
-    x = _as_tensor(x)
     data = np.sqrt(x.data)
     _count(TRANSCENDENTAL_FLOPS * data.size)
     return _make(data, (x,), lambda g: (g / (2.0 * data),))
 
 
 def clamp_min(x, lo: float):
-    x = _as_tensor(x)
     data = np.maximum(x.data, lo)
     _count(data.size)
     return _make(data, (x,), lambda g: (g * (x.data > lo),))
@@ -80,7 +75,6 @@ def matmul(a, b):
     operand on the row/column forms, summed back to that operand's shape.
     The FLOP count is ``2 * out.size * contract``.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
@@ -103,7 +97,6 @@ def matmul(a, b):
 
 def transpose(x, axes: tuple):
     """General axis permutation; backward applies the inverse permutation."""
-    x = _as_tensor(x)
     inv = tuple(np.argsort(axes))
     return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
@@ -219,7 +212,7 @@ def attention_oracle(x, w_qkv, b_qkv, wo, bo, heads: int):
         return split(nm.add(matmul(x, w), b))
 
     q, k, v = project(0), project(1), project(2)
-    scores = nm.mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
+    scores = nm.mul(matmul(q, transpose(k, (0, 1, 3, 2))), constant(scale))
     alpha = nm.softmax(scores)
     ctx = nm.reshape(transpose(matmul(alpha, v), (0, 2, 1, 3)), (B, n, d))
     return nm.add(matmul(ctx, wo), bo)
@@ -237,11 +230,11 @@ def layer_norm_oracle(x, gamma, beta, eps: float = 1e-5):
     rows = x.data.shape[:-1] + (1,)
 
     def row_mean(t):  # np.add.reduce and one division, as ndarray.mean
-        return nm.reshape(div(nm.vsum(t, axis=-1), d), rows)
+        return nm.reshape(div(nm.vsum(t, axis=-1), constant(d)), rows)
 
     xc = nm.sub(x, row_mean(x))
     var = row_mean(nm.mul(xc, xc))
-    return nm.add(nm.mul(div(xc, sqrt(nm.add(var, eps))), gamma), beta)
+    return nm.add(nm.mul(div(xc, sqrt(nm.add(var, constant(eps)))), gamma), beta)
 
 
 def attention_pool_oracle(x, query):
@@ -506,20 +499,21 @@ def build_index_oracle(docs) -> dict:
 # reference gate: one item at a time, in composed tape ops
 # ---------------------------------------------------------------------------
 
-def lstm_last_oracle(seq, params):
+def lstm_last_oracle(seq, w_ih, w_hh, bias):
     """Last hidden state of the LSTM over the rows of (N, in), or of each
-    chain of (B, N, in), one composed op per cell equation."""
+    chain of (B, N, in), one composed op per cell equation; the gates' rows
+    of ``w_ih``, ``w_hh`` and ``bias`` are in the order i, f, g, o."""
     batched = seq.data.ndim == 3
-    g = params.hidden
+    g = w_hh.data.shape[1]
     lead = (seq.data.shape[0],) if batched else ()
     axis = len(lead)
     h = constant(np.zeros((*lead, g)))
     c = constant(np.zeros((*lead, g)))
-    w_ih_t = transpose(params.w_ih, (1, 0))
-    w_hh_t = transpose(params.w_hh, (1, 0))
+    w_ih_t = transpose(w_ih, (1, 0))
+    w_hh_t = transpose(w_hh, (1, 0))
     for t in range(seq.data.shape[-2]):
-        x_t = nm.reshape(nm.narrow(seq, axis, t, 1), (*lead, params.input_dim))
-        z = nm.add(nm.add(matmul(x_t, w_ih_t), matmul(h, w_hh_t)), params.bias)
+        x_t = nm.reshape(nm.narrow(seq, axis, t, 1), (*lead, seq.data.shape[-1]))
+        z = nm.add(nm.add(matmul(x_t, w_ih_t), matmul(h, w_hh_t)), bias)
         i_g = sigmoid(nm.narrow(z, axis, 0, g))
         f_g = sigmoid(nm.narrow(z, axis, g, g))
         c_hat = tanh(nm.narrow(z, axis, 2 * g, g))
@@ -556,7 +550,7 @@ def _aggregate_user(pooled, params):
     if params.user_encoder == "attn":
         return attn_user_variant(pooled, params)
     stacked = nm.concat_rows([nm.reshape(h, (1, params.n_filters)) for h in pooled])
-    return lstm_last_oracle(stacked, params.lstm)
+    return lstm_last_oracle(stacked, params.lstm_w_ih, params.lstm_w_hh, params.lstm_bias)
 
 
 def encode_user_interest(history, params):
@@ -724,7 +718,7 @@ def score(user, cand):
             f"score dim mismatch: {user.data.shape} vs {cand.data.shape}"
         )
     d = user.data.shape[0]
-    return nm.mul(matmul(user, cand), 1.0 / math.sqrt(d))
+    return nm.mul(matmul(user, cand), constant(1.0 / math.sqrt(d)))
 
 
 def click_loss(user, positive, negatives):

@@ -562,10 +562,15 @@ class TestRecallCommand:
     def test_negative_counts_exit_naming_the_flag(self, tmp_path, capsys):
         data = synth(tmp_path, seed=12)
         run = train_run(tmp_path, data, seed=12, steps=2)
+        # a shortlist below the largest cutoff (100 by default) names both flags
+        below = "--n-sparse must be at least the largest --n cutoff"
         for flags, named in (
             (["--max-impressions", "-1"], "--max-impressions"),
             (["--n", "0,5"], "--n"),
             (["--n", "5,-1"], "--n"),
+            (["--n-sparse", "0"], below),
+            (["--n-sparse", "-5"], below),
+            (["--n", "50", "--n-sparse", "20"], below),
         ):
             rc = main(["recall", "--run", str(run), "--data", str(data), *flags])
             assert rc == 1 and named in capsys.readouterr().err

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gateformer import numerics as nm
-from gateformer.gating import GATE_METHODS, gate_groups, init_gate_params, select_positions
+from gateformer.gating import (
+    GATE_METHODS, GateParams, gate_groups, init_gate_params, select_positions,
+)
 from gateformer.numerics import Tape, backward, tensor
 from gateformer.recall import build_index
 from gateformer.text import TokenSequence, UserHistory, Vocabulary
@@ -132,7 +134,8 @@ class TestEncodeUserInterest:
         history = UserHistory([seq_of([2, 3])])
         out = encode_user_interest(history, p)
         _, pooled = encode_item(history.items[0], p)
-        step = lstm_last_oracle(nm.reshape(pooled, (1, p.n_filters)), p.lstm)
+        stacked = nm.reshape(pooled, (1, p.n_filters))
+        step = lstm_last_oracle(stacked, p.lstm_w_ih, p.lstm_w_hh, p.lstm_bias)
         assert np.allclose(out.data, step.data, atol=1e-15)
 
     def test_order_sensitivity(self):
@@ -144,7 +147,7 @@ class TestEncodeUserInterest:
 
     def test_zero_lstm_weights_give_zero(self):
         p = make_gate(seed=7)
-        for t in (p.lstm.w_ih, p.lstm.w_hh, p.lstm.bias):
+        for t in (p.lstm_w_ih, p.lstm_w_hh, p.lstm_bias):
             t.data[...] = 0.0
         out = encode_user_interest(UserHistory([seq_of([3, 4]), seq_of([5])]), p)
         assert np.array_equal(out.data, np.zeros(p.n_filters))
@@ -429,6 +432,16 @@ class TestGateOptions:
     def test_unknown_choice_rejected(self, option):
         with pytest.raises(ValueError, match="must be one of"):
             make_gate(**option)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("lstm_w_ih", (20, 6)), ("lstm_w_ih", (5, 5)), ("lstm_w_hh", (20, 4)),
+        ("lstm_w_hh", (16, 4)), ("lstm_bias", (16,)), ("lstm_bias", (20, 1)),
+    ])
+    def test_lstm_tensor_that_does_not_fit_n_filters_rejected(self, field, shape):
+        # n_filters 5: w_ih and w_hh (20, 5), bias (20,)
+        fields = dict(make_gate().__dict__, **{field: tensor(np.zeros(shape))})
+        with pytest.raises(ValueError, match=r"gate LSTM shapes .* do not fit n_filters 5"):
+            GateParams(**fields)
 
 class TestGroupedSelectPositions:
     def test_matches_per_row_oracle(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gateformer import numerics as nm
 from gateformer.numerics import (
-    LSTMParams,
     Tape,
     backward,
     concat_rows,
@@ -213,7 +212,8 @@ class TestConv1d:
 
 
 def make_lstm(r, g, in_dim, scale=0.4):
-    return LSTMParams(
+    """Trainable ``(w_ih, w_hh, bias)`` of an LSTM with hidden size g."""
+    return (
         tensor(r.normal(size=(4 * g, in_dim)) * scale, requires_grad=True),
         tensor(r.normal(size=(4 * g, g)) * scale, requires_grad=True),
         tensor(r.normal(size=(4 * g,)) * scale, requires_grad=True),
@@ -223,24 +223,35 @@ def make_lstm(r, g, in_dim, scale=0.4):
 class TestLstmLast:
     def test_zero_weights_zero_output(self):
         g = 3
-        params = LSTMParams(
+        params = (
             tensor(np.zeros((4 * g, 2))), tensor(np.zeros((4 * g, g))), tensor(np.zeros(4 * g))
         )
-        out = lstm_last(tensor(rng(9).normal(size=(1, 4, 2))), params)
+        out = lstm_last(tensor(rng(9).normal(size=(1, 4, 2))), *params)
         assert np.array_equal(out.data[0], np.zeros(g))
 
     def test_unstacked_input_rejected(self):
         with pytest.raises(ValueError, match=r"\(B, N, in\)"):
-            lstm_last(tensor(np.zeros((4, 2))), make_lstm(rng(9), 3, 2))
+            lstm_last(tensor(np.zeros((4, 2))), *make_lstm(rng(9), 3, 2))
+
+    @pytest.mark.parametrize("which, shape", [
+        (0, (12, 3)), (0, (8, 2)), (1, (12, 2)), (1, (3, 3)), (2, (8,)), (2, (1, 12)),
+    ])
+    def test_weight_that_does_not_fit_rejected(self, which, shape):
+        # g = 3, in = 2: w_ih (12, 2), w_hh (12, 3), bias (12,)
+        params = list(make_lstm(rng(9), 3, 2))
+        params[which] = tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"lstm_last weight shapes .*" + re.escape(str(shape))):
+            lstm_last(tensor(np.zeros((1, 4, 2))), *params)
 
     def test_single_step_matches_hand_cell(self):
         r = rng(10)
         g, in_dim = 3, 2
         params = make_lstm(r, g, in_dim)
         x = r.normal(size=(1, in_dim))
-        out = lstm_last(tensor(x[None]), params).data[0]
+        out = lstm_last(tensor(x[None]), *params).data[0]
 
-        z = params.w_ih.data @ x[0] + params.bias.data  # h0 = 0
+        w_ih, _, bias = params
+        z = w_ih.data @ x[0] + bias.data  # h0 = 0
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         i, f, c_hat, o = (z[0:g], z[g:2 * g], z[2 * g:3 * g], z[3 * g:4 * g])
         c = sig(i) * np.tanh(c_hat)
@@ -253,8 +264,8 @@ class TestLstmLast:
         seq = tensor(r.normal(size=(1, 3, in_dim)), requires_grad=True)
         c = tensor(r.normal(size=(g,)))
         check_grads(
-            lambda: matmul(reshape(lstm_last(seq, params), (g,)), c),
-            [seq, *params.tensors()],
+            lambda: matmul(reshape(lstm_last(seq, *params), (g,)), c),
+            [seq, *params],
             tol=1e-5,
         )
 
@@ -272,18 +283,18 @@ class TestLstmLast:
 
         def fused_last(seq, params):
             if batch is not None:
-                return lstm_last(seq, params)
-            return reshape(lstm_last(reshape(seq, (1, *shape)), params), (g,))
+                return lstm_last(seq, *params)
+            return reshape(lstm_last(reshape(seq, (1, *shape)), *params), (g,))
 
         with nm.count_flops() as fused_flops:
             fused = fused_last(seq, params)
         with nm.count_flops() as composed_flops:
-            composed = lstm_last_oracle(seq, params)
+            composed = lstm_last_oracle(seq, *params)
         assert fused_flops.flops == composed_flops.flops
         assert rel_err(fused.data, composed.data) < 1e-12
-        weights = [seq, *params.tensors()]
+        weights = [seq, *params]
         fast = autodiff_grads(lambda: total(mul(fused_last(seq, params), c)), weights)
-        slow = autodiff_grads(lambda: total(mul(lstm_last_oracle(seq, params), c)), weights)
+        slow = autodiff_grads(lambda: total(mul(lstm_last_oracle(seq, *params), c)), weights)
         for a, e in zip(fast, slow):
             assert rel_err(a, e) < 1e-12
 
@@ -293,21 +304,21 @@ class TestLstmLast:
         g, in_dim = 3, 3
         params = make_lstm(r, g, in_dim)
         seq = tensor(r.normal(size=(1, 30, in_dim)), requires_grad=True)
-        out = lstm_last(seq, params)
-        want = lstm_last_oracle(reshape(seq, (30, in_dim)), params)
+        out = lstm_last(seq, *params)
+        want = lstm_last_oracle(reshape(seq, (30, in_dim)), *params)
         assert out.data.shape == (1, g)
         assert rel_err(out.data[0], want.data) < 1e-12
         c = tensor(r.normal(size=(g,)))
         check_grads(
-            lambda: matmul(reshape(lstm_last(seq, params), (g,)), c),
-            [seq, *params.tensors()],
+            lambda: matmul(reshape(lstm_last(seq, *params), (g,)), c),
+            [seq, *params],
             tol=1e-5,
         )
 
     def test_one_tape_node(self):
         params = make_lstm(rng(13), 3, 2)
         with Tape() as tape:
-            lstm_last(tensor(rng(14).normal(size=(2, 30, 2)), requires_grad=True), params)
+            lstm_last(tensor(rng(14).normal(size=(2, 30, 2)), requires_grad=True), *params)
         assert len(tape) == 1
 
 
@@ -883,9 +894,9 @@ class TestBatchedOps:
         r = rng(37)
         params = make_lstm(r, 3, 2)
         seqs = r.normal(size=(4, 5, 2))
-        batched = lstm_last(tensor(seqs), params).data
+        batched = lstm_last(tensor(seqs), *params).data
         for i in range(4):
-            single = lstm_last(tensor(seqs[i][None]), params).data[0]
+            single = lstm_last(tensor(seqs[i][None]), *params).data[0]
             assert np.allclose(batched[i], single, atol=1e-13)
 
     def test_lstm_batched_gradient(self):
@@ -894,8 +905,8 @@ class TestBatchedOps:
         seqs = tensor(r.normal(size=(2, 3, 2)), requires_grad=True)
         c = tensor(r.normal(size=(2, 3)))
         check_grads(
-            lambda: total(mul(lstm_last(seqs, params), c)),
-            [seqs, *params.tensors()],
+            lambda: total(mul(lstm_last(seqs, *params), c)),
+            [seqs, *params],
             tol=1e-5,
         )
 

@@ -212,7 +212,7 @@ class TestBatchEquivalence:
         total = 0.0
         for i in idxs:
             with Tape() as tape:
-                loss = nm.mul(sample_loss(model, samples[i], i), 1.0 / len(idxs))
+                loss = nm.mul(sample_loss(model, samples[i], i), nm.constant(1.0 / len(idxs)))
             total += loss.item()
             backward(tape, loss)
         ref = {k: (v.grad.copy() if v.grad is not None else None) for k, v in named.items()}
@@ -774,7 +774,7 @@ def _replace_conv_bias(model, tmp_path):
 
 
 def _edit_lstm(model, tmp_path):
-    model.gate.lstm.w_ih.data[0, 0] += 1e-2
+    model.gate.lstm_w_ih.data[0, 0] += 1e-2
 
 
 def _edit_attn_v(model, tmp_path):

@@ -459,7 +459,7 @@ class TestEndToEndGradient:
                         [encode_candidate(n, trans) for n in negs],
                     )
                     total = loss if total is None else nm.add(total, loss)
-                return nm.mul(total, 0.5)
+                return nm.mul(total, nm.constant(0.5))
 
             params = [emb, *gate.named_tensors().values(), *trans.named_tensors().values()]
             params = [p for p in params if p is not gate.attn_v]  # unused by lstm encoder
