@@ -244,7 +244,7 @@ def forward_table(cfg, ds) -> list[str]:
     calls = {
         f"batch_user_embeddings, B={len(histories)}":
             lambda model: training.batch_user_embeddings(model, histories, idx),
-        f"evaluate, {len(val)} val impressions": lambda model: training.evaluate(model, val),
+        f"evaluate, {len(val)} val impressions": lambda model: training.evaluate(model, val, cfg.train.threads),
         f"ItemStore.rows, {len(cands)} candidates":
             lambda model: model.items.rows(cands, model.trans),
         f"ItemStore.gate_rows, {len(items)} history items":

@@ -187,7 +187,8 @@ def case_fields(data: Path, run: Path, sets: list[str], method: str, encoder: st
         name.encode("utf-8") + named[name].data.tobytes() for name in sorted(named)
     ))
     for when in ("cold", "warm"):
-        fields[f"evaluate_{when}"] = sha(repr(training.evaluate(model, dataset.val_samples)).encode())
+        report = training.evaluate(model, dataset.val_samples, threads=cfg.train.threads)
+        fields[f"evaluate_{when}"] = sha(repr(report).encode())
 
     batch = dataset.train_samples[:32]
     for t in named.values():

@@ -27,6 +27,8 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .efficiency import bench, keyword_position_histogram, measure_speedup
+from .gating import init_gate_params
+from .numerics import tensor
 from .recall import (
     InvertedIndex, UserQuery, build_index, recall_at_k, recall_dense, recall_hybrid, recall_sparse,
 )
@@ -42,7 +44,6 @@ from .training import (
     Model,
     evaluate,
     gate_history,
-    init_model,
     keyword_pairs,
     split_samples,
     train,
@@ -51,6 +52,7 @@ from .transformer import (  # noqa: F401  encode_candidate: perfbench encodes it
     apply_checkpoint,
     encode_candidate,
     encode_user,
+    init_transformer_params,
     load_checkpoint,
 )
 
@@ -72,41 +74,25 @@ def _data_root(args) -> Path:
 
 def load_dataset(cfg: RunConfig, data_dir: Path) -> Dataset:
     vocab = Vocabulary.from_file(data_dir / cfg.data.vocab)
-    news = load_mind_news(
-        data_dir / cfg.data.news, vocab, l_max=cfg.data.l_max,
-        title_only=cfg.data.title_only,
-    )
+    news = load_mind_news(data_dir / cfg.data.news, vocab, cfg.data)
     stats = build_index(news)
-    samples = load_mind_behaviors(
-        data_dir / cfg.data.behaviors, news, k_neg=cfg.data.k_neg,
-        n_max=cfg.data.n_max, seed=cfg.train.seed,
-    )
+    samples = load_mind_behaviors(data_dir / cfg.data.behaviors, news, cfg.data, cfg.train.seed)
     val_path = data_dir / "behaviors_val.tsv"
     if val_path.exists():
-        val = load_mind_behaviors(
-            val_path, news, k_neg=cfg.data.k_neg, n_max=cfg.data.n_max,
-            seed=cfg.train.seed + 1,
-        )
+        val = load_mind_behaviors(val_path, news, cfg.data, cfg.train.seed + 1)
         return Dataset(vocab, news, samples, val, stats)
     tr, va = split_samples(samples, cfg.data.val_fraction, cfg.train.seed)
     return Dataset(vocab, news, tr, va, stats)
 
 
 def build_model(cfg: RunConfig, vocab_size: int, stats: InvertedIndex) -> Model:
-    return init_model(
-        vocab_size=vocab_size,
-        d=cfg.model.d,
-        n_layers=cfg.model.layers,
-        heads=cfg.model.heads,
-        max_positions=cfg.max_positions,
-        n_filters=cfg.gate.filters,
-        window=cfg.gate.window,
-        seed=cfg.train.seed,
-        k=cfg.gate.k,
-        gate_method=cfg.gate.method,
-        user_encoder=cfg.gate.user_encoder,
-        stats=stats,
-    )
+    """A model initialized from ``cfg.train.seed``: the word embeddings, the
+    gate and the transformer, drawn in that order from one generator."""
+    rng = np.random.default_rng(cfg.train.seed)
+    emb = tensor(rng.normal(0, 0.1, size=(vocab_size, cfg.model.d)), requires_grad=True)
+    gate = init_gate_params(emb, cfg.gate.filters, cfg.gate.window, rng, cfg.gate.user_encoder)
+    trans = init_transformer_params(emb, cfg.model.layers, cfg.model.heads, cfg.max_positions, rng)
+    return Model(gate, trans, cfg.gate.k, cfg.gate.method, stats, cfg.train.seed)
 
 
 def load_run(run_dir: Path, overrides: list[str]) -> RunConfig:
@@ -159,15 +145,7 @@ def cmd_synth(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: output dir {out} is not empty (use --force)", file=sys.stderr)
         return 2
-    s = cfg.synth
-    corpus = synth_corpus_full(
-        seed=cfg.train.seed, n_users=s.users, n_items=s.items, n_topics=s.topics,
-        tokens_per_item=s.tokens_per_item, signal_positions=s.policy,
-        n_signal=s.signals, n_distract=s.distractors, filler_pool=s.filler_pool,
-        history_len=s.history_len,
-        impressions_per_user=s.impressions_per_user, k_neg=cfg.data.k_neg,
-        noise=s.noise, val_fraction=s.val_fraction,
-    )
+    corpus = synth_corpus_full(cfg.synth, cfg.train.seed, cfg.data.k_neg)
     write_mind_files(corpus, out)
     print(
         f"wrote {len(corpus.news)} news items, "
@@ -194,8 +172,8 @@ def cmd_train(args) -> int:
         eval_interval=cfg.train.eval_interval,
         log_interval=cfg.train.log_interval,
         clip_norm=cfg.train.clip_norm,
-        out_dir=out,
         threads=cfg.train.threads,
+        out_dir=out,
     )
     cfg.dump(out / "config.ini")
     _write_table(

@@ -10,6 +10,11 @@ any work starts. Overrides (``--set section.key=value``, or a command-line
 flag that spells one) win over the file. The fingerprint of the resolved
 config is stamped into every emitted table so results stay traceable to the
 exact settings that produced them.
+
+A field's default is the only default of its setting: the functions that
+read a setting (:func:`text.synth_corpus_full`, the MIND loaders,
+``cli.build_model``, ``training.train``) take it without one. This module
+imports nothing from the package, so every module may import it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .gating import GATE_METHODS, USER_ENCODERS
-from .text import POLICIES
+# the choices of the keys that name a variant: where synth plants an item's
+# topic signal tokens, the gate's token selector and its user encoder
+POLICIES = ("front", "random", "back")
+GATE_METHODS = ("learned", "first", "bm25", "random")
+USER_ENCODERS = ("lstm", "attn")
 
 
 def _bool(raw: str) -> bool:

@@ -185,7 +185,7 @@ def _median_seconds(fn, repeats: int) -> float:
 
 
 def bench(
-    model: training.Model, samples: list[ImpressionSample], k_values: list[int], repeats: int = 30
+    model: training.Model, samples: list[ImpressionSample], k_values: list[int], repeats: int
 ) -> list[dict]:
     """Accuracy/efficiency table across selection sizes of one model.
 
@@ -217,14 +217,14 @@ def bench(
                 item_len=item_len,
             )
             flops = user_side_flops(dims, n_items, gated=True)
-            auc = training.evaluate(model, samples).auc
+            auc = training.evaluate(model, samples, threads=1).auc
             rows.append({"k": k, "wall_time_per_user": wall, "flops": flops, "auc": auc})
         finally:
             model.k = old_k
     return rows
 
 
-def measure_speedup(model: training.Model, histories: list[UserHistory], repeats: int = 30) -> dict:
+def measure_speedup(model: training.Model, histories: list[UserHistory], repeats: int) -> dict:
     """Median wall time of gated vs full-input user encoding; an empty
     history list raises ``ValueError``."""
     if not histories:

@@ -55,12 +55,10 @@ from itertools import accumulate
 import numpy as np
 
 from . import numerics as nm
+from .config import GATE_METHODS, USER_ENCODERS
 from .numerics import Tensor, constant, gather_rows, glorot, tensor
 from .recall import InvertedIndex, bm25_idf, bm25_length_norm, bm25_weight
 from .text import TokenSequence, UserHistory
-
-GATE_METHODS = ("learned", "first", "bm25", "random")
-USER_ENCODERS = ("lstm", "attn")
 
 
 @dataclass
@@ -78,8 +76,8 @@ class GateParams:
     lstm_w_hh: Tensor                # (4 N_f, N_f)
     lstm_bias: Tensor                # (4 N_f,)
     attn_v: Tensor                   # (N_f,) query for the attention user encoder
-    window: int = 1
-    user_encoder: str = "lstm"       # lstm | attn
+    window: int
+    user_encoder: str                # lstm | attn
 
     def __post_init__(self):
         n_f = self.filters.data.shape[0]
@@ -120,7 +118,7 @@ def init_gate_params(
     n_filters: int,
     window: int,
     rng: np.random.Generator,
-    user_encoder: str = "lstm",
+    user_encoder: str,
 ) -> GateParams:
     """Initialize the gate so token geometry survives to the cosine scorer.
 
@@ -266,7 +264,7 @@ def _interest_scores(
     items: list[TokenSequence],
     item_start: np.ndarray,
     groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    store=None,
+    store,
 ) -> Tensor:
     """(n_tokens,) cosine scores of every token against the interest vector
     of the history that holds it, item by item; history h holds
@@ -313,7 +311,7 @@ def gate_groups(
     histories: list[UserHistory],
     params: GateParams,
     k: int,
-    method: str = "learned",
+    method: str,
     stats: InvertedIndex | None = None,
     rngs: list[np.random.Generator] | None = None,
     store=None,

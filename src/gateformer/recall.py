@@ -63,6 +63,7 @@ across two ids.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -334,7 +335,12 @@ def recall_at_k(results: list[str], relevant: set[str], k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write ``index`` in the version-2 layout of the module docstring."""
+    """Write ``index`` in the version-2 layout of the module docstring.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` with ``os.replace``; a save that fails while writing
+    leaves the previous file whole and no temporary file behind.
+    """
     text = "".join(index.doc_ids)
     blob = text.encode("utf-8")
     # pure ASCII encodes one character to one byte, so an id's length in
@@ -351,7 +357,14 @@ def save_index(index: InvertedIndex, path) -> None:
         np.fromiter(id_lens, dtype="<u4", count=index.n_docs).tobytes(),
         blob,
     ]
-    Path(path).write_bytes(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(parts))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_index(path) -> InvertedIndex:

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import POLICIES, DataConfig, SynthConfig
+
 log = logging.getLogger(__name__)
 
 UNK_TOKEN = "[UNK]"
-
-POLICIES = ("front", "random", "back")
 
 
 class Vocabulary:
@@ -195,23 +195,19 @@ def _tsv_rows(path, what: str):
                 yield line.split("\t")
 
 
-def load_mind_news(
-    path,
-    vocab: Vocabulary,
-    l_max: int = 30,
-    title_only: bool = False,
-) -> dict[str, TokenSequence]:
-    """Parse a news file into token sequences of at most ``l_max`` ids, keyed
-    by news id; rows with too few columns or no token are skipped, with one
-    warning. Each distinct word is split into pieces once per call."""
+def load_mind_news(path, vocab: Vocabulary, data: DataConfig) -> dict[str, TokenSequence]:
+    """Parse a news file into token sequences of at most ``data.l_max`` ids
+    (of the title alone with ``data.title_only``), keyed by news id; rows
+    with too few columns or no token are skipped, with one warning. Each
+    distinct word is split into pieces once per call."""
     news: dict[str, TokenSequence] = {}
     split: dict[str, list[int]] = {}
     skipped = 0
     for cols in _tsv_rows(path, "news"):
         if len(cols) >= 5:
             news_id, _category, _subcategory, title, abstract = cols[:5]
-            text = title if title_only else f"{title} {abstract}"
-            ids = _token_ids(text, vocab, split)[:l_max]
+            text = title if data.title_only else f"{title} {abstract}"
+            ids = _token_ids(text, vocab, split)[:data.l_max]
             if ids:
                 news[news_id] = TokenSequence(ids)
                 continue
@@ -222,17 +218,14 @@ def load_mind_news(
 
 
 def load_mind_behaviors(
-    path,
-    news: dict[str, TokenSequence],
-    k_neg: int = 4,
-    n_max: int = 50,
-    seed: int = 0,
+    path, news: dict[str, TokenSequence], data: DataConfig, seed: int
 ) -> list[ImpressionSample]:
     """Expand an impression log into one sample per clicked item.
 
-    Negatives are drawn uniformly without replacement from the impression's
-    non-clicked items; if fewer than ``k_neg`` are shown, draws fall back to
-    sampling with replacement. Histories keep the most recent ``n_max`` items.
+    Negatives, ``data.k_neg`` per click, are drawn uniformly without
+    replacement from the impression's non-clicked items by a generator of
+    ``seed``; if fewer are shown, draws fall back to sampling with
+    replacement. Histories keep the most recent ``data.n_max`` items.
     One warning counts what yields no sample: malformed rows, impressions
     whose history holds no known item, and clicks whose impression shows no
     other candidate.
@@ -245,7 +238,7 @@ def load_mind_behaviors(
             malformed += 1
             continue
         _imp_id, _user_id, _time, history_field, impression_field = cols[:5]
-        hist_ids = [h for h in history_field.split() if h in news][-n_max:]
+        hist_ids = [h for h in history_field.split() if h in news][-data.n_max:]
         if not hist_ids:
             no_history += 1
             continue
@@ -264,10 +257,10 @@ def load_mind_behaviors(
             if not pool:
                 no_negative += 1
                 continue
-            if len(pool) >= k_neg:
-                neg_ids = list(rng.choice(len(pool), size=k_neg, replace=False))
+            if len(pool) >= data.k_neg:
+                neg_ids = list(rng.choice(len(pool), size=data.k_neg, replace=False))
             else:
-                neg_ids = list(rng.integers(0, len(pool), size=k_neg))
+                neg_ids = list(rng.integers(0, len(pool), size=data.k_neg))
             negs = [pool[i] for i in neg_ids]
             samples.append(
                 ImpressionSample(
@@ -310,66 +303,56 @@ class SynthCorpus:
     val_indices: list[int]
 
 
-def synth_corpus_full(
-    seed: int,
-    n_users: int,
-    n_items: int,
-    n_topics: int,
-    tokens_per_item: int,
-    signal_positions: str = "random",
-    n_signal: int = 2,
-    filler_pool: int = 60,
-    history_len: int = 6,
-    impressions_per_user: int = 4,
-    k_neg: int = 4,
-    noise: float = 0.0,
-    val_fraction: float = 0.0,
-    n_distract: int = 0,
-) -> SynthCorpus:
-    """Generate a topic-separable corpus with planted signal tokens.
+def synth_corpus_full(synth: SynthConfig, seed: int, k_neg: int) -> SynthCorpus:
+    """Generate a topic-separable corpus with planted signal tokens, drawn
+    by a generator of ``seed``, with ``k_neg`` negatives per impression.
 
-    Every item belongs to one topic and carries ``n_signal`` topic-signal
-    tokens placed per ``signal_positions`` (front | random | back) among
-    filler tokens drawn without replacement from a shared pool, so item
-    tokens are distinct. Every user prefers one topic; clicks follow the
-    preference except for a ``noise`` fraction of impressions.
+    Every item belongs to one topic and carries ``synth.signals``
+    topic-signal tokens placed per ``synth.policy`` (front | random | back)
+    among filler tokens drawn without replacement from a shared pool, so
+    item tokens are distinct. Every user prefers one topic; clicks follow
+    the preference except for a ``synth.noise`` fraction of impressions.
 
-    ``n_distract`` plants that many off-topic signal tokens (random other
-    topics, random positions) in every item. The item's own topic still has
-    the plurality, but any single signal-like token is ambiguous evidence,
-    so selectors that cannot condition on the user's interest lose accuracy.
+    ``synth.distractors`` plants that many off-topic signal tokens (random
+    other topics, random positions) in every item. The item's own topic
+    still has the plurality, but any single signal-like token is ambiguous
+    evidence, so selectors that cannot condition on the user's interest
+    lose accuracy.
 
-    ``val_fraction`` > 0 holds out that share of users and of each topic's
-    items; held-out users see held-out items only, so validation measures
-    semantic generalization, not fingerprint memorization.
+    ``synth.val_fraction`` > 0 holds out that share of users and of each
+    topic's items; held-out users see held-out items only, so validation
+    measures semantic generalization, not fingerprint memorization.
     """
-    if n_topics < 2:
-        raise ValueError("need at least 2 topics")
-    if signal_positions not in POLICIES:
-        raise ValueError(f"signal_positions must be one of {POLICIES}")
-    if n_distract > 0 and n_signal < 2:
-        raise ValueError("distractors need n_signal >= 2 so the true topic keeps plurality")
-    if n_distract > n_topics - 1:
-        raise ValueError("n_distract must leave enough distinct foreign topics")
-    if tokens_per_item < n_signal + n_distract:
-        raise ValueError("tokens_per_item must cover signal and distractor tokens")
-    if filler_pool < tokens_per_item - n_signal - n_distract:
-        raise ValueError("filler pool too small for distinct tokens per item")
-    per_topic = n_items // n_topics
-    n_val_items = int(round(per_topic * val_fraction))
-    if per_topic - n_val_items < history_len + 1:
-        raise ValueError("too few training items per topic for the requested history length")
-    if val_fraction > 0 and n_val_items < history_len + 1:
-        raise ValueError("too few held-out items per topic for the requested history length")
-    n_val_users = int(round(n_users * val_fraction))
-    if val_fraction > 0 and not n_val_users:
+    if synth.topics < 2:
+        raise ValueError("synth.topics must be at least 2")
+    if synth.policy not in POLICIES:
+        raise ValueError(f"synth.policy must be one of {POLICIES}, got {synth.policy!r}")
+    if synth.distractors > 0 and synth.signals < 2:
         raise ValueError(
-            f"synth.val_fraction={val_fraction} of synth.users={n_users} holds out no user"
+            "synth.distractors need synth.signals >= 2 so the true topic keeps plurality"
+        )
+    if synth.distractors > synth.topics - 1:
+        raise ValueError("synth.distractors must leave enough distinct foreign topics")
+    if synth.tokens_per_item < synth.signals + synth.distractors:
+        raise ValueError("synth.tokens_per_item must cover signal and distractor tokens")
+    if synth.filler_pool < synth.tokens_per_item - synth.signals - synth.distractors:
+        raise ValueError("synth.filler_pool too small for distinct tokens per item")
+    per_topic = synth.items // synth.topics
+    n_val_items = int(round(per_topic * synth.val_fraction))
+    if per_topic - n_val_items < synth.history_len + 1:
+        raise ValueError("too few training items per topic for the requested history length")
+    if synth.val_fraction > 0 and n_val_items < synth.history_len + 1:
+        raise ValueError("too few held-out items per topic for the requested history length")
+    n_val_users = int(round(synth.users * synth.val_fraction))
+    if synth.val_fraction > 0 and not n_val_users:
+        raise ValueError(
+            f"synth.val_fraction={synth.val_fraction} of synth.users={synth.users} "
+            "holds out no user"
         )
 
     rng = np.random.default_rng(seed)
-    signal_words = [[f"topic{t}sig{j}" for j in range(n_signal)] for t in range(n_topics)]
-    filler_words = [f"filler{i}" for i in range(filler_pool)]
+    signal_words = [[f"topic{t}sig{j}" for j in range(synth.signals)] for t in range(synth.topics)]
+    filler_words = [f"filler{i}" for i in range(synth.filler_pool)]
     tokens = ["[PAD]", UNK_TOKEN]
     for group in signal_words:
         tokens.extend(group)
@@ -378,33 +361,34 @@ def synth_corpus_full(
 
     item_topic: dict[str, int] = {}
     news: dict[str, TokenSequence] = {}
-    topic_items: list[list[str]] = [[] for _ in range(n_topics)]
-    for i in range(n_items):
-        topic = i % n_topics
+    topic_items: list[list[str]] = [[] for _ in range(synth.topics)]
+    for i in range(synth.items):
+        topic = i % synth.topics
         item_id = f"N{i:04d}"
-        n_fill = tokens_per_item - n_signal - n_distract
-        fillers = rng.choice(filler_pool, size=n_fill, replace=False)
-        if signal_positions == "front":
-            slots = np.arange(n_signal)
-        elif signal_positions == "back":
-            slots = np.arange(tokens_per_item - n_signal, tokens_per_item)
+        n_fill = synth.tokens_per_item - synth.signals - synth.distractors
+        fillers = rng.choice(synth.filler_pool, size=n_fill, replace=False)
+        if synth.policy == "front":
+            slots = np.arange(synth.signals)
+        elif synth.policy == "back":
+            slots = np.arange(synth.tokens_per_item - synth.signals, synth.tokens_per_item)
         else:
-            slots = np.sort(rng.choice(tokens_per_item, size=n_signal, replace=False))
-        words = [""] * tokens_per_item
+            slots = np.sort(rng.choice(synth.tokens_per_item, size=synth.signals, replace=False))
+        words = [""] * synth.tokens_per_item
         for j, s in enumerate(slots):
             words[s] = signal_words[topic][j]
-        if n_distract:
-            # one token from each of n_distract distinct foreign topics, at
-            # random free positions: ambiguous evidence for any single draw
-            foreign = [t for t in range(n_topics) if t != topic]
-            d_topics = rng.choice(len(foreign), size=n_distract, replace=False)
-            free = [p for p in range(tokens_per_item) if not words[p]]
-            d_slots = rng.choice(len(free), size=n_distract, replace=False)
+        if synth.distractors:
+            # one token from each of synth.distractors distinct foreign
+            # topics, at random free positions: ambiguous evidence for any
+            # single draw
+            foreign = [t for t in range(synth.topics) if t != topic]
+            d_topics = rng.choice(len(foreign), size=synth.distractors, replace=False)
+            free = [p for p in range(synth.tokens_per_item) if not words[p]]
+            d_slots = rng.choice(len(free), size=synth.distractors, replace=False)
             for dt, ds in zip(d_topics, d_slots):
                 ft = foreign[dt]
-                words[free[ds]] = signal_words[ft][int(rng.integers(0, n_signal))]
+                words[free[ds]] = signal_words[ft][int(rng.integers(0, synth.signals))]
         fit = iter(fillers)
-        for p in range(tokens_per_item):
+        for p in range(synth.tokens_per_item):
             if not words[p]:
                 words[p] = filler_words[next(fit)]
         news[item_id] = TokenSequence([vocab.id_of[w] for w in words])
@@ -414,32 +398,32 @@ def synth_corpus_full(
     # last n_val_items of each topic are the held-out pool
     train_pool = [items[: per_topic - n_val_items] for items in topic_items]
     val_pool = [items[per_topic - n_val_items:] for items in topic_items]
-    val_users = set(rng.permutation(n_users)[:n_val_users].tolist())
+    val_users = set(rng.permutation(synth.users)[:n_val_users].tolist())
 
     samples: list[ImpressionSample] = []
     user_pref: dict[str, int] = {}
     sample_user: list[str] = []
     train_indices: list[int] = []
     val_indices: list[int] = []
-    for u in range(n_users):
+    for u in range(synth.users):
         user_id = f"U{u:04d}"
         is_val = u in val_users
         pools = val_pool if is_val else train_pool
-        pref = int(rng.integers(0, n_topics))
+        pref = int(rng.integers(0, synth.topics))
         user_pref[user_id] = pref
         own = pools[pref]
-        hist_idx = rng.choice(len(own), size=history_len, replace=False)
+        hist_idx = rng.choice(len(own), size=synth.history_len, replace=False)
         hist_ids = [own[i] for i in hist_idx]
         history = UserHistory([news[h] for h in hist_ids])
-        for _ in range(impressions_per_user):
-            if noise > 0 and rng.random() < noise:
-                pos_topic = int(rng.integers(0, n_topics))
+        for _ in range(synth.impressions_per_user):
+            if synth.noise > 0 and rng.random() < synth.noise:
+                pos_topic = int(rng.integers(0, synth.topics))
             else:
                 pos_topic = pref
             pos_id = pools[pos_topic][int(rng.integers(0, len(pools[pos_topic])))]
             negs: list[str] = []
             while len(negs) < k_neg:
-                t = int(rng.integers(0, n_topics))
+                t = int(rng.integers(0, synth.topics))
                 if t == pref:
                     continue
                 cand = pools[t][int(rng.integers(0, len(pools[t])))]

@@ -1,6 +1,7 @@
-"""Click-prediction training: model assembly, Adam, metrics, train loop.
+"""Click-prediction training: the model, Adam, metrics, train loop.
 
-A model is the gate plus the transformer sharing one word-embedding table.
+A model is the gate plus the transformer sharing one word-embedding table;
+``cli.build_model`` initializes one from a run's config.
 A training step records one tape for the whole batch: ``batch_loss`` runs
 the grouped gate (:func:`gating.gate_groups`) and both sides of the
 transformer on grouped tensors, each through one
@@ -45,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .gating import GateParams, GroupedSelection, gate_groups, init_gate_params, item_features
-from .numerics import Tape, Tensor, backward, tensor
+from .gating import GateParams, GroupedSelection, gate_groups, item_features
+from .numerics import Tape, Tensor, backward
 from .recall import InvertedIndex
 from .text import ImpressionSample, TokenSequence, UserHistory, first_occurrences
 # encode_candidate, encode_sequence and weighted_pool are not called here:
@@ -58,7 +59,6 @@ from .transformer import (  # noqa: F401
     encode_sequence,
     encode_sequences,
     encode_user,
-    init_transformer_params,
     save_checkpoint,
     weighted_pool,
 )
@@ -116,9 +116,6 @@ class _Rows:
         self.tables: dict[int, _Table] = {}
         self.lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return sum(len(table.at) for table in self.tables.values())
-
     def get(self, setting: int, tensors: list[Tensor], parts: list) -> list[list[np.ndarray]]:
         """For each ``(length, keys, compute)`` of ``parts``, the rows of
         ``keys`` in order, one read-only array per array of the table of
@@ -168,10 +165,6 @@ class ItemStore:
         self._candidates = _Rows()
         self._gate = _Rows()
 
-    def __len__(self) -> int:
-        """Candidate rows held."""
-        return len(self._candidates)
-
     def rows(self, seqs: list[TokenSequence], params: TransformerParams) -> np.ndarray:
         """Read-only (len(seqs), d) candidate rows in input order; the rows
         missing are made by :func:`encode_candidates` calls on slices of
@@ -205,10 +198,10 @@ class ItemStore:
 class Model:
     gate: GateParams
     trans: TransformerParams
-    k: int = 3
-    gate_method: str = "learned"
-    stats: InvertedIndex | None = None  # the corpus index; the bm25 selector reads it
-    seed: int = 0
+    k: int
+    gate_method: str
+    stats: InvertedIndex | None  # the corpus index; the bm25 selector reads it
+    seed: int
     items: ItemStore = field(default_factory=ItemStore, init=False, repr=False, compare=False)
 
     def named_tensors(self) -> dict[str, Tensor]:
@@ -225,27 +218,6 @@ class Model:
         return named
 
 
-def init_model(
-    vocab_size: int,
-    d: int,
-    n_layers: int,
-    heads: int,
-    max_positions: int,
-    n_filters: int,
-    window: int,
-    seed: int,
-    k: int = 3,
-    gate_method: str = "learned",
-    user_encoder: str = "lstm",
-    stats: InvertedIndex | None = None,
-) -> Model:
-    rng = np.random.default_rng(seed)
-    emb = tensor(rng.normal(0, 0.1, size=(vocab_size, d)), requires_grad=True)
-    gate = init_gate_params(emb, n_filters, window, rng, user_encoder=user_encoder)
-    trans = init_transformer_params(emb, n_layers, heads, max_positions, rng)
-    return Model(gate=gate, trans=trans, k=k, gate_method=gate_method, stats=stats, seed=seed)
-
-
 def sample_rngs(model: Model, sample_indices: list[int]) -> list[np.random.Generator] | None:
     """The random selector's draws, one generator per sample, keyed to the
     model seed and the sample index so they are stable across epochs; None
@@ -255,7 +227,7 @@ def sample_rngs(model: Model, sample_indices: list[int]) -> list[np.random.Gener
     return [np.random.default_rng([model.seed, 7919, i]) for i in sample_indices]
 
 
-def gate_history(history: UserHistory, model: Model, sample_index: int = 0) -> GroupedSelection:
+def gate_history(history: UserHistory, model: Model, sample_index: int) -> GroupedSelection:
     """Gate one user's history with the model's selector:
     :func:`gating.gate_groups` on a batch of one.
 
@@ -278,7 +250,7 @@ def keyword_pairs(gated: GroupedSelection) -> list[tuple[int, float]]:
     return list(zip(gated.token_ids.tolist(), gated.weights.data.tolist()))
 
 
-def user_keywords(model: Model, history: UserHistory, sample_index: int = 0) -> list[tuple[int, float]]:
+def user_keywords(model: Model, history: UserHistory, sample_index: int) -> list[tuple[int, float]]:
     """(token id, weight) pairs across the gated history, for recall queries."""
     return keyword_pairs(gate_history(history, model, sample_index))
 
@@ -475,7 +447,7 @@ def rank_metrics(z: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def evaluate(model: Model, samples: list[ImpressionSample], threads: int = 1) -> EvalReport:
+def evaluate(model: Model, samples: list[ImpressionSample], threads: int) -> EvalReport:
     """Mean AUC, MRR, NDCG@5 and NDCG@10 over impressions; forward-only, no
     tape.
 
@@ -574,11 +546,11 @@ def train(
     peak_lr: float,
     warmup: int,
     seed: int,
-    eval_interval: int = 200,
-    log_interval: int = 50,
-    clip_norm: float = 0.0,
+    eval_interval: int,
+    log_interval: int,
+    clip_norm: float,
+    threads: int,
     out_dir: str | Path | None = None,
-    threads: int = 1,
 ) -> TrainResult:
     """Mini-batch training with best-validation-AUC checkpoint retention.
 

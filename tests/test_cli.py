@@ -5,10 +5,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gateformer.cli import load_dataset, load_run, main, restore_model
-from gateformer.config import load_config
+from gateformer.cli import build_model, load_dataset, load_run, main, restore_model
+from gateformer.config import DataConfig, RunConfig, load_config
 from gateformer.numerics import tensor
-from gateformer.text import Vocabulary, load_mind_behaviors, load_mind_news
+from gateformer.text import (
+    Vocabulary, load_mind_behaviors, load_mind_news, synth_corpus_full, write_mind_files,
+)
 from gateformer.training import split_samples
 from gateformer.transformer import load_checkpoint, save_checkpoint
 
@@ -261,8 +263,7 @@ class TestSynthCommand:
         # the loader falls back to splitting the new corpus's impressions
         cfg = load_config(None, [])
         dataset = load_dataset(cfg, out)
-        samples = load_mind_behaviors(out / "behaviors.tsv", dataset.news, k_neg=cfg.data.k_neg,
-                                      n_max=cfg.data.n_max, seed=cfg.train.seed)
+        samples = load_mind_behaviors(out / "behaviors.tsv", dataset.news, cfg.data, cfg.train.seed)
         _, val = split_samples(samples, cfg.data.val_fraction, cfg.train.seed)
 
         def ids(samples):
@@ -271,19 +272,26 @@ class TestSynthCommand:
         assert val and ids(dataset.val_samples) == ids(val)
 
     def test_round_trip_reingests_losslessly(self, tmp_path):
-        from gateformer.text import synth_corpus_full
-
         out = synth(tmp_path, seed=4)
         vocab = Vocabulary.from_file(out / "vocab.txt")
-        news = load_mind_news(out / "news.tsv", vocab, l_max=8)
-        corpus = synth_corpus_full(
-            seed=4, n_users=12, n_items=48, n_topics=3, tokens_per_item=8,
-            n_signal=2, n_distract=0, filler_pool=20, history_len=3,
-            impressions_per_user=2, val_fraction=0.25,
-        )
+        news = load_mind_news(out / "news.tsv", vocab, DataConfig(l_max=8))
+        cfg = load_config(None, TINY_SYNTH[1::2])
+        corpus = synth_corpus_full(cfg.synth, 4, cfg.data.k_neg)
         assert set(news) == set(corpus.news)
         for item_id, seq in corpus.news.items():
             assert np.array_equal(news[item_id].ids, seq.ids), item_id
+
+    def test_writes_the_corpus_of_the_default_config(self, tmp_path):
+        """With no setting given, ``gateformer synth`` writes the files of the
+        default config's synth section: synth has no defaults of its own."""
+        assert main(["synth", "--out", str(tmp_path / "cli"), "--seed", "1"]) == 0
+        cfg = RunConfig()
+        write_mind_files(synth_corpus_full(cfg.synth, 1, cfg.data.k_neg), tmp_path / "direct")
+        names = sorted(path.name for path in (tmp_path / "cli").iterdir())
+        assert names == ["behaviors.tsv", "behaviors_val.tsv", "news.tsv", "vocab.txt"]
+        assert names == sorted(path.name for path in (tmp_path / "direct").iterdir())
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
 
 class TestTrainCommand:
@@ -439,10 +447,8 @@ class TestBenchCommand:
         ``repeats`` timed calls, in the same order on both sides."""
         from gateformer import efficiency
         from gateformer.text import TokenSequence, UserHistory
-        from gateformer.training import init_model
 
-        model = init_model(vocab_size=40, d=16, n_layers=1, heads=2, max_positions=30,
-                           n_filters=8, window=1, seed=0, k=2)
+        model = build_model(load_config(None, TINY_MODEL[1::2]), 40, None)
         # history i holds i + 1 items of 3 tokens, so its full input has 3(i + 1) rows
         histories = [UserHistory([TokenSequence([1, 2, 3])] * (i + 1)) for i in range(5)]
         seen = {"gated": [], "full": []}

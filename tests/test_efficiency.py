@@ -13,10 +13,12 @@ from gateformer.efficiency import (
     measure_speedup,
     transformer_quadratic_coeff,
 )
+from gateformer.cli import build_model
+from gateformer.config import GateConfig, ModelConfig, RunConfig, SynthConfig, TrainConfig
 from gateformer.gating import gate_groups
 from gateformer.recall import build_index
 from gateformer.text import TokenSequence, UserHistory, synth_corpus_full
-from gateformer.training import Model, gate_history, init_model
+from gateformer.training import Model, gate_history
 from gateformer.transformer import encode_candidate
 from oracles import select_history_oracle
 
@@ -56,13 +58,12 @@ class TestFlopsGate:
     )
     def test_matches_instrumented_counter(self, d, n_f, w, k, L, N):
         rng = np.random.default_rng(d + n_f)
-        model = init_model(
-            vocab_size=64, d=d, n_layers=1, heads=2, max_positions=N * L,
-            n_filters=n_f, window=w, seed=3, k=k,
-        )
+        cfg = RunConfig(model=ModelConfig(d=d, layers=1, heads=2, max_positions=N * L),
+                        gate=GateConfig(k=k, window=w, filters=n_f), train=TrainConfig(seed=3))
+        model = build_model(cfg, 64, None)
         history = make_history(rng, N, L, 64)
         with nm.count_flops() as counter:
-            gate_groups([history], model.gate, k)
+            gate_groups([history], model.gate, k, model.gate_method)
         analytic = flops_gate(dims_of(model, k, L), N * L)
         assert abs(counter.flops - analytic) / counter.flops < 0.05
 
@@ -93,10 +94,9 @@ class TestFlopsTransformer:
     @pytest.mark.parametrize("layers,n,d", [(2, 8, 16), (1, 5, 8), (3, 12, 32)])
     def test_matches_instrumented_counter(self, layers, n, d):
         rng = np.random.default_rng(layers * 100 + n)
-        model = init_model(
-            vocab_size=64, d=d, n_layers=layers, heads=2, max_positions=n,
-            n_filters=8, window=1, seed=5, k=3,
-        )
+        cfg = RunConfig(model=ModelConfig(d=d, layers=layers, heads=2, max_positions=n),
+                        gate=GateConfig(k=3, window=1, filters=8), train=TrainConfig(seed=5))
+        model = build_model(cfg, 64, None)
         seq = TokenSequence(rng.choice(np.arange(1, 64), size=n, replace=False).tolist())
         with nm.count_flops() as counter:
             encode_candidate(seq, model.trans)
@@ -143,14 +143,13 @@ class TestBench:
     @pytest.fixture
     def setup(self):
         rng = np.random.default_rng(9)
-        corpus = synth_corpus_full(
-            seed=9, n_users=6, n_items=48, n_topics=3, tokens_per_item=10,
-            n_signal=2, filler_pool=30, history_len=3, impressions_per_user=2,
-        )
-        model = init_model(
-            vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
-            max_positions=30, n_filters=8, window=1, seed=0, k=3,
-        )
+        corpus = synth_corpus_full(SynthConfig(
+            users=6, items=48, topics=3, tokens_per_item=10, signals=2, distractors=0,
+            filler_pool=30, history_len=3, impressions_per_user=2, val_fraction=0.0,
+        ), seed=9, k_neg=4)
+        cfg = RunConfig(model=ModelConfig(d=16, layers=1, heads=2, max_positions=30),
+                        gate=GateConfig(k=3, window=1, filters=8), train=TrainConfig(seed=0))
+        model = build_model(cfg, len(corpus.vocab), None)
         return model, corpus.samples
 
     def test_single_k_single_row(self, setup):
@@ -196,15 +195,14 @@ class TestBench:
 
 class TestPositionHistogram:
     def model_and_histories(self, method, seed=0):
-        corpus = synth_corpus_full(
-            seed=4, n_users=12, n_items=60, n_topics=3, tokens_per_item=12,
-            n_signal=2, filler_pool=40, history_len=4, impressions_per_user=2,
-        )
-        model = init_model(
-            vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
-            max_positions=48, n_filters=8, window=1, seed=seed, k=3,
-            gate_method=method, stats=build_index(corpus.news),
-        )
+        corpus = synth_corpus_full(SynthConfig(
+            users=12, items=60, topics=3, tokens_per_item=12, signals=2, distractors=0,
+            filler_pool=40, history_len=4, impressions_per_user=2, val_fraction=0.0,
+        ), seed=4, k_neg=4)
+        cfg = RunConfig(model=ModelConfig(d=16, layers=1, heads=2, max_positions=48),
+                        gate=GateConfig(k=3, window=1, filters=8, method=method),
+                        train=TrainConfig(seed=seed))
+        model = build_model(cfg, len(corpus.vocab), build_index(corpus.news))
         return model, [s.history for s in corpus.samples]
 
     @staticmethod

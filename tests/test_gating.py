@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from gateformer import numerics as nm
-from gateformer.gating import (
-    GATE_METHODS, GateParams, gate_groups, init_gate_params, select_positions,
-)
+from gateformer.config import GATE_METHODS
+from gateformer.gating import GateParams, gate_groups, init_gate_params, select_positions
 from gateformer.numerics import Tape, backward, tensor
 from gateformer.recall import build_index
 from gateformer.text import TokenSequence, UserHistory, Vocabulary
@@ -31,10 +30,10 @@ from oracles import (
 )
 
 
-def make_gate(vocab_size=20, d=6, n_f=5, window=1, seed=0, **kwargs):
+def make_gate(vocab_size=20, d=6, n_f=5, window=1, seed=0, user_encoder="lstm"):
     rng = np.random.default_rng(seed)
     emb = tensor(rng.normal(size=(vocab_size, d)) * 0.5, requires_grad=True)
-    return init_gate_params(emb, n_f, window, rng, **kwargs)
+    return init_gate_params(emb, n_f, window, rng, user_encoder)
 
 
 def seq_of(ids):
@@ -82,7 +81,7 @@ def stable_gate_instance(k, margin, d=4, n_f=3, vocab_size=12):
                 ok = False
                 break
         if ok:
-            baseline = [s.positions for s in gate_groups([history], p, k)]
+            baseline = [s.positions for s in gate_groups([history], p, k, "learned")]
             return p, history, baseline
     raise AssertionError("no stable instance found in 200 seeds")
 
@@ -242,7 +241,7 @@ class TestGateHistory:
     def test_single_item_full_selection(self):
         p = make_gate(seed=14)
         history = UserHistory([seq_of([3, 5, 7])])
-        sels = gate_groups([history], p, 3)
+        sels = gate_groups([history], p, 3, "learned")
         assert len(sels) == 1
         assert sorted(sels[0].positions) == [0, 1, 2]
 
@@ -250,7 +249,7 @@ class TestGateHistory:
         rng = np.random.default_rng(15)
         p = make_gate(vocab_size=400, seed=15)
         history = random_history(rng, n_items=50, length=30, vocab_size=400)
-        sels = gate_groups([history], p, 3)
+        sels = gate_groups([history], p, 3, "learned")
         total = sum(s.k_eff for s in sels)
         assert total <= 150
         assert total == 150  # distinct tokens per item: every item yields k
@@ -258,14 +257,14 @@ class TestGateHistory:
     def test_uniform_scores_select_smallest_indices(self):
         p = zero_gate()  # zero weights force identical scores everywhere
         history = UserHistory([seq_of([9, 8, 7, 6, 5])])
-        sels = gate_groups([history], p, 3)
+        sels = gate_groups([history], p, 3, "learned")
         assert sels[0].positions == [0, 1, 2]
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(16)
         p = make_gate(seed=16)
         history = random_history(rng, 3, 6)
-        for sel in item_views(gate_groups([history], p, 4)):
+        for sel in item_views(gate_groups([history], p, 4, "learned")):
             assert abs(sel.weights.data.sum() - 1.0) <= 1e-10
             assert (sel.weights.data > 0).all()
 
@@ -314,7 +313,7 @@ class TestSelectionInvariants:
         history = random_history(rng, 3, 5, vocab_size=30)
         p.word_embeddings.zero_grad()
         with Tape() as tape:
-            sels = item_views(gate_groups([history], p, 2))
+            sels = item_views(gate_groups([history], p, 2, "learned"))
             loss = total(nm.concat_rows([s.gathered for s in sels]))
         backward(tape, loss)
         grad = p.word_embeddings.grad
@@ -337,7 +336,7 @@ class TestSelectionInvariants:
                 assert select_row(seq, scores + delta, 2) == pos
 
         def build():
-            sels = item_views(gate_groups([history], p, 2))
+            sels = item_views(gate_groups([history], p, 2, "learned"))
             assert [s.positions for s in sels] == baseline
             return total(nm.mul(nm.concat_rows([s.gathered for s in sels]), c))
 
@@ -421,7 +420,7 @@ class TestAttnUserVariant:
         rng = np.random.default_rng(28)
         p = make_gate(seed=28, user_encoder="attn")
         history = random_history(rng, 3, 5)
-        sels = gate_groups([history], p, 2)
+        sels = gate_groups([history], p, 2, "learned")
         assert all(s.k_eff == 2 for s in sels)
 
 
@@ -532,7 +531,7 @@ class TestGateMatchesOracle:
         p = make_gate(vocab_size=15, seed=30, user_encoder=encoder)
         history = oracle_history(rng, 15)
         self.assert_match(
-            lambda: item_views(gate_groups([history], p, 3)),
+            lambda: item_views(gate_groups([history], p, 3, "learned")),
             lambda: gate_history_oracle(history, p, 3), p,
         )
 
@@ -552,8 +551,8 @@ class TestGateMatchesOracle:
         c = np.random.default_rng(35).normal(size=(64, p.word_embeddings.data.shape[1]))
 
         def run():
-            gated = gate_groups(histories, p, 3)
-            return gated, lambda: total(nm.mul(gate_groups(histories, p, 3).rows,
+            gated = gate_groups(histories, p, 3, "learned")
+            return gated, lambda: total(nm.mul(gate_groups(histories, p, 3, "learned").rows,
                                                  tensor(c[:len(gated.rows.data)])))
 
         want, loss = run()
@@ -588,7 +587,7 @@ class TestGroupedSelectionSequence:
         rng = np.random.default_rng(33)
         p = make_gate(vocab_size=15, seed=33)
         history = oracle_history(rng, 15)
-        gated = gate_groups([history], p, 3)
+        gated = gate_groups([history], p, 3, "learned")
         views = item_views(gated)
         ref = gate_history_oracle(history, p, 3)
         n = len(history.items)
@@ -611,7 +610,7 @@ class TestGroupedSelectionSequence:
     def test_items_tile_the_grouped_rows_and_read_only(self):
         rng = np.random.default_rng(34)
         p = make_gate(vocab_size=15, seed=34)
-        gated = gate_groups([oracle_history(rng, 15)], p, 3)
+        gated = gate_groups([oracle_history(rng, 15)], p, 3, "learned")
         views = item_views(gated)
         assert np.array_equal(np.concatenate([s.gathered.data for s in views]), gated.rows.data)
         assert np.array_equal(np.concatenate([s.weights.data for s in views]), gated.weights.data)
@@ -625,7 +624,7 @@ class TestGroupedSelectionSequence:
         p = make_gate(vocab_size=15, seed=37)
         history = oracle_history(np.random.default_rng(37), 15)
         with Tape() as tape:
-            gated = gate_groups([history], p, 3)
+            gated = gate_groups([history], p, 3, "learned")
             recorded = len(tape)
             sels = list(gated)
         assert len(tape) == recorded

@@ -1,8 +1,9 @@
 """Every imported name is read by the module that imports it, every
 definition in the package is read by the package, every parameter with a
-default is set by some caller, and every stored field is read.
+default is set by some caller and left at its default by another, and every
+stored field is read.
 
-Four static checks. The first runs over the package, the tests and the
+Five static checks. The first runs over the package, the tests and the
 scripts: each name an ``import`` binds must be read somewhere in its module,
 in code, in a string annotation or in ``__all__``. An import kept on purpose
 (a re-export, or an import made for its side effect) says so with
@@ -28,7 +29,16 @@ a method is matched by name, so a builtin's method of the same name counts
 (review such names by hand). The exceptions, set only by the tests, are
 listed in ``DEFAULT_ONLY``, each with its setters; the list may only shrink.
 
-The fourth holds stored values to it: each field of a top-level class of
+The fourth is the third's dual: each such parameter must be left out by some
+call in those callers, outside the function's own body, that passes no
+starred or double-starred argument. A default that every caller overrides
+serves only the tests, and for a setting it is a second copy of the config
+field that every caller passes (``synth.filler_pool`` on the config and 60
+on ``synth_corpus_full``, once). The exceptions are listed in
+``ALWAYS_SET``: test conveniences that set nothing, each with why; the
+list may only shrink.
+
+The fifth holds stored values to it: each field of a top-level class of
 the package, an annotated name of the class body (a dataclass field) or a
 ``self.<name>`` that one of its methods assigns, must be read as an
 attribute of that name by code in ``src/``, ``scripts/`` or
@@ -81,6 +91,18 @@ CALLERS = sorted(
 # parameter -> the code outside those callers that sets it
 DEFAULT_ONLY: dict[str, str] = {}
 DEFAULT_ONLY_MAX = 0  # lower it with each entry removed
+
+# parameter -> why its default, which every caller overrides, is no setting
+ALWAYS_SET = {
+    "config.load_config.path": "no config file: the defaults",
+    "config.load_config.overrides": "no override",
+    "numerics.tensor.requires_grad": "an input that takes no gradient",
+    "numerics.Tensor.__init__.requires_grad": "an input that takes no gradient",
+    "gating.gate_groups.stats": "no corpus index, for the selectors that read none",
+    "gating.gate_groups.rngs": "no generators, for the selectors that draw nothing",
+    "recall.UserQuery.from_pairs.user_embedding": "a sparse-only query",
+}
+ALWAYS_SET_MAX = 7  # lower it with each entry removed
 
 # field -> its readers outside the callers, and the ROADMAP item that gives it
 # a reader or removes it
@@ -233,14 +255,16 @@ def _defaulted_parameters(tree: ast.Module):
                     yield f"{prefix}.{arg.arg}", fn, callee, arg.arg, None, ast.dump(default)
 
 
-def default_only_parameters(package: dict[str, str], callers: dict[str, str]) -> set[str]:
-    """``module.function.parameter`` of each defaulted parameter in
-    ``package`` (module name -> source) that no call in ``callers`` (name ->
-    source; a package module under its own name) passes a value other than
-    the default's literal, outside the function's own body. Calls resolve as
-    reads do in :func:`unread_definitions`: ``name(...)``, and
-    ``mod.name(...)`` where ``mod`` binds a module of the package, call a
-    top-level function or class; any ``x.name(...)`` calls a method."""
+def _parameter_calls(package: dict[str, str], callers: dict[str, str]):
+    """(``module.function.parameter``, default, passes) of each defaulted
+    parameter in ``package`` (module name -> source), where ``passes`` holds
+    ``(call, values)`` for each call of its function in ``callers`` (name ->
+    source; a package module under its own name) outside the function's own
+    body: the values the call passes it, by keyword or by position (unless a
+    starred argument comes first). Calls resolve as reads do in
+    :func:`unread_definitions`: ``name(...)``, and ``mod.name(...)`` where
+    ``mod`` binds a module of the package, call a top-level function or
+    class; any ``x.name(...)`` calls a method."""
     calls = defaultdict(list)  # callee name -> (caller, call, calls a top-level name)
     for where, source in callers.items():
         tree = ast.parse(source)
@@ -254,27 +278,70 @@ def default_only_parameters(package: dict[str, str], callers: dict[str, str]) ->
                 receiver = node.func.value
                 top = isinstance(receiver, ast.Name) and receiver.id in package_modules
                 calls[node.func.attr].append((where, node, top))
-    unset = set()
     for module, source in package.items():
         for qualname, fn, callee, keyword, position, default in _defaulted_parameters(
             ast.parse(source)
         ):
             own = range(fn.lineno, fn.end_lineno + 1)
             method = not qualname.startswith(f"{callee}.")  # not a function or an __init__
-            passed = [
-                value
-                for where, call, top in calls[callee]
-                if (top or method) and not (where == module and call.lineno in own)
-                for value in [k.value for k in call.keywords if k.arg == keyword] + (
+            passes = [
+                (call, [k.value for k in call.keywords if k.arg == keyword] + (
                     [call.args[position]]
                     if position is not None and position < len(call.args) and not any(
                         isinstance(a, ast.Starred) for a in call.args[:position + 1])
                     else []
-                )
+                ))
+                for where, call, top in calls[callee]
+                if (top or method) and not (where == module and call.lineno in own)
             ]
-            if all(ast.dump(value) == default for value in passed):
-                unset.add(f"{module}.{qualname}")
-    return unset
+            yield f"{module}.{qualname}", default, passes
+
+
+def default_only_parameters(package: dict[str, str], callers: dict[str, str]) -> set[str]:
+    """``module.function.parameter`` of each defaulted parameter in
+    ``package`` that no call in ``callers`` passes a value other than the
+    default's literal (see :func:`_parameter_calls`)."""
+    return {
+        name for name, default, passes in _parameter_calls(package, callers)
+        if all(ast.dump(value) == default for _, values in passes for value in values)
+    }
+
+
+def never_omitted_parameters(package: dict[str, str], callers: dict[str, str]) -> set[str]:
+    """``module.function.parameter`` of each defaulted parameter in
+    ``package`` that every call in ``callers`` passes, or may pass through a
+    starred or double-starred argument (see :func:`_parameter_calls`)."""
+    def omits(call: ast.Call, values: list) -> bool:
+        return not values and not any(isinstance(a, ast.Starred) for a in call.args) and all(
+            k.arg is not None for k in call.keywords)
+
+    return {
+        name for name, _, passes in _parameter_calls(package, callers)
+        if not any(omits(call, values) for call, values in passes)
+    }
+
+
+def with_argument(source: str, node: ast.FunctionDef | ast.Call, text: str) -> str:
+    """``source`` with ``text`` put right after the last argument of ``node``,
+    a def or a call parsed from it."""
+    args = node.args.args if isinstance(node, ast.FunctionDef) else node.args + node.keywords
+    last = max(args, key=lambda a: (a.end_lineno, a.end_col_offset))
+    lines = source.splitlines(keepends=True)
+    line = lines[last.end_lineno - 1].encode("utf-8")  # columns count utf-8 bytes
+    at = last.end_col_offset
+    lines[last.end_lineno - 1] = (line[:at] + text.encode("utf-8") + line[at:]).decode("utf-8")
+    return "".join(lines)
+
+
+def the_one(source: str, kind: type, name: str):
+    """The one def (``ast.FunctionDef``) or call (``ast.Call``) of ``name``
+    in ``source``."""
+    found = [
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, kind) and name == (
+            node.name if kind is ast.FunctionDef else getattr(node.func, "id", None))
+    ]
+    assert len(found) == 1, f"{len(found)} of {name}"
+    return found[0]
 
 
 CONSTRUCTORS = ("__init__", "__post_init__")
@@ -360,13 +427,35 @@ def test_a_parameter_put_back_fails_the_check():
     no caller sets, fails."""
     package = {p.stem: p.read_text() for p in PACKAGE}
     callers = _caller_sources()
-    head = "def cosine(a, b) -> Tensor:"
-    assert package["numerics"].count(head) == 1
-    package["numerics"] = callers["numerics"] = package["numerics"].replace(
-        head, "def cosine(a, b, eps: float = 1e-12) -> Tensor:"
+    source = package["numerics"]
+    package["numerics"] = callers["numerics"] = with_argument(
+        source, the_one(source, ast.FunctionDef, "cosine"), ", eps: float = 1e-12"
     )
     unset = default_only_parameters(package, callers)
     assert unset - set(DEFAULT_ONLY) == {"numerics.cosine.eps"}
+
+
+def test_every_default_is_left_by_a_caller():
+    always = never_omitted_parameters({p.stem: p.read_text() for p in PACKAGE}, _caller_sources())
+    assert always == set(ALWAYS_SET)
+    assert len(ALWAYS_SET) <= ALWAYS_SET_MAX
+
+
+def test_a_default_put_back_fails_the_check():
+    """A copy of the package whose synth takes ``filler_pool`` again, with
+    its old default of 60, from a CLI that passes the config's value,
+    fails."""
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    callers = _caller_sources()
+    text, cli = package["text"], package["cli"]
+    package["text"] = callers["text"] = with_argument(
+        text, the_one(text, ast.FunctionDef, "synth_corpus_full"), ", filler_pool: int = 60"
+    )
+    package["cli"] = callers["cli"] = with_argument(
+        cli, the_one(cli, ast.Call, "synth_corpus_full"), ", filler_pool=cfg.synth.filler_pool"
+    )
+    always = never_omitted_parameters(package, callers)
+    assert always - set(ALWAYS_SET) == {"text.synth_corpus_full.filler_pool"}
 
 
 def test_every_stored_field_is_read():
@@ -508,6 +597,21 @@ class TestParameterCheck:
     def test_a_starred_argument_sets_nothing_after_it(self):
         src = "def f(x, a=1, b=2):\n    pass\nf(*[0, 5])\nf(0, *[5], b=3)\n"
         assert default_only_parameters({"m": src}, {"m": src}) == {"m.f.a"}
+
+    def test_a_default_no_call_leaves_is_flagged(self):
+        src = (
+            "def f(x, a=1, b=2, *, c=3):\n    pass\n"
+            "def g(y=0):\n    pass\n"
+            "f(0, 5, c=4)\n"
+            "f(0, a=1, c=4)\n"
+        )
+        assert never_omitted_parameters({"m": src}, {"m": src}) == {"m.f.a", "m.f.c", "m.g.y"}
+
+    def test_a_starred_argument_may_pass_anything(self):
+        src = "def f(x, a=1, b=2):\n    pass\nf(*[0])\nf(0, **{'a': 1})\n"
+        assert never_omitted_parameters({"m": src}, {"m": src}) == {"m.f.a", "m.f.b"}
+        own = "def f(x, a=1):\n    return f(x) if x else 0\nf(0, 1)\n"
+        assert never_omitted_parameters({"m": own}, {"m": own}) == {"m.f.a"}
 
 
 class TestFieldCheck:

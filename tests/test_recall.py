@@ -635,6 +635,39 @@ class TestPersistence:
         save_index(idx, tmp_path / "u.idx")
         assert load_index(tmp_path / "u.idx").doc_ids == sorted(["é1", "ß", "A"])
 
+    def test_failed_save_leaves_previous_index(self, tmp_path, monkeypatch):
+        from gateformer import recall
+
+        rng = np.random.default_rng(11)
+        old = build_index(random_docs(rng, 20))
+        path = tmp_path / "c.idx"
+        save_index(old, path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Opens (and so truncates) the file, then fails its write."""
+
+            def __init__(self, path, *args, **kwargs):
+                self.f = open(path, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(recall, "open", FailingFile, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_index(random_docs(rng, 30)), path)
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == [path]  # no temporary file left behind
+        assert path.read_bytes() == before
+        assert_same_index(load_index(path), old)
+
 
 SECTIONS = [("offsets", "<i8"), ("tokens", "<u4"), ("keys", "<u4"), ("tfs", "<u4"),
             ("id_lens", "<u4"), ("ids", "u1")]

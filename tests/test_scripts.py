@@ -159,7 +159,7 @@ class TestSameNumbers:
         assert all(re.fullmatch(r"tiny/learned-lstm/\w+ same", line) for line in lines), lines
 
     def test_every_gate_method_has_a_case(self, same_numbers):
-        from gateformer.gating import GATE_METHODS
+        from gateformer.config import GATE_METHODS
 
         assert {method for method, _ in same_numbers.CASES.values()} == set(GATE_METHODS)
 
@@ -188,12 +188,13 @@ class TestMakeRagged:
     def ragged(same_numbers, out):
         """A small synth corpus of 40-word titles and 7-item histories written
         to ``out``, cut by make_ragged; the rows of each file before the cut."""
+        from gateformer.config import SynthConfig
         from gateformer.text import synth_corpus_full, write_mind_files
 
-        corpus = synth_corpus_full(
-            seed=1, n_users=10, n_items=96, n_topics=3, tokens_per_item=40, n_signal=2,
+        corpus = synth_corpus_full(SynthConfig(
+            users=10, items=96, topics=3, tokens_per_item=40, signals=2, distractors=0,
             filler_pool=60, history_len=7, impressions_per_user=2, val_fraction=0.25,
-        )
+        ), 1, 4)
         write_mind_files(corpus, out)
         before = {name: rows(out / name) for name in NEWS_AND_BEHAVIORS}
         same_numbers.make_ragged(out)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gateformer.config import DataConfig, SynthConfig
 from gateformer.text import (
     TokenSequence,
     UserHistory,
@@ -156,7 +157,7 @@ class TestIdZero:
         path = tmp_path_factory.mktemp("news") / "news.tsv"
         path.write_text("".join(f"N{i}\tc\ts\t{t}\t{t[::-1]}\t-\t[]\t[]\n"
                                 for i, t in enumerate(texts)), encoding="utf-8")
-        news = load_mind_news(path, Vocabulary(PAD_FIRST))
+        news = load_mind_news(path, Vocabulary(PAD_FIRST), DataConfig())
         assert all(0 not in seq.ids.tolist() for seq in news.values())
 
 
@@ -180,7 +181,7 @@ class TestLoadMindNews:
     def test_fixture_parses_expected_ids(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
-        news = load_mind_news(path, news_vocab)
+        news = load_mind_news(path, news_vocab, DataConfig())
         assert set(news) == {"N1", "N2", "N3"}
         ids = lambda *words: [news_vocab.id_of[w] for w in words]
         assert news["N1"].ids.tolist() == ids("big", "match", "tonight", "teams", "ready")
@@ -189,42 +190,42 @@ class TestLoadMindNews:
     def test_empty_abstract_uses_title_alone(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
-        news = load_mind_news(path, news_vocab)
+        news = load_mind_news(path, news_vocab, DataConfig())
         assert news["N2"].ids.tolist() == [news_vocab.id_of["new"], news_vocab.id_of["chip"]]
 
     def test_truncation_to_l_max(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
-        news = load_mind_news(path, news_vocab, l_max=2)
+        news = load_mind_news(path, news_vocab, DataConfig(l_max=2))
         assert all(len(seq) <= 2 for seq in news.values())
         assert news["N1"].ids.tolist() == [news_vocab.id_of["big"], news_vocab.id_of["match"]]
         # a row shorter than l_max keeps every id
-        assert len(load_mind_news(path, news_vocab, l_max=20)["N1"]) == 5
+        assert len(load_mind_news(path, news_vocab, DataConfig(l_max=20))["N1"]) == 5
 
     def test_malformed_row_skipped_with_warning(self, tmp_path, news_vocab, caplog):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
         with caplog.at_level("WARNING"):
-            news = load_mind_news(path, news_vocab)
+            news = load_mind_news(path, news_vocab, DataConfig())
         assert "bogus-row" not in news
         assert any("skipped 1" in r.message for r in caplog.records)
 
     def test_missing_file_is_fatal(self, news_vocab):
         with pytest.raises(FileNotFoundError):
-            load_mind_news("/nonexistent/news.tsv", news_vocab)
+            load_mind_news("/nonexistent/news.tsv", news_vocab, DataConfig())
 
     def test_row_without_tokens_skipped_and_counted(self, tmp_path, news_vocab, caplog):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE + "N9\tt0\t-\t\t\t-\t[]\t[]\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            news = load_mind_news(path, news_vocab)
+            news = load_mind_news(path, news_vocab, DataConfig())
         assert set(news) == {"N1", "N2", "N3"}
         assert any("skipped 2 malformed or empty news rows" in r.message for r in caplog.records)
 
     def test_title_only_flag(self, tmp_path, news_vocab):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
-        news = load_mind_news(path, news_vocab, title_only=True)
+        news = load_mind_news(path, news_vocab, DataConfig(title_only=True))
         assert news["N1"].ids.tolist() == [
             news_vocab.id_of[w] for w in ("big", "match", "tonight")
         ]
@@ -241,13 +242,13 @@ class TestLoadMindBehaviors:
     def make_news(self, news_vocab, tmp_path):
         path = tmp_path / "news.tsv"
         path.write_text(NEWS_FIXTURE, encoding="utf-8")
-        return load_mind_news(path, news_vocab)
+        return load_mind_news(path, news_vocab, DataConfig())
 
     def test_negatives_are_permutation_when_exact(self, tmp_path, news_vocab):
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
         path.write_text("9\tU9\t0\tN1\tN3-1 N1-0 N2-0 N1-0 N2-0\n", encoding="utf-8")
-        samples = load_mind_behaviors(path, news, k_neg=4)
+        samples = load_mind_behaviors(path, news, DataConfig(k_neg=4), 0)
         assert len(samples) == 1
         assert sorted(samples[0].negative_ids) == ["N1", "N1", "N2", "N2"]
 
@@ -255,7 +256,7 @@ class TestLoadMindBehaviors:
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
         path.write_text(BEHAVIORS_FIXTURE, encoding="utf-8")
-        samples = load_mind_behaviors(path, news, k_neg=2)
+        samples = load_mind_behaviors(path, news, DataConfig(k_neg=2), 0)
         assert all(s.history_ids for s in samples)
         assert not any(s.positive_id == "N1" and s.history_ids == [] for s in samples)
 
@@ -263,7 +264,7 @@ class TestLoadMindBehaviors:
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
         path.write_text(BEHAVIORS_FIXTURE, encoding="utf-8")
-        samples = load_mind_behaviors(path, news, k_neg=2)
+        samples = load_mind_behaviors(path, news, DataConfig(k_neg=2), 0)
         got = sorted((tuple(s.history_ids), s.positive_id) for s in samples)
         # row 1: one click (N3), history [N1, N2]; row 2 skipped;
         # row 3: clicks N1 and N3 with history [N3]
@@ -276,8 +277,8 @@ class TestLoadMindBehaviors:
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
         path.write_text(BEHAVIORS_FIXTURE, encoding="utf-8")
-        a = load_mind_behaviors(path, news, k_neg=2, seed=7)
-        b = load_mind_behaviors(path, news, k_neg=2, seed=7)
+        a = load_mind_behaviors(path, news, DataConfig(k_neg=2), 7)
+        b = load_mind_behaviors(path, news, DataConfig(k_neg=2), 7)
         assert [s.negative_ids for s in a] == [s.negative_ids for s in b]
 
     def test_malformed_rows_skipped_with_warning(self, tmp_path, news_vocab, caplog):
@@ -285,7 +286,7 @@ class TestLoadMindBehaviors:
         path = tmp_path / "behaviors.tsv"
         path.write_text(BEHAVIORS_FIXTURE + "4\tU4\t0\n5\tU5\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            samples = load_mind_behaviors(path, news, k_neg=2)
+            samples = load_mind_behaviors(path, news, DataConfig(k_neg=2), 0)
         assert len(samples) == 3
         assert any("skipped 2 malformed behavior rows" in r.message for r in caplog.records)
 
@@ -296,7 +297,7 @@ class TestLoadMindBehaviors:
         rows = BEHAVIORS_FIXTURE.splitlines(keepends=True)
         path.write_text(rows[0] + rows[2], encoding="utf-8")
         with caplog.at_level("WARNING"):
-            assert len(load_mind_behaviors(path, news, k_neg=2)) == 3
+            assert len(load_mind_behaviors(path, news, DataConfig(k_neg=2), 0)) == 3
         assert not any("behavior" in r.message for r in caplog.records)
 
     def test_dropped_impressions_and_clicks_are_counted(self, tmp_path, news_vocab, caplog):
@@ -311,7 +312,7 @@ class TestLoadMindBehaviors:
             encoding="utf-8",
         )
         with caplog.at_level("WARNING"):
-            samples = load_mind_behaviors(path, news, k_neg=2)
+            samples = load_mind_behaviors(path, news, DataConfig(k_neg=2), 0)
         assert len(samples) == 3
         assert [r.message for r in caplog.records if "behavior" in r.message] == [
             f"skipped 1 malformed behavior rows, 2 impressions with no known history item "
@@ -322,23 +323,24 @@ class TestLoadMindBehaviors:
         news = self.make_news(news_vocab, tmp_path)
         path = tmp_path / "behaviors.tsv"
         path.write_text("1\tU1\t0\tN1 N2 N3\tN1-1 N2-0\n", encoding="utf-8")
-        samples = load_mind_behaviors(path, news, k_neg=1, n_max=2)
+        samples = load_mind_behaviors(path, news, DataConfig(k_neg=1, n_max=2), 0)
         assert samples[0].history_ids == ["N2", "N3"]
 
 
 class TestSynthCorpus:
     def test_same_seed_identical(self):
-        a = synth_corpus_full(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
-        b = synth_corpus_full(5, n_users=4, n_items=24, n_topics=3, tokens_per_item=10)
+        synth = SynthConfig(users=4, items=24, topics=3, tokens_per_item=10, val_fraction=0.0)
+        a = synth_corpus_full(synth, 5, 4)
+        b = synth_corpus_full(synth, 5, 4)
         assert {k: v.ids.tolist() for k, v in a.news.items()} == {k: v.ids.tolist() for k, v in b.news.items()}
         assert [s.positive_id for s in a.samples] == [s.positive_id for s in b.samples]
         assert [s.negative_ids for s in a.samples] == [s.negative_ids for s in b.samples]
 
     def test_front_policy_places_signals_first(self):
-        corpus = synth_corpus_full(
-            3, n_users=2, n_items=24, n_topics=3, tokens_per_item=12,
-            signal_positions="front", n_signal=2,
-        )
+        corpus = synth_corpus_full(SynthConfig(
+            users=2, items=24, topics=3, tokens_per_item=12, policy="front", signals=2,
+            distractors=0, val_fraction=0.0,
+        ), 3, 4)
         for item_id, seq in corpus.news.items():
             topic = corpus.item_topic[item_id]
             words = [corpus.vocab.token_of(t) for t in seq.ids]
@@ -347,23 +349,24 @@ class TestSynthCorpus:
             assert not any(w.startswith("topic") for w in words[2:])
 
     def test_back_policy(self):
-        corpus = synth_corpus_full(
-            3, n_users=2, n_items=24, n_topics=3, tokens_per_item=12,
-            signal_positions="back", n_signal=2,
-        )
+        corpus = synth_corpus_full(SynthConfig(
+            users=2, items=24, topics=3, tokens_per_item=12, policy="back", signals=2,
+            distractors=0, val_fraction=0.0,
+        ), 3, 4)
         for item_id, seq in corpus.news.items():
             words = [corpus.vocab.token_of(t) for t in seq.ids]
             assert words[-2].startswith("topic") and words[-1].startswith("topic")
 
     def test_item_tokens_distinct(self):
-        news = synth_corpus_full(2, n_users=2, n_items=24, n_topics=3, tokens_per_item=20).news
-        for seq in news.values():
+        synth = SynthConfig(users=2, items=24, topics=3, tokens_per_item=20, val_fraction=0.0)
+        for seq in synth_corpus_full(synth, 2, 4).news.values():
             assert len(set(seq.ids)) == len(seq.ids)
 
     def test_bayes_optimal_auc_above_095(self):
-        corpus = synth_corpus_full(
-            11, n_users=40, n_items=64, n_topics=4, tokens_per_item=12, noise=0.05
-        )
+        corpus = synth_corpus_full(SynthConfig(
+            users=40, items=64, topics=4, tokens_per_item=12, distractors=0, noise=0.05,
+            val_fraction=0.0,
+        ), 11, 4)
         aucs = []
         for i, sample in enumerate(corpus.samples):
             pref = corpus.user_pref[corpus.sample_user[i]]
@@ -374,18 +377,20 @@ class TestSynthCorpus:
         assert np.mean(aucs) > 0.95
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="signal_positions"):
-            synth_corpus_full(0, 2, 24, 3, 10, signal_positions="middle")
+        with pytest.raises(ValueError, match="synth.policy"):
+            synth_corpus_full(SynthConfig(items=24, topics=3, policy="middle"), 0, 4)
 
     def test_needs_two_topics(self):
-        with pytest.raises(ValueError, match="topics"):
-            synth_corpus_full(0, 2, 24, 1, 10)
+        with pytest.raises(ValueError, match="synth.topics"):
+            synth_corpus_full(SynthConfig(items=24, topics=1, distractors=0), 0, 4)
 
     def test_a_held_out_share_of_no_user_rejected(self):
         # round(1 * 0.5) is 0: the corpus would have no validation impressions
+        synth = SynthConfig(users=1, items=48, topics=3, tokens_per_item=10, val_fraction=0.5)
         with pytest.raises(ValueError, match=r"^synth\.val_fraction=0\.5 of synth\.users=1 "):
-            synth_corpus_full(0, 1, 48, 3, 10, val_fraction=0.5)
-        corpus = synth_corpus_full(0, 2, 48, 3, 10, val_fraction=0.5)
+            synth_corpus_full(synth, 0, 4)
+        synth.users = 2
+        corpus = synth_corpus_full(synth, 0, 4)
         assert corpus.val_indices and corpus.train_indices
 
 

@@ -10,6 +10,9 @@ from gateformer import numerics as nm
 from gateformer.efficiency import ModelDims, user_side_flops
 from gateformer.gating import gate_groups, item_features
 from gateformer.numerics import Tape, backward, tensor
+from gateformer.cli import build_model
+from gateformer.config import SynthConfig, load_config
+from gateformer.recall import build_index
 from gateformer.text import TokenSequence, UserHistory, synth_corpus_full
 from gateformer.training import (
     ENCODE_CHUNK,
@@ -20,7 +23,6 @@ from gateformer.training import (
     clip_gradients,
     evaluate,
     gate_history,
-    init_model,
     lr_at,
     rank_metrics,
     same_bits,
@@ -51,11 +53,10 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
-    return synth_corpus_full(
-        seed=21, n_users=24, n_items=64, n_topics=4, tokens_per_item=10,
-        n_signal=2, filler_pool=30, history_len=3, impressions_per_user=3,
-        val_fraction=0.25,
-    )
+    return synth_corpus_full(SynthConfig(
+        users=24, items=64, topics=4, tokens_per_item=10, signals=2, distractors=0,
+        filler_pool=30, history_len=3, impressions_per_user=3, val_fraction=0.25,
+    ), seed=21, k_neg=4)
 
 
 def train_val(corpus):
@@ -64,20 +65,32 @@ def train_val(corpus):
             [corpus.samples[i] for i in corpus.val_indices])
 
 
+def rows_held(rows):
+    """Rows one kind of an item store holds, over its tables."""
+    return sum(len(table.at) for table in rows.tables.values())
+
+
+def candidate_rows_held(model):
+    """Candidates whose rows the model's item store holds."""
+    return rows_held(model.items._candidates)
+
+
 def gate_rows_held(model):
     """History items whose gate features the model's item store holds."""
-    return len(model.items._gate)
+    return rows_held(model.items._gate)
+
+
+def tiny_config(seed=0, k=2, method="learned", user_encoder="lstm", max_positions=30):
+    return load_config(None, [
+        "model.d=16", "model.layers=1", "model.heads=2", f"model.max_positions={max_positions}",
+        "gate.filters=8", "gate.window=1", f"gate.k={k}", f"gate.method={method}",
+        f"gate.user_encoder={user_encoder}", f"train.seed={seed}",
+    ])
 
 
 def tiny_model(corpus, method="learned", seed=0, k=2, user_encoder="lstm"):
-    from gateformer.recall import build_index
-
-    return init_model(
-        vocab_size=len(corpus.vocab), d=16, n_layers=1, heads=2,
-        max_positions=30, n_filters=8, window=1, seed=seed, k=k,
-        gate_method=method, user_encoder=user_encoder,
-        stats=build_index(corpus.news),
-    )
+    cfg = tiny_config(seed, k, method, user_encoder)
+    return build_model(cfg, len(corpus.vocab), build_index(corpus.news))
 
 
 
@@ -271,12 +284,8 @@ class TestBatchEquivalence:
 
     def test_position_capacity_enforced(self, tiny_corpus):
         # three items keeping two tokens each need six positions
-        from gateformer.recall import build_index
-
-        model = init_model(
-            vocab_size=len(tiny_corpus.vocab), d=16, n_layers=1, heads=2,
-            max_positions=4, n_filters=8, window=1, seed=0, k=2,
-            stats=build_index(tiny_corpus.news),
+        model = build_model(
+            tiny_config(max_positions=4), len(tiny_corpus.vocab), build_index(tiny_corpus.news)
         )
         hists = [s.history for s in tiny_corpus.samples[:3]]
         with pytest.raises(ValueError, match="max positions"):
@@ -378,7 +387,7 @@ class TestTrainLoop:
         res = train(
             model, tiny_corpus.samples[:8], tiny_corpus.samples[8:12],
             steps=0, batch_size=4, peak_lr=1e-3, warmup=2, seed=0,
-            out_dir=tmp_path,
+            eval_interval=200, log_interval=50, clip_norm=0.0, threads=1, out_dir=tmp_path,
         )
         assert res.history == []
         loaded = load_checkpoint(tmp_path / "best")
@@ -391,7 +400,7 @@ class TestTrainLoop:
             tr, va = train_val(tiny_corpus)
             res = train(
                 model, tr, va, steps=8, batch_size=4, peak_lr=1e-3,
-                warmup=2, seed=5, eval_interval=4, log_interval=0,
+                warmup=2, seed=5, eval_interval=4, log_interval=0, clip_norm=0.0, threads=1,
             )
             return res.losses, res.history
 
@@ -418,7 +427,8 @@ class TestTrainLoop:
             tr, _ = train_val(tiny_corpus)
             with caplog.at_level("INFO", logger="gateformer.training"):
                 train(model, tr, [], steps=4, batch_size=4, peak_lr=1e-3, warmup=2,
-                      seed=5, log_interval=log_interval, clip_norm=clip_norm)
+                      seed=5, eval_interval=200, log_interval=log_interval,
+                      clip_norm=clip_norm, threads=1)
             return [float(r.getMessage().split("grad_norm ")[1]) for r in caplog.records
                     if "grad_norm" in r.getMessage()]
 
@@ -438,7 +448,7 @@ class TestTrainLoop:
         tr, va = train_val(tiny_corpus)
         res = train(
             model, tr, va, steps=60, batch_size=8, peak_lr=2e-3,
-            warmup=10, seed=0, eval_interval=30, log_interval=0,
+            warmup=10, seed=0, eval_interval=30, log_interval=0, clip_norm=0.0, threads=1,
         )
         start = np.mean(res.losses[:5])
         end = np.mean(res.losses[-5:])
@@ -450,7 +460,8 @@ class TestTrainLoop:
         tr, va = train_val(tiny_corpus)
         res = train(
             model, tr, va, steps=20, batch_size=4, peak_lr=2e-3,
-            warmup=5, seed=1, eval_interval=10, log_interval=0, out_dir=tmp_path,
+            warmup=5, seed=1, eval_interval=10, log_interval=0, clip_norm=0.0, threads=1,
+            out_dir=tmp_path,
         )
         assert res.best_auc == max(r[2] for r in res.history)
         loaded = load_checkpoint(tmp_path / "best")
@@ -465,7 +476,7 @@ class TestTrainLoop:
         tr, va = train_val(tiny_corpus)
         train(
             model, tr, va, steps=6, batch_size=4, peak_lr=5e-3,
-            warmup=1, seed=0, eval_interval=0, log_interval=0,
+            warmup=1, seed=0, eval_interval=0, log_interval=0, clip_norm=0.0, threads=1,
         )
         for k, v in model.gate.named_tensors().items():
             assert np.array_equal(v.data, gate_before[k]), k
@@ -480,7 +491,7 @@ class TestTrainLoop:
             res = train(
                 model, tiny_corpus.samples[:8], val, steps=5, batch_size=4,
                 peak_lr=1e-3, warmup=2, seed=0, eval_interval=interval,
-                log_interval=0, out_dir=out_dir,
+                log_interval=0, clip_norm=0.0, threads=1, out_dir=out_dir,
             )
             return res, initial
 
@@ -500,7 +511,7 @@ class TestTrainLoop:
 class TestEvaluate:
     def test_report_fields_in_range(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
-        report = evaluate(model, tiny_corpus.samples[:10])
+        report = evaluate(model, tiny_corpus.samples[:10], threads=1)
         for v in report.row():
             assert 0.0 <= v <= 1.0
         assert report.n_impressions == 10
@@ -551,13 +562,13 @@ class TestEvaluate:
 
     def test_empty_rejected(self, tiny_corpus):
         with pytest.raises(ValueError):
-            evaluate(tiny_model(tiny_corpus), [])
+            evaluate(tiny_model(tiny_corpus), [], threads=1)
 
     def test_impression_without_negatives_rejected(self, tiny_corpus):
         samples = list(tiny_corpus.samples[:5])
         samples[2] = dataclasses.replace(samples[2], negatives=[], negative_ids=[])
         with pytest.raises(ValueError, match="impression 2 has no negatives"):
-            evaluate(tiny_model(tiny_corpus), samples)
+            evaluate(tiny_model(tiny_corpus), samples, threads=1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_score_names_first_impression(self, tiny_corpus, monkeypatch, value):
@@ -578,7 +589,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "batch_user_embeddings", poisoned)
         with pytest.raises(ValueError, match=r"non-finite score in impression 3$"):
-            evaluate(model, samples)
+            evaluate(model, samples, threads=1)
 
     def test_encoder_calls_bounded_and_candidates_encoded_once(self, tiny_corpus, monkeypatch):
         import gateformer.training as training
@@ -591,7 +602,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "encode_candidates", recording)
         samples = tiny_corpus.samples[:20] + copy.deepcopy(tiny_corpus.samples[:25])
-        evaluate(tiny_model(tiny_corpus), samples)
+        evaluate(tiny_model(tiny_corpus), samples, threads=1)
         encoded = [key for call in calls for key in call]
         distinct = {tuple(seq.ids) for s in samples for seq in (s.positive, *s.negatives)}
         assert sorted(encoded) == sorted(distinct)
@@ -607,7 +618,7 @@ class TestEvaluate:
             return rows(seqs, params)
 
         monkeypatch.setattr(model.items, "rows", recording)
-        evaluate(model, samples)
+        evaluate(model, samples, threads=1)
         slices = [samples[i:i + ENCODE_CHUNK] for i in range(0, len(samples), ENCODE_CHUNK)]
         assert len(slices) > 1
         assert reads == [[seq for s in part for seq in (s.positive, *s.negatives)] for part in slices]
@@ -621,10 +632,7 @@ def _adam(model, tmp_path):
 
 
 def _load_other_checkpoint(model, tmp_path):
-    other = init_model(
-        vocab_size=model.trans.word_embeddings.data.shape[0], d=16, n_layers=1, heads=2,
-        max_positions=30, n_filters=8, window=1, seed=99, k=2,
-    )
+    other = build_model(tiny_config(seed=99), model.trans.word_embeddings.data.shape[0], None)
     save_checkpoint(other.named_tensors(), tmp_path / "other")
     apply_checkpoint(model.named_tensors(), load_checkpoint(tmp_path / "other"))
 
@@ -657,10 +665,10 @@ class TestItemStore:
 
     def test_fresh_model_starts_empty(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
-        evaluate(model, tiny_corpus.samples[:10])
-        assert len(model.items) > 0
+        evaluate(model, tiny_corpus.samples[:10], threads=1)
+        assert candidate_rows_held(model) > 0
         # equal parameters, its own store
-        assert len(tiny_model(tiny_corpus).items) == 0
+        assert candidate_rows_held(tiny_model(tiny_corpus)) == 0
 
     def test_rows_are_read_only(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
@@ -677,7 +685,7 @@ class TestItemStore:
         model.items.rows(seqs, model.trans)
         distinct = list(dict.fromkeys(tuple(seq.ids) for seq in seqs))
         # first-occurrence order, across the two calls
-        assert encoded == distinct and len(model.items) == len(distinct)
+        assert encoded == distinct and candidate_rows_held(model) == len(distinct)
 
     @pytest.mark.parametrize("change", [_adam, _load_other_checkpoint, _edit_word_row, _replace_data])
     def test_parameter_change_drops_every_row(self, tiny_corpus, monkeypatch, tmp_path, change):
@@ -687,19 +695,19 @@ class TestItemStore:
         change(model, tmp_path)
         encoded = self.counting(monkeypatch)
         fresh = model.items.rows(seqs[:3], model.trans)
-        assert len(model.items) == len(encoded) == len({tuple(s.ids) for s in seqs[:3]})
+        assert candidate_rows_held(model) == len(encoded) == len({tuple(s.ids) for s in seqs[:3]})
         np.testing.assert_array_equal(fresh, encode_candidates(seqs[:3], model.trans).data)
         assert not np.array_equal(fresh, stale[:3])
 
     def test_k_and_gate_method_keep_rows(self, tiny_corpus, monkeypatch):
         model = tiny_model(tiny_corpus)
         samples = tiny_corpus.samples[:20]
-        evaluate(model, samples)
-        held = len(model.items)
+        evaluate(model, samples, threads=1)
+        held = candidate_rows_held(model)
         encoded = self.counting(monkeypatch)
         model.k, model.gate_method = 1, "first"
-        evaluate(model, samples)
-        assert encoded == [] and len(model.items) == held
+        evaluate(model, samples, threads=1)
+        assert encoded == [] and candidate_rows_held(model) == held
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_warm_evaluate_equals_cold(self, tiny_corpus, threads):
@@ -723,7 +731,7 @@ class TestItemStore:
         copies = [TokenSequence(seq.ids.tolist()) for seq in history.items]
         assert all(c is not s and c.ids is not s.ids for c, s in zip(copies, history.items))
         rows = model.items.rows([history.items[0], copies[0]], model.trans)
-        assert len(model.items) == len(encoded) == 1 and np.array_equal(rows[0], rows[1])
+        assert candidate_rows_held(model) == len(encoded) == 1 and np.array_equal(rows[0], rows[1])
         both = batch_user_embeddings(model, [history, UserHistory(copies)], [0, 1]).data
         assert gate_rows_held(model) == len({seq.key for seq in history.items})
         assert np.array_equal(both[0], both[1])
@@ -740,7 +748,7 @@ class TestItemStore:
     def test_threads_match_single_on_a_warm_store(self, tiny_corpus):
         model = tiny_model(tiny_corpus)
         samples = tiny_corpus.samples[:70]
-        evaluate(model, samples[:30])
+        evaluate(model, samples[:30], threads=1)
         assert evaluate(model, samples, threads=3) == evaluate(model, samples, threads=1)
 
 
@@ -869,7 +877,7 @@ class TestGateRows:
         want = step(cold)
         assert gate_rows_held(cold) == 0
         warm = tiny_model(tiny_corpus)
-        evaluate(warm, samples)
+        evaluate(warm, samples, threads=1)
         held = gate_rows_held(warm)
         assert held > 0
         reads = []
@@ -882,7 +890,7 @@ class TestGateRows:
             assert (grad is None and other is None) or np.array_equal(grad, other), name
         # the gate itself refuses a store while a tape records
         with Tape(), pytest.raises(ValueError, match="tape"):
-            gate_groups([samples[0].history], warm.gate, warm.k, store=warm.items)
+            gate_groups([samples[0].history], warm.gate, warm.k, warm.gate_method, store=warm.items)
 
     def test_each_distinct_item_computed_once_per_fingerprint(self, tiny_corpus, monkeypatch):
         computed = self.recording(monkeypatch)
@@ -905,7 +913,7 @@ class TestGateRows:
     def test_heuristic_selectors_skip_the_store(self, tiny_corpus, monkeypatch, method):
         computed = self.recording(monkeypatch)
         model = tiny_model(tiny_corpus, method)
-        evaluate(model, tiny_corpus.samples[:20])
+        evaluate(model, tiny_corpus.samples[:20], threads=1)
         assert computed == [] and gate_rows_held(model) == 0
 
     @pytest.mark.parametrize("change", [
@@ -947,7 +955,7 @@ class TestGateRows:
     def test_per_sample_gate_leaves_store_untouched(self, tiny_corpus, monkeypatch):
         model = tiny_model(tiny_corpus)
         samples = tiny_corpus.samples[:ENCODE_CHUNK]
-        evaluate(model, samples)  # a warm store, holding every item of these histories
+        evaluate(model, samples, threads=1)  # a warm store, holding every item of these histories
         held = gate_rows_held(model)
         history = samples[0].history
         reads = []
@@ -990,15 +998,15 @@ class TestSnapshotCheck:
         model = tiny_model(corpus)
         model.gate.word_embeddings.data[5, 0] = 0.0
         samples = corpus.samples[:6]
-        evaluate(model, samples)
-        assert len(model.items) > 0 and gate_rows_held(model) > 0
+        evaluate(model, samples, threads=1)
+        assert candidate_rows_held(model) > 0 and gate_rows_held(model) > 0
         return model, samples, TestItemStore.counting(monkeypatch), TestGateRows.recording(monkeypatch)
 
     def test_negative_zero_drops_both_kinds(self, tiny_corpus, monkeypatch):
         model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
         model.gate.word_embeddings.data[5, 0] = -0.0
-        evaluate(model, samples)
-        assert len(encoded) == len(model.items) and len(computed) == gate_rows_held(model)
+        evaluate(model, samples, threads=1)
+        assert len(encoded) == candidate_rows_held(model) and len(computed) == gate_rows_held(model)
 
     def test_one_check_per_gate_rows_call(self, tiny_corpus, monkeypatch):
         import gateformer.training as training
@@ -1044,7 +1052,7 @@ class TestSnapshotCheck:
         model, samples, encoded, computed = self.warm(tiny_corpus, monkeypatch)
         for t in (model.trans.pool_q, model.gate.filters, model.gate.word_embeddings):
             t.data = t.data.copy()
-        evaluate(model, samples)
+        evaluate(model, samples, threads=1)
         assert encoded == [] and computed == []
 
 
@@ -1112,7 +1120,7 @@ class TestStoreLock:
         assert np.array_equal(one, encode_candidates(seqs[:40], model.trans).data)
         assert np.array_equal(two, encode_candidates(seqs[30:], model.trans).data)
         assert sorted(compute.made) == sorted(tuple(seq.ids) for seq in seqs[20:])
-        assert len(model.items) == 60
+        assert candidate_rows_held(model) == 60
 
     def test_gate_rows(self, tiny_corpus, monkeypatch):
         import gateformer.training as training

@@ -89,8 +89,8 @@ class TestEncodeUser:
     def test_ragged_item_lengths_allowed(self):
         # the gate's rows for items keeping 2 and 1 tokens encode as they are
         p = make_params(seed=4)
-        gate = init_gate_params(p.word_embeddings, 3, 1, np.random.default_rng(4))
-        gated = gate_groups([UserHistory([seq_of([4, 8]), seq_of([1])])], gate, 2)
+        gate = init_gate_params(p.word_embeddings, 3, 1, np.random.default_rng(4), "lstm")
+        gated = gate_groups([UserHistory([seq_of([4, 8]), seq_of([1])])], gate, 2, "learned")
         assert [s.k_eff for s in gated] == [2, 1]
         out = encode_user(gated.rows, p)
         assert out.data.shape == (p.d,)
@@ -402,7 +402,7 @@ def build_micro_model(seed):
     """Tiny gate + transformer sharing one embedding table."""
     rng = np.random.default_rng(seed)
     emb = tensor(rng.normal(size=(14, 4)) * 0.6, requires_grad=True)
-    gate = init_gate_params(emb, n_filters=3, window=1, rng=rng)
+    gate = init_gate_params(emb, n_filters=3, window=1, rng=rng, user_encoder="lstm")
     trans = init_transformer_params(emb, n_layers=1, heads=2, max_positions=16, rng=rng)
     return emb, gate, trans
 
@@ -451,7 +451,7 @@ class TestEndToEndGradient:
             def build():
                 total = None
                 for (history, pos, negs), expect in zip(batch, baselines):
-                    gated = gate_groups([history], gate, k)
+                    gated = gate_groups([history], gate, k, "learned")
                     assert [s.positions for s in gated] == expect
                     u = encode_user(gated.rows, trans)
                     loss = click_loss(
